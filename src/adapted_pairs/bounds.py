@@ -26,7 +26,7 @@ def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> Weight:
     sys = parab.system
     fund = sys.fundamental_weights()
     levi = sys.levi_weights(parab.pi_prime)
-    total = Weight(tuple(Fraction(0) for _ in range(sys.dim)))
+    total = Weight(tuple(Fraction(0) for _ in range(sys.rank)))
     for a in orbit:
         total = total - fund[a]
     for a in {parab.j_map[a] for a in orbit}:
@@ -42,32 +42,42 @@ def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> Weight:
 def lower_bound(parab: ParabolicData) -> List[Weight]:
     """Multiset {-delta_Gamma} over the ij-orbits, sorted."""
     out = [-delta_gamma(parab, orbit) for orbit in parab.orbits]
-    return sorted(out, key=lambda w: w.eps)
+    return sorted(out, key=lambda w: w.coeffs)
 
 
 def t_of_gamma(cand: Candidate, gamma: Root) -> Tuple[Dict[Root, Fraction], Weight]:
     """The unique rational combination of S making gamma + t(gamma) vanish
     on the truncated Cartan, plus the resulting weight."""
+    return _t_of_all(cand, [gamma])[0]
+
+
+def _t_of_all(
+    cand: Candidate, gammas: Sequence[Root]
+) -> List[Tuple[Dict[Root, Fraction], Weight]]:
+    """t_of_gamma for every gamma, with one elimination of the pairing matrix."""
     order = cand.S
     parab = cand.parabolic
     cols = [parab.pairing_on_coroots(g) for g in order]
-    n = parab.h_dim
-    mat = [[cols[i][j] for i in range(len(order))] for j in range(n)]
-    rhs = [-v for v in parab.pairing_on_coroots(gamma)]
-    coeffs = solve_dense(mat, rhs)
-    if coeffs is None:
+    mat = [[col[j] for col in cols] for j in range(parab.h_dim)]
+    rhss = [[-v for v in parab.pairing_on_coroots(g)] for g in gammas]
+    solutions = solve_dense(mat, rhss)
+    if solutions is None:
         raise ArithmeticError("S does not restrict to a basis")
-    eps = list(gamma.eps)
-    for c, g in zip(coeffs, order):
-        for d in range(len(eps)):
-            eps[d] += c * g.eps[d]
-    return dict(zip(order, coeffs)), Weight(tuple(eps))
+    out = []
+    for gamma, coeffs in zip(gammas, solutions):
+        w = [Fraction(x) for x in gamma.coeffs]
+        for c, g in zip(coeffs, order):
+            if c:
+                for i, x in enumerate(g.coeffs):
+                    w[i] += c * x
+        out.append((dict(zip(order, coeffs)), Weight(tuple(w))))
+    return out
 
 
 def improved_bound(cand: Candidate) -> List[Weight]:
     """Multiset {gamma + t(gamma)} over T, sorted."""
-    out = [t_of_gamma(cand, g)[1] for g in cand.T]
-    return sorted(out, key=lambda w: w.eps)
+    out = [w for _, w in _t_of_all(cand, cand.T)]
+    return sorted(out, key=lambda w: w.coeffs)
 
 
 def certify_coincidence(lower: Sequence[Weight], improved: Sequence[Weight]) -> bool:

@@ -25,10 +25,14 @@ class CascadeItem:
 def indecomposables(system: RootSystem, pos: Sequence[Root]) -> List[Root]:
     """Elements of a positive subsystem that are not sums of two others."""
     pos_set = {r.coeffs for r in pos}
+    by_height = [(r.coeffs, r.height) for r in pos]
     out = []
     for r in pos:
+        rc, h = r.coeffs, r.height
         decomposable = any(
-            (r - a).coeffs in pos_set for a in pos if a != r and (r - a).height > 0
+            tuple([x - y for x, y in zip(rc, ac)]) in pos_set
+            for ac, ah in by_height
+            if ah < h
         )
         if not decomposable:
             out.append(r)
@@ -69,9 +73,18 @@ def _split_components(
 def kostant_cascade(
     system: RootSystem, positive: Optional[Sequence[Root]] = None
 ) -> List[CascadeItem]:
-    """The full cascade for Delta+ or for any closed positive subsystem."""
+    """The full cascade for Delta+ or for any closed positive subsystem.
+
+    The cascade of Delta+ is the same for every s; it is kept on the system.
+    """
     if positive is None:
-        positive = system.positive_roots
+        if system.cascade is None:
+            system.cascade = _build_cascade(system, system.positive_roots)
+        return list(system.cascade)
+    return _build_cascade(system, positive)
+
+
+def _build_cascade(system: RootSystem, positive: Sequence[Root]) -> List[CascadeItem]:
     items: List[CascadeItem] = []
 
     def recurse(pos: Sequence[Root], prefix: str) -> None:
@@ -88,11 +101,6 @@ def kostant_cascade(
 
     recurse(list(positive), "")
     return items
-
-
-def heisenberg_max(system: RootSystem, subsystem: Sequence[Root], beta: Root) -> List[Root]:
-    """Maximal Heisenberg set of centre beta inside the given subsystem."""
-    return sorted(r for r in subsystem if system.inner(r, beta) > 0)
 
 
 def cascade_heisenberg_by_beta(

@@ -14,17 +14,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .roots import Coeffs, Eps, Root, RootSystem, dot, vec_add, vec_scale
+from .roots import Coeffs, Root, RootSystem
 
 Pair = Tuple[Coeffs, Coeffs]
 
 
 @dataclass
 class GElem:
-    """A Lie algebra element: root-vector coefficients plus a Cartan part."""
+    """A Lie algebra element: root-vector coefficients plus a Cartan part.
+
+    The Cartan part is written in coroot coordinates of the full Cartan.
+    """
 
     root_part: Dict[Coeffs, Fraction] = field(default_factory=dict)
-    h_part: Optional[Eps] = None
+    h_part: Optional[Tuple[Fraction, ...]] = None
 
     def add_root(self, coeffs: Coeffs, c: Fraction) -> None:
         v = self.root_part.get(coeffs, Fraction(0)) + c
@@ -33,11 +36,11 @@ class GElem:
         else:
             self.root_part[coeffs] = v
 
-    def add_h(self, vec: Eps, c: Fraction = Fraction(1)) -> None:
-        scaled = vec_scale(c, vec)
-        self.h_part = scaled if self.h_part is None else vec_add(self.h_part, scaled)
-        if all(x == 0 for x in self.h_part):
-            self.h_part = None
+    def add_h(self, vec, c: Fraction = Fraction(1)) -> None:
+        scaled = tuple([c * x for x in vec])
+        if self.h_part is not None:
+            scaled = tuple([a + b for a, b in zip(self.h_part, scaled)])
+        self.h_part = scaled if any(scaled) else None
 
     def is_zero(self) -> bool:
         return not self.root_part and self.h_part is None
@@ -103,17 +106,16 @@ class StructureTable:
         sys = self.system
         gamma = xi + eta
         lhs_factor = self.n_const(-alpha, sys.try_root(gamma))
-        total = Fraction(0)
+        total = 0
         t1a = self.n_const(-alpha, xi)
         if t1a != 0:
-            total += Fraction(t1a) * self.n_const(sys.try_root(xi - alpha), eta)
+            total += t1a * self.n_const(sys.try_root(xi - alpha), eta)
         t2a = self.n_const(-alpha, eta)
         if t2a != 0:
-            total += Fraction(t2a) * self.n_const(xi, sys.try_root(eta - alpha))
-        val = total / lhs_factor
-        if val.denominator != 1:
+            total += t2a * self.n_const(xi, sys.try_root(eta - alpha))
+        if total % lhs_factor:
             raise ArithmeticError("non-integral structure constant")
-        return int(val)
+        return total // lhs_factor
 
     # -- lookups ------------------------------------------------------------
 
@@ -146,17 +148,17 @@ class StructureTable:
         c = sys.try_root(b - alpha)
         if c is None:
             return 0
-        ll = lambda r: dot(r.eps, r.eps)
+        ll = lambda r: sys.inner(r, r)
         if all(x >= 0 for x in c.coeffs):
             # (-alpha) + b + (-c) = 0: N(-alpha,b)/(c,c) = N(-c,-alpha)/(b,b)
-            val = Fraction(ll(c), ll(b)) * (-self._pos.get((c.coeffs, alpha.coeffs), 0))
+            num, den = ll(c) * -self._pos.get((c.coeffs, alpha.coeffs), 0), ll(b)
         else:
             d = -c
             # (-alpha) + b + d = 0: N(-alpha,b)/(d,d) = N(b,d)/(alpha,alpha)
-            val = Fraction(ll(d), ll(alpha)) * self._pos.get((b.coeffs, d.coeffs), 0)
-        if val.denominator != 1:
+            num, den = ll(d) * self._pos.get((b.coeffs, d.coeffs), 0), ll(alpha)
+        if num % den:
             raise ArithmeticError("non-integral mixed structure constant")
-        return int(val)
+        return num // den
 
     # -- brackets -----------------------------------------------------------
 
@@ -166,7 +168,7 @@ class StructureTable:
         out = GElem()
         if (a + b).coeffs == sys.zero_coeffs():
             # Chevalley normalization [x_a, x_{-a}] = a^vee
-            out.add_h(sys.coroot_eps(a))
+            out.add_h(sys.coroot(a))
             return out
         n = self.n_const(a, b)
         if n != 0:
@@ -188,11 +190,11 @@ class StructureTable:
         if x.h_part is not None:
             for cb, vb in y.root_part.items():
                 b = sys.root_from_coeffs(cb)
-                out.add_root(cb, vb * dot(b.eps, x.h_part))
+                out.add_root(cb, vb * _root_on_h(sys, b, x.h_part))
         if y.h_part is not None:
             for ca, va in x.root_part.items():
                 a = sys.root_from_coeffs(ca)
-                out.add_root(ca, -va * dot(a.eps, y.h_part))
+                out.add_root(ca, -va * _root_on_h(sys, a, y.h_part))
         return out
 
     def jacobiator(self, a: Root, b: Root, c: Root) -> GElem:
@@ -209,6 +211,11 @@ class StructureTable:
             if t.h_part is not None:
                 out.add_h(t.h_part)
         return out
+
+
+def _root_on_h(sys: RootSystem, a: Root, h: Tuple[Fraction, ...]) -> Fraction:
+    """a(h) for h in coroot coordinates."""
+    return sum([p * c for p, c in zip(sys.simple_pairings(a), h)], Fraction(0))
 
 
 _TABLE_CACHE: Dict[Tuple[str, int], StructureTable] = {}
@@ -231,7 +238,7 @@ def ad_on_dual(table: StructureTable, parabolic, x: GElem, y: GElem) -> GElem:
     The bracket is computed in the full algebra, then projected onto
     g_{Delta+} + h_trunc + g_{Delta-_{pi'}}: root components outside the
     support are dropped and the Cartan part is projected orthogonally onto
-    the truncated Cartan (the dot product restricted to the Cartan agrees
+    the truncated Cartan (the invariant form restricted to the Cartan agrees
     with the Killing form up to scale, so this is the Killing projection).
     """
     raw = table.bracket(x, y)

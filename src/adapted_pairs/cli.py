@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .cascade import kostant_cascade
 from .certificate import certificate_dict, from_json, rat_value, to_json
 from .construction import OutOfScopeError, in_scope_cases
-from .roots import Root, build_root_system
+from .roots import Root, RootSystem, build_root_system
 from .verify import run_case
 
 EXIT_PASS = 0
@@ -26,14 +25,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def eps_str(root: Root) -> str:
+def eps_str(system: RootSystem, root: Root) -> str:
     """Human-readable epsilon form, e.g. 'e1+e2' or '(1/2)(e1-e2+...)'."""
     terms = []
-    denom = 1
-    for x in root.eps:
-        denom = max(denom, Fraction(x).denominator)
-    for i, x in enumerate(root.eps, start=1):
-        x = Fraction(x) * denom
+    eps = system.eps_of(root)
+    denom = max(x.denominator for x in eps)
+    for i, x in enumerate(eps, start=1):
+        x = x * denom
         if x == 0:
             continue
         sign = "+" if x > 0 else "-"
@@ -63,10 +61,15 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append("")
 
     sys_ = build_root_system(case["family"], case["rank"])
-    rc = lambda c: sys_.root_from_coeffs(tuple(c))
+
+    def rc(c) -> Root:
+        root = sys_.try_root(Root(tuple(c)))
+        if root is None:
+            raise ValueError(f"{list(c)} is not a root of {sys_.family}{sys_.rank}")
+        return root
 
     def root_row(vals):
-        return ", ".join(eps_str(rc(c)) for c in vals)
+        return ", ".join(eps_str(sys_, rc(c)) for c in vals)
 
     lines.append(f"{h2}S")
     for part in ("plus", "minus", "mixed"):
@@ -77,7 +80,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append(f"{h2}Heisenberg sets")
     for entry in cert["gamma_sets"]:
         lines.append(
-            f"  Gamma[{eps_str(rc(entry['centre']))}] "
+            f"  Gamma[{eps_str(sys_, rc(entry['centre']))}] "
             f"({len(entry['members'])}): {root_row(entry['members'])}"
         )
     lines.append("")
@@ -101,7 +104,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append(
         "  eigenvalues on g_T: "
         + ", ".join(
-            f"{eps_str(rc(e['gamma']))}: {_rat_str(e['value'])}"
+            f"{eps_str(sys_, rc(e['gamma']))}: {_rat_str(e['value'])}"
             for e in cert["eigenvalues"]
         )
     )
@@ -181,7 +184,7 @@ def cmd_cascade(args) -> int:
         return EXIT_USAGE
     for item in kostant_cascade(system):
         print(
-            f"beta[{item.label}] = {eps_str(item.beta)}   "
+            f"beta[{item.label}] = {eps_str(system, item.beta)}   "
             f"|H| = {len(item.heisenberg)}"
         )
     return EXIT_PASS
@@ -193,10 +196,18 @@ def cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if cert.get("schema") != 1:
+    if not isinstance(cert, dict) or cert.get("schema") != 1:
         print("unsupported certificate schema", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(render_certificate(cert, args.format))
+    try:
+        text = render_certificate(cert, args.format)
+    except KeyError as exc:
+        print(f"malformed certificate: missing field {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        print(f"malformed certificate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(text)
     return EXIT_PASS
 
 

@@ -10,7 +10,6 @@ by the corresponding diagram flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta, indecomposables
@@ -125,9 +124,9 @@ def case_plan(family: str, n: int, s: int) -> Optional[str]:
 
 def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> Root:
     """Root from epsilon terms [(coef, index1based), ...]."""
-    v = [Fraction(0)] * system.dim
+    v = [0] * system.dim
     for c, i in terms:
-        v[i - 1] += Fraction(c)
+        v[i - 1] += c
     return system.root_from_eps(v)
 
 
@@ -574,12 +573,11 @@ def e7_d6_embedding() -> Dict[Root, Root]:
     }
     phi: Dict[Root, Root] = {}
     for r in d6.positive_roots:
-        v = [Fraction(0)] * e7.dim
+        v = [0] * e7.rank
         for k, c in enumerate(r.coeffs, start=1):
-            if c:
-                for d in range(e7.dim):
-                    v[d] += c * image[k].eps[d]
-        target = e7.root_from_eps(v)
+            for d, x in enumerate(image[k].coeffs):
+                v[d] += c * x
+        target = e7.root_from_coeffs(v)
         phi[r] = target
         phi[-r] = -target
     return phi

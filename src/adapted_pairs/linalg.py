@@ -43,11 +43,18 @@ def det_dense(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def solve_dense(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Solve a square system exactly; returns None when singular."""
+    rows: Sequence[Sequence[Fraction]], rhss: Sequence[Sequence[Fraction]]
+) -> Optional[List[List[Fraction]]]:
+    """Solve a square system exactly for every right-hand side in rhss.
+
+    One elimination serves all of them; returns one solution per right-hand
+    side, or None when the matrix is singular.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
+    m = [
+        [Fraction(x) for x in r] + [Fraction(b[i]) for b in rhss]
+        for i, r in enumerate(rows)
+    ]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
@@ -59,7 +66,7 @@ def solve_dense(
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    return [[m[r][n + k] for r in range(n)] for k in range(len(rhss))]
 
 
 def solve_in_span(
@@ -130,13 +137,15 @@ def sparse_eliminate(
 ) -> Tuple[int, Optional[Fraction]]:
     """Rank (and determinant when square) of a sparse rational matrix.
 
-    Pivots prefer short rows and lightly populated columns, which keeps
-    fill-in negligible on the bracket matrices this package produces.
+    Entries may be ints or Fractions; every entry becomes a Fraction on
+    entry, so integer input never falls back to float division.  Pivots
+    prefer short rows and lightly populated columns, which keeps fill-in
+    negligible on the bracket matrices this package produces.
     """
     nrows = len(rows)
     if want_det and nrows != ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows = [dict(r) for r in rows]
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     col_rows: Dict[int, set] = {}
     for i, r in enumerate(rows):
         for c in r:

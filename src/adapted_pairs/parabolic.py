@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import solve_dense
-from .roots import Coeffs, Eps, Root, RootSystem, dot
+from .roots import Coeffs, Root, RootSystem
 
 
 def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[Root]:
@@ -56,35 +56,48 @@ def minus_w0_on_subset(system: RootSystem, subset: Sequence[int]) -> Dict[int, i
 
     w0 is the longest element of the Weyl group generated by the subset.
     A reduced word for it falls out of the descent algorithm applied to the
-    sum of the positive roots of the subsystem.
+    sum of the positive roots of the subsystem.  The result is kept on the
+    system, once per subset.
     """
-    subset = sorted(subset)
+    key = tuple(sorted(subset))
+    if key not in system.minus_w0:
+        system.minus_w0[key] = _descent_minus_w0(system, key)
+    return dict(system.minus_w0[key])
+
+
+def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, int]:
     if not subset:
         return {}
     pos = subsystem_roots(system, subset)
-    v: Eps = tuple(
-        sum((r.eps[d] for r in pos), Fraction(0)) for d in range(system.dim)
-    )
-    simples = [system.simple_roots[i] for i in subset]
-    word: List[Root] = []
+    cartan = system.cartan
+    columns = {j: [cartan[i][j] for i in range(system.rank)] for j in subset}
+
+    def pairing(v: List[int], j: int) -> int:
+        """<v, alpha_j^vee>; the simple reflection s_j subtracts it at j."""
+        return sum([a * b for a, b in zip(v, columns[j])])
+
+    v = [sum(r.coeffs[d] for r in pos) for d in range(system.rank)]
+    word: List[int] = []
     guard = len(pos) + 1
     while True:
-        alpha = next((a for a in simples if dot(v, a.eps) > 0), None)
-        if alpha is None:
+        j = next((j for j in subset if pairing(v, j) > 0), None)
+        if j is None:
             break
-        v = system.reflect_vec(alpha, v)
-        word.append(alpha)
+        v[j] -= pairing(v, j)
+        word.append(j)
         guard -= 1
         if guard < 0:
             raise RuntimeError("descent algorithm failed to terminate")
     perm: Dict[int, int] = {}
-    eps_to_idx = {system.simple_roots[i].eps: i for i in subset}
     for i in subset:
-        u = system.simple_roots[i].eps
-        for alpha in word:
-            u = system.reflect_vec(alpha, u)
-        image = tuple(-x for x in u)
-        perm[i] = eps_to_idx[image]
+        u = [0] * system.rank
+        u[i] = 1
+        for j in word:
+            u[j] -= pairing(u, j)
+        m = u.index(-1)
+        if any(u[:m]) or any(u[m + 1 :]):
+            raise RuntimeError("-w0 does not permute the simple roots")
+        perm[i] = m
     return perm
 
 
@@ -119,10 +132,7 @@ class ParabolicData:
         self.dual_support_coeffs: FrozenSet[Coeffs] = frozenset(
             r.coeffs for r in sys.positive_roots
         ) | frozenset(r.coeffs for r in self.delta_pi_prime_neg)
-        self._coroot_rows = [sys.coroot_eps(sys.simple_roots[i]) for i in self.pi_prime]
-        self._gram = [
-            [dot(a, b) for b in self._coroot_rows] for a in self._coroot_rows
-        ]
+        self._removed_projection: Optional[List[Fraction]] = None
 
     def _build_i(self) -> Dict[int, int]:
         sys = self.system
@@ -160,41 +170,53 @@ class ParabolicData:
     def h_dim(self) -> int:
         return len(self.pi_prime)
 
-    def coroot_basis(self) -> List[Eps]:
-        """Coroots alpha_i^vee, i != s, as Cartan vectors."""
-        return list(self._coroot_rows)
+    def _projection_of_removed(self) -> List[Fraction]:
+        """Coroot coordinates of the orthogonal projection of alpha_s^vee
+        onto the truncated Cartan: one solve of the coroot Gram matrix per
+        parabolic, made on first use."""
+        if self._removed_projection is None:
+            gram = self.system.gram
+            s0 = self.s - 1
 
-    def project_h(self, v: Eps) -> Eps:
-        """Orthogonal projection of a Cartan vector onto the truncated Cartan."""
-        coeffs = self.h_in_coroot_basis(v, strict=False)
-        out = [Fraction(0)] * self.system.dim
-        for c, row in zip(coeffs, self._coroot_rows):
-            for d in range(self.system.dim):
-                out[d] += c * row[d]
+            def co_gram(i: int, k: int) -> Fraction:
+                return Fraction(4 * gram[i][k], gram[i][i] * gram[k][k])
+
+            rows = [[co_gram(i, k) for k in self.pi_prime] for i in self.pi_prime]
+            rhs = [co_gram(i, s0) for i in self.pi_prime]
+            solutions = solve_dense(rows, [rhs])
+            if solutions is None:
+                raise ArithmeticError("coroot Gram matrix is singular")
+            self._removed_projection = solutions[0]
+        return self._removed_projection
+
+    def project_h(self, v: Sequence) -> Tuple[Fraction, ...]:
+        """Orthogonal projection of a Cartan vector (coroot coordinates) onto
+        the truncated Cartan, in coroot coordinates of the full Cartan."""
+        out = [Fraction(0)] * self.system.rank
+        for i, c in zip(self.pi_prime, self.h_in_coroot_basis(v, strict=False)):
+            out[i] = c
         return tuple(out)
 
-    def h_in_coroot_basis(self, v: Eps, strict: bool = True) -> List[Fraction]:
-        """Coordinates of v in the coroot basis of the truncated Cartan.
+    def h_in_coroot_basis(self, v: Sequence, strict: bool = True) -> List[Fraction]:
+        """Coordinates of v (coroot coordinates) in the coroot basis of the
+        truncated Cartan.
 
-        With strict=False the vector is first projected orthogonally (normal
-        equations); with strict=True v must already lie in the span.
+        With strict=False the vector is first projected orthogonally; with
+        strict=True v must already lie in the span.
         """
-        rhs = [dot(row, v) for row in self._coroot_rows]
-        coeffs = solve_dense(self._gram, rhs)
-        if coeffs is None:
-            raise ArithmeticError("coroot Gram matrix is singular")
-        if strict:
-            recon = [Fraction(0)] * self.system.dim
-            for c, row in zip(coeffs, self._coroot_rows):
-                for d in range(self.system.dim):
-                    recon[d] += c * row[d]
-            if tuple(recon) != tuple(v):
-                raise ValueError("vector is not in the truncated Cartan")
-        return coeffs
+        vs = v[self.s - 1]
+        if vs and strict:
+            raise ValueError("vector is not in the truncated Cartan")
+        if not vs:
+            return [Fraction(v[i]) for i in self.pi_prime]
+        return [
+            v[i] + vs * c for i, c in zip(self.pi_prime, self._projection_of_removed())
+        ]
 
-    def pairing_on_coroots(self, gamma: Root) -> List[Fraction]:
+    def pairing_on_coroots(self, gamma: Root) -> List[int]:
         """gamma(alpha_i^vee) over the coroot basis order."""
-        return [dot(gamma.eps, row) for row in self._coroot_rows]
+        pairs = self.system.simple_pairings(gamma)
+        return [pairs[i] for i in self.pi_prime]
 
 
 def build_parabolic(system: RootSystem, s: int) -> ParabolicData:

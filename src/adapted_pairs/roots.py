@@ -1,10 +1,18 @@
-"""Exact root systems of types B, D, E6, E7 in Bourbaki epsilon-coordinates.
+"""Exact root systems of types B, D, E6, E7 on the integer root lattice.
 
-Roots carry two synchronized views: the coordinate vector in the orthonormal
-epsilon basis of the ambient space (dimension n for B_n/D_n, 8 for E6/E7) and
-the integer coefficient vector over the simple roots.  All arithmetic is in
-fractions.Fraction; the bilinear form is the euclidean dot product, which
-agrees with the Killing form up to a global scale.
+A root is its integer coefficient vector over the simple roots (Bourbaki
+numbering).  Inner products and Cartan pairings come from the integer Gram
+and Cartan matrices of the simple roots, which are integral for every
+supported type, so root arithmetic runs on Python ints.  Weights carry
+rational (fractions.Fraction) coordinates over the simple roots, and Cartan
+elements are written in coroot coordinates.  The bilinear form agrees with
+the Killing form up to a global scale.
+
+Epsilon coordinates (the orthonormal basis of the ambient space, dimension
+n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_of` for
+display, `root_from_eps` for case data written in epsilon form, and
+`cartan_eps`/`coroot_eps` for comparisons with closed forms.
+`_simple_root_data` is the epsilon oracle they are built from.
 """
 
 from __future__ import annotations
@@ -26,45 +34,22 @@ def _frac(vals: Iterable) -> Eps:
     return tuple(Fraction(v) for v in vals)
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def vec_add(a: Eps, b: Eps) -> Eps:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Eps, b: Eps) -> Eps:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Eps:
-    return tuple(Fraction(c) * x for x in a)
-
-
-@dataclass(frozen=True)
 class Root:
-    """A vector of the root lattice with both coordinate views."""
+    """A vector of the root lattice: integer coefficients over the simple roots."""
 
-    coeffs: Coeffs
-    eps: Eps
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Coeffs):
+        self.coeffs = coeffs
 
     def __add__(self, other: "Root") -> "Root":
-        return Root(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            vec_add(self.eps, other.eps),
-        )
+        return Root(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "Root") -> "Root":
-        return Root(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            vec_sub(self.eps, other.eps),
-        )
+        return Root(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coeffs), tuple(-x for x in self.eps))
+        return Root(tuple([-a for a in self.coeffs]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Root) and self.coeffs == other.coeffs
@@ -86,38 +71,39 @@ class Root:
 
 @dataclass(frozen=True)
 class Weight:
-    """An exact rational vector in the epsilon basis."""
+    """An exact rational vector in simple-root coordinates."""
 
-    eps: Eps
+    coeffs: Tuple[Fraction, ...]
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(vec_add(self.eps, other.eps))
+        return Weight(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(vec_sub(self.eps, other.eps))
+        return Weight(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-x for x in self.eps))
+        return Weight(tuple(-x for x in self.coeffs))
 
     def scale(self, c) -> "Weight":
-        return Weight(vec_scale(Fraction(c), self.eps))
+        c = Fraction(c)
+        return Weight(tuple(c * x for x in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.eps)
+        return all(x == 0 for x in self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Weight{tuple(str(x) for x in self.eps)}"
+        return f"Weight{tuple(str(x) for x in self.coeffs)}"
 
 
 def multiple_of(w: Weight, base: Weight) -> Optional[Fraction]:
     """The exact c with w == c*base, or None when not proportional."""
     ratio: Optional[Fraction] = None
-    for x, y in zip(w.eps, base.eps):
+    for x, y in zip(w.coeffs, base.coeffs):
         if y == 0:
             if x != 0:
                 return None
             continue
-        c = x / y
+        c = Fraction(x) / y
         if ratio is None:
             ratio = c
         elif ratio != c:
@@ -127,7 +113,37 @@ def multiple_of(w: Weight, base: Weight) -> Optional[Fraction]:
     return ratio
 
 
+def _gram_matrix(family: str, rank: int) -> List[List[int]]:
+    """Integer Gram matrix (alpha_i, alpha_j) of the simple roots, read off
+    the Dynkin diagram: long roots have square length 2, the short root of
+    B_n has 1, and joined nodes pair to -1."""
+    if family == "B":
+        if rank < 2:
+            raise ValueError("type B needs rank >= 2")
+        edges = [(i, i + 1) for i in range(rank - 1)]
+    elif family == "D":
+        if rank < 4:
+            raise ValueError("type D needs rank >= 4")
+        edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
+    elif family in ("E6", "E7"):
+        n = 6 if family == "E6" else 7
+        if rank != n:
+            raise ValueError(f"type {family} has rank {n}")
+        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)]
+    else:
+        raise ValueError(f"unsupported family {family!r}")
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2
+    if family == "B":
+        gram[rank - 1][rank - 1] = 1
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return gram
+
+
 def _simple_root_data(family: str, rank: int) -> List[Eps]:
+    """Bourbaki simple roots in epsilon coordinates: the epsilon oracle."""
     if family == "B":
         if rank < 2:
             raise ValueError("type B needs rank >= 2")
@@ -168,26 +184,42 @@ def _simple_root_data(family: str, rank: int) -> List[Eps]:
 
 
 class RootSystem:
-    """Root system data: simple roots, positive roots, exact form."""
+    """Root system data: simple roots, positive roots, exact integer form.
+
+    Besides its own data the system keeps results of other layers that
+    depend on nothing but the system, filled on first use: the Kostant
+    cascade of Delta+ (`cascade`) and -w0 per simple-root subset
+    (`minus_w0`).
+    """
 
     def __init__(self, family: str, rank: int):
         if family not in SUPPORTED:
             raise ValueError(f"unsupported family {family!r}")
         self.family = family
         self.rank = rank
-        eps_simples = _simple_root_data(family, rank)
-        self.dim = len(eps_simples[0])
-        self.simple_roots: List[Root] = []
-        for i, v in enumerate(eps_simples):
-            coeffs = tuple(1 if j == i else 0 for j in range(rank))
-            self.simple_roots.append(Root(coeffs, v))
+        self.gram = _gram_matrix(family, rank)
+        # cartan[i][j] = <alpha_i, alpha_j^vee>
+        self.cartan = [
+            [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
+            for i in range(rank)
+        ]
+        self._eps_simples = _simple_root_data(family, rank)
+        self.dim = len(self._eps_simples[0])
+        self.simple_roots: List[Root] = [
+            Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
+        ]
+        self._forms: Dict[Coeffs, Tuple[int, ...]] = {}
+        self._pairings: Dict[Coeffs, Tuple[int, ...]] = {}
         self.positive_roots = self._generate_positive()
         self._by_coeffs: Dict[Coeffs, Root] = {}
         for r in self.positive_roots:
             self._by_coeffs[r.coeffs] = r
             self._by_coeffs[(-r).coeffs] = -r
-        self._by_eps: Dict[Eps, Root] = {r.eps: r for r in self._by_coeffs.values()}
+        self._by_eps: Optional[Dict[Eps, Root]] = None
         self._fundamental: Optional[List[Weight]] = None
+        self._levi: Dict[Tuple[int, ...], Dict[int, Weight]] = {}
+        self.cascade: Optional[list] = None
+        self.minus_w0: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -203,7 +235,8 @@ class RootSystem:
         while frontier:
             new_frontier: List[Root] = []
             for beta in frontier:
-                for alpha in self.simple_roots:
+                pairs = self.simple_pairings(beta)
+                for j, alpha in enumerate(self.simple_roots):
                     if beta == alpha:
                         continue
                     # The alpha-string through beta never crosses zero, so
@@ -213,8 +246,7 @@ class RootSystem:
                     while probe.coeffs in known:
                         p += 1
                         probe = probe - alpha
-                    q = p - self.pairing(beta, alpha)
-                    if q > 0:
+                    if p - pairs[j] > 0:
                         cand = beta + alpha
                         if cand.coeffs not in known:
                             known[cand.coeffs] = cand
@@ -233,41 +265,57 @@ class RootSystem:
     def root_from_coeffs(self, coeffs: Sequence[int]) -> Root:
         return self._by_coeffs[tuple(coeffs)]
 
-    def root_from_eps(self, eps: Sequence) -> Root:
-        return self._by_eps[_frac(eps)]
-
     def try_root(self, r: Root) -> Optional[Root]:
         return self._by_coeffs.get(r.coeffs)
 
-    def inner(self, a, b) -> Fraction:
-        """Symmetric bilinear form (euclidean dot product) on eps vectors."""
-        av = a.eps if hasattr(a, "eps") else a
-        bv = b.eps if hasattr(b, "eps") else b
-        return dot(av, bv)
+    # -- the integer form --------------------------------------------------
 
-    def coroot_eps(self, r: Root) -> Eps:
-        """alpha^vee as a Cartan vector: 2 alpha / (alpha, alpha)."""
-        return vec_scale(Fraction(2) / dot(r.eps, r.eps), r.eps)
+    def _form(self, x) -> tuple:
+        """(x, alpha_i) for every simple root, memoised for roots."""
+        c = x.coeffs
+        row = self._forms.get(c)
+        if row is None:
+            row = tuple(
+                [sum([a * g for a, g in zip(c, grow, strict=True)]) for grow in self.gram]
+            )
+            if isinstance(x, Root):
+                self._forms[c] = row
+        return row
 
-    def pairing_vec(self, v: Sequence[Fraction], alpha: Root) -> Fraction:
-        """<v, alpha^vee> = 2 (v, alpha) / (alpha, alpha)."""
-        return Fraction(2) * dot(v, alpha.eps) / dot(alpha.eps, alpha.eps)
+    def inner(self, a, b):
+        """Symmetric bilinear form on roots and weights, via the Gram matrix."""
+        return sum([x * y for x, y in zip(a.coeffs, self._form(b), strict=True)])
 
-    def pairing(self, a: Root, alpha: Root) -> Fraction:
-        return self.pairing_vec(a.eps, alpha)
+    def simple_pairings(self, x) -> tuple:
+        """<x, alpha_k^vee> for every simple root alpha_k, memoised for roots."""
+        c = x.coeffs
+        row = self._pairings.get(c)
+        if row is None:
+            form = self._form(x)
+            if isinstance(x, Root):
+                row = tuple([2 * f // self.gram[k][k] for k, f in enumerate(form)])
+                self._pairings[c] = row
+            else:
+                row = tuple([Fraction(2 * f) / self.gram[k][k] for k, f in enumerate(form)])
+        return row
+
+    def pairing(self, a, alpha: Root):
+        """<a, alpha^vee> = 2 (a, alpha) / (alpha, alpha); an int on the root lattice."""
+        num = 2 * self.inner(a, alpha)
+        norm = self.inner(alpha, alpha)
+        if isinstance(num, int):
+            return num // norm
+        return num / norm
+
+    def coroot(self, r: Root) -> Tuple[int, ...]:
+        """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""
+        norm = self.inner(r, r)
+        return tuple([c * self.gram[i][i] // norm for i, c in enumerate(r.coeffs)])
 
     def reflect(self, alpha: Root, beta: Root) -> Root:
         """r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
         k = self.pairing(beta, alpha)
-        if k.denominator != 1:
-            raise ValueError("non-integral Cartan pairing between roots")
-        coeffs = tuple(b - int(k) * a for a, b in zip(alpha.coeffs, beta.coeffs))
-        eps = vec_sub(beta.eps, vec_scale(k, alpha.eps))
-        return Root(coeffs, eps)
-
-    def reflect_vec(self, alpha: Root, v: Eps) -> Eps:
-        k = self.pairing_vec(v, alpha)
-        return vec_sub(v, vec_scale(k, alpha.eps))
+        return Root(tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)]))
 
     # -- weights -----------------------------------------------------------
 
@@ -282,36 +330,62 @@ class RootSystem:
 
         subset holds 0-based simple-root indices.
         """
-        ws = self._weights_for(sorted(subset))
-        return dict(zip(sorted(subset), ws))
+        key = tuple(sorted(subset))
+        if key not in self._levi:
+            self._levi[key] = dict(zip(key, self._weights_for(list(key))))
+        return dict(self._levi[key])
 
     def _weights_for(self, idxs: List[int]) -> List[Weight]:
-        simples = [self.simple_roots[i] for i in idxs]
-        k = len(simples)
-        cartan = [
-            [self.pairing(simples[j], simples[i]) for j in range(k)]
-            for i in range(k)
-        ]
+        """Solve the Cartan block of idxs once for all of its unit vectors."""
+        k = len(idxs)
+        block = [[self.cartan[idxs[j]][idxs[i]] for j in range(k)] for i in range(k)]
+        units = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+        solutions = solve_dense(block, units)
+        if solutions is None:
+            raise ValueError("degenerate Cartan matrix")
         weights = []
-        for i in range(k):
-            rhs = [Fraction(1 if j == i else 0) for j in range(k)]
-            coeffs = solve_dense(cartan, rhs)
-            if coeffs is None:
-                raise ValueError("degenerate Cartan matrix")
-            v = tuple(
-                sum((c * s.eps[d] for c, s in zip(coeffs, simples)), Fraction(0))
-                for d in range(self.dim)
-            )
-            weights.append(Weight(v))
+        for sol in solutions:
+            coeffs = [Fraction(0)] * self.rank
+            for i, c in zip(idxs, sol):
+                coeffs[i] = c
+            weights.append(Weight(tuple(coeffs)))
         return weights
 
-    # -- misc --------------------------------------------------------------
+    # -- epsilon edge ------------------------------------------------------
 
-    def unit_eps(self, i: int) -> Eps:
-        """epsilon_i as a vector (1-based, Bourbaki numbering)."""
-        v = [Fraction(0)] * self.dim
-        v[i - 1] = Fraction(1)
-        return tuple(v)
+    def eps_of(self, x) -> Eps:
+        """Epsilon coordinates of a root or weight."""
+        out = [Fraction(0)] * self.dim
+        for c, v in zip(x.coeffs, self._eps_simples):
+            if c:
+                for d, e in enumerate(v):
+                    if e:
+                        out[d] += c * e
+        return tuple(out)
+
+    def root_from_eps(self, eps: Sequence) -> Root:
+        """The root with these epsilon coordinates (ints or Fractions),
+        through a table built on first use."""
+        if self._by_eps is None:
+            self._by_eps = {self.eps_of(r): r for r in self._by_coeffs.values()}
+        return self._by_eps[tuple(eps)]
+
+    def cartan_eps(self, h: Sequence) -> Eps:
+        """Epsilon coordinates of a Cartan element given in coroot coordinates."""
+        out = [Fraction(0)] * self.dim
+        for k, (c, v) in enumerate(zip(h, self._eps_simples)):
+            if c:
+                scale = Fraction(2 * c) / self.gram[k][k]
+                for d, e in enumerate(v):
+                    if e:
+                        out[d] += scale * e
+        return tuple(out)
+
+    def coroot_eps(self, r: Root) -> Eps:
+        """alpha^vee as a Cartan vector in epsilon coordinates."""
+        return self.cartan_eps(self.coroot(r))
+
+    # -- misc --------------------------------------------------------------
 
     def highest_root(self) -> Root:
         return max(self.positive_roots, key=lambda r: (r.height, r.coeffs))

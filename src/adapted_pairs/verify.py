@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate, OrbitStructure, orbit_structure
 from .linalg import det_dense, solve_dense, sparse_det, sparse_rank
-from .roots import Root, Weight, dot, vec_scale
+from .roots import Root, Weight
 
 STATIONARY = "stationary"
 EXT_STATIONARY = "extended_stationary"
@@ -75,21 +75,25 @@ class RegularityCheck:
 @dataclass
 class AdaptedPair:
     h_coroot_coeffs: Dict[int, Fraction]  # keyed by 1-based simple index
-    h_eps: Tuple[Fraction, ...]
+    h_eps: Tuple[Fraction, ...]  # epsilon form, for the paper's closed forms
     eigenvalues: Dict[Root, Fraction]  # gamma in T -> gamma(h)
     degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
 
 
-def s_ordered(cand: Candidate) -> Tuple[Root, ...]:
-    return cand.S
-
-
-def basis_matrix(cand: Candidate, order: Sequence[Root]) -> List[List[Fraction]]:
+def basis_matrix(cand: Candidate, order: Sequence[Root]) -> List[List[int]]:
     return [cand.parabolic.pairing_on_coroots(g) for g in order]
 
 
+def _value_on_h(cand: Candidate, a: Root, coeffs: Sequence[Fraction]) -> Fraction:
+    """a(h) for h given by its coefficients in the truncated coroot basis."""
+    return sum(
+        [c * p for c, p in zip(coeffs, cand.parabolic.pairing_on_coroots(a))],
+        Fraction(0),
+    )
+
+
 def check_basis_restriction(cand: Candidate) -> BasisCheck:
-    order = s_ordered(cand)
+    order = cand.S
     if len(order) != cand.parabolic.h_dim:
         return BasisCheck(False, Fraction(0))
     det = det_dense(basis_matrix(cand, order))
@@ -420,19 +424,14 @@ def check_nondegeneracy(
 
     mono_ok = size % 2 == 0
     degree = 0
-    s_order = s_ordered(cand)
+    s_order = cand.S
     mat = basis_matrix(cand, s_order)
-    rhs = [Fraction(abs(g.height)) for g in s_order]
-    coeffs = solve_dense(mat, rhs)
-    if coeffs is None:
+    rhs = [abs(g.height) for g in s_order]
+    solutions = solve_dense(mat, [rhs])
+    if solutions is None:
         mono_ok = False
     else:
-        coroots = cand.parabolic.coroot_basis()
-        hw = tuple(
-            sum((c * row[d] for c, row in zip(coeffs, coroots)), Fraction(0))
-            for d in range(cand.system.dim)
-        )
-        u = {a: dot(a.eps, hw) for a in order}
+        u = {a: _value_on_h(cand, a, solutions[0]) for a in order}
         for a in order:
             for b in os.S_alpha[a]:
                 if abs((a + b).height) != u[a] + u[b]:
@@ -506,7 +505,7 @@ def coadjoint_columns(
         for gp in s_roots:
             if gp == gb:
                 h_coeffs = parab.h_in_coroot_basis(
-                    vec_scale(Fraction(-1), sys.coroot_eps(gb)), strict=False
+                    [-x for x in sys.coroot(gb)], strict=False
                 )
                 for k, c in enumerate(h_coeffs):
                     if c:
@@ -519,10 +518,10 @@ def coadjoint_columns(
                     i = row_of[target]
                     col[i] = col.get(i, Fraction(0)) + n
         columns.append({k: v for k, v in col.items() if v != 0})
-    for row in parab.coroot_basis():
+    for k in range(parab.h_dim):
         col = {}
         for gp in s_roots:
-            val = dot(gp.eps, row)
+            val = parab.pairing_on_coroots(gp)[k]
             if val:
                 col[row_of[gp]] = val
         columns.append(col)
@@ -554,22 +553,21 @@ def check_regularity(
 
 def solve_h(cand: Candidate) -> AdaptedPair:
     """The unique h in the truncated Cartan with gamma(h) = -1 on S."""
-    order = s_ordered(cand)
+    order = cand.S
     mat = basis_matrix(cand, order)
-    rhs = [Fraction(-1)] * len(order)
-    coeffs = solve_dense(mat, rhs)
-    if coeffs is None:
+    solutions = solve_dense(mat, [[-1] * len(order)])
+    if solutions is None:
         raise ArithmeticError("S does not restrict to a basis")
+    coeffs = solutions[0]
     parab = cand.parabolic
-    coroots = parab.coroot_basis()
-    h_eps = tuple(
-        sum((c * row[d] for c, row in zip(coeffs, coroots)), Fraction(0))
-        for d in range(cand.system.dim)
-    )
+    h_full = [0] * cand.system.rank
+    for i, c in zip(parab.h_basis_indices, coeffs):
+        h_full[i] = c
+    h_eps = cand.system.cartan_eps(h_full)
     h_coeffs = {
         idx + 1: c for idx, c in zip(parab.h_basis_indices, coeffs)
     }
-    eigen = {t: dot(t.eps, h_eps) for t in cand.T}
+    eigen = {t: _value_on_h(cand, t, coeffs) for t in cand.T}
     degrees = tuple(sorted(v + 1 for v in eigen.values()))
     return AdaptedPair(h_coeffs, h_eps, eigen, degrees)
 

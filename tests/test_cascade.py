@@ -10,7 +10,7 @@ from adapted_pairs.roots import build_root_system
 
 
 def _eps_set(system, items):
-    return {it.beta.eps for it in items}
+    return {system.eps_of(it.beta) for it in items}
 
 
 def _v(system, terms):
@@ -85,7 +85,7 @@ def test_cascade_roots_strongly_orthogonal():
 
 def test_singleton_components_give_singleton_sets():
     sys = build_root_system("B", 4)
-    items = {it.beta.eps: it for it in kostant_cascade(sys)}
+    items = {sys.eps_of(it.beta): it for it in kostant_cascade(sys)}
     a1 = _v(sys, [(1, 1), (-1, 2)])
     assert set(items[a1].heisenberg) == {sys.root_from_eps(a1)}
 

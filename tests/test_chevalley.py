@@ -77,14 +77,15 @@ def test_cartan_bracket_is_coroot():
     a = sys.positive_roots[3]
     out = t.bracket_roots(a, -a)
     assert not out.root_part
-    assert out.h_part == sys.coroot_eps(a)
+    assert out.h_part == sys.coroot(a)
+    assert sys.cartan_eps(out.h_part) == sys.coroot_eps(a)
 
 
 def test_ad_h_is_diagonal():
     cand = build_case("B", 4, 2)
     sys = cand.system
     t = build_structure_table(sys)
-    h = GElem(h_part=sys.coroot_eps(sys.simple_roots[0]))
+    h = GElem(h_part=sys.coroot(sys.simple_roots[0]))
     for g in sys.positive_roots[:6]:
         y = GElem({g.coeffs: F(1)})
         out = ad_on_dual(t, cand.parabolic, h, y)

@@ -124,3 +124,26 @@ def test_sweep_small(tmp_path, capsys):
 
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
+
+
+def test_report_rejects_certificate_without_fields(tmp_path, capsys):
+    bad = tmp_path / "bare.json"
+    bad.write_text(json.dumps({"schema": 1}))
+    assert main(["report", "--in", str(bad), "--format", "txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+
+
+def test_report_rejects_non_root_in_t(tmp_path, capsys):
+    cert = certificate_dict(run_case("B", 4, 2))
+    cert["T"] = [[9, 9, 9, 9]]
+    bad = tmp_path / "nonroot.json"
+    bad.write_text(to_json(cert))
+    assert main(["report", "--in", str(bad), "--format", "txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert "[9, 9, 9, 9]" in lines[0]

@@ -168,9 +168,12 @@ def test_flip_d_extremal():
     assert len(flipped.S) == len(base.S)
     assert len(flipped.T) == len(base.T) == flipped.parabolic.index
     # T transports along eps_6 -> -eps_6
+    sys = base.system
+
     def flipv(r):
-        return tuple(list(r.eps[:-1]) + [-r.eps[-1]])
-    assert {flipv(t) for t in base.T} == {t.eps for t in flipped.T}
+        eps = sys.eps_of(r)
+        return tuple(list(eps[:-1]) + [-eps[-1]])
+    assert {flipv(t) for t in base.T} == {sys.eps_of(t) for t in flipped.T}
 
 
 def test_flip_e6():

@@ -29,9 +29,35 @@ def test_det_dense_rejects_non_square():
 
 
 def test_solve_dense_exact():
-    sol = solve_dense([[F(2), F(1)], [F(1), F(3)]], [F(1), F(0)])
-    assert sol == [Fraction(3, 5), Fraction(-1, 5)]
-    assert solve_dense([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
+    sol = solve_dense([[F(2), F(1)], [F(1), F(3)]], [[F(1), F(0)]])
+    assert sol == [[Fraction(3, 5), Fraction(-1, 5)]]
+    assert solve_dense([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(2)]]) is None
+
+
+def test_solve_dense_many_right_hand_sides():
+    rows = [[2, 1], [1, 3]]
+    sols = solve_dense(rows, [[1, 0], [0, 1], [3, 4]])
+    assert sols == [
+        [Fraction(3, 5), Fraction(-1, 5)],
+        [Fraction(-1, 5), Fraction(2, 5)],
+        [Fraction(1), Fraction(1)],
+    ]
+    assert solve_dense(rows, []) == []
+
+
+def test_sparse_det_of_int_matrix_is_an_exact_fraction():
+    det = sparse_det([{0: 3, 1: 1}, {0: 1, 1: 3}], 2)
+    assert type(det) is Fraction and det == 8
+
+
+def test_sparse_det_of_large_ints_is_exact():
+    # a float pivot step would lose the +1 and report a singular matrix
+    det = sparse_det([{0: 1, 1: 10**17}, {0: 3, 1: 3 * 10**17 + 1}], 2)
+    assert type(det) is Fraction and det == 1
+
+
+def test_sparse_rank_of_large_ints_is_exact():
+    assert sparse_rank([{0: 1, 1: 10**17}, {0: 3, 1: 3 * 10**17 + 1}], 2) == 2
 
 
 def test_solve_in_span():

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from adapted_pairs.linalg import solve_in_span
 from adapted_pairs.roots import (
     Weight,
+    _simple_root_data,
     build_root_system,
     expected_positive_count,
     multiple_of,
@@ -11,6 +13,16 @@ from adapted_pairs.roots import (
 )
 
 F = Fraction
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+def _eps_pairing(sys, x, alpha):
+    """<x, alpha^vee> computed in epsilon coordinates."""
+    a = sys.eps_of(alpha)
+    return 2 * _dot(sys.eps_of(x), a) / _dot(a, a)
 
 ALL_SYSTEMS = [("B", 2), ("B", 5), ("D", 4), ("D", 7), ("E6", 6), ("E7", 7)]
 
@@ -29,7 +41,7 @@ def test_frozen_counts():
 
 def test_b2_positive_roots_exact():
     sys = build_root_system("B", 2)
-    eps = {tuple(r.eps) for r in sys.positive_roots}
+    eps = {sys.eps_of(r) for r in sys.positive_roots}
     assert eps == {
         (F(1), F(-1)),
         (F(0), F(1)),
@@ -41,13 +53,14 @@ def test_b2_positive_roots_exact():
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_simple_coeffs_consistent_and_nonnegative(family, rank):
     sys = build_root_system(family, rank)
+    simples = _simple_root_data(family, rank)
     for r in sys.positive_roots:
         assert all(c >= 0 for c in r.coeffs)
         recon = [F(0)] * sys.dim
-        for c, a in zip(r.coeffs, sys.simple_roots):
+        for c, a in zip(r.coeffs, simples):
             for d in range(sys.dim):
-                recon[d] += c * a.eps[d]
-        assert tuple(recon) == r.eps
+                recon[d] += c * a[d]
+        assert tuple(recon) == sys.eps_of(r)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -87,17 +100,17 @@ def test_fundamental_weights_duality(family, rank):
     ws = sys.fundamental_weights()
     for i, w in enumerate(ws):
         for j, a in enumerate(sys.simple_roots):
-            assert sys.pairing_vec(w.eps, a) == (1 if i == j else 0)
+            assert _eps_pairing(sys, w, a) == (1 if i == j else 0)
+            assert sys.pairing(w, a) == (1 if i == j else 0)
 
 
 def test_levi_weights_e6():
     sys = build_root_system("E6", 6)
     levi = sys.levi_weights(range(5))  # pi' = pi minus alpha_6
     w1p = levi[0]
-    expect = Weight(
-        tuple(F(x, 2) for x in (0, 0, 0, 0, -1, -1, -1, 1))
-    )  # (1/2)(e8-e7-e5-e6)
-    assert w1p == expect
+    expect = tuple(F(x, 2) for x in (0, 0, 0, 0, -1, -1, -1, 1))
+    # (1/2)(e8-e7-e5-e6)
+    assert sys.eps_of(w1p) == expect
     w1 = sys.fundamental_weights()[0]
     w6 = sys.fundamental_weights()[5]
     assert (w1p - w1) == w6.scale(F(-1, 2))
@@ -118,14 +131,12 @@ def test_levi_weight_defining_property():
     levi = sys.levi_weights(subset)
     for i in subset:
         for j in subset:
-            assert sys.pairing_vec(levi[i].eps, sys.simple_roots[j]) == (
+            assert _eps_pairing(sys, levi[i], sys.simple_roots[j]) == (
                 1 if i == j else 0
             )
         # inside the span of the subset
-        span = [sys.simple_roots[k].eps for k in subset]
-        from adapted_pairs.linalg import solve_in_span
-
-        assert solve_in_span(span, levi[i].eps) is not None
+        span = [sys.eps_of(sys.simple_roots[k]) for k in subset]
+        assert solve_in_span(span, sys.eps_of(levi[i])) is not None
 
 
 def test_multiple_of():
@@ -145,3 +156,57 @@ def test_unsupported_families():
         build_root_system("D", 3)
     with pytest.raises(ValueError):
         build_root_system("E6", 7)
+
+
+ORACLE_SYSTEMS = (
+    [("B", n) for n in range(2, 11)]
+    + [("D", n) for n in range(4, 11)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+def _eps_roots(simples):
+    """Every root, as the closure of the simple roots under the simple
+    reflections, computed in epsilon coordinates alone."""
+    found = set(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for v in frontier:
+            for a in simples:
+                k = 2 * _dot(v, a) / _dot(a, a)
+                w = tuple(x - k * y for x, y in zip(v, a))
+                if w not in found:
+                    found.add(w)
+                    new.append(w)
+        frontier = new
+    return found
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def test_integer_form_matches_epsilon_oracle(family, rank):
+    sys = build_root_system(family, rank)
+    simples = _simple_root_data(family, rank)
+
+    def eps(r):
+        out = [F(0)] * len(simples[0])
+        for c, a in zip(r.coeffs, simples):
+            for d, x in enumerate(a):
+                out[d] += c * x
+        return tuple(out)
+
+    allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
+    for r in allroots:
+        for a in sys.simple_roots:
+            ea, er = eps(a), eps(r)
+            assert sys.inner(r, a) == _dot(er, ea)
+            assert sys.pairing(r, a) == 2 * _dot(er, ea) / _dot(ea, ea)
+        assert sys.root_from_eps(sys.eps_of(r)) == r
+    # the positive roots are the epsilon-generated roots with nonnegative
+    # coordinates over the simple roots
+    generated = _eps_roots(simples)
+    positive = {
+        v for v in generated if all(c >= 0 for c in solve_in_span(simples, v))
+    }
+    assert len(generated) == 2 * len(positive)
+    assert {eps(r) for r in sys.positive_roots} == positive

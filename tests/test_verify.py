@@ -30,6 +30,10 @@ from adapted_pairs.verify import (
 F = Fraction
 
 
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
 def _ev(system, terms):
     v = [F(0)] * system.dim
     for c, i in terms:
@@ -69,9 +73,7 @@ def test_basis_d_extremal_paper_substitution(n):
     cols = [2 * i for i in range(1, n // 2)] + [n - 5, n - 3, n - 1]
     cols += [n - 2 * j - 1 for j in range(3, n // 2)]
     coroots = [sys.coroot_eps(sys.simple_roots[c - 1]) for c in cols]
-    from adapted_pairs.roots import dot
-
-    mat = [[dot(r.eps, h) for h in coroots] for r in rows]
+    mat = [[_dot(sys.eps_of(r), h) for h in coroots] for r in rows]
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
             assert mat[i][j] == 0
@@ -374,10 +376,8 @@ def test_h_defining_property():
     for family, n, s in [("B", 9, 6), ("D", 9, 4), ("D", 8, 8), ("E7", 7, 3)]:
         cand = build_case(family, n, s)
         pair = solve_h(cand)
-        from adapted_pairs.roots import dot
-
         for g in cand.S:
-            assert dot(g.eps, pair.h_eps) == -1
+            assert _dot(cand.system.eps_of(g), pair.h_eps) == -1
 
 
 def _paper_h_B(n, s):
