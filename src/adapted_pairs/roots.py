@@ -286,17 +286,13 @@ class RootSystem:
         """Symmetric bilinear form on roots and weights, via the Gram matrix."""
         return sum([x * y for x, y in zip(a.coeffs, self._form(b), strict=True)])
 
-    def simple_pairings(self, x) -> tuple:
-        """<x, alpha_k^vee> for every simple root alpha_k, memoised for roots."""
-        c = x.coeffs
-        row = self._pairings.get(c)
+    def simple_pairings(self, r: Root) -> Tuple[int, ...]:
+        """<r, alpha_k^vee> for every simple root alpha_k, memoised."""
+        row = self._pairings.get(r.coeffs)
         if row is None:
-            form = self._form(x)
-            if isinstance(x, Root):
-                row = tuple([2 * f // self.gram[k][k] for k, f in enumerate(form)])
-                self._pairings[c] = row
-            else:
-                row = tuple([Fraction(2 * f) / self.gram[k][k] for k, f in enumerate(form)])
+            form = self._form(r)
+            row = tuple([2 * f // self.gram[k][k] for k, f in enumerate(form)])
+            self._pairings[r.coeffs] = row
         return row
 
     def pairing(self, a, alpha: Root):
