@@ -113,35 +113,6 @@ def multiple_of(w: Weight, base: Weight) -> Optional[Fraction]:
     return ratio
 
 
-def _gram_matrix(family: str, rank: int) -> List[List[int]]:
-    """Integer Gram matrix (alpha_i, alpha_j) of the simple roots, read off
-    the Dynkin diagram: long roots have square length 2, the short root of
-    B_n has 1, and joined nodes pair to -1."""
-    if family == "B":
-        if rank < 2:
-            raise ValueError("type B needs rank >= 2")
-        edges = [(i, i + 1) for i in range(rank - 1)]
-    elif family == "D":
-        if rank < 4:
-            raise ValueError("type D needs rank >= 4")
-        edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
-    elif family in ("E6", "E7"):
-        n = 6 if family == "E6" else 7
-        if rank != n:
-            raise ValueError(f"type {family} has rank {n}")
-        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)]
-    else:
-        raise ValueError(f"unsupported family {family!r}")
-    gram = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        gram[i][i] = 2
-    if family == "B":
-        gram[rank - 1][rank - 1] = 1
-    for i, j in edges:
-        gram[i][j] = gram[j][i] = -1
-    return gram
-
-
 def _simple_root_data(family: str, rank: int) -> List[Eps]:
     """Bourbaki simple roots in epsilon coordinates: the epsilon oracle."""
     if family == "B":
@@ -197,14 +168,25 @@ class RootSystem:
             raise ValueError(f"unsupported family {family!r}")
         self.family = family
         self.rank = rank
-        self.gram = _gram_matrix(family, rank)
+        self._eps_simples = _simple_root_data(family, rank)
+        self.dim = len(self._eps_simples[0])
+        # gram[i][j] = (alpha_i, alpha_j), integral for every supported type;
         # cartan[i][j] = <alpha_i, alpha_j^vee>
+        self.gram = [
+            [int(sum(x * y for x, y in zip(a, b))) for b in self._eps_simples]
+            for a in self._eps_simples
+        ]
         self.cartan = [
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
         ]
-        self._eps_simples = _simple_root_data(family, rank)
-        self.dim = len(self._eps_simples[0])
+        # the simple roots' epsilon coordinates as sparse integer rows over
+        # one common denominator, so that eps_of runs on ints
+        self._eps_den = max(x.denominator for v in self._eps_simples for x in v)
+        self._eps_scaled = [
+            [(d, int(x * self._eps_den)) for d, x in enumerate(v) if x]
+            for v in self._eps_simples
+        ]
         self.simple_roots: List[Root] = [
             Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
         ]
@@ -351,13 +333,12 @@ class RootSystem:
 
     def eps_of(self, x) -> Eps:
         """Epsilon coordinates of a root or weight."""
-        out = [Fraction(0)] * self.dim
-        for c, v in zip(x.coeffs, self._eps_simples):
+        out = [0] * self.dim
+        for c, v in zip(x.coeffs, self._eps_scaled):
             if c:
-                for d, e in enumerate(v):
-                    if e:
-                        out[d] += c * e
-        return tuple(out)
+                for d, e in v:
+                    out[d] += c * e
+        return tuple([Fraction(v, self._eps_den) for v in out])
 
     def root_from_eps(self, eps: Sequence) -> Root:
         """The root with these epsilon coordinates (ints or Fractions),
