@@ -252,20 +252,21 @@ class RootSystem:
 
     # -- the integer form --------------------------------------------------
 
-    def _form(self, x) -> tuple:
-        """(x, alpha_i) for every simple root, memoised for roots."""
-        c = x.coeffs
-        row = self._forms.get(c)
+    def _form(self, r: Root) -> Tuple[int, ...]:
+        """(r, alpha_i) for every simple root alpha_i, memoised."""
+        row = self._forms.get(r.coeffs)
         if row is None:
             row = tuple(
-                [sum([a * g for a, g in zip(c, grow, strict=True)]) for grow in self.gram]
+                [
+                    sum([a * g for a, g in zip(r.coeffs, gram_row, strict=True)])
+                    for gram_row in self.gram
+                ]
             )
-            if isinstance(x, Root):
-                self._forms[c] = row
+            self._forms[r.coeffs] = row
         return row
 
-    def inner(self, a, b):
-        """Symmetric bilinear form on roots and weights, via the Gram matrix."""
+    def inner(self, a: Root, b: Root) -> int:
+        """Symmetric bilinear form on the root lattice, via the Gram matrix."""
         return sum([x * y for x, y in zip(a.coeffs, self._form(b), strict=True)])
 
     def simple_pairings(self, r: Root) -> Tuple[int, ...]:
@@ -277,13 +278,9 @@ class RootSystem:
             self._pairings[r.coeffs] = row
         return row
 
-    def pairing(self, a, alpha: Root):
-        """<a, alpha^vee> = 2 (a, alpha) / (alpha, alpha); an int on the root lattice."""
-        num = 2 * self.inner(a, alpha)
-        norm = self.inner(alpha, alpha)
-        if isinstance(num, int):
-            return num // norm
-        return num / norm
+    def pairing(self, a: Root, alpha: Root) -> int:
+        """<a, alpha^vee> = 2 (a, alpha) / (alpha, alpha), an integer."""
+        return 2 * self.inner(a, alpha) // self.inner(alpha, alpha)
 
     def coroot(self, r: Root) -> Tuple[int, ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""
