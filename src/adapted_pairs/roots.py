@@ -168,13 +168,13 @@ class RootSystem:
             raise ValueError(f"unsupported family {family!r}")
         self.family = family
         self.rank = rank
-        self._eps_simples = _simple_root_data(family, rank)
-        self.dim = len(self._eps_simples[0])
+        eps_simples = _simple_root_data(family, rank)
+        self.dim = len(eps_simples[0])
         # gram[i][j] = (alpha_i, alpha_j), integral for every supported type;
         # cartan[i][j] = <alpha_i, alpha_j^vee>
         self.gram = [
-            [int(sum(x * y for x, y in zip(a, b))) for b in self._eps_simples]
-            for a in self._eps_simples
+            [int(sum(x * y for x, y in zip(a, b))) for b in eps_simples]
+            for a in eps_simples
         ]
         self.cartan = [
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
@@ -182,10 +182,10 @@ class RootSystem:
         ]
         # the simple roots' epsilon coordinates as sparse integer rows over
         # one common denominator, so that eps_of runs on ints
-        self._eps_den = max(x.denominator for v in self._eps_simples for x in v)
+        self._eps_den = max(x.denominator for v in eps_simples for x in v)
         self._eps_scaled = [
             [(d, int(x * self._eps_den)) for d, x in enumerate(v) if x]
-            for v in self._eps_simples
+            for v in eps_simples
         ]
         self.simple_roots: List[Root] = [
             Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
@@ -347,12 +347,11 @@ class RootSystem:
     def cartan_eps(self, h: Sequence) -> Eps:
         """Epsilon coordinates of a Cartan element given in coroot coordinates."""
         out = [Fraction(0)] * self.dim
-        for k, (c, v) in enumerate(zip(h, self._eps_simples)):
+        for k, (c, v) in enumerate(zip(h, self._eps_scaled)):
             if c:
-                scale = Fraction(2 * c) / self.gram[k][k]
-                for d, e in enumerate(v):
-                    if e:
-                        out[d] += scale * e
+                scale = Fraction(2 * c) / (self.gram[k][k] * self._eps_den)
+                for d, e in v:
+                    out[d] += scale * e
         return tuple(out)
 
     def coroot_eps(self, r: Root) -> Eps:
