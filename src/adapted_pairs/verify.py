@@ -518,13 +518,9 @@ def coadjoint_columns(
                     i = row_of[target]
                     col[i] = col.get(i, Fraction(0)) + n
         columns.append({k: v for k, v in col.items() if v != 0})
+    s_pairings = [(row_of[gp], parab.pairing_on_coroots(gp)) for gp in s_roots]
     for k in range(parab.h_dim):
-        col = {}
-        for gp in s_roots:
-            val = parab.pairing_on_coroots(gp)[k]
-            if val:
-                col[row_of[gp]] = val
-        columns.append(col)
+        columns.append({i: vals[k] for i, vals in s_pairings if vals[k]})
     return columns, row_of, nroots + parab.h_dim
 
 
