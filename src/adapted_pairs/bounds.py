@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .construction import Candidate
-from .linalg import solve_dense
 from .parabolic import ParabolicData
 from .roots import Root, Weight, multiple_of
 
@@ -54,15 +53,14 @@ def t_of_gamma(cand: Candidate, gamma: Root) -> Tuple[Dict[Root, Fraction], Weig
 def _t_of_all(
     cand: Candidate, gammas: Sequence[Root]
 ) -> List[Tuple[Dict[Root, Fraction], Weight]]:
-    """t_of_gamma for every gamma, with one elimination of the pairing matrix."""
+    """t_of_gamma for every gamma: transposed solves with the pairing matrix
+    of S, which the candidate eliminates once."""
     order = cand.S
-    parab = cand.parabolic
-    cols = [parab.pairing_on_coroots(g) for g in order]
-    mat = [[col[j] for col in cols] for j in range(parab.h_dim)]
-    rhss = [[-v for v in parab.pairing_on_coroots(g)] for g in gammas]
-    solutions = solve_dense(mat, rhss)
-    if solutions is None:
+    _, inverse = cand.s_inverse
+    if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
+    rhss = [[-v for v in cand.parabolic.pairing_on_coroots(g)] for g in gammas]
+    solutions = inverse.solve_transposed(rhss)
     out = []
     for gamma, coeffs in zip(gammas, solutions):
         w = [Fraction(x) for x in gamma.coeffs]
@@ -123,9 +121,11 @@ def expected_bound_multiset(family: str, n: int, s: int) -> Optional[Counter]:
 
 
 def matches_expected(cand: Candidate, lower: Sequence[Weight]) -> bool:
+    """Whether the lower bound matches its closed form; a case without a
+    closed form fails, since there is nothing to certify it against."""
     expected = expected_bound_multiset(cand.family, cand.n, cand.s)
     if expected is None:
-        return True
+        return False
     actual = Counter(bound_multiples(cand, lower))
     # drop zero-multiplicity entries before comparing
     return actual == Counter({k: v for k, v in expected.items() if v})

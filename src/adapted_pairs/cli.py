@@ -2,8 +2,8 @@
 
 Subcommands: verify one case, sweep all cases up to a rank bound, list a
 Kostant cascade, or render a stored certificate.  Exit status: 0 when every
-check passes, 1 on a certificate failure, 2 for out-of-scope or usage
-errors.
+check passes, 1 on a certificate failure or a sweep case that raised, 2 for
+out-of-scope or usage errors.
 """
 
 from __future__ import annotations
@@ -159,7 +159,17 @@ def cmd_sweep(args) -> int:
     all_ok = True
     for family, n, s in in_scope_cases(args.max_rank):
         t0 = time.perf_counter()
-        result = run_case(family, n, s)
+        try:
+            result = run_case(family, n, s)
+        except Exception as exc:
+            # one crashing case must not hide the others: report it, go on
+            import traceback
+
+            traceback.print_exc(file=sys.stderr)
+            dt = time.perf_counter() - t0
+            rows.append((family, n, s, "error", f"{type(exc).__name__}: {exc}", dt))
+            all_ok = False
+            continue
         dt = time.perf_counter() - t0
         cert = certificate_dict(result)
         if out_dir:

@@ -10,9 +10,12 @@ by the corresponding diagram flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta, indecomposables
+from .linalg import Inverse, invert
 from .parabolic import ParabolicData, build_parabolic
 from .roots import Root, RootSystem, build_root_system
 
@@ -44,6 +47,17 @@ class Candidate:
     @property
     def system(self) -> RootSystem:
         return self.parabolic.system
+
+    @cached_property
+    def s_inverse(self) -> Tuple[Fraction, Optional[Inverse]]:
+        """The pairing matrix of S on the truncated coroots (row gamma in S,
+        column alpha_i^vee for i in pi'), eliminated once per candidate: its
+        determinant and, when it is nonsingular, its inverse.  A matrix that
+        is not square has determinant 0 here."""
+        rows = [self.parabolic.pairing_on_coroots(g) for g in self.S]
+        if len(rows) != self.parabolic.h_dim:
+            return Fraction(0), None
+        return invert(rows)
 
     def dual_support(self) -> List[Root]:
         return sorted(

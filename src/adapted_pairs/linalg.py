@@ -1,213 +1,239 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed on Python ints.
 
-Everything here works on fractions.Fraction entries; there is no floating
-point anywhere, so determinants, ranks and solutions are certificates rather
-than approximations.  Dense routines are meant for small systems (a few dozen
-rows); the sparse elimination handles the large, very sparse matrices that
-come out of bracket computations.
+Every determinant, rank and solve goes through one elimination routine,
+`_eliminate`.  It scales each row to integers once, on entry, which leaves
+the rank unchanged; the determinant is divided back by the product of the
+scales at the end.  Updates are fraction-free,
+row_j <- (p/g) row_j - (a/g) row_i with g = gcd(p, a); the factors p/g are
+tracked for the determinant, and a row that such a factor scaled up is
+divided by the gcd of its entries, which keeps the integers small.  The
+pivot row is taken from a lazy heap keyed on current row length, and its
+pivot column is the one held by the fewest rows, so fill-in stays
+negligible on the sparse bracket matrices this package produces.
+
+Rationals appear only at the output: one Fraction per determinant and one
+per solution entry.  There is no floating point anywhere, so determinants,
+ranks and solutions are certificates rather than approximations.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-Row = Dict[int, Fraction]
-
-
-def det_dense(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+Rational = Union[int, Fraction]
+Row = Mapping[int, Rational]
 
 
-def solve_dense(
-    rows: Sequence[Sequence[Fraction]], rhss: Sequence[Sequence[Fraction]]
-) -> Optional[List[List[Fraction]]]:
-    """Solve a square system exactly for every right-hand side in rhss.
-
-    One elimination serves all of them; returns one solution per right-hand
-    side, or None when the matrix is singular.
-    """
-    n = len(rows)
-    m = [
-        [Fraction(x) for x in r] + [Fraction(b[i]) for b in rhss]
-        for i, r in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [[m[r][n + k] for r in range(n)] for k in range(len(rhss))]
+def _integer_rows(rows: Sequence[Row]) -> Tuple[List[Dict[int, int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    scales."""
+    out: List[Dict[int, int]] = []
+    scale = 1
+    for row in rows:
+        den = math.lcm(*[v.denominator for v in row.values()])
+        out.append(
+            {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        )
+        scale *= den
+    return out, scale
 
 
-def solve_in_span(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Exact coefficients expressing target in the span of the columns.
-
-    Returns one coefficient vector (len(columns) entries) or None when the
-    target is outside the span.  Works for rectangular, possibly dependent
-    column sets.
-    """
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[c][r]) for c in range(ncols)] + [Fraction(target[r])]
-           for r in range(nrows)]
-    piv_of_col: Dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    # Rows below the last pivot have zero coefficient parts.
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for c, piv in piv_of_col.items():
-        coeffs[c] = aug[piv][ncols]
-    return coeffs
-
-
-def _perm_sign(rows_order: List[int], cols_order: List[int]) -> int:
-    """Sign of the bijection pivot_row -> pivot_col against sorted orders."""
-    row_rank = {r: i for i, r in enumerate(sorted(rows_order))}
-    col_rank = {c: i for i, c in enumerate(sorted(cols_order))}
-    perm = [0] * len(rows_order)
-    for r, c in zip(rows_order, cols_order):
-        perm[row_rank[r]] = col_rank[c]
+def _perm_sign(pivots: List[Tuple[int, int]]) -> int:
+    """Sign of the permutation row -> column of a full set of pivots of a
+    square matrix."""
+    perm = [c for _, c in sorted(pivots)]
     sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
             sign = -sign
     return sign
 
 
-def sparse_eliminate(
-    rows: List[Row], ncols: int, want_det: bool = False
-) -> Tuple[int, Optional[Fraction]]:
-    """Rank (and determinant when square) of a sparse rational matrix.
+def _eliminate(
+    rows: List[Dict[int, int]], bounds: Sequence[int], jordan: bool = False
+) -> Tuple[List[Tuple[int, int]], List[int], Fraction]:
+    """Fraction-free elimination of integer rows, in place.
 
-    Entries may be ints or Fractions; every entry becomes a Fraction on
-    entry, so integer input never falls back to float division.  Pivots
-    prefer short rows and lightly populated columns, which keeps fill-in
-    negligible on the bracket matrices this package produces.
+    Pivots are taken in stages: in stage k only columns below bounds[k] may
+    pivot, and the rank reached at the end of each stage is recorded, so
+    one pass gives the rank of every leading column block in bounds.  With
+    jordan=True each pivot column is also cleared from the earlier pivot
+    rows (Gauss-Jordan), so each pivot row ends with one nonzero entry
+    below the last bound.
+
+    Returns the (row, column) pivots in order, the rank per stage, and the
+    factor by which the row operations multiplied every full-rank square
+    determinant: det(input) = det(output) / factor.
     """
-    nrows = len(rows)
-    if want_det and nrows != ncols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     col_rows: Dict[int, set] = {}
     for i, r in enumerate(rows):
         for c in r:
             col_rows.setdefault(c, set()).add(i)
-    active = set(range(nrows))
-    pivot_rows: List[int] = []
-    pivot_cols: List[int] = []
-    pivot_vals: List[Fraction] = []
-    while True:
-        best = None
-        for i in active:
-            r = rows[i]
-            if not r:
-                continue
-            nnz = len(r)
-            c = min(r, key=lambda cc: (len(col_rows.get(cc, ())), cc))
-            key = (nnz, len(col_rows.get(c, ())), i)
-            if best is None or key < best[0]:
-                best = (key, i, c)
-                if nnz == 1 and key[1] <= 2:
-                    break
-        if best is None:
-            break
-        _, pi, pc = best
-        pval = rows[pi][pc]
-        pivot_rows.append(pi)
-        pivot_cols.append(pc)
-        pivot_vals.append(pval)
-        active.discard(pi)
-        targets = [j for j in col_rows.get(pc, ()) if j != pi and j in active]
-        prow = rows[pi]
-        for j in targets:
-            f = rows[j][pc] / pval
-            rj = rows[j]
-            for c, v in prow.items():
-                nv = rj.get(c, Fraction(0)) - f * v
-                if nv == 0:
-                    if c in rj:
-                        del rj[c]
+    active = set(range(len(rows)))
+    pivots: List[Tuple[int, int]] = []
+    ranks: List[int] = []
+    scaled_up = 1  # product of the factors p/g
+    divided = 1  # product of the row contents divided out
+    for bound in bounds:
+        heap = [(len(rows[i]), i) for i in active if rows[i]]
+        heapq.heapify(heap)
+        while heap:
+            nnz, pi = heapq.heappop(heap)
+            prow = rows[pi]
+            if pi not in active or len(prow) != nnz:
+                continue  # stale entry; the row was pushed again when it changed
+            eligible = [c for c in prow if c < bound]
+            if not eligible:
+                continue  # pushed again if an update gives it an eligible column
+            pc = min(eligible, key=lambda c: (len(col_rows[c]), c))
+            pivots.append((pi, pc))
+            active.discard(pi)
+            p = prow[pc]
+            for j in [j for j in col_rows[pc] if j != pi]:
+                rj = rows[j]
+                a = rj[pc]
+                g = math.gcd(p, a) if p > 0 else -math.gcd(p, a)
+                m, q = p // g, a // g
+                new = {c: m * v for c, v in rj.items()} if m != 1 else rj
+                for c, v in prow.items():
+                    nv = new.get(c, 0) - q * v
+                    if nv:
+                        if c not in new:
+                            col_rows.setdefault(c, set()).add(j)
+                        new[c] = nv
+                    elif c in new:
+                        del new[c]
                         col_rows[c].discard(j)
-                else:
-                    if c not in rj:
-                        col_rows.setdefault(c, set()).add(j)
-                    rj[c] = nv
-        for c in prow:
-            col_rows[c].discard(pi)
-    rank = len(pivot_rows)
-    if not want_det:
-        return rank, None
+                if m != 1:
+                    scaled_up *= m
+                    content = math.gcd(*new.values())
+                    if content > 1:
+                        divided *= content
+                        new = {c: v // content for c, v in new.items()}
+                rows[j] = new
+                if j in active and new:
+                    heapq.heappush(heap, (len(new), j))
+            if not jordan:
+                for c in prow:
+                    col_rows[c].discard(pi)
+        ranks.append(len(pivots))
+    return pivots, ranks, Fraction(scaled_up, divided)
+
+
+def _determinant(
+    rows: List[Dict[int, int]],
+    pivots: List[Tuple[int, int]],
+    factor: Fraction,
+    scale: int,
+) -> Fraction:
+    """The determinant of the input of a full-rank square elimination whose
+    rows were scaled to integers by the product scale."""
+    sign = _perm_sign(pivots)
+    product = math.prod([rows[r][c] for r, c in pivots])
+    return Fraction(sign * product * factor.denominator, factor.numerator * scale)
+
+
+def _dense_rows(
+    rows: Sequence[Sequence[Rational]], rhss: Sequence[Sequence[Rational]]
+) -> List[Dict[int, Rational]]:
+    """Dense rows as sparse rows, with the right-hand sides appended as
+    columns len(rows), len(rows) + 1, ..."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("elimination of a non-square matrix")
+    out = []
+    for i, r in enumerate(rows):
+        row = {c: v for c, v in enumerate(r) if v}
+        for k, b in enumerate(rhss):
+            if b[i]:
+                row[n + k] = b[i]
+        out.append(row)
+    return out
+
+
+def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
+    return sum([x * y for x, y in zip(u, v)])
+
+
+class Inverse(list):
+    """The inverse of a nonsingular square matrix as integer rows over one
+    common denominator: A^-1 = self / den.  A solve with A or its transpose
+    is then one integer product per right-hand side."""
+
+    def __init__(self, num_rows: List[List[int]], den: int) -> None:
+        super().__init__(num_rows)
+        self.den = den
+
+    def solve(self, rhss: Sequence[Sequence[Rational]]) -> List[List[Fraction]]:
+        """x with A x = b, for every right-hand side b in rhss."""
+        return [[Fraction(_dot(row, b), self.den) for row in self] for b in rhss]
+
+    def solve_transposed(
+        self, rhss: Sequence[Sequence[Rational]]
+    ) -> List[List[Fraction]]:
+        """y with A^T y = c, for every right-hand side c in rhss."""
+        cols = list(zip(*self))
+        return [[Fraction(_dot(col, c), self.den) for col in cols] for c in rhss]
+
+
+def invert(rows: Sequence[Sequence[Rational]]) -> Tuple[Fraction, Optional[Inverse]]:
+    """Determinant and inverse of a square matrix from one Gauss-Jordan
+    elimination of [A | I]; the inverse is None when A is singular."""
+    n = len(rows)
+    units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    int_rows, scale = _integer_rows(_dense_rows(rows, units))
+    pivots, (rank,), factor = _eliminate(int_rows, [n], jordan=True)
+    if rank < n:
+        return Fraction(0), None
+    det = _determinant(int_rows, pivots, factor, scale)
+    den = math.lcm(*[int_rows[r][c] for r, c in pivots])
+    num: List[List[int]] = [[]] * n
+    for r, c in pivots:
+        mult = den // int_rows[r][c]
+        num[c] = [int_rows[r].get(n + k, 0) * mult for k in range(n)]
+    return det, Inverse(num, den)
+
+
+def solve_dense(
+    rows: Sequence[Sequence[Rational]], rhss: Sequence[Sequence[Rational]]
+) -> Optional[List[List[Fraction]]]:
+    """Solve a square system exactly for every right-hand side in rhss.
+
+    One Gauss-Jordan elimination of [A | rhss] serves all of them; returns
+    one solution per right-hand side, or None when the matrix is singular.
+    """
+    n = len(rows)
+    int_rows, _ = _integer_rows(_dense_rows(rows, rhss))
+    pivots, (rank,), _ = _eliminate(int_rows, [n], jordan=True)
+    if rank < n:
+        return None
+    solutions = [[Fraction(0)] * n for _ in rhss]
+    for r, c in pivots:
+        row = int_rows[r]
+        for k, sol in enumerate(solutions):
+            sol[c] = Fraction(row.get(n + k, 0), row[c])
+    return solutions
+
+
+def sparse_ranks(rows: Sequence[Row], bounds: Sequence[int]) -> List[int]:
+    """For each bound b, the rank of the columns below b, from one
+    elimination that pivots on the columns below each bound before any
+    column beyond it.  bounds must be increasing."""
+    int_rows, _ = _integer_rows(rows)
+    return _eliminate(int_rows, bounds)[1]
+
+
+def sparse_det(rows: Sequence[Row], ncols: int) -> Fraction:
+    """Determinant of a square sparse rational matrix."""
+    if len(rows) != ncols:
+        raise ValueError("determinant of a non-square matrix")
+    int_rows, scale = _integer_rows(rows)
+    pivots, (rank,), factor = _eliminate(int_rows, [ncols])
     if rank < ncols:
-        return rank, Fraction(0)
-    det = Fraction(_perm_sign(pivot_rows, pivot_cols))
-    for v in pivot_vals:
-        det *= v
-    return rank, det
-
-
-def sparse_rank(rows: List[Row], ncols: int) -> int:
-    return sparse_eliminate(rows, ncols, want_det=False)[0]
-
-
-def sparse_det(rows: List[Row], ncols: int) -> Fraction:
-    det = sparse_eliminate(rows, ncols, want_det=True)[1]
-    assert det is not None
-    return det
+        return Fraction(0)
+    return _determinant(int_rows, pivots, factor, scale)

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate, OrbitStructure, orbit_structure
-from .linalg import det_dense, solve_dense, sparse_det, sparse_rank
+from .linalg import sparse_det, sparse_ranks
 from .roots import Root, Weight
 
 STATIONARY = "stationary"
@@ -80,10 +80,6 @@ class AdaptedPair:
     degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
 
 
-def basis_matrix(cand: Candidate, order: Sequence[Root]) -> List[List[int]]:
-    return [cand.parabolic.pairing_on_coroots(g) for g in order]
-
-
 def _value_on_h(cand: Candidate, a: Root, coeffs: Sequence[Fraction]) -> Fraction:
     """a(h) for h given by its coefficients in the truncated coroot basis."""
     return sum(
@@ -93,10 +89,7 @@ def _value_on_h(cand: Candidate, a: Root, coeffs: Sequence[Fraction]) -> Fractio
 
 
 def check_basis_restriction(cand: Candidate) -> BasisCheck:
-    order = cand.S
-    if len(order) != cand.parabolic.h_dim:
-        return BasisCheck(False, Fraction(0))
-    det = det_dense(basis_matrix(cand, order))
+    det, _ = cand.s_inverse
     return BasisCheck(det != 0, det)
 
 
@@ -420,17 +413,15 @@ def check_nondegeneracy(
     """
     rows, order = pairing_matrix(cand, table, os)
     size = len(order)
-    det = sparse_det([dict(r) for r in rows], size) if size else Fraction(1)
+    det = sparse_det(rows, size)
 
     mono_ok = size % 2 == 0
     degree = 0
-    s_order = cand.S
-    mat = basis_matrix(cand, s_order)
-    rhs = [abs(g.height) for g in s_order]
-    solutions = solve_dense(mat, [rhs])
-    if solutions is None:
+    _, inverse = cand.s_inverse
+    if inverse is None:
         mono_ok = False
     else:
+        solutions = inverse.solve([[abs(g.height) for g in cand.S]])
         u = {a: _value_on_h(cand, a, solutions[0]) for a in order}
         for a in order:
             for b in os.S_alpha[a]:
@@ -527,17 +518,18 @@ def coadjoint_columns(
 def check_regularity(
     cand: Candidate, table: StructureTable
 ) -> RegularityCheck:
+    """Rank of (ad p^-) y and of its span with g_T, from one elimination of
+    [M | e_T] that pivots on the columns of M first."""
     columns, row_of, dim_p = coadjoint_columns(cand, table)
+    ncols = len(columns)
+    t_size = len(cand.T)
     rows: List[Dict[int, Fraction]] = [dict() for _ in range(dim_p)]
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows[r][c] = v
-    rank = sparse_rank([dict(r) for r in rows], len(columns))
-    ncols = len(columns)
     for j, t in enumerate(cand.T):
-        rows[row_of[t]][ncols + j] = Fraction(1)
-    rank_aug = sparse_rank(rows, ncols + len(cand.T))
-    t_size = len(cand.T)
+        rows[row_of[t]][ncols + j] = 1
+    rank, rank_aug = sparse_ranks(rows, [ncols, ncols + t_size])
     ok = rank == dim_p - t_size and rank_aug == dim_p
     return RegularityCheck(ok, rank, rank_aug, dim_p, t_size, rank_aug == dim_p)
 
@@ -549,12 +541,10 @@ def check_regularity(
 
 def solve_h(cand: Candidate) -> AdaptedPair:
     """The unique h in the truncated Cartan with gamma(h) = -1 on S."""
-    order = cand.S
-    mat = basis_matrix(cand, order)
-    solutions = solve_dense(mat, [[-1] * len(order)])
-    if solutions is None:
+    _, inverse = cand.s_inverse
+    if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
-    coeffs = solutions[0]
+    coeffs = inverse.solve([[-1] * len(cand.S)])[0]
     parab = cand.parabolic
     h_full = [0] * cand.system.rank
     for i, c in zip(parab.h_basis_indices, coeffs):
@@ -600,9 +590,11 @@ def expected_eigenvalues(family: str, n: int, s: int) -> Optional[Counter]:
 def eigenvalue_report(
     pair: AdaptedPair, cand: Candidate
 ) -> Tuple[bool, Counter]:
+    """Whether the eigenvalues match their closed form; a case without a
+    closed form fails, since there is nothing to certify them against."""
     actual = Counter(pair.eigenvalues.values())
     expected = expected_eigenvalues(cand.family, cand.n, cand.s)
-    return (expected is None or actual == expected), actual
+    return (expected is not None and actual == expected), actual
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,29 @@ def test_sweep_small(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_sweep_reports_a_crashing_case_and_goes_on(tmp_path, monkeypatch, capsys):
+    import adapted_pairs.cli as cli
+
+    def crash_on_b4_s2(family, n, s):
+        if (family, n, s) == ("B", 4, 2):
+            raise ArithmeticError("singular test matrix")
+        return run_case(family, n, s)
+
+    monkeypatch.setattr(cli, "run_case", crash_on_b4_s2)
+    out = tmp_path / "certs"
+    assert main(["sweep", "--max-rank", "5", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    rows = [l for l in stdout.splitlines() if l.startswith(("B ", "D "))]
+    assert len(rows) == 8
+    errors = [l for l in rows if " error " in l]
+    assert len(errors) == 1 and errors[0].startswith("B n=4 s=2 ")
+    assert "ArithmeticError: singular test matrix" in errors[0]
+    assert sum(" pass " in l for l in rows) == 7
+    assert "FAILURES PRESENT" in stdout
+    files = sorted(p.name for p in out.iterdir())
+    assert len(files) == 7 and "B_n4_s2.json" not in files
+
+
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
 

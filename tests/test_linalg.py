@@ -2,14 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adapted_pairs.linalg import (
-    det_dense,
-    solve_dense,
-    solve_in_span,
-    sparse_det,
-    sparse_rank,
-)
+from adapted_pairs.linalg import invert, solve_dense, sparse_det, sparse_ranks
+from linalg_oracle import det_dense, rank, solve_in_span
 
 
 def F(x):
@@ -17,15 +14,23 @@ def F(x):
 
 
 def test_det_dense_small():
-    assert det_dense([]) == 1
-    assert det_dense([[F(3)]]) == 3
-    assert det_dense([[F(1), F(2)], [F(3), F(4)]]) == -2
-    assert det_dense([[F(1), F(2)], [F(2), F(4)]]) == 0
+    for m, det in (
+        ([], 1),
+        ([[F(3)]], 3),
+        ([[F(1), F(2)], [F(3), F(4)]], -2),
+        ([[F(1), F(2)], [F(2), F(4)]], 0),
+    ):
+        assert det_dense(m) == det
+        assert invert(m)[0] == det
 
 
 def test_det_dense_rejects_non_square():
     with pytest.raises(ValueError):
         det_dense([[F(1), F(2)]])
+    with pytest.raises(ValueError):
+        invert([[F(1), F(2)]])
+    with pytest.raises(ValueError):
+        sparse_det([{0: 1, 1: 2}], 2)
 
 
 def test_solve_dense_exact():
@@ -45,6 +50,14 @@ def test_solve_dense_many_right_hand_sides():
     assert solve_dense(rows, []) == []
 
 
+def test_inverse_solves_with_the_matrix_and_its_transpose():
+    det, inverse = invert([[2, 1], [0, 3]])
+    assert det == 6
+    assert inverse.solve([[3, 3]]) == [[Fraction(1), Fraction(1)]]
+    assert inverse.solve_transposed([[2, 4]]) == [[Fraction(1), Fraction(1)]]
+    assert invert([[1, 2], [2, 4]]) == (0, None)
+
+
 def test_sparse_det_of_int_matrix_is_an_exact_fraction():
     det = sparse_det([{0: 3, 1: 1}, {0: 1, 1: 3}], 2)
     assert type(det) is Fraction and det == 8
@@ -57,7 +70,12 @@ def test_sparse_det_of_large_ints_is_exact():
 
 
 def test_sparse_rank_of_large_ints_is_exact():
-    assert sparse_rank([{0: 1, 1: 10**17}, {0: 3, 1: 3 * 10**17 + 1}], 2) == 2
+    assert sparse_ranks([{0: 1, 1: 10**17}, {0: 3, 1: 3 * 10**17 + 1}], [2]) == [2]
+
+
+def test_explicit_zero_entries_are_ignored():
+    assert sparse_ranks([{0: 0, 1: 2}, {0: Fraction(0), 1: 4}], [1, 2]) == [0, 1]
+    assert sparse_det([{0: 2, 1: 0}, {0: 0, 1: Fraction(1, 2)}], 2) == 1
 
 
 def test_solve_in_span():
@@ -76,16 +94,17 @@ def _random_matrix(rng, n, density=0.6):
     ]
 
 
+def _sparse(m):
+    return [{j: v for j, v in enumerate(row) if v != 0} for row in m]
+
+
 def test_sparse_det_matches_dense_oracle():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 8)
         m = _random_matrix(rng, n)
         expected = det_dense(m)
-        rows = [
-            {j: v for j, v in enumerate(row) if v != 0} for row in m
-        ]
-        assert sparse_det(rows, n) == expected
+        assert sparse_det(_sparse(m), n) == expected
 
 
 def test_sparse_rank_matches_elimination_oracle():
@@ -93,18 +112,71 @@ def test_sparse_rank_matches_elimination_oracle():
     for _ in range(40):
         n = rng.randint(1, 8)
         m = _random_matrix(rng, n, density=0.4)
-        # oracle: rank = n - nullity via dense elimination on the transpose
-        dense = [row[:] for row in m]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, n) if dense[r][col] != 0), None)
-            if piv is None:
-                continue
-            dense[rank], dense[piv] = dense[piv], dense[rank]
-            for r in range(n):
-                if r != rank and dense[r][col] != 0:
-                    f = dense[r][col] / dense[rank][col]
-                    dense[r] = [a - f * b for a, b in zip(dense[r], dense[rank])]
-            rank += 1
-        rows = [{j: v for j, v in enumerate(row) if v != 0} for row in m]
-        assert sparse_rank(rows, n) == rank
+        assert sparse_ranks(_sparse(m), [n]) == [rank(_sparse(m))]
+
+
+# -- properties against the Fraction oracle ----------------------------------
+
+# small integers, proper fractions (the coadjoint rows carry rational
+# coroot coordinates) and integers near 10^17, with zero weighted up so that
+# sparse and zero rows occur
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-5, 5).map(lambda k: 10**17 + k),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """A matrix with some rows replaced by combinations of others, so that
+    rank-deficient and duplicated rows are common."""
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(0, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    m = [draw(row) for _ in range(nrows)]
+    for i in range(nrows):
+        if i >= 2 and draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            k = draw(st.integers(-2, 2))
+            m[i] = [x + k * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_staged_ranks_match_oracle(m, data):
+    ncols = len(m[0]) if m else 0
+    split = data.draw(st.integers(0, ncols))
+    first = [{j: v for j, v in enumerate(row) if j < split and v} for row in m]
+    expected = [rank(first), rank(_sparse(m))]
+    assert sparse_ranks(_sparse(m), [split, ncols]) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(square=True))
+def test_determinants_match_oracle(m):
+    expected = det_dense(m)
+    assert sparse_det(_sparse(m), len(m)) == expected
+    det, inverse = invert(m)
+    assert det == expected
+    assert (inverse is None) == (expected == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(square=True), st.data())
+def test_solutions_match_oracle(m, data):
+    n = len(m)
+    rhs = st.lists(entries, min_size=n, max_size=n)
+    rhss = data.draw(st.lists(rhs, max_size=3))
+    columns = [list(c) for c in zip(*m)] if n else []
+    sols = solve_dense(m, rhss)
+    det, inverse = invert(m)
+    if det == 0:
+        assert sols is None and inverse is None
+        return
+    expected = [solve_in_span(columns, b) for b in rhss]
+    assert sols == expected
+    assert inverse.solve(rhss) == expected
+    assert inverse.solve_transposed(rhss) == [solve_in_span(m, c) for c in rhss]

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from adapted_pairs.linalg import solve_in_span
 from adapted_pairs.roots import (
     Weight,
     _simple_root_data,
@@ -11,6 +10,7 @@ from adapted_pairs.roots import (
     multiple_of,
     rho_height,
 )
+from linalg_oracle import solve_in_span
 
 F = Fraction
 

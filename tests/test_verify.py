@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adapted_pairs.chevalley import build_structure_table
-from adapted_pairs.construction import build_case, orbit_structure
-from adapted_pairs.linalg import det_dense, solve_in_span
+from adapted_pairs.construction import build_case, in_scope_cases, orbit_structure
 from adapted_pairs.verify import (
     CYCLIC,
     EXT_CYCLIC,
@@ -26,6 +25,7 @@ from adapted_pairs.verify import (
     walk_sequence,
     _find_cyclic,
 )
+from linalg_oracle import det_dense, rank, solve_in_span
 
 F = Fraction
 
@@ -84,11 +84,39 @@ def test_basis_d_extremal_paper_substitution(n):
     assert det_dense(mat) == 2
 
 
-def test_basis_duplicated_row_is_singular():
+def test_basis_duplicated_row_is_singular(monkeypatch):
+    import dataclasses
+
+    import adapted_pairs.construction as construction_mod
+    from adapted_pairs.bounds import improved_bound
+
     cand = build_case("B", 6, 4)
     rows = [cand.parabolic.pairing_on_coroots(g) for g in cand.S]
     rows[1] = rows[0]
     assert det_dense(rows) == 0
+
+    # the same duplicated row through the candidate's one factorisation
+    first, second = cand.S[0], cand.S[1]
+    parts = {
+        name: tuple(first if g == second else g for g in getattr(cand, name))
+        for name in ("S_plus", "S_minus", "S_mixed")
+    }
+    bad = dataclasses.replace(cand, **parts)
+    assert bad.S[0] == bad.S[1] == first
+    calls = []
+    invert = construction_mod.invert
+    monkeypatch.setattr(
+        construction_mod, "invert", lambda m: calls.append(m) or invert(m)
+    )
+    basis = check_basis_restriction(bad)
+    assert basis.determinant == 0 and not basis.ok
+    with pytest.raises(ArithmeticError):
+        solve_h(bad)
+    with pytest.raises(ArithmeticError):
+        improved_bound(bad)
+    table = build_structure_table(bad.system)
+    assert not check_nondegeneracy(bad, table, orbit_structure(cand)).monomial_ok
+    assert calls == [rows]
 
 
 # -- Heisenberg checks -------------------------------------------------------
@@ -291,6 +319,46 @@ def test_regularity_rank_complements_index():
         assert check.dim_p - check.rank == cand.parabolic.index
 
 
+def _regularity_rows(cand, table, extra_roots):
+    """Rows of [M | e_x for x in extra_roots], M the coadjoint matrix."""
+    columns, row_of, dim_p = coadjoint_columns(cand, table)
+    rows = [dict() for _ in range(dim_p)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][c] = v
+    for j, x in enumerate(extra_roots):
+        rows[row_of[x]][len(columns) + j] = 1
+    return rows
+
+
+def test_regularity_ranks_match_two_oracle_ranks():
+    for family, n, s in in_scope_cases(8):
+        cand = build_case(family, n, s)
+        table = build_structure_table(cand.system)
+        check = check_regularity(cand, table)
+        assert check.rank == rank(_regularity_rows(cand, table, []))
+        assert check.rank_augmented == rank(_regularity_rows(cand, table, cand.T))
+
+
+def test_regularity_fails_when_t_meets_the_image():
+    import dataclasses
+
+    cand = build_case("B", 6, 4)
+    table = build_structure_table(cand.system)
+    image_rank = rank(_regularity_rows(cand, table, []))
+    # a support root outside T whose root vector is in the image of ad p^-
+    inside = next(
+        x
+        for x in cand.dual_support()
+        if x not in cand.T and rank(_regularity_rows(cand, table, [x])) == image_rank
+    )
+    bad = dataclasses.replace(cand, T=(inside,) + cand.T[1:])
+    check = check_regularity(bad, table)
+    assert check.rank == image_rank
+    assert check.rank_augmented < check.dim_p
+    assert not check.ok and not check.membership_ok
+
+
 def _e6_column(cand, table, columns, gamma_b):
     support = cand.dual_support()
     idx = support.index(gamma_b)
@@ -482,6 +550,17 @@ def test_eigenvalue_closed_forms_across_sweep():
         pair = solve_h(cand)
         ok, actual = eigenvalue_report(pair, cand)
         assert ok, (family, n, s, actual)
+
+
+def test_missing_closed_form_fails_the_case(monkeypatch):
+    import adapted_pairs.bounds as bounds_mod
+    import adapted_pairs.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "expected_eigenvalues", lambda *a: None)
+    assert run_case("B", 4, 2).first_failing == "eigenvalues_match"
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds_mod, "expected_bound_multiset", lambda *a: None)
+    assert run_case("B", 4, 2).first_failing == "bounds_coincide"
 
 
 def test_degrees_are_eigenvalues_plus_one():
