@@ -5,7 +5,14 @@ a total order of the positive roots (height, then lexicographic coefficient
 order); all other constants follow from antisymmetry, N(-a,-b) = -N(a,b) and
 the length-ratio identity for triples summing to zero.  Conclusions drawn
 downstream never depend on the sign convention: checks are formulated as
-rank, determinant and membership statements.
+rank, determinant and membership statements.  The table is keyed by root
+code (`RootSystem.base`), and `n_code` answers on codes alone, which is
+what the per-pair loops of `verify` and `construction` call.
+
+`GElem`, `bracket` and `ad_on_dual` compute brackets and the coadjoint
+action of whole elements from the same constants.  The verification does
+not use them: they are the oracle that the tests rebuild the matrix of
+`verify.coadjoint_columns` from, column by column.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from .roots import Coeffs, Root, RootSystem
 
-Pair = Tuple[Coeffs, Coeffs]
+Pair = Tuple[int, int]  # two root codes
 
 
 @dataclass
@@ -47,12 +54,19 @@ class GElem:
 
 
 class StructureTable:
-    """Exact structure constants N(a, b) for a fixed root system."""
+    """Exact structure constants N(a, b) for a fixed root system.
+
+    Constants are kept and looked up by root code (`RootSystem.base`):
+    N(a, b) for positive a, b in `_pos`, and each mixed-sign constant, once
+    derived from them, in `_mixed`.
+    """
 
     def __init__(self, system: RootSystem):
         self.system = system
+        self._by_code = system.by_code
         self._pos: Dict[Pair, int] = {}
         self._mixed: Dict[Pair, int] = {}
+        self._norm = {r.code: system.inner(r, r) for r in system.positive_roots}
         self._build_positive()
 
     # -- construction -------------------------------------------------------
@@ -68,33 +82,35 @@ class StructureTable:
         return p
 
     def _build_positive(self) -> None:
-        sys = self.system
-        order = {r.coeffs: (r.height, r.coeffs) for r in sys.positive_roots}
-        pos_by_order = sorted(sys.positive_roots, key=lambda r: order[r.coeffs])
-        for gamma in pos_by_order:
-            h = gamma.height
+        pos_by_order = sorted(
+            self.system.positive_roots, key=lambda r: (r.height, r.coeffs)
+        )
+        by_code = self._by_code
+        place = {r.code: i for i, r in enumerate(pos_by_order)}
+        heights = [r.height for r in pos_by_order]
+        for gamma, h in zip(pos_by_order, heights):
             if h == 1:
                 continue
+            gc = gamma.code
             pairs = []
-            for alpha in pos_by_order:
-                if alpha.height * 2 > h:
+            for i, alpha in enumerate(pos_by_order):
+                if heights[i] * 2 > h:
                     break
-                beta = sys.try_root(gamma - alpha)
-                if beta is None or not all(c >= 0 for c in beta.coeffs):
-                    continue
-                if order[alpha.coeffs] < order[beta.coeffs]:
-                    pairs.append((alpha, beta))
+                # gamma - alpha is a positive root later in the order
+                j = place.get(gc - alpha.code)
+                if j is not None and i < j:
+                    pairs.append((alpha.code, pos_by_order[j].code))
             ex_alpha, ex_beta = pairs[0]
-            n_ex = self.string_down(ex_alpha, ex_beta) + 1
+            n_ex = self.string_down(by_code[ex_alpha], by_code[ex_beta]) + 1
             self._set_pos(ex_alpha, ex_beta, n_ex)
             for xi, eta in pairs[1:]:
-                self._set_pos(xi, eta, self._special_constant(ex_alpha, ex_beta, xi, eta))
+                self._set_pos(xi, eta, self._special_constant(ex_alpha, xi, eta))
 
-    def _set_pos(self, a: Root, b: Root, n: int) -> None:
-        self._pos[(a.coeffs, b.coeffs)] = n
-        self._pos[(b.coeffs, a.coeffs)] = -n
+    def _set_pos(self, a: int, b: int, n: int) -> None:
+        self._pos[(a, b)] = n
+        self._pos[(b, a)] = -n
 
-    def _special_constant(self, alpha: Root, beta: Root, xi: Root, eta: Root) -> int:
+    def _special_constant(self, alpha: int, xi: int, eta: int) -> int:
         """Constant of a special pair from the extraspecial one via Jacobi.
 
         With gamma = xi + eta = alpha + beta the Jacobi identity for
@@ -102,17 +118,18 @@ class StructureTable:
         N(xi,eta) N(-alpha,gamma) = N(-alpha,xi) N(xi-alpha,eta)
                                   + N(-alpha,eta) N(xi,eta-alpha),
         where every right-hand constant involves a pair with a shorter sum.
+        Arguments are root codes; xi - alpha (eta - alpha) is a root
+        whenever N(-alpha, xi) (N(-alpha, eta)) is nonzero.
         """
-        sys = self.system
-        gamma = xi + eta
-        lhs_factor = self.n_const(-alpha, sys.try_root(gamma))
+        n = self.n_code
+        lhs_factor = n(-alpha, xi + eta)
         total = 0
-        t1a = self.n_const(-alpha, xi)
+        t1a = n(-alpha, xi)
         if t1a != 0:
-            total += t1a * self.n_const(sys.try_root(xi - alpha), eta)
-        t2a = self.n_const(-alpha, eta)
+            total += t1a * n(xi - alpha, eta)
+        t2a = n(-alpha, eta)
         if t2a != 0:
-            total += t2a * self.n_const(xi, sys.try_root(eta - alpha))
+            total += t2a * n(xi, eta - alpha)
         if total % lhs_factor:
             raise ArithmeticError("non-integral structure constant")
         return total // lhs_factor
@@ -123,39 +140,46 @@ class StructureTable:
         """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; 0 when a+b is not a root."""
         if a is None or b is None:
             return 0
-        sys = self.system
-        if sys.try_root(a + b) is None:
+        return self.n_code(a.code, b.code)
+
+    def n_code(self, a: int, b: int) -> int:
+        """N(a, b) for the roots with codes a and b; 0 when a+b is not a root.
+
+        A code's sign is its root's sign, and negating a code negates its
+        root, so both the positive table and the mixed memo are read on
+        ints alone.
+        """
+        if a + b not in self._by_code:
             return 0
-        a_pos = all(c >= 0 for c in a.coeffs)
-        b_pos = all(c >= 0 for c in b.coeffs)
-        if a_pos and b_pos:
-            return self._pos.get((a.coeffs, b.coeffs), 0)
-        if not a_pos and not b_pos:
-            return -self._pos.get(((-a).coeffs, (-b).coeffs), 0)
-        key = (a.coeffs, b.coeffs)
-        if key in self._mixed:
-            return self._mixed[key]
-        if a_pos:
-            val = -self._mixed_neg_pos(-b, a)
-        else:
-            val = self._mixed_neg_pos(-a, b)
-        self._mixed[key] = val
+        if a > 0:
+            if b > 0:
+                return self._pos.get((a, b), 0)
+        elif b < 0:
+            return -self._pos.get((-a, -b), 0)
+        key = (a, b)
+        val = self._mixed.get(key)
+        if val is None:
+            if a > 0:
+                val = -self._mixed_neg_pos(-b, a)
+            else:
+                val = self._mixed_neg_pos(-a, b)
+            self._mixed[key] = val
         return val
 
-    def _mixed_neg_pos(self, alpha: Root, b: Root) -> int:
-        """N(-alpha, b) for positive roots alpha, b with b - alpha a root."""
-        sys = self.system
-        c = sys.try_root(b - alpha)
-        if c is None:
+    def _mixed_neg_pos(self, alpha: int, b: int) -> int:
+        """N(-alpha, b) for positive roots alpha, b (codes) with b - alpha a
+        root."""
+        c = b - alpha
+        if c not in self._by_code:
             return 0
-        ll = lambda r: sys.inner(r, r)
-        if all(x >= 0 for x in c.coeffs):
+        norm = self._norm
+        if c > 0:
             # (-alpha) + b + (-c) = 0: N(-alpha,b)/(c,c) = N(-c,-alpha)/(b,b)
-            num, den = ll(c) * -self._pos.get((c.coeffs, alpha.coeffs), 0), ll(b)
+            num, den = norm[c] * -self._pos.get((c, alpha), 0), norm[b]
         else:
             d = -c
             # (-alpha) + b + d = 0: N(-alpha,b)/(d,d) = N(b,d)/(alpha,alpha)
-            num, den = ll(d) * self._pos.get((b.coeffs, d.coeffs), 0), ll(alpha)
+            num, den = norm[d] * self._pos.get((b, d), 0), norm[alpha]
         if num % den:
             raise ArithmeticError("non-integral mixed structure constant")
         return num // den
@@ -243,9 +267,9 @@ def ad_on_dual(table: StructureTable, parabolic, x: GElem, y: GElem) -> GElem:
     """
     raw = table.bracket(x, y)
     out = GElem()
-    support = parabolic.dual_support_coeffs
+    support = parabolic.dual_support_codes
     for cc, vc in raw.root_part.items():
-        if cc in support:
+        if table.system.code(cc) in support:
             out.add_root(cc, vc)
     if raw.h_part is not None:
         proj = parabolic.project_h(raw.h_part)

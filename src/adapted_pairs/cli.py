@@ -145,6 +145,14 @@ def cmd_verify(args) -> int:
     print(f"{args.family} n={args.rank} s={args.s}: {status}  degrees: {degrees}")
     if result.first_failing:
         print(f"first failing check: {result.first_failing}")
+        # the problems the set checks found, sorted so that the output is
+        # deterministic; the certificate keeps only the outcomes
+        for name, report in (
+            ("heisenberg", result.heisenberg),
+            ("classification", result.classification),
+        ):
+            for problem in sorted(report.problems):
+                print(f"{name}: {problem}")
     return EXIT_PASS if result.verdict else EXIT_FAIL
 
 

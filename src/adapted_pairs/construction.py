@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta, indecomposables
@@ -691,7 +692,10 @@ def in_scope_cases(max_rank: int) -> List[Tuple[str, int, int]]:
 
 
 def orbit_structure(cand: Candidate) -> OrbitStructure:
-    """theta, S_alpha and strata; requires the Heisenberg property."""
+    """theta, S_alpha and strata; requires the Heisenberg property.
+
+    Differences of roots are taken on root codes: g - a is the member (or
+    the orbit root) whose code is code(g) - code(a), if there is one."""
     theta: Dict[Root, Root] = {}
     centre_of: Dict[Root, Root] = {}
     sign_of_centre: Dict[Root, str] = {}
@@ -702,24 +706,23 @@ def orbit_structure(cand: Candidate) -> OrbitStructure:
     for g in cand.S_mixed:
         sign_of_centre[g] = "m"
     for g, members in cand.gamma_sets.items():
-        for a in members:
-            if a == g:
+        gc = g.code
+        by_code = {a.code: a for a in members}
+        for ac, a in by_code.items():
+            if ac == gc:
                 continue
-            partner = g - a
-            if partner.coeffs == a.coeffs or partner not in members:
+            partner = by_code.get(gc - ac)
+            if partner is None or partner is a:
                 raise ValueError(f"{g}: not a Heisenberg set at {a}")
-            theta[a] = cand.system.try_root(partner)
+            theta[a] = partner
             centre_of[a] = g
-    o_sorted = tuple(sorted(theta))
-    o_set = set(o_sorted)
+    o_sorted = tuple(sorted(theta, key=attrgetter("coeffs")))
+    o_by_code = {a.code: a for a in o_sorted}
+    centres = [g.code for g in cand.gamma_sets]
     s_alpha: Dict[Root, Tuple[Root, ...]] = {}
-    for a in o_sorted:
-        hits = []
-        for g in cand.gamma_sets:
-            b = cand.system.try_root(g - a)
-            if b is not None and b in o_set:
-                hits.append(b)
-        s_alpha[a] = tuple(sorted(hits))
+    for ac, a in o_by_code.items():
+        hits = [o_by_code[gc - ac] for gc in centres if gc - ac in o_by_code]
+        s_alpha[a] = tuple(sorted(hits, key=attrgetter("coeffs")))
     strata = {a: len(s_alpha[a]) for a in o_sorted}
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:

@@ -169,9 +169,10 @@ class Inverse(list):
         super().__init__(num_rows)
         self.den = den
 
-    def solve(self, rhss: Sequence[Sequence[Rational]]) -> List[List[Fraction]]:
-        """x with A x = b, for every right-hand side b in rhss."""
-        return [[Fraction(_dot(row, b), self.den) for row in self] for b in rhss]
+    def solve_scaled(self, rhs: Sequence[Rational]) -> List[Rational]:
+        """den * x with A x = rhs: integers for an integer rhs, so that
+        callers compare and combine solutions on ints."""
+        return [_dot(row, rhs) for row in self]
 
     def solve_transposed(
         self, rhss: Sequence[Sequence[Rational]]

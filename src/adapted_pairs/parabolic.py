@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import solve_dense
-from .roots import Coeffs, Root, RootSystem
+from .roots import Root, RootSystem
 
 
 def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[Root]:
@@ -129,9 +129,10 @@ class ParabolicData:
         self.i_map = self._build_i()
         self.orbits = self._ij_orbits()
         self.index = len(self.orbits)
-        self.dual_support_coeffs: FrozenSet[Coeffs] = frozenset(
-            r.coeffs for r in sys.positive_roots
-        ) | frozenset(r.coeffs for r in self.delta_pi_prime_neg)
+        # codes of Delta+ | Delta-_{pi'}, the support of the dual space
+        self.dual_support_codes: FrozenSet[int] = frozenset(
+            r.code for r in sys.positive_roots
+        ) | frozenset(r.code for r in self.delta_pi_prime_neg)
         self._removed_projection: Optional[List[Fraction]] = None
 
     def _build_i(self) -> Dict[int, int]:

@@ -3,10 +3,12 @@
 A root is its integer coefficient vector over the simple roots (Bourbaki
 numbering).  Inner products and Cartan pairings come from the integer Gram
 and Cartan matrices of the simple roots, which are integral for every
-supported type, so root arithmetic runs on Python ints.  Weights carry
-rational (fractions.Fraction) coordinates over the simple roots, and Cartan
-elements are written in coroot coordinates.  The bilinear form agrees with
-the Killing form up to a global scale.
+supported type, so root arithmetic runs on Python ints.  Every root of a
+system also carries a linear integer code (`RootSystem.base`), so that the
+per-pair loops of the checks test sums, differences and signs of roots on
+single ints.  Weights carry rational (fractions.Fraction) coordinates over
+the simple roots, and Cartan elements are written in coroot coordinates.
+The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
 n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_of` for
@@ -35,12 +37,18 @@ def _frac(vals: Iterable) -> Eps:
 
 
 class Root:
-    """A vector of the root lattice: integer coefficients over the simple roots."""
+    """A vector of the root lattice: integer coefficients over the simple roots.
 
-    __slots__ = ("coeffs",)
+    The coefficients are its identity and its sort key.  A root of a
+    `RootSystem` also carries its code (see `RootSystem.base`); negation
+    keeps it, sums and differences have none.
+    """
 
-    def __init__(self, coeffs: Coeffs):
+    __slots__ = ("coeffs", "code")
+
+    def __init__(self, coeffs: Coeffs, code: Optional[int] = None):
         self.coeffs = coeffs
+        self.code = code
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
@@ -49,7 +57,8 @@ class Root:
         return Root(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "Root":
-        return Root(tuple([-a for a in self.coeffs]))
+        code = self.code
+        return Root(tuple([-a for a in self.coeffs]), None if code is None else -code)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Root) and self.coeffs == other.coeffs
@@ -157,6 +166,14 @@ def _simple_root_data(family: str, rank: int) -> List[Eps]:
 class RootSystem:
     """Root system data: simple roots, positive roots, exact integer form.
 
+    Every root r has the code sum_i c_i base^i of its coefficients c_i.
+    With base = 3M + 1, M the largest coefficient of a root, the digits
+    of a sum or difference of two roots lie in [-2M, 2M], so the code is
+    linear on them and no such vector shares a code with a root other
+    than itself: by_code.get(code(a) + code(b)) is the root a + b or None.
+    A nonzero vector with digits in [-M, M] has the sign of its highest
+    nonzero digit, so code(r) > 0 exactly when r is positive.
+
     Besides its own data the system keeps results of other layers that
     depend on nothing but the system, filled on first use: the Kostant
     cascade of Delta+ (`cascade`) and -w0 per simple-root subset
@@ -170,22 +187,20 @@ class RootSystem:
         self.rank = rank
         eps_simples = _simple_root_data(family, rank)
         self.dim = len(eps_simples[0])
+        # the simple roots' epsilon coordinates as integer rows over one
+        # common denominator, so that the Gram matrix and eps_of run on ints
+        den = self._eps_den = max(x.denominator for v in eps_simples for x in v)
+        scaled = [[int(x * den) for x in v] for v in eps_simples]
+        self._eps_scaled = [[(d, x) for d, x in enumerate(v) if x] for v in scaled]
         # gram[i][j] = (alpha_i, alpha_j), integral for every supported type;
         # cartan[i][j] = <alpha_i, alpha_j^vee>
         self.gram = [
-            [int(sum(x * y for x, y in zip(a, b))) for b in eps_simples]
-            for a in eps_simples
+            [sum([x * y for x, y in zip(a, b)]) // (den * den) for b in scaled]
+            for a in scaled
         ]
         self.cartan = [
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
-        ]
-        # the simple roots' epsilon coordinates as sparse integer rows over
-        # one common denominator, so that eps_of runs on ints
-        self._eps_den = max(x.denominator for v in eps_simples for x in v)
-        self._eps_scaled = [
-            [(d, int(x * self._eps_den)) for d, x in enumerate(v) if x]
-            for v in eps_simples
         ]
         self.simple_roots: List[Root] = [
             Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
@@ -193,10 +208,15 @@ class RootSystem:
         self._forms: Dict[Coeffs, Tuple[int, ...]] = {}
         self._pairings: Dict[Coeffs, Tuple[int, ...]] = {}
         self.positive_roots = self._generate_positive()
+        self.base = 3 * max(max(r.coeffs) for r in self.positive_roots) + 1
         self._by_coeffs: Dict[Coeffs, Root] = {}
+        self.by_code: Dict[int, Root] = {}
         for r in self.positive_roots:
-            self._by_coeffs[r.coeffs] = r
-            self._by_coeffs[(-r).coeffs] = -r
+            r.code = self.code(r.coeffs)
+            neg = -r
+            for x in (r, neg):
+                self._by_coeffs[x.coeffs] = x
+                self.by_code[x.code] = x
         self._by_eps: Optional[Dict[Eps, Root]] = None
         self._fundamental: Optional[List[Weight]] = None
         self._levi: Dict[Tuple[int, ...], Dict[int, Weight]] = {}
@@ -237,6 +257,14 @@ class RootSystem:
         return sorted(known.values())
 
     # -- basic queries -----------------------------------------------------
+
+    def code(self, coeffs: Sequence[int]) -> int:
+        """sum_i coeffs[i] * base^i, the code of a root with these
+        coefficients."""
+        out = 0
+        for c in reversed(coeffs):
+            out = out * self.base + c
+        return out
 
     def zero_coeffs(self) -> Coeffs:
         return tuple(0 for _ in range(self.rank))
@@ -286,11 +314,6 @@ class RootSystem:
         """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""
         norm = self.inner(r, r)
         return tuple([c * self.gram[i][i] // norm for i, c in enumerate(r.coeffs)])
-
-    def reflect(self, alpha: Root, beta: Root) -> Root:
-        """r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
-        k = self.pairing(beta, alpha)
-        return Root(tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)]))
 
     # -- weights -----------------------------------------------------------
 
@@ -372,19 +395,3 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Build and cache the full root system for a supported (family, rank)."""
     return RootSystem(family, rank)
 
-
-def expected_positive_count(family: str, rank: int) -> int:
-    if family == "B":
-        return rank * rank
-    if family == "D":
-        return rank * (rank - 1)
-    if family == "E6":
-        return 36
-    if family == "E7":
-        return 63
-    raise ValueError(family)
-
-
-def rho_height(r: Root) -> int:
-    """Value of rho on the root: the sum of its simple coefficients."""
-    return r.height

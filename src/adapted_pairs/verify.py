@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate, OrbitStructure, orbit_structure
-from .linalg import sparse_det, sparse_ranks
+from .linalg import Rational, sparse_det, sparse_ranks
 from .roots import Root, Weight
 
 STATIONARY = "stationary"
@@ -80,49 +80,48 @@ class AdaptedPair:
     degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
 
 
-def _value_on_h(cand: Candidate, a: Root, coeffs: Sequence[Fraction]) -> Fraction:
-    """a(h) for h given by its coefficients in the truncated coroot basis."""
-    return sum(
-        [c * p for c, p in zip(coeffs, cand.parabolic.pairing_on_coroots(a))],
-        Fraction(0),
-    )
-
-
 def check_basis_restriction(cand: Candidate) -> BasisCheck:
     det, _ = cand.s_inverse
     return BasisCheck(det != 0, det)
 
 
 def check_heisenberg(cand: Candidate) -> CheckReport:
-    """Heisenberg property per set, disjointness, and the support partition."""
+    """Heisenberg property per set, disjointness, and the support partition.
+
+    Roots are compared by code: a - b is a root of a set exactly when its
+    code is the code of a member."""
     problems: List[str] = []
-    sys = cand.system
-    support = set(sys.positive_roots) | set(cand.parabolic.delta_pi_prime_neg)
-    seen: Dict[Root, Root] = {}
+    support = cand.parabolic.dual_support_codes
+    seen: Dict[int, Root] = {}
     for g, members in cand.gamma_sets.items():
-        if g not in members:
+        gc = g.code
+        codes = {a.code for a in members}
+        if gc not in codes:
             problems.append(f"{g.coeffs}: centre not in its set")
         for a in members:
-            if a not in support:
+            ac = a.code
+            if ac not in support:
                 problems.append(f"{g.coeffs}: member {a.coeffs} outside support")
-            if a in seen and seen[a] != g:
+            prev = seen.get(ac)
+            if prev is not None and prev.code != gc:
                 problems.append(
-                    f"sets of {seen[a].coeffs} and {g.coeffs} overlap at {a.coeffs}"
+                    f"sets of {prev.coeffs} and {g.coeffs} overlap at {a.coeffs}"
                 )
-            seen[a] = g
-            if a == g:
+            seen[ac] = g
+            if ac == gc:
                 continue
-            partner = sys.try_root(g - a)
-            if partner is None or partner not in members or partner == a:
+            partner = gc - ac
+            if partner not in codes or partner == ac:
                 problems.append(
                     f"{g.coeffs}: no Heisenberg partner for {a.coeffs}"
                 )
-    used = set(seen) | set(cand.T_star) | set(cand.T)
-    if set(cand.T) & set(cand.T_star):
+    t_codes = {t.code for t in cand.T}
+    t_star_codes = {t.code for t in cand.T_star}
+    if t_codes & t_star_codes:
         problems.append("T and T* overlap")
-    if (set(cand.T) | set(cand.T_star)) & set(seen):
+    if (t_codes | t_star_codes) & seen.keys():
         problems.append("T or T* meets a Heisenberg set")
-    if used != support:
+    if seen.keys() | t_codes | t_star_codes != support:
         problems.append("Gamma, T*, T do not partition the support")
     if len(cand.S) != cand.parabolic.h_dim:
         problems.append(f"|S| = {len(cand.S)} != dim h = {cand.parabolic.h_dim}")
@@ -385,19 +384,30 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
 
 def pairing_matrix(
     cand: Candidate, table: StructureTable, os: OrbitStructure
-) -> Tuple[List[Dict[int, Fraction]], List[Root]]:
+) -> Tuple[List[Dict[int, int]], List[Root]]:
     """Rows of the skew matrix M with M[a][b] = N(-a,-b) when a+b is in S."""
     order = list(os.O)
-    pos = {a: i for i, a in enumerate(order)}
-    rows: List[Dict[int, Fraction]] = []
+    pos = {a.code: i for i, a in enumerate(order)}
+    n_code = table.n_code
+    rows: List[Dict[int, int]] = []
     for a in order:
-        row: Dict[int, Fraction] = {}
+        row: Dict[int, int] = {}
+        ac = a.code
         for b in os.S_alpha[a]:
-            n = table.n_const(-a, -b)
+            n = n_code(-ac, -b.code)
             if n:
-                row[pos[b]] = Fraction(n)
+                row[pos[b.code]] = n
         rows.append(row)
     return rows, order
+
+
+def _values_on_h(
+    cand: Candidate, xs: Sequence[int], roots: Sequence[Root]
+) -> List[int]:
+    """den * a(h) for every root a, where h has coordinates xs / den in the
+    truncated coroot basis (den: the denominator of `Candidate.s_inverse`)."""
+    pairing = cand.parabolic.pairing_on_coroots
+    return [sum([p * x for p, x in zip(pairing(a), xs)]) for a in roots]
 
 
 def check_nondegeneracy(
@@ -410,6 +420,8 @@ def check_nondegeneracy(
     (a, b) has a+b in S, so its t-exponent |rho(a+b)| equals u(a)+u(b) and
     every permutation contributing to det M(t) carries the same power
     t^(2 sum over pairs of |rho(a+theta(a))|): det M(t) is a single monomial.
+    The comparisons run on integers: u(a) * den, with den the denominator of
+    the inverse pairing matrix of S.
     """
     rows, order = pairing_matrix(cand, table, os)
     size = len(order)
@@ -421,19 +433,24 @@ def check_nondegeneracy(
     if inverse is None:
         mono_ok = False
     else:
-        solutions = inverse.solve([[abs(g.height) for g in cand.S]])
-        u = {a: _value_on_h(cand, a, solutions[0]) for a in order}
-        for a in order:
+        den = inverse.den
+        xs = inverse.solve_scaled([abs(g.height) for g in cand.S])
+        u = _values_on_h(cand, xs, order)
+        heights = [a.height for a in order]
+        pos = {a.code: i for i, a in enumerate(order)}
+        for i, a in enumerate(order):
             for b in os.S_alpha[a]:
-                if abs((a + b).height) != u[a] + u[b]:
+                j = pos[b.code]
+                if abs(heights[i] + heights[j]) * den != u[i] + u[j]:
                     mono_ok = False
-        total = sum((u[a] for a in order), Fraction(0))
+        total = sum(u)
+        theta = os.theta
         expected = sum(
-            abs((a + os.theta[a]).height) for a in order
+            abs(h + theta[a].height) for a, h in zip(order, heights)
         )  # counts each theta-pair twice, matching the exponent 2*total
-        if 2 * total != expected or (2 * total).denominator != 1:
+        if 2 * total != expected * den:
             mono_ok = False
-        degree = int(2 * total)
+        degree = int(Fraction(2 * total, den))
     return NondegeneracyCheck(det != 0 and mono_ok, det, size, mono_ok, degree)
 
 
@@ -477,39 +494,46 @@ def enumerate_pairings(
 
 def coadjoint_columns(
     cand: Candidate, table: StructureTable
-) -> Tuple[List[Dict[int, Fraction]], Dict[Root, int], int]:
+) -> Tuple[List[Dict[int, Rational]], Dict[Root, int], int]:
     """Sparse columns of b -> (ad b) y over the basis of p^-.
 
     Row indices: the support roots in sorted order, then the truncated
     Cartan in coroot coordinates.  Columns: x_{-gamma} for every support
-    root gamma, then the coroot basis.
+    root gamma, then the coroot basis.  Root entries are ints, found by
+    root code; only the Cartan part of a column x_{-gamma} with gamma in S
+    may be rational.
     """
     sys = cand.system
     parab = cand.parabolic
     support = cand.dual_support()
     row_of = {r: i for i, r in enumerate(support)}
+    row_of_code = {r.code: i for i, r in enumerate(support)}
     nroots = len(support)
-    s_roots = cand.S
-    columns: List[Dict[int, Fraction]] = []
+    s_codes = [g.code for g in cand.S]
+    n_code = table.n_code
+    columns: List[Dict[int, Rational]] = []
     for gb in support:
-        col: Dict[int, Fraction] = {}
-        for gp in s_roots:
-            if gp == gb:
+        col: Dict[int, Rational] = {}
+        bc = gb.code
+        for pc in s_codes:
+            if pc == bc:
                 h_coeffs = parab.h_in_coroot_basis(
                     [-x for x in sys.coroot(gb)], strict=False
                 )
                 for k, c in enumerate(h_coeffs):
                     if c:
-                        col[nroots + k] = col.get(nroots + k, Fraction(0)) + c
+                        col[nroots + k] = col.get(nroots + k, 0) + c
                 continue
-            target = sys.try_root(gp - gb)
-            if target is not None and target in row_of:
-                n = table.n_const(-gb, gp)
+            i = row_of_code.get(pc - bc)
+            if i is not None:
+                n = n_code(-bc, pc)
                 if n:
-                    i = row_of[target]
-                    col[i] = col.get(i, Fraction(0)) + n
+                    col[i] = col.get(i, 0) + n
         columns.append({k: v for k, v in col.items() if v != 0})
-    s_pairings = [(row_of[gp], parab.pairing_on_coroots(gp)) for gp in s_roots]
+    s_pairings = [
+        (row_of_code[pc], parab.pairing_on_coroots(gp))
+        for pc, gp in zip(s_codes, cand.S)
+    ]
     for k in range(parab.h_dim):
         columns.append({i: vals[k] for i, vals in s_pairings if vals[k]})
     return columns, row_of, nroots + parab.h_dim
@@ -523,7 +547,7 @@ def check_regularity(
     columns, row_of, dim_p = coadjoint_columns(cand, table)
     ncols = len(columns)
     t_size = len(cand.T)
-    rows: List[Dict[int, Fraction]] = [dict() for _ in range(dim_p)]
+    rows: List[Dict[int, Rational]] = [dict() for _ in range(dim_p)]
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows[r][c] = v
@@ -544,7 +568,8 @@ def solve_h(cand: Candidate) -> AdaptedPair:
     _, inverse = cand.s_inverse
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
-    coeffs = inverse.solve([[-1] * len(cand.S)])[0]
+    scaled = inverse.solve_scaled([-1] * len(cand.S))
+    coeffs = [Fraction(v, inverse.den) for v in scaled]
     parab = cand.parabolic
     h_full = [0] * cand.system.rank
     for i, c in zip(parab.h_basis_indices, coeffs):
@@ -553,7 +578,8 @@ def solve_h(cand: Candidate) -> AdaptedPair:
     h_coeffs = {
         idx + 1: c for idx, c in zip(parab.h_basis_indices, coeffs)
     }
-    eigen = {t: _value_on_h(cand, t, coeffs) for t in cand.T}
+    values = _values_on_h(cand, scaled, cand.T)
+    eigen = {t: Fraction(v, inverse.den) for t, v in zip(cand.T, values)}
     degrees = tuple(sorted(v + 1 for v in eigen.values()))
     return AdaptedPair(h_coeffs, h_eps, eigen, degrees)
 

@@ -1,12 +1,55 @@
 import pytest
 
-from adapted_pairs.cascade import (
-    detect_type,
-    indecomposables,
-    kostant_cascade,
-)
+from adapted_pairs.cascade import indecomposables, kostant_cascade
 from adapted_pairs.parabolic import subsystem_roots
 from adapted_pairs.roots import build_root_system
+
+
+def detect_type(system, simples):
+    """Cartan type of an irreducible simple system, e.g. ('D', 6).
+
+    Only the shapes that occur inside B/D/E6/E7 are recognized:
+    A, B, C, D, E.
+    """
+    k = len(simples)
+    if k == 0:
+        raise ValueError("empty simple system")
+    adj = {
+        i: [
+            j
+            for j in range(k)
+            if j != i and system.inner(simples[i], simples[j]) != 0
+        ]
+        for i in range(k)
+    }
+    degrees = sorted(len(v) for v in adj.values())
+    lengths = {system.inner(s, s) for s in simples}
+    if len(lengths) > 1:
+        # chain with one short/long end: B_k has the short root at one end
+        short = min(lengths)
+        ends = [i for i in range(k) if len(adj[i]) <= 1]
+        is_b = any(system.inner(simples[i], simples[i]) == short for i in ends)
+        return ("B" if is_b else "C", k)
+    if not degrees or degrees[-1] <= 2:
+        return ("A", k)
+    if degrees[-1] == 3:
+        centre = next(i for i in range(k) if len(adj[i]) == 3)
+        arms = []
+        for start in adj[centre]:
+            length = 1
+            prev, cur = centre, start
+            while True:
+                nxt = [j for j in adj[cur] if j != prev]
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[0] == 1 and arms[1] == 1:
+            return ("D", k)
+        return ("E", k)
+    raise ValueError("unrecognized Dynkin shape")
 
 
 def _eps_set(system, items):

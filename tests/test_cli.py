@@ -35,6 +35,27 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "T_size_vs_index" in out
 
 
+def test_verify_prints_why_a_check_failed(monkeypatch, capsys):
+    import dataclasses
+
+    import adapted_pairs.construction as construction
+
+    cand = construction.build_case("B", 6, 4)
+    sets = dict(cand.gamma_sets)
+    sets.pop(list(sets)[2])
+    bad = dataclasses.replace(cand, gamma_sets=sets)
+    monkeypatch.setattr(construction, "build_case", lambda *a: bad)
+    code = main(["verify", "--family", "B", "--rank", "6", "--s", "4"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL" in lines[0]
+    assert lines[1] == "first failing check: heisenberg_ok"
+    assert "heisenberg: Gamma, T*, T do not partition the support" in lines[2:]
+    assert all(l.startswith(("heisenberg: ", "classification: ")) for l in lines[2:])
+    heis = [l for l in lines[2:] if l.startswith("heisenberg: ")]
+    assert heis == sorted(heis)
+
+
 def test_verify_out_of_scope_exit_code(capsys):
     code = main(["verify", "--family", "B", "--rank", "5", "--s", "3"])
     assert code == 2

@@ -6,7 +6,13 @@ from adapted_pairs.parabolic import (
     minus_w0_on_subset,
     subsystem_roots,
 )
-from adapted_pairs.roots import build_root_system
+from adapted_pairs.roots import Root, build_root_system
+
+
+def reflect(system, alpha, beta):
+    """r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
+    k = system.pairing(beta, alpha)
+    return Root(tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)]))
 
 
 def brute_force_minus_w0(system, subset):
@@ -20,7 +26,7 @@ def brute_force_minus_w0(system, subset):
     idx = {r: i for i, r in enumerate(allroots)}
     gens = []
     for a in (system.simple_roots[i] for i in subset):
-        gens.append(tuple(idx[system.reflect(a, r)] for r in allroots))
+        gens.append(tuple(idx[reflect(system, a, r)] for r in allroots))
     identity = tuple(range(len(allroots)))
     seen = {identity}
     frontier = [identity]

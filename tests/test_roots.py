@@ -3,16 +3,26 @@ from fractions import Fraction
 import pytest
 
 from adapted_pairs.roots import (
+    Root,
     Weight,
     _simple_root_data,
     build_root_system,
-    expected_positive_count,
     multiple_of,
-    rho_height,
 )
 from linalg_oracle import solve_in_span
 
 F = Fraction
+
+
+def expected_positive_count(family, rank):
+    """|Delta+| in closed form."""
+    return {"B": rank * rank, "D": rank * (rank - 1), "E6": 36, "E7": 63}[family]
+
+
+def reflect(system, alpha, beta):
+    """r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
+    k = system.pairing(beta, alpha)
+    return Root(tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)]))
 
 
 def _dot(a, b):
@@ -69,7 +79,7 @@ def test_closed_under_reflection(family, rank):
     allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
     for a in allroots:
         for b in allroots:
-            assert sys.is_root(sys.reflect(a, b))
+            assert sys.is_root(reflect(sys, a, b))
 
 
 def test_inner_product_examples():
@@ -85,13 +95,14 @@ def test_inner_product_examples():
 
 
 def test_rho_height():
+    # rho-height is Root.height, the sum of the simple-root coefficients
     sys = build_root_system("B", 2)
     a1 = sys.simple_roots[0]
-    assert rho_height(a1) == 1
+    assert a1.height == 1
     high = sys.highest_root()  # e1+e2 = a1 + 2 a2
     assert high.coeffs == (1, 2)
-    assert rho_height(high) == 3
-    assert rho_height(-high) == -3
+    assert high.height == 3
+    assert (-high).height == -3
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -209,3 +220,27 @@ def test_integer_form_matches_epsilon_oracle(family, rank):
     }
     assert len(generated) == 2 * len(positive)
     assert {eps(r) for r in sys.positive_roots} == positive
+
+
+CODE_SYSTEMS = (
+    [("B", n) for n in range(2, 15)]
+    + [("D", n) for n in range(4, 15)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+@pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
+def test_codes_add_subtract_and_sign_like_roots(family, rank):
+    sys = build_root_system(family, rank)
+    assert sys.base == 3 * max(max(r.coeffs) for r in sys.positive_roots) + 1
+    allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
+    assert len(sys.by_code) == len(allroots)
+    for r in allroots:
+        assert r.code == sys.code(r.coeffs)
+        assert sys.by_code[r.code] == r
+        assert (r.code > 0) == all(c >= 0 for c in r.coeffs)
+    by_code = sys.by_code
+    for a in allroots:
+        for b in allroots:
+            assert by_code.get(a.code + b.code) == sys.try_root(a + b)
+            assert by_code.get(a.code - b.code) == sys.try_root(a - b)

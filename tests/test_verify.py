@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from adapted_pairs.chevalley import build_structure_table
+from adapted_pairs.chevalley import GElem, ad_on_dual, build_structure_table
 from adapted_pairs.construction import build_case, in_scope_cases, orbit_structure
 from adapted_pairs.verify import (
     CYCLIC,
@@ -275,6 +275,46 @@ def test_det_monomial_against_brute_force(family, n, s):
     assert poly[check.monomial_degree] == check.determinant
 
 
+def _grading_oracle(cand):
+    """u(a) = a(h_w) with gamma(h_w) = |rho(gamma)| on S, solved in
+    Fractions by the oracle, for every root a."""
+    parab = cand.parabolic
+    cols = list(zip(*[parab.pairing_on_coroots(g) for g in cand.S]))
+    xs = solve_in_span(cols, [abs(g.height) for g in cand.S])
+    return lambda a: _dot(parab.pairing_on_coroots(a), xs)
+
+
+def test_grading_fails_for_an_extra_partner_off_the_grading():
+    import dataclasses
+
+    cand = build_case("B", 6, 4)
+    table = build_structure_table(cand.system)
+    os = orbit_structure(cand)
+    u = _grading_oracle(cand)
+    for a in os.O:
+        for b in os.S_alpha[a]:
+            assert abs((a + b).height) == u(a) + u(b)
+    assert check_nondegeneracy(cand, table, os).monomial_ok
+    # one extra partner b of a (and a of b) whose t-exponent is off the grading
+    a, b = next(
+        (a, b)
+        for a in os.O
+        for b in os.O
+        if b != a
+        and b not in os.S_alpha[a]
+        and abs((a + b).height) != u(a) + u(b)
+    )
+    s_alpha = dict(os.S_alpha)
+    s_alpha[a] = tuple(sorted(s_alpha[a] + (b,)))
+    s_alpha[b] = tuple(sorted(s_alpha[b] + (a,)))
+    bad = dataclasses.replace(os, S_alpha=s_alpha)
+    det, inverse = cand.s_inverse
+    assert det != 0 and inverse is not None
+    check = check_nondegeneracy(cand, table, bad)
+    assert check.size == len(os.O) and check.size % 2 == 0
+    assert not check.monomial_ok and not check.ok
+
+
 def test_stationary_closures_force_every_pairing():
     # every S-compatible permutation agrees with theta on the closure of a
     # stationary root
@@ -357,6 +397,36 @@ def test_regularity_fails_when_t_meets_the_image():
     assert check.rank == image_rank
     assert check.rank_augmented < check.dim_p
     assert not check.ok and not check.membership_ok
+
+
+COADJOINT_ORACLE_CASES = in_scope_cases(8) + [("D", 6, 5), ("D", 8, 7), ("E6", 6, 1)]
+
+
+@pytest.mark.parametrize("family,n,s", COADJOINT_ORACLE_CASES)
+def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
+    # every column, rebuilt as ad_on_dual(x, y) with y = sum of x_g over S:
+    # x = x_{-gamma} for the support roots, then the truncated coroots
+    cand = build_case(family, n, s)
+    sys, parab = cand.system, cand.parabolic
+    table = build_structure_table(sys)
+    columns, row_of, dim_p = coadjoint_columns(cand, table)
+    support = cand.dual_support()
+    y = GElem({g.coeffs: F(1) for g in cand.S})
+    xs = [GElem({(-g).coeffs: F(1)}) for g in support]
+    for k in parab.pi_prime:
+        xs.append(GElem(h_part=tuple(int(i == k) for i in range(sys.rank))))
+    assert len(columns) == len(xs) == dim_p
+    for col, x in zip(columns, xs):
+        out = ad_on_dual(table, parab, x, y)
+        expected = {
+            row_of[sys.root_from_coeffs(c)]: v for c, v in out.root_part.items()
+        }
+        if out.h_part is not None:
+            assert out.h_part[s - 1] == 0
+            for k, i in enumerate(parab.pi_prime):
+                if out.h_part[i]:
+                    expected[len(support) + k] = out.h_part[i]
+        assert col == expected
 
 
 def _e6_column(cand, table, columns, gamma_b):
