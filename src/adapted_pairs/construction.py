@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta, indecomposables
@@ -716,13 +715,13 @@ def orbit_structure(cand: Candidate) -> OrbitStructure:
                 raise ValueError(f"{g}: not a Heisenberg set at {a}")
             theta[a] = partner
             centre_of[a] = g
-    o_sorted = tuple(sorted(theta, key=attrgetter("coeffs")))
+    o_sorted = tuple(sorted(theta))
     o_by_code = {a.code: a for a in o_sorted}
     centres = [g.code for g in cand.gamma_sets]
     s_alpha: Dict[Root, Tuple[Root, ...]] = {}
     for ac, a in o_by_code.items():
         hits = [o_by_code[gc - ac] for gc in centres if gc - ac in o_by_code]
-        s_alpha[a] = tuple(sorted(hits, key=attrgetter("coeffs")))
+        s_alpha[a] = tuple(sorted(hits))
     strata = {a: len(s_alpha[a]) for a in o_sorted}
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:
