@@ -4,11 +4,11 @@ Supported: types B and D (even node, plus the even-rank extremal node and
 its mirror), E6 at the outer nodes, and E7 at the third node.  See
 `adapted_pairs.verify.run_case` for the full pipeline and `adapted_pairs.cli`
 for the command line.
-"""
 
-from .construction import OutOfScopeError, build_case, in_scope_cases
-from .roots import build_root_system
-from .verify import run_case
+The names below are resolved on first access (PEP 562), so importing the
+package, or rendering a stored certificate through the command line, does
+not load the verification engine.
+"""
 
 __all__ = [
     "OutOfScopeError",
@@ -17,3 +17,22 @@ __all__ = [
     "in_scope_cases",
     "run_case",
 ]
+
+_HOME = {
+    "OutOfScopeError": "construction",
+    "build_case": "construction",
+    "in_scope_cases": "construction",
+    "build_root_system": "roots",
+    "run_case": "verify",
+}
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

@@ -5,88 +5,145 @@ Formal characters are handled as weight multisets: every bound in scope is a
 product over single weights, each a rational multiple of the fundamental
 weight at the removed node, so multiset equality is exactly equality of the
 characters.
+
+Weights are integer vectors over one denominator per case: the orbit
+weights over the lcm of the fundamental-weight and Levi-block denominators
+(`RootSystem.weight_rows`), gamma + t(gamma) over the denominator of the
+inverse pairing matrix of S.  Each is stored in lowest terms, so equal
+weights are equal tuples, and multiples of varpi_s are found by integer
+cross-multiplication.  A Fraction appears only in `bound_multiples`, the
+certificate edge.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .construction import Candidate
 from .parabolic import ParabolicData
-from .roots import Root, Weight, multiple_of
+from .roots import Root
 
 
-def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> Weight:
-    """The orbit weight
-    -sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w'.
-    """
+class BoundWeight(NamedTuple):
+    """The weight num / den in simple-root coordinates, in lowest terms:
+    den > 0 and gcd(den, *num) == 1."""
+
+    num: Tuple[int, ...]
+    den: int
+
+
+def _lowest(num: Sequence[int], den: int) -> BoundWeight:
+    g = math.gcd(den, *num)
+    return BoundWeight(tuple([x // g for x in num]), den // g)
+
+
+def _orbit_weights(
+    parab: ParabolicData,
+) -> Tuple[int, Dict[int, Tuple[int, ...]], Dict[int, Tuple[int, ...]]]:
+    """The fundamental and Levi weights as integer vectors over one common
+    denominator: (den, fundamental, levi)."""
     sys = parab.system
-    fund = sys.fundamental_weights()
-    levi = sys.levi_weights(parab.pi_prime)
-    total = Weight(tuple(Fraction(0) for _ in range(sys.rank)))
-    for a in orbit:
-        total = total - fund[a]
-    for a in {parab.j_map[a] for a in orbit}:
-        total = total - fund[a]
-    inter = [a for a in orbit if a in set(parab.pi_prime)]
-    for a in inter:
-        total = total + levi[a]
-    for a in {parab.i_map[a] for a in inter}:
-        total = total + levi[a]
+    fden, fund = sys.weight_rows(range(sys.rank))
+    lden, levi = sys.weight_rows(parab.pi_prime)
+    den = math.lcm(fden, lden)
+    fs, ls = den // fden, den // lden
+    return (
+        den,
+        {a: tuple([fs * x for x in v]) for a, v in fund.items()},
+        {a: tuple([ls * x for x in v]) for a, v in levi.items()},
+    )
+
+
+def _delta_gamma(parab: ParabolicData, orbit: FrozenSet[int], weights) -> List[int]:
+    den, fund, levi = weights
+    total = [0] * parab.system.rank
+    inter = [a for a in orbit if a in levi]
+    for sign, vecs, idxs in (
+        (-1, fund, orbit),
+        (-1, fund, {parab.j_map[a] for a in orbit}),
+        (1, levi, inter),
+        (1, levi, {parab.i_map[a] for a in inter}),
+    ):
+        for a in idxs:
+            for i, x in enumerate(vecs[a]):
+                if x:
+                    total[i] += sign * x
     return total
 
 
-def lower_bound(parab: ParabolicData) -> List[Weight]:
+def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> BoundWeight:
+    """The orbit weight
+    -sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w'.
+    """
+    weights = _orbit_weights(parab)
+    return _lowest(_delta_gamma(parab, orbit, weights), weights[0])
+
+
+def lower_bound(parab: ParabolicData) -> List[BoundWeight]:
     """Multiset {-delta_Gamma} over the ij-orbits, sorted."""
-    out = [-delta_gamma(parab, orbit) for orbit in parab.orbits]
-    return sorted(out, key=lambda w: w.coeffs)
+    weights = _orbit_weights(parab)
+    den = weights[0]
+    out = [
+        _lowest([-x for x in _delta_gamma(parab, orbit, weights)], den)
+        for orbit in parab.orbits
+    ]
+    return sorted(out)
 
 
-def t_of_gamma(cand: Candidate, gamma: Root) -> Tuple[Dict[Root, Fraction], Weight]:
-    """The unique rational combination of S making gamma + t(gamma) vanish
-    on the truncated Cartan, plus the resulting weight."""
-    return _t_of_all(cand, [gamma])[0]
-
-
-def _t_of_all(
-    cand: Candidate, gammas: Sequence[Root]
-) -> List[Tuple[Dict[Root, Fraction], Weight]]:
-    """t_of_gamma for every gamma: transposed solves with the pairing matrix
-    of S, which the candidate eliminates once."""
+def _t_of_all(cand: Candidate, gammas: Sequence[Root]) -> List[BoundWeight]:
+    """gamma + t(gamma) for every gamma, where t(gamma) is the unique
+    rational combination of S making gamma + t(gamma) vanish on the
+    truncated Cartan: transposed solves with the pairing matrix of S, which
+    the candidate eliminates once, all over its denominator."""
     order = cand.S
     _, inverse = cand.s_inverse
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
+    den = inverse.den
     rhss = [[-v for v in cand.parabolic.pairing_on_coroots(g)] for g in gammas]
-    solutions = inverse.solve_transposed(rhss)
+    solutions = inverse.solve_transposed_scaled(rhss)
     out = []
     for gamma, coeffs in zip(gammas, solutions):
-        w = [Fraction(x) for x in gamma.coeffs]
+        w = [den * x for x in gamma.coeffs]
         for c, g in zip(coeffs, order):
             if c:
                 for i, x in enumerate(g.coeffs):
-                    w[i] += c * x
-        out.append((dict(zip(order, coeffs)), Weight(tuple(w))))
+                    if x:
+                        w[i] += c * x
+        out.append(_lowest(w, den))
     return out
 
 
-def improved_bound(cand: Candidate) -> List[Weight]:
+def improved_bound(cand: Candidate) -> List[BoundWeight]:
     """Multiset {gamma + t(gamma)} over T, sorted."""
-    out = [w for _, w in _t_of_all(cand, cand.T)]
-    return sorted(out, key=lambda w: w.coeffs)
+    return sorted(_t_of_all(cand, cand.T))
 
 
-def certify_coincidence(lower: Sequence[Weight], improved: Sequence[Weight]) -> bool:
+def certify_coincidence(
+    lower: Sequence[BoundWeight], improved: Sequence[BoundWeight]
+) -> bool:
     return Counter(lower) == Counter(improved)
 
 
-def varpi_s(cand: Candidate) -> Weight:
-    return cand.system.fundamental_weights()[cand.s - 1]
+def varpi_s(cand: Candidate) -> BoundWeight:
+    den, fund = cand.system.weight_rows(range(cand.system.rank))
+    return _lowest(fund[cand.s - 1], den)
 
 
-def bound_multiples(cand: Candidate, weights: Sequence[Weight]) -> List[Fraction]:
+def ray_multiple(w: BoundWeight, base: BoundWeight) -> Optional[Fraction]:
+    """The exact c with w == c * base, or None when w is off the ray of
+    base (a nonzero weight)."""
+    k = next(i for i, y in enumerate(base.num) if y)
+    xk, yk = w.num[k], base.num[k]
+    if any(x * yk != xk * y for x, y in zip(w.num, base.num)):
+        return None
+    return Fraction(xk * base.den, yk * w.den)
+
+
+def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Fraction]:
     """Each bound entry as an exact multiple of the fundamental weight at s.
 
     Raises when an entry is off the ray, which would invalidate the
@@ -95,7 +152,7 @@ def bound_multiples(cand: Candidate, weights: Sequence[Weight]) -> List[Fraction
     base = varpi_s(cand)
     out = []
     for w in weights:
-        m = multiple_of(w, base)
+        m = ray_multiple(w, base)
         if m is None:
             raise ArithmeticError(f"bound entry {w} is not a multiple of varpi_s")
         out.append(m)
@@ -120,7 +177,7 @@ def expected_bound_multiset(family: str, n: int, s: int) -> Optional[Counter]:
     return None
 
 
-def matches_expected(cand: Candidate, lower: Sequence[Weight]) -> bool:
+def matches_expected(cand: Candidate, lower: Sequence[BoundWeight]) -> bool:
     """Whether the lower bound matches its closed form; a case without a
     closed form fails, since there is nothing to certify it against."""
     expected = expected_bound_multiset(cand.family, cand.n, cand.s)

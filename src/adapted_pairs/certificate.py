@@ -4,13 +4,14 @@ Rationals are stored as {"num", "den"} pairs and roots as integer vectors in
 the simple-root basis, so a certificate survives JSON round-tripping without
 loss and an independent checker can re-validate it.  All set listings are
 ordered lexicographically by coefficient vector, which makes certificates
-byte-deterministic.
+byte-deterministic.  This module is the writer and needs the engine; the
+reader (`from_json`, `rat_value`) lives in `cli`, next to `report`.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Sequence
 
 from .bounds import bound_multiples
@@ -23,10 +24,6 @@ SCHEMA_VERSION = 1
 def _rat(x: Fraction) -> Dict[str, int]:
     f = Fraction(x)
     return {"num": f.numerator, "den": f.denominator}
-
-
-def rat_value(obj: Dict[str, int]) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
 
 
 def _root_list(roots: Sequence[Root]) -> List[List[int]]:
@@ -94,8 +91,59 @@ def certificate_dict(result: CaseResult) -> dict:
 
 
 def to_json(cert: dict) -> str:
-    return json.dumps(cert, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(cert, indent=2, sort_keys=True) + "\n",
+    written directly: with indent, json runs its pure-Python encoder.  A
+    certificate holds only dicts with str keys, lists, ints, bools, None
+    and ASCII strs; anything else raises TypeError."""
+    parts: List[str] = []
+    _write(cert, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def from_json(text: str) -> dict:
-    return json.loads(text)
+def _write(obj, newline: str, emit) -> None:
+    """Emit obj as json.dumps does with indent=2 and sort_keys=True, at the
+    nesting whose line break and indent is newline."""
+    kind = type(obj)
+    if kind is str:
+        emit(encode_basestring_ascii(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif kind is dict:
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"certificate key {key!r} is not a str")
+            emit(sep)
+            emit(encode_basestring_ascii(key))
+            emit(": ")
+            _write(obj[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif kind is list:
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        if all([type(item) is int for item in obj]):
+            # a root's coefficient vector: one join for the whole list
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        raise TypeError(f"{kind.__name__} does not belong in a certificate")

@@ -221,21 +221,6 @@ class StructureTable:
                 out.add_root(ca, -va * _root_on_h(sys, a, y.h_part))
         return out
 
-    def jacobiator(self, a: Root, b: Root, c: Root) -> GElem:
-        """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] on root vectors; zero iff Jacobi."""
-        xa, xb, xc = (GElem({r.coeffs: Fraction(1)}) for r in (a, b, c))
-        out = GElem()
-        for t in (
-            self.bracket(xa, self.bracket(xb, xc)),
-            self.bracket(xb, self.bracket(xc, xa)),
-            self.bracket(xc, self.bracket(xa, xb)),
-        ):
-            for cc, vc in t.root_part.items():
-                out.add_root(cc, vc)
-            if t.h_part is not None:
-                out.add_h(t.h_part)
-        return out
-
 
 def _root_on_h(sys: RootSystem, a: Root, h: Tuple[Fraction, ...]) -> Fraction:
     """a(h) for h in coroot coordinates."""

@@ -4,21 +4,23 @@ Subcommands: verify one case, sweep all cases up to a rank bound, list a
 Kostant cascade, or render a stored certificate.  Exit status: 0 when every
 check passes, 1 on a certificate failure or a sweep case that raised, 2 for
 out-of-scope or usage errors.
+
+Only `roots` is imported at module level: `report` reads the certificate
+with the schema reader below and needs nothing else, while `verify`,
+`sweep` and `cascade` import the engine inside the command.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
-from .cascade import kostant_cascade
-from .certificate import certificate_dict, from_json, rat_value, to_json
-from .construction import OutOfScopeError, in_scope_cases
 from .roots import Root, RootSystem, build_root_system
-from .verify import run_case
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -42,9 +44,17 @@ def eps_str(system: RootSystem, root: Root) -> str:
     return body if denom == 1 else f"(1/{denom})({body})"
 
 
+def from_json(text: str) -> dict:
+    return json.loads(text)
+
+
+def rat_value(obj: Dict[str, int]) -> Fraction:
+    """A rational stored as {"num", "den"} in a certificate."""
+    return Fraction(obj["num"], obj["den"])
+
+
 def _rat_str(obj) -> str:
-    v = rat_value(obj)
-    return str(v)
+    return str(rat_value(obj))
 
 
 def render_certificate(cert: dict, fmt: str) -> str:
@@ -129,6 +139,10 @@ def render_certificate(cert: dict, fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .certificate import certificate_dict, to_json
+    from .construction import OutOfScopeError
+    from .verify import run_case
+
     try:
         result = run_case(args.family, args.rank, args.s)
     except OutOfScopeError as exc:
@@ -160,6 +174,10 @@ def cmd_sweep(args) -> int:
     if args.max_rank < 4:
         print("sweep needs --max-rank >= 4", file=sys.stderr)
         return EXIT_USAGE
+    from .certificate import certificate_dict, to_json
+    from .construction import in_scope_cases
+    from .verify import run_case
+
     out_dir: Optional[Path] = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +193,7 @@ def cmd_sweep(args) -> int:
 
             traceback.print_exc(file=sys.stderr)
             dt = time.perf_counter() - t0
-            rows.append((family, n, s, "error", f"{type(exc).__name__}: {exc}", dt))
+            rows.append((family, n, s, "error", f"{type(exc).__name__}: {exc}", dt, ""))
             all_ok = False
             continue
         dt = time.perf_counter() - t0
@@ -183,18 +201,22 @@ def cmd_sweep(args) -> int:
         if out_dir:
             (out_dir / f"{family}_n{n}_s{s}.json").write_text(to_json(cert))
         degrees = ",".join(_rat_str(d) for d in cert["degrees"])
-        rows.append((family, n, s, cert["verdict"], degrees, dt))
+        failing = result.first_failing
+        note = f"  first failing check: {failing}" if failing else ""
+        rows.append((family, n, s, cert["verdict"], degrees, dt, note))
         all_ok &= result.verdict
     width = max(len(r[4]) for r in rows)
     print(f"{'case':<12} {'verdict':<8} {'degrees':<{width}}  time")
-    for family, n, s, verdict, degrees, dt in rows:
+    for family, n, s, verdict, degrees, dt, note in rows:
         case = f"{family} n={n} s={s}"
-        print(f"{case:<12} {verdict:<8} {degrees:<{width}}  {dt:6.2f}s")
+        print(f"{case:<12} {verdict:<8} {degrees:<{width}}  {dt:6.2f}s{note}")
     print(f"{len(rows)} cases, {'all pass' if all_ok else 'FAILURES PRESENT'}")
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
 def cmd_cascade(args) -> int:
+    from .cascade import kostant_cascade
+
     try:
         system = build_root_system(args.family, args.rank)
     except ValueError as exc:

@@ -64,9 +64,6 @@ class Candidate:
             list(self.system.positive_roots) + list(self.parabolic.delta_pi_prime_neg)
         )
 
-    def case_id(self) -> str:
-        return f"{self.family}_n{self.n}_s{self.s}"
-
 
 @dataclass(frozen=True)
 class OrbitStructure:

@@ -174,12 +174,12 @@ class Inverse(list):
         callers compare and combine solutions on ints."""
         return [_dot(row, rhs) for row in self]
 
-    def solve_transposed(
+    def solve_transposed_scaled(
         self, rhss: Sequence[Sequence[Rational]]
-    ) -> List[List[Fraction]]:
-        """y with A^T y = c, for every right-hand side c in rhss."""
+    ) -> List[List[Rational]]:
+        """den * y with A^T y = c, for every right-hand side c in rhss."""
         cols = list(zip(*self))
-        return [[Fraction(_dot(col, c), self.den) for col in cols] for c in rhss]
+        return [[_dot(col, c) for col in cols] for c in rhss]
 
 
 def invert(rows: Sequence[Sequence[Rational]]) -> Tuple[Fraction, Optional[Inverse]]:

@@ -80,10 +80,13 @@ def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, 
     word: List[int] = []
     guard = len(pos) + 1
     while True:
-        j = next((j for j in subset if pairing(v, j) > 0), None)
-        if j is None:
+        for j in subset:
+            p = pairing(v, j)
+            if p > 0:
+                break
+        else:
             break
-        v[j] -= pairing(v, j)
+        v[j] -= p
         word.append(j)
         guard -= 1
         if guard < 0:

@@ -6,8 +6,10 @@ and Cartan matrices of the simple roots, which are integral for every
 supported type, so root arithmetic runs on Python ints.  Every root of a
 system also carries a linear integer code (`RootSystem.base`), so that the
 per-pair loops of the checks test sums, differences and signs of roots on
-single ints.  Weights carry rational (fractions.Fraction) coordinates over
-the simple roots, and Cartan elements are written in coroot coordinates.
+single ints.  Fundamental and Levi weights are integer vectors over one
+denominator per simple-root subset (`weight_rows`); `Weight` is their
+rational (fractions.Fraction) view over the simple roots.  Cartan elements
+are written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
@@ -19,12 +21,10 @@ display, `root_from_eps` for case data written in epsilon form, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from .linalg import solve_dense
 
 Eps = Tuple[Fraction, ...]
 Coeffs = Tuple[int, ...]
@@ -78,11 +78,19 @@ class Root:
         return f"Root{self.coeffs}"
 
 
-@dataclass(frozen=True)
 class Weight:
     """An exact rational vector in simple-root coordinates."""
 
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Weight) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
@@ -218,8 +226,7 @@ class RootSystem:
                 self._by_coeffs[x.coeffs] = x
                 self.by_code[x.code] = x
         self._by_eps: Optional[Dict[Eps, Root]] = None
-        self._fundamental: Optional[List[Weight]] = None
-        self._levi: Dict[Tuple[int, ...], Dict[int, Weight]] = {}
+        self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
         self.cascade: Optional[list] = None
         self.minus_w0: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
@@ -317,37 +324,51 @@ class RootSystem:
 
     # -- weights -----------------------------------------------------------
 
+    def weight_rows(self, subset: Sequence[int]) -> Tuple[int, Dict[int, Coeffs]]:
+        """Fundamental weights of the subsystem on subset (0-based simple
+        indices), inside its span, as integer vectors over one denominator:
+        (den, {i: num}) with w_i = num / den in simple-root coordinates and
+        den the least such.  One inversion of the Cartan block per subset,
+        kept on the system."""
+        key = tuple(sorted(subset))
+        got = self._weight_rows.get(key)
+        if got is None:
+            # imported here so that rendering a certificate, which needs
+            # the roots but no weights, does not load linalg
+            from .linalg import invert
+
+            k = len(key)
+            block = [[self.cartan[key[j]][key[i]] for j in range(k)] for i in range(k)]
+            _, inverse = invert(block)
+            if inverse is None:
+                raise ValueError("degenerate Cartan matrix")
+            # w_i solves block x = e_i: column i of the inverse
+            g = math.gcd(inverse.den, *[x for row in inverse for x in row])
+            rows = {}
+            for col, i in enumerate(key):
+                num = [0] * self.rank
+                for r, idx in enumerate(key):
+                    num[idx] = inverse[r][col] // g
+                rows[i] = tuple(num)
+            got = self._weight_rows[key] = (inverse.den // g, rows)
+        return got
+
     def fundamental_weights(self) -> List[Weight]:
-        """The weights with <w_i, alpha_j^vee> = delta_ij, inside span(pi)."""
-        if self._fundamental is None:
-            self._fundamental = self._weights_for(list(range(self.rank)))
-        return self._fundamental
+        """The weights with <w_i, alpha_j^vee> = delta_ij, inside span(pi),
+        as rationals."""
+        weights = self.levi_weights(range(self.rank))
+        return [weights[i] for i in range(self.rank)]
 
     def levi_weights(self, subset: Sequence[int]) -> Dict[int, Weight]:
-        """Fundamental weights of the subsystem, inside span of the subset.
+        """Fundamental weights of the subsystem, inside span of the subset,
+        as rationals.
 
         subset holds 0-based simple-root indices.
         """
-        key = tuple(sorted(subset))
-        if key not in self._levi:
-            self._levi[key] = dict(zip(key, self._weights_for(list(key))))
-        return dict(self._levi[key])
-
-    def _weights_for(self, idxs: List[int]) -> List[Weight]:
-        """Solve the Cartan block of idxs once for all of its unit vectors."""
-        k = len(idxs)
-        block = [[self.cartan[idxs[j]][idxs[i]] for j in range(k)] for i in range(k)]
-        units = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
-        solutions = solve_dense(block, units)
-        if solutions is None:
-            raise ValueError("degenerate Cartan matrix")
-        weights = []
-        for sol in solutions:
-            coeffs = [Fraction(0)] * self.rank
-            for i, c in zip(idxs, sol):
-                coeffs[i] = c
-            weights.append(Weight(tuple(coeffs)))
-        return weights
+        den, rows = self.weight_rows(subset)
+        return {
+            i: Weight(tuple([Fraction(x, den) for x in num])) for i, num in rows.items()
+        }
 
     # -- epsilon edge ------------------------------------------------------
 

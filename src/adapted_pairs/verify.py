@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from .bounds import BoundWeight
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate, OrbitStructure, orbit_structure
 from .linalg import Rational, sparse_det, sparse_ranks
-from .roots import Root, Weight
+from .roots import Root
 
 STATIONARY = "stationary"
 EXT_STATIONARY = "extended_stationary"
@@ -167,12 +168,18 @@ def _successors(os: OrbitStructure, x: Root) -> Optional[List[Root]]:
     return None
 
 
+WALK_STATIONARY = "stationary"  # every branch reached O_1
+WALK_NOT_STATIONARY = "not_stationary"  # some branch looped or was undefined
+WALK_LOOP_GUARD = "loop_guard"  # the exploration stopped before it finished
+
+
 @dataclass
 class WalkResult:
     stationary: bool
     rank: Optional[int]
     path: Tuple[Root, ...]
     nodes: FrozenSet[Root]  # path elements and their theta images
+    reason: str  # one of the WALK_* outcomes
 
 
 def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
@@ -180,7 +187,9 @@ def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
 
     stationary means every branch reaches a point whose theta-image is in
     O_1; loops or undefined steps disqualify.  The representative path is
-    the lexicographically first fully explored branch.
+    the lexicographically first fully explored branch.  The number of steps
+    is bounded; a walk that reaches the bound is not stationary, and its
+    reason says that it stopped there rather than that a branch failed.
     """
     best_path: Optional[Tuple[Root, ...]] = None
     best_rank: Optional[int] = None
@@ -192,7 +201,9 @@ def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
     while stack:
         guard += 1
         if guard > 4 * len(os.O) * max(4, len(os.O)):
-            return WalkResult(False, None, (start,), frozenset({start}))
+            return WalkResult(
+                False, None, (start,), frozenset({start}), WALK_LOOP_GUARD
+            )
         x, path, seen = stack.pop()
         nodes.add(x)
         nodes.add(os.theta[x])
@@ -212,7 +223,13 @@ def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
     if best_path is None:
         all_ok = False
         best_path = (start,)
-    return WalkResult(all_ok, best_rank if all_ok else None, best_path, frozenset(nodes))
+    return WalkResult(
+        all_ok,
+        best_rank if all_ok else None,
+        best_path,
+        frozenset(nodes),
+        WALK_STATIONARY if all_ok else WALK_NOT_STATIONARY,
+    )
 
 
 def _star_holds(os: OrbitStructure, z: Root) -> bool:
@@ -325,10 +342,16 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
     labels: Dict[Root, str] = {}
     walks: Dict[Root, Tuple[WalkResult, WalkResult]] = {}
 
+    def guard_tripped(w: WalkResult) -> None:
+        if w.reason == WALK_LOOP_GUARD:
+            problems.append(f"sequence walk from {w.path[0].coeffs} hit its loop guard")
+
     for a in needs:
         fwd = walk_sequence(os, a)
         bwd = walk_sequence(os, th[a])
         walks[a] = (fwd, bwd)
+        guard_tripped(fwd)
+        guard_tripped(bwd)
         if fwd.stationary and bwd.stationary:
             adm, strict = _closure_admissible(os, fwd.nodes | bwd.nodes)
             if adm:
@@ -350,6 +373,7 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
     for fam in families:
         for tilde in fam.tildes.values():
             w = walk_sequence(os, tilde)
+            guard_tripped(w)
             tilde_covered |= w.nodes
 
     for a in needs:
@@ -452,39 +476,6 @@ def check_nondegeneracy(
             mono_ok = False
         degree = int(Fraction(2 * total, den))
     return NondegeneracyCheck(det != 0 and mono_ok, det, size, mono_ok, degree)
-
-
-def enumerate_pairings(
-    os: OrbitStructure, limit: int = 100000
-) -> List[Dict[Root, Root]]:
-    """All permutations theta' of O with a + theta'(a) in S for every a.
-
-    Backtracking over the S_alpha candidate lists; used by the rigidity
-    checks on small cases.
-    """
-    order = sorted(os.O, key=lambda a: (len(os.S_alpha[a]), a.coeffs))
-    results: List[Dict[Root, Root]] = []
-    assign: Dict[Root, Root] = {}
-    used: Set[Root] = set()
-
-    def rec(i: int) -> None:
-        if len(results) >= limit:
-            return
-        if i == len(order):
-            results.append(dict(assign))
-            return
-        a = order[i]
-        for b in os.S_alpha[a]:
-            if b in used:
-                continue
-            assign[a] = b
-            used.add(b)
-            rec(i + 1)
-            used.discard(b)
-            del assign[a]
-
-    rec(0)
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +630,8 @@ class CaseResult:
     t_size_vs_index: bool
     pair: AdaptedPair
     eigenvalues_match: bool
-    lower: List[Weight]
-    improved: List[Weight]
+    lower: List[BoundWeight]
+    improved: List[BoundWeight]
     bounds_coincide: bool
     bounds_expected_match: bool
 

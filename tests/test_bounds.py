@@ -1,16 +1,21 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import engine_oracle as oracle
 from adapted_pairs.bounds import (
+    BoundWeight,
+    _lowest,
+    _t_of_all,
     bound_multiples,
     certify_coincidence,
     delta_gamma,
     improved_bound,
     lower_bound,
     matches_expected,
-    t_of_gamma,
+    ray_multiple,
     varpi_s,
 )
 from adapted_pairs.construction import build_case, in_scope_cases
@@ -33,27 +38,27 @@ def test_delta_gamma_b_equal_rank():
     wn = varpi_s(cand)
     for t in range(1, 4):
         d = delta_gamma(parab, _orbit(parab, [t, 8 - t]))
-        assert multiple_of(d, wn) == -4
-    assert multiple_of(delta_gamma(parab, _orbit(parab, [4])), wn) == -2
+        assert ray_multiple(d, wn) == -4
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), wn) == -2
 
 
 def test_delta_gamma_e6():
     cand = build_case("E6", 6, 6)
     parab = cand.parabolic
     w6 = varpi_s(cand)
-    assert multiple_of(delta_gamma(parab, _orbit(parab, [1, 6])), w6) == -3
-    assert multiple_of(delta_gamma(parab, _orbit(parab, [2, 3, 5])), w6) == -6
-    assert multiple_of(delta_gamma(parab, _orbit(parab, [4])), w6) == -3
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1, 6])), w6) == -3
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [2, 3, 5])), w6) == -6
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), w6) == -3
 
 
 def test_delta_gamma_e7():
     cand = build_case("E7", 7, 3)
     parab = cand.parabolic
     w3 = varpi_s(cand)
-    assert multiple_of(delta_gamma(parab, _orbit(parab, [1])), w3) == -1
-    assert multiple_of(delta_gamma(parab, _orbit(parab, [4, 6])), w3) == -4
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1])), w3) == -1
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4, 6])), w3) == -4
     for idxs in ([3], [2, 7], [5]):
-        assert multiple_of(delta_gamma(parab, _orbit(parab, idxs)), w3) == -2
+        assert ray_multiple(delta_gamma(parab, _orbit(parab, idxs)), w3) == -2
 
 
 @pytest.mark.parametrize(
@@ -74,46 +79,52 @@ def test_lower_bound_closed_forms(family, n, s, expected):
     assert matches_expected(cand, lower)
 
 
+def _t_multiples(cand, gamma):
+    """The multiple of varpi_s of gamma + t(gamma), from the rational oracle
+    and from the package's integer solve."""
+    _, weight = oracle.t_of_gamma(cand, gamma)
+    (scaled,) = _t_of_all(cand, [gamma])
+    return multiple_of(weight, oracle.varpi_s(cand)), ray_multiple(scaled, varpi_s(cand))
+
+
 def test_t_of_gamma_e6_alpha4():
     cand = build_case("E6", 6, 6)
     sys = cand.system
     rc = lambda c: sys.root_from_coeffs(c)
-    coeffs, weight = t_of_gamma(cand, rc((0, 0, 0, 1, 0, 0)))
+    coeffs, _ = oracle.t_of_gamma(cand, rc((0, 0, 0, 1, 0, 0)))
     assert coeffs[rc((1, 2, 2, 3, 2, 1))] == 5  # beta_1
     assert coeffs[rc((1, 0, 1, 1, 1, 1))] == 3  # beta_2
     assert coeffs[rc((0, 0, 1, 1, 1, 0))] == 3  # beta_3
     assert coeffs[rc((-1, -1, -2, -2, -1, 0))] == 4  # -beta'_1
     assert coeffs[rc((0, 0, 0, -1, -1, 0))] == 2  # alpha_2 - beta'_2
-    assert multiple_of(weight, varpi_s(cand)) == 6
+    assert _t_multiples(cand, rc((0, 0, 0, 1, 0, 0))) == (6, 6)
 
 
 def test_t_of_gamma_e6_other_entries():
     cand = build_case("E6", 6, 6)
     sys = cand.system
     rc = lambda c: sys.root_from_coeffs(c)
-    _, w_a6 = t_of_gamma(cand, rc((0, 0, 0, 0, 0, 1)))
-    assert multiple_of(w_a6, varpi_s(cand)) == 3
-    _, w_mid = t_of_gamma(cand, rc((0, 1, 1, 1, 0, 0)))
-    assert multiple_of(w_mid, varpi_s(cand)) == 3
+    assert _t_multiples(cand, rc((0, 0, 0, 0, 0, 1))) == (3, 3)
+    assert _t_multiples(cand, rc((0, 1, 1, 1, 0, 0))) == (3, 3)
 
 
 def test_t_of_gamma_e7_minus_alpha1():
     cand = build_case("E7", 7, 3)
     sys = cand.system
     gamma = sys.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))
-    coeffs, weight = t_of_gamma(cand, gamma)
+    coeffs, _ = oracle.t_of_gamma(cand, gamma)
     beta1 = sys.highest_root()
     assert coeffs[beta1] == 2
     assert all(v == 0 for g, v in coeffs.items() if g != beta1)
-    assert multiple_of(weight, varpi_s(cand)) == 1
+    assert _t_multiples(cand, gamma) == (1, 1)
 
 
 def test_t_of_gamma_b_equal_rank():
     cand = build_case("B", 8, 8)
     sys = cand.system
     gamma = sys.root_from_eps([0, 0, 0, 0, 0, 0, 1, 1])  # eps_{s-1}+eps_s
-    coeffs, weight = t_of_gamma(cand, gamma)
-    assert multiple_of(weight, varpi_s(cand)) == 2
+    coeffs, _ = oracle.t_of_gamma(cand, gamma)
+    assert _t_multiples(cand, gamma) == (2, 2)
     # t(gamma) is integral on the cascade part here
     assert all(c.denominator == 1 for c in coeffs.values())
 
@@ -133,7 +144,7 @@ def test_all_entries_on_the_varpi_ray():
         cand = build_case(family, n, s)
         base = varpi_s(cand)
         for w in lower_bound(cand.parabolic) + improved_bound(cand):
-            m = multiple_of(w, base)
+            m = ray_multiple(w, base)
             assert m is not None and m > 0
 
 
@@ -143,13 +154,34 @@ def test_coincidence_negative():
     improved = improved_bound(cand)
     assert certify_coincidence(lower, improved)
     assert not certify_coincidence(lower[1:], improved)
-    assert not certify_coincidence(lower[1:] + [lower[0] + lower[0]], improved)
+    doubled = _lowest([2 * x for x in lower[0].num], lower[0].den)
+    assert not certify_coincidence(lower[1:] + [doubled], improved)
 
 
 def test_flipped_cases_use_flipped_ray():
     cand = build_case("E6", 6, 1)
-    base = build_root_system("E6", 6).fundamental_weights()[0]
+    den, fund = build_root_system("E6", 6).weight_rows(range(6))
+    base = BoundWeight(fund[0], den)
     lower = lower_bound(cand.parabolic)
-    assert Counter(multiple_of(w, base) for w in lower) == Counter(
+    assert Counter(ray_multiple(w, base) for w in lower) == Counter(
         {F(3): 2, F(6): 1}
     )
+
+
+def _rational(weights):
+    return Counter(tuple(F(x, w.den) for x in w.num) for w in weights)
+
+
+@pytest.mark.parametrize("family,n,s", in_scope_cases(10) + [("E6", 6, 1)])
+def test_integer_bounds_match_the_rational_oracle(family, n, s):
+    # the integer weights, and their multiples of varpi_s, equal those of
+    # the Fraction path kept in the tests (E7 s=3 is among the rank-10 cases)
+    cand = build_case(family, n, s)
+    parab = cand.parabolic
+    for ours, theirs in (
+        (lower_bound(parab), oracle.lower_bound(parab)),
+        (improved_bound(cand), oracle.improved_bound(cand)),
+    ):
+        assert all(w.den > 0 and math.gcd(w.den, *w.num) == 1 for w in ours)
+        assert _rational(ours) == Counter(w.coeffs for w in theirs)
+        assert bound_multiples(cand, ours) == oracle.bound_multiples(cand, theirs)

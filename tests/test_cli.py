@@ -1,12 +1,7 @@
 import json
 
-from adapted_pairs.certificate import (
-    certificate_dict,
-    from_json,
-    rat_value,
-    to_json,
-)
-from adapted_pairs.cli import main
+from adapted_pairs.certificate import certificate_dict, to_json
+from adapted_pairs.cli import from_json, main, rat_value
 from adapted_pairs.verify import run_case
 
 
@@ -25,10 +20,10 @@ def test_verify_pass_exit_code_and_output(tmp_path, capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import dataclasses
 
-    import adapted_pairs.cli as cli
+    import adapted_pairs.verify as verify
 
     broken = dataclasses.replace(run_case("B", 2, 2), t_size_vs_index=False)
-    monkeypatch.setattr(cli, "run_case", lambda *a: broken)
+    monkeypatch.setattr(verify, "run_case", lambda *a: broken)
     code = main(["verify", "--family", "B", "--rank", "2", "--s", "2"])
     assert code == 1
     out = capsys.readouterr().out
@@ -144,14 +139,14 @@ def test_sweep_small(tmp_path, capsys):
 
 
 def test_sweep_reports_a_crashing_case_and_goes_on(tmp_path, monkeypatch, capsys):
-    import adapted_pairs.cli as cli
+    import adapted_pairs.verify as verify
 
     def crash_on_b4_s2(family, n, s):
         if (family, n, s) == ("B", 4, 2):
             raise ArithmeticError("singular test matrix")
         return run_case(family, n, s)
 
-    monkeypatch.setattr(cli, "run_case", crash_on_b4_s2)
+    monkeypatch.setattr(verify, "run_case", crash_on_b4_s2)
     out = tmp_path / "certs"
     assert main(["sweep", "--max-rank", "5", "--out", str(out)]) == 1
     stdout = capsys.readouterr().out
@@ -191,3 +186,78 @@ def test_report_rejects_non_root_in_t(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
     assert "[9, 9, 9, 9]" in lines[0]
+
+
+def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):
+    import dataclasses
+
+    import adapted_pairs.verify as verify
+
+    def fail_b4_s2(family, n, s):
+        result = run_case(family, n, s)
+        if (family, n, s) == ("B", 4, 2):
+            return dataclasses.replace(result, t_size_vs_index=False)
+        return result
+
+    monkeypatch.setattr(verify, "run_case", fail_b4_s2)
+    assert main(["sweep", "--max-rank", "4"]) == 1
+    rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith(("B ", "D "))]
+    failing = [l for l in rows if " fail " in l]
+    assert len(failing) == 1 and failing[0].startswith("B n=4 s=2 ")
+    assert failing[0].endswith("s  first failing check: T_size_vs_index")
+    assert all(" pass " in l and "first failing" not in l for l in rows if l not in failing)
+
+
+ENGINE = ("construction", "verify", "chevalley", "bounds", "cascade", "parabolic")
+
+REPORT_ONLY = """
+import contextlib, io, sys
+import adapted_pairs, adapted_pairs.cli
+
+ENGINE = {engine!r}
+
+def loaded():
+    return [m for m in ENGINE if "adapted_pairs." + m in sys.modules]
+
+assert loaded() == [], loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert adapted_pairs.cli.main(["report", "--in", sys.argv[1]]) == 0
+assert "verdict: PASS" in out.getvalue()
+assert loaded() == [], loaded()
+
+from adapted_pairs.verify import run_case
+assert adapted_pairs.run_case is run_case
+from adapted_pairs import chevalley
+assert chevalley.build_structure_table
+try:
+    adapted_pairs.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown package attribute resolved")
+print("ok")
+"""
+
+
+def test_report_loads_no_engine_module(tmp_path):
+    # a fresh process: importing the package and the command line, and
+    # rendering a stored certificate, load none of the engine modules
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import adapted_pairs
+
+    cert = tmp_path / "B_n6_s4.json"
+    cert.write_text(to_json(certificate_dict(run_case("B", 6, 4))))
+    src = str(Path(adapted_pairs.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_ONLY.format(engine=ENGINE), str(cert)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -54,7 +54,7 @@ def test_inverse_solves_with_the_matrix_and_its_transpose():
     det, inverse = invert([[2, 1], [0, 3]])
     assert det == 6
     assert inverse.solve_scaled([3, 3]) == [inverse.den, inverse.den]
-    assert inverse.solve_transposed([[2, 4]]) == [[Fraction(1), Fraction(1)]]
+    assert inverse.solve_transposed_scaled([[2, 4]]) == [[inverse.den, inverse.den]]
     assert invert([[1, 2], [2, 4]]) == (0, None)
 
 
@@ -181,4 +181,7 @@ def test_solutions_match_oracle(m, data):
     assert [
         [Fraction(v, inverse.den) for v in inverse.solve_scaled(b)] for b in rhss
     ] == expected
-    assert inverse.solve_transposed(rhss) == [solve_in_span(m, c) for c in rhss]
+    assert [
+        [Fraction(v, inverse.den) for v in y]
+        for y in inverse.solve_transposed_scaled(rhss)
+    ] == [solve_in_span(m, c) for c in rhss]

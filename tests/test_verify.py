@@ -16,7 +16,6 @@ from adapted_pairs.verify import (
     check_regularity,
     classify_roots,
     coadjoint_columns,
-    enumerate_pairings,
     eigenvalue_report,
     expected_eigenvalues,
     pairing_matrix,
@@ -25,6 +24,7 @@ from adapted_pairs.verify import (
     walk_sequence,
     _find_cyclic,
 )
+from engine_oracle import enumerate_pairings
 from linalg_oracle import det_dense, rank, solve_in_span
 
 F = Fraction
@@ -167,6 +167,58 @@ def test_b_negative_short_roots_stationary_at_rank_zero():
         assert os.strata[os.theta[a]] == 1
         w = walk_sequence(os, a)
         assert w.stationary and w.rank == 0
+
+
+def _complete_orbit_structure(k):
+    """A synthetic orbit structure on k roots in which every root is every
+    other root's partner and no theta-image lies in O_1: the admissible
+    sequences are all simple paths of a complete graph, far more than the
+    walk's step bound."""
+    from adapted_pairs.construction import OrbitStructure
+    from adapted_pairs.roots import Root
+
+    roots = tuple(Root((i,)) for i in range(1, k + 1))
+    every = frozenset(roots)
+    return OrbitStructure(
+        O=roots,
+        theta={r: r for r in roots},
+        centre_of={r: r for r in roots},
+        S_alpha={r: roots for r in roots},
+        strata={r: 2 for r in roots},
+        O_plus=frozenset(),
+        O_minus=frozenset(),
+        O_mixed=every,
+    )
+
+
+def test_walk_guard_trip_is_not_a_failed_branch():
+    from adapted_pairs.verify import (
+        WALK_LOOP_GUARD,
+        WALK_NOT_STATIONARY,
+        WALK_STATIONARY,
+    )
+
+    os = _complete_orbit_structure(8)
+    w = walk_sequence(os, os.O[0])
+    assert not w.stationary and w.rank is None
+    assert w.reason == WALK_LOOP_GUARD
+    # the same roots with one partner each end in a loop: a branch fails
+    looped = _complete_orbit_structure(2)
+    w = walk_sequence(looped, looped.O[0])
+    assert not w.stationary and w.reason == WALK_NOT_STATIONARY
+    # and a real case walks to O_1
+    cand = build_case("B", 8, 4)
+    real = orbit_structure(cand)
+    a = _ev(cand.system, [(-1, 5)])
+    assert walk_sequence(real, a).reason == WALK_STATIONARY
+
+
+def test_classification_reports_a_walk_guard_trip():
+    os = _complete_orbit_structure(8)
+    rep = classify_roots(None, os)
+    assert not rep.ok
+    guard = [p for p in rep.problems if "hit its loop guard" in p]
+    assert f"sequence walk from {os.O[0].coeffs} hit its loop guard" in guard
 
 
 def test_d_cyclic_family_from_the_case_analysis():
