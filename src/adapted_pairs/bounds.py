@@ -57,8 +57,11 @@ def _orbit_weights(
     )
 
 
-def _delta_gamma(parab: ParabolicData, orbit: FrozenSet[int], weights) -> List[int]:
-    den, fund, levi = weights
+def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> BoundWeight:
+    """The orbit weight
+    -sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w'.
+    """
+    den, fund, levi = _orbit_weights(parab)
     total = [0] * parab.system.rank
     inter = [a for a in orbit if a in levi]
     for sign, vecs, idxs in (
@@ -69,27 +72,16 @@ def _delta_gamma(parab: ParabolicData, orbit: FrozenSet[int], weights) -> List[i
     ):
         for a in idxs:
             for i, x in enumerate(vecs[a]):
-                if x:
-                    total[i] += sign * x
-    return total
-
-
-def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> BoundWeight:
-    """The orbit weight
-    -sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w'.
-    """
-    weights = _orbit_weights(parab)
-    return _lowest(_delta_gamma(parab, orbit, weights), weights[0])
+                total[i] += sign * x
+    return _lowest(total, den)
 
 
 def lower_bound(parab: ParabolicData) -> List[BoundWeight]:
     """Multiset {-delta_Gamma} over the ij-orbits, sorted."""
-    weights = _orbit_weights(parab)
-    den = weights[0]
-    out = [
-        _lowest([-x for x in _delta_gamma(parab, orbit, weights)], den)
-        for orbit in parab.orbits
-    ]
+    out = []
+    for orbit in parab.orbits:
+        num, den = delta_gamma(parab, orbit)
+        out.append(BoundWeight(tuple([-x for x in num]), den))
     return sorted(out)
 
 

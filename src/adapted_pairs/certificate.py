@@ -137,7 +137,8 @@ def _write(obj, newline: str, emit) -> None:
         inner = newline + "  "
         if all([type(item) is int for item in obj]):
             # a root's coefficient vector: one join for the whole list
-            emit("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            body = ("," + inner).join(map(int.__repr__, obj))
+            emit("[" + inner + body + newline + "]")
             return
         sep = "[" + inner
         for item in obj:

@@ -193,7 +193,8 @@ def cmd_sweep(args) -> int:
 
             traceback.print_exc(file=sys.stderr)
             dt = time.perf_counter() - t0
-            rows.append((family, n, s, "error", f"{type(exc).__name__}: {exc}", dt, ""))
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append((family, n, s, "error", error, dt, ""))
             all_ok = False
             continue
         dt = time.perf_counter() - t0

@@ -86,7 +86,8 @@ def delta_gamma(parab, orbit) -> Weight:
 
 
 def lower_bound(parab) -> List[Weight]:
-    return sorted((-delta_gamma(parab, o) for o in parab.orbits), key=lambda w: w.coeffs)
+    weights = [-delta_gamma(parab, orbit) for orbit in parab.orbits]
+    return sorted(weights, key=lambda w: w.coeffs)
 
 
 def t_of_gamma(cand, gamma: Root) -> Tuple[Dict[Root, Fraction], Weight]:

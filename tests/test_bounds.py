@@ -84,7 +84,8 @@ def _t_multiples(cand, gamma):
     and from the package's integer solve."""
     _, weight = oracle.t_of_gamma(cand, gamma)
     (scaled,) = _t_of_all(cand, [gamma])
-    return multiple_of(weight, oracle.varpi_s(cand)), ray_multiple(scaled, varpi_s(cand))
+    ours = ray_multiple(scaled, varpi_s(cand))
+    return multiple_of(weight, oracle.varpi_s(cand)), ours
 
 
 def test_t_of_gamma_e6_alpha4():

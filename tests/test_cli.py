@@ -201,11 +201,13 @@ def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "run_case", fail_b4_s2)
     assert main(["sweep", "--max-rank", "4"]) == 1
-    rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith(("B ", "D "))]
+    out = capsys.readouterr().out
+    rows = [l for l in out.splitlines() if l.startswith(("B ", "D "))]
     failing = [l for l in rows if " fail " in l]
     assert len(failing) == 1 and failing[0].startswith("B n=4 s=2 ")
     assert failing[0].endswith("s  first failing check: T_size_vs_index")
-    assert all(" pass " in l and "first failing" not in l for l in rows if l not in failing)
+    others = [l for l in rows if l not in failing]
+    assert others and all(" pass " in l and "first failing" not in l for l in others)
 
 
 ENGINE = ("construction", "verify", "chevalley", "bounds", "cascade", "parabolic")
