@@ -10,6 +10,8 @@ package, or rendering a stored certificate through the command line, does
 not load the verification engine.
 """
 
+from importlib import import_module as _import_module
+
 __all__ = [
     "OutOfScopeError",
     "build_case",
@@ -31,8 +33,6 @@ def __getattr__(name):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{home}"), name)
+    value = getattr(_import_module(f"{__name__}.{home}"), name)
     globals()[name] = value
     return value

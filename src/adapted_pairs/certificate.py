@@ -94,7 +94,8 @@ def to_json(cert: dict) -> str:
     """The bytes of json.dumps(cert, indent=2, sort_keys=True) + "\n",
     written directly: with indent, json runs its pure-Python encoder.  A
     certificate holds only dicts with str keys, lists, ints, bools, None
-    and ASCII strs; anything else raises TypeError."""
+    and strs (escaped to ASCII, as json does); anything else raises
+    TypeError."""
     parts: List[str] = []
     _write(cert, "\n", parts.append)
     parts.append("\n")
