@@ -4,70 +4,95 @@ The cascade is built recursively: highest root of each irreducible component,
 then recurse on the roots orthogonal to it.  H_beta collects the component
 roots pairing strictly positively with beta; within each component these sets
 are Heisenberg sets and together they partition the positive roots.
+
+Each beta is the highest root of its component, hence dominant for it, so
+the component roots orthogonal to beta form the subsystem generated by the
+component's simple roots orthogonal to beta.  The recursion passes those
+simple roots down; only the top level finds its simple roots, as the
+indecomposable elements of the given positive subsystem.  Everything runs on
+root codes (`RootSystem.base`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
 
 
-@dataclass(frozen=True)
 class CascadeItem:
-    label: str  # tree path such as "1", "1.2"
-    beta: Root
-    subsystem: Tuple[Root, ...]  # positive roots of the defining component
-    heisenberg: Tuple[Root, ...]  # H_beta inside the component
+    """One cascade root beta with its component and H_beta."""
+
+    __slots__ = ("label", "beta", "subsystem", "heisenberg")
+
+    def __init__(
+        self,
+        label: str,
+        beta: Root,
+        subsystem: Tuple[Root, ...],
+        heisenberg: Tuple[Root, ...],
+    ):
+        self.label = label  # tree path such as "1", "1.2"
+        self.beta = beta
+        self.subsystem = subsystem  # positive roots of the defining component
+        self.heisenberg = heisenberg  # H_beta inside the component
 
 
 def indecomposables(system: RootSystem, pos: Sequence[Root]) -> List[Root]:
-    """Elements of a positive subsystem that are not sums of two others."""
-    pos_set = {r.coeffs for r in pos}
-    by_height = [(r.coeffs, r.height) for r in pos]
-    out = []
-    for r in pos:
-        rc, h = r.coeffs, r.height
-        decomposable = any(
-            tuple([x - y for x, y in zip(rc, ac)]) in pos_set
-            for ac, ah in by_height
-            if ah < h
-        )
-        if not decomposable:
-            out.append(r)
-    return sorted(out)
+    """Elements of a positive subsystem that are not sums of two others.
+
+    r = a + b with a, b in pos exactly when code(r) - code(a) is the code of
+    an element of pos."""
+    codes = [r.code for r in pos]
+    in_pos = set(codes)
+    return sorted(
+        r for r, rc in zip(pos, codes) if not any(rc - ac in in_pos for ac in codes)
+    )
 
 
 def _split_components(
-    system: RootSystem, pos: Sequence[Root]
+    system: RootSystem, pos: Sequence[Root], simples: Sequence[Root]
 ) -> List[Tuple[List[Root], List[Root]]]:
-    """(simples, roots) per irreducible component of a positive subsystem."""
-    simples = indecomposables(system, pos)
+    """(simples, roots) per irreducible component of a positive subsystem,
+    given its simple roots; pos is in coefficient order, and so is each
+    component's list.  Components come in the order of their least simple.
+
+    Two simple roots of a subsystem are joined when their sum is a root.  A
+    root that is not simple lies in the component of r - alpha for some
+    simple alpha of the subsystem with r - alpha in pos; r - alpha precedes r
+    in coefficient order, so one pass over pos in that order finds it.
+    """
+    by_code = system.by_code
+    comp_of: Dict[int, int] = {}
     comps: List[List[Root]] = []
-    seen = set()
-    for s in simples:
-        if s.coeffs in seen:
+    for s in sorted(simples):
+        if s.code in comp_of:
             continue
+        idx = len(comps)
         comp = [s]
-        seen.add(s.coeffs)
-        queue = [s]
+        comp_of[s.code] = idx
+        queue = [s.code]
         while queue:
             cur = queue.pop()
             for t in simples:
-                if t.coeffs not in seen and system.inner(cur, t) != 0:
-                    seen.add(t.coeffs)
+                tc = t.code
+                if tc not in comp_of and cur + tc in by_code:
+                    comp_of[tc] = idx
                     comp.append(t)
-                    queue.append(t)
+                    queue.append(tc)
         comps.append(sorted(comp))
-    out = []
-    for comp in comps:
-        roots = [
-            r for r in pos if any(system.inner(r, s) != 0 for s in comp)
-        ]
-        out.append((comp, sorted(roots)))
-    out.sort(key=lambda cr: cr[0][0].coeffs)
-    return out
+    simple_codes = [s.code for s in simples]
+    members: List[List[Root]] = [[] for _ in comps]
+    for r in pos:
+        rc = r.code
+        idx = comp_of.get(rc)
+        if idx is None:
+            below = next((rc - sc for sc in simple_codes if rc - sc in comp_of), None)
+            if below is None:
+                raise ValueError(f"{r.coeffs} is not generated by the given simples")
+            idx = comp_of[rc] = comp_of[below]
+        members[idx].append(r)
+    return list(zip(comps, members))
 
 
 def kostant_cascade(
@@ -79,27 +104,39 @@ def kostant_cascade(
     """
     if positive is None:
         if system.cascade is None:
-            system.cascade = _build_cascade(system, system.positive_roots)
+            system.cascade = _build_cascade(
+                system, system.positive_roots, system.simple_roots
+            )
         return list(system.cascade)
-    return _build_cascade(system, positive)
+    return _build_cascade(system, positive, indecomposables(system, positive))
 
 
-def _build_cascade(system: RootSystem, positive: Sequence[Root]) -> List[CascadeItem]:
+def _build_cascade(
+    system: RootSystem, positive: Sequence[Root], simples: Sequence[Root]
+) -> List[CascadeItem]:
+    by_code = system.by_code
     items: List[CascadeItem] = []
 
-    def recurse(pos: Sequence[Root], prefix: str) -> None:
+    def recurse(pos: Sequence[Root], simples: Sequence[Root], prefix: str) -> None:
         for k, (comp_simples, comp_roots) in enumerate(
-            _split_components(system, pos), start=1
+            _split_components(system, pos, simples), start=1
         ):
             label = f"{prefix}{k}" if not prefix else f"{prefix}.{k}"
             beta = max(comp_roots, key=lambda r: (r.height, r.coeffs))
-            heis = tuple(r for r in comp_roots if system.inner(r, beta) > 0)
-            items.append(CascadeItem(label, beta, tuple(comp_roots), heis))
-            rest = [r for r in comp_roots if system.inner(r, beta) == 0]
+            bc = beta.code
+            # for a positive root r of the component other than beta,
+            # (r, beta) > 0 exactly when beta - r is a root; otherwise
+            # (r, beta) = 0, since beta is dominant for the component
+            heis, rest = [], []
+            for r in comp_roots:
+                (heis if r is beta or bc - r.code in by_code else rest).append(r)
+            items.append(CascadeItem(label, beta, tuple(comp_roots), tuple(heis)))
             if rest:
-                recurse(rest, label)
+                heis_codes = {r.code for r in heis}
+                orthogonal = [s for s in comp_simples if s.code not in heis_codes]
+                recurse(rest, orthogonal, label)
 
-    recurse(list(positive), "")
+    recurse(sorted(positive), simples, "")
     return items
 
 
@@ -108,4 +145,3 @@ def cascade_heisenberg_by_beta(
 ) -> Dict[Root, Tuple[Root, ...]]:
     """Map beta_K -> H_{beta_K} over the whole cascade."""
     return {item.beta: item.heisenberg for item in kostant_cascade(system, positive)}
-

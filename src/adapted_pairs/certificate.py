@@ -15,15 +15,19 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Sequence
 
 from .bounds import bound_multiples
+from .linalg import Rational
 from .roots import Root
 from .verify import CaseResult
 
 SCHEMA_VERSION = 1
 
 
-def _rat(x: Fraction) -> Dict[str, int]:
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
+def _rat(x: Rational) -> Dict[str, int]:
+    """{"num", "den"} of an int or a Fraction, which already hold both in
+    lowest terms; anything else goes through Fraction first."""
+    if type(x) is not Fraction and type(x) is not int:
+        x = Fraction(x)
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def _root_list(roots: Sequence[Root]) -> List[List[int]]:

@@ -17,7 +17,6 @@ not use them: they are the oracle that the tests rebuild the matrix of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -26,15 +25,21 @@ from .roots import Coeffs, Root, RootSystem
 Pair = Tuple[int, int]  # two root codes
 
 
-@dataclass
 class GElem:
     """A Lie algebra element: root-vector coefficients plus a Cartan part.
 
     The Cartan part is written in coroot coordinates of the full Cartan.
     """
 
-    root_part: Dict[Coeffs, Fraction] = field(default_factory=dict)
-    h_part: Optional[Tuple[Fraction, ...]] = None
+    __slots__ = ("root_part", "h_part")
+
+    def __init__(
+        self,
+        root_part: Optional[Dict[Coeffs, Fraction]] = None,
+        h_part: Optional[Tuple[Fraction, ...]] = None,
+    ):
+        self.root_part = {} if root_part is None else root_part
+        self.h_part = h_part
 
     def add_root(self, coeffs: Coeffs, c: Fraction) -> None:
         v = self.root_part.get(coeffs, Fraction(0)) + c

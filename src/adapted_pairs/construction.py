@@ -9,7 +9,6 @@ by the corresponding diagram flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -24,21 +23,37 @@ class OutOfScopeError(ValueError):
     """Raised for (family, n, s) outside the verified families."""
 
 
-@dataclass(frozen=True)
 class Candidate:
-    """The sets S, Gamma_gamma, T (and T* in E6) for one case."""
+    """The sets S, Gamma_gamma, T (and T* in E6) for one case.
 
-    parabolic: ParabolicData
-    family: str
-    n: int
-    s: int
-    S_plus: Tuple[Root, ...]
-    S_minus: Tuple[Root, ...]
-    S_mixed: Tuple[Root, ...]
-    gamma_sets: Dict[Root, FrozenSet[Root]]
-    T: Tuple[Root, ...]
-    T_star: Tuple[Root, ...]
-    T_expected: Tuple[Root, ...]  # the closed-form complement list
+    Treated as immutable: a changed candidate is built anew, so that
+    `s_inverse` is computed for its own S."""
+
+    def __init__(
+        self,
+        parabolic: ParabolicData,
+        family: str,
+        n: int,
+        s: int,
+        S_plus: Tuple[Root, ...],
+        S_minus: Tuple[Root, ...],
+        S_mixed: Tuple[Root, ...],
+        gamma_sets: Dict[Root, FrozenSet[Root]],
+        T: Tuple[Root, ...],
+        T_star: Tuple[Root, ...],
+        T_expected: Tuple[Root, ...],
+    ):
+        self.parabolic = parabolic
+        self.family = family
+        self.n = n
+        self.s = s
+        self.S_plus = S_plus
+        self.S_minus = S_minus
+        self.S_mixed = S_mixed
+        self.gamma_sets = gamma_sets
+        self.T = T
+        self.T_star = T_star
+        self.T_expected = T_expected  # the closed-form complement list
 
     @property
     def S(self) -> Tuple[Root, ...]:
@@ -65,18 +80,39 @@ class Candidate:
         )
 
 
-@dataclass(frozen=True)
 class OrbitStructure:
     """theta, S_alpha and the strata of O = union of the punctured Gamma sets."""
 
-    O: Tuple[Root, ...]
-    theta: Dict[Root, Root]
-    centre_of: Dict[Root, Root]
-    S_alpha: Dict[Root, Tuple[Root, ...]]
-    strata: Dict[Root, int]
-    O_plus: FrozenSet[Root]
-    O_minus: FrozenSet[Root]
-    O_mixed: FrozenSet[Root]
+    __slots__ = (
+        "O",
+        "theta",
+        "centre_of",
+        "S_alpha",
+        "strata",
+        "O_plus",
+        "O_minus",
+        "O_mixed",
+    )
+
+    def __init__(
+        self,
+        O: Tuple[Root, ...],
+        theta: Dict[Root, Root],
+        centre_of: Dict[Root, Root],
+        S_alpha: Dict[Root, Tuple[Root, ...]],
+        strata: Dict[Root, int],
+        O_plus: FrozenSet[Root],
+        O_minus: FrozenSet[Root],
+        O_mixed: FrozenSet[Root],
+    ):
+        self.O = O
+        self.theta = theta
+        self.centre_of = centre_of
+        self.S_alpha = S_alpha
+        self.strata = strata
+        self.O_plus = O_plus
+        self.O_minus = O_minus
+        self.O_mixed = O_mixed
 
 
 def case_plan(family: str, n: int, s: int) -> Optional[str]:

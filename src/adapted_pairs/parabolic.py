@@ -3,13 +3,12 @@
 The involution j is -w0 of the full system and i extends -w0' of the Levi
 part to all of pi.  Longest-element actions are computed exactly by the
 descent algorithm (repeatedly reflecting a strictly dominant vector), which
-produces a reduced word for w0 in |Delta+| steps; no Weyl group enumeration
-and no case tables are involved.
+reaches w0 in |Delta+| steps; no Weyl group enumeration and no case tables
+are involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -19,12 +18,11 @@ from .roots import Root, RootSystem
 
 def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[Root]:
     """Positive roots supported on the given simple indices (0-based)."""
-    idx = set(subset)
-    out = []
-    for r in system.positive_roots:
-        if all(c == 0 or i in idx for i, c in enumerate(r.coeffs)):
-            out.append(r)
-    return out
+    inside = set(subset)
+    outside = [i for i in range(system.rank) if i not in inside]
+    return [
+        r for r in system.positive_roots if not any([r.coeffs[i] for i in outside])
+    ]
 
 
 def components(system: RootSystem, subset: Sequence[int]) -> List[List[int]]:
@@ -41,9 +39,7 @@ def components(system: RootSystem, subset: Sequence[int]) -> List[List[int]]:
         while queue:
             cur = queue.pop()
             for j in subset:
-                if j not in seen and system.inner(
-                    system.simple_roots[cur], system.simple_roots[j]
-                ) != 0:
+                if j not in seen and system.cartan[cur][j] != 0:
                     seen.add(j)
                     comp.append(j)
                     queue.append(j)
@@ -54,10 +50,9 @@ def components(system: RootSystem, subset: Sequence[int]) -> List[List[int]]:
 def minus_w0_on_subset(system: RootSystem, subset: Sequence[int]) -> Dict[int, int]:
     """The permutation alpha -> -w0(alpha) of the chosen simple roots.
 
-    w0 is the longest element of the Weyl group generated by the subset.
-    A reduced word for it falls out of the descent algorithm applied to the
-    sum of the positive roots of the subsystem.  The result is kept on the
-    system, once per subset.
+    w0 is the longest element of the Weyl group generated by the subset; it
+    is read off the descent algorithm applied to a strictly dominant weight
+    of the subsystem.  The result is kept on the system, once per subset.
     """
     key = tuple(sorted(subset))
     if key not in system.minus_w0:
@@ -66,64 +61,66 @@ def minus_w0_on_subset(system: RootSystem, subset: Sequence[int]) -> Dict[int, i
 
 
 def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, int]:
-    if not subset:
-        return {}
-    pos = subsystem_roots(system, subset)
+    """The descent algorithm on Dynkin labels <v, alpha_j^vee>, j in subset.
+
+    Start from v = sum_k c_k w_k with the distinct labels c_k = k + 1 (k the
+    position in subset) and reflect at any j with a positive label; s_j
+    subtracts label_j times row j of the Cartan matrix, which is nonzero
+    only at j and its neighbours.  Every step lengthens the Weyl element by
+    one, so after |Delta+ of the subset| steps v = w0(v) is antidominant.
+    Since -w0(w_i) = w_{-w0(i)}, the label -c_k of w0(v) sits at -w0 of
+    the k-th index.
+    """
     cartan = system.cartan
-    columns = {j: [cartan[i][j] for i in range(system.rank)] for j in subset}
-
-    def pairing(v: List[int], j: int) -> int:
-        """<v, alpha_j^vee>; the simple reflection s_j subtracts it at j."""
-        return sum([a * b for a, b in zip(v, columns[j])])
-
-    v = [sum(r.coeffs[d] for r in pos) for d in range(system.rank)]
-    word: List[int] = []
-    guard = len(pos) + 1
+    size = len(subset)
+    labels = list(range(1, size + 1))
+    rows = [
+        [(b, cartan[i][k]) for b, k in enumerate(subset) if cartan[i][k]]
+        for i in subset
+    ]
+    guard = len(system.positive_roots) + 1
     while True:
-        for j in subset:
-            p = pairing(v, j)
-            if p > 0:
+        for a in range(size):
+            if labels[a] > 0:
                 break
         else:
             break
-        v[j] -= p
-        word.append(j)
+        step = labels[a]
+        for b, c in rows[a]:
+            labels[b] -= step * c
         guard -= 1
         if guard < 0:
             raise RuntimeError("descent algorithm failed to terminate")
-    perm: Dict[int, int] = {}
-    for i in subset:
-        u = [0] * system.rank
-        u[i] = 1
-        for j in word:
-            u[j] -= pairing(u, j)
-        m = u.index(-1)
-        if any(u[:m]) or any(u[m + 1 :]):
-            raise RuntimeError("-w0 does not permute the simple roots")
-        perm[i] = m
-    return perm
+    if sorted(labels) != list(range(-size, 0)):
+        raise RuntimeError("-w0 does not permute the simple roots")
+    return {subset[-labels[b] - 1]: j for b, j in enumerate(subset)}
 
 
-@dataclass
 class ParabolicData:
     """Everything attached to the truncation of p_{pi \\ {alpha_s}}."""
 
-    system: RootSystem
-    s: int  # 1-based index of the removed simple root
-    pi_prime: Tuple[int, ...] = field(init=False)  # 0-based indices
-    delta_pi_prime_pos: List[Root] = field(init=False)
-    delta_pi_prime_neg: List[Root] = field(init=False)
-    h_basis_indices: Tuple[int, ...] = field(init=False)
-    j_map: Dict[int, int] = field(init=False)
-    i_map: Dict[int, int] = field(init=False)
-    orbits: List[FrozenSet[int]] = field(init=False)
-    index: int = field(init=False)
+    __slots__ = (
+        "system",
+        "s",
+        "pi_prime",
+        "delta_pi_prime_pos",
+        "delta_pi_prime_neg",
+        "h_basis_indices",
+        "j_map",
+        "i_map",
+        "orbits",
+        "index",
+        "dual_support_codes",
+        "_removed_projection",
+    )
 
-    def __post_init__(self) -> None:
-        sys = self.system
-        if not 1 <= self.s <= sys.rank:
-            raise ValueError(f"no simple root alpha_{self.s} in rank {sys.rank}")
-        s0 = self.s - 1
+    def __init__(self, system: RootSystem, s: int):
+        if not 1 <= s <= system.rank:
+            raise ValueError(f"no simple root alpha_{s} in rank {system.rank}")
+        self.system = sys = system
+        self.s = s  # 1-based index of the removed simple root
+        s0 = s - 1
+        # 0-based indices
         self.pi_prime = tuple(i for i in range(sys.rank) if i != s0)
         self.delta_pi_prime_pos = subsystem_roots(sys, self.pi_prime)
         self.delta_pi_prime_neg = [-r for r in self.delta_pi_prime_pos]

@@ -7,16 +7,16 @@ supported type, so root arithmetic runs on Python ints.  Every root of a
 system also carries a linear integer code (`RootSystem.base`), so that the
 per-pair loops of the checks test sums, differences and signs of roots on
 single ints.  Fundamental and Levi weights are integer vectors over one
-denominator per simple-root subset (`weight_rows`); `Weight` is their
-rational (fractions.Fraction) view over the simple roots.  Cartan elements
-are written in coroot coordinates.
+denominator per simple-root subset (`weight_rows`).  Cartan elements are
+written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
 n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_of` for
 display, `root_from_eps` for case data written in epsilon form, and
 `cartan_eps`/`coroot_eps` for comparisons with closed forms.
-`_simple_root_data` is the epsilon oracle they are built from.
+`_simple_root_data` is the epsilon oracle they are built from; inside the
+system they are integer rows over one common denominator.
 """
 
 from __future__ import annotations
@@ -76,58 +76,6 @@ class Root:
 
     def __repr__(self) -> str:
         return f"Root{self.coeffs}"
-
-
-class Weight:
-    """An exact rational vector in simple-root coordinates."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Tuple[Fraction, ...]):
-        self.coeffs = coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Weight) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-x for x in self.coeffs))
-
-    def scale(self, c) -> "Weight":
-        c = Fraction(c)
-        return Weight(tuple(c * x for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Weight{tuple(str(x) for x in self.coeffs)}"
-
-
-def multiple_of(w: Weight, base: Weight) -> Optional[Fraction]:
-    """The exact c with w == c*base, or None when not proportional."""
-    ratio: Optional[Fraction] = None
-    for x, y in zip(w.coeffs, base.coeffs):
-        if y == 0:
-            if x != 0:
-                return None
-            continue
-        c = Fraction(x) / y
-        if ratio is None:
-            ratio = c
-        elif ratio != c:
-            return None
-    if ratio is None:
-        ratio = Fraction(0) if w.is_zero() else None
-    return ratio
 
 
 def _simple_root_data(family: str, rank: int) -> List[Eps]:
@@ -225,7 +173,7 @@ class RootSystem:
             for x in (r, neg):
                 self._by_coeffs[x.coeffs] = x
                 self.by_code[x.code] = x
-        self._by_eps: Optional[Dict[Eps, Root]] = None
+        self._by_eps: Optional[Dict[Coeffs, Root]] = None
         self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
         self.cascade: Optional[list] = None
         self.minus_w0: Dict[Tuple[int, ...], Dict[int, int]] = {}
@@ -233,35 +181,45 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _generate_positive(self) -> List[Root]:
-        """Closure from the simple roots via root strings.
+        """Closure from the simple roots via root strings, on coefficient
+        tuples, seeding `_pairings` with every positive root's row.
 
-        beta + alpha is a root iff p - <beta, alpha^vee> > 0 where p is the
-        largest k with beta - k*alpha already a root; processing by height
-        makes every needed membership test refer to shorter roots only.
+        beta + alpha_j is a root iff p - <beta, alpha_j^vee> > 0 where p is
+        the largest k with beta - k*alpha_j already a root; processing by
+        height makes every needed membership test refer to shorter roots
+        only.  The pairings of beta + alpha_j are those of beta plus row j
+        of the Cartan matrix.
         """
-        known: Dict[Coeffs, Root] = {r.coeffs: r for r in self.simple_roots}
-        frontier = list(self.simple_roots)
+        rank = self.rank
+        cartan = self.cartan
+        known = self._pairings
+        for i, r in enumerate(self.simple_roots):
+            known[r.coeffs] = tuple(cartan[i])
+        frontier = list(known)
         while frontier:
-            new_frontier: List[Root] = []
+            new_frontier: List[Coeffs] = []
             for beta in frontier:
-                pairs = self.simple_pairings(beta)
-                for j, alpha in enumerate(self.simple_roots):
-                    if beta == alpha:
-                        continue
-                    # The alpha-string through beta never crosses zero, so
-                    # membership checks against shorter known roots suffice.
+                pairs = known[beta]
+                for j in range(rank):
+                    # The alpha_j-string through beta never crosses zero, so
+                    # membership tests against shorter known roots suffice.
                     p = 0
-                    probe = beta - alpha
-                    while probe.coeffs in known:
+                    probe = list(beta)
+                    probe[j] -= 1
+                    while probe[j] >= 0 and tuple(probe) in known:
                         p += 1
-                        probe = probe - alpha
-                    if p - pairs[j] > 0:
-                        cand = beta + alpha
-                        if cand.coeffs not in known:
-                            known[cand.coeffs] = cand
+                        probe[j] -= 1
+                    if p > pairs[j]:
+                        cand = list(beta)
+                        cand[j] += 1
+                        cand = tuple(cand)
+                        if cand not in known:
+                            row = cartan[j]
+                            known[cand] = tuple([a + b for a, b in zip(pairs, row)])
                             new_frontier.append(cand)
             frontier = new_frontier
-        return sorted(known.values())
+        simple = {r.coeffs: r for r in self.simple_roots}
+        return [simple.get(c) or Root(c) for c in sorted(known)]
 
     # -- basic queries -----------------------------------------------------
 
@@ -288,15 +246,21 @@ class RootSystem:
     # -- the integer form --------------------------------------------------
 
     def _form(self, r: Root) -> Tuple[int, ...]:
-        """(r, alpha_i) for every simple root alpha_i, memoised."""
+        """(r, alpha_i) for every simple root alpha_i, memoised; from the
+        pairings <r, alpha_i^vee> when they are known."""
         row = self._forms.get(r.coeffs)
         if row is None:
-            row = tuple(
-                [
-                    sum([a * g for a, g in zip(r.coeffs, gram_row, strict=True)])
-                    for gram_row in self.gram
-                ]
-            )
+            gram = self.gram
+            pairs = self._pairings.get(r.coeffs)
+            if pairs is not None:
+                row = tuple([p * gram[i][i] // 2 for i, p in enumerate(pairs)])
+            else:
+                row = tuple(
+                    [
+                        sum([a * g for a, g in zip(r.coeffs, gram_row, strict=True)])
+                        for gram_row in gram
+                    ]
+                )
             self._forms[r.coeffs] = row
         return row
 
@@ -353,40 +317,35 @@ class RootSystem:
             got = self._weight_rows[key] = (inverse.den // g, rows)
         return got
 
-    def fundamental_weights(self) -> List[Weight]:
-        """The weights with <w_i, alpha_j^vee> = delta_ij, inside span(pi),
-        as rationals."""
-        weights = self.levi_weights(range(self.rank))
-        return [weights[i] for i in range(self.rank)]
-
-    def levi_weights(self, subset: Sequence[int]) -> Dict[int, Weight]:
-        """Fundamental weights of the subsystem, inside span of the subset,
-        as rationals.
-
-        subset holds 0-based simple-root indices.
-        """
-        den, rows = self.weight_rows(subset)
-        return {
-            i: Weight(tuple([Fraction(x, den) for x in num])) for i, num in rows.items()
-        }
-
     # -- epsilon edge ------------------------------------------------------
 
-    def eps_of(self, x) -> Eps:
-        """Epsilon coordinates of a root or weight."""
+    def _eps_row(self, coeffs: Sequence) -> List:
+        """Epsilon coordinates times `_eps_den`: integers for a root."""
         out = [0] * self.dim
-        for c, v in zip(x.coeffs, self._eps_scaled):
+        for c, v in zip(coeffs, self._eps_scaled):
             if c:
                 for d, e in v:
                     out[d] += c * e
-        return tuple([Fraction(v, self._eps_den) for v in out])
+        return out
+
+    def eps_of(self, x) -> Eps:
+        """Epsilon coordinates of a root or weight."""
+        den = self._eps_den
+        return tuple([Fraction(v, den) for v in self._eps_row(x.coeffs)])
 
     def root_from_eps(self, eps: Sequence) -> Root:
         """The root with these epsilon coordinates (ints or Fractions),
-        through a table built on first use."""
+        through a table of integer rows built on first use.
+
+        The query is scaled by `_eps_den` once; an integral Fraction
+        hashes and compares like its int, and any other one matches no row.
+        """
         if self._by_eps is None:
-            self._by_eps = {self.eps_of(r): r for r in self._by_coeffs.values()}
-        return self._by_eps[tuple(eps)]
+            self._by_eps = {
+                tuple(self._eps_row(r.coeffs)): r for r in self._by_coeffs.values()
+            }
+        den = self._eps_den
+        return self._by_eps[tuple([x * den for x in eps])]
 
     def cartan_eps(self, h: Sequence) -> Eps:
         """Epsilon coordinates of a Cartan element given in coroot coordinates."""

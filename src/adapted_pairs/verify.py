@@ -13,7 +13,6 @@ then assembled and compared against closed forms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -32,53 +31,104 @@ UNCLASSIFIED = "unclassified"
 UNCONSTRAINED = "unconstrained"  # no mixed neighbours: sign checks only
 
 
-@dataclass(frozen=True)
 class SequenceTrace:
-    start: Root
-    forward: Tuple[Root, ...]
-    backward: Tuple[Root, ...]
-    stationary_rank_forward: Optional[int]
-    stationary_rank_backward: Optional[int]
-    classification: str
+    """The walks from an orbit root and from its theta-image, and its label."""
+
+    __slots__ = (
+        "start",
+        "forward",
+        "backward",
+        "stationary_rank_forward",
+        "stationary_rank_backward",
+        "classification",
+    )
+
+    def __init__(
+        self,
+        start: Root,
+        forward: Tuple[Root, ...],
+        backward: Tuple[Root, ...],
+        stationary_rank_forward: Optional[int],
+        stationary_rank_backward: Optional[int],
+        classification: str,
+    ):
+        self.start = start
+        self.forward = forward
+        self.backward = backward
+        self.stationary_rank_forward = stationary_rank_forward
+        self.stationary_rank_backward = stationary_rank_backward
+        self.classification = classification
 
 
-@dataclass
 class CheckReport:
-    ok: bool
-    problems: List[str] = field(default_factory=list)
+    __slots__ = ("ok", "problems")
+
+    def __init__(self, ok: bool, problems: List[str]):
+        self.ok = ok
+        self.problems = problems
 
 
-@dataclass
 class BasisCheck:
-    ok: bool
-    determinant: Fraction
+    __slots__ = ("ok", "determinant")
+
+    def __init__(self, ok: bool, determinant: Fraction):
+        self.ok = ok
+        self.determinant = determinant
 
 
-@dataclass
 class NondegeneracyCheck:
-    ok: bool
-    determinant: Fraction
-    size: int
-    monomial_ok: bool
-    monomial_degree: int
+    __slots__ = ("ok", "determinant", "size", "monomial_ok", "monomial_degree")
+
+    def __init__(
+        self,
+        ok: bool,
+        determinant: Fraction,
+        size: int,
+        monomial_ok: bool,
+        monomial_degree: int,
+    ):
+        self.ok = ok
+        self.determinant = determinant
+        self.size = size
+        self.monomial_ok = monomial_ok
+        self.monomial_degree = monomial_degree
 
 
-@dataclass
 class RegularityCheck:
-    ok: bool
-    rank: int
-    rank_augmented: int
-    dim_p: int
-    t_size: int
-    membership_ok: bool  # every basis vector lies in (ad p^-) y + g_T
+    __slots__ = ("ok", "rank", "rank_augmented", "dim_p", "t_size", "membership_ok")
+
+    def __init__(
+        self,
+        ok: bool,
+        rank: int,
+        rank_augmented: int,
+        dim_p: int,
+        t_size: int,
+        membership_ok: bool,
+    ):
+        self.ok = ok
+        self.rank = rank
+        self.rank_augmented = rank_augmented
+        self.dim_p = dim_p
+        self.t_size = t_size
+        # every basis vector lies in (ad p^-) y + g_T
+        self.membership_ok = membership_ok
 
 
-@dataclass
 class AdaptedPair:
-    h_coroot_coeffs: Dict[int, Fraction]  # keyed by 1-based simple index
-    h_eps: Tuple[Fraction, ...]  # epsilon form, for the paper's closed forms
-    eigenvalues: Dict[Root, Fraction]  # gamma in T -> gamma(h)
-    degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
+    __slots__ = ("h_coroot_coeffs", "h_eps", "eigenvalues", "degrees")
+
+    def __init__(
+        self,
+        h_coroot_coeffs: Dict[int, Fraction],
+        h_eps: Tuple[Fraction, ...],
+        eigenvalues: Dict[Root, Fraction],
+        degrees: Tuple[Fraction, ...],
+    ):
+        self.h_coroot_coeffs = h_coroot_coeffs  # keyed by 1-based simple index
+        self.h_eps = h_eps  # epsilon form, for the paper's closed forms
+        self.eigenvalues = eigenvalues  # gamma in T -> gamma(h)
+        self.degrees = degrees  # sorted eigenvalues + 1
 
 
 def check_basis_restriction(cand: Candidate) -> BasisCheck:
@@ -173,13 +223,22 @@ WALK_NOT_STATIONARY = "not_stationary"  # some branch looped or was undefined
 WALK_LOOP_GUARD = "loop_guard"  # the exploration stopped before it finished
 
 
-@dataclass
 class WalkResult:
-    stationary: bool
-    rank: Optional[int]
-    path: Tuple[Root, ...]
-    nodes: FrozenSet[Root]  # path elements and their theta images
-    reason: str  # one of the WALK_* outcomes
+    __slots__ = ("stationary", "rank", "path", "nodes", "reason")
+
+    def __init__(
+        self,
+        stationary: bool,
+        rank: Optional[int],
+        path: Tuple[Root, ...],
+        nodes: FrozenSet[Root],
+        reason: str,
+    ):
+        self.stationary = stationary
+        self.rank = rank
+        self.path = path
+        self.nodes = nodes  # path elements and their theta images
+        self.reason = reason  # one of the WALK_* outcomes
 
 
 def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
@@ -252,13 +311,27 @@ def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[boo
     return True, strict
 
 
-@dataclass(frozen=True)
 class CyclicFamily:
-    members: Tuple[Root, ...]  # (a, b, g, th a, th b, th g)
-    extended: bool
-    tildes: Dict[Root, Root]  # O_3 member -> its tilde root
+    """Six orbit roots closed under theta and the sum relations; equal and
+    hashed by value."""
 
-    def __hash__(self):
+    __slots__ = ("members", "extended", "tildes")
+
+    def __init__(
+        self, members: Tuple[Root, ...], extended: bool, tildes: Dict[Root, Root]
+    ):
+        self.members = members  # (a, b, g, th a, th b, th g)
+        self.extended = extended
+        self.tildes = tildes  # O_3 member -> its tilde root
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CyclicFamily) and (
+            self.members,
+            self.extended,
+            self.tildes,
+        ) == (other.members, other.extended, other.tildes)
+
+    def __hash__(self) -> int:
         return hash(self.members)
 
 
@@ -309,12 +382,20 @@ def _find_cyclic(os: OrbitStructure, alpha: Root) -> Optional[CyclicFamily]:
     return None
 
 
-@dataclass
 class ClassificationReport:
-    ok: bool
-    problems: List[str]
-    traces: Dict[Root, SequenceTrace]
-    counts: Counter
+    __slots__ = ("ok", "problems", "traces", "counts")
+
+    def __init__(
+        self,
+        ok: bool,
+        problems: List[str],
+        traces: Dict[Root, SequenceTrace],
+        counts: Counter,
+    ):
+        self.ok = ok
+        self.problems = problems
+        self.traces = traces
+        self.counts = counts
 
 
 def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
@@ -619,21 +700,54 @@ def eigenvalue_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CaseResult:
-    candidate: Candidate
-    basis: BasisCheck
-    heisenberg: CheckReport
-    classification: ClassificationReport
-    nondegeneracy: NondegeneracyCheck
-    regularity: RegularityCheck
-    t_size_vs_index: bool
-    pair: AdaptedPair
-    eigenvalues_match: bool
-    lower: List[BoundWeight]
-    improved: List[BoundWeight]
-    bounds_coincide: bool
-    bounds_expected_match: bool
+    """Every check outcome of one case, with its candidate and adapted pair."""
+
+    __slots__ = (
+        "candidate",
+        "basis",
+        "heisenberg",
+        "classification",
+        "nondegeneracy",
+        "regularity",
+        "t_size_vs_index",
+        "pair",
+        "eigenvalues_match",
+        "lower",
+        "improved",
+        "bounds_coincide",
+        "bounds_expected_match",
+    )
+
+    def __init__(
+        self,
+        candidate: Candidate,
+        basis: BasisCheck,
+        heisenberg: CheckReport,
+        classification: ClassificationReport,
+        nondegeneracy: NondegeneracyCheck,
+        regularity: RegularityCheck,
+        t_size_vs_index: bool,
+        pair: AdaptedPair,
+        eigenvalues_match: bool,
+        lower: List[BoundWeight],
+        improved: List[BoundWeight],
+        bounds_coincide: bool,
+        bounds_expected_match: bool,
+    ):
+        self.candidate = candidate
+        self.basis = basis
+        self.heisenberg = heisenberg
+        self.classification = classification
+        self.nondegeneracy = nondegeneracy
+        self.regularity = regularity
+        self.t_size_vs_index = t_size_vs_index
+        self.pair = pair
+        self.eigenvalues_match = eigenvalues_match
+        self.lower = lower
+        self.improved = improved
+        self.bounds_coincide = bounds_coincide
+        self.bounds_expected_match = bounds_expected_match
 
     @property
     def verdict(self) -> bool:

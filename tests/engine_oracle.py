@@ -1,21 +1,41 @@
 """Test-side references for the engine: code that only the tests call.
 
+- `replace`: a copy of an engine object with some constructor arguments
+  changed, built again through the constructor.
 - `jacobiator`: the Jacobi sum of three root vectors through
   `StructureTable.bracket`.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
-- The rational bound path: orbit weights, t(gamma) and both bound
-  multisets in `fractions.Fraction` (`Weight`), with t(gamma) solved by the
-  plain Gaussian elimination of `linalg_oracle`.  The package computes the
-  same bounds on integers; the tests compare the two.
+- The closure of the simple roots on `Root` arithmetic with Gram-matrix
+  pairings, and the Kostant cascade that tests every pair of roots with
+  the inner product and finds each level's simple roots again: the
+  straightforward forms of `RootSystem._generate_positive` and
+  `cascade.kostant_cascade`.
+- The rational bound path: fundamental and Levi weights, orbit weights,
+  t(gamma) and both bound multisets in `fractions.Fraction` (`Weight`),
+  with t(gamma) solved by the plain Gaussian elimination of
+  `linalg_oracle`.  The package computes the same bounds on integers; the
+  tests compare the two.
 """
 
+import inspect
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from adapted_pairs.chevalley import GElem
-from adapted_pairs.roots import Root, Weight, multiple_of
+from adapted_pairs.roots import Root
 from linalg_oracle import solve_in_span
+
+
+def replace(obj, **changes):
+    """obj rebuilt through its constructor, with the given arguments
+    changed; state the constructor does not take, such as a cached
+    `Candidate.s_inverse`, is computed afresh."""
+    params = list(inspect.signature(type(obj)).parameters)
+    unknown = set(changes) - set(params)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} takes no {sorted(unknown)}")
+    return type(obj)(**{p: changes.get(p, getattr(obj, p)) for p in params})
 
 
 def jacobiator(table, a: Root, b: Root, c: Root) -> GElem:
@@ -64,14 +84,171 @@ def enumerate_pairings(os, limit: int = 100000) -> List[Dict[Root, Root]]:
     return results
 
 
+# -- root generation and the cascade ----------------------------------------
+
+
+def closure_positive_roots(system) -> List[Root]:
+    """The positive roots as the closure of the simple roots via root
+    strings: beta + alpha is a root iff p - <beta, alpha^vee> > 0, with p
+    the largest k such that beta - k*alpha is a known root, and the pairing
+    taken from the Gram matrix."""
+    gram = system.gram
+
+    def pairing(beta: Root, j: int) -> int:
+        return 2 * sum(c * g for c, g in zip(beta.coeffs, gram[j])) // gram[j][j]
+
+    known: Dict[Tuple[int, ...], Root] = {r.coeffs: r for r in system.simple_roots}
+    frontier = list(system.simple_roots)
+    while frontier:
+        new_frontier: List[Root] = []
+        for beta in frontier:
+            for j, alpha in enumerate(system.simple_roots):
+                if beta == alpha:
+                    continue
+                p = 0
+                probe = beta - alpha
+                while probe.coeffs in known:
+                    p += 1
+                    probe = probe - alpha
+                if p - pairing(beta, j) > 0:
+                    cand = beta + alpha
+                    if cand.coeffs not in known:
+                        known[cand.coeffs] = cand
+                        new_frontier.append(cand)
+        frontier = new_frontier
+    return sorted(known.values())
+
+
+def _indecomposables(pos: Sequence[Root]) -> List[Root]:
+    pos_set = {r.coeffs for r in pos}
+    return sorted(
+        r
+        for r in pos
+        if not any((r - a).coeffs in pos_set for a in pos if a.height < r.height)
+    )
+
+
+def _components(system, pos: Sequence[Root]) -> List[Tuple[List[Root], List[Root]]]:
+    simples = _indecomposables(pos)
+    comps: List[List[Root]] = []
+    seen: Set[Root] = set()
+    for s in simples:
+        if s in seen:
+            continue
+        comp, queue = [s], [s]
+        seen.add(s)
+        while queue:
+            cur = queue.pop()
+            for t in simples:
+                if t not in seen and system.inner(cur, t) != 0:
+                    seen.add(t)
+                    comp.append(t)
+                    queue.append(t)
+        comps.append(sorted(comp))
+    out = [
+        (comp, sorted(r for r in pos if any(system.inner(r, s) for s in comp)))
+        for comp in comps
+    ]
+    return sorted(out, key=lambda cr: cr[0][0].coeffs)
+
+
+def cascade_oracle(
+    system, positive: Optional[Sequence[Root]] = None
+) -> List[Tuple[str, Root, Tuple[Root, ...], Tuple[Root, ...]]]:
+    """(label, beta, component roots, H_beta) for every cascade root: the
+    highest root of each irreducible component, then the roots orthogonal
+    to it, with the components' simple roots found again at every level."""
+    items = []
+
+    def recurse(pos: Sequence[Root], prefix: str) -> None:
+        for k, (_, comp_roots) in enumerate(_components(system, pos), start=1):
+            label = f"{prefix}.{k}" if prefix else f"{k}"
+            beta = max(comp_roots, key=lambda r: (r.height, r.coeffs))
+            heis = tuple(r for r in comp_roots if system.inner(r, beta) > 0)
+            items.append((label, beta, tuple(comp_roots), heis))
+            rest = [r for r in comp_roots if system.inner(r, beta) == 0]
+            if rest:
+                recurse(rest, label)
+
+    recurse(list(system.positive_roots if positive is None else positive), "")
+    return items
+
+
 # -- the rational bound path -------------------------------------------------
+
+
+class Weight:
+    """An exact rational vector in simple-root coordinates."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Weight) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "Weight") -> "Weight":
+        return Weight(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "Weight") -> "Weight":
+        return Weight(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "Weight":
+        return Weight(tuple(-x for x in self.coeffs))
+
+    def scale(self, c) -> "Weight":
+        c = Fraction(c)
+        return Weight(tuple(c * x for x in self.coeffs))
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Weight{tuple(str(x) for x in self.coeffs)}"
+
+
+def multiple_of(w: Weight, base: Weight) -> Optional[Fraction]:
+    """The exact c with w == c*base, or None when not proportional."""
+    ratio: Optional[Fraction] = None
+    for x, y in zip(w.coeffs, base.coeffs):
+        if y == 0:
+            if x != 0:
+                return None
+            continue
+        c = Fraction(x) / y
+        if ratio is None:
+            ratio = c
+        elif ratio != c:
+            return None
+    if ratio is None:
+        ratio = Fraction(0) if w.is_zero() else None
+    return ratio
+
+
+def levi_weights(system, subset: Sequence[int]) -> Dict[int, Weight]:
+    """Fundamental weights of the subsystem on subset (0-based simple
+    indices), inside its span, as rationals: the view of
+    `RootSystem.weight_rows`."""
+    den, rows = system.weight_rows(subset)
+    return {i: Weight(tuple(Fraction(x, den) for x in num)) for i, num in rows.items()}
+
+
+def fundamental_weights(system) -> List[Weight]:
+    """The weights with <w_i, alpha_j^vee> = delta_ij, inside span(pi)."""
+    weights = levi_weights(system, range(system.rank))
+    return [weights[i] for i in range(system.rank)]
+
 
 
 def delta_gamma(parab, orbit) -> Weight:
     """-sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w'."""
     sys = parab.system
-    fund = sys.fundamental_weights()
-    levi = sys.levi_weights(parab.pi_prime)
+    fund = fundamental_weights(sys)
+    levi = levi_weights(sys, parab.pi_prime)
     total = Weight(tuple(Fraction(0) for _ in range(sys.rank)))
     for a in orbit:
         total = total - fund[a]
@@ -108,7 +285,7 @@ def improved_bound(cand) -> List[Weight]:
 
 
 def varpi_s(cand) -> Weight:
-    return cand.system.fundamental_weights()[cand.s - 1]
+    return fundamental_weights(cand.system)[cand.s - 1]
 
 
 def bound_multiples(cand, weights) -> List[Fraction]:

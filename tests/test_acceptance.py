@@ -5,7 +5,6 @@ lines.  Tolerances are exact throughout: every comparison is on integers or
 rationals, never floats.
 """
 
-import dataclasses
 import filecmp
 import itertools
 import time
@@ -27,7 +26,7 @@ from adapted_pairs.verify import (
     run_case,
     walk_sequence,
 )
-from engine_oracle import enumerate_pairings, jacobiator
+from engine_oracle import enumerate_pairings, jacobiator, replace
 
 F = Fraction
 
@@ -263,7 +262,7 @@ def test_criterion_7_negative_and_determinism(tmp_path):
         sets[wrong] = members
         in_plus = gamma in cand.S_plus
         in_minus = gamma in cand.S_minus
-        bad = dataclasses.replace(
+        bad = replace(
             cand,
             gamma_sets=sets,
             S_plus=tuple(wrong if g == gamma else g for g in cand.S_plus)
@@ -285,7 +284,7 @@ def test_criterion_7_negative_and_determinism(tmp_path):
     # dropping one Heisenberg set breaks the partition identity
     sets = dict(cand.gamma_sets)
     sets.pop(list(sets)[0])
-    bad = dataclasses.replace(cand, gamma_sets=sets)
+    bad = replace(cand, gamma_sets=sets)
     rep = check_heisenberg(bad)
     assert not rep.ok and any("partition" in p for p in rep.problems)
 

@@ -19,7 +19,7 @@ from adapted_pairs.bounds import (
     varpi_s,
 )
 from adapted_pairs.construction import build_case, in_scope_cases
-from adapted_pairs.roots import build_root_system, multiple_of
+from adapted_pairs.roots import build_root_system
 
 F = Fraction
 
@@ -85,7 +85,7 @@ def _t_multiples(cand, gamma):
     _, weight = oracle.t_of_gamma(cand, gamma)
     (scaled,) = _t_of_all(cand, [gamma])
     ours = ray_multiple(scaled, varpi_s(cand))
-    return multiple_of(weight, oracle.varpi_s(cand)), ours
+    return oracle.multiple_of(weight, oracle.varpi_s(cand)), ours
 
 
 def test_t_of_gamma_e6_alpha4():

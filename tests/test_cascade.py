@@ -1,8 +1,10 @@
 import pytest
 
 from adapted_pairs.cascade import indecomposables, kostant_cascade
-from adapted_pairs.parabolic import subsystem_roots
+from adapted_pairs.construction import in_scope_cases
+from adapted_pairs.parabolic import build_parabolic, subsystem_roots
 from adapted_pairs.roots import build_root_system
+from engine_oracle import cascade_oracle
 
 
 def detect_type(system, simples):
@@ -174,3 +176,38 @@ def test_levi_cascade_e6():
         rc((0, 1, 0, 1, 0, 0)),
         rc((0, 0, 0, 0, 1, 0)),
     }
+
+
+CASCADE_SYSTEMS = (
+    [("B", n) for n in range(2, 15)]
+    + [("D", n) for n in range(4, 15)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+def _items(items):
+    return [(it.label, it.beta, it.subsystem, it.heisenberg) for it in items]
+
+
+@pytest.mark.parametrize("family,rank", CASCADE_SYSTEMS)
+def test_cascade_matches_the_oracle(family, rank):
+    sys = build_root_system(family, rank)
+    assert _items(kostant_cascade(sys)) == cascade_oracle(sys)
+
+
+def test_levi_cascades_match_the_oracle():
+    # the cascade of Delta+_{pi'} of every case through rank 10, where the
+    # top level finds its simple roots as indecomposables
+    for family, n, s in in_scope_cases(10):
+        sys = build_root_system(family, n)
+        pos = build_parabolic(sys, s).delta_pi_prime_pos
+        assert _items(kostant_cascade(sys, pos)) == cascade_oracle(sys, pos)
+
+
+def test_indecomposables_are_the_simple_roots():
+    for family, rank in [("B", 7), ("D", 8), ("E6", 6), ("E7", 7)]:
+        sys = build_root_system(family, rank)
+        assert indecomposables(sys, sys.positive_roots) == sorted(sys.simple_roots)
+        # and of a Levi subsystem, the simple roots it is spanned by
+        pos = subsystem_roots(sys, range(1, rank))
+        assert indecomposables(sys, pos) == sorted(sys.simple_roots[1:])

@@ -3,6 +3,7 @@ import json
 from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import from_json, main, rat_value
 from adapted_pairs.verify import run_case
+from engine_oracle import replace
 
 
 def test_verify_pass_exit_code_and_output(tmp_path, capsys):
@@ -18,11 +19,9 @@ def test_verify_pass_exit_code_and_output(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import dataclasses
-
     import adapted_pairs.verify as verify
 
-    broken = dataclasses.replace(run_case("B", 2, 2), t_size_vs_index=False)
+    broken = replace(run_case("B", 2, 2), t_size_vs_index=False)
     monkeypatch.setattr(verify, "run_case", lambda *a: broken)
     code = main(["verify", "--family", "B", "--rank", "2", "--s", "2"])
     assert code == 1
@@ -31,14 +30,12 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_verify_prints_why_a_check_failed(monkeypatch, capsys):
-    import dataclasses
-
     import adapted_pairs.construction as construction
 
     cand = construction.build_case("B", 6, 4)
     sets = dict(cand.gamma_sets)
     sets.pop(list(sets)[2])
-    bad = dataclasses.replace(cand, gamma_sets=sets)
+    bad = replace(cand, gamma_sets=sets)
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
     code = main(["verify", "--family", "B", "--rank", "6", "--s", "4"])
     assert code == 1
@@ -189,14 +186,12 @@ def test_report_rejects_non_root_in_t(tmp_path, capsys):
 
 
 def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):
-    import dataclasses
-
     import adapted_pairs.verify as verify
 
     def fail_b4_s2(family, n, s):
         result = run_case(family, n, s)
         if (family, n, s) == ("B", 4, 2):
-            return dataclasses.replace(result, t_size_vs_index=False)
+            return replace(result, t_size_vs_index=False)
         return result
 
     monkeypatch.setattr(verify, "run_case", fail_b4_s2)
@@ -263,3 +258,37 @@ def test_report_loads_no_engine_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
+    # a fresh `python -m adapted_pairs.cli verify` process builds its engine
+    # from plain classes: neither dataclasses nor the inspect module it
+    # imports is loaded.  -X importtime lists every module the process
+    # imports, so the command itself is run unchanged.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import adapted_pairs
+
+    src = str(Path(adapted_pairs.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "adapted_pairs.cli", "verify",
+         "--family", "B", "--rank", "6", "--s", "2"],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("B n=6 s=2: PASS")
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
+    loaded = imported & {"dataclasses", "inspect"}
+    assert not loaded, loaded

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from adapted_pairs.roots import (
-    Root,
+from adapted_pairs.roots import Root, RootSystem, _simple_root_data, build_root_system
+from engine_oracle import (
     Weight,
-    _simple_root_data,
-    build_root_system,
+    closure_positive_roots,
+    fundamental_weights,
+    levi_weights,
     multiple_of,
 )
 from linalg_oracle import solve_in_span
@@ -108,7 +109,7 @@ def test_rho_height():
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_fundamental_weights_duality(family, rank):
     sys = build_root_system(family, rank)
-    ws = sys.fundamental_weights()
+    ws = fundamental_weights(sys)
     for i, w in enumerate(ws):
         for j, a in enumerate(sys.simple_roots):
             assert _eps_pairing(sys, w, a) == (1 if i == j else 0)
@@ -116,29 +117,29 @@ def test_fundamental_weights_duality(family, rank):
 
 def test_levi_weights_e6():
     sys = build_root_system("E6", 6)
-    levi = sys.levi_weights(range(5))  # pi' = pi minus alpha_6
+    levi = levi_weights(sys, range(5))  # pi' = pi minus alpha_6
     w1p = levi[0]
     expect = tuple(F(x, 2) for x in (0, 0, 0, 0, -1, -1, -1, 1))
     # (1/2)(e8-e7-e5-e6)
     assert sys.eps_of(w1p) == expect
-    w1 = sys.fundamental_weights()[0]
-    w6 = sys.fundamental_weights()[5]
+    w1 = fundamental_weights(sys)[0]
+    w6 = fundamental_weights(sys)[5]
     assert (w1p - w1) == w6.scale(F(-1, 2))
 
 
 def test_levi_weights_e7():
     sys = build_root_system("E7", 7)
-    levi = sys.levi_weights([i for i in range(7) if i != 2])  # remove alpha_3
+    levi = levi_weights(sys, [i for i in range(7) if i != 2])  # remove alpha_3
     w5p = levi[4]
-    w5 = sys.fundamental_weights()[4]
-    w3 = sys.fundamental_weights()[2]
+    w5 = fundamental_weights(sys)[4]
+    w3 = fundamental_weights(sys)[2]
     assert (w5p - w5) == -w3
 
 
 def test_levi_weight_defining_property():
     sys = build_root_system("D", 6)
     subset = [0, 1, 2, 3, 4]  # remove alpha_6: A_5 Levi
-    levi = sys.levi_weights(subset)
+    levi = levi_weights(sys, subset)
     for i in subset:
         for j in subset:
             assert _eps_pairing(sys, levi[i], sys.simple_roots[j]) == (
@@ -244,3 +245,50 @@ def test_codes_add_subtract_and_sign_like_roots(family, rank):
         for b in allroots:
             assert by_code.get(a.code + b.code) == sys.try_root(a + b)
             assert by_code.get(a.code - b.code) == sys.try_root(a - b)
+
+
+@pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
+def test_generation_matches_the_closure_oracle(family, rank):
+    # a fresh system, so that no other test has filled its pairing memo
+    sys = RootSystem(family, rank)
+    seeded = dict(sys._pairings)
+    expected = closure_positive_roots(sys)
+    assert [r.coeffs for r in sys.positive_roots] == [r.coeffs for r in expected]
+    assert [r.code for r in sys.positive_roots] == [
+        sys.code(r.coeffs) for r in expected
+    ]
+    # the simple roots are the positive roots' objects, with their codes
+    by_coeffs = {r.coeffs: r for r in sys.positive_roots}
+    assert all(by_coeffs[a.coeffs] is a for a in sys.simple_roots)
+    # generation seeds the pairings of every positive root and nothing else
+    assert set(seeded) == {r.coeffs for r in sys.positive_roots}
+    gram = sys.gram
+    for r in sys.positive_roots:
+        by_gram = tuple(
+            2 * sum(c * g for c, g in zip(r.coeffs, gram[k])) // gram[k][k]
+            for k in range(rank)
+        )
+        assert seeded[r.coeffs] == by_gram
+        assert sys.simple_pairings(r) == by_gram
+
+
+@pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
+def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
+    sys = build_root_system(family, rank)
+    for r in sys.by_code.values():
+        eps = sys.eps_of(r)
+        assert sys.root_from_eps(eps) is r
+        assert sys.root_from_eps(list(eps)) is r
+        # integer entries as ints, the half-integers of E6/E7 as Fractions
+        mixed = [int(x) if x.denominator == 1 else x for x in eps]
+        assert sys.root_from_eps(mixed) is r
+    half = [F(1, 2)] + [F(0)] * (sys.dim - 1)
+    scaled = [x * sys._eps_den for x in sys.eps_of(sys.simple_roots[0])]
+    for not_a_root in (half, [0] * sys.dim, [2] + [0] * (sys.dim - 1)):
+        with pytest.raises(KeyError):
+            sys.root_from_eps(not_a_root)
+    if sys._eps_den > 1:
+        # the table's integer rows are not themselves accepted as epsilon
+        # coordinates
+        with pytest.raises(KeyError):
+            sys.root_from_eps(scaled)

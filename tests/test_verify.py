@@ -24,7 +24,7 @@ from adapted_pairs.verify import (
     walk_sequence,
     _find_cyclic,
 )
-from engine_oracle import enumerate_pairings
+from engine_oracle import enumerate_pairings, replace
 from linalg_oracle import det_dense, rank, solve_in_span
 
 F = Fraction
@@ -85,8 +85,6 @@ def test_basis_d_extremal_paper_substitution(n):
 
 
 def test_basis_duplicated_row_is_singular(monkeypatch):
-    import dataclasses
-
     import adapted_pairs.construction as construction_mod
     from adapted_pairs.bounds import improved_bound
 
@@ -101,7 +99,7 @@ def test_basis_duplicated_row_is_singular(monkeypatch):
         name: tuple(first if g == second else g for g in getattr(cand, name))
         for name in ("S_plus", "S_minus", "S_mixed")
     }
-    bad = dataclasses.replace(cand, **parts)
+    bad = replace(cand, **parts)
     assert bad.S[0] == bad.S[1] == first
     calls = []
     invert = construction_mod.invert
@@ -123,14 +121,12 @@ def test_basis_duplicated_row_is_singular(monkeypatch):
 
 
 def test_heisenberg_reports_engineered_overlap():
-    import dataclasses
-
     cand = build_case("B", 6, 4)
     sets = dict(cand.gamma_sets)
     keys = list(sets)
     moved = next(iter(sets[keys[0]] - {keys[0]}))
     sets[keys[1]] = sets[keys[1]] | {moved}
-    bad = dataclasses.replace(cand, gamma_sets=sets)
+    bad = replace(cand, gamma_sets=sets)
     report = check_heisenberg(bad)
     assert not report.ok
     assert any("overlap" in p for p in report.problems)
@@ -145,12 +141,10 @@ def test_heisenberg_singleton_sets_pass():
 
 
 def test_dropping_a_gamma_set_breaks_partition():
-    import dataclasses
-
     cand = build_case("B", 6, 4)
     sets = dict(cand.gamma_sets)
     sets.pop(list(sets)[2])
-    bad = dataclasses.replace(cand, gamma_sets=sets)
+    bad = replace(cand, gamma_sets=sets)
     report = check_heisenberg(bad)
     assert not report.ok
     assert any("partition" in p for p in report.problems)
@@ -337,8 +331,6 @@ def _grading_oracle(cand):
 
 
 def test_grading_fails_for_an_extra_partner_off_the_grading():
-    import dataclasses
-
     cand = build_case("B", 6, 4)
     table = build_structure_table(cand.system)
     os = orbit_structure(cand)
@@ -359,7 +351,7 @@ def test_grading_fails_for_an_extra_partner_off_the_grading():
     s_alpha = dict(os.S_alpha)
     s_alpha[a] = tuple(sorted(s_alpha[a] + (b,)))
     s_alpha[b] = tuple(sorted(s_alpha[b] + (a,)))
-    bad = dataclasses.replace(os, S_alpha=s_alpha)
+    bad = replace(os, S_alpha=s_alpha)
     det, inverse = cand.s_inverse
     assert det != 0 and inverse is not None
     check = check_nondegeneracy(cand, table, bad)
@@ -433,8 +425,6 @@ def test_regularity_ranks_match_two_oracle_ranks():
 
 
 def test_regularity_fails_when_t_meets_the_image():
-    import dataclasses
-
     cand = build_case("B", 6, 4)
     table = build_structure_table(cand.system)
     image_rank = rank(_regularity_rows(cand, table, []))
@@ -444,7 +434,7 @@ def test_regularity_fails_when_t_meets_the_image():
         for x in cand.dual_support()
         if x not in cand.T and rank(_regularity_rows(cand, table, [x])) == image_rank
     )
-    bad = dataclasses.replace(cand, T=(inside,) + cand.T[1:])
+    bad = replace(cand, T=(inside,) + cand.T[1:])
     check = check_regularity(bad, table)
     assert check.rank == image_rank
     assert check.rank_augmented < check.dim_p
