@@ -8,9 +8,9 @@ are Heisenberg sets and together they partition the positive roots.
 Each beta is the highest root of its component, hence dominant for it, so
 the component roots orthogonal to beta form the subsystem generated by the
 component's simple roots orthogonal to beta.  The recursion passes those
-simple roots down; only the top level finds its simple roots, as the
-indecomposable elements of the given positive subsystem.  Everything runs on
-root codes (`RootSystem.base`).
+simple roots down, starting from the simple roots of Delta+ or of the
+subsystem they are given for, so no level searches for its simple roots.
+Everything runs on root codes (`RootSystem.base`).
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ class CascadeItem:
         self.beta = beta
         self.subsystem = subsystem  # positive roots of the defining component
         self.heisenberg = heisenberg  # H_beta inside the component
-
-
-def indecomposables(system: RootSystem, pos: Sequence[Root]) -> List[Root]:
-    """Elements of a positive subsystem that are not sums of two others.
-
-    r = a + b with a, b in pos exactly when code(r) - code(a) is the code of
-    an element of pos."""
-    codes = [r.code for r in pos]
-    in_pos = set(codes)
-    return sorted(
-        r for r, rc in zip(pos, codes) if not any(rc - ac in in_pos for ac in codes)
-    )
 
 
 def _split_components(
@@ -96,19 +84,24 @@ def _split_components(
 
 
 def kostant_cascade(
-    system: RootSystem, positive: Optional[Sequence[Root]] = None
+    system: RootSystem, subset: Optional[Sequence[int]] = None
 ) -> List[CascadeItem]:
-    """The full cascade for Delta+ or for any closed positive subsystem.
+    """The full cascade for Delta+, or for the subsystem generated by the
+    simple roots of the given (0-based) indices.
 
     The cascade of Delta+ is the same for every s; it is kept on the system.
     """
-    if positive is None:
+    if subset is None:
         if system.cascade is None:
             system.cascade = _build_cascade(
                 system, system.positive_roots, system.simple_roots
             )
         return list(system.cascade)
-    return _build_cascade(system, positive, indecomposables(system, positive))
+    # imported here so that the `cascade` command loads no parabolic data
+    from .parabolic import subsystem_roots
+
+    simples = [system.simple_roots[i] for i in subset]
+    return _build_cascade(system, subsystem_roots(system, subset), simples)
 
 
 def _build_cascade(
@@ -141,7 +134,7 @@ def _build_cascade(
 
 
 def cascade_heisenberg_by_beta(
-    system: RootSystem, positive: Optional[Sequence[Root]] = None
+    system: RootSystem, subset: Optional[Sequence[int]] = None
 ) -> Dict[Root, Tuple[Root, ...]]:
     """Map beta_K -> H_{beta_K} over the whole cascade."""
-    return {item.beta: item.heisenberg for item in kostant_cascade(system, positive)}
+    return {item.beta: item.heisenberg for item in kostant_cascade(system, subset)}

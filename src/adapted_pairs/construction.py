@@ -5,6 +5,11 @@ element of S, and the complement T (plus T* in type E6), parameterized by
 (family, n, s) rather than transcribed as literal tables.  The extremal
 D case for s = n-1 and the E6 case s = 1 are obtained from s = n and s = 6
 by the corresponding diagram flip.
+
+A Heisenberg set Gamma_gamma is its centre gamma together with pairs
+{a, gamma - a}.  The builders list only the centre and one half a of each
+pair, in epsilon terms; `_heis` adds the partners.  Sets taken from the
+Kostant cascade are H_beta minus the roots named at each builder.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .cascade import cascade_heisenberg_by_beta, indecomposables
+from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
 from .parabolic import ParabolicData, build_parabolic
 from .roots import Root, RootSystem, build_root_system
@@ -170,11 +175,54 @@ def case_plan(family: str, n: int, s: int) -> Optional[str]:
 
 
 def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> Root:
-    """Root from epsilon terms [(coef, index1based), ...]."""
+    """Root from epsilon terms [(coef, index1based), ...]; terms on the same
+    index add up."""
     v = [0] * system.dim
     for c, i in terms:
         v[i - 1] += c
-    return system.root_from_eps(v)
+    try:
+        return system.root_from_eps(v)
+    except KeyError:
+        raise ValueError(
+            f"epsilon terms {list(terms)} are not a root of {system}"
+        ) from None
+
+
+def _heis(
+    system: RootSystem,
+    centre_terms: List[Tuple[int, int]],
+    halves: Sequence[Sequence[Tuple[int, int]]],
+) -> Tuple[Root, FrozenSet[Root]]:
+    """(centre, Gamma): the centre, each half a and its partner centre - a."""
+    centre = _rt(system, centre_terms)
+    members = {centre}
+    for a in halves:
+        members.add(_rt(system, a))
+        members.add(_rt(system, centre_terms + [(-c, i) for c, i in a]))
+    return centre, frozenset(members)
+
+
+def _spoke(
+    system: RootSystem,
+    p: Tuple[int, int],
+    q: Tuple[int, int],
+    plus: Sequence[int] = (),
+    minus: Sequence[int] = (),
+) -> Tuple[Root, FrozenSet[Root]]:
+    """The set centred at sp*eps_p + sq*eps_q, for p = (sp, p) and
+    q = (sq, q), with the halves sp*eps_p + eps_j for j in plus and
+    sp*eps_p - eps_j for j in minus."""
+    halves = [[p, (1, j)] for j in plus] + [[p, (-1, j)] for j in minus]
+    return _heis(system, [p, q], halves)
+
+
+def _s_minus_sets(system: RootSystem, s: int) -> Dict[Root, FrozenSet[Root]]:
+    """The sets centred at eps_{s-i} - eps_i for 1 <= i < s/2 (types B, D),
+    with the halves eps_j - eps_i for i < j < s-i."""
+    return dict(
+        _spoke(system, (-1, i), (1, s - i), plus=range(i + 1, s - i))
+        for i in range(1, s // 2)
+    )
 
 
 def _split_signs(
@@ -240,18 +288,11 @@ def _build_B(n: int, s: int) -> Candidate:
     r = lambda terms: _rt(sys, terms)
     heis = cascade_heisenberg_by_beta(sys)
 
-    gamma: Dict[Root, FrozenSet[Root]] = {}
-
     # Gamma of the mixed centre eps_s
-    g_m = {r([(1, s)])}
-    for i in range(1, n + 1):
-        if i != s:
-            g_m.add(r([(1, i)]))
-            g_m.add(r([(1, s), (-1, i)]))
-    for j in range(s + 1, n + 1):
-        g_m.add(r([(1, s), (1, j)]))
-        g_m.add(r([(-1, j)]))
-    gamma[r([(1, s)])] = frozenset(g_m)
+    halves = [[(1, i)] for i in range(1, n + 1) if i != s]
+    halves += [[(1, s), (1, j)] for j in range(s + 1, n + 1)]
+    eps_s, g_m = _heis(sys, [(1, s)], halves)
+    gamma = {eps_s: g_m}
 
     # cascade members beta_i, shorts removed
     for i in range(1, s // 2):
@@ -259,43 +300,17 @@ def _build_B(n: int, s: int) -> Candidate:
         removed = {r([(1, 2 * i - 1)]), r([(1, 2 * i)])}
         gamma[beta] = frozenset(set(heis[beta]) - removed)
 
-    if n > s:
-        centre = r([(1, s - 1), (1, s + 1)])
-        g = {centre}
-        for i in range(s + 2, n + 1):
-            g.add(r([(1, s - 1), (1, i)]))
-            g.add(r([(1, s + 1), (-1, i)]))
-            g.add(r([(1, s - 1), (-1, i)]))
-            g.add(r([(1, s + 1), (1, i)]))
-        gamma[centre] = frozenset(g)
+    gamma.update(_s_minus_sets(sys, s))
 
-        for i in range(s // 2 + 1, (n - 1) // 2 + 1):
-            centre = r([(1, 2 * i), (1, 2 * i + 1)])
-            g = {centre}
-            for j in range(2 * i + 2, n + 1):
-                g.add(r([(1, 2 * i), (1, j)]))
-                g.add(r([(1, 2 * i + 1), (-1, j)]))
-                g.add(r([(1, 2 * i), (-1, j)]))
-                g.add(r([(1, 2 * i + 1), (1, j)]))
-            gamma[centre] = frozenset(g)
-
-    for i in range(1, s // 2):
-        centre = r([(1, s - i), (-1, i)])
-        g = {centre}
-        for j in range(i + 1, s - i):
-            g.add(r([(1, j), (-1, i)]))
-            g.add(r([(1, s - i), (-1, j)]))
-        gamma[centre] = frozenset(g)
-
-    for i in range(s // 2 + 1, n // 2 + 1):
-        centre = r([(-1, 2 * i - 1), (-1, 2 * i)])
-        g = {centre}
-        for j in range(2 * i + 1, n + 1):
-            g.add(r([(-1, 2 * i - 1), (1, j)]))
-            g.add(r([(-1, 2 * i), (-1, j)]))
-            g.add(r([(-1, 2 * i - 1), (-1, j)]))
-            g.add(r([(-1, 2 * i), (1, j)]))
-        gamma[centre] = frozenset(g)
+    # the sets centred at +-(eps_p + eps_q), with the halves +-eps_p + eps_j
+    # and +-eps_p - eps_j for every j > q
+    pairs = [((1, s - 1), (1, s + 1))] if n > s else []
+    pairs += [((1, 2 * i), (1, 2 * i + 1)) for i in range(s // 2 + 1, (n - 1) // 2 + 1)]
+    pairs += [((-1, 2 * i - 1), (-1, 2 * i)) for i in range(s // 2 + 1, n // 2 + 1)]
+    for p, q in pairs:
+        js = range(q[1] + 1, n + 1)
+        centre, g = _spoke(sys, p, q, js, js)
+        gamma[centre] = g
 
     t_exp = [r([(1, s - 1), (1, s)])]
     t_exp += [r([(1, 2 * i - 1), (-1, 2 * i)]) for i in range(1, s // 2 + 1)]
@@ -309,7 +324,7 @@ def _build_B(n: int, s: int) -> Candidate:
             r([(1, s + 2 * k), (-1, s + 2 * k + 1)])
             for k in range(1, (n - s - 1) // 2 + 1)
         ]
-    return _assemble(parab, "B", n, s, gamma, t_exp, mixed=[r([(1, s)])])
+    return _assemble(parab, "B", n, s, gamma, t_exp, mixed=[eps_s])
 
 
 # ---------------------------------------------------------------------------
@@ -333,71 +348,24 @@ def _build_D(n: int, s: int) -> Candidate:
         }
         gamma[beta] = frozenset(set(heis[beta]) - removed)
 
-    centre = r([(1, s - 1), (1, s + 1)])
-    g = {centre}
-    for i in range(s + 2, n + 1):
-        g.add(r([(1, s - 1), (1, i)]))
-        g.add(r([(1, s + 1), (-1, i)]))
-    for j in range(s + 2, n):
-        g.add(r([(1, s - 1), (-1, j)]))
-        g.add(r([(1, s + 1), (1, j)]))
-    gamma[centre] = frozenset(g)
+    gamma.update(_s_minus_sets(sys, s))
 
+    # (p, q, plus, minus) of each set centred at +-(eps_p + eps_q) or at
+    # eps_s -+ eps_n, the two mixed ones
+    spokes = [((1, s - 1), (1, s + 1), range(s + 2, n + 1), range(s + 2, n))]
     for i in range(s // 2 + 1, (n - 2) // 2 + 1):
-        centre = r([(1, 2 * i), (1, 2 * i + 1)])
-        g = {centre}
-        for j in range(2 * i + 2, n + 1):
-            g.add(r([(1, 2 * i), (-1, j)]))
-            g.add(r([(1, j), (1, 2 * i + 1)]))
-        for k in range(2 * i + 2, n):
-            g.add(r([(1, 2 * i), (1, k)]))
-            g.add(r([(1, 2 * i + 1), (-1, k)]))
-        gamma[centre] = frozenset(g)
-
-    for i in range(1, s // 2):
-        centre = r([(1, s - i), (-1, i)])
-        g = {centre}
-        for j in range(i + 1, s - i):
-            g.add(r([(1, j), (-1, i)]))
-            g.add(r([(1, s - i), (-1, j)]))
-        gamma[centre] = frozenset(g)
-
+        spokes.append(
+            ((1, 2 * i), (1, 2 * i + 1), range(2 * i + 2, n), range(2 * i + 2, n + 1))
+        )
     for i in range(s // 2 + 1, (n - 1) // 2 + 1):
-        centre = r([(-1, 2 * i - 1), (-1, 2 * i)])
-        g = {centre}
-        for j in range(2 * i + 1, n):
-            g.add(r([(-1, 2 * i - 1), (-1, j)]))
-            g.add(r([(1, j), (-1, 2 * i)]))
-        for k in range(2 * i + 1, n + 1):
-            g.add(r([(-1, 2 * i - 1), (1, k)]))
-            g.add(r([(-1, k), (-1, 2 * i)]))
-        gamma[centre] = frozenset(g)
-
-    centre = r([(1, s), (-1, n)])
-    g = {centre}
-    for i in range(1, n // 2 + 1):
-        if i == s // 2 + 1:
-            continue
-        g.add(r([(1, s), (-1, 2 * i - 1)]))
-        g.add(r([(1, 2 * i - 1), (-1, n)]))
-    for j in range(s // 2, (n - 2) // 2 + 1):
-        g.add(r([(1, s), (1, 2 * j + 1)]))
-        g.add(r([(-1, 2 * j + 1), (-1, n)]))
-    gamma[centre] = frozenset(g)
-
-    centre = r([(1, s), (1, n)])
-    g = {centre}
-    for i in range(1, (n - 1) // 2 + 1):
-        if i == s // 2:
-            continue
-        g.add(r([(1, s), (-1, 2 * i)]))
-        g.add(r([(1, 2 * i), (1, n)]))
-    g.add(r([(1, s), (-1, s + 1)]))
-    g.add(r([(1, s + 1), (1, n)]))
-    for j in range(s // 2 + 1, (n - 1) // 2 + 1):
-        g.add(r([(1, s), (1, 2 * j)]))
-        g.add(r([(-1, 2 * j), (1, n)]))
-    gamma[centre] = frozenset(g)
+        spokes.append(
+            ((-1, 2 * i - 1), (-1, 2 * i), range(2 * i + 1, n + 1), range(2 * i + 1, n))
+        )
+    odd_below_n = [j for j in range(1, n, 2) if j != s + 1]
+    spokes.append(((1, s), (-1, n), range(s + 1, n, 2), odd_below_n))
+    even_below_n = [j for j in range(2, n, 2) if j != s] + [s + 1]
+    spokes.append(((1, s), (1, n), range(s + 2, n, 2), even_below_n))
+    gamma.update(_spoke(sys, *spoke) for spoke in spokes)
 
     t_exp = [r([(1, s - 1), (1, s)]), r([(1, s - 1), (-1, s + 1)])]
     t_exp += [r([(1, 2 * i - 1), (-1, 2 * i)]) for i in range(1, s // 2 + 1)]
@@ -424,90 +392,31 @@ def _build_D_extremal(n: int) -> Candidate:
     r = lambda terms: _rt(sys, terms)
     heis = cascade_heisenberg_by_beta(sys)
 
-    gamma: Dict[Root, FrozenSet[Root]] = {}
-
-    for k in range(2, n // 2 - 2):
-        centre = r([(1, 2 * k), (-1, 2 * k - 2)])
-        g = {centre}
-        for i in range(1, 2 * k - 2):
-            g.add(r([(1, 2 * k), (-1, i)]))
-            g.add(r([(1, i), (-1, 2 * k - 2)]))
-        gamma[centre] = frozenset(g)
-
+    # (p, q, plus, minus) of each set centred at eps_p +- eps_q
+    spokes = [
+        ((1, 2 * k), (-1, 2 * k - 2), (), range(1, 2 * k - 2))
+        for k in range(2, n // 2 - 2)
+    ]
     if n >= 8:
-        centre = r([(1, n - 3), (-1, n - 6)])
-        g = {centre}
-        for i in range(1, n - 6):
-            g.add(r([(1, n - 3), (-1, i)]))
-            g.add(r([(1, i), (-1, n - 6)]))
-        gamma[centre] = frozenset(g)
-
-    centre = r([(1, n - 4), (-1, n - 5)])
-    g = {centre, r([(1, n - 3), (-1, n - 5)]), r([(1, n - 4), (-1, n - 3)])}
-    for i in range(1, n // 2 - 2):
-        g.add(r([(1, n - 4), (-1, 2 * i)]))
-        g.add(r([(1, 2 * i), (-1, n - 5)]))
-    gamma[centre] = frozenset(g)
-
-    centre = r([(1, n - 2), (-1, n - 4)])
-    g = {
-        centre,
-        r([(1, n - 2), (-1, n - 1)]),
-        r([(1, n - 1), (-1, n - 4)]),
-        r([(1, n - 2), (-1, n)]),
-        r([(1, n), (-1, n - 4)]),
-    }
-    for i in range(1, n - 4):
-        g.add(r([(1, n - 2), (-1, i)]))
-        g.add(r([(1, i), (-1, n - 4)]))
-    gamma[centre] = frozenset(g)
-
-    centre = r([(1, n), (-1, n - 3)])
-    g = {
-        centre,
-        r([(1, n), (-1, n - 2)]),
-        r([(1, n - 2), (-1, n - 3)]),
-        r([(1, n), (-1, n - 1)]),
-        r([(1, n - 1), (-1, n - 3)]),
-    }
-    for i in range(1, n - 5):
-        g.add(r([(1, n), (-1, i)]))
-        g.add(r([(1, i), (-1, n - 3)]))
-    gamma[centre] = frozenset(g)
-
-    centre = r([(1, n - 3), (1, n - 1)])
-    g = {
-        centre,
-        r([(1, n - 3), (1, n)]),
-        r([(1, n - 1), (-1, n)]),
-        r([(1, n - 3), (-1, n)]),
-        r([(1, n), (1, n - 1)]),
-        r([(1, n - 3), (-1, n - 2)]),
-        r([(1, n - 2), (1, n - 1)]),
-        r([(1, n - 3), (1, n - 2)]),
-        r([(-1, n - 2), (1, n - 1)]),
-    }
-    for i in range(1, n - 4):
-        g.add(r([(1, n - 1), (-1, i)]))
-        g.add(r([(1, i), (1, n - 3)]))
-    gamma[centre] = frozenset(g)
+        spokes.append(((1, n - 3), (-1, n - 6), (), range(1, n - 6)))
+    spokes += [
+        ((1, n - 4), (-1, n - 5), (), [n - 3, *range(2, n - 5, 2)]),
+        ((1, n - 2), (-1, n - 4), (), [*range(1, n - 4), n - 1, n]),
+        ((1, n), (-1, n - 3), (), [*range(1, n - 5), n - 2, n - 1]),
+        ((1, n - 3), (1, n - 1), [*range(1, n - 4), n - 2, n], [n - 2, n]),
+    ]
+    gamma = dict(_spoke(sys, *spoke) for spoke in spokes)
 
     # Heisenberg sets of the cascade centres beta_i, by decreasing induction:
     # whatever of H_{beta_i} is still unused, plus the listed negative-side
     # completions.
     for i in range(n // 2 - 2, 0, -1):
-        beta = r([(1, 2 * i - 1), (1, 2 * i)])
         used: set = set().union(*gamma.values())
-        g = set(heis[beta]) - used
-        extra_hi = n - 6 if i == n // 2 - 2 else 2 * i - 2
-        for j in range(1, extra_hi + 1):
-            g.add(r([(1, j), (1, 2 * i)]))
-            g.add(r([(1, 2 * i - 1), (-1, j)]))
-        if i == n // 2 - 2:
-            for j in range(1, n // 2 - 2):
-                g.add(r([(1, n - 4), (-1, 2 * j - 1)]))
-                g.add(r([(1, 2 * j - 1), (1, n - 5)]))
-        gamma[beta] = frozenset(g)
+        top = i == n // 2 - 2
+        plus = range(1, n - 5, 2) if top else ()
+        minus = range(1, (n - 6 if top else 2 * i - 2) + 1)
+        beta, extra = _spoke(sys, (1, 2 * i - 1), (1, 2 * i), plus, minus)
+        gamma[beta] = extra | (set(heis[beta]) - used)
 
     t_exp = [
         r([(1, n - 3), (-1, n - 1)]),
@@ -535,7 +444,7 @@ def _build_E6() -> Candidate:
     parab = build_parabolic(sys, 6)
     rc = lambda c: sys.root_from_coeffs(c)
     heis = cascade_heisenberg_by_beta(sys)
-    heis_levi = cascade_heisenberg_by_beta(sys, parab.delta_pi_prime_pos)
+    heis_levi = cascade_heisenberg_by_beta(sys, parab.pi_prime)
 
     beta1 = rc((1, 2, 2, 3, 2, 1))
     beta2 = rc((1, 0, 1, 1, 1, 1))
@@ -579,7 +488,9 @@ def _build_E6() -> Candidate:
 
 def e7_d6_embedding() -> Dict[Root, Root]:
     """Isomorphism from the D6 root system onto the E7 roots orthogonal to
-    the highest root, computed from the induced simple systems.
+    the highest root, computed from the induced simple systems.  The highest
+    root is dominant, so those roots are generated by the E7 simple roots
+    orthogonal to it.
 
     The labeling is pinned by two requirements: positive roots map to
     positive roots, and the standard Levi copy A5 inside D6 (the span of the
@@ -588,8 +499,7 @@ def e7_d6_embedding() -> Dict[Root, Root]:
     e7 = build_root_system("E7", 7)
     d6 = build_root_system("D", 6)
     b1 = e7.highest_root()
-    r_pos = [r for r in e7.positive_roots if e7.inner(r, b1) == 0]
-    simples = indecomposables(e7, r_pos)
+    simples = [a for a in e7.simple_roots if e7.inner(a, b1) == 0]
     if len(simples) != 6:
         raise RuntimeError("unexpected orthogonal complement in E7")
     adj = {

@@ -14,7 +14,7 @@ The bilinear form agrees with the Killing form up to a global scale.
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
 n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_of` for
 display, `root_from_eps` for case data written in epsilon form, and
-`cartan_eps`/`coroot_eps` for comparisons with closed forms.
+`cartan_eps` for h in the paper's closed forms.
 `_simple_root_data` is the epsilon oracle they are built from; inside the
 system they are integer rows over one common denominator.
 """
@@ -356,10 +356,6 @@ class RootSystem:
                 for d, e in v:
                     out[d] += scale * e
         return tuple(out)
-
-    def coroot_eps(self, r: Root) -> Eps:
-        """alpha^vee as a Cartan vector in epsilon coordinates."""
-        return self.cartan_eps(self.coroot(r))
 
     # -- misc --------------------------------------------------------------
 

@@ -6,6 +6,8 @@
   `StructureTable.bracket`.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
+- `coroot_eps`: a coroot as a Cartan vector in epsilon coordinates, for
+  comparisons with closed forms.
 - The closure of the simple roots on `Root` arithmetic with Gram-matrix
   pairings, and the Kostant cascade that tests every pair of roots with
   the inner product and finds each level's simple roots again: the
@@ -82,6 +84,11 @@ def enumerate_pairings(os, limit: int = 100000) -> List[Dict[Root, Root]]:
 
     rec(0)
     return results
+
+
+def coroot_eps(system, r: Root):
+    """alpha^vee as a Cartan vector in epsilon coordinates."""
+    return system.cartan_eps(system.coroot(r))
 
 
 # -- root generation and the cascade ----------------------------------------

@@ -1,10 +1,10 @@
 import pytest
 
-from adapted_pairs.cascade import indecomposables, kostant_cascade
+from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.parabolic import build_parabolic, subsystem_roots
 from adapted_pairs.roots import build_root_system
-from engine_oracle import cascade_oracle
+from engine_oracle import _indecomposables, cascade_oracle
 
 
 def detect_type(system, simples):
@@ -140,12 +140,12 @@ def test_orthogonal_complement_types():
     e7 = build_root_system("E7", 7)
     b1 = e7.highest_root()
     comp = [r for r in e7.positive_roots if e7.inner(r, b1) == 0]
-    assert detect_type(e7, indecomposables(e7, comp)) == ("D", 6)
+    assert detect_type(e7, _indecomposables(comp)) == ("D", 6)
     # E6: the analogous complement is of type A5
     e6 = build_root_system("E6", 6)
     b1 = e6.highest_root()
     comp = [r for r in e6.positive_roots if e6.inner(r, b1) == 0]
-    assert detect_type(e6, indecomposables(e6, comp)) == ("A", 5)
+    assert detect_type(e6, _indecomposables(comp)) == ("A", 5)
 
 
 def test_detect_type_on_levi_parts():
@@ -161,8 +161,8 @@ def test_detect_type_on_levi_parts():
 def test_levi_cascade_e6():
     # cascade of the D5 Levi part of E6, s = 6; H_{beta'_2} per the case data
     sys = build_root_system("E6", 6)
-    pos = subsystem_roots(sys, range(5))
-    items = kostant_cascade(sys, pos)
+    items = kostant_cascade(sys, range(5))
+    assert _items(items) == cascade_oracle(sys, subsystem_roots(sys, range(5)))
     rc = lambda c: sys.root_from_coeffs(c)
     betas = {it.beta for it in items}
     assert rc((1, 1, 2, 2, 1, 0)) in betas  # beta'_1
@@ -196,18 +196,33 @@ def test_cascade_matches_the_oracle(family, rank):
 
 
 def test_levi_cascades_match_the_oracle():
-    # the cascade of Delta+_{pi'} of every case through rank 10, where the
-    # top level finds its simple roots as indecomposables
-    for family, n, s in in_scope_cases(10):
+    # the cascade of Delta+_{pi'}, given by the indices pi', of every case
+    # through rank 10 and of the two flips; the oracle finds the simple roots
+    # of Delta+_{pi'} again as indecomposables
+    for family, n, s in in_scope_cases(10) + [("D", 8, 7), ("E6", 6, 1)]:
         sys = build_root_system(family, n)
-        pos = build_parabolic(sys, s).delta_pi_prime_pos
-        assert _items(kostant_cascade(sys, pos)) == cascade_oracle(sys, pos)
+        parab = build_parabolic(sys, s)
+        assert _items(kostant_cascade(sys, parab.pi_prime)) == cascade_oracle(
+            sys, parab.delta_pi_prime_pos
+        )
 
 
 def test_indecomposables_are_the_simple_roots():
     for family, rank in [("B", 7), ("D", 8), ("E6", 6), ("E7", 7)]:
         sys = build_root_system(family, rank)
-        assert indecomposables(sys, sys.positive_roots) == sorted(sys.simple_roots)
+        assert _indecomposables(sys.positive_roots) == sorted(sys.simple_roots)
         # and of a Levi subsystem, the simple roots it is spanned by
         pos = subsystem_roots(sys, range(1, rank))
-        assert indecomposables(sys, pos) == sorted(sys.simple_roots[1:])
+        assert _indecomposables(pos) == sorted(sys.simple_roots[1:])
+
+
+def test_e7_complement_of_the_highest_root_is_a_levi_subsystem():
+    # the highest root is dominant, so the roots orthogonal to it are
+    # generated by the simple roots orthogonal to it, as
+    # `construction.e7_d6_embedding` assumes
+    e7 = build_root_system("E7", 7)
+    b1 = e7.highest_root()
+    comp = [r for r in e7.positive_roots if e7.inner(r, b1) == 0]
+    orthogonal = [a for a in e7.simple_roots if e7.inner(a, b1) == 0]
+    assert sorted(orthogonal) == _indecomposables(comp)
+    assert len(orthogonal) == 6

@@ -5,7 +5,7 @@ from fractions import Fraction
 from adapted_pairs.chevalley import GElem, ad_on_dual, build_structure_table
 from adapted_pairs.construction import build_case
 from adapted_pairs.roots import build_root_system
-from engine_oracle import jacobiator
+from engine_oracle import coroot_eps, jacobiator
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def test_cartan_bracket_is_coroot():
     out = t.bracket_roots(a, -a)
     assert not out.root_part
     assert out.h_part == sys.coroot(a)
-    assert sys.cartan_eps(out.h_part) == sys.coroot_eps(a)
+    assert sys.cartan_eps(out.h_part) == coroot_eps(sys, a)
 
 
 def test_ad_h_is_diagonal():

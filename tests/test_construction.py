@@ -4,6 +4,7 @@ import pytest
 
 from adapted_pairs.construction import (
     OutOfScopeError,
+    _heis,
     build_case,
     case_plan,
     e7_d6_embedding,
@@ -248,3 +249,23 @@ def test_in_scope_enumeration():
     cases8 = in_scope_cases(8)
     assert ("D", 6, 6) in cases8 and ("D", 8, 8) in cases8
     assert ("E6", 6, 6) in cases8 and ("E7", 7, 3) in cases8
+
+
+def test_heis_adds_the_partner_of_each_half():
+    sys = build_root_system("B", 4)
+    centre, members = _heis(sys, [(1, 1), (1, 2)], [[(1, 1)], [(1, 1), (1, 3)]])
+    assert centre == _ev(sys, [(1, 1), (1, 2)])
+    assert members == {
+        centre,
+        _ev(sys, [(1, 1)]),
+        _ev(sys, [(1, 2)]),
+        _ev(sys, [(1, 1), (1, 3)]),
+        _ev(sys, [(1, 2), (-1, 3)]),
+    }
+
+
+def test_heis_rejects_a_half_whose_partner_is_not_a_root():
+    # in B_4, eps_3 is a root but eps_1 + eps_2 - eps_3 is not
+    sys = build_root_system("B", 4)
+    with pytest.raises(ValueError, match=r"\[\(1, 1\), \(1, 2\), \(-1, 3\)\]"):
+        _heis(sys, [(1, 1), (1, 2)], [[(1, 3)]])

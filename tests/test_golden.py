@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from adapted_pairs.certificate import certificate_dict, to_json
-from adapted_pairs.construction import in_scope_cases
+from adapted_pairs.construction import build_case, in_scope_cases
 from adapted_pairs.verify import run_case
 
 GOLDEN = {
@@ -56,3 +56,45 @@ def test_golden_covers_the_rank_8_sweep_and_two_flips():
 def test_certificate_bytes_unchanged(family, n, s):
     text = to_json(certificate_dict(run_case(family, n, s)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(family, n, s)]
+
+
+# The case data behind the certificates, past the ranks pinned above: per
+# case, every Gamma set, S+/S-/Sm, T, T* and the closed-form T, as simple-root
+# coefficient tuples.  Recorded before the case builders were rewritten
+# around the Heisenberg-set helpers.
+CANDIDATE_CASES = (
+    in_scope_cases(16)
+    + [("D", n, n - 1) for n in range(6, 17, 2)]
+    + [("E6", 6, 1)]
+)
+CANDIDATE_DATA_SHA256 = (
+    "c2c6bf4cba64d78692024c8656993506793f7fcadfa290529d6088dad1ac77b5"
+)
+
+
+def _candidate_record(family, n, s):
+    cand = build_case(family, n, s)
+    coeffs = lambda roots: tuple(r.coeffs for r in roots)
+    gammas = tuple(
+        (g.coeffs, tuple(sorted(m.coeffs for m in members)))
+        for g, members in cand.gamma_sets.items()
+    )
+    return (
+        (family, n, s),
+        gammas,
+        coeffs(cand.S_plus),
+        coeffs(cand.S_minus),
+        coeffs(cand.S_mixed),
+        coeffs(cand.T),
+        coeffs(cand.T_star),
+        coeffs(cand.T_expected),
+    )
+
+
+def test_candidate_data_unchanged():
+    assert len(CANDIDATE_CASES) == 128
+    digest = hashlib.sha256()
+    for case in CANDIDATE_CASES:
+        digest.update(repr(_candidate_record(*case)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == CANDIDATE_DATA_SHA256

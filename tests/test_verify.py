@@ -24,7 +24,7 @@ from adapted_pairs.verify import (
     walk_sequence,
     _find_cyclic,
 )
-from engine_oracle import enumerate_pairings, replace
+from engine_oracle import coroot_eps, enumerate_pairings, replace
 from linalg_oracle import det_dense, rank, solve_in_span
 
 F = Fraction
@@ -72,7 +72,7 @@ def test_basis_d_extremal_paper_substitution(n):
     ]
     cols = [2 * i for i in range(1, n // 2)] + [n - 5, n - 3, n - 1]
     cols += [n - 2 * j - 1 for j in range(3, n // 2)]
-    coroots = [sys.coroot_eps(sys.simple_roots[c - 1]) for c in cols]
+    coroots = [coroot_eps(sys, sys.simple_roots[c - 1]) for c in cols]
     mat = [[_dot(sys.eps_of(r), h) for h in coroots] for r in rows]
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
