@@ -7,7 +7,7 @@ the length-ratio identity for triples summing to zero.  Conclusions drawn
 downstream never depend on the sign convention: checks are formulated as
 rank, determinant and membership statements.  The table is keyed by root
 code (`RootSystem.base`), and `n_code` answers on codes alone, which is
-what the per-pair loops of `verify` and `construction` call.
+what the per-pair loops of `verify` call.
 
 `GElem`, `bracket` and `ad_on_dual` compute brackets and the coadjoint
 action of whole elements from the same constants.  The verification does
@@ -232,18 +232,11 @@ def _root_on_h(sys: RootSystem, a: Root, h: Tuple[Fraction, ...]) -> Fraction:
     return sum([p * c for p, c in zip(sys.simple_pairings(a), h)], Fraction(0))
 
 
-_TABLE_CACHE: Dict[Tuple[str, int], StructureTable] = {}
-
-
 def build_structure_table(system: RootSystem) -> StructureTable:
-    """Build (and cache per family/rank) the full structure-constant table."""
-    key = (system.family, system.rank)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None and cached.system is system:
-        return cached
-    table = StructureTable(system)
-    _TABLE_CACHE[key] = table
-    return table
+    """The full structure-constant table, kept on the system."""
+    if system.structure_table is None:
+        system.structure_table = StructureTable(system)
+    return system.structure_table
 
 
 def ad_on_dual(table: StructureTable, parabolic, x: GElem, y: GElem) -> GElem:

@@ -37,9 +37,6 @@ class Candidate:
     def __init__(
         self,
         parabolic: ParabolicData,
-        family: str,
-        n: int,
-        s: int,
         S_plus: Tuple[Root, ...],
         S_minus: Tuple[Root, ...],
         S_mixed: Tuple[Root, ...],
@@ -49,9 +46,6 @@ class Candidate:
         T_expected: Tuple[Root, ...],
     ):
         self.parabolic = parabolic
-        self.family = family
-        self.n = n
-        self.s = s
         self.S_plus = S_plus
         self.S_minus = S_minus
         self.S_mixed = S_mixed
@@ -68,6 +62,18 @@ class Candidate:
     def system(self) -> RootSystem:
         return self.parabolic.system
 
+    @property
+    def family(self) -> str:
+        return self.system.family
+
+    @property
+    def n(self) -> int:
+        return self.system.rank
+
+    @property
+    def s(self) -> int:
+        return self.parabolic.s
+
     @cached_property
     def s_inverse(self) -> Tuple[Fraction, Optional[Inverse]]:
         """The pairing matrix of S on the truncated coroots (row gamma in S,
@@ -78,46 +84,6 @@ class Candidate:
         if len(rows) != self.parabolic.h_dim:
             return Fraction(0), None
         return invert(rows)
-
-    def dual_support(self) -> List[Root]:
-        return sorted(
-            list(self.system.positive_roots) + list(self.parabolic.delta_pi_prime_neg)
-        )
-
-
-class OrbitStructure:
-    """theta, S_alpha and the strata of O = union of the punctured Gamma sets."""
-
-    __slots__ = (
-        "O",
-        "theta",
-        "centre_of",
-        "S_alpha",
-        "strata",
-        "O_plus",
-        "O_minus",
-        "O_mixed",
-    )
-
-    def __init__(
-        self,
-        O: Tuple[Root, ...],
-        theta: Dict[Root, Root],
-        centre_of: Dict[Root, Root],
-        S_alpha: Dict[Root, Tuple[Root, ...]],
-        strata: Dict[Root, int],
-        O_plus: FrozenSet[Root],
-        O_minus: FrozenSet[Root],
-        O_mixed: FrozenSet[Root],
-    ):
-        self.O = O
-        self.theta = theta
-        self.centre_of = centre_of
-        self.S_alpha = S_alpha
-        self.strata = strata
-        self.O_plus = O_plus
-        self.O_minus = O_minus
-        self.O_mixed = O_mixed
 
 
 def case_plan(family: str, n: int, s: int) -> Optional[str]:
@@ -183,9 +149,11 @@ def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> Root:
     try:
         return system.root_from_eps(v)
     except KeyError:
-        raise ValueError(
-            f"epsilon terms {list(terms)} are not a root of {system}"
-        ) from None
+        raise _not_a_root(system, terms) from None
+
+
+def _not_a_root(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> ValueError:
+    return ValueError(f"epsilon terms {list(terms)} are not a root of {system}")
 
 
 def _heis(
@@ -193,12 +161,17 @@ def _heis(
     centre_terms: List[Tuple[int, int]],
     halves: Sequence[Sequence[Tuple[int, int]]],
 ) -> Tuple[Root, FrozenSet[Root]]:
-    """(centre, Gamma): the centre, each half a and its partner centre - a."""
+    """(centre, Gamma): the centre, each half a and its partner centre - a,
+    the root whose code is code(centre) - code(a)."""
     centre = _rt(system, centre_terms)
     members = {centre}
-    for a in halves:
-        members.add(_rt(system, a))
-        members.add(_rt(system, centre_terms + [(-c, i) for c, i in a]))
+    for terms in halves:
+        a = _rt(system, terms)
+        partner = system.by_code.get(centre.code - a.code)
+        if partner is None:
+            raise _not_a_root(system, centre_terms + [(-c, i) for c, i in terms])
+        members.add(a)
+        members.add(partner)
     return centre, frozenset(members)
 
 
@@ -250,28 +223,20 @@ def _split_signs(
 
 def _assemble(
     parab: ParabolicData,
-    family: str,
-    n: int,
-    s: int,
     gamma_sets: Dict[Root, FrozenSet[Root]],
     t_expected: Sequence[Root],
     t_star: Sequence[Root] = (),
     mixed: Sequence[Root] = (),
 ) -> Candidate:
     used: set = set().union(*gamma_sets.values()) | set(t_star)
-    support = set(parab.system.positive_roots) | set(parab.delta_pi_prime_neg)
-    t_derived = tuple(sorted(support - used))
     plus, minus, mixed = _split_signs(gamma_sets, mixed)
     return Candidate(
         parabolic=parab,
-        family=family,
-        n=n,
-        s=s,
         S_plus=plus,
         S_minus=minus,
         S_mixed=mixed,
         gamma_sets={g: gamma_sets[g] for g in sorted(gamma_sets)},
-        T=t_derived,
+        T=tuple(r for r in parab.dual_support if r not in used),
         T_star=tuple(sorted(t_star)),
         T_expected=tuple(sorted(t_expected)),
     )
@@ -324,7 +289,7 @@ def _build_B(n: int, s: int) -> Candidate:
             r([(1, s + 2 * k), (-1, s + 2 * k + 1)])
             for k in range(1, (n - s - 1) // 2 + 1)
         ]
-    return _assemble(parab, "B", n, s, gamma, t_exp, mixed=[eps_s])
+    return _assemble(parab, gamma, t_exp, mixed=[eps_s])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +343,7 @@ def _build_D(n: int, s: int) -> Candidate:
         for k in range(s // 2, (n - 2) // 2 + 1)
     ]
     mixed = [r([(1, s), (-1, n)]), r([(1, s), (1, n)])]
-    return _assemble(parab, "D", n, s, gamma, t_exp, mixed=mixed)
+    return _assemble(parab, gamma, t_exp, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +396,7 @@ def _build_D_extremal(n: int) -> Candidate:
     if n == 6:
         uniform.add(r([(1, n), (-1, n - 3)]))
     mixed = [g for g in gamma if g not in uniform]
-    return _assemble(parab, "D", n, n, gamma, t_exp, mixed=mixed)
+    return _assemble(parab, gamma, t_exp, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +443,7 @@ def _build_E6() -> Candidate:
         rc((0, 0, 0, 0, 0, 1)),
         rc((0, 1, 1, 1, 0, 0)),
     )
-    return _assemble(parab, "E6", 6, 6, gamma, t_exp, t_star, mixed=())
+    return _assemble(parab, gamma, t_exp, t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +521,7 @@ def _build_E7() -> Candidate:
     t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))]
     t_exp += [phi[t] for t in d6_case.T]
     mixed = [phi[g] for g in d6_case.S_mixed]
-    return _assemble(parab, "E7", 7, 3, gamma, t_exp, mixed=mixed)
+    return _assemble(parab, gamma, t_exp, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +552,7 @@ def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candid
     t_star = tuple(move(t) for t in cand.T_star)
     t_exp = tuple(move(t) for t in cand.T_expected)
     mixed = tuple(move(g) for g in cand.S_mixed)
-    return _assemble(parab, cand.family, cand.n, new_s, gamma, t_exp, t_star, mixed)
+    return _assemble(parab, gamma, t_exp, t_star, mixed)
 
 
 def build_case(family: str, n: int, s: int) -> Candidate:
@@ -631,51 +596,3 @@ def in_scope_cases(max_rank: int) -> List[Tuple[str, int, int]]:
     if max_rank >= 7:
         cases.append(("E7", 7, 3))
     return cases
-
-
-def orbit_structure(cand: Candidate) -> OrbitStructure:
-    """theta, S_alpha and strata; requires the Heisenberg property.
-
-    Differences of roots are taken on root codes: g - a is the member (or
-    the orbit root) whose code is code(g) - code(a), if there is one."""
-    theta: Dict[Root, Root] = {}
-    centre_of: Dict[Root, Root] = {}
-    sign_of_centre: Dict[Root, str] = {}
-    for g in cand.S_plus:
-        sign_of_centre[g] = "+"
-    for g in cand.S_minus:
-        sign_of_centre[g] = "-"
-    for g in cand.S_mixed:
-        sign_of_centre[g] = "m"
-    for g, members in cand.gamma_sets.items():
-        gc = g.code
-        by_code = {a.code: a for a in members}
-        for ac, a in by_code.items():
-            if ac == gc:
-                continue
-            partner = by_code.get(gc - ac)
-            if partner is None or partner is a:
-                raise ValueError(f"{g}: not a Heisenberg set at {a}")
-            theta[a] = partner
-            centre_of[a] = g
-    o_sorted = tuple(sorted(theta))
-    o_by_code = {a.code: a for a in o_sorted}
-    centres = [g.code for g in cand.gamma_sets]
-    s_alpha: Dict[Root, Tuple[Root, ...]] = {}
-    for ac, a in o_by_code.items():
-        hits = [o_by_code[gc - ac] for gc in centres if gc - ac in o_by_code]
-        s_alpha[a] = tuple(sorted(hits))
-    strata = {a: len(s_alpha[a]) for a in o_sorted}
-    by_sign = {"+": set(), "-": set(), "m": set()}
-    for a in o_sorted:
-        by_sign[sign_of_centre[centre_of[a]]].add(a)
-    return OrbitStructure(
-        O=o_sorted,
-        theta=theta,
-        centre_of=centre_of,
-        S_alpha=s_alpha,
-        strata=strata,
-        O_plus=frozenset(by_sign["+"]),
-        O_minus=frozenset(by_sign["-"]),
-        O_mixed=frozenset(by_sign["m"]),
-    )

@@ -138,24 +138,6 @@ def _determinant(
     return Fraction(sign * product * factor.denominator, factor.numerator * scale)
 
 
-def _dense_rows(
-    rows: Sequence[Sequence[Rational]], rhss: Sequence[Sequence[Rational]]
-) -> List[Dict[int, Rational]]:
-    """Dense rows as sparse rows, with the right-hand sides appended as
-    columns len(rows), len(rows) + 1, ..."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("elimination of a non-square matrix")
-    out = []
-    for i, r in enumerate(rows):
-        row = {c: v for c, v in enumerate(r) if v}
-        for k, b in enumerate(rhss):
-            if b[i]:
-                row[n + k] = b[i]
-        out.append(row)
-    return out
-
-
 def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return sum([x * y for x, y in zip(u, v)])
 
@@ -186,8 +168,14 @@ def invert(rows: Sequence[Sequence[Rational]]) -> Tuple[Fraction, Optional[Inver
     """Determinant and inverse of a square matrix from one Gauss-Jordan
     elimination of [A | I]; the inverse is None when A is singular."""
     n = len(rows)
-    units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    int_rows, scale = _integer_rows(_dense_rows(rows, units))
+    if any(len(r) != n for r in rows):
+        raise ValueError("elimination of a non-square matrix")
+    augmented = []
+    for i, r in enumerate(rows):
+        row = {c: v for c, v in enumerate(r) if v}
+        row[n + i] = 1  # the identity block
+        augmented.append(row)
+    int_rows, scale = _integer_rows(augmented)
     pivots, (rank,), factor = _eliminate(int_rows, [n], jordan=True)
     if rank < n:
         return Fraction(0), None
@@ -198,27 +186,6 @@ def invert(rows: Sequence[Sequence[Rational]]) -> Tuple[Fraction, Optional[Inver
         mult = den // int_rows[r][c]
         num[c] = [int_rows[r].get(n + k, 0) * mult for k in range(n)]
     return det, Inverse(num, den)
-
-
-def solve_dense(
-    rows: Sequence[Sequence[Rational]], rhss: Sequence[Sequence[Rational]]
-) -> Optional[List[List[Fraction]]]:
-    """Solve a square system exactly for every right-hand side in rhss.
-
-    One Gauss-Jordan elimination of [A | rhss] serves all of them; returns
-    one solution per right-hand side, or None when the matrix is singular.
-    """
-    n = len(rows)
-    int_rows, _ = _integer_rows(_dense_rows(rows, rhss))
-    pivots, (rank,), _ = _eliminate(int_rows, [n], jordan=True)
-    if rank < n:
-        return None
-    solutions = [[Fraction(0)] * n for _ in rhss]
-    for r, c in pivots:
-        row = int_rows[r]
-        for k, sol in enumerate(solutions):
-            sol[c] = Fraction(row.get(n + k, 0), row[c])
-    return solutions
 
 
 def sparse_ranks(rows: Sequence[Row], bounds: Sequence[int]) -> List[int]:

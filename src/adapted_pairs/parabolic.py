@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .linalg import solve_dense
+from .linalg import invert
 from .roots import Root, RootSystem
 
 
@@ -105,11 +105,11 @@ class ParabolicData:
         "pi_prime",
         "delta_pi_prime_pos",
         "delta_pi_prime_neg",
-        "h_basis_indices",
         "j_map",
         "i_map",
         "orbits",
         "index",
+        "dual_support",
         "dual_support_codes",
         "_removed_projection",
     )
@@ -124,15 +124,17 @@ class ParabolicData:
         self.pi_prime = tuple(i for i in range(sys.rank) if i != s0)
         self.delta_pi_prime_pos = subsystem_roots(sys, self.pi_prime)
         self.delta_pi_prime_neg = [-r for r in self.delta_pi_prime_pos]
-        self.h_basis_indices = self.pi_prime
         self.j_map = minus_w0_on_subset(sys, range(sys.rank))
         self.i_map = self._build_i()
         self.orbits = self._ij_orbits()
         self.index = len(self.orbits)
-        # codes of Delta+ | Delta-_{pi'}, the support of the dual space
+        # Delta+ | Delta-_{pi'}, the support of the dual space, and its codes
+        self.dual_support: Tuple[Root, ...] = tuple(
+            sorted(sys.positive_roots + self.delta_pi_prime_neg)
+        )
         self.dual_support_codes: FrozenSet[int] = frozenset(
-            r.code for r in sys.positive_roots
-        ) | frozenset(r.code for r in self.delta_pi_prime_neg)
+            r.code for r in self.dual_support
+        )
         self._removed_projection: Optional[List[Fraction]] = None
 
     def _build_i(self) -> Dict[int, int]:
@@ -184,30 +186,26 @@ class ParabolicData:
 
             rows = [[co_gram(i, k) for k in self.pi_prime] for i in self.pi_prime]
             rhs = [co_gram(i, s0) for i in self.pi_prime]
-            solutions = solve_dense(rows, [rhs])
-            if solutions is None:
+            _, inverse = invert(rows)
+            if inverse is None:
                 raise ArithmeticError("coroot Gram matrix is singular")
-            self._removed_projection = solutions[0]
+            self._removed_projection = [
+                Fraction(x, inverse.den) for x in inverse.solve_scaled(rhs)
+            ]
         return self._removed_projection
 
     def project_h(self, v: Sequence) -> Tuple[Fraction, ...]:
         """Orthogonal projection of a Cartan vector (coroot coordinates) onto
         the truncated Cartan, in coroot coordinates of the full Cartan."""
         out = [Fraction(0)] * self.system.rank
-        for i, c in zip(self.pi_prime, self.h_in_coroot_basis(v, strict=False)):
+        for i, c in zip(self.pi_prime, self.h_in_coroot_basis(v)):
             out[i] = c
         return tuple(out)
 
-    def h_in_coroot_basis(self, v: Sequence, strict: bool = True) -> List[Fraction]:
-        """Coordinates of v (coroot coordinates) in the coroot basis of the
-        truncated Cartan.
-
-        With strict=False the vector is first projected orthogonally; with
-        strict=True v must already lie in the span.
-        """
+    def h_in_coroot_basis(self, v: Sequence) -> List[Fraction]:
+        """Coordinates of the orthogonal projection of v (coroot
+        coordinates) onto the truncated Cartan, in its coroot basis."""
         vs = v[self.s - 1]
-        if vs and strict:
-            raise ValueError("vector is not in the truncated Cartan")
         if not vs:
             return [Fraction(v[i]) for i in self.pi_prime]
         return [

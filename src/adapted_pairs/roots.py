@@ -132,8 +132,9 @@ class RootSystem:
 
     Besides its own data the system keeps results of other layers that
     depend on nothing but the system, filled on first use: the Kostant
-    cascade of Delta+ (`cascade`) and -w0 per simple-root subset
-    (`minus_w0`).
+    cascade of Delta+ (`cascade`), -w0 per simple-root subset
+    (`minus_w0`) and the table of structure constants
+    (`structure_table`).
     """
 
     def __init__(self, family: str, rank: int):
@@ -177,6 +178,7 @@ class RootSystem:
         self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
         self.cascade: Optional[list] = None
         self.minus_w0: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        self.structure_table = None  # a chevalley.StructureTable
 
     # -- construction -----------------------------------------------------
 

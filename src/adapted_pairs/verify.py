@@ -2,9 +2,11 @@
 
 Every hypothesis that the constructions rely on is verified exactly: the
 restriction of S to the truncated Cartan is a basis (determinant), the
-chosen sets are disjoint Heisenberg sets partitioning the support, every
-orbit root is classified as (extended) stationary, (extended) cyclic or
-tilde-associated, the pairing matrix on o x o has nonzero determinant and a
+chosen sets are disjoint Heisenberg sets centred at S and partitioning the
+support (the partners found there are the Heisenberg involution theta, from
+which the orbit structure is built once), every orbit root is classified
+as (extended) stationary, (extended) cyclic or tilde-associated, the
+pairing matrix on o x o has nonzero determinant and a
 certified single-monomial t-grading, and the coadjoint-image rank equals
 dim p - |T|.  The adapted pair (h, y) and the eigenvalues of ad h on g_T are
 then assembled and compared against closed forms.
@@ -18,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bounds import BoundWeight
 from .chevalley import StructureTable, build_structure_table
-from .construction import Candidate, OrbitStructure, orbit_structure
+from .construction import Candidate
 from .linalg import Rational, sparse_det, sparse_ranks
 from .roots import Root
 
@@ -31,41 +33,50 @@ UNCLASSIFIED = "unclassified"
 UNCONSTRAINED = "unconstrained"  # no mixed neighbours: sign checks only
 
 
-class SequenceTrace:
-    """The walks from an orbit root and from its theta-image, and its label."""
+class OrbitStructure:
+    """theta, S_alpha and the strata of O = union of the punctured Gamma sets."""
 
     __slots__ = (
-        "start",
-        "forward",
-        "backward",
-        "stationary_rank_forward",
-        "stationary_rank_backward",
-        "classification",
+        "O",
+        "theta",
+        "centre_of",
+        "S_alpha",
+        "strata",
+        "O_plus",
+        "O_minus",
+        "O_mixed",
     )
 
     def __init__(
         self,
-        start: Root,
-        forward: Tuple[Root, ...],
-        backward: Tuple[Root, ...],
-        stationary_rank_forward: Optional[int],
-        stationary_rank_backward: Optional[int],
-        classification: str,
+        O: Tuple[Root, ...],
+        theta: Dict[Root, Root],
+        centre_of: Dict[Root, Root],
+        S_alpha: Dict[Root, Tuple[Root, ...]],
+        strata: Dict[Root, int],
+        O_plus: FrozenSet[Root],
+        O_minus: FrozenSet[Root],
+        O_mixed: FrozenSet[Root],
     ):
-        self.start = start
-        self.forward = forward
-        self.backward = backward
-        self.stationary_rank_forward = stationary_rank_forward
-        self.stationary_rank_backward = stationary_rank_backward
-        self.classification = classification
+        self.O = O
+        self.theta = theta
+        self.centre_of = centre_of
+        self.S_alpha = S_alpha
+        self.strata = strata
+        self.O_plus = O_plus
+        self.O_minus = O_minus
+        self.O_mixed = O_mixed
 
 
 class CheckReport:
-    __slots__ = ("ok", "problems")
+    __slots__ = ("ok", "problems", "orbits")
 
-    def __init__(self, ok: bool, problems: List[str]):
+    def __init__(
+        self, ok: bool, problems: List[str], orbits: Optional[OrbitStructure]
+    ):
         self.ok = ok
         self.problems = problems
+        self.orbits = orbits  # None unless all partners exist and S = centres
 
 
 class BasisCheck:
@@ -137,20 +148,24 @@ def check_basis_restriction(cand: Candidate) -> BasisCheck:
 
 
 def check_heisenberg(cand: Candidate) -> CheckReport:
-    """Heisenberg property per set, disjointness, and the support partition.
+    """Heisenberg property per set, disjointness, the support partition and
+    S against the centres.  When every member has its partner and S is the
+    set of centres, the partners found here give the orbit structure.
 
     Roots are compared by code: a - b is a root of a set exactly when its
     code is the code of a member."""
     problems: List[str] = []
     support = cand.parabolic.dual_support_codes
     seen: Dict[int, Root] = {}
+    theta: Dict[Root, Root] = {}
+    centre_of: Dict[Root, Root] = {}
+    partnered = True
     for g, members in cand.gamma_sets.items():
         gc = g.code
-        codes = {a.code for a in members}
-        if gc not in codes:
+        by_code = {a.code: a for a in members}
+        if gc not in by_code:
             problems.append(f"{g.coeffs}: centre not in its set")
-        for a in members:
-            ac = a.code
+        for ac, a in by_code.items():
             if ac not in support:
                 problems.append(f"{g.coeffs}: member {a.coeffs} outside support")
             prev = seen.get(ac)
@@ -161,11 +176,15 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
             seen[ac] = g
             if ac == gc:
                 continue
-            partner = gc - ac
-            if partner not in codes or partner == ac:
+            partner = by_code.get(gc - ac)
+            if partner is None or partner is a:
                 problems.append(
                     f"{g.coeffs}: no Heisenberg partner for {a.coeffs}"
                 )
+                partnered = False
+            else:
+                theta[a] = partner
+                centre_of[a] = g
     t_codes = {t.code for t in cand.T}
     t_star_codes = {t.code for t in cand.T_star}
     if t_codes & t_star_codes:
@@ -176,7 +195,59 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
         problems.append("Gamma, T*, T do not partition the support")
     if len(cand.S) != cand.parabolic.h_dim:
         problems.append(f"|S| = {len(cand.S)} != dim h = {cand.parabolic.h_dim}")
-    return CheckReport(not problems, problems)
+    s_is_centres = list(cand.S) == sorted(cand.gamma_sets)
+    if not s_is_centres:
+        problems.append("S is not the set of Gamma centres")
+    orbits = None
+    if partnered and s_is_centres:
+        orbits = _orbit_structure(cand, theta, centre_of)
+    return CheckReport(not problems, problems, orbits)
+
+
+def _orbit_structure(
+    cand: Candidate, theta: Dict[Root, Root], centre_of: Dict[Root, Root]
+) -> OrbitStructure:
+    """S_alpha, strata and sign regions of O from theta and the centres.
+
+    Differences of roots are taken on root codes: g - a is the orbit root
+    whose code is code(g) - code(a), if there is one."""
+    sign_of_centre: Dict[Root, str] = {}
+    for g in cand.S_plus:
+        sign_of_centre[g] = "+"
+    for g in cand.S_minus:
+        sign_of_centre[g] = "-"
+    for g in cand.S_mixed:
+        sign_of_centre[g] = "m"
+    o_sorted = tuple(sorted(theta))
+    o_by_code = {a.code: a for a in o_sorted}
+    centres = [g.code for g in cand.gamma_sets]
+    s_alpha: Dict[Root, Tuple[Root, ...]] = {}
+    for ac, a in o_by_code.items():
+        hits = [o_by_code[gc - ac] for gc in centres if gc - ac in o_by_code]
+        s_alpha[a] = tuple(sorted(hits))
+    strata = {a: len(s_alpha[a]) for a in o_sorted}
+    by_sign = {"+": set(), "-": set(), "m": set()}
+    for a in o_sorted:
+        by_sign[sign_of_centre[centre_of[a]]].add(a)
+    return OrbitStructure(
+        O=o_sorted,
+        theta=theta,
+        centre_of=centre_of,
+        S_alpha=s_alpha,
+        strata=strata,
+        O_plus=frozenset(by_sign["+"]),
+        O_minus=frozenset(by_sign["-"]),
+        O_mixed=frozenset(by_sign["m"]),
+    )
+
+
+def orbit_structure(cand: Candidate) -> OrbitStructure:
+    """The orbit structure of `check_heisenberg`; raises ValueError when
+    the check could not build it."""
+    report = check_heisenberg(cand)
+    if report.orbits is None:
+        raise ValueError(f"no orbit structure: {report.problems}")
+    return report.orbits
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +362,6 @@ def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
     )
 
 
-def _star_holds(os: OrbitStructure, z: Root) -> bool:
-    return bool(_star_partners(os, z))
-
-
 def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[bool, bool]:
     """(admissible, strict): every node has at most three partners and the
     three-partner nodes all have a detour partner; strict when every node
@@ -306,14 +373,13 @@ def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[boo
             return False, False
         if n == 3:
             strict = False
-            if not _star_holds(os, z):
+            if not _star_partners(os, z):
                 return False, False
     return True, strict
 
 
 class CyclicFamily:
-    """Six orbit roots closed under theta and the sum relations; equal and
-    hashed by value."""
+    """Six orbit roots closed under theta and the sum relations."""
 
     __slots__ = ("members", "extended", "tildes")
 
@@ -323,16 +389,6 @@ class CyclicFamily:
         self.members = members  # (a, b, g, th a, th b, th g)
         self.extended = extended
         self.tildes = tildes  # O_3 member -> its tilde root
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicFamily) and (
-            self.members,
-            self.extended,
-            self.tildes,
-        ) == (other.members, other.extended, other.tildes)
-
-    def __hash__(self) -> int:
-        return hash(self.members)
 
 
 def _find_cyclic(os: OrbitStructure, alpha: Root) -> Optional[CyclicFamily]:
@@ -383,18 +439,18 @@ def _find_cyclic(os: OrbitStructure, alpha: Root) -> Optional[CyclicFamily]:
 
 
 class ClassificationReport:
-    __slots__ = ("ok", "problems", "traces", "counts")
+    __slots__ = ("ok", "problems", "labels", "counts")
 
     def __init__(
         self,
         ok: bool,
         problems: List[str],
-        traces: Dict[Root, SequenceTrace],
+        labels: Dict[Root, str],
         counts: Counter,
     ):
         self.ok = ok
         self.problems = problems
-        self.traces = traces
+        self.labels = labels  # orbit root -> its classification
         self.counts = counts
 
 
@@ -421,7 +477,6 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
 
     needs = [a for a in os.O if any(b in os.O_mixed for b in os.S_alpha[a])]
     labels: Dict[Root, str] = {}
-    walks: Dict[Root, Tuple[WalkResult, WalkResult]] = {}
 
     def guard_tripped(w: WalkResult) -> None:
         if w.reason == WALK_LOOP_GUARD:
@@ -430,7 +485,6 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
     for a in needs:
         fwd = walk_sequence(os, a)
         bwd = walk_sequence(os, th[a])
-        walks[a] = (fwd, bwd)
         guard_tripped(fwd)
         guard_tripped(bwd)
         if fwd.stationary and bwd.stationary:
@@ -466,20 +520,9 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
             labels[a] = UNCLASSIFIED
             problems.append(f"unclassified orbit root {a.coeffs}")
 
-    traces: Dict[Root, SequenceTrace] = {}
-    for a in needs:
-        fwd, bwd = walks[a]
-        traces[a] = SequenceTrace(
-            start=a,
-            forward=fwd.path,
-            backward=bwd.path,
-            stationary_rank_forward=fwd.rank,
-            stationary_rank_backward=bwd.rank,
-            classification=labels[a],
-        )
     counts = Counter(labels.values())
     counts[UNCONSTRAINED] = len(os.O) - len(needs)
-    return ClassificationReport(not problems, problems, traces, counts)
+    return ClassificationReport(not problems, problems, labels, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +620,7 @@ def coadjoint_columns(
     """
     sys = cand.system
     parab = cand.parabolic
-    support = cand.dual_support()
+    support = parab.dual_support
     row_of = {r: i for i, r in enumerate(support)}
     row_of_code = {r.code: i for i, r in enumerate(support)}
     nroots = len(support)
@@ -589,9 +632,7 @@ def coadjoint_columns(
         bc = gb.code
         for pc in s_codes:
             if pc == bc:
-                h_coeffs = parab.h_in_coroot_basis(
-                    [-x for x in sys.coroot(gb)], strict=False
-                )
+                h_coeffs = parab.h_in_coroot_basis([-x for x in sys.coroot(gb)])
                 for k, c in enumerate(h_coeffs):
                     if c:
                         col[nroots + k] = col.get(nroots + k, 0) + c
@@ -644,11 +685,11 @@ def solve_h(cand: Candidate) -> AdaptedPair:
     coeffs = [Fraction(v, inverse.den) for v in scaled]
     parab = cand.parabolic
     h_full = [0] * cand.system.rank
-    for i, c in zip(parab.h_basis_indices, coeffs):
+    for i, c in zip(parab.pi_prime, coeffs):
         h_full[i] = c
     h_eps = cand.system.cartan_eps(h_full)
     h_coeffs = {
-        idx + 1: c for idx, c in zip(parab.h_basis_indices, coeffs)
+        idx + 1: c for idx, c in zip(parab.pi_prime, coeffs)
     }
     values = _values_on_h(cand, scaled, cand.T)
     eigen = {t: Fraction(v, inverse.den) for t, v in zip(cand.T, values)}
@@ -780,15 +821,30 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
     table = build_structure_table(cand.system)
     basis = check_basis_restriction(cand)
     heis = check_heisenberg(cand)
-    os = orbit_structure(cand)
-    classification = classify_roots(cand, os)
-    nondeg = check_nondegeneracy(cand, table, os)
+    os = heis.orbits
+    if os is None:
+        # no theta to classify with or to pair by
+        classification = ClassificationReport(
+            False,
+            ["not run: the Heisenberg check built no orbit structure"],
+            {},
+            Counter(),
+        )
+        nondeg = NondegeneracyCheck(False, Fraction(0), 0, False, 0)
+    else:
+        classification = classify_roots(cand, os)
+        nondeg = check_nondegeneracy(cand, table, os)
     reg = check_regularity(cand, table)
     t_ok = len(cand.T) == cand.parabolic.index and cand.T == cand.T_expected
-    pair = solve_h(cand)
-    eig_ok, _ = eigenvalue_report(pair, cand)
     lower = bounds_mod.lower_bound(cand.parabolic)
-    improved = bounds_mod.improved_bound(cand)
+    if basis.ok:
+        pair = solve_h(cand)
+        improved = bounds_mod.improved_bound(cand)
+    else:
+        # S is no basis of the truncated Cartan: no h, no improved bound
+        pair = AdaptedPair({}, (), {}, ())
+        improved = []
+    eig_ok, _ = eigenvalue_report(pair, cand)
     coincide = bounds_mod.certify_coincidence(lower, improved)
     expected_ok = bounds_mod.matches_expected(cand, lower)
     return CaseResult(

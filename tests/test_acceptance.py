@@ -11,11 +11,10 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from adapted_pairs import chevalley
 from adapted_pairs.bounds import bound_multiples, certify_coincidence
 from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.cli import main
-from adapted_pairs.construction import build_case, orbit_structure
+from adapted_pairs.construction import build_case
 from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import (
     STATIONARY,
@@ -23,6 +22,7 @@ from adapted_pairs.verify import (
     check_basis_restriction,
     check_nondegeneracy,
     classify_roots,
+    orbit_structure,
     run_case,
     walk_sequence,
 )
@@ -32,7 +32,6 @@ F = Fraction
 
 
 def _fresh_caches():
-    chevalley._TABLE_CACHE.clear()
     build_root_system.cache_clear()
 
 
@@ -238,7 +237,7 @@ def test_criterion_6_property_suite():
         pairings = enumerate_pairings(os)
         assert pairings
         stationary = [
-            a for a, tr in rep.traces.items() if tr.classification == STATIONARY
+            a for a, label in rep.labels.items() if label == STATIONARY
         ]
         assert stationary
         for alpha in stationary:

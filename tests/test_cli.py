@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import from_json, main, rat_value
 from adapted_pairs.verify import run_case
@@ -46,6 +48,58 @@ def test_verify_prints_why_a_check_failed(monkeypatch, capsys):
     assert all(l.startswith(("heisenberg: ", "classification: ")) for l in lines[2:])
     heis = [l for l in lines[2:] if l.startswith("heisenberg: ")]
     assert heis == sorted(heis)
+
+
+def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
+    import adapted_pairs.construction as construction
+
+    cand = construction.build_case("B", 6, 4)
+    sets = dict(cand.gamma_sets)
+    centre = max(sets, key=lambda g: len(sets[g]))
+    dropped = max(sets[centre] - {centre})
+    sets[centre] = sets[centre] - {dropped}
+    bad = replace(cand, gamma_sets=sets)
+    monkeypatch.setattr(construction, "build_case", lambda *a: bad)
+    out = tmp_path / "cert.json"
+    code = main(["verify", "--family", "B", "--rank", "6", "--s", "4",
+                 "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "first failing check: heisenberg_ok"
+    assert any(
+        l.startswith(f"heisenberg: {centre.coeffs}: no Heisenberg partner for ")
+        for l in lines[2:]
+    )
+    cert = from_json(out.read_text())
+    assert cert["verdict"] == "fail"
+    assert cert["first_failing_check"] == "heisenberg_ok"
+    assert cert["checks"]["classification_ok"] is False
+
+
+def test_verify_fails_a_non_basis_s(tmp_path, monkeypatch, capsys):
+    import adapted_pairs.construction as construction
+    from adapted_pairs.bounds import improved_bound
+    from adapted_pairs.verify import solve_h
+
+    monkeypatch.setattr(construction, "invert", lambda rows: (0, None))
+    out = tmp_path / "cert.json"
+    code = main(["verify", "--family", "B", "--rank", "6", "--s", "4",
+                 "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "first failing check: basis_det"
+    cert = from_json(out.read_text())
+    assert cert["verdict"] == "fail"
+    assert cert["first_failing_check"] == "basis_det"
+    assert rat_value(cert["checks"]["basis_det"]) == 0
+    assert cert["degrees"] == [] and cert["h"]["coroot_coeffs"] == []
+    assert cert["bounds"]["improved_multiples_of_varpi_s"] == []
+    # called directly, both still refuse a non-basis S
+    cand = construction.build_case("B", 6, 4)
+    with pytest.raises(ArithmeticError):
+        solve_h(cand)
+    with pytest.raises(ArithmeticError):
+        improved_bound(cand)
 
 
 def test_verify_out_of_scope_exit_code(capsys):

@@ -9,9 +9,9 @@ from adapted_pairs.construction import (
     case_plan,
     e7_d6_embedding,
     in_scope_cases,
-    orbit_structure,
 )
 from adapted_pairs.roots import build_root_system
+from adapted_pairs.verify import orbit_structure
 
 F = Fraction
 

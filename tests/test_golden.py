@@ -98,3 +98,29 @@ def test_candidate_data_unchanged():
         digest.update(repr(_candidate_record(*case)).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == CANDIDATE_DATA_SHA256
+
+
+# One hash over the certificates of `sweep --max-rank 12 --out` and of
+# `verify --out` on the four D s=n-1 flips through rank 12 and E6 s=1: the
+# bytes of the 72 files, concatenated in the order of their file names.
+# Recorded before the orbit structure moved into the Heisenberg check.
+CERTIFICATE_SET_CASES = (
+    in_scope_cases(12)
+    + [("D", n, n - 1) for n in range(6, 13, 2)]
+    + [("E6", 6, 1)]
+)
+CERTIFICATE_SET_SHA256 = (
+    "b6aea248c603c853b75d708139638473b73add927b1e7f1126ee3b755673b80b"
+)
+
+
+def test_certificate_set_unchanged():
+    assert len(CERTIFICATE_SET_CASES) == 72
+    files = {
+        f"{family}_n{n}_s{s}.json": (family, n, s)
+        for family, n, s in CERTIFICATE_SET_CASES
+    }
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(to_json(certificate_dict(run_case(*files[name]))).encode())
+    assert digest.hexdigest() == CERTIFICATE_SET_SHA256

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adapted_pairs.chevalley import GElem, ad_on_dual, build_structure_table
-from adapted_pairs.construction import build_case, in_scope_cases, orbit_structure
+from adapted_pairs.construction import build_case, in_scope_cases
 from adapted_pairs.verify import (
     CYCLIC,
     EXT_CYCLIC,
@@ -18,6 +18,7 @@ from adapted_pairs.verify import (
     coadjoint_columns,
     eigenvalue_report,
     expected_eigenvalues,
+    orbit_structure,
     pairing_matrix,
     run_case,
     solve_h,
@@ -39,6 +40,16 @@ def _ev(system, terms):
     for c, i in terms:
         v[i - 1] += F(c)
     return system.root_from_eps(v)
+
+
+def _s_replaced(cand, old, new):
+    """cand with the element old of S replaced by new, in whichever of
+    S+/S-/Sm holds it; the Gamma sets stay as they are."""
+    parts = {
+        name: tuple(new if g == old else g for g in getattr(cand, name))
+        for name in ("S_plus", "S_minus", "S_mixed")
+    }
+    return replace(cand, **parts)
 
 
 # -- basis restriction -------------------------------------------------------
@@ -95,11 +106,7 @@ def test_basis_duplicated_row_is_singular(monkeypatch):
 
     # the same duplicated row through the candidate's one factorisation
     first, second = cand.S[0], cand.S[1]
-    parts = {
-        name: tuple(first if g == second else g for g in getattr(cand, name))
-        for name in ("S_plus", "S_minus", "S_mixed")
-    }
-    bad = replace(cand, **parts)
+    bad = _s_replaced(cand, second, first)
     assert bad.S[0] == bad.S[1] == first
     calls = []
     invert = construction_mod.invert
@@ -150,6 +157,32 @@ def test_dropping_a_gamma_set_breaks_partition():
     assert any("partition" in p for p in report.problems)
 
 
+def test_heisenberg_fails_when_s_is_not_the_set_of_centres(monkeypatch):
+    import adapted_pairs.construction as construction_mod
+
+    cand = build_case("B", 6, 4)
+    assert check_heisenberg(cand).orbits is not None
+    for old in cand.S:
+        for new in cand.S:
+            if new == old:
+                continue
+            bad = _s_replaced(cand, old, new)
+            assert len(bad.S) == cand.parabolic.h_dim
+            report = check_heisenberg(bad)
+            assert not report.ok and report.orbits is None
+            assert "S is not the set of Gamma centres" in report.problems
+            with pytest.raises(ValueError):
+                orbit_structure(bad)
+            # the whole pipeline records the failure instead of raising
+            monkeypatch.setattr(construction_mod, "build_case", lambda *a: bad)
+            result = run_case("B", 6, 4)
+            assert result.first_failing == "basis_det"
+            assert not result.heisenberg.ok
+            assert not result.classification.ok
+            assert len(result.classification.problems) == 1
+            assert not result.nondegeneracy.ok
+
+
 # -- classification ----------------------------------------------------------
 
 
@@ -168,7 +201,7 @@ def _complete_orbit_structure(k):
     other root's partner and no theta-image lies in O_1: the admissible
     sequences are all simple paths of a complete graph, far more than the
     walk's step bound."""
-    from adapted_pairs.construction import OrbitStructure
+    from adapted_pairs.verify import OrbitStructure
     from adapted_pairs.roots import Root
 
     roots = tuple(Root((i,)) for i in range(1, k + 1))
@@ -229,7 +262,7 @@ def test_d_cyclic_family_from_the_case_analysis():
     assert _ev(sys, [(1, 4), (-1, 5)]) in members
     assert len(members) == 6
     rep = classify_roots(cand, os)
-    assert rep.traces[a].classification == CYCLIC
+    assert rep.labels[a] == CYCLIC
 
 
 def test_d_extremal_slide_sets_are_extended_stationary():
@@ -239,7 +272,7 @@ def test_d_extremal_slide_sets_are_extended_stationary():
     rep = classify_roots(cand, os)
     centre = _ev(sys, [(1, 4), (-1, 2)])
     for a in cand.gamma_sets[centre] - {centre}:
-        assert rep.traces[a].classification in (STATIONARY, EXT_STATIONARY)
+        assert rep.labels[a] in (STATIONARY, EXT_STATIONARY)
 
 
 def test_d_extremal_uses_extended_machinery():
@@ -370,8 +403,8 @@ def test_stationary_closures_force_every_pairing():
         assert pairings
         stationary = [
             a
-            for a, tr in rep.traces.items()
-            if tr.classification == STATIONARY
+            for a, label in rep.labels.items()
+            if label == STATIONARY
         ]
         assert stationary
         for a in stationary:
@@ -431,7 +464,7 @@ def test_regularity_fails_when_t_meets_the_image():
     # a support root outside T whose root vector is in the image of ad p^-
     inside = next(
         x
-        for x in cand.dual_support()
+        for x in cand.parabolic.dual_support
         if x not in cand.T and rank(_regularity_rows(cand, table, [x])) == image_rank
     )
     bad = replace(cand, T=(inside,) + cand.T[1:])
@@ -452,7 +485,7 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
     sys, parab = cand.system, cand.parabolic
     table = build_structure_table(sys)
     columns, row_of, dim_p = coadjoint_columns(cand, table)
-    support = cand.dual_support()
+    support = cand.parabolic.dual_support
     y = GElem({g.coeffs: F(1) for g in cand.S})
     xs = [GElem({(-g).coeffs: F(1)}) for g in support]
     for k in parab.pi_prime:
@@ -472,7 +505,7 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
 
 
 def _e6_column(cand, table, columns, gamma_b):
-    support = cand.dual_support()
+    support = cand.parabolic.dual_support
     idx = support.index(gamma_b)
     dim_p = len(support) + cand.parabolic.h_dim
     dense = [F(0)] * dim_p
@@ -489,7 +522,7 @@ def test_e6_membership_witnesses():
     sys = cand.system
     table = build_structure_table(cand.system)
     columns, row_of, dim_p = coadjoint_columns(cand, table)
-    support = cand.dual_support()
+    support = cand.parabolic.dual_support
 
     def col(coeffs):
         gb = sys.root_from_coeffs(coeffs)
