@@ -44,17 +44,19 @@ def _orbit_weights(
     parab: ParabolicData,
 ) -> Tuple[int, Dict[int, Tuple[int, ...]], Dict[int, Tuple[int, ...]]]:
     """The fundamental and Levi weights as integer vectors over one common
-    denominator: (den, fundamental, levi)."""
-    sys = parab.system
-    fden, fund = sys.weight_rows(range(sys.rank))
-    lden, levi = sys.weight_rows(parab.pi_prime)
-    den = math.lcm(fden, lden)
-    fs, ls = den // fden, den // lden
-    return (
-        den,
-        {a: tuple([fs * x for x in v]) for a, v in fund.items()},
-        {a: tuple([ls * x for x in v]) for a, v in levi.items()},
-    )
+    denominator: (den, fundamental, levi), kept on the parabolic."""
+    if parab.orbit_weights is None:
+        sys = parab.system
+        fden, fund = sys.weight_rows(range(sys.rank))
+        lden, levi = sys.weight_rows(parab.pi_prime)
+        den = math.lcm(fden, lden)
+        fs, ls = den // fden, den // lden
+        parab.orbit_weights = (
+            den,
+            {a: tuple([fs * x for x in v]) for a, v in fund.items()},
+            {a: tuple([ls * x for x in v]) for a, v in levi.items()},
+        )
+    return parab.orbit_weights
 
 
 def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> BoundWeight:

@@ -5,14 +5,20 @@ part to all of pi.  Longest-element actions are computed exactly by the
 descent algorithm (repeatedly reflecting a strictly dominant vector), which
 reaches w0 in |Delta+| steps; no Weyl group enumeration and no case tables
 are involved.
+
+The truncated Cartan is the span of the coroots alpha_k^vee, k in pi'.  Its
+orthogonal complement is the line of varpi_s, so the projection onto it is
+a closed form on integers: the projection of alpha_s^vee has integer coroot
+coordinates over one denominator per parabolic (`removed_projection`), and
+no linear system is solved.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .linalg import invert
 from .roots import Root, RootSystem
 
 
@@ -97,7 +103,12 @@ def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, 
 
 
 class ParabolicData:
-    """Everything attached to the truncation of p_{pi \\ {alpha_s}}."""
+    """Everything attached to the truncation of p_{pi \\ {alpha_s}}.
+
+    Besides its own data it keeps the weights of the character bounds
+    (`orbit_weights`, filled by `bounds` on first use), so that every
+    ij-orbit of the parabolic reads them.
+    """
 
     __slots__ = (
         "system",
@@ -111,6 +122,7 @@ class ParabolicData:
         "index",
         "dual_support",
         "dual_support_codes",
+        "orbit_weights",
         "_removed_projection",
     )
 
@@ -135,7 +147,8 @@ class ParabolicData:
         self.dual_support_codes: FrozenSet[int] = frozenset(
             r.code for r in self.dual_support
         )
-        self._removed_projection: Optional[List[Fraction]] = None
+        self.orbit_weights: Optional[tuple] = None  # see bounds._orbit_weights
+        self._removed_projection: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     def _build_i(self) -> Dict[int, int]:
         sys = self.system
@@ -173,25 +186,28 @@ class ParabolicData:
     def h_dim(self) -> int:
         return len(self.pi_prime)
 
-    def _projection_of_removed(self) -> List[Fraction]:
-        """Coroot coordinates of the orthogonal projection of alpha_s^vee
-        onto the truncated Cartan: one solve of the coroot Gram matrix per
-        parabolic, made on first use."""
+    def removed_projection(self) -> Tuple[int, Tuple[int, ...]]:
+        """The orthogonal projection of alpha_s^vee onto the truncated
+        Cartan as (den, num): sum over k in pi' of num[k] / den alpha_k^vee,
+        num in pi' order, den > 0 and in lowest terms; made on first use.
+
+        The complement of the truncated Cartan is the line of
+        varpi_s = sum_k w_k alpha_k = sum_k w_k g_kk / 2 alpha_k^vee
+        (g the Gram matrix), as (varpi_s, alpha_k^vee) = 0 for k != s.
+        Taking away the multiple of varpi_s that clears the coordinate at s
+        leaves -(w_k g_kk) / (w_s g_ss) at k.  w is the integer row of
+        varpi_s from `RootSystem.weight_rows`, whose denominator cancels.
+        """
         if self._removed_projection is None:
-            gram = self.system.gram
+            sys = self.system
+            gram = sys.gram
             s0 = self.s - 1
-
-            def co_gram(i: int, k: int) -> Fraction:
-                return Fraction(4 * gram[i][k], gram[i][i] * gram[k][k])
-
-            rows = [[co_gram(i, k) for k in self.pi_prime] for i in self.pi_prime]
-            rhs = [co_gram(i, s0) for i in self.pi_prime]
-            _, inverse = invert(rows)
-            if inverse is None:
-                raise ArithmeticError("coroot Gram matrix is singular")
-            self._removed_projection = [
-                Fraction(x, inverse.den) for x in inverse.solve_scaled(rhs)
-            ]
+            _, fund = sys.weight_rows(range(sys.rank))
+            w = fund[s0]
+            den = w[s0] * gram[s0][s0]
+            num = [-w[k] * gram[k][k] for k in self.pi_prime]
+            g = math.gcd(den, *num)
+            self._removed_projection = (den // g, tuple([x // g for x in num]))
         return self._removed_projection
 
     def project_h(self, v: Sequence) -> Tuple[Fraction, ...]:
@@ -202,15 +218,22 @@ class ParabolicData:
             out[i] = c
         return tuple(out)
 
+    def h_in_coroot_basis_scaled(self, v: Sequence) -> List:
+        """den * the coordinates of the orthogonal projection of v (coroot
+        coordinates) onto the truncated Cartan, in its coroot basis, with
+        den from `removed_projection`: integers for an integer v."""
+        den, num = self.removed_projection()
+        vs = v[self.s - 1]
+        return [den * v[i] + vs * c for i, c in zip(self.pi_prime, num)]
+
     def h_in_coroot_basis(self, v: Sequence) -> List[Fraction]:
         """Coordinates of the orthogonal projection of v (coroot
-        coordinates) onto the truncated Cartan, in its coroot basis."""
-        vs = v[self.s - 1]
-        if not vs:
+        coordinates) onto the truncated Cartan, in its coroot basis: v at
+        pi' plus v_s times the projection of alpha_s^vee."""
+        if not v[self.s - 1]:
             return [Fraction(v[i]) for i in self.pi_prime]
-        return [
-            v[i] + vs * c for i, c in zip(self.pi_prime, self._projection_of_removed())
-        ]
+        den, _ = self.removed_projection()
+        return [Fraction(x, den) for x in self.h_in_coroot_basis_scaled(v)]
 
     def pairing_on_coroots(self, gamma: Root) -> List[int]:
         """gamma(alpha_i^vee) over the coroot basis order."""

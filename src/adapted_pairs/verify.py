@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bounds import BoundWeight
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
-from .linalg import Rational, sparse_det, sparse_ranks
+from .linalg import sparse_det, sparse_ranks
 from .roots import Root
 
 STATIONARY = "stationary"
@@ -106,7 +107,15 @@ class NondegeneracyCheck:
 
 
 class RegularityCheck:
-    __slots__ = ("ok", "rank", "rank_augmented", "dim_p", "t_size", "membership_ok")
+    __slots__ = (
+        "ok",
+        "rank",
+        "rank_augmented",
+        "dim_p",
+        "t_size",
+        "membership_ok",
+        "problems",
+    )
 
     def __init__(
         self,
@@ -116,6 +125,7 @@ class RegularityCheck:
         dim_p: int,
         t_size: int,
         membership_ok: bool,
+        problems: List[str],
     ):
         self.ok = ok
         self.rank = rank
@@ -124,6 +134,7 @@ class RegularityCheck:
         self.t_size = t_size
         # every basis vector lies in (ad p^-) y + g_T
         self.membership_ok = membership_ok
+        self.problems = problems  # why the ranks were not computed, if so
 
 
 class AdaptedPair:
@@ -553,9 +564,16 @@ def _values_on_h(
     cand: Candidate, xs: Sequence[int], roots: Sequence[Root]
 ) -> List[int]:
     """den * a(h) for every root a, where h has coordinates xs / den in the
-    truncated coroot basis (den: the denominator of `Candidate.s_inverse`)."""
-    pairing = cand.parabolic.pairing_on_coroots
-    return [sum([p * x for p, x in zip(pairing(a), xs)]) for a in roots]
+    truncated coroot basis (den: the denominator of `Candidate.s_inverse`).
+
+    h is one linear form on the root lattice: a(h) = sum_i x_i <a, alpha_i^vee>
+    = sum_j a_j y_j with y = C x, C the columns pi' of the Cartan matrix.
+    y is formed once, then each root costs one integer dot product."""
+    pi_prime = cand.parabolic.pi_prime
+    y = [
+        sum([row[i] * x for i, x in zip(pi_prime, xs)]) for row in cand.system.cartan
+    ]
+    return [sum(map(mul, a.coeffs, y)) for a in roots]
 
 
 def check_nondegeneracy(
@@ -609,14 +627,18 @@ def check_nondegeneracy(
 
 def coadjoint_columns(
     cand: Candidate, table: StructureTable
-) -> Tuple[List[Dict[int, Rational]], Dict[Root, int], int]:
-    """Sparse columns of b -> (ad b) y over the basis of p^-.
+) -> Tuple[List[Dict[int, int]], Dict[Root, int], int, int]:
+    """Sparse integer columns of b -> (ad b) y over the basis of p^-, with
+    the Cartan rows scaled: (columns, row_of, dim_p, scale).
 
     Row indices: the support roots in sorted order, then the truncated
-    Cartan in coroot coordinates.  Columns: x_{-gamma} for every support
-    root gamma, then the coroot basis.  Root entries are ints, found by
-    root code; only the Cartan part of a column x_{-gamma} with gamma in S
-    may be rational.
+    Cartan in coroot coordinates, times scale, the denominator of
+    `ParabolicData.removed_projection`; scaling rows keeps every rank.
+    Columns: x_{-gamma} for every support root gamma, then the coroot
+    basis.  Root entries are structure constants and pairings, found by
+    root code; only a column x_{-gamma} with gamma in S has Cartan entries.
+    Every member of S must lie in the support (`check_regularity` tests
+    this first).
     """
     sys = cand.system
     parab = cand.parabolic
@@ -624,15 +646,16 @@ def coadjoint_columns(
     row_of = {r: i for i, r in enumerate(support)}
     row_of_code = {r.code: i for i, r in enumerate(support)}
     nroots = len(support)
+    scale, _ = parab.removed_projection()
     s_codes = [g.code for g in cand.S]
     n_code = table.n_code
-    columns: List[Dict[int, Rational]] = []
+    columns: List[Dict[int, int]] = []
     for gb in support:
-        col: Dict[int, Rational] = {}
+        col: Dict[int, int] = {}
         bc = gb.code
         for pc in s_codes:
             if pc == bc:
-                h_coeffs = parab.h_in_coroot_basis([-x for x in sys.coroot(gb)])
+                h_coeffs = parab.h_in_coroot_basis_scaled([-x for x in sys.coroot(gb)])
                 for k, c in enumerate(h_coeffs):
                     if c:
                         col[nroots + k] = col.get(nroots + k, 0) + c
@@ -649,18 +672,26 @@ def coadjoint_columns(
     ]
     for k in range(parab.h_dim):
         columns.append({i: vals[k] for i, vals in s_pairings if vals[k]})
-    return columns, row_of, nroots + parab.h_dim
+    return columns, row_of, nroots + parab.h_dim, scale
 
 
 def check_regularity(
     cand: Candidate, table: StructureTable
 ) -> RegularityCheck:
     """Rank of (ad p^-) y and of its span with g_T, from one elimination of
-    [M | e_T] that pivots on the columns of M first."""
-    columns, row_of, dim_p = coadjoint_columns(cand, table)
-    ncols = len(columns)
+    [M | e_T] that pivots on the columns of M first.  When a member of S
+    lies outside the support, y is not in the dual of p: the check fails
+    with a problem line and no rank."""
+    parab = cand.parabolic
+    dim_p = len(parab.dual_support) + parab.h_dim
     t_size = len(cand.T)
-    rows: List[Dict[int, Rational]] = [dict() for _ in range(dim_p)]
+    outside = [g for g in cand.S if g.code not in parab.dual_support_codes]
+    if outside:
+        problems = [f"not run: S member {g.coeffs} outside support" for g in outside]
+        return RegularityCheck(False, 0, 0, dim_p, t_size, False, problems)
+    columns, row_of, _, _ = coadjoint_columns(cand, table)
+    ncols = len(columns)
+    rows: List[Dict[int, int]] = [dict() for _ in range(dim_p)]
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows[r][c] = v
@@ -668,7 +699,7 @@ def check_regularity(
         rows[row_of[t]][ncols + j] = 1
     rank, rank_aug = sparse_ranks(rows, [ncols, ncols + t_size])
     ok = rank == dim_p - t_size and rank_aug == dim_p
-    return RegularityCheck(ok, rank, rank_aug, dim_p, t_size, rank_aug == dim_p)
+    return RegularityCheck(ok, rank, rank_aug, dim_p, t_size, rank_aug == dim_p, [])
 
 
 # ---------------------------------------------------------------------------

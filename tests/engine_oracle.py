@@ -2,12 +2,18 @@
 
 - `replace`: a copy of an engine object with some constructor arguments
   changed, built again through the constructor.
+- `centre_moved_outside`: a candidate whose S leaves the support, for the
+  negative tests of the regularity check.
 - `jacobiator`: the Jacobi sum of three root vectors through
   `StructureTable.bracket`.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
 - `coroot_eps`: a coroot as a Cartan vector in epsilon coordinates, for
   comparisons with closed forms.
+- `removed_projection_oracle`: the projection of alpha_s^vee onto the
+  truncated Cartan from a solve with the coroot Gram matrix of pi', the
+  linear system that `ParabolicData.removed_projection` answers in closed
+  form.
 - The closure of the simple roots on `Root` arithmetic with Gram-matrix
   pairings, and the Kostant cascade that tests every pair of roots with
   the inner product and finds each level's simple roots again: the
@@ -38,6 +44,17 @@ def replace(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} takes no {sorted(unknown)}")
     return type(obj)(**{p: changes.get(p, getattr(obj, p)) for p in params})
+
+
+def centre_moved_outside(cand) -> Tuple[object, Root]:
+    """cand with a centre of S+ that involves the removed node, and its
+    Gamma set, negated, and the new centre: the Heisenberg structure is
+    kept, but the centre lies outside Delta+ | Delta-_{pi'}."""
+    g = next(g for g in cand.S_plus if g.coeffs[cand.s - 1])
+    sets = dict(cand.gamma_sets)
+    sets[-g] = frozenset(-a for a in sets.pop(g))
+    s_plus = tuple(-x if x == g else x for x in cand.S_plus)
+    return replace(cand, S_plus=s_plus, gamma_sets=sets), -g
 
 
 def jacobiator(table, a: Root, b: Root, c: Root) -> GElem:
@@ -89,6 +106,26 @@ def enumerate_pairings(os, limit: int = 100000) -> List[Dict[Root, Root]]:
 def coroot_eps(system, r: Root):
     """alpha^vee as a Cartan vector in epsilon coordinates."""
     return system.cartan_eps(system.coroot(r))
+
+
+def removed_projection_oracle(parab) -> List[Fraction]:
+    """Coroot coordinates, over pi', of the orthogonal projection of
+    alpha_s^vee onto the truncated Cartan: the x with
+    sum_k (alpha_i^vee, alpha_k^vee) x_k = (alpha_i^vee, alpha_s^vee) for
+    every i in pi', solved in fractions."""
+    gram = parab.system.gram
+    s0 = parab.s - 1
+
+    def co_gram(i: int, k: int) -> Fraction:
+        return Fraction(4 * gram[i][k], gram[i][i] * gram[k][k])
+
+    # the coroot Gram matrix is symmetric: its rows are its columns
+    columns = [[co_gram(i, k) for k in parab.pi_prime] for i in parab.pi_prime]
+    rhs = [co_gram(i, s0) for i in parab.pi_prime]
+    solution = solve_in_span(columns, rhs)
+    if solution is None:
+        raise ArithmeticError("coroot Gram matrix is singular")
+    return solution
 
 
 # -- root generation and the cascade ----------------------------------------

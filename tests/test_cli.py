@@ -5,7 +5,7 @@ import pytest
 from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import from_json, main, rat_value
 from adapted_pairs.verify import run_case
-from engine_oracle import replace
+from engine_oracle import centre_moved_outside, replace
 
 
 def test_verify_pass_exit_code_and_output(tmp_path, capsys):
@@ -74,6 +74,24 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
     assert cert["verdict"] == "fail"
     assert cert["first_failing_check"] == "heisenberg_ok"
     assert cert["checks"]["classification_ok"] is False
+
+
+def test_verify_fails_an_s_member_outside_the_support(tmp_path, monkeypatch, capsys):
+    import adapted_pairs.construction as construction
+
+    bad, moved = centre_moved_outside(construction.build_case("B", 6, 4))
+    monkeypatch.setattr(construction, "build_case", lambda *a: bad)
+    out = tmp_path / "cert.json"
+    code = main(["verify", "--family", "B", "--rank", "6", "--s", "4",
+                 "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "first failing check: heisenberg_ok"
+    assert f"heisenberg: {moved.coeffs}: member {moved.coeffs} outside support" in lines
+    cert = from_json(out.read_text())
+    assert cert["verdict"] == "fail"
+    assert cert["checks"]["regularity_rank"] == 0
+    assert cert["checks"]["regularity_rank_augmented"] == 0
 
 
 def test_verify_fails_a_non_basis_s(tmp_path, monkeypatch, capsys):

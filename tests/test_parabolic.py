@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
 
+from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.parabolic import (
     build_parabolic,
     components,
@@ -7,7 +11,7 @@ from adapted_pairs.parabolic import (
     subsystem_roots,
 )
 from adapted_pairs.roots import Root, build_root_system
-from engine_oracle import coroot_eps
+from engine_oracle import coroot_eps, removed_projection_oracle
 
 
 def reflect(system, alpha, beta):
@@ -173,3 +177,16 @@ def test_h_projection_orthogonal():
     for i in p.pi_prime:
         row = coroot_eps(sys, sys.simple_roots[i])
         assert sum(x * y for x, y in zip(resid, row)) == 0
+
+
+PROJECTION_CASES = (
+    in_scope_cases(16) + [("D", n, n - 1) for n in range(6, 17, 2)] + [("E6", 6, 1)]
+)
+
+
+def test_removed_projection_matches_the_coroot_gram_solve():
+    for family, n, s in PROJECTION_CASES:
+        p = build_parabolic(build_root_system(family, n), s)
+        den, num = p.removed_projection()
+        assert den > 0 and math.gcd(den, *num) == 1 and len(num) == p.h_dim
+        assert [Fraction(x, den) for x in num] == removed_projection_oracle(p)

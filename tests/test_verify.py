@@ -24,8 +24,14 @@ from adapted_pairs.verify import (
     solve_h,
     walk_sequence,
     _find_cyclic,
+    _values_on_h,
 )
-from engine_oracle import coroot_eps, enumerate_pairings, replace
+from engine_oracle import (
+    centre_moved_outside,
+    coroot_eps,
+    enumerate_pairings,
+    replace,
+)
 from linalg_oracle import det_dense, rank, solve_in_span
 
 F = Fraction
@@ -438,7 +444,7 @@ def test_regularity_rank_complements_index():
 
 def _regularity_rows(cand, table, extra_roots):
     """Rows of [M | e_x for x in extra_roots], M the coadjoint matrix."""
-    columns, row_of, dim_p = coadjoint_columns(cand, table)
+    columns, row_of, dim_p, _ = coadjoint_columns(cand, table)
     rows = [dict() for _ in range(dim_p)]
     for c, col in enumerate(columns):
         for r, v in col.items():
@@ -480,11 +486,12 @@ COADJOINT_ORACLE_CASES = in_scope_cases(8) + [("D", 6, 5), ("D", 8, 7), ("E6", 6
 @pytest.mark.parametrize("family,n,s", COADJOINT_ORACLE_CASES)
 def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
     # every column, rebuilt as ad_on_dual(x, y) with y = sum of x_g over S:
-    # x = x_{-gamma} for the support roots, then the truncated coroots
+    # x = x_{-gamma} for the support roots, then the truncated coroots; the
+    # Cartan rows of the columns are scaled by the returned scale
     cand = build_case(family, n, s)
     sys, parab = cand.system, cand.parabolic
     table = build_structure_table(sys)
-    columns, row_of, dim_p = coadjoint_columns(cand, table)
+    columns, row_of, dim_p, scale = coadjoint_columns(cand, table)
     support = cand.parabolic.dual_support
     y = GElem({g.coeffs: F(1) for g in cand.S})
     xs = [GElem({(-g).coeffs: F(1)}) for g in support]
@@ -500,8 +507,24 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
             assert out.h_part[s - 1] == 0
             for k, i in enumerate(parab.pi_prime):
                 if out.h_part[i]:
-                    expected[len(support) + k] = out.h_part[i]
+                    expected[len(support) + k] = scale * out.h_part[i]
         assert col == expected
+
+
+def test_regularity_fails_for_s_outside_the_support(monkeypatch):
+    import adapted_pairs.construction as construction_mod
+
+    bad, moved = centre_moved_outside(build_case("B", 6, 4))
+    assert moved.code not in bad.parabolic.dual_support_codes
+    check = check_regularity(bad, build_structure_table(bad.system))
+    assert not check.ok and not check.membership_ok
+    assert check.problems == [f"not run: S member {moved.coeffs} outside support"]
+    # the whole pipeline records the failure instead of raising
+    monkeypatch.setattr(construction_mod, "build_case", lambda *a: bad)
+    result = run_case("B", 6, 4)
+    assert not result.verdict
+    assert not result.heisenberg.ok and not result.regularity.ok
+    assert any("outside support" in p for p in result.heisenberg.problems)
 
 
 def _e6_column(cand, table, columns, gamma_b):
@@ -521,7 +544,7 @@ def test_e6_membership_witnesses():
     cand = build_case("E6", 6, 6)
     sys = cand.system
     table = build_structure_table(cand.system)
-    columns, row_of, dim_p = coadjoint_columns(cand, table)
+    columns, row_of, dim_p, _ = coadjoint_columns(cand, table)
     support = cand.parabolic.dual_support
 
     def col(coeffs):
@@ -583,6 +606,23 @@ def test_h_e6_and_e7_paper_values():
         6: F(-2),
         7: F(-1, 2),
     }
+
+
+def test_values_on_h_match_the_per_root_pairings():
+    # den * a(h) from the linear form equals the dot product of a's
+    # pairings on the truncated coroots with the scaled coordinates of h
+    for family, n, s in in_scope_cases(10):
+        cand = build_case(family, n, s)
+        parab = cand.parabolic
+        _, inverse = cand.s_inverse
+        roots = parab.dual_support
+        for xs in (
+            inverse.solve_scaled([-1] * len(cand.S)),
+            inverse.solve_scaled([abs(g.height) for g in cand.S]),
+            list(range(1, parab.h_dim + 1)),
+        ):
+            expected = [_dot(parab.pairing_on_coroots(a), xs) for a in roots]
+            assert _values_on_h(cand, xs, roots) == expected
 
 
 def test_h_defining_property():
