@@ -12,21 +12,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 from .bounds import bound_multiples
-from .linalg import Rational
 from .roots import Root
 from .verify import CaseResult
 
 SCHEMA_VERSION = 1
 
 
-def _rat(x: Rational) -> Dict[str, int]:
-    """{"num", "den"} of an int or a Fraction, which already hold both in
-    lowest terms; anything else goes through Fraction first."""
-    if type(x) is not Fraction and type(x) is not int:
-        x = Fraction(x)
+def _rat(x: Union[int, Fraction]) -> Dict[str, int]:
+    """{"num", "den"} of an int or a Fraction, which hold both in lowest
+    terms."""
     return {"num": x.numerator, "den": x.denominator}
 
 

@@ -1,4 +1,4 @@
-"""Integer Chevalley structure constants and exact brackets.
+"""Integer Chevalley structure constants.
 
 The positive-pair constants are fixed by the extraspecial-pair convention on
 a total order of the positive roots (height, then lexicographic coefficient
@@ -8,54 +8,15 @@ downstream never depend on the sign convention: checks are formulated as
 rank, determinant and membership statements.  The table is keyed by root
 code (`RootSystem.base`), and `n_code` answers on codes alone, which is
 what the per-pair loops of `verify` call.
-
-`GElem`, `bracket` and `ad_on_dual` compute brackets and the coadjoint
-action of whole elements from the same constants.  The verification does
-not use them: they are the oracle that the tests rebuild the matrix of
-`verify.coadjoint_columns` from, column by column.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .roots import Coeffs, Root, RootSystem
+from .roots import Root, RootSystem
 
 Pair = Tuple[int, int]  # two root codes
-
-
-class GElem:
-    """A Lie algebra element: root-vector coefficients plus a Cartan part.
-
-    The Cartan part is written in coroot coordinates of the full Cartan.
-    """
-
-    __slots__ = ("root_part", "h_part")
-
-    def __init__(
-        self,
-        root_part: Optional[Dict[Coeffs, Fraction]] = None,
-        h_part: Optional[Tuple[Fraction, ...]] = None,
-    ):
-        self.root_part = {} if root_part is None else root_part
-        self.h_part = h_part
-
-    def add_root(self, coeffs: Coeffs, c: Fraction) -> None:
-        v = self.root_part.get(coeffs, Fraction(0)) + c
-        if v == 0:
-            self.root_part.pop(coeffs, None)
-        else:
-            self.root_part[coeffs] = v
-
-    def add_h(self, vec, c: Fraction = Fraction(1)) -> None:
-        scaled = tuple([c * x for x in vec])
-        if self.h_part is not None:
-            scaled = tuple([a + b for a, b in zip(self.h_part, scaled)])
-        self.h_part = scaled if any(scaled) else None
-
-    def is_zero(self) -> bool:
-        return not self.root_part and self.h_part is None
 
 
 class StructureTable:
@@ -141,12 +102,6 @@ class StructureTable:
 
     # -- lookups ------------------------------------------------------------
 
-    def n_const(self, a: Optional[Root], b: Optional[Root]) -> int:
-        """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; 0 when a+b is not a root."""
-        if a is None or b is None:
-            return 0
-        return self.n_code(a.code, b.code)
-
     def n_code(self, a: int, b: int) -> int:
         """N(a, b) for the roots with codes a and b; 0 when a+b is not a root.
 
@@ -189,73 +144,9 @@ class StructureTable:
             raise ArithmeticError("non-integral mixed structure constant")
         return num // den
 
-    # -- brackets -----------------------------------------------------------
-
-    def bracket_roots(self, a: Root, b: Root) -> GElem:
-        """[x_a, x_b] as a GElem (root vector, coroot, or zero)."""
-        sys = self.system
-        out = GElem()
-        if (a + b).coeffs == sys.zero_coeffs():
-            # Chevalley normalization [x_a, x_{-a}] = a^vee
-            out.add_h(sys.coroot(a))
-            return out
-        n = self.n_const(a, b)
-        if n != 0:
-            out.add_root((a + b).coeffs, Fraction(n))
-        return out
-
-    def bracket(self, x: GElem, y: GElem) -> GElem:
-        """Bilinear bracket of two exact elements."""
-        sys = self.system
-        out = GElem()
-        for ca, va in x.root_part.items():
-            a = sys.root_from_coeffs(ca)
-            for cb, vb in y.root_part.items():
-                part = self.bracket_roots(a, sys.root_from_coeffs(cb))
-                for cc, vc in part.root_part.items():
-                    out.add_root(cc, va * vb * vc)
-                if part.h_part is not None:
-                    out.add_h(part.h_part, va * vb)
-        if x.h_part is not None:
-            for cb, vb in y.root_part.items():
-                b = sys.root_from_coeffs(cb)
-                out.add_root(cb, vb * _root_on_h(sys, b, x.h_part))
-        if y.h_part is not None:
-            for ca, va in x.root_part.items():
-                a = sys.root_from_coeffs(ca)
-                out.add_root(ca, -va * _root_on_h(sys, a, y.h_part))
-        return out
-
-
-def _root_on_h(sys: RootSystem, a: Root, h: Tuple[Fraction, ...]) -> Fraction:
-    """a(h) for h in coroot coordinates."""
-    return sum([p * c for p, c in zip(sys.simple_pairings(a), h)], Fraction(0))
-
 
 def build_structure_table(system: RootSystem) -> StructureTable:
     """The full structure-constant table, kept on the system."""
     if system.structure_table is None:
         system.structure_table = StructureTable(system)
     return system.structure_table
-
-
-def ad_on_dual(table: StructureTable, parabolic, x: GElem, y: GElem) -> GElem:
-    """Coadjoint action of x on y in the realization of the dual space.
-
-    The bracket is computed in the full algebra, then projected onto
-    g_{Delta+} + h_trunc + g_{Delta-_{pi'}}: root components outside the
-    support are dropped and the Cartan part is projected orthogonally onto
-    the truncated Cartan (the invariant form restricted to the Cartan agrees
-    with the Killing form up to scale, so this is the Killing projection).
-    """
-    raw = table.bracket(x, y)
-    out = GElem()
-    support = parabolic.dual_support_codes
-    for cc, vc in raw.root_part.items():
-        if table.system.code(cc) in support:
-            out.add_root(cc, vc)
-    if raw.h_part is not None:
-        proj = parabolic.project_h(raw.h_part)
-        if any(v != 0 for v in proj):
-            out.add_h(proj)
-    return out

@@ -143,6 +143,9 @@ def cmd_verify(args) -> int:
     from .construction import OutOfScopeError
     from .verify import run_case
 
+    if args.out:
+        # a certificate of an earlier run must not outlive a case that raises
+        Path(args.out).unlink(missing_ok=True)
     try:
         result = run_case(args.family, args.rank, args.s)
     except OutOfScopeError as exc:
@@ -185,12 +188,16 @@ def cmd_sweep(args) -> int:
     all_ok = True
     for family, n, s in in_scope_cases(args.max_rank):
         t0 = time.perf_counter()
+        out_file = out_dir / f"{family}_n{n}_s{s}.json" if out_dir else None
         try:
             result = run_case(family, n, s)
         except Exception as exc:
-            # one crashing case must not hide the others: report it, go on
+            # one crashing case must not hide the others: report it, go on,
+            # and leave no certificate of an earlier run in its place
             import traceback
 
+            if out_file:
+                out_file.unlink(missing_ok=True)
             traceback.print_exc(file=sys.stderr)
             dt = time.perf_counter() - t0
             error = f"{type(exc).__name__}: {exc}"
@@ -199,8 +206,8 @@ def cmd_sweep(args) -> int:
             continue
         dt = time.perf_counter() - t0
         cert = certificate_dict(result)
-        if out_dir:
-            (out_dir / f"{family}_n{n}_s{s}.json").write_text(to_json(cert))
+        if out_file:
+            out_file.write_text(to_json(cert))
         degrees = ",".join(_rat_str(d) for d in cert["degrees"])
         failing = result.first_failing
         note = f"  first failing check: {failing}" if failing else ""

@@ -1,9 +1,8 @@
-"""Exact linear algebra over the rationals, computed on Python ints.
+"""Exact linear algebra on integer rows in, rationals out.
 
 Every determinant, rank and solve goes through one elimination routine,
-`_eliminate`.  It scales each row to integers once, on entry, which leaves
-the rank unchanged; the determinant is divided back by the product of the
-scales at the end.  Updates are fraction-free,
+`_eliminate`, which takes integer rows only: `math.gcd` raises TypeError
+on a Fraction entry that reaches a row update.  Updates are fraction-free,
 row_j <- (p/g) row_j - (a/g) row_i with g = gcd(p, a); the factors p/g are
 tracked for the determinant, and a row that such a factor scaled up is
 divided by the gcd of its entries, which keeps the integers small.  The
@@ -21,24 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-Rational = Union[int, Fraction]
-Row = Mapping[int, Rational]
-
-
-def _integer_rows(rows: Sequence[Row]) -> Tuple[List[Dict[int, int]], int]:
-    """Each row times the lcm of its denominators, and the product of those
-    scales."""
-    out: List[Dict[int, int]] = []
-    scale = 1
-    for row in rows:
-        den = math.lcm(*[v.denominator for v in row.values()])
-        out.append(
-            {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        )
-        scale *= den
-    return out, scale
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 def _perm_sign(pivots: List[Tuple[int, int]]) -> int:
@@ -126,19 +108,15 @@ def _eliminate(
 
 
 def _determinant(
-    rows: List[Dict[int, int]],
-    pivots: List[Tuple[int, int]],
-    factor: Fraction,
-    scale: int,
+    rows: List[Dict[int, int]], pivots: List[Tuple[int, int]], factor: Fraction
 ) -> Fraction:
-    """The determinant of the input of a full-rank square elimination whose
-    rows were scaled to integers by the product scale."""
+    """The determinant of the input of a full-rank square elimination."""
     sign = _perm_sign(pivots)
     product = math.prod([rows[r][c] for r, c in pivots])
-    return Fraction(sign * product * factor.denominator, factor.numerator * scale)
+    return Fraction(sign * product * factor.denominator, factor.numerator)
 
 
-def _dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum([x * y for x, y in zip(u, v)])
 
 
@@ -151,20 +129,20 @@ class Inverse(list):
         super().__init__(num_rows)
         self.den = den
 
-    def solve_scaled(self, rhs: Sequence[Rational]) -> List[Rational]:
+    def solve_scaled(self, rhs: Sequence[int]) -> List[int]:
         """den * x with A x = rhs: integers for an integer rhs, so that
         callers compare and combine solutions on ints."""
         return [_dot(row, rhs) for row in self]
 
     def solve_transposed_scaled(
-        self, rhss: Sequence[Sequence[Rational]]
-    ) -> List[List[Rational]]:
+        self, rhss: Sequence[Sequence[int]]
+    ) -> List[List[int]]:
         """den * y with A^T y = c, for every right-hand side c in rhss."""
         cols = list(zip(*self))
         return [[_dot(col, c) for col in cols] for c in rhss]
 
 
-def invert(rows: Sequence[Sequence[Rational]]) -> Tuple[Fraction, Optional[Inverse]]:
+def invert(rows: Sequence[Sequence[int]]) -> Tuple[Fraction, Optional[Inverse]]:
     """Determinant and inverse of a square matrix from one Gauss-Jordan
     elimination of [A | I]; the inverse is None when A is singular."""
     n = len(rows)
@@ -175,33 +153,34 @@ def invert(rows: Sequence[Sequence[Rational]]) -> Tuple[Fraction, Optional[Inver
         row = {c: v for c, v in enumerate(r) if v}
         row[n + i] = 1  # the identity block
         augmented.append(row)
-    int_rows, scale = _integer_rows(augmented)
-    pivots, (rank,), factor = _eliminate(int_rows, [n], jordan=True)
+    pivots, (rank,), factor = _eliminate(augmented, [n], jordan=True)
     if rank < n:
         return Fraction(0), None
-    det = _determinant(int_rows, pivots, factor, scale)
-    den = math.lcm(*[int_rows[r][c] for r, c in pivots])
+    det = _determinant(augmented, pivots, factor)
+    den = math.lcm(*[augmented[r][c] for r, c in pivots])
     num: List[List[int]] = [[]] * n
     for r, c in pivots:
-        mult = den // int_rows[r][c]
-        num[c] = [int_rows[r].get(n + k, 0) * mult for k in range(n)]
+        mult = den // augmented[r][c]
+        num[c] = [augmented[r].get(n + k, 0) * mult for k in range(n)]
     return det, Inverse(num, den)
 
 
-def sparse_ranks(rows: Sequence[Row], bounds: Sequence[int]) -> List[int]:
+def sparse_ranks(
+    rows: Sequence[Mapping[int, int]], bounds: Sequence[int]
+) -> List[int]:
     """For each bound b, the rank of the columns below b, from one
     elimination that pivots on the columns below each bound before any
     column beyond it.  bounds must be increasing."""
-    int_rows, _ = _integer_rows(rows)
+    int_rows = [{c: v for c, v in r.items() if v} for r in rows]
     return _eliminate(int_rows, bounds)[1]
 
 
-def sparse_det(rows: Sequence[Row], ncols: int) -> Fraction:
-    """Determinant of a square sparse rational matrix."""
+def sparse_det(rows: Sequence[Mapping[int, int]], ncols: int) -> Fraction:
+    """Determinant of a square sparse integer matrix."""
     if len(rows) != ncols:
         raise ValueError("determinant of a non-square matrix")
-    int_rows, scale = _integer_rows(rows)
+    int_rows = [{c: v for c, v in r.items() if v} for r in rows]
     pivots, (rank,), factor = _eliminate(int_rows, [ncols])
     if rank < ncols:
         return Fraction(0)
-    return _determinant(int_rows, pivots, factor, scale)
+    return _determinant(int_rows, pivots, factor)

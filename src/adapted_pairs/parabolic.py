@@ -16,7 +16,6 @@ no linear system is solved.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
@@ -210,14 +209,6 @@ class ParabolicData:
             self._removed_projection = (den // g, tuple([x // g for x in num]))
         return self._removed_projection
 
-    def project_h(self, v: Sequence) -> Tuple[Fraction, ...]:
-        """Orthogonal projection of a Cartan vector (coroot coordinates) onto
-        the truncated Cartan, in coroot coordinates of the full Cartan."""
-        out = [Fraction(0)] * self.system.rank
-        for i, c in zip(self.pi_prime, self.h_in_coroot_basis(v)):
-            out[i] = c
-        return tuple(out)
-
     def h_in_coroot_basis_scaled(self, v: Sequence) -> List:
         """den * the coordinates of the orthogonal projection of v (coroot
         coordinates) onto the truncated Cartan, in its coroot basis, with
@@ -225,15 +216,6 @@ class ParabolicData:
         den, num = self.removed_projection()
         vs = v[self.s - 1]
         return [den * v[i] + vs * c for i, c in zip(self.pi_prime, num)]
-
-    def h_in_coroot_basis(self, v: Sequence) -> List[Fraction]:
-        """Coordinates of the orthogonal projection of v (coroot
-        coordinates) onto the truncated Cartan, in its coroot basis: v at
-        pi' plus v_s times the projection of alpha_s^vee."""
-        if not v[self.s - 1]:
-            return [Fraction(v[i]) for i in self.pi_prime]
-        den, _ = self.removed_projection()
-        return [Fraction(x, den) for x in self.h_in_coroot_basis_scaled(v)]
 
     def pairing_on_coroots(self, gamma: Root) -> List[int]:
         """gamma(alpha_i^vee) over the coroot basis order."""

@@ -233,9 +233,6 @@ class RootSystem:
             out = out * self.base + c
         return out
 
-    def zero_coeffs(self) -> Coeffs:
-        return tuple(0 for _ in range(self.rank))
-
     def is_root(self, r: Root) -> bool:
         return r.coeffs in self._by_coeffs
 
@@ -278,10 +275,6 @@ class RootSystem:
             row = tuple([2 * f // self.gram[k][k] for k, f in enumerate(form)])
             self._pairings[r.coeffs] = row
         return row
-
-    def pairing(self, a: Root, alpha: Root) -> int:
-        """<a, alpha^vee> = 2 (a, alpha) / (alpha, alpha), an integer."""
-        return 2 * self.inner(a, alpha) // self.inner(alpha, alpha)
 
     def coroot(self, r: Root) -> Tuple[int, ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""

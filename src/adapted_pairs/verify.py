@@ -35,10 +35,13 @@ UNCONSTRAINED = "unconstrained"  # no mixed neighbours: sign checks only
 
 
 class OrbitStructure:
-    """theta, S_alpha and the strata of O = union of the punctured Gamma sets."""
+    """theta, S_alpha and the strata of O = union of the punctured Gamma sets.
+
+    by_code maps the code of every root of O to the root."""
 
     __slots__ = (
         "O",
+        "by_code",
         "theta",
         "centre_of",
         "S_alpha",
@@ -51,6 +54,7 @@ class OrbitStructure:
     def __init__(
         self,
         O: Tuple[Root, ...],
+        by_code: Dict[int, Root],
         theta: Dict[Root, Root],
         centre_of: Dict[Root, Root],
         S_alpha: Dict[Root, Tuple[Root, ...]],
@@ -60,6 +64,7 @@ class OrbitStructure:
         O_mixed: FrozenSet[Root],
     ):
         self.O = O
+        self.by_code = by_code
         self.theta = theta
         self.centre_of = centre_of
         self.S_alpha = S_alpha
@@ -242,6 +247,7 @@ def _orbit_structure(
         by_sign[sign_of_centre[centre_of[a]]].add(a)
     return OrbitStructure(
         O=o_sorted,
+        by_code=o_by_code,
         theta=theta,
         centre_of=centre_of,
         S_alpha=s_alpha,
@@ -250,15 +256,6 @@ def _orbit_structure(
         O_minus=frozenset(by_sign["-"]),
         O_mixed=frozenset(by_sign["m"]),
     )
-
-
-def orbit_structure(cand: Candidate) -> OrbitStructure:
-    """The orbit structure of `check_heisenberg`; raises ValueError when
-    the check could not build it."""
-    report = check_heisenberg(cand)
-    if report.orbits is None:
-        raise ValueError(f"no orbit structure: {report.problems}")
-    return report.orbits
 
 
 # ---------------------------------------------------------------------------
@@ -306,71 +303,55 @@ WALK_LOOP_GUARD = "loop_guard"  # the exploration stopped before it finished
 
 
 class WalkResult:
-    __slots__ = ("stationary", "rank", "path", "nodes", "reason")
+    __slots__ = ("reason", "nodes")
 
-    def __init__(
-        self,
-        stationary: bool,
-        rank: Optional[int],
-        path: Tuple[Root, ...],
-        nodes: FrozenSet[Root],
-        reason: str,
-    ):
-        self.stationary = stationary
-        self.rank = rank
-        self.path = path
-        self.nodes = nodes  # path elements and their theta images
+    def __init__(self, reason: str, nodes: FrozenSet[Root]):
         self.reason = reason  # one of the WALK_* outcomes
+        self.nodes = nodes  # the elements reached and their theta images
 
 
 def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
     """Explore every admissible sequence from start.
 
-    stationary means every branch reaches a point whose theta-image is in
-    O_1; loops or undefined steps disqualify.  The representative path is
-    the lexicographically first fully explored branch.  The number of steps
-    is bounded; a walk that reaches the bound is not stationary, and its
-    reason says that it stopped there rather than that a branch failed.
+    The walk is stationary when every branch reaches a point whose
+    theta-image is in O_1; loops or undefined steps disqualify.  The number
+    of steps is bounded; a walk that reaches the bound is not stationary,
+    and its reason says that it stopped there rather than that a branch
+    failed.
     """
-    best_path: Optional[Tuple[Root, ...]] = None
-    best_rank: Optional[int] = None
     nodes: Set[Root] = set()
     all_ok = True
-
-    stack = [(start, (start,), frozenset({start}))]
-    guard = 0
+    stack = [(start, frozenset({start}))]
+    guard = 4 * len(os.O) * max(4, len(os.O))
     while stack:
-        guard += 1
-        if guard > 4 * len(os.O) * max(4, len(os.O)):
-            return WalkResult(
-                False, None, (start,), frozenset({start}), WALK_LOOP_GUARD
-            )
-        x, path, seen = stack.pop()
+        guard -= 1
+        if guard < 0:
+            return WalkResult(WALK_LOOP_GUARD, frozenset({start}))
+        x, seen = stack.pop()
         nodes.add(x)
         nodes.add(os.theta[x])
         nxt = _successors(os, x)
         if nxt is None:
             all_ok = False
             continue
-        if not nxt:
-            if best_path is None or path < best_path:
-                best_path, best_rank = path, len(path) - 1
-            continue
         for nx in nxt:
             if nx in seen:
                 all_ok = False
-                continue
-            stack.append((nx, path + (nx,), seen | {nx}))
-    if best_path is None:
-        all_ok = False
-        best_path = (start,)
+            else:
+                stack.append((nx, seen | {nx}))
     return WalkResult(
-        all_ok,
-        best_rank if all_ok else None,
-        best_path,
-        frozenset(nodes),
-        WALK_STATIONARY if all_ok else WALK_NOT_STATIONARY,
+        WALK_STATIONARY if all_ok else WALK_NOT_STATIONARY, frozenset(nodes)
     )
+
+
+def _walk(
+    os: OrbitStructure, walks: Dict[Root, WalkResult], start: Root
+) -> WalkResult:
+    """walk_sequence from start, run once per start: walks is the memo."""
+    w = walks.get(start)
+    if w is None:
+        w = walks[start] = walk_sequence(os, start)
+    return w
 
 
 def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[bool, bool]:
@@ -402,25 +383,31 @@ class CyclicFamily:
         self.tildes = tildes  # O_3 member -> its tilde root
 
 
-def _find_cyclic(os: OrbitStructure, alpha: Root) -> Optional[CyclicFamily]:
+def _find_cyclic(
+    os: OrbitStructure, alpha: Root, walks: Dict[Root, WalkResult]
+) -> Optional[CyclicFamily]:
+    """The cyclic family of alpha, if there is one.  The sum relations are
+    compared on codes: a + theta(a) is the centre of a's set."""
     th = os.theta
-    c_alpha = alpha + th[alpha]
+    centre_of = os.centre_of
+    c_alpha = centre_of[alpha].code
     for g in os.S_alpha[th[alpha]]:
         if g == alpha:
             continue
-        c_gamma = g + th[g]
-        tb = c_gamma - alpha  # theta(beta), since theta(beta)+alpha = gamma+theta(gamma)
-        if tb not in th:
+        c_gamma = centre_of[g].code
+        # theta(beta), since theta(beta) + alpha = gamma + theta(gamma)
+        tb = os.by_code.get(c_gamma - alpha.code)
+        if tb is None:
             continue
         b = th[tb]
         fam = (alpha, b, g, th[alpha], th[b], th[g])
         if len(set(fam)) != 6:
             continue
-        if (th[alpha] + g).coeffs != (b + th[b]).coeffs:
+        if th[alpha].code + g.code != centre_of[b].code:
             continue
-        if (th[g] + b).coeffs != c_alpha.coeffs:
+        if th[g].code + b.code != c_alpha:
             continue
-        if (th[b] + alpha).coeffs != c_gamma.coeffs:
+        if th[b].code + alpha.code != c_gamma:
             continue
         if any(os.strata[d] not in (2, 3) for d in fam):
             continue
@@ -439,9 +426,9 @@ def _find_cyclic(os: OrbitStructure, alpha: Root) -> Optional[CyclicFamily]:
             strict = os.strata[tilde] == 2 and os.strata[th[tilde]] == 1
             if not strict:
                 extended = True
-                w = walk_sequence(os, tilde)
+                w = _walk(os, walks, tilde)
                 adm, _ = _closure_admissible(os, w.nodes)
-                if not (w.stationary and adm):
+                if not (w.reason == WALK_STATIONARY and adm):
                     ok = False
                     break
         if ok:
@@ -465,13 +452,14 @@ class ClassificationReport:
         self.counts = counts
 
 
-def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
+def classify_roots(os: OrbitStructure) -> ClassificationReport:
     """The non-degeneracy hypotheses on orbit roots.
 
     Within each pure sign region the only partner of a root may be its
     Heisenberg involution image; every root neighbouring the mixed region
     must be (extended) stationary, belong to an (extended) cyclic family,
-    or be tilde-associated to one.
+    or be tilde-associated to one.  Each start is walked once, and a walk
+    that hit its loop guard is a problem.
     """
     problems: List[str] = []
     th = os.theta
@@ -488,17 +476,12 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
 
     needs = [a for a in os.O if any(b in os.O_mixed for b in os.S_alpha[a])]
     labels: Dict[Root, str] = {}
-
-    def guard_tripped(w: WalkResult) -> None:
-        if w.reason == WALK_LOOP_GUARD:
-            problems.append(f"sequence walk from {w.path[0].coeffs} hit its loop guard")
+    walks: Dict[Root, WalkResult] = {}
 
     for a in needs:
-        fwd = walk_sequence(os, a)
-        bwd = walk_sequence(os, th[a])
-        guard_tripped(fwd)
-        guard_tripped(bwd)
-        if fwd.stationary and bwd.stationary:
+        fwd = _walk(os, walks, a)
+        bwd = _walk(os, walks, th[a])
+        if fwd.reason == bwd.reason == WALK_STATIONARY:
             adm, strict = _closure_admissible(os, fwd.nodes | bwd.nodes)
             if adm:
                 labels[a] = STATIONARY if strict else EXT_STATIONARY
@@ -507,7 +490,7 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
     for a in needs:
         if a in labels:
             continue
-        fam = _find_cyclic(os, a)
+        fam = _find_cyclic(os, a, walks)
         if fam is not None:
             families.append(fam)
             label = EXT_CYCLIC if fam.extended else CYCLIC
@@ -518,9 +501,10 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
     tilde_covered: Set[Root] = set()
     for fam in families:
         for tilde in fam.tildes.values():
-            w = walk_sequence(os, tilde)
-            guard_tripped(w)
-            tilde_covered |= w.nodes
+            tilde_covered |= _walk(os, walks, tilde).nodes
+    for start, w in walks.items():
+        if w.reason == WALK_LOOP_GUARD:
+            problems.append(f"sequence walk from {start.coeffs} hit its loop guard")
 
     for a in needs:
         if a in labels:
@@ -542,7 +526,7 @@ def classify_roots(cand: Candidate, os: OrbitStructure) -> ClassificationReport:
 
 
 def pairing_matrix(
-    cand: Candidate, table: StructureTable, os: OrbitStructure
+    table: StructureTable, os: OrbitStructure
 ) -> Tuple[List[Dict[int, int]], List[Root]]:
     """Rows of the skew matrix M with M[a][b] = N(-a,-b) when a+b is in S."""
     order = list(os.O)
@@ -589,7 +573,7 @@ def check_nondegeneracy(
     The comparisons run on integers: u(a) * den, with den the denominator of
     the inverse pairing matrix of S.
     """
-    rows, order = pairing_matrix(cand, table, os)
+    rows, order = pairing_matrix(table, os)
     size = len(order)
     det = sparse_det(rows, size)
 
@@ -863,7 +847,7 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         )
         nondeg = NondegeneracyCheck(False, Fraction(0), 0, False, 0)
     else:
-        classification = classify_roots(cand, os)
+        classification = classify_roots(os)
         nondeg = check_nondegeneracy(cand, table, os)
     reg = check_regularity(cand, table)
     t_ok = len(cand.T) == cand.parabolic.index and cand.T == cand.T_expected

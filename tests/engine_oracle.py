@@ -4,8 +4,18 @@
   changed, built again through the constructor.
 - `centre_moved_outside`: a candidate whose S leaves the support, for the
   negative tests of the regularity check.
-- `jacobiator`: the Jacobi sum of three root vectors through
-  `StructureTable.bracket`.
+- The bracket oracle: exact Lie algebra elements (`GElem`), N(a, b) on
+  roots (`n_const`), brackets (`bracket_roots`, `bracket`) and the
+  coadjoint action on the dual of the truncated parabolic (`ad_on_dual`,
+  with the orthogonal projection `project_h`), all in
+  `fractions.Fraction` from the constants of `StructureTable.n_code`.
+  The tests rebuild the matrix of `verify.coadjoint_columns` from it,
+  column by column.
+- `jacobiator`: the Jacobi sum of three root vectors through `bracket`;
+  `code_term` and `code_jacobiator`, a term [x, [y, z]] and the same sum
+  on root codes and ints.
+- `orbit_structure`: the orbit structure that `check_heisenberg` builds.
+- `pairing`: <a, alpha^vee> from the integer form.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
 - `coroot_eps`: a coroot as a Cartan vector in epsilon coordinates, for
@@ -28,10 +38,11 @@
 
 import inspect
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from adapted_pairs.chevalley import GElem
 from adapted_pairs.roots import Root
+from adapted_pairs.verify import check_heisenberg
 from linalg_oracle import solve_in_span
 
 
@@ -57,20 +68,181 @@ def centre_moved_outside(cand) -> Tuple[object, Root]:
     return replace(cand, S_plus=s_plus, gamma_sets=sets), -g
 
 
+def orbit_structure(cand):
+    """The orbit structure of `check_heisenberg`; raises ValueError when
+    the check could not build it."""
+    report = check_heisenberg(cand)
+    if report.orbits is None:
+        raise ValueError(f"no orbit structure: {report.problems}")
+    return report.orbits
+
+
+def pairing(system, a: Root, alpha: Root) -> int:
+    """<a, alpha^vee> = 2 (a, alpha) / (alpha, alpha), an integer."""
+    return 2 * system.inner(a, alpha) // system.inner(alpha, alpha)
+
+
+# -- the bracket oracle ------------------------------------------------------
+
+
+class GElem:
+    """A Lie algebra element: root-vector coefficients plus a Cartan part.
+
+    The Cartan part is written in coroot coordinates of the full Cartan.
+    """
+
+    __slots__ = ("root_part", "h_part")
+
+    def __init__(
+        self,
+        root_part: Optional[Dict[Tuple[int, ...], Fraction]] = None,
+        h_part: Optional[Tuple[Fraction, ...]] = None,
+    ):
+        self.root_part = {} if root_part is None else root_part
+        self.h_part = h_part
+
+    def add_root(self, coeffs: Tuple[int, ...], c: Fraction) -> None:
+        v = self.root_part.get(coeffs, Fraction(0)) + c
+        if v == 0:
+            self.root_part.pop(coeffs, None)
+        else:
+            self.root_part[coeffs] = v
+
+    def add_h(self, vec, c: Fraction = Fraction(1)) -> None:
+        scaled = tuple([c * x for x in vec])
+        if self.h_part is not None:
+            scaled = tuple([a + b for a, b in zip(self.h_part, scaled)])
+        self.h_part = scaled if any(scaled) else None
+
+    def is_zero(self) -> bool:
+        return not self.root_part and self.h_part is None
+
+
+def n_const(table, a: Optional[Root], b: Optional[Root]) -> int:
+    """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; 0 when a+b is not a root."""
+    if a is None or b is None:
+        return 0
+    return table.n_code(a.code, b.code)
+
+
+def root_on_h(system, a: Root, h: Sequence) -> Fraction:
+    """a(h) for h in coroot coordinates."""
+    return sum([p * c for p, c in zip(system.simple_pairings(a), h)], Fraction(0))
+
+
+def bracket_roots(table, a: Root, b: Root) -> GElem:
+    """[x_a, x_b] as a GElem (root vector, coroot, or zero)."""
+    sys = table.system
+    out = GElem()
+    if not any((a + b).coeffs):
+        # Chevalley normalization [x_a, x_{-a}] = a^vee
+        out.add_h(sys.coroot(a))
+        return out
+    n = n_const(table, a, b)
+    if n != 0:
+        out.add_root((a + b).coeffs, Fraction(n))
+    return out
+
+
+def bracket(table, x: GElem, y: GElem) -> GElem:
+    """Bilinear bracket of two exact elements."""
+    sys = table.system
+    out = GElem()
+    for ca, va in x.root_part.items():
+        a = sys.root_from_coeffs(ca)
+        for cb, vb in y.root_part.items():
+            part = bracket_roots(table, a, sys.root_from_coeffs(cb))
+            for cc, vc in part.root_part.items():
+                out.add_root(cc, va * vb * vc)
+            if part.h_part is not None:
+                out.add_h(part.h_part, va * vb)
+    if x.h_part is not None:
+        for cb, vb in y.root_part.items():
+            b = sys.root_from_coeffs(cb)
+            out.add_root(cb, vb * root_on_h(sys, b, x.h_part))
+    if y.h_part is not None:
+        for ca, va in x.root_part.items():
+            a = sys.root_from_coeffs(ca)
+            out.add_root(ca, -va * root_on_h(sys, a, y.h_part))
+    return out
+
+
+def project_h(parab, v: Sequence) -> Tuple[Fraction, ...]:
+    """Orthogonal projection of a Cartan vector (coroot coordinates) onto
+    the truncated Cartan, in coroot coordinates of the full Cartan: the
+    scaled form of `ParabolicData.h_in_coroot_basis_scaled` over its
+    denominator."""
+    den, _ = parab.removed_projection()
+    out = [Fraction(0)] * parab.system.rank
+    for i, c in zip(parab.pi_prime, parab.h_in_coroot_basis_scaled(v)):
+        out[i] = Fraction(c) / den
+    return tuple(out)
+
+
+def ad_on_dual(table, parab, x: GElem, y: GElem) -> GElem:
+    """Coadjoint action of x on y in the realization of the dual space.
+
+    The bracket is computed in the full algebra, then projected onto
+    g_{Delta+} + h_trunc + g_{Delta-_{pi'}}: root components outside the
+    support are dropped and the Cartan part is projected orthogonally onto
+    the truncated Cartan (the invariant form restricted to the Cartan agrees
+    with the Killing form up to scale, so this is the Killing projection).
+    """
+    raw = bracket(table, x, y)
+    out = GElem()
+    support = parab.dual_support_codes
+    for cc, vc in raw.root_part.items():
+        if table.system.code(cc) in support:
+            out.add_root(cc, vc)
+    if raw.h_part is not None:
+        proj = project_h(parab, raw.h_part)
+        if any(v != 0 for v in proj):
+            out.add_h(proj)
+    return out
+
+
 def jacobiator(table, a: Root, b: Root, c: Root) -> GElem:
     """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] on root vectors; zero iff Jacobi."""
     xa, xb, xc = (GElem({r.coeffs: Fraction(1)}) for r in (a, b, c))
     out = GElem()
     for t in (
-        table.bracket(xa, table.bracket(xb, xc)),
-        table.bracket(xb, table.bracket(xc, xa)),
-        table.bracket(xc, table.bracket(xa, xb)),
+        bracket(table, xa, bracket(table, xb, xc)),
+        bracket(table, xb, bracket(table, xc, xa)),
+        bracket(table, xc, bracket(table, xa, xb)),
     ):
         for cc, vc in t.root_part.items():
             out.add_root(cc, vc)
         if t.h_part is not None:
             out.add_h(t.h_part)
     return out
+
+
+def code_term(table, x: int, y: int, z: int):
+    """[x_x, [x_y, x_z]] for root codes x, y, z, on ints: the list of
+    coroot coordinates of the Cartan element it is when x + y + z = 0,
+    otherwise the coefficient of x_{x+y+z} (0 when that is no root).
+
+    The term is N(y, z) x^vee when x + y + z = 0, -<x, y^vee> when
+    y + z = 0 (as [x_y, x_{-y}] = y^vee), and N(y, z) N(x, y + z)
+    otherwise; the Cartan terms come from the integer `RootSystem.coroot`."""
+    sys = table.system
+    if x + y + z == 0:
+        m = table.n_code(y, z)
+        return [m * v for v in sys.coroot(sys.by_code[x])]
+    if y + z == 0:
+        h = sys.coroot(sys.by_code[y])
+        return -sum(map(mul, sys.simple_pairings(sys.by_code[x]), h))
+    m = table.n_code(y, z)
+    return m * table.n_code(x, y + z) if m else 0
+
+
+def code_jacobiator(table, a: int, b: int, c: int):
+    """The jacobiator of x_a, x_b, x_c on root codes, in the form of
+    `code_term`: the sum of its three cyclic terms."""
+    terms = [code_term(table, *t) for t in ((a, b, c), (b, c, a), (c, a, b))]
+    if a + b + c == 0:
+        return [sum(t) for t in zip(*terms)]
+    return sum(terms)
 
 
 def enumerate_pairings(os, limit: int = 100000) -> List[Dict[Root, Root]]:

@@ -22,11 +22,15 @@ from adapted_pairs.verify import (
     check_basis_restriction,
     check_nondegeneracy,
     classify_roots,
-    orbit_structure,
     run_case,
     walk_sequence,
 )
-from engine_oracle import enumerate_pairings, jacobiator, replace
+from engine_oracle import (
+    code_jacobiator,
+    enumerate_pairings,
+    orbit_structure,
+    replace,
+)
 
 F = Fraction
 
@@ -176,24 +180,31 @@ def test_criterion_5_type_d_extremal():
 
 
 def _jacobi_exhaustive(system, table):
-    """All root triples with a+b+c in Delta or 0; other triples vanish
-    term by term."""
-    allroots = list(system.positive_roots) + [-r for r in system.positive_roots]
-    zero = system.zero_coeffs()
+    """All root triples with a+b+c in Delta or 0, on root codes; other
+    triples vanish term by term.
+
+    The triples are found on a wider code, base 8M + 1 for M the largest
+    root coefficient: d - a - b has digits in [-3M, 3M], so it has the
+    wide code of a root only when it is that root."""
+    base = 8 * (system.base - 1) // 3 + 1
+    code_of = {
+        sum(c * base**i for i, c in enumerate(r.coeffs)): code
+        for code, r in system.by_code.items()
+    }  # wide code -> root code
     checked = 0
-    for a, b in itertools.product(allroots, repeat=2):
+    for a, b in itertools.product(code_of, repeat=2):
         partial = a + b
-        for d in allroots:
-            c = system.try_root(d - partial)
+        ra, rb = code_of[a], code_of[b]
+        for d in code_of:
+            c = code_of.get(d - partial)
             if c is None:
                 continue
-            assert jacobiator(table, a, b, c).is_zero(), (a, b, c)
+            assert not code_jacobiator(table, ra, rb, c), (ra, rb, c)
             checked += 1
-        if partial.coeffs != zero:
-            c = system.try_root(-partial)
-            if c is not None:
-                assert jacobiator(table, a, b, c).is_zero(), (a, b, c)
-                checked += 1
+        if partial and -partial in code_of:
+            c = code_of[-partial]
+            assert not any(code_jacobiator(table, ra, rb, c)), (ra, rb, c)
+            checked += 1
     return checked
 
 
@@ -214,7 +225,8 @@ def test_criterion_6_property_suite():
         for a in allroots:
             for b in allroots:
                 if system.try_root(a + b) is not None:
-                    assert abs(table.n_const(a, b)) == table.string_down(a, b) + 1
+                    n = table.n_code(a.code, b.code)
+                    assert abs(n) == table.string_down(a, b) + 1
 
     # Heisenberg involution squared is the identity
     for family, n, s in [("B", 8, 4), ("D", 9, 6), ("D", 10, 10), ("E7", 7, 3)]:
@@ -233,7 +245,7 @@ def test_criterion_6_property_suite():
     for n, s in [(4, 2), (6, 4)]:
         cand = build_case("B", n, s)
         os = orbit_structure(cand)
-        rep = classify_roots(cand, os)
+        rep = classify_roots(os)
         pairings = enumerate_pairings(os)
         assert pairings
         stationary = [
@@ -248,6 +260,7 @@ def test_criterion_6_property_suite():
             for theta in pairings:
                 assert all(theta[z] == os.theta[z] for z in closure)
 
+    assert total == 183672
     _report("6 (property suite)", True, f"{total} Jacobi triples checked")
 
 

@@ -230,6 +230,44 @@ def test_sweep_reports_a_crashing_case_and_goes_on(tmp_path, monkeypatch, capsys
     assert len(files) == 7 and "B_n4_s2.json" not in files
 
 
+def test_sweep_deletes_the_old_certificate_of_a_crashing_case(
+    tmp_path, monkeypatch, capsys
+):
+    import adapted_pairs.verify as verify
+
+    out = tmp_path / "certs"
+    assert main(["sweep", "--max-rank", "4", "--out", str(out)]) == 0
+    assert (out / "B_n4_s2.json").exists()
+
+    def crash_on_b4_s2(family, n, s):
+        if (family, n, s) == ("B", 4, 2):
+            raise ArithmeticError("singular test matrix")
+        return run_case(family, n, s)
+
+    monkeypatch.setattr(verify, "run_case", crash_on_b4_s2)
+    assert main(["sweep", "--max-rank", "4", "--out", str(out)]) == 1
+    assert not (out / "B_n4_s2.json").exists()
+    assert (out / "B_n4_s4.json").exists()
+
+
+def test_verify_deletes_the_old_certificate_of_a_crashing_case(
+    tmp_path, monkeypatch, capsys
+):
+    import adapted_pairs.verify as verify
+
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
+    assert main(argv) == 0 and out.exists()
+
+    def crash(*case):
+        raise ArithmeticError("singular test matrix")
+
+    monkeypatch.setattr(verify, "run_case", crash)
+    with pytest.raises(ArithmeticError):
+        main(argv)
+    assert not out.exists()
+
+
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
 

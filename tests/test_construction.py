@@ -11,7 +11,7 @@ from adapted_pairs.construction import (
     in_scope_cases,
 )
 from adapted_pairs.roots import build_root_system
-from adapted_pairs.verify import orbit_structure
+from engine_oracle import orbit_structure
 
 F = Fraction
 

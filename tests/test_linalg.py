@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,18 @@ def F(x):
     return Fraction(x)
 
 
+def _integer_matrix(m):
+    """Each row of m times the lcm of its denominators, and the product of
+    those scales: the rank is kept, and the determinant is multiplied by
+    the product."""
+    rows, product = [], 1
+    for row in m:
+        den = math.lcm(*[Fraction(v).denominator for v in row])
+        rows.append([int(v * den) for v in row])
+        product *= den
+    return rows, product
+
+
 def test_det_dense_small():
     for m, det in (
         ([], 1),
@@ -21,7 +34,7 @@ def test_det_dense_small():
         ([[F(1), F(2)], [F(2), F(4)]], 0),
     ):
         assert det_dense(m) == det
-        assert invert(m)[0] == det
+        assert invert(_integer_matrix(m)[0])[0] == det
 
 
 def test_det_dense_rejects_non_square():
@@ -45,9 +58,9 @@ def _solve(rows, rhss):
 
 
 def test_solve_dense_exact():
-    sol = _solve([[F(2), F(1)], [F(1), F(3)]], [[F(1), F(0)]])
+    sol = _solve([[2, 1], [1, 3]], [[1, 0]])
     assert sol == [[Fraction(3, 5), Fraction(-1, 5)]]
-    assert _solve([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(2)]]) is None
+    assert _solve([[1, 2], [2, 4]], [[1, 2]]) is None
 
 
 def test_solve_dense_many_right_hand_sides():
@@ -85,8 +98,18 @@ def test_sparse_rank_of_large_ints_is_exact():
 
 
 def test_explicit_zero_entries_are_ignored():
-    assert sparse_ranks([{0: 0, 1: 2}, {0: Fraction(0), 1: 4}], [1, 2]) == [0, 1]
-    assert sparse_det([{0: 2, 1: 0}, {0: 0, 1: Fraction(1, 2)}], 2) == 1
+    assert sparse_ranks([{0: 0, 1: 2}, {0: 0, 1: 4}], [1, 2]) == [0, 1]
+    assert sparse_det([{0: 2, 1: 0}, {0: 0, 1: 1}], 2) == 2
+
+
+def test_a_fraction_entry_is_refused():
+    rows = [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 1}]
+    with pytest.raises(TypeError):
+        sparse_det(rows, 2)
+    with pytest.raises(TypeError):
+        sparse_ranks(rows, [2])
+    with pytest.raises(TypeError):
+        invert([[Fraction(1, 2), 1], [1, 1]])
 
 
 def test_solve_in_span():
@@ -115,7 +138,7 @@ def test_sparse_det_matches_dense_oracle():
         n = rng.randint(1, 8)
         m = _random_matrix(rng, n)
         expected = det_dense(m)
-        assert sparse_det(_sparse(m), n) == expected
+        assert sparse_det(_sparse(_integer_matrix(m)[0]), n) == expected
 
 
 def test_sparse_rank_matches_elimination_oracle():
@@ -123,14 +146,15 @@ def test_sparse_rank_matches_elimination_oracle():
     for _ in range(40):
         n = rng.randint(1, 8)
         m = _random_matrix(rng, n, density=0.4)
-        assert sparse_ranks(_sparse(m), [n]) == [rank(_sparse(m))]
+        ints = _sparse(_integer_matrix(m)[0])
+        assert sparse_ranks(ints, [n]) == [rank(_sparse(m))]
 
 
 # -- properties against the Fraction oracle ----------------------------------
 
-# small integers, proper fractions (the coadjoint rows carry rational
-# coroot coordinates) and integers near 10^17, with zero weighted up so that
-# sparse and zero rows occur
+# small integers, proper fractions and integers near 10^17, with zero
+# weighted up so that sparse and zero rows occur; the properties scale each
+# row to integers (`_integer_matrix`) before the package sees it
 entries = st.one_of(
     st.just(0),
     st.integers(-3, 3),
@@ -162,15 +186,17 @@ def test_staged_ranks_match_oracle(m, data):
     split = data.draw(st.integers(0, ncols))
     first = [{j: v for j, v in enumerate(row) if j < split and v} for row in m]
     expected = [rank(first), rank(_sparse(m))]
-    assert sparse_ranks(_sparse(m), [split, ncols]) == expected
+    ints, _ = _integer_matrix(m)
+    assert sparse_ranks(_sparse(ints), [split, ncols]) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrices(square=True))
 def test_determinants_match_oracle(m):
-    expected = det_dense(m)
-    assert sparse_det(_sparse(m), len(m)) == expected
-    det, inverse = invert(m)
+    ints, product = _integer_matrix(m)
+    expected = det_dense(m) * product
+    assert sparse_det(_sparse(ints), len(m)) == expected
+    det, inverse = invert(ints)
     assert det == expected
     assert (inverse is None) == (expected == 0)
 
@@ -178,9 +204,12 @@ def test_determinants_match_oracle(m):
 @settings(max_examples=300, deadline=None)
 @given(matrices(square=True), st.data())
 def test_solutions_match_oracle(m, data):
+    # the matrix is m with its rows scaled to integers, and the right-hand
+    # sides are integers
+    m, _ = _integer_matrix(m)
     n = len(m)
     rhs = st.lists(entries, min_size=n, max_size=n)
-    rhss = data.draw(st.lists(rhs, max_size=3))
+    rhss = [_integer_matrix([b])[0][0] for b in data.draw(st.lists(rhs, max_size=3))]
     columns = [list(c) for c in zip(*m)] if n else []
     sols = _solve(m, rhss)
     det, inverse = invert(m)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from adapted_pairs.chevalley import GElem, ad_on_dual, build_structure_table
+from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.construction import build_case, in_scope_cases
 from adapted_pairs.verify import (
     CYCLIC,
@@ -18,7 +18,6 @@ from adapted_pairs.verify import (
     coadjoint_columns,
     eigenvalue_report,
     expected_eigenvalues,
-    orbit_structure,
     pairing_matrix,
     run_case,
     solve_h,
@@ -27,9 +26,13 @@ from adapted_pairs.verify import (
     _values_on_h,
 )
 from engine_oracle import (
+    GElem,
+    ad_on_dual,
     centre_moved_outside,
     coroot_eps,
     enumerate_pairings,
+    n_const,
+    orbit_structure,
     replace,
 )
 from linalg_oracle import det_dense, rank, solve_in_span
@@ -193,13 +196,14 @@ def test_heisenberg_fails_when_s_is_not_the_set_of_centres(monkeypatch):
 
 
 def test_b_negative_short_roots_stationary_at_rank_zero():
+    from adapted_pairs.verify import WALK_STATIONARY
+
     cand = build_case("B", 8, 4)
     os = orbit_structure(cand)
     for j in range(5, 9):
         a = _ev(cand.system, [(-1, j)])
         assert os.strata[os.theta[a]] == 1
-        w = walk_sequence(os, a)
-        assert w.stationary and w.rank == 0
+        assert walk_sequence(os, a).reason == WALK_STATIONARY
 
 
 def _complete_orbit_structure(k):
@@ -210,10 +214,11 @@ def _complete_orbit_structure(k):
     from adapted_pairs.verify import OrbitStructure
     from adapted_pairs.roots import Root
 
-    roots = tuple(Root((i,)) for i in range(1, k + 1))
+    roots = tuple(Root((i,), i) for i in range(1, k + 1))
     every = frozenset(roots)
     return OrbitStructure(
         O=roots,
+        by_code={r.code: r for r in roots},
         theta={r: r for r in roots},
         centre_of={r: r for r in roots},
         S_alpha={r: roots for r in roots},
@@ -233,12 +238,11 @@ def test_walk_guard_trip_is_not_a_failed_branch():
 
     os = _complete_orbit_structure(8)
     w = walk_sequence(os, os.O[0])
-    assert not w.stationary and w.rank is None
     assert w.reason == WALK_LOOP_GUARD
     # the same roots with one partner each end in a loop: a branch fails
     looped = _complete_orbit_structure(2)
     w = walk_sequence(looped, looped.O[0])
-    assert not w.stationary and w.reason == WALK_NOT_STATIONARY
+    assert w.reason == WALK_NOT_STATIONARY
     # and a real case walks to O_1
     cand = build_case("B", 8, 4)
     real = orbit_structure(cand)
@@ -248,10 +252,26 @@ def test_walk_guard_trip_is_not_a_failed_branch():
 
 def test_classification_reports_a_walk_guard_trip():
     os = _complete_orbit_structure(8)
-    rep = classify_roots(None, os)
+    rep = classify_roots(os)
     assert not rep.ok
     guard = [p for p in rep.problems if "hit its loop guard" in p]
     assert f"sequence walk from {os.O[0].coeffs} hit its loop guard" in guard
+
+
+def test_classification_walks_each_start_once(monkeypatch):
+    import adapted_pairs.verify as verify_mod
+
+    walk = verify_mod.walk_sequence
+    calls = []
+    for case in in_scope_cases(10):
+        os = orbit_structure(build_case(*case))
+        monkeypatch.setattr(
+            verify_mod,
+            "walk_sequence",
+            lambda os, start: calls.append((case, start)) or walk(os, start),
+        )
+        assert classify_roots(os).ok
+    assert len(calls) == len(set(calls)) == 1124
 
 
 def test_d_cyclic_family_from_the_case_analysis():
@@ -261,13 +281,13 @@ def test_d_cyclic_family_from_the_case_analysis():
     sys = cand.system
     os = orbit_structure(cand)
     a = _ev(sys, [(1, 3), (1, 6)])
-    fam = _find_cyclic(os, a)
+    fam = _find_cyclic(os, a, {})
     assert fam is not None and not fam.extended
     members = set(fam.members)
     assert _ev(sys, [(1, 4), (-1, 3)]) in members
     assert _ev(sys, [(1, 4), (-1, 5)]) in members
     assert len(members) == 6
-    rep = classify_roots(cand, os)
+    rep = classify_roots(os)
     assert rep.labels[a] == CYCLIC
 
 
@@ -275,7 +295,7 @@ def test_d_extremal_slide_sets_are_extended_stationary():
     cand = build_case("D", 10, 10)
     sys = cand.system
     os = orbit_structure(cand)
-    rep = classify_roots(cand, os)
+    rep = classify_roots(os)
     centre = _ev(sys, [(1, 4), (-1, 2)])
     for a in cand.gamma_sets[centre] - {centre}:
         assert rep.labels[a] in (STATIONARY, EXT_STATIONARY)
@@ -284,7 +304,7 @@ def test_d_extremal_slide_sets_are_extended_stationary():
 def test_d_extremal_uses_extended_machinery():
     cand = build_case("D", 10, 10)
     os = orbit_structure(cand)
-    rep = classify_roots(cand, os)
+    rep = classify_roots(os)
     assert rep.ok
     assert rep.counts[EXT_STATIONARY] + rep.counts[EXT_CYCLIC] > 0
 
@@ -293,7 +313,7 @@ def test_classification_clean_across_families():
     for family, n, s in [("B", 7, 4), ("D", 8, 6), ("D", 8, 8), ("E7", 7, 3)]:
         cand = build_case(family, n, s)
         os = orbit_structure(cand)
-        rep = classify_roots(cand, os)
+        rep = classify_roots(os)
         assert rep.ok, rep.problems
 
 
@@ -315,7 +335,7 @@ def test_pairing_matrix_skew_and_even():
         cand = build_case(family, n, s)
         table = build_structure_table(cand.system)
         os = orbit_structure(cand)
-        rows, order = pairing_matrix(cand, table, os)
+        rows, order = pairing_matrix(table, os)
         assert len(order) % 2 == 0
         for i, row in enumerate(rows):
             for j, v in row.items():
@@ -352,7 +372,7 @@ def test_det_monomial_against_brute_force(family, n, s):
         coeff = F(sign)
         degree = 0
         for a in order:
-            coeff *= table.n_const(-a, -theta[a])
+            coeff *= n_const(table, -a, -theta[a])
             degree += abs((a + theta[a]).height)
         poly[degree] = poly.get(degree, F(0)) + coeff
     poly = {d: c for d, c in poly.items() if c != 0}
@@ -404,7 +424,7 @@ def test_stationary_closures_force_every_pairing():
     for n, s in [(4, 2), (6, 4)]:
         cand = build_case("B", n, s)
         os = orbit_structure(cand)
-        rep = classify_roots(cand, os)
+        rep = classify_roots(os)
         pairings = enumerate_pairings(os)
         assert pairings
         stationary = [
