@@ -256,6 +256,7 @@ def test_classification_reports_a_walk_guard_trip():
     assert not rep.ok
     guard = [p for p in rep.problems if "hit its loop guard" in p]
     assert f"sequence walk from {os.O[0].coeffs} hit its loop guard" in guard
+    assert len(guard) == len(set(guard))  # once per start
 
 
 def test_classification_walks_each_start_once(monkeypatch):
