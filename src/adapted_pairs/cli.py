@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from .roots import Root, RootSystem, build_root_system
 
@@ -29,32 +29,43 @@ EXIT_USAGE = 2
 
 def eps_str(system: RootSystem, root: Root) -> str:
     """Human-readable epsilon form, e.g. 'e1+e2' or '(1/2)(e1-e2+...)'."""
+    den, row = system.eps_scaled(root)
+    g = math.gcd(den, *row)
     terms = []
-    eps = system.eps_of(root)
-    denom = max(x.denominator for x in eps)
-    for i, x in enumerate(eps, start=1):
-        x = x * denom
+    for i, x in enumerate(row, start=1):
         if x == 0:
             continue
         sign = "+" if x > 0 else "-"
-        mag = abs(x)
+        mag = abs(x) // g
         coef = "" if mag == 1 else str(mag)
         terms.append(f"{sign}{coef}e{i}")
     body = "".join(terms).lstrip("+")
-    return body if denom == 1 else f"(1/{denom})({body})"
+    return body if den == g else f"(1/{den // g})({body})"
 
 
 def from_json(text: str) -> dict:
     return json.loads(text)
 
 
-def rat_value(obj: Dict[str, int]) -> Fraction:
-    """A rational stored as {"num", "den"} in a certificate."""
-    return Fraction(obj["num"], obj["den"])
+def _rat(obj) -> Tuple[int, int]:
+    """A rational stored as {"num", "den"} in a certificate, as (num, den)
+    in lowest terms with den > 0.  A field that is not an integer raises
+    TypeError and a zero den ZeroDivisionError."""
+    num, den = obj["num"], obj["den"]
+    if not (isinstance(num, int) and isinstance(den, int)):
+        raise TypeError(f"rational {obj!r} has a non-integer field")
+    if den == 0:
+        raise ZeroDivisionError(f"rational {obj!r} has den 0")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def _frac_str(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _rat_str(obj) -> str:
-    return str(rat_value(obj))
+    return _frac_str(*_rat(obj))
 
 
 def render_certificate(cert: dict, fmt: str) -> str:
@@ -103,12 +114,12 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append(f"{h2}Adapted pair")
     h_terms = []
     for item in cert["h"]["coroot_coeffs"]:
-        v = rat_value(item["value"])
-        if v == 0:
+        num, den = _rat(item["value"])
+        if num == 0:
             continue
-        sign = "+" if v > 0 else "-"
-        mag = abs(v)
-        coef = "" if mag == 1 else f"{mag}*"
+        sign = "+" if num > 0 else "-"
+        mag = _frac_str(abs(num), den)
+        coef = "" if mag == "1" else f"{mag}*"
         h_terms.append(f"{sign} {coef}a{item['alpha']}v")
     lines.append("  h = " + " ".join(h_terms).lstrip("+ ").strip())
     lines.append(

@@ -31,8 +31,8 @@ class OutOfScopeError(ValueError):
 class Candidate:
     """The sets S, Gamma_gamma, T (and T* in E6) for one case.
 
-    Treated as immutable: a changed candidate is built anew, so that
-    `s_inverse` is computed for its own S."""
+    Treated as immutable: a changed candidate is built anew, so that `S`
+    and `s_inverse` are computed for its own S+, S- and Sm."""
 
     def __init__(
         self,
@@ -54,7 +54,7 @@ class Candidate:
         self.T_star = T_star
         self.T_expected = T_expected  # the closed-form complement list
 
-    @property
+    @cached_property
     def S(self) -> Tuple[Root, ...]:
         return tuple(sorted(self.S_plus + self.S_minus + self.S_mixed))
 

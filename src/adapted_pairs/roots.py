@@ -12,28 +12,21 @@ written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
-n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_of` for
-display, `root_from_eps` for case data written in epsilon form, and
-`cartan_eps` for h in the paper's closed forms.
-`_simple_root_data` is the epsilon oracle they are built from; inside the
-system they are integer rows over one common denominator.
+n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_scaled` for
+display and `root_from_eps` for case data written in epsilon form.  They
+are integer rows over one denominator, 2 for E6/E7 and 1 otherwise, from
+`_simple_root_data`; the module does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-Eps = Tuple[Fraction, ...]
 Coeffs = Tuple[int, ...]
 
 SUPPORTED = {"B", "D", "E6", "E7"}
-
-
-def _frac(vals: Iterable) -> Eps:
-    return tuple(Fraction(v) for v in vals)
 
 
 class Root:
@@ -78,44 +71,35 @@ class Root:
         return f"Root{self.coeffs}"
 
 
-def _simple_root_data(family: str, rank: int) -> List[Eps]:
-    """Bourbaki simple roots in epsilon coordinates: the epsilon oracle."""
-    if family == "B":
-        if rank < 2:
+def _simple_root_data(family: str, rank: int) -> Tuple[int, List[List[int]]]:
+    """Bourbaki simple roots in epsilon coordinates, as integer rows over
+    one denominator: (den, rows) with alpha_i = rows[i] / den."""
+    if family in ("B", "D"):
+        if family == "B" and rank < 2:
             raise ValueError("type B needs rank >= 2")
-        simples = []
+        if family == "D" and rank < 4:
+            raise ValueError("type D needs rank >= 4")
+        rows = []
         for i in range(rank - 1):
             v = [0] * rank
             v[i], v[i + 1] = 1, -1
-            simples.append(_frac(v))
+            rows.append(v)
         v = [0] * rank
         v[rank - 1] = 1
-        simples.append(_frac(v))
-        return simples
-    if family == "D":
-        if rank < 4:
-            raise ValueError("type D needs rank >= 4")
-        simples = []
-        for i in range(rank - 1):
-            v = [0] * rank
-            v[i], v[i + 1] = 1, -1
-            simples.append(_frac(v))
-        v = [0] * rank
-        v[rank - 2], v[rank - 1] = 1, 1
-        simples.append(_frac(v))
-        return simples
+        if family == "D":
+            v[rank - 2] = 1
+        rows.append(v)
+        return 1, rows
     if family in ("E6", "E7"):
         n = 6 if family == "E6" else 7
         if rank != n:
             raise ValueError(f"type {family} has rank {n}")
-        half = Fraction(1, 2)
-        a1 = [half, -half, -half, -half, -half, -half, -half, half]
-        simples = [_frac(a1), _frac([1, 1, 0, 0, 0, 0, 0, 0])]
+        rows = [[1, -1, -1, -1, -1, -1, -1, 1], [2, 2, 0, 0, 0, 0, 0, 0]]
         for i in range(n - 2):
-            v = [Fraction(0)] * 8
-            v[i], v[i + 1] = Fraction(-1), Fraction(1)
-            simples.append(tuple(v))
-        return simples
+            v = [0] * 8
+            v[i], v[i + 1] = -2, 2
+            rows.append(v)
+        return 2, rows
     raise ValueError(f"unsupported family {family!r}")
 
 
@@ -142,13 +126,10 @@ class RootSystem:
             raise ValueError(f"unsupported family {family!r}")
         self.family = family
         self.rank = rank
-        eps_simples = _simple_root_data(family, rank)
-        self.dim = len(eps_simples[0])
-        # the simple roots' epsilon coordinates as integer rows over one
-        # common denominator, so that the Gram matrix and eps_of run on ints
-        den = self._eps_den = max(x.denominator for v in eps_simples for x in v)
-        scaled = [[int(x * den) for x in v] for v in eps_simples]
-        self._eps_scaled = [[(d, x) for d, x in enumerate(v) if x] for v in scaled]
+        den, scaled = _simple_root_data(family, rank)
+        self.dim = len(scaled[0])
+        self._eps_den = den
+        self._eps_simples = [[(d, x) for d, x in enumerate(v) if x] for v in scaled]
         # gram[i][j] = (alpha_i, alpha_j), integral for every supported type;
         # cartan[i][j] = <alpha_i, alpha_j^vee>
         self.gram = [
@@ -317,22 +298,22 @@ class RootSystem:
     def _eps_row(self, coeffs: Sequence) -> List:
         """Epsilon coordinates times `_eps_den`: integers for a root."""
         out = [0] * self.dim
-        for c, v in zip(coeffs, self._eps_scaled):
+        for c, v in zip(coeffs, self._eps_simples):
             if c:
                 for d, e in v:
                     out[d] += c * e
         return out
 
-    def eps_of(self, x) -> Eps:
-        """Epsilon coordinates of a root or weight."""
-        den = self._eps_den
-        return tuple([Fraction(v, den) for v in self._eps_row(x.coeffs)])
+    def eps_scaled(self, r: Root) -> Tuple[int, List[int]]:
+        """(den, row): the epsilon coordinates of the root r are the
+        integers of row over den."""
+        return self._eps_den, self._eps_row(r.coeffs)
 
     def root_from_eps(self, eps: Sequence) -> Root:
-        """The root with these epsilon coordinates (ints or Fractions),
-        through a table of integer rows built on first use.
+        """The root with these epsilon coordinates (ints or exact
+        rationals), through a table of integer rows built on first use.
 
-        The query is scaled by `_eps_den` once; an integral Fraction
+        The query is scaled by `_eps_den` once; an integral rational
         hashes and compares like its int, and any other one matches no row.
         """
         if self._by_eps is None:
@@ -341,16 +322,6 @@ class RootSystem:
             }
         den = self._eps_den
         return self._by_eps[tuple([x * den for x in eps])]
-
-    def cartan_eps(self, h: Sequence) -> Eps:
-        """Epsilon coordinates of a Cartan element given in coroot coordinates."""
-        out = [Fraction(0)] * self.dim
-        for k, (c, v) in enumerate(zip(h, self._eps_scaled)):
-            if c:
-                scale = Fraction(2 * c) / (self.gram[k][k] * self._eps_den)
-                for d, e in v:
-                    out[d] += scale * e
-        return tuple(out)
 
     # -- misc --------------------------------------------------------------
 

@@ -143,17 +143,15 @@ class RegularityCheck:
 
 
 class AdaptedPair:
-    __slots__ = ("h_coroot_coeffs", "h_eps", "eigenvalues", "degrees")
+    __slots__ = ("h_coroot_coeffs", "eigenvalues", "degrees")
 
     def __init__(
         self,
         h_coroot_coeffs: Dict[int, Fraction],
-        h_eps: Tuple[Fraction, ...],
         eigenvalues: Dict[Root, Fraction],
         degrees: Tuple[Fraction, ...],
     ):
         self.h_coroot_coeffs = h_coroot_coeffs  # keyed by 1-based simple index
-        self.h_eps = h_eps  # epsilon form, for the paper's closed forms
         self.eigenvalues = eigenvalues  # gamma in T -> gamma(h)
         self.degrees = degrees  # sorted eigenvalues + 1
 
@@ -697,19 +695,14 @@ def solve_h(cand: Candidate) -> AdaptedPair:
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
     scaled = inverse.solve_scaled([-1] * len(cand.S))
-    coeffs = [Fraction(v, inverse.den) for v in scaled]
-    parab = cand.parabolic
-    h_full = [0] * cand.system.rank
-    for i, c in zip(parab.pi_prime, coeffs):
-        h_full[i] = c
-    h_eps = cand.system.cartan_eps(h_full)
     h_coeffs = {
-        idx + 1: c for idx, c in zip(parab.pi_prime, coeffs)
+        idx + 1: Fraction(v, inverse.den)
+        for idx, v in zip(cand.parabolic.pi_prime, scaled)
     }
     values = _values_on_h(cand, scaled, cand.T)
     eigen = {t: Fraction(v, inverse.den) for t, v in zip(cand.T, values)}
     degrees = tuple(sorted(v + 1 for v in eigen.values()))
-    return AdaptedPair(h_coeffs, h_eps, eigen, degrees)
+    return AdaptedPair(h_coeffs, eigen, degrees)
 
 
 def expected_eigenvalues(family: str, n: int, s: int) -> Optional[Counter]:
@@ -857,7 +850,7 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         improved = bounds_mod.improved_bound(cand)
     else:
         # S is no basis of the truncated Cartan: no h, no improved bound
-        pair = AdaptedPair({}, (), {}, ())
+        pair = AdaptedPair({}, {}, ())
         improved = []
     eig_ok, _ = eigenvalue_report(pair, cand)
     coincide = bounds_mod.certify_coincidence(lower, improved)

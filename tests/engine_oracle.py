@@ -2,6 +2,7 @@
 
 - `replace`: a copy of an engine object with some constructor arguments
   changed, built again through the constructor.
+- `rat_value`: a rational of a certificate, {"num", "den"}, as a Fraction.
 - `centre_moved_outside`: a candidate whose S leaves the support, for the
   negative tests of the regularity check.
 - The bracket oracle: exact Lie algebra elements (`GElem`), N(a, b) on
@@ -18,8 +19,12 @@
 - `pairing`: <a, alpha^vee> from the integer form.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
-- `coroot_eps`: a coroot as a Cartan vector in epsilon coordinates, for
-  comparisons with closed forms.
+- The epsilon oracle: the simple roots in epsilon coordinates in
+  fractions (`simple_roots_eps`), roots and weights in them (`eps_of`),
+  Cartan elements given in coroot coordinates (`cartan_eps`, with
+  `coroot_eps` for a coroot), for comparisons with the closed forms, and
+  the rendering `cli.eps_str` printed from them (`eps_str`).  The package
+  keeps the same coordinates as integer rows over one denominator.
 - `removed_projection_oracle`: the projection of alpha_s^vee onto the
   truncated Cartan from a solve with the coroot Gram matrix of pi', the
   linear system that `ParabolicData.removed_projection` answers in closed
@@ -38,6 +43,7 @@
 
 import inspect
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,6 +61,11 @@ def replace(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} takes no {sorted(unknown)}")
     return type(obj)(**{p: changes.get(p, getattr(obj, p)) for p in params})
+
+
+def rat_value(obj: Dict[str, int]) -> Fraction:
+    """A rational stored as {"num", "den"} in a certificate."""
+    return Fraction(obj["num"], obj["den"])
 
 
 def centre_moved_outside(cand) -> Tuple[object, Root]:
@@ -275,9 +286,83 @@ def enumerate_pairings(os, limit: int = 100000) -> List[Dict[Root, Root]]:
     return results
 
 
+def _frac(vals) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(v) for v in vals)
+
+
+@lru_cache(maxsize=None)
+def simple_roots_eps(family: str, rank: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Bourbaki simple roots in epsilon coordinates, in fractions."""
+    if family in ("B", "D"):
+        simples = []
+        for i in range(rank - 1):
+            v = [0] * rank
+            v[i], v[i + 1] = 1, -1
+            simples.append(_frac(v))
+        v = [0] * rank
+        if family == "B":
+            v[rank - 1] = 1
+        else:
+            v[rank - 2], v[rank - 1] = 1, 1
+        simples.append(_frac(v))
+        return tuple(simples)
+    half = Fraction(1, 2)
+    a1 = [half, -half, -half, -half, -half, -half, -half, half]
+    simples = [_frac(a1), _frac([1, 1, 0, 0, 0, 0, 0, 0])]
+    for i in range(rank - 2):
+        v = [Fraction(0)] * 8
+        v[i], v[i + 1] = Fraction(-1), Fraction(1)
+        simples.append(tuple(v))
+    return tuple(simples)
+
+
+def eps_of(system, x) -> Tuple[Fraction, ...]:
+    """Epsilon coordinates of a root or weight: sum_i c_i alpha_i over its
+    simple-root coefficients c_i."""
+    simples = simple_roots_eps(system.family, system.rank)
+    out = [Fraction(0)] * len(simples[0])
+    for c, a in zip(x.coeffs, simples, strict=True):
+        if c:
+            for d, e in enumerate(a):
+                if e:
+                    out[d] += c * e
+    return tuple(out)
+
+
+def cartan_eps(system, h: Sequence) -> Tuple[Fraction, ...]:
+    """Epsilon coordinates of a Cartan element given in coroot coordinates:
+    sum_k h_k alpha_k^vee with alpha^vee = 2 alpha / (alpha, alpha)."""
+    simples = simple_roots_eps(system.family, system.rank)
+    out = [Fraction(0)] * len(simples[0])
+    for c, a in zip(h, simples, strict=True):
+        if c:
+            scale = 2 * Fraction(c) / sum(e * e for e in a)
+            for d, e in enumerate(a):
+                out[d] += scale * e
+    return tuple(out)
+
+
 def coroot_eps(system, r: Root):
     """alpha^vee as a Cartan vector in epsilon coordinates."""
-    return system.cartan_eps(system.coroot(r))
+    return cartan_eps(system, system.coroot(r))
+
+
+def eps_str(system, root: Root) -> str:
+    """The epsilon form of a root, e.g. 'e1+e2' or '(1/2)(e1-e2+...)', from
+    its coordinates in fractions scaled by their largest denominator."""
+    terms = []
+    eps = eps_of(system, root)
+    denom = max(x.denominator for x in eps)
+    for i, x in enumerate(eps, start=1):
+        x = x * denom
+        if x == 0:
+            continue
+        sign = "+" if x > 0 else "-"
+        mag = abs(x)
+        coef = "" if mag == 1 else str(mag)
+        terms.append(f"{sign}{coef}e{i}")
+    body = "".join(terms).lstrip("+")
+    return body if denom == 1 else f"(1/{denom})({body})"
 
 
 def removed_projection_oracle(parab) -> List[Fraction]:

@@ -4,7 +4,7 @@ from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.parabolic import build_parabolic, subsystem_roots
 from adapted_pairs.roots import build_root_system
-from engine_oracle import _indecomposables, cascade_oracle
+from engine_oracle import _indecomposables, cascade_oracle, eps_of
 
 
 def detect_type(system, simples):
@@ -55,7 +55,7 @@ def detect_type(system, simples):
 
 
 def _eps_set(system, items):
-    return {system.eps_of(it.beta) for it in items}
+    return {eps_of(system, it.beta) for it in items}
 
 
 def _v(system, terms):
@@ -130,7 +130,7 @@ def test_cascade_roots_strongly_orthogonal():
 
 def test_singleton_components_give_singleton_sets():
     sys = build_root_system("B", 4)
-    items = {sys.eps_of(it.beta): it for it in kostant_cascade(sys)}
+    items = {eps_of(sys, it.beta): it for it in kostant_cascade(sys)}
     a1 = _v(sys, [(1, 1), (-1, 2)])
     assert set(items[a1].heisenberg) == {sys.root_from_eps(a1)}
 

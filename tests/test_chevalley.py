@@ -12,6 +12,7 @@ from engine_oracle import (
     ad_on_dual,
     bracket,
     bracket_roots,
+    cartan_eps,
     code_jacobiator,
     code_term,
     coroot_eps,
@@ -66,15 +67,6 @@ def test_root_string_property_all_pairs():
                     assert abs(n_const(t, a, b)) == t.string_down(a, b) + 1
 
 
-def test_jacobi_exhaustive_small():
-    for fam, rk in [("B", 3), ("D", 4)]:
-        sys = build_root_system(fam, rk)
-        t = build_structure_table(sys)
-        roots = _all_roots(sys)
-        for a, b, c in itertools.product(roots, repeat=3):
-            assert jacobiator(t, a, b, c).is_zero()
-
-
 def _as_parts(sys, total, value):
     """(root part, Cartan part) of a `code_term` value at weight total."""
     if not any(total.coeffs):
@@ -99,6 +91,7 @@ def test_code_jacobiator_matches_the_bracket_oracle(fam, rk):
         value = code_term(t, a.code, b.code, c.code)
         assert (term.root_part, term.h_part) == _as_parts(sys, total, value)
         out = jacobiator(t, a, b, c)
+        assert out.is_zero()
         value = code_jacobiator(t, a.code, b.code, c.code)
         assert (out.root_part, out.h_part) == _as_parts(sys, total, value)
 
@@ -120,7 +113,7 @@ def test_cartan_bracket_is_coroot():
     out = bracket_roots(t, a, -a)
     assert not out.root_part
     assert out.h_part == sys.coroot(a)
-    assert sys.cartan_eps(out.h_part) == coroot_eps(sys, a)
+    assert cartan_eps(sys, out.h_part) == coroot_eps(sys, a)
 
 
 def test_ad_h_is_diagonal():

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from adapted_pairs.certificate import certificate_dict, to_json
-from adapted_pairs.cli import from_json, main, rat_value
+from adapted_pairs.cli import _rat_str, eps_str, from_json, main
+from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
-from engine_oracle import centre_moved_outside, replace
+from engine_oracle import centre_moved_outside, rat_value, replace
+from engine_oracle import eps_str as oracle_eps_str
 
 
 def test_verify_pass_exit_code_and_output(tmp_path, capsys):
@@ -282,6 +285,55 @@ def test_report_rejects_certificate_without_fields(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
 
 
+@pytest.mark.parametrize(
+    "bad", [{"num": 1, "den": 0}, {"num": 1.5, "den": 2}, {"num": "1", "den": 2}]
+)
+def test_report_rejects_a_malformed_rational(tmp_path, capsys, bad):
+    # in each place a rational is rendered: an h coefficient, an eigenvalue,
+    # a degree, a bound multiple and a check determinant
+    cert = certificate_dict(run_case("B", 4, 2))
+    places = [
+        (lambda c: c["h"]["coroot_coeffs"][0], "value"),
+        (lambda c: c["eigenvalues"][0], "value"),
+        (lambda c: c["degrees"], 0),
+        (lambda c: c["bounds"]["lower_multiples_of_varpi_s"], 0),
+        (lambda c: c["bounds"]["improved_multiples_of_varpi_s"], 0),
+        (lambda c: c["checks"], "basis_det"),
+    ]
+    path = tmp_path / "bad.json"
+    for place, key in places:
+        broken = json.loads(to_json(cert))
+        place(broken)[key] = bad
+        path.write_text(json.dumps(broken))
+        assert main(["report", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+
+
+def test_rationals_print_as_fraction_does():
+    # lowest terms, the sign on the numerator, an integer without "/1"
+    for num in range(-7, 8):
+        for den in [d for d in range(-7, 8) if d]:
+            want = str(Fraction(num, den))
+            assert _rat_str({"num": num, "den": den}) == want
+
+
+EPS_SYSTEMS = (
+    [("B", n) for n in range(2, 17)]
+    + [("D", n) for n in range(4, 17)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+@pytest.mark.parametrize("family,rank", EPS_SYSTEMS)
+def test_eps_str_matches_the_fraction_rendering(family, rank):
+    system = build_root_system(family, rank)
+    for root in system.by_code.values():
+        assert eps_str(system, root) == oracle_eps_str(system, root)
+
+
 def test_report_rejects_non_root_in_t(tmp_path, capsys):
     cert = certificate_dict(run_case("B", 4, 2))
     cert["T"] = [[9, 9, 9, 9]]
@@ -318,7 +370,9 @@ def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):
 ENGINE = ("construction", "verify", "chevalley", "bounds", "cascade", "parabolic")
 
 REPORT_ONLY = """
-import contextlib, io, sys
+import sys
+before = set(sys.modules)
+import contextlib, io
 import adapted_pairs, adapted_pairs.cli
 
 ENGINE = {engine!r}
@@ -331,6 +385,10 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert adapted_pairs.cli.main(["report", "--in", sys.argv[1]]) == 0
 assert "verdict: PASS" in out.getvalue()
 assert loaded() == [], loaded()
+# the rationals and epsilon forms are rendered on ints: neither the command
+# line nor the rendering loads fractions, or the decimal module it imports
+new = set(sys.modules) - before
+assert not new & {{"fractions", "decimal"}}, sorted(new & {{"fractions", "decimal"}})
 
 from adapted_pairs.verify import run_case
 assert adapted_pairs.run_case is run_case
@@ -348,7 +406,8 @@ print("ok")
 
 def test_report_loads_no_engine_module(tmp_path):
     # a fresh process: importing the package and the command line, and
-    # rendering a stored certificate, load none of the engine modules
+    # rendering a stored certificate, load none of the engine modules and
+    # no fractions
     import os
     import subprocess
     import sys

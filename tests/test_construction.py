@@ -11,7 +11,7 @@ from adapted_pairs.construction import (
     in_scope_cases,
 )
 from adapted_pairs.roots import build_root_system
-from engine_oracle import orbit_structure
+from engine_oracle import eps_of, orbit_structure
 
 F = Fraction
 
@@ -172,9 +172,9 @@ def test_flip_d_extremal():
     sys = base.system
 
     def flipv(r):
-        eps = sys.eps_of(r)
+        eps = eps_of(sys, r)
         return tuple(list(eps[:-1]) + [-eps[-1]])
-    assert {flipv(t) for t in base.T} == {sys.eps_of(t) for t in flipped.T}
+    assert {flipv(t) for t in base.T} == {eps_of(sys, t) for t in flipped.T}
 
 
 def test_flip_e6():

@@ -1,4 +1,5 @@
-"""Golden certificates: pinned SHA-256 hashes of the certificate bytes.
+"""Golden certificates: pinned SHA-256 hashes of the certificate bytes,
+and of their rendering by `report`.
 
 The hashes were recorded before the root arithmetic moved from epsilon
 vectors to the integer root lattice.  Any change of representation,
@@ -6,10 +7,12 @@ caching or elimination order must keep every certificate byte-identical.
 """
 
 import hashlib
+from functools import lru_cache
 
 import pytest
 
 from adapted_pairs.certificate import certificate_dict, to_json
+from adapted_pairs.cli import from_json, render_certificate
 from adapted_pairs.construction import build_case, in_scope_cases
 from adapted_pairs.verify import run_case
 
@@ -114,13 +117,37 @@ CERTIFICATE_SET_SHA256 = (
 )
 
 
-def test_certificate_set_unchanged():
-    assert len(CERTIFICATE_SET_CASES) == 72
+@lru_cache(maxsize=None)
+def _certificate_set_texts():
+    """The 72 certificates, in the order of their file names."""
     files = {
         f"{family}_n{n}_s{s}.json": (family, n, s)
         for family, n, s in CERTIFICATE_SET_CASES
     }
+    return [to_json(certificate_dict(run_case(*files[name]))) for name in sorted(files)]
+
+
+def test_certificate_set_unchanged():
+    assert len(CERTIFICATE_SET_CASES) == 72
     digest = hashlib.sha256()
-    for name in sorted(files):
-        digest.update(to_json(certificate_dict(run_case(*files[name]))).encode())
+    for text in _certificate_set_texts():
+        digest.update(text.encode())
     assert digest.hexdigest() == CERTIFICATE_SET_SHA256
+
+
+# One hash over the `report` text of the same 72 certificates, read back from
+# their JSON: per file, the txt rendering and then the md one.  Recorded
+# while the epsilon forms and the rationals were still rendered through
+# fractions.Fraction.
+REPORT_SET_SHA256 = (
+    "899338b5c908b73aee1a326ce2d48becf1b4697ecd1fd3f014c0a09634ac0488"
+)
+
+
+def test_report_set_unchanged():
+    digest = hashlib.sha256()
+    for text in _certificate_set_texts():
+        cert = from_json(text)
+        for fmt in ("txt", "md"):
+            digest.update(render_certificate(cert, fmt).encode())
+    assert digest.hexdigest() == REPORT_SET_SHA256

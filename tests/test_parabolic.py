@@ -12,6 +12,7 @@ from adapted_pairs.parabolic import (
 )
 from adapted_pairs.roots import Root, build_root_system
 from engine_oracle import (
+    cartan_eps,
     coroot_eps,
     pairing,
     project_h,
@@ -178,7 +179,7 @@ def test_h_projection_orthogonal():
     proj = project_h(p, v)
     assert proj[1] == 0
     # residual is orthogonal to the truncated Cartan, checked in epsilon form
-    resid = sys.cartan_eps([a - b for a, b in zip(v, proj)])
+    resid = cartan_eps(sys, [a - b for a, b in zip(v, proj)])
     for i in p.pi_prime:
         row = coroot_eps(sys, sys.simple_roots[i])
         assert sum(x * y for x, y in zip(resid, row)) == 0

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from adapted_pairs.roots import Root, RootSystem, _simple_root_data, build_root_system
+from adapted_pairs.roots import Root, RootSystem, build_root_system
 from engine_oracle import (
     Weight,
     closure_positive_roots,
+    eps_of,
     fundamental_weights,
     levi_weights,
     multiple_of,
     pairing,
+    simple_roots_eps,
 )
 from linalg_oracle import solve_in_span
 
@@ -33,8 +35,8 @@ def _dot(a, b):
 
 def _eps_pairing(sys, x, alpha):
     """<x, alpha^vee> computed in epsilon coordinates."""
-    a = sys.eps_of(alpha)
-    return 2 * _dot(sys.eps_of(x), a) / _dot(a, a)
+    a = eps_of(sys, alpha)
+    return 2 * _dot(eps_of(sys, x), a) / _dot(a, a)
 
 ALL_SYSTEMS = [("B", 2), ("B", 5), ("D", 4), ("D", 7), ("E6", 6), ("E7", 7)]
 
@@ -53,7 +55,7 @@ def test_frozen_counts():
 
 def test_b2_positive_roots_exact():
     sys = build_root_system("B", 2)
-    eps = {sys.eps_of(r) for r in sys.positive_roots}
+    eps = {eps_of(sys, r) for r in sys.positive_roots}
     assert eps == {
         (F(1), F(-1)),
         (F(0), F(1)),
@@ -65,14 +67,18 @@ def test_b2_positive_roots_exact():
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_simple_coeffs_consistent_and_nonnegative(family, rank):
     sys = build_root_system(family, rank)
-    simples = _simple_root_data(family, rank)
+    # the system's integer epsilon rows, over their denominator, are the
+    # oracle's coordinates in fractions
+    simples = simple_roots_eps(family, rank)
     for r in sys.positive_roots:
         assert all(c >= 0 for c in r.coeffs)
         recon = [F(0)] * sys.dim
         for c, a in zip(r.coeffs, simples):
             for d in range(sys.dim):
                 recon[d] += c * a[d]
-        assert tuple(recon) == sys.eps_of(r)
+        den, row = sys.eps_scaled(r)
+        assert all(type(x) is int for x in row)
+        assert tuple(F(x, den) for x in row) == tuple(recon)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -122,7 +128,7 @@ def test_levi_weights_e6():
     w1p = levi[0]
     expect = tuple(F(x, 2) for x in (0, 0, 0, 0, -1, -1, -1, 1))
     # (1/2)(e8-e7-e5-e6)
-    assert sys.eps_of(w1p) == expect
+    assert eps_of(sys, w1p) == expect
     w1 = fundamental_weights(sys)[0]
     w6 = fundamental_weights(sys)[5]
     assert (w1p - w1) == w6.scale(F(-1, 2))
@@ -147,8 +153,8 @@ def test_levi_weight_defining_property():
                 1 if i == j else 0
             )
         # inside the span of the subset
-        span = [sys.eps_of(sys.simple_roots[k]) for k in subset]
-        assert solve_in_span(span, sys.eps_of(levi[i])) is not None
+        span = [eps_of(sys, sys.simple_roots[k]) for k in subset]
+        assert solve_in_span(span, eps_of(sys, levi[i])) is not None
 
 
 def test_multiple_of():
@@ -198,22 +204,14 @@ def _eps_roots(simples):
 @pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
 def test_integer_form_matches_epsilon_oracle(family, rank):
     sys = build_root_system(family, rank)
-    simples = _simple_root_data(family, rank)
-
-    def eps(r):
-        out = [F(0)] * len(simples[0])
-        for c, a in zip(r.coeffs, simples):
-            for d, x in enumerate(a):
-                out[d] += c * x
-        return tuple(out)
-
+    simples = simple_roots_eps(family, rank)
     allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
     for r in allroots:
-        for a in sys.simple_roots:
-            ea, er = eps(a), eps(r)
+        er = eps_of(sys, r)
+        for a, ea in zip(sys.simple_roots, simples):
             assert sys.inner(r, a) == _dot(er, ea)
             assert pairing(sys, r, a) == 2 * _dot(er, ea) / _dot(ea, ea)
-        assert sys.root_from_eps(sys.eps_of(r)) == r
+        assert sys.root_from_eps(er) == r
     # the positive roots are the epsilon-generated roots with nonnegative
     # coordinates over the simple roots
     generated = _eps_roots(simples)
@@ -221,7 +219,7 @@ def test_integer_form_matches_epsilon_oracle(family, rank):
         v for v in generated if all(c >= 0 for c in solve_in_span(simples, v))
     }
     assert len(generated) == 2 * len(positive)
-    assert {eps(r) for r in sys.positive_roots} == positive
+    assert {eps_of(sys, r) for r in sys.positive_roots} == positive
 
 
 CODE_SYSTEMS = (
@@ -277,14 +275,14 @@ def test_generation_matches_the_closure_oracle(family, rank):
 def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
     sys = build_root_system(family, rank)
     for r in sys.by_code.values():
-        eps = sys.eps_of(r)
+        eps = eps_of(sys, r)
         assert sys.root_from_eps(eps) is r
         assert sys.root_from_eps(list(eps)) is r
         # integer entries as ints, the half-integers of E6/E7 as Fractions
         mixed = [int(x) if x.denominator == 1 else x for x in eps]
         assert sys.root_from_eps(mixed) is r
     half = [F(1, 2)] + [F(0)] * (sys.dim - 1)
-    scaled = [x * sys._eps_den for x in sys.eps_of(sys.simple_roots[0])]
+    scaled = [x * sys._eps_den for x in eps_of(sys, sys.simple_roots[0])]
     for not_a_root in (half, [0] * sys.dim, [2] + [0] * (sys.dim - 1)):
         with pytest.raises(KeyError):
             sys.root_from_eps(not_a_root)
