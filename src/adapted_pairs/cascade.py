@@ -15,27 +15,19 @@ Everything runs on root codes (`RootSystem.base`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
 
 
-class CascadeItem:
+class CascadeItem(NamedTuple):
     """One cascade root beta with its component and H_beta."""
 
-    __slots__ = ("label", "beta", "subsystem", "heisenberg")
-
-    def __init__(
-        self,
-        label: str,
-        beta: Root,
-        subsystem: Tuple[Root, ...],
-        heisenberg: Tuple[Root, ...],
-    ):
-        self.label = label  # tree path such as "1", "1.2"
-        self.beta = beta
-        self.subsystem = subsystem  # positive roots of the defining component
-        self.heisenberg = heisenberg  # H_beta inside the component
+    label: str  # tree path such as "1", "1.2"
+    beta: Root
+    subsystem: Tuple[Root, ...]  # positive roots of the defining component
+    heisenberg: Tuple[Root, ...]  # H_beta inside the component
 
 
 def _split_components(
@@ -87,21 +79,20 @@ def kostant_cascade(
     system: RootSystem, subset: Optional[Sequence[int]] = None
 ) -> List[CascadeItem]:
     """The full cascade for Delta+, or for the subsystem generated by the
-    simple roots of the given (0-based) indices.
-
-    The cascade of Delta+ is the same for every s; it is kept on the system.
-    """
+    simple roots of the given (0-based) indices."""
     if subset is None:
-        if system.cascade is None:
-            system.cascade = _build_cascade(
-                system, system.positive_roots, system.simple_roots
-            )
-        return list(system.cascade)
+        return list(_full_cascade(system))
     # imported here so that the `cascade` command loads no parabolic data
     from .parabolic import subsystem_roots
 
     simples = [system.simple_roots[i] for i in subset]
     return _build_cascade(system, subsystem_roots(system, subset), simples)
+
+
+@lru_cache(maxsize=None)
+def _full_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
+    """The cascade of Delta+, the same for every s: built once per system."""
+    return tuple(_build_cascade(system, system.positive_roots, system.simple_roots))
 
 
 def _build_cascade(

@@ -5,7 +5,7 @@ the simple-root basis, so a certificate survives JSON round-tripping without
 loss and an independent checker can re-validate it.  All set listings are
 ordered lexicographically by coefficient vector, which makes certificates
 byte-deterministic.  This module is the writer and needs the engine; the
-reader (`from_json`, and `cli._rat`, which reads a rational back as two
+reader (`json.loads`, then `cli._rat`, which reads a rational back as two
 ints) lives in `cli`, next to `report`.
 """
 

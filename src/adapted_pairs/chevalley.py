@@ -12,6 +12,7 @@ what the per-pair loops of `verify` call.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from .roots import Root, RootSystem
@@ -145,8 +146,7 @@ class StructureTable:
         return num // den
 
 
+@lru_cache(maxsize=None)
 def build_structure_table(system: RootSystem) -> StructureTable:
-    """The full structure-constant table, kept on the system."""
-    if system.structure_table is None:
-        system.structure_table = StructureTable(system)
-    return system.structure_table
+    """The full structure-constant table, built once per system."""
+    return StructureTable(system)

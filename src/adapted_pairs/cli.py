@@ -43,10 +43,6 @@ def eps_str(system: RootSystem, root: Root) -> str:
     return body if den == g else f"(1/{den // g})({body})"
 
 
-def from_json(text: str) -> dict:
-    return json.loads(text)
-
-
 def _rat(obj) -> Tuple[int, int]:
     """A rational stored as {"num", "den"} in a certificate, as (num, den)
     in lowest terms with den > 0.  A field that is not an integer raises
@@ -66,6 +62,11 @@ def _frac_str(num: int, den: int) -> str:
 
 def _rat_str(obj) -> str:
     return _frac_str(*_rat(obj))
+
+
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def render_certificate(cert: dict, fmt: str) -> str:
@@ -154,20 +155,30 @@ def cmd_verify(args) -> int:
     from .construction import OutOfScopeError
     from .verify import run_case
 
-    if args.out:
-        # a certificate of an earlier run must not outlive a case that raises
-        Path(args.out).unlink(missing_ok=True)
+    out: Optional[Path] = Path(args.out) if args.out else None
+    if out:
+        # a certificate of an earlier run must not outlive a case that
+        # raises, and a path that cannot be written is refused before the
+        # case runs
+        try:
+            out.unlink(missing_ok=True)
+        except OSError as exc:
+            return _usage_error(f"cannot write --out: {exc}")
+        if not out.parent.is_dir():
+            return _usage_error(f"cannot write --out: no directory {out.parent}")
     try:
         result = run_case(args.family, args.rank, args.s)
     except OutOfScopeError as exc:
         print(f"{args.family} n={args.rank} s={args.s}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     cert = certificate_dict(result)
-    if args.out:
-        Path(args.out).write_text(to_json(cert))
+    if out:
+        try:
+            out.write_text(to_json(cert))
+        except OSError as exc:
+            return _usage_error(f"cannot write --out: {exc}")
     degrees = ", ".join(_rat_str(d) for d in cert["degrees"])
     status = cert["verdict"].upper()
     print(f"{args.family} n={args.rank} s={args.s}: {status}  degrees: {degrees}")
@@ -194,7 +205,10 @@ def cmd_sweep(args) -> int:
 
     out_dir: Optional[Path] = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _usage_error(f"cannot write --out: {exc}")
     rows = []
     all_ok = True
     for family, n, s in in_scope_cases(args.max_rank):
@@ -218,7 +232,10 @@ def cmd_sweep(args) -> int:
         dt = time.perf_counter() - t0
         cert = certificate_dict(result)
         if out_file:
-            out_file.write_text(to_json(cert))
+            try:
+                out_file.write_text(to_json(cert))
+            except OSError as exc:
+                return _usage_error(f"cannot write --out: {exc}")
         degrees = ",".join(_rat_str(d) for d in cert["degrees"])
         failing = result.first_failing
         note = f"  first failing check: {failing}" if failing else ""
@@ -239,8 +256,7 @@ def cmd_cascade(args) -> int:
     try:
         system = build_root_system(args.family, args.rank)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     for item in kostant_cascade(system):
         print(
             f"beta[{item.label}] = {eps_str(system, item.beta)}   "
@@ -251,7 +267,7 @@ def cmd_cascade(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        cert = from_json(Path(args.infile).read_text())
+        cert = json.loads(Path(args.infile).read_text())
     except (OSError, ValueError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE

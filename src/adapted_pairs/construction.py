@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
-from .parabolic import ParabolicData, build_parabolic
+from .parabolic import ParabolicData
 from .roots import Root, RootSystem, build_root_system
 
 
@@ -249,7 +249,7 @@ def _assemble(
 
 def _build_B(n: int, s: int) -> Candidate:
     sys = build_root_system("B", n)
-    parab = build_parabolic(sys, s)
+    parab = ParabolicData(sys, s)
     r = lambda terms: _rt(sys, terms)
     heis = cascade_heisenberg_by_beta(sys)
 
@@ -299,7 +299,7 @@ def _build_B(n: int, s: int) -> Candidate:
 
 def _build_D(n: int, s: int) -> Candidate:
     sys = build_root_system("D", n)
-    parab = build_parabolic(sys, s)
+    parab = ParabolicData(sys, s)
     r = lambda terms: _rt(sys, terms)
     heis = cascade_heisenberg_by_beta(sys)
 
@@ -353,7 +353,7 @@ def _build_D(n: int, s: int) -> Candidate:
 
 def _build_D_extremal(n: int) -> Candidate:
     sys = build_root_system("D", n)
-    parab = build_parabolic(sys, n)
+    parab = ParabolicData(sys, n)
     r = lambda terms: _rt(sys, terms)
     heis = cascade_heisenberg_by_beta(sys)
 
@@ -406,7 +406,7 @@ def _build_D_extremal(n: int) -> Candidate:
 
 def _build_E6() -> Candidate:
     sys = build_root_system("E6", 6)
-    parab = build_parabolic(sys, 6)
+    parab = ParabolicData(sys, 6)
     rc = lambda c: sys.root_from_coeffs(c)
     heis = cascade_heisenberg_by_beta(sys)
     heis_levi = cascade_heisenberg_by_beta(sys, parab.pi_prime)
@@ -507,7 +507,7 @@ def e7_d6_embedding() -> Dict[Root, Root]:
 
 def _build_E7() -> Candidate:
     e7 = build_root_system("E7", 7)
-    parab = build_parabolic(e7, 3)
+    parab = ParabolicData(e7, 3)
     d6_case = _build_D_extremal(6)
     phi = e7_d6_embedding()
 
@@ -544,7 +544,7 @@ def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candid
             new[perm.get(i, i) - 1] = c
         return sys.root_from_coeffs(tuple(new))
 
-    parab = build_parabolic(sys, new_s)
+    parab = ParabolicData(sys, new_s)
     gamma = {
         move(g): frozenset(move(m) for m in members)
         for g, members in cand.gamma_sets.items()

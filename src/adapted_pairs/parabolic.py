@@ -16,6 +16,7 @@ no linear system is solved.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
@@ -57,14 +58,12 @@ def minus_w0_on_subset(system: RootSystem, subset: Sequence[int]) -> Dict[int, i
 
     w0 is the longest element of the Weyl group generated by the subset; it
     is read off the descent algorithm applied to a strictly dominant weight
-    of the subsystem.  The result is kept on the system, once per subset.
+    of the subsystem, once per system and subset.
     """
-    key = tuple(sorted(subset))
-    if key not in system.minus_w0:
-        system.minus_w0[key] = _descent_minus_w0(system, key)
-    return dict(system.minus_w0[key])
+    return dict(_descent_minus_w0(system, tuple(sorted(subset))))
 
 
+@lru_cache(maxsize=None)
 def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, int]:
     """The descent algorithm on Dynkin labels <v, alpha_j^vee>, j in subset.
 
@@ -221,7 +220,3 @@ class ParabolicData:
         """gamma(alpha_i^vee) over the coroot basis order."""
         pairs = self.system.simple_pairings(gamma)
         return [pairs[i] for i in self.pi_prime]
-
-
-def build_parabolic(system: RootSystem, s: int) -> ParabolicData:
-    return ParabolicData(system, s)

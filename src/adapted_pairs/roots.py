@@ -113,12 +113,6 @@ class RootSystem:
     than itself: by_code.get(code(a) + code(b)) is the root a + b or None.
     A nonzero vector with digits in [-M, M] has the sign of its highest
     nonzero digit, so code(r) > 0 exactly when r is positive.
-
-    Besides its own data the system keeps results of other layers that
-    depend on nothing but the system, filled on first use: the Kostant
-    cascade of Delta+ (`cascade`), -w0 per simple-root subset
-    (`minus_w0`) and the table of structure constants
-    (`structure_table`).
     """
 
     def __init__(self, family: str, rank: int):
@@ -157,9 +151,6 @@ class RootSystem:
                 self.by_code[x.code] = x
         self._by_eps: Optional[Dict[Coeffs, Root]] = None
         self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
-        self.cascade: Optional[list] = None
-        self.minus_w0: Dict[Tuple[int, ...], Dict[int, int]] = {}
-        self.structure_table = None  # a chevalley.StructureTable
 
     # -- construction -----------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .bounds import BoundWeight
 from .chevalley import StructureTable, build_structure_table
@@ -34,126 +34,55 @@ UNCLASSIFIED = "unclassified"
 UNCONSTRAINED = "unconstrained"  # no mixed neighbours: sign checks only
 
 
-class OrbitStructure:
+class OrbitStructure(NamedTuple):
     """theta, S_alpha and the strata of O = union of the punctured Gamma sets.
 
     by_code maps the code of every root of O to the root."""
 
-    __slots__ = (
-        "O",
-        "by_code",
-        "theta",
-        "centre_of",
-        "S_alpha",
-        "strata",
-        "O_plus",
-        "O_minus",
-        "O_mixed",
-    )
-
-    def __init__(
-        self,
-        O: Tuple[Root, ...],
-        by_code: Dict[int, Root],
-        theta: Dict[Root, Root],
-        centre_of: Dict[Root, Root],
-        S_alpha: Dict[Root, Tuple[Root, ...]],
-        strata: Dict[Root, int],
-        O_plus: FrozenSet[Root],
-        O_minus: FrozenSet[Root],
-        O_mixed: FrozenSet[Root],
-    ):
-        self.O = O
-        self.by_code = by_code
-        self.theta = theta
-        self.centre_of = centre_of
-        self.S_alpha = S_alpha
-        self.strata = strata
-        self.O_plus = O_plus
-        self.O_minus = O_minus
-        self.O_mixed = O_mixed
+    O: Tuple[Root, ...]
+    by_code: Dict[int, Root]
+    theta: Dict[Root, Root]
+    centre_of: Dict[Root, Root]
+    S_alpha: Dict[Root, Tuple[Root, ...]]
+    strata: Dict[Root, int]
+    O_plus: FrozenSet[Root]
+    O_minus: FrozenSet[Root]
+    O_mixed: FrozenSet[Root]
 
 
-class CheckReport:
-    __slots__ = ("ok", "problems", "orbits")
-
-    def __init__(
-        self, ok: bool, problems: List[str], orbits: Optional[OrbitStructure]
-    ):
-        self.ok = ok
-        self.problems = problems
-        self.orbits = orbits  # None unless all partners exist and S = centres
+class CheckReport(NamedTuple):
+    ok: bool
+    problems: List[str]
+    orbits: Optional[OrbitStructure]  # None unless all partners exist and S = centres
 
 
-class BasisCheck:
-    __slots__ = ("ok", "determinant")
-
-    def __init__(self, ok: bool, determinant: Fraction):
-        self.ok = ok
-        self.determinant = determinant
+class BasisCheck(NamedTuple):
+    ok: bool
+    determinant: Fraction
 
 
-class NondegeneracyCheck:
-    __slots__ = ("ok", "determinant", "size", "monomial_ok", "monomial_degree")
-
-    def __init__(
-        self,
-        ok: bool,
-        determinant: Fraction,
-        size: int,
-        monomial_ok: bool,
-        monomial_degree: int,
-    ):
-        self.ok = ok
-        self.determinant = determinant
-        self.size = size
-        self.monomial_ok = monomial_ok
-        self.monomial_degree = monomial_degree
+class NondegeneracyCheck(NamedTuple):
+    ok: bool
+    determinant: Fraction
+    size: int
+    monomial_ok: bool
+    monomial_degree: int
 
 
-class RegularityCheck:
-    __slots__ = (
-        "ok",
-        "rank",
-        "rank_augmented",
-        "dim_p",
-        "t_size",
-        "membership_ok",
-        "problems",
-    )
-
-    def __init__(
-        self,
-        ok: bool,
-        rank: int,
-        rank_augmented: int,
-        dim_p: int,
-        t_size: int,
-        membership_ok: bool,
-        problems: List[str],
-    ):
-        self.ok = ok
-        self.rank = rank
-        self.rank_augmented = rank_augmented
-        self.dim_p = dim_p
-        self.t_size = t_size
-        # every basis vector lies in (ad p^-) y + g_T
-        self.membership_ok = membership_ok
-        self.problems = problems  # why the ranks were not computed, if so
+class RegularityCheck(NamedTuple):
+    ok: bool
+    rank: int
+    rank_augmented: int
+    dim_p: int
+    t_size: int
+    membership_ok: bool  # every basis vector lies in (ad p^-) y + g_T
+    problems: List[str]  # why the ranks were not computed, if so
 
 
-class AdaptedPair:
-    __slots__ = ("h_coroot_coeffs", "eigenvalues", "degrees")
-
-    def __init__(
-        self,
-        h_coroot_coeffs: Dict[int, Fraction],
-        eigenvalues: Dict[Root, Fraction],
-        degrees: Tuple[Fraction, ...],
-    ):
-        self.h_coroot_coeffs = h_coroot_coeffs  # keyed by 1-based simple index
-        self.eigenvalues = eigenvalues  # gamma in T -> gamma(h)
-        self.degrees = degrees  # sorted eigenvalues + 1
+class AdaptedPair(NamedTuple):
+    h_coroot_coeffs: Dict[int, Fraction]  # keyed by 1-based simple index
+    eigenvalues: Dict[Root, Fraction]  # gamma in T -> gamma(h)
+    degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
 
 
 def check_basis_restriction(cand: Candidate) -> BasisCheck:
@@ -300,12 +229,9 @@ WALK_NOT_STATIONARY = "not_stationary"  # some branch looped or was undefined
 WALK_LOOP_GUARD = "loop_guard"  # the exploration stopped before it finished
 
 
-class WalkResult:
-    __slots__ = ("reason", "nodes")
-
-    def __init__(self, reason: str, nodes: FrozenSet[Root]):
-        self.reason = reason  # one of the WALK_* outcomes
-        self.nodes = nodes  # the elements reached and their theta images
+class WalkResult(NamedTuple):
+    reason: str  # one of the WALK_* outcomes
+    nodes: FrozenSet[Root]  # the elements reached and their theta images
 
 
 def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
@@ -368,17 +294,12 @@ def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[boo
     return True, strict
 
 
-class CyclicFamily:
+class CyclicFamily(NamedTuple):
     """Six orbit roots closed under theta and the sum relations."""
 
-    __slots__ = ("members", "extended", "tildes")
-
-    def __init__(
-        self, members: Tuple[Root, ...], extended: bool, tildes: Dict[Root, Root]
-    ):
-        self.members = members  # (a, b, g, th a, th b, th g)
-        self.extended = extended
-        self.tildes = tildes  # O_3 member -> its tilde root
+    members: Tuple[Root, ...]  # (a, b, g, th a, th b, th g)
+    extended: bool
+    tildes: Dict[Root, Root]  # O_3 member -> its tilde root
 
 
 def _find_cyclic(
@@ -434,20 +355,11 @@ def _find_cyclic(
     return None
 
 
-class ClassificationReport:
-    __slots__ = ("ok", "problems", "labels", "counts")
-
-    def __init__(
-        self,
-        ok: bool,
-        problems: List[str],
-        labels: Dict[Root, str],
-        counts: Counter,
-    ):
-        self.ok = ok
-        self.problems = problems
-        self.labels = labels  # orbit root -> its classification
-        self.counts = counts
+class ClassificationReport(NamedTuple):
+    ok: bool
+    problems: List[str]
+    labels: Dict[Root, str]  # orbit root -> its classification
+    counts: Counter
 
 
 def classify_roots(os: OrbitStructure) -> ClassificationReport:
@@ -749,54 +661,22 @@ def eigenvalue_report(
 # ---------------------------------------------------------------------------
 
 
-class CaseResult:
+class CaseResult(NamedTuple):
     """Every check outcome of one case, with its candidate and adapted pair."""
 
-    __slots__ = (
-        "candidate",
-        "basis",
-        "heisenberg",
-        "classification",
-        "nondegeneracy",
-        "regularity",
-        "t_size_vs_index",
-        "pair",
-        "eigenvalues_match",
-        "lower",
-        "improved",
-        "bounds_coincide",
-        "bounds_expected_match",
-    )
-
-    def __init__(
-        self,
-        candidate: Candidate,
-        basis: BasisCheck,
-        heisenberg: CheckReport,
-        classification: ClassificationReport,
-        nondegeneracy: NondegeneracyCheck,
-        regularity: RegularityCheck,
-        t_size_vs_index: bool,
-        pair: AdaptedPair,
-        eigenvalues_match: bool,
-        lower: List[BoundWeight],
-        improved: List[BoundWeight],
-        bounds_coincide: bool,
-        bounds_expected_match: bool,
-    ):
-        self.candidate = candidate
-        self.basis = basis
-        self.heisenberg = heisenberg
-        self.classification = classification
-        self.nondegeneracy = nondegeneracy
-        self.regularity = regularity
-        self.t_size_vs_index = t_size_vs_index
-        self.pair = pair
-        self.eigenvalues_match = eigenvalues_match
-        self.lower = lower
-        self.improved = improved
-        self.bounds_coincide = bounds_coincide
-        self.bounds_expected_match = bounds_expected_match
+    candidate: Candidate
+    basis: BasisCheck
+    heisenberg: CheckReport
+    classification: ClassificationReport
+    nondegeneracy: NondegeneracyCheck
+    regularity: RegularityCheck
+    t_size_vs_index: bool
+    pair: AdaptedPair
+    eigenvalues_match: bool
+    lower: List[BoundWeight]
+    improved: List[BoundWeight]
+    bounds_coincide: bool
+    bounds_expected_match: bool
 
     @property
     def verdict(self) -> bool:

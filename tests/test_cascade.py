@@ -2,7 +2,7 @@ import pytest
 
 from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.construction import in_scope_cases
-from adapted_pairs.parabolic import build_parabolic, subsystem_roots
+from adapted_pairs.parabolic import ParabolicData, subsystem_roots
 from adapted_pairs.roots import build_root_system
 from engine_oracle import _indecomposables, cascade_oracle, eps_of
 
@@ -201,7 +201,7 @@ def test_levi_cascades_match_the_oracle():
     # of Delta+_{pi'} again as indecomposables
     for family, n, s in in_scope_cases(10) + [("D", 8, 7), ("E6", 6, 1)]:
         sys = build_root_system(family, n)
-        parab = build_parabolic(sys, s)
+        parab = ParabolicData(sys, s)
         assert _items(kostant_cascade(sys, parab.pi_prime)) == cascade_oracle(
             sys, parab.delta_pi_prime_pos
         )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adapted_pairs.certificate import certificate_dict, to_json
-from adapted_pairs.cli import _rat_str, eps_str, from_json, main
+from adapted_pairs.cli import _rat_str, eps_str, main
 from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
 from engine_oracle import centre_moved_outside, rat_value, replace
@@ -18,7 +18,7 @@ def test_verify_pass_exit_code_and_output(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "PASS" in stdout and "3, 6, 8, 10, 18" in stdout
-    cert = from_json(out.read_text())
+    cert = json.loads(out.read_text())
     assert cert["verdict"] == "pass"
     assert cert["schema"] == 1
 
@@ -73,7 +73,7 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
         l.startswith(f"heisenberg: {centre.coeffs}: no Heisenberg partner for ")
         for l in lines[2:]
     )
-    cert = from_json(out.read_text())
+    cert = json.loads(out.read_text())
     assert cert["verdict"] == "fail"
     assert cert["first_failing_check"] == "heisenberg_ok"
     assert cert["checks"]["classification_ok"] is False
@@ -91,7 +91,7 @@ def test_verify_fails_an_s_member_outside_the_support(tmp_path, monkeypatch, cap
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "first failing check: heisenberg_ok"
     assert f"heisenberg: {moved.coeffs}: member {moved.coeffs} outside support" in lines
-    cert = from_json(out.read_text())
+    cert = json.loads(out.read_text())
     assert cert["verdict"] == "fail"
     assert cert["checks"]["regularity_rank"] == 0
     assert cert["checks"]["regularity_rank_augmented"] == 0
@@ -109,7 +109,7 @@ def test_verify_fails_a_non_basis_s(tmp_path, monkeypatch, capsys):
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "first failing check: basis_det"
-    cert = from_json(out.read_text())
+    cert = json.loads(out.read_text())
     assert cert["verdict"] == "fail"
     assert cert["first_failing_check"] == "basis_det"
     assert rat_value(cert["checks"]["basis_det"]) == 0
@@ -138,7 +138,7 @@ def test_certificate_round_trip(tmp_path):
     result = run_case("B", 4, 4)
     cert = certificate_dict(result)
     text = to_json(cert)
-    assert from_json(text) == cert
+    assert json.loads(text) == cert
     # exact rationals survive: h entry -1 has num/den form
     entry = cert["h"]["coroot_coeffs"][0]
     assert set(entry["value"]) == {"num", "den"}
@@ -273,6 +273,62 @@ def test_verify_deletes_the_old_certificate_of_a_crashing_case(
 
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return captured.out
+
+
+def test_verify_out_directory_is_a_usage_error(tmp_path, capsys):
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys) == ""
+    assert tmp_path.is_dir()
+
+
+def test_verify_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "c.json"
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
+    assert main(argv) == 2
+    # refused before the case runs: no verdict line
+    assert _one_error_line(capsys) == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_sweep_out_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "f"
+    out.write_text("kept")
+    assert main(["sweep", "--max-rank", "4", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == ""
+    assert out.read_text() == "kept"
+
+
+def test_verify_certificate_that_cannot_be_written_is_a_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    import adapted_pairs.verify as verify
+
+    out = tmp_path / "cert.json"
+    real_run_case = verify.run_case
+
+    def run_case_then_block_out(*case):
+        result = real_run_case(*case)
+        out.mkdir()
+        return result
+
+    monkeypatch.setattr(verify, "run_case", run_case_then_block_out)
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == ""
+
+
+def test_sweep_certificate_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "B_n4_s2.json").mkdir()
+    assert main(["sweep", "--max-rank", "4", "--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys) == ""
 
 
 def test_report_rejects_certificate_without_fields(tmp_path, capsys):
@@ -431,9 +487,10 @@ def test_report_loads_no_engine_module(tmp_path):
 
 def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
     # a fresh `python -m adapted_pairs.cli verify` process builds its engine
-    # from plain classes: neither dataclasses nor the inspect module it
-    # imports is loaded.  -X importtime lists every module the process
-    # imports, so the command itself is run unchanged.
+    # from plain classes and typing.NamedTuple records: neither dataclasses
+    # nor the inspect module it imports is loaded.  -X importtime lists
+    # every module the process imports, so the command itself is run
+    # unchanged.
     import os
     import subprocess
     import sys

@@ -7,12 +7,13 @@ caching or elimination order must keep every certificate byte-identical.
 """
 
 import hashlib
+import json
 from functools import lru_cache
 
 import pytest
 
 from adapted_pairs.certificate import certificate_dict, to_json
-from adapted_pairs.cli import from_json, render_certificate
+from adapted_pairs.cli import render_certificate
 from adapted_pairs.construction import build_case, in_scope_cases
 from adapted_pairs.verify import run_case
 
@@ -147,7 +148,7 @@ REPORT_SET_SHA256 = (
 def test_report_set_unchanged():
     digest = hashlib.sha256()
     for text in _certificate_set_texts():
-        cert = from_json(text)
+        cert = json.loads(text)
         for fmt in ("txt", "md"):
             digest.update(render_certificate(cert, fmt).encode())
     assert digest.hexdigest() == REPORT_SET_SHA256

@@ -5,7 +5,7 @@ import pytest
 
 from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.parabolic import (
-    build_parabolic,
+    ParabolicData,
     components,
     minus_w0_on_subset,
     subsystem_roots,
@@ -99,7 +99,7 @@ def test_j_classical_automorphisms():
 
 def test_involution_i_type_b():
     sys = build_root_system("B", 7)
-    p = build_parabolic(sys, 4)
+    p = ParabolicData(sys, 4)
     # A_{s-1} component: the chain is reversed, alpha_t -> alpha_{s-t}
     assert p.i_map[0] == 2 and p.i_map[2] == 0 and p.i_map[1] == 1
     # B_{n-s} component: identity
@@ -111,14 +111,14 @@ def test_involution_i_type_b():
 
 def test_involutions_are_involutions():
     for family, rank, s in [("B", 6, 4), ("D", 7, 4), ("E6", 6, 6), ("E7", 7, 3)]:
-        p = build_parabolic(build_root_system(family, rank), s)
+        p = ParabolicData(build_root_system(family, rank), s)
         for a in range(rank):
             assert p.j_map[p.j_map[a]] == a
             assert p.i_map[p.i_map[a]] == a
 
 
 def test_orbit_examples_from_the_literature():
-    p = build_parabolic(build_root_system("E6", 6), 6)
+    p = ParabolicData(build_root_system("E6", 6), 6)
     assert sorted(tuple(sorted(i + 1 for i in o)) for o in p.orbits) == [
         (1, 6),
         (2, 3, 5),
@@ -126,7 +126,7 @@ def test_orbit_examples_from_the_literature():
     ]
     assert p.index == 3
 
-    p = build_parabolic(build_root_system("E7", 7), 3)
+    p = ParabolicData(build_root_system("E7", 7), 3)
     assert sorted(tuple(sorted(i + 1 for i in o)) for o in p.orbits) == [
         (1,),
         (2, 7),
@@ -141,7 +141,7 @@ def test_orbit_examples_from_the_literature():
     "n,s", [(n, s) for n in range(2, 11) for s in range(2, n + 1, 2)]
 )
 def test_index_closed_form_type_b(n, s):
-    p = build_parabolic(build_root_system("B", n), s)
+    p = ParabolicData(build_root_system("B", n), s)
     assert p.index == n - s // 2 + 1
     # orbit shapes: pairs {alpha_t, alpha_{s-t}}, singletons elsewhere
     expected = {frozenset({t - 1, s - t - 1}) for t in range(1, s // 2)}
@@ -154,13 +154,13 @@ def test_index_closed_form_type_b(n, s):
     "n,s", [(n, s) for n in range(4, 11) for s in range(2, n - 1, 2)]
 )
 def test_index_closed_form_type_d(n, s):
-    p = build_parabolic(build_root_system("D", n), s)
+    p = ParabolicData(build_root_system("D", n), s)
     assert p.index == n - s // 2 + 1
 
 
 def test_orbits_stable_under_ij():
     for family, rank, s in [("B", 8, 4), ("D", 9, 6), ("E6", 6, 6)]:
-        p = build_parabolic(build_root_system(family, rank), s)
+        p = ParabolicData(build_root_system(family, rank), s)
         sigma = {a: p.i_map[p.j_map[a]] for a in range(rank)}
         for orbit in p.orbits:
             assert {sigma[a] for a in orbit} == set(orbit)
@@ -174,7 +174,7 @@ def test_components():
 
 def test_h_projection_orthogonal():
     sys = build_root_system("B", 4)
-    p = build_parabolic(sys, 2)
+    p = ParabolicData(sys, 2)
     v = sys.coroot(sys.simple_roots[1])  # coroot at the removed node
     proj = project_h(p, v)
     assert proj[1] == 0
@@ -192,7 +192,7 @@ PROJECTION_CASES = (
 
 def test_removed_projection_matches_the_coroot_gram_solve():
     for family, n, s in PROJECTION_CASES:
-        p = build_parabolic(build_root_system(family, n), s)
+        p = ParabolicData(build_root_system(family, n), s)
         den, num = p.removed_projection()
         assert den > 0 and math.gcd(den, *num) == 1 and len(num) == p.h_dim
         assert [Fraction(x, den) for x in num] == removed_projection_oracle(p)

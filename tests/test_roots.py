@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.chevalley import build_structure_table
+from adapted_pairs.parabolic import minus_w0_on_subset
 from adapted_pairs.roots import Root, RootSystem, build_root_system
 from engine_oracle import (
     Weight,
@@ -291,3 +294,25 @@ def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
         # coordinates
         with pytest.raises(KeyError):
             sys.root_from_eps(scaled)
+
+
+def test_per_system_memos_are_shared_and_handed_out_as_copies():
+    # the structure table, the cascade of Delta+ and -w0 are kept once per
+    # system by the modules that build them; callers get their own list
+    # and dict
+    sys = build_root_system("D", 6)
+    table = build_structure_table(sys)
+    assert table is build_structure_table(sys) and table.system is sys
+    assert build_structure_table(build_root_system("D", 7)) is not table
+
+    cascade = kostant_cascade(sys)
+    original = list(cascade)
+    cascade.pop()
+    cascade.reverse()
+    assert kostant_cascade(sys) == original
+
+    w0 = minus_w0_on_subset(sys, range(sys.rank))
+    original_w0 = dict(w0)
+    w0[0] = 99
+    del w0[1]
+    assert minus_w0_on_subset(sys, range(sys.rank)) == original_w0

@@ -793,3 +793,41 @@ def test_run_case_verdicts():
         result = run_case(family, n, s)
         assert result.verdict, result.first_failing
         assert result.first_failing is None
+
+
+# -- result records ----------------------------------------------------------
+
+
+def test_result_records_are_named_tuples():
+    # each field is declared once, as in bounds.BoundWeight
+    from adapted_pairs import cascade, verify
+
+    records = [
+        cascade.CascadeItem,
+        verify.OrbitStructure,
+        verify.CheckReport,
+        verify.BasisCheck,
+        verify.NondegeneracyCheck,
+        verify.RegularityCheck,
+        verify.AdaptedPair,
+        verify.WalkResult,
+        verify.CyclicFamily,
+        verify.ClassificationReport,
+        verify.CaseResult,
+    ]
+    for cls in records:
+        assert issubclass(cls, tuple) and cls._fields, cls
+        assert "__init__" not in vars(cls) and vars(cls)["__slots__"] == (), cls
+
+
+def test_records_are_values():
+    # no caller can change a verdict after it was computed
+    result = run_case("B", 4, 2)
+    pair, rank = result.pair, result.regularity.rank
+    with pytest.raises(AttributeError):
+        result.pair = solve_h(result.candidate)
+    with pytest.raises(AttributeError):
+        result.regularity.rank = 0
+    with pytest.raises(AttributeError):
+        check_heisenberg(result.candidate).ok = False
+    assert result.pair is pair and result.regularity.rank == rank
