@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Dict, List, Sequence, Union
 
 from .bounds import bound_multiples
@@ -29,7 +30,9 @@ def _rat(x: Union[int, Fraction]) -> Dict[str, int]:
 
 
 def _root_list(roots: Sequence[Root]) -> List[List[int]]:
-    return [list(r.coeffs) for r in sorted(roots)]
+    """Coefficient vectors in sorted order; a root's code sorts like its
+    coefficients (`RootSystem.code`)."""
+    return [list(r.coeffs) for r in sorted(roots, key=attrgetter("code"))]
 
 
 def certificate_dict(result: CaseResult) -> dict:

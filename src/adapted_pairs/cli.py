@@ -3,7 +3,8 @@
 Subcommands: verify one case, sweep all cases up to a rank bound, list a
 Kostant cascade, or render a stored certificate.  Exit status: 0 when every
 check passes, 1 on a certificate failure or a sweep case that raised, 2 for
-out-of-scope or usage errors.
+out-of-scope or usage errors.  A `verify` case that raises anything but
+`OutOfScopeError` propagates, so Python exits 1 with its traceback.
 
 Only `roots` is imported at module level: `report` reads the certificate
 with the schema reader below and needs nothing else, while `verify`,
@@ -169,10 +170,10 @@ def cmd_verify(args) -> int:
     try:
         result = run_case(args.family, args.rank, args.s)
     except OutOfScopeError as exc:
+        # case_plan refuses every bad family, rank or s; any other error is
+        # a fault of the engine and propagates
         print(f"{args.family} n={args.rank} s={args.s}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        return _usage_error(exc)
     cert = certificate_dict(result)
     if out:
         try:

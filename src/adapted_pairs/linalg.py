@@ -69,14 +69,21 @@ def _eliminate(
             prow = rows[pi]
             if pi not in active or len(prow) != nnz:
                 continue  # stale entry; the row was pushed again when it changed
-            eligible = [c for c in prow if c < bound]
-            if not eligible:
-                continue  # pushed again if an update gives it an eligible column
-            pc = min(eligible, key=lambda c: (len(col_rows[c]), c))
+            if nnz == 1:
+                pc = next(iter(prow))
+                if pc >= bound:
+                    continue  # pushed again if an update gives it an eligible column
+            else:
+                eligible = [c for c in prow if c < bound]
+                if not eligible:
+                    continue
+                pc = min(eligible, key=lambda c: (len(col_rows[c]), c))
             pivots.append((pi, pc))
             active.discard(pi)
             p = prow[pc]
-            for j in [j for j in col_rows[pc] if j != pi]:
+            holders = col_rows[pc]
+            # a column that the pivot row alone holds needs no update
+            for j in [j for j in holders if j != pi] if len(holders) > 1 else ():
                 rj = rows[j]
                 a = rj[pc]
                 g = math.gcd(p, a) if p > 0 else -math.gcd(p, a)

@@ -4,9 +4,11 @@ A root is its integer coefficient vector over the simple roots (Bourbaki
 numbering).  Inner products and Cartan pairings come from the integer Gram
 and Cartan matrices of the simple roots, which are integral for every
 supported type, so root arithmetic runs on Python ints.  Every root of a
-system also carries a linear integer code (`RootSystem.base`), so that the
-per-pair loops of the checks test sums, differences and signs of roots on
-single ints.  Fundamental and Levi weights are integer vectors over one
+system also carries a linear integer code (`RootSystem.base`), its
+coefficients as the digits of one int with the first coefficient most
+significant, so that the checks test sums, differences and signs of roots
+on single ints, and sort codes exactly as they would sort coefficient
+vectors.  Fundamental and Levi weights are integer vectors over one
 denominator per simple-root subset (`weight_rows`).  Cartan elements are
 written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
@@ -106,13 +108,17 @@ def _simple_root_data(family: str, rank: int) -> Tuple[int, List[List[int]]]:
 class RootSystem:
     """Root system data: simple roots, positive roots, exact integer form.
 
-    Every root r has the code sum_i c_i base^i of its coefficients c_i.
-    With base = 3M + 1, M the largest coefficient of a root, the digits
-    of a sum or difference of two roots lie in [-2M, 2M], so the code is
-    linear on them and no such vector shares a code with a root other
-    than itself: by_code.get(code(a) + code(b)) is the root a + b or None.
-    A nonzero vector with digits in [-M, M] has the sign of its highest
-    nonzero digit, so code(r) > 0 exactly when r is positive.
+    Every root r of rank n has the code sum_i c_i base^(n-1-i) of its
+    coefficients c_i: c_0 is the most significant digit.  With base =
+    3M + 1, M the largest coefficient of a root, the digits of a sum or
+    difference of two roots lie in [-2M, 2M], so the code is linear on
+    them and no such vector shares a code with a root other than itself:
+    by_code.get(code(a) + code(b)) is the root a + b or None.  A nonzero
+    vector whose digits d satisfy |d| < base has the sign of its first
+    nonzero digit, so code(r) > 0 exactly when r is positive, and codes
+    sort like coefficient vectors: the difference of two roots has digits
+    in [-2M, 2M] and base > 2M + 1, so code(a) < code(b) exactly when
+    a.coeffs < b.coeffs.  sorted(codes) lists roots in sorted(roots) order.
     """
 
     def __init__(self, family: str, rank: int):
@@ -198,10 +204,10 @@ class RootSystem:
     # -- basic queries -----------------------------------------------------
 
     def code(self, coeffs: Sequence[int]) -> int:
-        """sum_i coeffs[i] * base^i, the code of a root with these
-        coefficients."""
+        """sum_i coeffs[i] * base^(n-1-i), the code of a root with these
+        coefficients: the first coefficient is the most significant digit."""
         out = 0
-        for c in reversed(coeffs):
+        for c in coeffs:
             out = out * self.base + c
         return out
 

@@ -37,17 +37,20 @@ UNCONSTRAINED = "unconstrained"  # no mixed neighbours: sign checks only
 class OrbitStructure(NamedTuple):
     """theta, S_alpha and the strata of O = union of the punctured Gamma sets.
 
-    by_code maps the code of every root of O to the root."""
+    Every field but by_code holds root codes (`RootSystem.code`): O is
+    sorted by code, which is the order of the coefficient vectors, and
+    S_alpha lists its codes in the same order.  by_code maps the code of
+    every root of O to the root, for heights, values on h and messages."""
 
-    O: Tuple[Root, ...]
+    O: Tuple[int, ...]
     by_code: Dict[int, Root]
-    theta: Dict[Root, Root]
-    centre_of: Dict[Root, Root]
-    S_alpha: Dict[Root, Tuple[Root, ...]]
-    strata: Dict[Root, int]
-    O_plus: FrozenSet[Root]
-    O_minus: FrozenSet[Root]
-    O_mixed: FrozenSet[Root]
+    theta: Dict[int, int]
+    centre_of: Dict[int, int]
+    S_alpha: Dict[int, Tuple[int, ...]]
+    strata: Dict[int, int]
+    O_plus: FrozenSet[int]
+    O_minus: FrozenSet[int]
+    O_mixed: FrozenSet[int]
 
 
 class CheckReport(NamedTuple):
@@ -96,12 +99,12 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
     set of centres, the partners found here give the orbit structure.
 
     Roots are compared by code: a - b is a root of a set exactly when its
-    code is the code of a member."""
+    code is the code of a member.  theta and centre_of are kept on codes."""
     problems: List[str] = []
     support = cand.parabolic.dual_support_codes
     seen: Dict[int, Root] = {}
-    theta: Dict[Root, Root] = {}
-    centre_of: Dict[Root, Root] = {}
+    theta: Dict[int, int] = {}
+    centre_of: Dict[int, int] = {}
     partnered = True
     for g, members in cand.gamma_sets.items():
         gc = g.code
@@ -126,8 +129,8 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
                 )
                 partnered = False
             else:
-                theta[a] = partner
-                centre_of[a] = g
+                theta[ac] = partner.code
+                centre_of[ac] = gc
     t_codes = {t.code for t in cand.T}
     t_star_codes = {t.code for t in cand.T_star}
     if t_codes & t_star_codes:
@@ -138,7 +141,8 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
         problems.append("Gamma, T*, T do not partition the support")
     if len(cand.S) != cand.parabolic.h_dim:
         problems.append(f"|S| = {len(cand.S)} != dim h = {cand.parabolic.h_dim}")
-    s_is_centres = list(cand.S) == sorted(cand.gamma_sets)
+    centres = sorted([g.code for g in cand.gamma_sets])
+    s_is_centres = [g.code for g in cand.S] == centres
     if not s_is_centres:
         problems.append("S is not the set of Gamma centres")
     orbits = None
@@ -148,33 +152,31 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
 
 
 def _orbit_structure(
-    cand: Candidate, theta: Dict[Root, Root], centre_of: Dict[Root, Root]
+    cand: Candidate, theta: Dict[int, int], centre_of: Dict[int, int]
 ) -> OrbitStructure:
-    """S_alpha, strata and sign regions of O from theta and the centres.
-
-    Differences of roots are taken on root codes: g - a is the orbit root
-    whose code is code(g) - code(a), if there is one."""
-    sign_of_centre: Dict[Root, str] = {}
+    """S_alpha, strata and sign regions of O from theta and the centres,
+    all on codes: g - a is the orbit root whose code is code(g) - code(a),
+    if there is one."""
+    sign_of_centre: Dict[int, str] = {}
     for g in cand.S_plus:
-        sign_of_centre[g] = "+"
+        sign_of_centre[g.code] = "+"
     for g in cand.S_minus:
-        sign_of_centre[g] = "-"
+        sign_of_centre[g.code] = "-"
     for g in cand.S_mixed:
-        sign_of_centre[g] = "m"
+        sign_of_centre[g.code] = "m"
     o_sorted = tuple(sorted(theta))
-    o_by_code = {a.code: a for a in o_sorted}
     centres = [g.code for g in cand.gamma_sets]
-    s_alpha: Dict[Root, Tuple[Root, ...]] = {}
-    for ac, a in o_by_code.items():
-        hits = [o_by_code[gc - ac] for gc in centres if gc - ac in o_by_code]
-        s_alpha[a] = tuple(sorted(hits))
+    s_alpha: Dict[int, Tuple[int, ...]] = {}
+    for a in o_sorted:
+        s_alpha[a] = tuple(sorted([gc - a for gc in centres if gc - a in theta]))
     strata = {a: len(s_alpha[a]) for a in o_sorted}
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:
         by_sign[sign_of_centre[centre_of[a]]].add(a)
+    by_code = cand.system.by_code
     return OrbitStructure(
         O=o_sorted,
-        by_code=o_by_code,
+        by_code={a: by_code[a] for a in o_sorted},
         theta=theta,
         centre_of=centre_of,
         S_alpha=s_alpha,
@@ -190,7 +192,7 @@ def _orbit_structure(
 # ---------------------------------------------------------------------------
 
 
-def _star_partners(os: OrbitStructure, t: Root) -> List[Root]:
+def _star_partners(os: OrbitStructure, t: int) -> List[int]:
     """Detour partners of t in O_3: members of S_t, other than theta(t),
     lying in O_2 with theta-image in O_1.  Sequences may step past a
     three-partner root only when such a partner exists."""
@@ -203,7 +205,7 @@ def _star_partners(os: OrbitStructure, t: Root) -> List[Root]:
     return out
 
 
-def _successors(os: OrbitStructure, x: Root) -> Optional[List[Root]]:
+def _successors(os: OrbitStructure, x: int) -> Optional[List[int]]:
     """Possible next elements of a sequence at x; None when undefined."""
     t = os.theta[x]
     n = os.strata[t]
@@ -231,11 +233,11 @@ WALK_LOOP_GUARD = "loop_guard"  # the exploration stopped before it finished
 
 class WalkResult(NamedTuple):
     reason: str  # one of the WALK_* outcomes
-    nodes: FrozenSet[Root]  # the elements reached and their theta images
+    nodes: FrozenSet[int]  # the codes reached and their theta images
 
 
-def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
-    """Explore every admissible sequence from start.
+def walk_sequence(os: OrbitStructure, start: int) -> WalkResult:
+    """Explore every admissible sequence from start, a code of O.
 
     The walk is stationary when every branch reaches a point whose
     theta-image is in O_1; loops or undefined steps disqualify.  The number
@@ -243,7 +245,7 @@ def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
     and its reason says that it stopped there rather than that a branch
     failed.
     """
-    nodes: Set[Root] = set()
+    nodes: Set[int] = set()
     all_ok = True
     stack = [(start, frozenset({start}))]
     guard = 4 * len(os.O) * max(4, len(os.O))
@@ -269,7 +271,7 @@ def walk_sequence(os: OrbitStructure, start: Root) -> WalkResult:
 
 
 def _walk(
-    os: OrbitStructure, walks: Dict[Root, WalkResult], start: Root
+    os: OrbitStructure, walks: Dict[int, WalkResult], start: int
 ) -> WalkResult:
     """walk_sequence from start, run once per start: walks is the memo."""
     w = walks.get(start)
@@ -278,7 +280,7 @@ def _walk(
     return w
 
 
-def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[bool, bool]:
+def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[int]) -> Tuple[bool, bool]:
     """(admissible, strict): every node has at most three partners and the
     three-partner nodes all have a detour partner; strict when every node
     has at most two partners."""
@@ -295,42 +297,42 @@ def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[Root]) -> Tuple[boo
 
 
 class CyclicFamily(NamedTuple):
-    """Six orbit roots closed under theta and the sum relations."""
+    """Six orbit roots, as codes, closed under theta and the sum relations."""
 
-    members: Tuple[Root, ...]  # (a, b, g, th a, th b, th g)
+    members: Tuple[int, ...]  # (a, b, g, th a, th b, th g)
     extended: bool
-    tildes: Dict[Root, Root]  # O_3 member -> its tilde root
+    tildes: Dict[int, int]  # O_3 member -> its tilde root
 
 
 def _find_cyclic(
-    os: OrbitStructure, alpha: Root, walks: Dict[Root, WalkResult]
+    os: OrbitStructure, alpha: int, walks: Dict[int, WalkResult]
 ) -> Optional[CyclicFamily]:
     """The cyclic family of alpha, if there is one.  The sum relations are
-    compared on codes: a + theta(a) is the centre of a's set."""
+    sums of codes: a + theta(a) is the centre of a's set."""
     th = os.theta
     centre_of = os.centre_of
-    c_alpha = centre_of[alpha].code
+    c_alpha = centre_of[alpha]
     for g in os.S_alpha[th[alpha]]:
         if g == alpha:
             continue
-        c_gamma = centre_of[g].code
+        c_gamma = centre_of[g]
         # theta(beta), since theta(beta) + alpha = gamma + theta(gamma)
-        tb = os.by_code.get(c_gamma - alpha.code)
-        if tb is None:
+        tb = c_gamma - alpha
+        if tb not in th:
             continue
         b = th[tb]
         fam = (alpha, b, g, th[alpha], th[b], th[g])
         if len(set(fam)) != 6:
             continue
-        if th[alpha].code + g.code != centre_of[b].code:
+        if th[alpha] + g != centre_of[b]:
             continue
-        if th[g].code + b.code != c_alpha:
+        if th[g] + b != c_alpha:
             continue
-        if th[b].code + alpha.code != c_gamma:
+        if th[b] + alpha != c_gamma:
             continue
         if any(os.strata[d] not in (2, 3) for d in fam):
             continue
-        tildes: Dict[Root, Root] = {}
+        tildes: Dict[int, int] = {}
         ok = True
         extended = False
         for d in fam:
@@ -358,7 +360,7 @@ def _find_cyclic(
 class ClassificationReport(NamedTuple):
     ok: bool
     problems: List[str]
-    labels: Dict[Root, str]  # orbit root -> its classification
+    labels: Dict[int, str]  # orbit root code -> its classification
     counts: Counter
 
 
@@ -369,10 +371,12 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     Heisenberg involution image; every root neighbouring the mixed region
     must be (extended) stationary, belong to an (extended) cyclic family,
     or be tilde-associated to one.  Each start is walked once, and a walk
-    that hit its loop guard is a problem.
+    that hit its loop guard is a problem.  Problem lines name roots by
+    their coefficient vectors.
     """
     problems: List[str] = []
     th = os.theta
+    root = os.by_code
 
     # inside a fixed sign region the only partner is the involution image
     for region, name in ((os.O_plus, "O+"), (os.O_minus, "O-")):
@@ -380,13 +384,13 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
             same = tuple(b for b in os.S_alpha[a] if b in region)
             if same != (th[a],):
                 problems.append(
-                    f"{name}: S_alpha of {a.coeffs} meets the region at "
-                    f"{[b.coeffs for b in same]}"
+                    f"{name}: S_alpha of {root[a].coeffs} meets the region at "
+                    f"{[root[b].coeffs for b in same]}"
                 )
 
     needs = [a for a in os.O if any(b in os.O_mixed for b in os.S_alpha[a])]
-    labels: Dict[Root, str] = {}
-    walks: Dict[Root, WalkResult] = {}
+    labels: Dict[int, str] = {}
+    walks: Dict[int, WalkResult] = {}
 
     for a in needs:
         fwd = _walk(os, walks, a)
@@ -408,13 +412,15 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
                 if d not in labels:
                     labels[d] = label
 
-    tilde_covered: Set[Root] = set()
+    tilde_covered: Set[int] = set()
     for fam in families:
         for tilde in fam.tildes.values():
             tilde_covered |= _walk(os, walks, tilde).nodes
     for start, w in walks.items():
         if w.reason == WALK_LOOP_GUARD:
-            problems.append(f"sequence walk from {start.coeffs} hit its loop guard")
+            problems.append(
+                f"sequence walk from {root[start].coeffs} hit its loop guard"
+            )
 
     for a in needs:
         if a in labels:
@@ -423,7 +429,7 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
             labels[a] = TILDE
         else:
             labels[a] = UNCLASSIFIED
-            problems.append(f"unclassified orbit root {a.coeffs}")
+            problems.append(f"unclassified orbit root {root[a].coeffs}")
 
     counts = Counter(labels.values())
     counts[UNCONSTRAINED] = len(os.O) - len(needs)
@@ -437,19 +443,19 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
 
 def pairing_matrix(
     table: StructureTable, os: OrbitStructure
-) -> Tuple[List[Dict[int, int]], List[Root]]:
-    """Rows of the skew matrix M with M[a][b] = N(-a,-b) when a+b is in S."""
+) -> Tuple[List[Dict[int, int]], List[int]]:
+    """Rows of the skew matrix M with M[a][b] = N(-a,-b) when a+b is in S,
+    and the codes of its rows and columns in order."""
     order = list(os.O)
-    pos = {a.code: i for i, a in enumerate(order)}
+    pos = {a: i for i, a in enumerate(order)}
     n_code = table.n_code
     rows: List[Dict[int, int]] = []
     for a in order:
         row: Dict[int, int] = {}
-        ac = a.code
         for b in os.S_alpha[a]:
-            n = n_code(-ac, -b.code)
+            n = n_code(-a, -b)
             if n:
-                row[pos[b.code]] = n
+                row[pos[b]] = n
         rows.append(row)
     return rows, order
 
@@ -495,18 +501,19 @@ def check_nondegeneracy(
     else:
         den = inverse.den
         xs = inverse.solve_scaled([abs(g.height) for g in cand.S])
-        u = _values_on_h(cand, xs, order)
-        heights = [a.height for a in order]
-        pos = {a.code: i for i, a in enumerate(order)}
+        roots = [os.by_code[a] for a in order]
+        u = _values_on_h(cand, xs, roots)
+        heights = [a.height for a in roots]
+        pos = {a: i for i, a in enumerate(order)}
         for i, a in enumerate(order):
             for b in os.S_alpha[a]:
-                j = pos[b.code]
+                j = pos[b]
                 if abs(heights[i] + heights[j]) * den != u[i] + u[j]:
                     mono_ok = False
         total = sum(u)
         theta = os.theta
         expected = sum(
-            abs(h + theta[a].height) for a, h in zip(order, heights)
+            abs(h + heights[pos[theta[a]]]) for a, h in zip(order, heights)
         )  # counts each theta-pair twice, matching the exponent 2*total
         if 2 * total != expected * den:
             mono_ok = False
@@ -521,9 +528,10 @@ def check_nondegeneracy(
 
 def coadjoint_columns(
     cand: Candidate, table: StructureTable
-) -> Tuple[List[Dict[int, int]], Dict[Root, int], int, int]:
+) -> Tuple[List[Dict[int, int]], Dict[int, int], int, int]:
     """Sparse integer columns of b -> (ad b) y over the basis of p^-, with
-    the Cartan rows scaled: (columns, row_of, dim_p, scale).
+    the Cartan rows scaled: (columns, row_of, dim_p, scale); row_of maps
+    the code of a support root to its row.
 
     Row indices: the support roots in sorted order, then the truncated
     Cartan in coroot coordinates, times scale, the denominator of
@@ -537,8 +545,7 @@ def coadjoint_columns(
     sys = cand.system
     parab = cand.parabolic
     support = parab.dual_support
-    row_of = {r: i for i, r in enumerate(support)}
-    row_of_code = {r.code: i for i, r in enumerate(support)}
+    row_of = {r.code: i for i, r in enumerate(support)}
     nroots = len(support)
     scale, _ = parab.removed_projection()
     s_codes = [g.code for g in cand.S]
@@ -554,14 +561,14 @@ def coadjoint_columns(
                     if c:
                         col[nroots + k] = col.get(nroots + k, 0) + c
                 continue
-            i = row_of_code.get(pc - bc)
+            i = row_of.get(pc - bc)
             if i is not None:
                 n = n_code(-bc, pc)
                 if n:
                     col[i] = col.get(i, 0) + n
         columns.append({k: v for k, v in col.items() if v != 0})
     s_pairings = [
-        (row_of_code[pc], parab.pairing_on_coroots(gp))
+        (row_of[pc], parab.pairing_on_coroots(gp))
         for pc, gp in zip(s_codes, cand.S)
     ]
     for k in range(parab.h_dim):
@@ -590,7 +597,7 @@ def check_regularity(
         for r, v in col.items():
             rows[r][c] = v
     for j, t in enumerate(cand.T):
-        rows[row_of[t]][ncols + j] = 1
+        rows[row_of[t.code]][ncols + j] = 1
     rank, rank_aug = sparse_ranks(rows, [ncols, ncols + t_size])
     ok = rank == dim_p - t_size and rank_aug == dim_p
     return RegularityCheck(ok, rank, rank_aug, dim_p, t_size, rank_aug == dim_p, [])

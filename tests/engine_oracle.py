@@ -256,15 +256,16 @@ def code_jacobiator(table, a: int, b: int, c: int):
     return sum(terms)
 
 
-def enumerate_pairings(os, limit: int = 100000) -> List[Dict[Root, Root]]:
-    """All permutations theta' of O with a + theta'(a) in S for every a.
+def enumerate_pairings(os, limit: int = 100000) -> List[Dict[int, int]]:
+    """All permutations theta' of O with a + theta'(a) in S for every a,
+    on root codes like the orbit structure.
 
     Backtracking over the S_alpha candidate lists.
     """
-    order = sorted(os.O, key=lambda a: (len(os.S_alpha[a]), a.coeffs))
-    results: List[Dict[Root, Root]] = []
-    assign: Dict[Root, Root] = {}
-    used: Set[Root] = set()
+    order = sorted(os.O, key=lambda a: (len(os.S_alpha[a]), a))
+    results: List[Dict[int, int]] = []
+    assign: Dict[int, int] = {}
+    used: Set[int] = set()
 
     def rec(i: int) -> None:
         if len(results) >= limit:

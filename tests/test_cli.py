@@ -271,6 +271,28 @@ def test_verify_deletes_the_old_certificate_of_a_crashing_case(
     assert not out.exists()
 
 
+def test_verify_reports_an_engine_value_error_as_a_fault(
+    tmp_path, monkeypatch, capsys
+):
+    # a ValueError from the engine (a case-data term that is no root, a
+    # degenerate Cartan matrix) is not a usage error: it propagates, as in
+    # sweep, and no certificate is left behind
+    import adapted_pairs.verify as verify
+
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
+    assert main(argv) == 0 and out.exists()
+
+    def crash(*case):
+        raise ValueError("degenerate Cartan matrix")
+
+    monkeypatch.setattr(verify, "run_case", crash)
+    with pytest.raises(ValueError, match="degenerate Cartan matrix"):
+        main(argv)
+    assert not out.exists()
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
 

@@ -61,7 +61,7 @@ def test_b_gamma_eps_s_pairing():
     os = orbit_structure(cand)
     centre = _ev(sys, [(1, 4)])
     for i in (1, 2, 3, 5, 6):
-        assert os.theta[_ev(sys, [(1, i)])] == _ev(sys, [(1, 4), (-1, i)])
+        assert os.theta[_ev(sys, [(1, i)]).code] == _ev(sys, [(1, 4), (-1, i)]).code
 
 
 def test_d_case_s_mixed():
@@ -210,7 +210,7 @@ def test_b_eps_s_plus_next_is_in_o1():
         cand = build_case("B", n, s)
         os = orbit_structure(cand)
         a = _ev(cand.system, [(1, s), (1, s + 1)])
-        assert os.strata[a] == 1
+        assert os.strata[a.code] == 1
 
 
 def test_b_deep_strata_lie_in_o_minus_non_mixed():
@@ -222,7 +222,7 @@ def test_b_deep_strata_lie_in_o_minus_non_mixed():
         for a in os.O:
             if os.strata[a] > 2:
                 assert a in os.O_minus
-                assert a.height < 0
+                assert os.by_code[a].height < 0
                 assert not any(b in os.O_mixed for b in os.S_alpha[a])
 
 

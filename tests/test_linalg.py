@@ -225,3 +225,42 @@ def test_solutions_match_oracle(m, data):
         [Fraction(v, inverse.den) for v in y]
         for y in inverse.solve_transposed_scaled(rhss)
     ] == [solve_in_span(m, c) for c in rhss]
+
+
+@st.composite
+def single_entry_matrices(draw):
+    """Integer matrices, square or not, in which many rows and many columns
+    hold one nonzero entry: pivots that the elimination takes without a
+    column search, and pivot columns that need no update."""
+    nrows = draw(st.integers(1, 7))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 7))
+    nonzero = st.integers(1, 4).flatmap(lambda k: st.sampled_from([k, -k]))
+    m = [
+        draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+        for _ in range(nrows)
+    ]
+    for i in draw(st.sets(st.integers(0, nrows - 1))):
+        c = draw(st.integers(0, ncols - 1))
+        m[i] = [0] * ncols
+        m[i][c] = draw(nonzero)
+    for c in draw(st.sets(st.integers(0, ncols - 1))):
+        r = draw(st.integers(0, nrows - 1))
+        for i in range(nrows):
+            m[i][c] = 0
+        m[r][c] = draw(nonzero)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_entry_matrices(), st.data())
+def test_single_entry_rows_and_columns_match_oracle(m, data):
+    ncols = len(m[0])
+    split = data.draw(st.integers(0, ncols))
+    first = [{j: v for j, v in enumerate(row) if j < split and v} for row in m]
+    expected = [rank(first), rank(_sparse(m))]
+    assert sparse_ranks(_sparse(m), [split, ncols]) == expected
+    if len(m) == ncols:
+        det = det_dense(m)
+        assert sparse_det(_sparse(m), ncols) == det
+        got, inverse = invert(m)
+        assert got == det and (inverse is None) == (det == 0)

@@ -232,7 +232,9 @@ CODE_SYSTEMS = (
 )
 
 
-@pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
+@pytest.mark.parametrize(
+    "family,rank", CODE_SYSTEMS + [("B", 15), ("B", 16), ("D", 15), ("D", 16)]
+)
 def test_codes_add_subtract_and_sign_like_roots(family, rank):
     sys = build_root_system(family, rank)
     assert sys.base == 3 * max(max(r.coeffs) for r in sys.positive_roots) + 1
@@ -242,6 +244,9 @@ def test_codes_add_subtract_and_sign_like_roots(family, rank):
         assert r.code == sys.code(r.coeffs)
         assert sys.by_code[r.code] == r
         assert (r.code > 0) == all(c >= 0 for c in r.coeffs)
+    # codes sort like coefficient vectors
+    by_code_order = [sys.by_code[c] for c in sorted(r.code for r in allroots)]
+    assert by_code_order == sorted(allroots)
     by_code = sys.by_code
     for a in allroots:
         for b in allroots:

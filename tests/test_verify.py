@@ -150,6 +150,21 @@ def test_heisenberg_reports_engineered_overlap():
     assert any("overlap" in p for p in report.problems)
 
 
+def test_heisenberg_names_a_missing_partner_by_its_coefficients():
+    cand = build_case("B", 6, 4)
+    sets = dict(cand.gamma_sets)
+    centre = next(g for g, members in sets.items() if len(members) > 1)
+    a = max(sets[centre] - {centre}, key=lambda r: r.coeffs)
+    partner = cand.system.by_code[centre.code - a.code]
+    sets[centre] = sets[centre] - {partner}
+    report = check_heisenberg(replace(cand, gamma_sets=sets))
+    assert not report.ok and report.orbits is None
+    line = f"{centre.coeffs}: no Heisenberg partner for {a.coeffs}"
+    assert line in report.problems
+    for p in report.problems:
+        assert str(a.code) not in p and str(centre.code) not in p
+
+
 def test_heisenberg_singleton_sets_pass():
     cand = build_case("B", 8, 6)
     sys = cand.system
@@ -203,28 +218,28 @@ def test_b_negative_short_roots_stationary_at_rank_zero():
     cand = build_case("B", 8, 4)
     os = orbit_structure(cand)
     for j in range(5, 9):
-        a = _ev(cand.system, [(-1, j)])
+        a = _ev(cand.system, [(-1, j)]).code
         assert os.strata[os.theta[a]] == 1
         assert walk_sequence(os, a).reason == WALK_STATIONARY
 
 
 def _complete_orbit_structure(k):
-    """A synthetic orbit structure on k roots in which every root is every
-    other root's partner and no theta-image lies in O_1: the admissible
-    sequences are all simple paths of a complete graph, far more than the
-    walk's step bound."""
+    """A synthetic orbit structure on the codes 1..k in which every root is
+    every other root's partner and no theta-image lies in O_1: the
+    admissible sequences are all simple paths of a complete graph, far more
+    than the walk's step bound."""
     from adapted_pairs.verify import OrbitStructure
     from adapted_pairs.roots import Root
 
-    roots = tuple(Root((i,), i) for i in range(1, k + 1))
-    every = frozenset(roots)
+    codes = tuple(range(1, k + 1))
+    every = frozenset(codes)
     return OrbitStructure(
-        O=roots,
-        by_code={r.code: r for r in roots},
-        theta={r: r for r in roots},
-        centre_of={r: r for r in roots},
-        S_alpha={r: roots for r in roots},
-        strata={r: 2 for r in roots},
+        O=codes,
+        by_code={c: Root((c,), c) for c in codes},
+        theta={c: c for c in codes},
+        centre_of={c: c for c in codes},
+        S_alpha={c: codes for c in codes},
+        strata={c: 2 for c in codes},
         O_plus=frozenset(),
         O_minus=frozenset(),
         O_mixed=every,
@@ -248,7 +263,7 @@ def test_walk_guard_trip_is_not_a_failed_branch():
     # and a real case walks to O_1
     cand = build_case("B", 8, 4)
     real = orbit_structure(cand)
-    a = _ev(cand.system, [(-1, 5)])
+    a = _ev(cand.system, [(-1, 5)]).code
     assert walk_sequence(real, a).reason == WALK_STATIONARY
 
 
@@ -257,7 +272,8 @@ def test_classification_reports_a_walk_guard_trip():
     rep = classify_roots(os)
     assert not rep.ok
     guard = [p for p in rep.problems if "hit its loop guard" in p]
-    assert f"sequence walk from {os.O[0].coeffs} hit its loop guard" in guard
+    start = os.by_code[os.O[0]]
+    assert f"sequence walk from {start.coeffs} hit its loop guard" in guard
     assert len(guard) == len(set(guard))  # once per start
 
 
@@ -283,12 +299,12 @@ def test_d_cyclic_family_from_the_case_analysis():
     cand = build_case("D", 6, 4)
     sys = cand.system
     os = orbit_structure(cand)
-    a = _ev(sys, [(1, 3), (1, 6)])
+    a = _ev(sys, [(1, 3), (1, 6)]).code
     fam = _find_cyclic(os, a, {})
     assert fam is not None and not fam.extended
     members = set(fam.members)
-    assert _ev(sys, [(1, 4), (-1, 3)]) in members
-    assert _ev(sys, [(1, 4), (-1, 5)]) in members
+    assert _ev(sys, [(1, 4), (-1, 3)]).code in members
+    assert _ev(sys, [(1, 4), (-1, 5)]).code in members
     assert len(members) == 6
     rep = classify_roots(os)
     assert rep.labels[a] == CYCLIC
@@ -301,7 +317,7 @@ def test_d_extremal_slide_sets_are_extended_stationary():
     rep = classify_roots(os)
     centre = _ev(sys, [(1, 4), (-1, 2)])
     for a in cand.gamma_sets[centre] - {centre}:
-        assert rep.labels[a] in (STATIONARY, EXT_STATIONARY)
+        assert rep.labels[a.code] in (STATIONARY, EXT_STATIONARY)
 
 
 def test_d_extremal_uses_extended_machinery():
@@ -375,8 +391,9 @@ def test_det_monomial_against_brute_force(family, n, s):
         coeff = F(sign)
         degree = 0
         for a in order:
-            coeff *= n_const(table, -a, -theta[a])
-            degree += abs((a + theta[a]).height)
+            ra, rb = os.by_code[a], os.by_code[theta[a]]
+            coeff *= n_const(table, -ra, -rb)
+            degree += abs((ra + rb).height)
         poly[degree] = poly.get(degree, F(0)) + coeff
     poly = {d: c for d, c in poly.items() if c != 0}
     assert set(poly) == {check.monomial_degree}
@@ -396,19 +413,22 @@ def test_grading_fails_for_an_extra_partner_off_the_grading():
     cand = build_case("B", 6, 4)
     table = build_structure_table(cand.system)
     os = orbit_structure(cand)
-    u = _grading_oracle(cand)
+    root = os.by_code
+    grading = _grading_oracle(cand)
+
+    def on_grading(a, b):
+        return abs((root[a] + root[b]).height) == grading(root[a]) + grading(root[b])
+
     for a in os.O:
         for b in os.S_alpha[a]:
-            assert abs((a + b).height) == u(a) + u(b)
+            assert on_grading(a, b)
     assert check_nondegeneracy(cand, table, os).monomial_ok
     # one extra partner b of a (and a of b) whose t-exponent is off the grading
     a, b = next(
         (a, b)
         for a in os.O
         for b in os.O
-        if b != a
-        and b not in os.S_alpha[a]
-        and abs((a + b).height) != u(a) + u(b)
+        if b != a and b not in os.S_alpha[a] and not on_grading(a, b)
     )
     s_alpha = dict(os.S_alpha)
     s_alpha[a] = tuple(sorted(s_alpha[a] + (b,)))
@@ -473,7 +493,7 @@ def _regularity_rows(cand, table, extra_roots):
         for r, v in col.items():
             rows[r][c] = v
     for j, x in enumerate(extra_roots):
-        rows[row_of[x]][len(columns) + j] = 1
+        rows[row_of[x.code]][len(columns) + j] = 1
     return rows
 
 
@@ -524,7 +544,7 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
     for col, x in zip(columns, xs):
         out = ad_on_dual(table, parab, x, y)
         expected = {
-            row_of[sys.root_from_coeffs(c)]: v for c, v in out.root_part.items()
+            row_of[sys.code(c)]: v for c, v in out.root_part.items()
         }
         if out.h_part is not None:
             assert out.h_part[s - 1] == 0
@@ -576,7 +596,7 @@ def test_e6_membership_witnesses():
 
     def unit(coeffs):
         dense = [F(0)] * dim_p
-        dense[row_of[sys.root_from_coeffs(coeffs)]] = F(1)
+        dense[row_of[sys.root_from_coeffs(coeffs).code]] = F(1)
         return dense
 
     witnesses = [
