@@ -9,11 +9,17 @@ out-of-scope or usage errors.  A `verify` case that raises anything but
 Only `roots` is imported at module level: `report` reads the certificate
 with the schema reader below and needs nothing else, while `verify`,
 `sweep` and `cascade` import the engine inside the command.
+
+Every command registers `gc.freeze` to run at exit (see `main`): the
+interpreter's shutdown collection then skips the objects the command left,
+whose memory the OS reclaims anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -272,7 +278,9 @@ def cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not isinstance(cert, dict) or cert.get("schema") != 1:
+    # `true` and 1.0 compare equal to 1 but are not schema 1
+    schema = cert.get("schema") if isinstance(cert, dict) else None
+    if type(schema) is not int or schema != 1:
         print("unsupported certificate schema", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -320,6 +328,14 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
+    # The last collection at interpreter exit walks every module, class and
+    # table the command loaded.  atexit callbacks run before it, after the
+    # command, and unlike os._exit keep the flush of stdout and stderr;
+    # frozen objects are not collected.  Registering here, not at import,
+    # leaves the GC of a process that only imports the package alone, and
+    # the unregister keeps one entry when main runs more than once.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     return args.func(args)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
@@ -140,7 +141,7 @@ class ParabolicData:
         self.index = len(self.orbits)
         # Delta+ | Delta-_{pi'}, the support of the dual space, and its codes
         self.dual_support: Tuple[Root, ...] = tuple(
-            sorted(sys.positive_roots + self.delta_pi_prime_neg)
+            sorted(sys.positive_roots + self.delta_pi_prime_neg, key=attrgetter("code"))
         )
         self.dual_support_codes: FrozenSet[int] = frozenset(
             r.code for r in self.dual_support

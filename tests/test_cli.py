@@ -1,10 +1,17 @@
+import atexit
+import gc
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import adapted_pairs
 from adapted_pairs.certificate import certificate_dict, to_json
-from adapted_pairs.cli import _rat_str, eps_str, main
+from adapted_pairs.cli import _rat_str, eps_str, main, render_certificate
 from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
 from engine_oracle import centre_moved_outside, rat_value, replace
@@ -183,6 +190,19 @@ def test_report_rejects_malformed(tmp_path, capsys):
     assert main(["report", "--in", str(bad), "--format", "txt"]) == 2
     bad.write_text(json.dumps({"schema": 99}))
     assert main(["report", "--in", str(bad), "--format", "txt"]) == 2
+
+
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_report_rejects_a_schema_that_is_not_the_int_1(tmp_path, capsys, schema):
+    # true and 1.0 compare equal to 1; neither is schema 1
+    cert = certificate_dict(run_case("B", 4, 2))
+    cert["schema"] = schema
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(cert))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unsupported certificate schema\n"
 
 
 def test_cascade_command(capsys):
@@ -445,6 +465,14 @@ def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):
     assert others and all(" pass " in l and "first failing" not in l for l in others)
 
 
+def _src_env() -> dict:
+    """The environment of a fresh process that imports this checkout's
+    package from src/, ahead of any PYTHONPATH already set."""
+    src = str(Path(adapted_pairs.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 ENGINE = ("construction", "verify", "chevalley", "bounds", "cascade", "parabolic")
 
 REPORT_ONLY = """
@@ -486,20 +514,11 @@ def test_report_loads_no_engine_module(tmp_path):
     # a fresh process: importing the package and the command line, and
     # rendering a stored certificate, load none of the engine modules and
     # no fractions
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import adapted_pairs
-
     cert = tmp_path / "B_n6_s4.json"
     cert.write_text(to_json(certificate_dict(run_case("B", 6, 4))))
-    src = str(Path(adapted_pairs.__file__).resolve().parent.parent)
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c", REPORT_ONLY.format(engine=ENGINE), str(cert)],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
         capture_output=True,
         text=True,
     )
@@ -513,19 +532,10 @@ def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
     # nor the inspect module it imports is loaded.  -X importtime lists
     # every module the process imports, so the command itself is run
     # unchanged.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import adapted_pairs
-
-    src = str(Path(adapted_pairs.__file__).resolve().parent.parent)
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "adapted_pairs.cli", "verify",
          "--family", "B", "--rank", "6", "--s", "2"],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -540,3 +550,67 @@ def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
     assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
     loaded = imported & {"dataclasses", "inspect"}
     assert not loaded, loaded
+
+
+FREEZE_AT_EXIT = """
+import atexit, gc, sys
+# registered before main, so it runs after every hook main registers
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+import adapted_pairs.cli
+sys.exit(adapted_pairs.cli.main(sys.argv[1:]))
+"""
+
+
+def test_every_command_freezes_the_heap_before_the_shutdown_collection(tmp_path):
+    cert = tmp_path / "B_n4_s2.json"
+    cert.write_text(to_json(certificate_dict(run_case("B", 4, 2))))
+    for argv in (
+        ["verify", "--family", "B", "--rank", "4", "--s", "2"],
+        ["sweep", "--max-rank", "4"],
+        ["cascade", "--family", "B", "--rank", "4"],
+        ["report", "--in", str(cert)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", FREEZE_AT_EXIT, *argv],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\nfrozen True\n"), (argv, proc.stdout)
+
+
+def test_main_registers_one_freeze_however_often_it_runs(monkeypatch, capsys):
+    hooks = []
+
+    def unregister(func):
+        hooks[:] = [h for h in hooks if h != func]
+
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    for _ in range(2):
+        assert main(["cascade", "--family", "B", "--rank", "4"]) == 0
+    assert hooks == [gc.freeze]
+
+
+def test_a_fresh_process_writes_the_bytes_of_the_in_process_engine(tmp_path):
+    # the exit after the command loses no output: the certificate file and
+    # the piped report match what the engine and renderer give in-process
+    out = tmp_path / "D_n8_s6.json"
+    want = to_json(certificate_dict(run_case("D", 8, 6)))
+    cli = [sys.executable, "-m", "adapted_pairs.cli"]
+    verify = subprocess.run(
+        cli + ["verify", "--family", "D", "--rank", "8", "--s", "6", "--out", str(out)],
+        env=_src_env(),
+        capture_output=True,
+    )
+    assert verify.returncode == 0, verify.stderr
+    assert out.read_bytes() == want.encode()
+    for fmt in ("txt", "md"):
+        report = subprocess.run(
+            cli + ["report", "--in", str(out), "--format", fmt],
+            env=_src_env(),
+            capture_output=True,
+        )
+        assert report.returncode == 0, report.stderr
+        assert report.stdout == render_certificate(json.loads(want), fmt).encode()
