@@ -16,6 +16,7 @@ Everything runs on root codes (`RootSystem.base`).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
@@ -45,7 +46,7 @@ def _split_components(
     by_code = system.by_code
     comp_of: Dict[int, int] = {}
     comps: List[List[Root]] = []
-    for s in sorted(simples):
+    for s in sorted(simples, key=attrgetter("code")):
         if s.code in comp_of:
             continue
         idx = len(comps)
@@ -60,7 +61,7 @@ def _split_components(
                     comp_of[tc] = idx
                     comp.append(t)
                     queue.append(tc)
-        comps.append(sorted(comp))
+        comps.append(sorted(comp, key=attrgetter("code")))
     simple_codes = [s.code for s in simples]
     members: List[List[Root]] = [[] for _ in comps]
     for r in pos:
@@ -106,7 +107,7 @@ def _build_cascade(
             _split_components(system, pos, simples), start=1
         ):
             label = f"{prefix}{k}" if not prefix else f"{prefix}.{k}"
-            beta = max(comp_roots, key=lambda r: (r.height, r.coeffs))
+            beta = max(comp_roots, key=lambda r: (r.height, r.code))
             bc = beta.code
             # for a positive root r of the component other than beta,
             # (r, beta) > 0 exactly when beta - r is a root; otherwise
@@ -120,7 +121,7 @@ def _build_cascade(
                 orthogonal = [s for s in comp_simples if s.code not in heis_codes]
                 recurse(rest, orthogonal, label)
 
-    recurse(sorted(positive), simples, "")
+    recurse(sorted(positive, key=attrgetter("code")), simples, "")
     return items
 
 

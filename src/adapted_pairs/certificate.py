@@ -38,7 +38,6 @@ def _root_list(roots: Sequence[Root]) -> List[List[int]]:
 def certificate_dict(result: CaseResult) -> dict:
     cand = result.candidate
     pair = result.pair
-    eigen_sorted = sorted(pair.eigenvalues.items(), key=lambda kv: kv[0].coeffs)
     cert = {
         "schema": SCHEMA_VERSION,
         "case": {"family": cand.family, "rank": cand.n, "s": cand.s},
@@ -48,8 +47,8 @@ def certificate_dict(result: CaseResult) -> dict:
             "mixed": _root_list(cand.S_mixed),
         },
         "gamma_sets": [
-            {"centre": list(g.coeffs), "members": _root_list(members)}
-            for g, members in sorted(cand.gamma_sets.items())
+            {"centre": list(g.coeffs), "members": _root_list(cand.gamma_sets[g])}
+            for g in sorted(cand.gamma_sets, key=attrgetter("code"))
         ],
         "T": _root_list(cand.T),
         "T_star": _root_list(cand.T_star),
@@ -60,7 +59,8 @@ def certificate_dict(result: CaseResult) -> dict:
             ],
         },
         "eigenvalues": [
-            {"gamma": list(g.coeffs), "value": _rat(v)} for g, v in eigen_sorted
+            {"gamma": list(g.coeffs), "value": _rat(pair.eigenvalues[g])}
+            for g in sorted(pair.eigenvalues, key=attrgetter("code"))
         ],
         "degrees": [_rat(d) for d in pair.degrees],
         "bounds": {

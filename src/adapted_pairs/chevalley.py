@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .roots import Root, RootSystem
+from .roots import RootSystem
 
 Pair = Tuple[int, int]  # two root codes
 
@@ -38,21 +38,22 @@ class StructureTable:
 
     # -- construction -------------------------------------------------------
 
-    def string_down(self, alpha: Root, beta: Root) -> int:
-        """p = max k with beta - k*alpha a root."""
-        sys = self.system
+    def string_down(self, alpha: int, beta: int) -> int:
+        """p = max k with beta - k*alpha a root, for root codes alpha and
+        beta: each probe is the difference of two roots, so its code is
+        a root's code exactly when it is that root."""
+        by_code = self._by_code
         p = 0
         probe = beta - alpha
-        while sys.is_root(probe):
+        while probe in by_code:
             p += 1
-            probe = probe - alpha
+            probe -= alpha
         return p
 
     def _build_positive(self) -> None:
         pos_by_order = sorted(
-            self.system.positive_roots, key=lambda r: (r.height, r.coeffs)
+            self.system.positive_roots, key=lambda r: (r.height, r.code)
         )
-        by_code = self._by_code
         place = {r.code: i for i, r in enumerate(pos_by_order)}
         heights = [r.height for r in pos_by_order]
         for gamma, h in zip(pos_by_order, heights):
@@ -68,7 +69,7 @@ class StructureTable:
                 if j is not None and i < j:
                     pairs.append((alpha.code, pos_by_order[j].code))
             ex_alpha, ex_beta = pairs[0]
-            n_ex = self.string_down(by_code[ex_alpha], by_code[ex_beta]) + 1
+            n_ex = self.string_down(ex_alpha, ex_beta) + 1
             self._set_pos(ex_alpha, ex_beta, n_ex)
             for xi, eta in pairs[1:]:
                 self._set_pos(xi, eta, self._special_constant(ex_alpha, xi, eta))

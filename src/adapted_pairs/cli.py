@@ -92,7 +92,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
     sys_ = build_root_system(case["family"], case["rank"])
 
     def rc(c) -> Root:
-        root = sys_.try_root(Root(tuple(c)))
+        root = sys_.try_root(c)
         if root is None:
             raise ValueError(f"{list(c)} is not a root of {sys_.family}{sys_.rank}")
         return root
@@ -223,9 +223,12 @@ def cmd_sweep(args) -> int:
         out_file = out_dir / f"{family}_n{n}_s{s}.json" if out_dir else None
         try:
             result = run_case(family, n, s)
+            cert = certificate_dict(result)
+            text = to_json(cert) if out_file else ""
         except Exception as exc:
-            # one crashing case must not hide the others: report it, go on,
-            # and leave no certificate of an earlier run in its place
+            # one case that crashes, or whose certificate cannot be built,
+            # must not hide the others: report it, go on, and leave no
+            # certificate of an earlier run in its place
             import traceback
 
             if out_file:
@@ -237,10 +240,9 @@ def cmd_sweep(args) -> int:
             all_ok = False
             continue
         dt = time.perf_counter() - t0
-        cert = certificate_dict(result)
         if out_file:
             try:
-                out_file.write_text(to_json(cert))
+                out_file.write_text(text)
             except OSError as exc:
                 return _usage_error(f"cannot write --out: {exc}")
         degrees = ",".join(_rat_str(d) for d in cert["degrees"])

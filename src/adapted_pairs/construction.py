@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
 from .parabolic import ParabolicData
 from .roots import Root, RootSystem, build_root_system
+
+
+_code = attrgetter("code")  # the sort key of roots: codes sort like coefficients
 
 
 class OutOfScopeError(ValueError):
@@ -56,7 +60,7 @@ class Candidate:
 
     @cached_property
     def S(self) -> Tuple[Root, ...]:
-        return tuple(sorted(self.S_plus + self.S_minus + self.S_mixed))
+        return tuple(sorted(self.S_plus + self.S_minus + self.S_mixed, key=_code))
 
     @property
     def system(self) -> RootSystem:
@@ -209,7 +213,7 @@ def _split_signs(
     """
     mixed_set = set(declared_mixed)
     plus, minus = [], []
-    for gamma in sorted(gamma_sets):
+    for gamma in sorted(gamma_sets, key=_code):
         if gamma in mixed_set:
             continue
         members = gamma_sets[gamma]
@@ -218,7 +222,7 @@ def _split_signs(
         if pos and neg:
             raise ValueError(f"set of {gamma.coeffs} mixes signs outside Sm")
         (plus if pos else minus).append(gamma)
-    return tuple(plus), tuple(minus), tuple(sorted(mixed_set))
+    return tuple(plus), tuple(minus), tuple(sorted(mixed_set, key=_code))
 
 
 def _assemble(
@@ -228,17 +232,17 @@ def _assemble(
     t_star: Sequence[Root] = (),
     mixed: Sequence[Root] = (),
 ) -> Candidate:
-    used: set = set().union(*gamma_sets.values()) | set(t_star)
+    used = {r.code for roots in (*gamma_sets.values(), t_star) for r in roots}
     plus, minus, mixed = _split_signs(gamma_sets, mixed)
     return Candidate(
         parabolic=parab,
         S_plus=plus,
         S_minus=minus,
         S_mixed=mixed,
-        gamma_sets={g: gamma_sets[g] for g in sorted(gamma_sets)},
-        T=tuple(r for r in parab.dual_support if r not in used),
-        T_star=tuple(sorted(t_star)),
-        T_expected=tuple(sorted(t_expected)),
+        gamma_sets={g: gamma_sets[g] for g in sorted(gamma_sets, key=_code)},
+        T=tuple(r for r in parab.dual_support if r.code not in used),
+        T_star=tuple(sorted(t_star, key=_code)),
+        T_expected=tuple(sorted(t_expected, key=_code)),
     )
 
 

@@ -1,16 +1,15 @@
 """Exact root systems of types B, D, E6, E7 on the integer root lattice.
 
-A root is its integer coefficient vector over the simple roots (Bourbaki
+A root has its integer coefficient vector over the simple roots (Bourbaki
 numbering).  Inner products and Cartan pairings come from the integer Gram
 and Cartan matrices of the simple roots, which are integral for every
-supported type, so root arithmetic runs on Python ints.  Every root of a
-system also carries a linear integer code (`RootSystem.base`), its
-coefficients as the digits of one int with the first coefficient most
-significant, so that the checks test sums, differences and signs of roots
-on single ints, and sort codes exactly as they would sort coefficient
-vectors.  Fundamental and Levi weights are integer vectors over one
-denominator per simple-root subset (`weight_rows`).  Cartan elements are
-written in coroot coordinates.
+supported type, so root arithmetic runs on Python ints.  Every root is one
+object of its system and carries a linear integer code (`RootSystem.base`),
+its coefficients as the digits of one int with the first coefficient most
+significant: sums, differences and signs of roots are tested on single
+ints, and codes sort exactly as coefficient vectors do.  Fundamental and
+Levi weights are integer vectors over one denominator per simple-root
+subset (`weight_rows`).  Cartan elements are written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
@@ -32,37 +31,25 @@ SUPPORTED = {"B", "D", "E6", "E7"}
 
 
 class Root:
-    """A vector of the root lattice: integer coefficients over the simple roots.
+    """A root: its integer coefficients over the simple roots and its code.
 
-    The coefficients are its identity and its sort key.  A root of a
-    `RootSystem` also carries its code (see `RootSystem.base`); negation
-    keeps it, sums and differences have none.
+    Every root is one object of its `RootSystem`, made there with its code
+    (see `RootSystem.base`) and its negative, so a root is hashed by its
+    code, equal only to itself, and -r is the stored negative.  Order roots
+    by code, which sorts like the coefficients.
     """
 
-    __slots__ = ("coeffs", "code")
+    __slots__ = ("coeffs", "code", "_neg")
 
-    def __init__(self, coeffs: Coeffs, code: Optional[int] = None):
+    def __init__(self, coeffs: Coeffs, code: int):
         self.coeffs = coeffs
         self.code = code
 
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
-
     def __neg__(self) -> "Root":
-        code = self.code
-        return Root(tuple([-a for a in self.coeffs]), None if code is None else -code)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Root) and self.coeffs == other.coeffs
+        return self._neg
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __lt__(self, other: "Root") -> bool:
-        return self.coeffs < other.coeffs
+        return self.code
 
     @property
     def height(self) -> int:
@@ -118,7 +105,7 @@ class RootSystem:
     nonzero digit, so code(r) > 0 exactly when r is positive, and codes
     sort like coefficient vectors: the difference of two roots has digits
     in [-2M, 2M] and base > 2M + 1, so code(a) < code(b) exactly when
-    a.coeffs < b.coeffs.  sorted(codes) lists roots in sorted(roots) order.
+    a.coeffs < b.coeffs: sorting roots by code sorts their coefficients.
     """
 
     def __init__(self, family: str, rank: int):
@@ -140,29 +127,34 @@ class RootSystem:
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
         ]
-        self.simple_roots: List[Root] = [
-            Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
-        ]
         self._forms: Dict[Coeffs, Tuple[int, ...]] = {}
         self._pairings: Dict[Coeffs, Tuple[int, ...]] = {}
-        self.positive_roots = self._generate_positive()
-        self.base = 3 * max(max(r.coeffs) for r in self.positive_roots) + 1
+        positive = self._generate_positive()
+        self.base = 3 * max(max(c) for c in positive) + 1
+        self.positive_roots: List[Root] = []
         self._by_coeffs: Dict[Coeffs, Root] = {}
         self.by_code: Dict[int, Root] = {}
-        for r in self.positive_roots:
-            r.code = self.code(r.coeffs)
-            neg = -r
+        for coeffs in positive:
+            code = self.code(coeffs)
+            r, neg = Root(coeffs, code), Root(tuple([-a for a in coeffs]), -code)
+            r._neg, neg._neg = neg, r
+            self.positive_roots.append(r)
             for x in (r, neg):
                 self._by_coeffs[x.coeffs] = x
                 self.by_code[x.code] = x
+        self.simple_roots: List[Root] = [
+            self._by_coeffs[tuple([int(j == i) for j in range(rank)])]
+            for i in range(rank)
+        ]
         self._by_eps: Optional[Dict[Coeffs, Root]] = None
         self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _generate_positive(self) -> List[Root]:
-        """Closure from the simple roots via root strings, on coefficient
-        tuples, seeding `_pairings` with every positive root's row.
+    def _generate_positive(self) -> List[Coeffs]:
+        """The coefficients of the positive roots, sorted: the closure of
+        the simple roots via root strings, on coefficient tuples, seeding
+        `_pairings` with every positive root's row.
 
         beta + alpha_j is a root iff p - <beta, alpha_j^vee> > 0 where p is
         the largest k with beta - k*alpha_j already a root; processing by
@@ -173,8 +165,8 @@ class RootSystem:
         rank = self.rank
         cartan = self.cartan
         known = self._pairings
-        for i, r in enumerate(self.simple_roots):
-            known[r.coeffs] = tuple(cartan[i])
+        for i in range(rank):
+            known[tuple([int(j == i) for j in range(rank)])] = tuple(cartan[i])
         frontier = list(known)
         while frontier:
             new_frontier: List[Coeffs] = []
@@ -198,8 +190,7 @@ class RootSystem:
                             known[cand] = tuple([a + b for a, b in zip(pairs, row)])
                             new_frontier.append(cand)
             frontier = new_frontier
-        simple = {r.coeffs: r for r in self.simple_roots}
-        return [simple.get(c) or Root(c) for c in sorted(known)]
+        return sorted(known)
 
     # -- basic queries -----------------------------------------------------
 
@@ -211,14 +202,11 @@ class RootSystem:
             out = out * self.base + c
         return out
 
-    def is_root(self, r: Root) -> bool:
-        return r.coeffs in self._by_coeffs
-
     def root_from_coeffs(self, coeffs: Sequence[int]) -> Root:
         return self._by_coeffs[tuple(coeffs)]
 
-    def try_root(self, r: Root) -> Optional[Root]:
-        return self._by_coeffs.get(r.coeffs)
+    def try_root(self, coeffs: Sequence[int]) -> Optional[Root]:
+        return self._by_coeffs.get(tuple(coeffs))
 
     # -- the integer form --------------------------------------------------
 
@@ -323,7 +311,7 @@ class RootSystem:
     # -- misc --------------------------------------------------------------
 
     def highest_root(self) -> Root:
-        return max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
+        return max(self.positive_roots, key=lambda r: (r.height, r.code))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}, {self.rank})"

@@ -39,8 +39,8 @@ class OrbitStructure(NamedTuple):
 
     Every field but by_code holds root codes (`RootSystem.code`): O is
     sorted by code, which is the order of the coefficient vectors, and
-    S_alpha lists its codes in the same order.  by_code maps the code of
-    every root of O to the root, for heights, values on h and messages."""
+    S_alpha lists its codes in the same order.  by_code is the system's map
+    from codes to roots, for heights, values on h and messages."""
 
     O: Tuple[int, ...]
     by_code: Dict[int, Root]
@@ -173,10 +173,9 @@ def _orbit_structure(
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:
         by_sign[sign_of_centre[centre_of[a]]].add(a)
-    by_code = cand.system.by_code
     return OrbitStructure(
         O=o_sorted,
-        by_code={a: by_code[a] for a in o_sorted},
+        by_code=cand.system.by_code,
         theta=theta,
         centre_of=centre_of,
         S_alpha=s_alpha,

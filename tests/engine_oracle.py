@@ -29,7 +29,10 @@
   truncated Cartan from a solve with the coroot Gram matrix of pi', the
   linear system that `ParabolicData.removed_projection` answers in closed
   form.
-- The closure of the simple roots on `Root` arithmetic with Gram-matrix
+- Arithmetic on coefficient tuples (`vec_add`, `vec_sub`, and the sort
+  key `coeffs_key`), which `Root` does not do: the tests add, subtract and
+  order roots through their coefficients, never through the engine's codes.
+- The closure of the simple roots on coefficient tuples with Gram-matrix
   pairings, and the Kostant cascade that tests every pair of roots with
   the inner product and finds each level's simple roots again: the
   straightforward forms of `RootSystem._generate_positive` and
@@ -75,7 +78,7 @@ def centre_moved_outside(cand) -> Tuple[object, Root]:
     g = next(g for g in cand.S_plus if g.coeffs[cand.s - 1])
     sets = dict(cand.gamma_sets)
     sets[-g] = frozenset(-a for a in sets.pop(g))
-    s_plus = tuple(-x if x == g else x for x in cand.S_plus)
+    s_plus = tuple(-x if x is g else x for x in cand.S_plus)
     return replace(cand, S_plus=s_plus, gamma_sets=sets), -g
 
 
@@ -86,6 +89,21 @@ def orbit_structure(cand):
     if report.orbits is None:
         raise ValueError(f"no orbit structure: {report.problems}")
     return report.orbits
+
+
+def vec_add(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
+    """The coefficient vector x + y."""
+    return tuple([a + b for a, b in zip(x, y, strict=True)])
+
+
+def vec_sub(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
+    """The coefficient vector x - y."""
+    return tuple([a - b for a, b in zip(x, y, strict=True)])
+
+
+def coeffs_key(r: Root) -> Tuple[int, ...]:
+    """Sort key of roots: their coefficient vectors."""
+    return r.coeffs
 
 
 def pairing(system, a: Root, alpha: Root) -> int:
@@ -145,13 +163,14 @@ def bracket_roots(table, a: Root, b: Root) -> GElem:
     """[x_a, x_b] as a GElem (root vector, coroot, or zero)."""
     sys = table.system
     out = GElem()
-    if not any((a + b).coeffs):
+    total = vec_add(a.coeffs, b.coeffs)
+    if not any(total):
         # Chevalley normalization [x_a, x_{-a}] = a^vee
         out.add_h(sys.coroot(a))
         return out
     n = n_const(table, a, b)
     if n != 0:
-        out.add_root((a + b).coeffs, Fraction(n))
+        out.add_root(total, Fraction(n))
     return out
 
 
@@ -389,66 +408,82 @@ def removed_projection_oracle(parab) -> List[Fraction]:
 # -- root generation and the cascade ----------------------------------------
 
 
-def closure_positive_roots(system) -> List[Root]:
-    """The positive roots as the closure of the simple roots via root
-    strings: beta + alpha is a root iff p - <beta, alpha^vee> > 0, with p
-    the largest k such that beta - k*alpha is a known root, and the pairing
-    taken from the Gram matrix."""
+def closure_positive_roots(system) -> List[Tuple[int, ...]]:
+    """The coefficient vectors of the positive roots, sorted, as the
+    closure of the simple roots via root strings: beta + alpha is a root
+    iff p - <beta, alpha^vee> > 0, with p the largest k such that
+    beta - k*alpha is a known root, and the pairing taken from the Gram
+    matrix."""
     gram = system.gram
+    rank = system.rank
 
-    def pairing(beta: Root, j: int) -> int:
-        return 2 * sum(c * g for c, g in zip(beta.coeffs, gram[j])) // gram[j][j]
+    def pairing(beta: Tuple[int, ...], j: int) -> int:
+        return 2 * sum(c * g for c, g in zip(beta, gram[j])) // gram[j][j]
 
-    known: Dict[Tuple[int, ...], Root] = {r.coeffs: r for r in system.simple_roots}
-    frontier = list(system.simple_roots)
+    simples = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    known: Set[Tuple[int, ...]] = set(simples)
+    frontier = list(simples)
     while frontier:
-        new_frontier: List[Root] = []
+        new_frontier: List[Tuple[int, ...]] = []
         for beta in frontier:
-            for j, alpha in enumerate(system.simple_roots):
+            for j, alpha in enumerate(simples):
                 if beta == alpha:
                     continue
                 p = 0
-                probe = beta - alpha
-                while probe.coeffs in known:
+                probe = vec_sub(beta, alpha)
+                while probe in known:
                     p += 1
-                    probe = probe - alpha
+                    probe = vec_sub(probe, alpha)
                 if p - pairing(beta, j) > 0:
-                    cand = beta + alpha
-                    if cand.coeffs not in known:
-                        known[cand.coeffs] = cand
+                    cand = vec_add(beta, alpha)
+                    if cand not in known:
+                        known.add(cand)
                         new_frontier.append(cand)
         frontier = new_frontier
-    return sorted(known.values())
+    return sorted(known)
 
 
 def _indecomposables(pos: Sequence[Root]) -> List[Root]:
     pos_set = {r.coeffs for r in pos}
     return sorted(
-        r
-        for r in pos
-        if not any((r - a).coeffs in pos_set for a in pos if a.height < r.height)
+        (
+            r
+            for r in pos
+            if not any(
+                vec_sub(r.coeffs, a.coeffs) in pos_set
+                for a in pos
+                if a.height < r.height
+            )
+        ),
+        key=coeffs_key,
     )
 
 
 def _components(system, pos: Sequence[Root]) -> List[Tuple[List[Root], List[Root]]]:
     simples = _indecomposables(pos)
     comps: List[List[Root]] = []
-    seen: Set[Root] = set()
+    seen: Set[Tuple[int, ...]] = set()
     for s in simples:
-        if s in seen:
+        if s.coeffs in seen:
             continue
         comp, queue = [s], [s]
-        seen.add(s)
+        seen.add(s.coeffs)
         while queue:
             cur = queue.pop()
             for t in simples:
-                if t not in seen and system.inner(cur, t) != 0:
-                    seen.add(t)
+                if t.coeffs not in seen and system.inner(cur, t) != 0:
+                    seen.add(t.coeffs)
                     comp.append(t)
                     queue.append(t)
-        comps.append(sorted(comp))
+        comps.append(sorted(comp, key=coeffs_key))
     out = [
-        (comp, sorted(r for r in pos if any(system.inner(r, s) for s in comp)))
+        (
+            comp,
+            sorted(
+                (r for r in pos if any(system.inner(r, s) for s in comp)),
+                key=coeffs_key,
+            ),
+        )
         for comp in comps
     ]
     return sorted(out, key=lambda cr: cr[0][0].coeffs)

@@ -30,6 +30,7 @@ from engine_oracle import (
     enumerate_pairings,
     orbit_structure,
     replace,
+    vec_add,
 )
 
 F = Fraction
@@ -224,9 +225,9 @@ def test_criterion_6_property_suite():
         ]
         for a in allroots:
             for b in allroots:
-                if system.try_root(a + b) is not None:
+                if system.try_root(vec_add(a.coeffs, b.coeffs)) is not None:
                     n = table.n_code(a.code, b.code)
-                    assert abs(n) == table.string_down(a, b) + 1
+                    assert abs(n) == table.string_down(a.code, b.code) + 1
 
     # Heisenberg involution squared is the identity
     for family, n, s in [("B", 8, 4), ("D", 9, 6), ("D", 10, 10), ("E7", 7, 3)]:

@@ -14,7 +14,7 @@ from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import _rat_str, eps_str, main, render_certificate
 from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
-from engine_oracle import centre_moved_outside, rat_value, replace
+from engine_oracle import centre_moved_outside, coeffs_key, rat_value, replace
 from engine_oracle import eps_str as oracle_eps_str
 
 
@@ -66,7 +66,7 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
     cand = construction.build_case("B", 6, 4)
     sets = dict(cand.gamma_sets)
     centre = max(sets, key=lambda g: len(sets[g]))
-    dropped = max(sets[centre] - {centre})
+    dropped = max(sets[centre] - {centre}, key=coeffs_key)
     sets[centre] = sets[centre] - {dropped}
     bad = replace(cand, gamma_sets=sets)
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
@@ -271,6 +271,38 @@ def test_sweep_deletes_the_old_certificate_of_a_crashing_case(
     assert main(["sweep", "--max-rank", "4", "--out", str(out)]) == 1
     assert not (out / "B_n4_s2.json").exists()
     assert (out / "B_n4_s4.json").exists()
+
+
+def test_sweep_goes_on_past_a_certificate_that_cannot_be_built(
+    tmp_path, monkeypatch, capsys
+):
+    # the case runs, but building its certificate raises: the case is an
+    # error row, its certificate of an earlier run goes, and the later cases
+    # still run and are written
+    import adapted_pairs.certificate as certificate
+
+    real_bound_multiples = certificate.bound_multiples
+
+    def raise_on_b3_s2(cand, weights):
+        if (cand.family, cand.n, cand.s) == ("B", 3, 2):
+            raise ValueError("bound entry off the ray")
+        return real_bound_multiples(cand, weights)
+
+    out = tmp_path / "certs"
+    out.mkdir()
+    (out / "B_n3_s2.json").write_text("stale")
+    monkeypatch.setattr(certificate, "bound_multiples", raise_on_b3_s2)
+    assert main(["sweep", "--max-rank", "5", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    rows = [l for l in stdout.splitlines() if l.startswith(("B ", "D "))]
+    assert len(rows) == 8
+    errors = [l for l in rows if " error " in l]
+    assert len(errors) == 1 and errors[0].startswith("B n=3 s=2 ")
+    assert "ValueError: bound entry off the ray" in errors[0]
+    assert "FAILURES PRESENT" in stdout
+    files = sorted(p.name for p in out.iterdir())
+    assert len(files) == 7 and "B_n3_s2.json" not in files
+    assert "D_n5_s2.json" in files
 
 
 def test_verify_deletes_the_old_certificate_of_a_crashing_case(

@@ -10,8 +10,9 @@ from adapted_pairs.construction import (
     e7_d6_embedding,
     in_scope_cases,
 )
+from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.roots import build_root_system
-from engine_oracle import eps_of, orbit_structure
+from engine_oracle import eps_of, orbit_structure, vec_add
 
 F = Fraction
 
@@ -157,9 +158,9 @@ def test_e7_embedding_is_root_isomorphism():
         assert e7.inner(phi[a], b1) == 0
         for b in d6.positive_roots:
             assert d6.inner(a, b) == e7.inner(phi[a], phi[b])
-            s = d6.try_root(a + b)
+            s = d6.try_root(vec_add(a.coeffs, b.coeffs))
             if s is not None:
-                assert phi[s] == e7.try_root(phi[a] + phi[b])
+                assert phi[s] is e7.try_root(vec_add(phi[a].coeffs, phi[b].coeffs))
 
 
 def test_flip_d_extremal():
@@ -269,3 +270,34 @@ def test_heis_rejects_a_half_whose_partner_is_not_a_root():
     sys = build_root_system("B", 4)
     with pytest.raises(ValueError, match=r"\[\(1, 1\), \(1, 2\), \(-1, 3\)\]"):
         _heis(sys, [(1, 1), (1, 2)], [[(1, 3)]])
+
+
+ONE_OBJECT_CASES = (
+    in_scope_cases(12) + [("D", n, n - 1) for n in range(6, 13, 2)] + [("E6", 6, 1)]
+)
+
+
+@pytest.mark.parametrize("family,n,s", ONE_OBJECT_CASES)
+def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
+    # -r is the stored negative, and every set of the case holds the
+    # system's roots themselves, so that a root is equal only to itself
+    cand = build_case(family, n, s)
+    sys = cand.system
+    by_code = sys.by_code
+    for r in by_code.values():
+        assert -r is by_code[-r.code]
+    held = [
+        *cand.S_plus,
+        *cand.S_minus,
+        *cand.S_mixed,
+        *cand.T,
+        *cand.T_star,
+        *cand.T_expected,
+        *cand.parabolic.dual_support,
+    ]
+    for centre, members in cand.gamma_sets.items():
+        held += [centre, *members]
+    for subset in (None, cand.parabolic.pi_prime):
+        for item in kostant_cascade(sys, subset):
+            held += [item.beta, *item.subsystem, *item.heisenberg]
+    assert all(by_code[r.code] is r for r in held)

@@ -10,7 +10,7 @@ from adapted_pairs.parabolic import (
     minus_w0_on_subset,
     subsystem_roots,
 )
-from adapted_pairs.roots import Root, build_root_system
+from adapted_pairs.roots import build_root_system
 from engine_oracle import (
     cartan_eps,
     coroot_eps,
@@ -21,9 +21,9 @@ from engine_oracle import (
 
 
 def reflect(system, alpha, beta):
-    """r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
+    """The coefficients of r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
     k = pairing(system, beta, alpha)
-    return Root(tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)]))
+    return tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)])
 
 
 def brute_force_minus_w0(system, subset):
@@ -34,7 +34,7 @@ def brute_force_minus_w0(system, subset):
     """
     pos = subsystem_roots(system, subset)
     allroots = pos + [-r for r in pos]
-    idx = {r: i for i, r in enumerate(allroots)}
+    idx = {r.coeffs: i for i, r in enumerate(allroots)}
     gens = []
     for a in (system.simple_roots[i] for i in subset):
         gens.append(tuple(idx[reflect(system, a, r)] for r in allroots))
@@ -59,9 +59,9 @@ def brute_force_minus_w0(system, subset):
     out = {}
     for i in subset:
         a = system.simple_roots[i]
-        image = allroots[w0[idx[a]]]
+        image = allroots[w0[idx[a.coeffs]]]
         minus = -image
-        out[i] = next(j for j in subset if system.simple_roots[j] == minus)
+        out[i] = next(j for j in subset if system.simple_roots[j] is minus)
     return out
 
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -5,16 +6,19 @@ import pytest
 from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.parabolic import minus_w0_on_subset
-from adapted_pairs.roots import Root, RootSystem, build_root_system
+from adapted_pairs.roots import RootSystem, build_root_system
 from engine_oracle import (
     Weight,
     closure_positive_roots,
+    coeffs_key,
     eps_of,
     fundamental_weights,
     levi_weights,
     multiple_of,
     pairing,
     simple_roots_eps,
+    vec_add,
+    vec_sub,
 )
 from linalg_oracle import solve_in_span
 
@@ -27,9 +31,9 @@ def expected_positive_count(family, rank):
 
 
 def reflect(system, alpha, beta):
-    """r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
+    """The coefficients of r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
     k = pairing(system, beta, alpha)
-    return Root(tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)]))
+    return tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)])
 
 
 def _dot(a, b):
@@ -90,7 +94,7 @@ def test_closed_under_reflection(family, rank):
     allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
     for a in allroots:
         for b in allroots:
-            assert sys.is_root(reflect(sys, a, b))
+            assert sys.try_root(reflect(sys, a, b)) is not None
 
 
 def test_inner_product_examples():
@@ -114,6 +118,28 @@ def test_rho_height():
     assert high.coeffs == (1, 2)
     assert high.height == 3
     assert (-high).height == -3
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_each_root_is_one_object_hashed_by_its_code(family, rank):
+    sys = build_root_system(family, rank)
+    roots = list(sys.by_code.values())
+    for r in roots:
+        assert -r is sys.by_code[-r.code] and -(-r) is r
+        assert sys.try_root(r.coeffs) is r
+        assert sys.root_from_coeffs(list(r.coeffs)) is r
+        assert hash(r) == hash(r.code)
+    assert all(sys.by_code[a.code] is a for a in sys.simple_roots)
+    assert sys.try_root((0,) * rank) is None
+    # a set of roots iterates like the set of their codes: its order depends
+    # neither on object addresses nor on the hash seed
+    assert [r.code for r in set(roots)] == list({r.code for r in roots})
+    # roots have no arithmetic or order of their own; equality is identity
+    a, b = sys.simple_roots[:2]
+    for op in (operator.add, operator.sub, operator.lt):
+        with pytest.raises(TypeError):
+            op(a, b)
+    assert a != b and a == sys.root_from_coeffs(a.coeffs)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -242,16 +268,20 @@ def test_codes_add_subtract_and_sign_like_roots(family, rank):
     assert len(sys.by_code) == len(allroots)
     for r in allroots:
         assert r.code == sys.code(r.coeffs)
-        assert sys.by_code[r.code] == r
+        assert sys.by_code[r.code] is r
         assert (r.code > 0) == all(c >= 0 for c in r.coeffs)
     # codes sort like coefficient vectors
     by_code_order = [sys.by_code[c] for c in sorted(r.code for r in allroots)]
-    assert by_code_order == sorted(allroots)
+    assert by_code_order == sorted(allroots, key=coeffs_key)
     by_code = sys.by_code
     for a in allroots:
         for b in allroots:
-            assert by_code.get(a.code + b.code) == sys.try_root(a + b)
-            assert by_code.get(a.code - b.code) == sys.try_root(a - b)
+            assert by_code.get(a.code + b.code) is sys.try_root(
+                vec_add(a.coeffs, b.coeffs)
+            )
+            assert by_code.get(a.code - b.code) is sys.try_root(
+                vec_sub(a.coeffs, b.coeffs)
+            )
 
 
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
@@ -260,10 +290,8 @@ def test_generation_matches_the_closure_oracle(family, rank):
     sys = RootSystem(family, rank)
     seeded = dict(sys._pairings)
     expected = closure_positive_roots(sys)
-    assert [r.coeffs for r in sys.positive_roots] == [r.coeffs for r in expected]
-    assert [r.code for r in sys.positive_roots] == [
-        sys.code(r.coeffs) for r in expected
-    ]
+    assert [r.coeffs for r in sys.positive_roots] == expected
+    assert [r.code for r in sys.positive_roots] == [sys.code(c) for c in expected]
     # the simple roots are the positive roots' objects, with their codes
     by_coeffs = {r.coeffs: r for r in sys.positive_roots}
     assert all(by_coeffs[a.coeffs] is a for a in sys.simple_roots)
