@@ -24,7 +24,6 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .construction import Candidate
 from .parabolic import ParabolicData
-from .roots import Root
 
 
 class BoundWeight(NamedTuple):
@@ -87,12 +86,13 @@ def lower_bound(parab: ParabolicData) -> List[BoundWeight]:
     return sorted(out)
 
 
-def _t_of_all(cand: Candidate, gammas: Sequence[Root]) -> List[BoundWeight]:
-    """gamma + t(gamma) for every gamma, where t(gamma) is the unique
-    rational combination of S making gamma + t(gamma) vanish on the
-    truncated Cartan: transposed solves with the pairing matrix of S, which
-    the candidate eliminates once, all over its denominator."""
-    order = cand.S
+def _t_of_all(cand: Candidate, gammas: Sequence[int]) -> List[BoundWeight]:
+    """gamma + t(gamma) for the root gamma of every code, where t(gamma) is
+    the unique rational combination of S making gamma + t(gamma) vanish on
+    the truncated Cartan: transposed solves with the pairing matrix of S,
+    which the candidate eliminates once, all over its denominator."""
+    root = cand.system.by_code
+    order = [root[g].coeffs for g in cand.S]
     _, inverse = cand.s_inverse
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
@@ -101,10 +101,10 @@ def _t_of_all(cand: Candidate, gammas: Sequence[Root]) -> List[BoundWeight]:
     solutions = inverse.solve_transposed_scaled(rhss)
     out = []
     for gamma, coeffs in zip(gammas, solutions):
-        w = [den * x for x in gamma.coeffs]
+        w = [den * x for x in root[gamma].coeffs]
         for c, g in zip(coeffs, order):
             if c:
-                for i, x in enumerate(g.coeffs):
+                for i, x in enumerate(g):
                     if x:
                         w[i] += c * x
         out.append(_lowest(w, den))

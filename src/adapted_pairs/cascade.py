@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
 
@@ -127,6 +127,9 @@ def _build_cascade(
 
 def cascade_heisenberg_by_beta(
     system: RootSystem, subset: Optional[Sequence[int]] = None
-) -> Dict[Root, Tuple[Root, ...]]:
-    """Map beta_K -> H_{beta_K} over the whole cascade."""
-    return {item.beta: item.heisenberg for item in kostant_cascade(system, subset)}
+) -> Dict[int, FrozenSet[int]]:
+    """Map beta_K -> H_{beta_K} over the whole cascade, on codes."""
+    return {
+        item.beta.code: frozenset([r.code for r in item.heisenberg])
+        for item in kostant_cascade(system, subset)
+    }

@@ -2,22 +2,21 @@
 
 Rationals are stored as {"num", "den"} pairs and roots as integer vectors in
 the simple-root basis, so a certificate survives JSON round-tripping without
-loss and an independent checker can re-validate it.  All set listings are
-ordered lexicographically by coefficient vector, which makes certificates
-byte-deterministic.  This module is the writer and needs the engine; the
-reader (`json.loads`, then `cli._rat`, which reads a rational back as two
-ints) lives in `cli`, next to `report`.
+loss and an independent checker can re-validate it.  The case data holds
+root codes; each is written as its coefficient vector, and all set listings
+are ordered by code, which is the lexicographic order of the coefficient
+vectors, so certificates are byte-deterministic.  This module is the writer
+and needs the engine; the reader (`json.loads`, then `cli._rat`, which
+reads a rational back as two ints) lives in `cli`, next to `report`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Iterable, List, Union
 
 from .bounds import bound_multiples
-from .roots import Root
 from .verify import CaseResult
 
 SCHEMA_VERSION = 1
@@ -29,29 +28,30 @@ def _rat(x: Union[int, Fraction]) -> Dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _root_list(roots: Sequence[Root]) -> List[List[int]]:
-    """Coefficient vectors in sorted order; a root's code sorts like its
-    coefficients (`RootSystem.code`)."""
-    return [list(r.coeffs) for r in sorted(roots, key=attrgetter("code"))]
+def _root_list(root: dict, codes: Iterable[int]) -> List[List[int]]:
+    """The coefficient vectors of the roots of these codes, root being
+    `RootSystem.by_code`, in sorted order: codes sort like coefficients."""
+    return [list(root[c].coeffs) for c in sorted(codes)]
 
 
 def certificate_dict(result: CaseResult) -> dict:
     cand = result.candidate
     pair = result.pair
+    root = cand.system.by_code
     cert = {
         "schema": SCHEMA_VERSION,
         "case": {"family": cand.family, "rank": cand.n, "s": cand.s},
         "S": {
-            "plus": _root_list(cand.S_plus),
-            "minus": _root_list(cand.S_minus),
-            "mixed": _root_list(cand.S_mixed),
+            "plus": _root_list(root, cand.S_plus),
+            "minus": _root_list(root, cand.S_minus),
+            "mixed": _root_list(root, cand.S_mixed),
         },
         "gamma_sets": [
-            {"centre": list(g.coeffs), "members": _root_list(cand.gamma_sets[g])}
-            for g in sorted(cand.gamma_sets, key=attrgetter("code"))
+            {"centre": list(root[g].coeffs), "members": _root_list(root, members)}
+            for g, members in sorted(cand.gamma_sets.items())
         ],
-        "T": _root_list(cand.T),
-        "T_star": _root_list(cand.T_star),
+        "T": _root_list(root, cand.T),
+        "T_star": _root_list(root, cand.T_star),
         "h": {
             "coroot_coeffs": [
                 {"alpha": idx, "value": _rat(val)}
@@ -59,8 +59,8 @@ def certificate_dict(result: CaseResult) -> dict:
             ],
         },
         "eigenvalues": [
-            {"gamma": list(g.coeffs), "value": _rat(pair.eigenvalues[g])}
-            for g in sorted(pair.eigenvalues, key=attrgetter("code"))
+            {"gamma": list(root[g].coeffs), "value": _rat(pair.eigenvalues[g])}
+            for g in sorted(pair.eigenvalues)
         ],
         "degrees": [_rat(d) for d in pair.degrees],
         "bounds": {

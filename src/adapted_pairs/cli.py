@@ -52,10 +52,10 @@ def eps_str(system: RootSystem, root: Root) -> str:
 
 def _rat(obj) -> Tuple[int, int]:
     """A rational stored as {"num", "den"} in a certificate, as (num, den)
-    in lowest terms with den > 0.  A field that is not an integer raises
-    TypeError and a zero den ZeroDivisionError."""
+    in lowest terms with den > 0.  A field that is not an int (a bool is
+    not one) raises TypeError and a zero den ZeroDivisionError."""
     num, den = obj["num"], obj["den"]
-    if not (isinstance(num, int) and isinstance(den, int)):
+    if not (type(num) is int and type(den) is int):
         raise TypeError(f"rational {obj!r} has a non-integer field")
     if den == 0:
         raise ZeroDivisionError(f"rational {obj!r} has den 0")
@@ -92,6 +92,9 @@ def render_certificate(cert: dict, fmt: str) -> str:
     sys_ = build_root_system(case["family"], case["rank"])
 
     def rc(c) -> Root:
+        # `true` and 1.0 compare equal to 1, but no coefficient is either
+        if any(type(x) is not int for x in c):
+            raise TypeError(f"{c} has a coefficient that is not an int")
         root = sys_.try_root(c)
         if root is None:
             raise ValueError(f"{list(c)} is not a root of {sys_.family}{sys_.rank}")
@@ -231,9 +234,12 @@ def cmd_sweep(args) -> int:
             # certificate of an earlier run in its place
             import traceback
 
-            if out_file:
-                out_file.unlink(missing_ok=True)
             traceback.print_exc(file=sys.stderr)
+            if out_file:
+                try:
+                    out_file.unlink(missing_ok=True)
+                except OSError as err:
+                    return _usage_error(f"cannot write --out: {err}")
             dt = time.perf_counter() - t0
             error = f"{type(exc).__name__}: {exc}"
             rows.append((family, n, s, "error", error, dt, ""))

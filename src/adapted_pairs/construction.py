@@ -10,22 +10,21 @@ A Heisenberg set Gamma_gamma is its centre gamma together with pairs
 {a, gamma - a}.  The builders list only the centre and one half a of each
 pair, in epsilon terms; `_heis` adds the partners.  Sets taken from the
 Kostant cascade are H_beta minus the roots named at each builder.
+Every root of the case data is its code (`RootSystem.base`), from the
+builders to the `Candidate`: a partner gamma - a is a code difference and a
+root has the sign of its code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
 from .parabolic import ParabolicData
-from .roots import Root, RootSystem, build_root_system
-
-
-_code = attrgetter("code")  # the sort key of roots: codes sort like coefficients
+from .roots import RootSystem, build_root_system
 
 
 class OutOfScopeError(ValueError):
@@ -33,21 +32,24 @@ class OutOfScopeError(ValueError):
 
 
 class Candidate:
-    """The sets S, Gamma_gamma, T (and T* in E6) for one case.
+    """The sets S, Gamma_gamma, T (and T* in E6) for one case, as root codes.
 
-    Treated as immutable: a changed candidate is built anew, so that `S`
-    and `s_inverse` are computed for its own S+, S- and Sm."""
+    S+, S-, Sm, T, T* and the closed-form T are sorted code tuples (codes
+    sort like coefficients), and gamma_sets maps each centre code, in
+    increasing order, to the frozenset of its members' codes.  Treated as
+    immutable: a changed candidate is built anew, so that `S` and
+    `s_inverse` are computed for its own S+, S- and Sm."""
 
     def __init__(
         self,
         parabolic: ParabolicData,
-        S_plus: Tuple[Root, ...],
-        S_minus: Tuple[Root, ...],
-        S_mixed: Tuple[Root, ...],
-        gamma_sets: Dict[Root, FrozenSet[Root]],
-        T: Tuple[Root, ...],
-        T_star: Tuple[Root, ...],
-        T_expected: Tuple[Root, ...],
+        S_plus: Tuple[int, ...],
+        S_minus: Tuple[int, ...],
+        S_mixed: Tuple[int, ...],
+        gamma_sets: Dict[int, FrozenSet[int]],
+        T: Tuple[int, ...],
+        T_star: Tuple[int, ...],
+        T_expected: Tuple[int, ...],
     ):
         self.parabolic = parabolic
         self.S_plus = S_plus
@@ -59,8 +61,8 @@ class Candidate:
         self.T_expected = T_expected  # the closed-form complement list
 
     @cached_property
-    def S(self) -> Tuple[Root, ...]:
-        return tuple(sorted(self.S_plus + self.S_minus + self.S_mixed, key=_code))
+    def S(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.S_plus + self.S_minus + self.S_mixed))
 
     @property
     def system(self) -> RootSystem:
@@ -144,14 +146,14 @@ def case_plan(family: str, n: int, s: int) -> Optional[str]:
     return f"unsupported family {family!r}"
 
 
-def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> Root:
-    """Root from epsilon terms [(coef, index1based), ...]; terms on the same
-    index add up."""
+def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> int:
+    """The code of the root with epsilon terms [(coef, index1based), ...];
+    terms on the same index add up."""
     v = [0] * system.dim
     for c, i in terms:
         v[i - 1] += c
     try:
-        return system.root_from_eps(v)
+        return system.root_from_eps(v).code
     except KeyError:
         raise _not_a_root(system, terms) from None
 
@@ -164,18 +166,16 @@ def _heis(
     system: RootSystem,
     centre_terms: List[Tuple[int, int]],
     halves: Sequence[Sequence[Tuple[int, int]]],
-) -> Tuple[Root, FrozenSet[Root]]:
-    """(centre, Gamma): the centre, each half a and its partner centre - a,
-    the root whose code is code(centre) - code(a)."""
+) -> Tuple[int, FrozenSet[int]]:
+    """(centre, Gamma) on codes: the centre, each half a and its partner
+    centre - a, which must be a root."""
     centre = _rt(system, centre_terms)
-    members = {centre}
+    members = [centre]
     for terms in halves:
         a = _rt(system, terms)
-        partner = system.by_code.get(centre.code - a.code)
-        if partner is None:
+        if centre - a not in system.by_code:
             raise _not_a_root(system, centre_terms + [(-c, i) for c, i in terms])
-        members.add(a)
-        members.add(partner)
+        members += (a, centre - a)
     return centre, frozenset(members)
 
 
@@ -185,7 +185,7 @@ def _spoke(
     q: Tuple[int, int],
     plus: Sequence[int] = (),
     minus: Sequence[int] = (),
-) -> Tuple[Root, FrozenSet[Root]]:
+) -> Tuple[int, FrozenSet[int]]:
     """The set centred at sp*eps_p + sq*eps_q, for p = (sp, p) and
     q = (sq, q), with the halves sp*eps_p + eps_j for j in plus and
     sp*eps_p - eps_j for j in minus."""
@@ -193,7 +193,7 @@ def _spoke(
     return _heis(system, [p, q], halves)
 
 
-def _s_minus_sets(system: RootSystem, s: int) -> Dict[Root, FrozenSet[Root]]:
+def _s_minus_sets(system: RootSystem, s: int) -> Dict[int, FrozenSet[int]]:
     """The sets centred at eps_{s-i} - eps_i for 1 <= i < s/2 (types B, D),
     with the halves eps_j - eps_i for i < j < s-i."""
     return dict(
@@ -202,47 +202,40 @@ def _s_minus_sets(system: RootSystem, s: int) -> Dict[Root, FrozenSet[Root]]:
     )
 
 
-def _split_signs(
-    gamma_sets: Dict[Root, FrozenSet[Root]], declared_mixed: Sequence[Root]
-) -> Tuple[Tuple[Root, ...], Tuple[Root, ...], Tuple[Root, ...]]:
-    """S+/S-/Sm with Sm as declared per case.
+def _assemble(
+    parab: ParabolicData,
+    gamma_sets: Dict[int, FrozenSet[int]],
+    t_expected: Sequence[int],
+    t_star: Sequence[int] = (),
+    mixed: Sequence[int] = (),
+) -> Candidate:
+    """The candidate with S+/S-/Sm split by sign and Sm as declared per case.
 
     The declared mixed sets usually contain both signs, but may degenerate
     to one sign at boundary ranks (D_4, s = 2); the remaining sets must be
     sign-uniform, which is what the non-degeneracy conditions rely on.
     """
-    mixed_set = set(declared_mixed)
+    centres = sorted(gamma_sets)
+    mixed_set = set(mixed)
     plus, minus = [], []
-    for gamma in sorted(gamma_sets, key=_code):
+    for gamma in centres:
         if gamma in mixed_set:
             continue
-        members = gamma_sets[gamma]
-        pos = any(r.height > 0 for r in members)
-        neg = any(r.height < 0 for r in members)
-        if pos and neg:
-            raise ValueError(f"set of {gamma.coeffs} mixes signs outside Sm")
+        pos = max(gamma_sets[gamma]) > 0  # a code has the sign of its root
+        if pos and min(gamma_sets[gamma]) < 0:
+            coeffs = parab.system.by_code[gamma].coeffs
+            raise ValueError(f"set of {coeffs} mixes signs outside Sm")
         (plus if pos else minus).append(gamma)
-    return tuple(plus), tuple(minus), tuple(sorted(mixed_set, key=_code))
-
-
-def _assemble(
-    parab: ParabolicData,
-    gamma_sets: Dict[Root, FrozenSet[Root]],
-    t_expected: Sequence[Root],
-    t_star: Sequence[Root] = (),
-    mixed: Sequence[Root] = (),
-) -> Candidate:
-    used = {r.code for roots in (*gamma_sets.values(), t_star) for r in roots}
-    plus, minus, mixed = _split_signs(gamma_sets, mixed)
+    used = set(t_star).union(*gamma_sets.values())
     return Candidate(
         parabolic=parab,
-        S_plus=plus,
-        S_minus=minus,
-        S_mixed=mixed,
-        gamma_sets={g: gamma_sets[g] for g in sorted(gamma_sets, key=_code)},
-        T=tuple(r for r in parab.dual_support if r.code not in used),
-        T_star=tuple(sorted(t_star, key=_code)),
-        T_expected=tuple(sorted(t_expected, key=_code)),
+        S_plus=tuple(plus),
+        S_minus=tuple(minus),
+        S_mixed=tuple(sorted(mixed_set)),
+        gamma_sets={g: gamma_sets[g] for g in centres},
+        T=tuple([c for c in parab.dual_support if c not in used]),
+        T_star=tuple(sorted(t_star)),
+        T_expected=tuple(sorted(t_expected)),
     )
 
 
@@ -266,8 +259,7 @@ def _build_B(n: int, s: int) -> Candidate:
     # cascade members beta_i, shorts removed
     for i in range(1, s // 2):
         beta = r([(1, 2 * i - 1), (1, 2 * i)])
-        removed = {r([(1, 2 * i - 1)]), r([(1, 2 * i)])}
-        gamma[beta] = frozenset(set(heis[beta]) - removed)
+        gamma[beta] = heis[beta] - {r([(1, 2 * i - 1)]), r([(1, 2 * i)])}
 
     gamma.update(_s_minus_sets(sys, s))
 
@@ -307,15 +299,12 @@ def _build_D(n: int, s: int) -> Candidate:
     r = lambda terms: _rt(sys, terms)
     heis = cascade_heisenberg_by_beta(sys)
 
-    gamma: Dict[Root, FrozenSet[Root]] = {}
+    gamma: Dict[int, FrozenSet[int]] = {}
 
     for i in range(1, s // 2):
         beta = r([(1, 2 * i - 1), (1, 2 * i)])
-        removed = {
-            r([(1, 2 * i - 1), (-1, n)]),
-            r([(1, 2 * i), (1, n)]),
-        }
-        gamma[beta] = frozenset(set(heis[beta]) - removed)
+        removed = {r([(1, 2 * i - 1), (-1, n)]), r([(1, 2 * i), (1, n)])}
+        gamma[beta] = heis[beta] - removed
 
     gamma.update(_s_minus_sets(sys, s))
 
@@ -380,12 +369,12 @@ def _build_D_extremal(n: int) -> Candidate:
     # whatever of H_{beta_i} is still unused, plus the listed negative-side
     # completions.
     for i in range(n // 2 - 2, 0, -1):
-        used: set = set().union(*gamma.values())
+        used = set().union(*gamma.values())
         top = i == n // 2 - 2
         plus = range(1, n - 5, 2) if top else ()
         minus = range(1, (n - 6 if top else 2 * i - 2) + 1)
         beta, extra = _spoke(sys, (1, 2 * i - 1), (1, 2 * i), plus, minus)
-        gamma[beta] = extra | (set(heis[beta]) - used)
+        gamma[beta] = extra | (heis[beta] - used)
 
     t_exp = [
         r([(1, n - 3), (-1, n - 1)]),
@@ -411,7 +400,7 @@ def _build_D_extremal(n: int) -> Candidate:
 def _build_E6() -> Candidate:
     sys = build_root_system("E6", 6)
     parab = ParabolicData(sys, 6)
-    rc = lambda c: sys.root_from_coeffs(c)
+    rc = lambda c: sys.root_from_coeffs(c).code
     heis = cascade_heisenberg_by_beta(sys)
     heis_levi = cascade_heisenberg_by_beta(sys, parab.pi_prime)
 
@@ -421,15 +410,11 @@ def _build_E6() -> Candidate:
     beta1p = rc((1, 1, 2, 2, 1, 0))
     s5 = rc((0, 0, 0, -1, -1, 0))  # alpha_2 - beta_2'
 
-    gamma: Dict[Root, FrozenSet[Root]] = {}
-    gamma[beta1] = frozenset(
-        set(heis[beta1]) - {rc((0, 1, 1, 1, 0, 0)), rc((1, 1, 1, 2, 2, 1))}
-    )
-    gamma[beta2] = frozenset(
-        set(heis[beta2]) - {rc((1, 0, 1, 1, 1, 0)), rc((0, 0, 0, 0, 0, 1))}
-    )
-    gamma[beta3] = frozenset(heis[beta3])
-    gamma[-beta1p] = frozenset(-h for h in heis_levi[beta1p])
+    gamma: Dict[int, FrozenSet[int]] = {}
+    gamma[beta1] = heis[beta1] - {rc((0, 1, 1, 1, 0, 0)), rc((1, 1, 1, 2, 2, 1))}
+    gamma[beta2] = heis[beta2] - {rc((1, 0, 1, 1, 1, 0)), rc((0, 0, 0, 0, 0, 1))}
+    gamma[beta3] = heis[beta3]
+    gamma[-beta1p] = frozenset([-h for h in heis_levi[beta1p]])
     gamma[s5] = frozenset(
         {s5, rc((0, 0, 0, -1, 0, 0)), rc((0, 0, 0, 0, -1, 0))}
     )
@@ -455,11 +440,11 @@ def _build_E6() -> Candidate:
 # ---------------------------------------------------------------------------
 
 
-def e7_d6_embedding() -> Dict[Root, Root]:
+def e7_d6_embedding() -> Dict[int, int]:
     """Isomorphism from the D6 root system onto the E7 roots orthogonal to
-    the highest root, computed from the induced simple systems.  The highest
-    root is dominant, so those roots are generated by the E7 simple roots
-    orthogonal to it.
+    the highest root, on codes, computed from the induced simple systems.
+    The highest root is dominant, so those roots are generated by the E7
+    simple roots orthogonal to it.
 
     The labeling is pinned by two requirements: positive roots map to
     positive roots, and the standard Levi copy A5 inside D6 (the span of the
@@ -497,15 +482,15 @@ def e7_d6_embedding() -> Dict[Root, Root]:
         5: simples[a5],
         6: simples[a6],
     }
-    phi: Dict[Root, Root] = {}
+    phi: Dict[int, int] = {}
     for r in d6.positive_roots:
         v = [0] * e7.rank
         for k, c in enumerate(r.coeffs, start=1):
             for d, x in enumerate(image[k].coeffs):
                 v[d] += c * x
-        target = e7.root_from_coeffs(v)
-        phi[r] = target
-        phi[-r] = -target
+        target = e7.root_from_coeffs(v).code
+        phi[r.code] = target
+        phi[-r.code] = -target
     return phi
 
 
@@ -516,13 +501,13 @@ def _build_E7() -> Candidate:
     phi = e7_d6_embedding()
 
     b1 = e7.highest_root()
-    h_b1 = frozenset(r for r in e7.positive_roots if e7.inner(r, b1) > 0)
+    h_b1 = frozenset([r.code for r in e7.positive_roots if e7.inner(r, b1) > 0])
 
-    gamma: Dict[Root, FrozenSet[Root]] = {b1: h_b1}
+    gamma = {b1.code: h_b1}
     for centre, members in d6_case.gamma_sets.items():
-        gamma[phi[centre]] = frozenset(phi[m] for m in members)
+        gamma[phi[centre]] = frozenset([phi[m] for m in members])
 
-    t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))]
+    t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0)).code]
     t_exp += [phi[t] for t in d6_case.T]
     mixed = [phi[g] for g in d6_case.S_mixed]
     return _assemble(parab, gamma, t_exp, mixed=mixed)
@@ -542,15 +527,15 @@ def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candid
     sys = cand.system
     rank = sys.rank
 
-    def move(r: Root) -> Root:
+    def move(code: int) -> int:
         new = [0] * rank
-        for i, c in enumerate(r.coeffs, start=1):
+        for i, c in enumerate(sys.by_code[code].coeffs, start=1):
             new[perm.get(i, i) - 1] = c
-        return sys.root_from_coeffs(tuple(new))
+        return sys.root_from_coeffs(new).code
 
     parab = ParabolicData(sys, new_s)
     gamma = {
-        move(g): frozenset(move(m) for m in members)
+        move(g): frozenset([move(m) for m in members])
         for g, members in cand.gamma_sets.items()
     }
     t_star = tuple(move(t) for t in cand.T_star)

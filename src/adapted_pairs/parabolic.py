@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .roots import Root, RootSystem
@@ -114,7 +113,6 @@ class ParabolicData:
         "s",
         "pi_prime",
         "delta_pi_prime_pos",
-        "delta_pi_prime_neg",
         "j_map",
         "i_map",
         "orbits",
@@ -134,18 +132,16 @@ class ParabolicData:
         # 0-based indices
         self.pi_prime = tuple(i for i in range(sys.rank) if i != s0)
         self.delta_pi_prime_pos = subsystem_roots(sys, self.pi_prime)
-        self.delta_pi_prime_neg = [-r for r in self.delta_pi_prime_pos]
         self.j_map = minus_w0_on_subset(sys, range(sys.rank))
         self.i_map = self._build_i()
         self.orbits = self._ij_orbits()
         self.index = len(self.orbits)
-        # Delta+ | Delta-_{pi'}, the support of the dual space, and its codes
-        self.dual_support: Tuple[Root, ...] = tuple(
-            sorted(sys.positive_roots + self.delta_pi_prime_neg, key=attrgetter("code"))
-        )
-        self.dual_support_codes: FrozenSet[int] = frozenset(
-            r.code for r in self.dual_support
-        )
+        # the codes of Delta+ | Delta-_{pi'}, the support of the dual space,
+        # sorted and as a set
+        support = [r.code for r in sys.positive_roots]
+        support += [-r.code for r in self.delta_pi_prime_pos]
+        self.dual_support: Tuple[int, ...] = tuple(sorted(support))
+        self.dual_support_codes: FrozenSet[int] = frozenset(self.dual_support)
         self.orbit_weights: Optional[tuple] = None  # see bounds._orbit_weights
         self._removed_projection: Optional[Tuple[int, Tuple[int, ...]]] = None
 
@@ -217,7 +213,8 @@ class ParabolicData:
         vs = v[self.s - 1]
         return [den * v[i] + vs * c for i, c in zip(self.pi_prime, num)]
 
-    def pairing_on_coroots(self, gamma: Root) -> List[int]:
-        """gamma(alpha_i^vee) over the coroot basis order."""
-        pairs = self.system.simple_pairings(gamma)
+    def pairing_on_coroots(self, gamma: int) -> List[int]:
+        """gamma(alpha_i^vee) over the coroot basis order, for the root of
+        code gamma."""
+        pairs = self.system.simple_pairings(self.system.by_code[gamma])
         return [pairs[i] for i in self.pi_prime]

@@ -7,9 +7,11 @@ supported type, so root arithmetic runs on Python ints.  Every root is one
 object of its system and carries a linear integer code (`RootSystem.base`),
 its coefficients as the digits of one int with the first coefficient most
 significant: sums, differences and signs of roots are tested on single
-ints, and codes sort exactly as coefficient vectors do.  Fundamental and
-Levi weights are integer vectors over one denominator per simple-root
-subset (`weight_rows`).  Cartan elements are written in coroot coordinates.
+ints, and codes sort exactly as coefficient vectors do.  A set of roots or
+a map keyed on roots holds codes, and `RootSystem.by_code` gives each root
+back; a `Root` is not hashable.  Fundamental and Levi weights are integer
+vectors over one denominator per simple-root subset (`weight_rows`).
+Cartan elements are written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
@@ -34,9 +36,9 @@ class Root:
     """A root: its integer coefficients over the simple roots and its code.
 
     Every root is one object of its `RootSystem`, made there with its code
-    (see `RootSystem.base`) and its negative, so a root is hashed by its
-    code, equal only to itself, and -r is the stored negative.  Order roots
-    by code, which sorts like the coefficients.
+    (see `RootSystem.base`) and its negative: a root is equal only to itself
+    and -r is the stored negative.  A root is not hashable; sets and maps
+    hold its code, which also sorts like the coefficients.
     """
 
     __slots__ = ("coeffs", "code", "_neg")
@@ -48,8 +50,7 @@ class Root:
     def __neg__(self) -> "Root":
         return self._neg
 
-    def __hash__(self) -> int:
-        return self.code
+    __hash__ = None  # key on the code
 
     @property
     def height(self) -> int:

@@ -84,7 +84,7 @@ class RegularityCheck(NamedTuple):
 
 class AdaptedPair(NamedTuple):
     h_coroot_coeffs: Dict[int, Fraction]  # keyed by 1-based simple index
-    eigenvalues: Dict[Root, Fraction]  # gamma in T -> gamma(h)
+    eigenvalues: Dict[int, Fraction]  # the code of gamma in T -> gamma(h)
     degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
 
 
@@ -98,41 +98,40 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
     S against the centres.  When every member has its partner and S is the
     set of centres, the partners found here give the orbit structure.
 
-    Roots are compared by code: a - b is a root of a set exactly when its
-    code is the code of a member.  theta and centre_of are kept on codes."""
+    a - b is a root of a set exactly when its code is a member; theta and
+    centre_of are kept on codes, and problem lines name roots by their
+    coefficient vectors."""
     problems: List[str] = []
+    root = cand.system.by_code
     support = cand.parabolic.dual_support_codes
-    seen: Dict[int, Root] = {}
+    seen: Dict[int, int] = {}
     theta: Dict[int, int] = {}
     centre_of: Dict[int, int] = {}
     partnered = True
     for g, members in cand.gamma_sets.items():
-        gc = g.code
-        by_code = {a.code: a for a in members}
-        if gc not in by_code:
-            problems.append(f"{g.coeffs}: centre not in its set")
-        for ac, a in by_code.items():
-            if ac not in support:
-                problems.append(f"{g.coeffs}: member {a.coeffs} outside support")
-            prev = seen.get(ac)
-            if prev is not None and prev.code != gc:
+        gr = root[g].coeffs
+        if g not in members:
+            problems.append(f"{gr}: centre not in its set")
+        for a in members:
+            if a not in support:
+                problems.append(f"{gr}: member {root[a].coeffs} outside support")
+            prev = seen.get(a)
+            if prev is not None and prev != g:
                 problems.append(
-                    f"sets of {prev.coeffs} and {g.coeffs} overlap at {a.coeffs}"
+                    f"sets of {root[prev].coeffs} and {gr} overlap at {root[a].coeffs}"
                 )
-            seen[ac] = g
-            if ac == gc:
+            seen[a] = g
+            if a == g:
                 continue
-            partner = by_code.get(gc - ac)
-            if partner is None or partner is a:
-                problems.append(
-                    f"{g.coeffs}: no Heisenberg partner for {a.coeffs}"
-                )
+            partner = g - a
+            if partner not in members or partner == a:
+                problems.append(f"{gr}: no Heisenberg partner for {root[a].coeffs}")
                 partnered = False
             else:
-                theta[ac] = partner.code
-                centre_of[ac] = gc
-    t_codes = {t.code for t in cand.T}
-    t_star_codes = {t.code for t in cand.T_star}
+                theta[a] = partner
+                centre_of[a] = g
+    t_codes = set(cand.T)
+    t_star_codes = set(cand.T_star)
     if t_codes & t_star_codes:
         problems.append("T and T* overlap")
     if (t_codes | t_star_codes) & seen.keys():
@@ -141,8 +140,7 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
         problems.append("Gamma, T*, T do not partition the support")
     if len(cand.S) != cand.parabolic.h_dim:
         problems.append(f"|S| = {len(cand.S)} != dim h = {cand.parabolic.h_dim}")
-    centres = sorted([g.code for g in cand.gamma_sets])
-    s_is_centres = [g.code for g in cand.S] == centres
+    s_is_centres = list(cand.S) == sorted(cand.gamma_sets)
     if not s_is_centres:
         problems.append("S is not the set of Gamma centres")
     orbits = None
@@ -157,15 +155,11 @@ def _orbit_structure(
     """S_alpha, strata and sign regions of O from theta and the centres,
     all on codes: g - a is the orbit root whose code is code(g) - code(a),
     if there is one."""
-    sign_of_centre: Dict[int, str] = {}
-    for g in cand.S_plus:
-        sign_of_centre[g.code] = "+"
-    for g in cand.S_minus:
-        sign_of_centre[g.code] = "-"
-    for g in cand.S_mixed:
-        sign_of_centre[g.code] = "m"
+    sign_of_centre = dict.fromkeys(cand.S_plus, "+")
+    sign_of_centre.update(dict.fromkeys(cand.S_minus, "-"))
+    sign_of_centre.update(dict.fromkeys(cand.S_mixed, "m"))
     o_sorted = tuple(sorted(theta))
-    centres = [g.code for g in cand.gamma_sets]
+    centres = list(cand.gamma_sets)
     s_alpha: Dict[int, Tuple[int, ...]] = {}
     for a in o_sorted:
         s_alpha[a] = tuple(sorted([gc - a for gc in centres if gc - a in theta]))
@@ -460,19 +454,20 @@ def pairing_matrix(
 
 
 def _values_on_h(
-    cand: Candidate, xs: Sequence[int], roots: Sequence[Root]
+    cand: Candidate, xs: Sequence[int], codes: Sequence[int]
 ) -> List[int]:
-    """den * a(h) for every root a, where h has coordinates xs / den in the
-    truncated coroot basis (den: the denominator of `Candidate.s_inverse`).
+    """den * a(h) for the root a of every code, where h has coordinates
+    xs / den in the truncated coroot basis (den: the denominator of
+    `Candidate.s_inverse`).
 
     h is one linear form on the root lattice: a(h) = sum_i x_i <a, alpha_i^vee>
     = sum_j a_j y_j with y = C x, C the columns pi' of the Cartan matrix.
     y is formed once, then each root costs one integer dot product."""
+    sys = cand.system
     pi_prime = cand.parabolic.pi_prime
-    y = [
-        sum([row[i] * x for i, x in zip(pi_prime, xs)]) for row in cand.system.cartan
-    ]
-    return [sum(map(mul, a.coeffs, y)) for a in roots]
+    y = [sum([row[i] * x for i, x in zip(pi_prime, xs)]) for row in sys.cartan]
+    root = sys.by_code
+    return [sum(map(mul, root[a].coeffs, y)) for a in codes]
 
 
 def check_nondegeneracy(
@@ -499,10 +494,10 @@ def check_nondegeneracy(
         mono_ok = False
     else:
         den = inverse.den
-        xs = inverse.solve_scaled([abs(g.height) for g in cand.S])
-        roots = [os.by_code[a] for a in order]
-        u = _values_on_h(cand, xs, roots)
-        heights = [a.height for a in roots]
+        root = os.by_code
+        xs = inverse.solve_scaled([abs(root[g].height) for g in cand.S])
+        u = _values_on_h(cand, xs, order)
+        heights = [root[a].height for a in order]
         pos = {a: i for i, a in enumerate(order)}
         for i, a in enumerate(order):
             for b in os.S_alpha[a]:
@@ -544,18 +539,17 @@ def coadjoint_columns(
     sys = cand.system
     parab = cand.parabolic
     support = parab.dual_support
-    row_of = {r.code: i for i, r in enumerate(support)}
+    row_of = {c: i for i, c in enumerate(support)}
     nroots = len(support)
     scale, _ = parab.removed_projection()
-    s_codes = [g.code for g in cand.S]
     n_code = table.n_code
     columns: List[Dict[int, int]] = []
-    for gb in support:
+    for bc in support:
         col: Dict[int, int] = {}
-        bc = gb.code
-        for pc in s_codes:
+        for pc in cand.S:
             if pc == bc:
-                h_coeffs = parab.h_in_coroot_basis_scaled([-x for x in sys.coroot(gb)])
+                coroot = sys.coroot(sys.by_code[bc])
+                h_coeffs = parab.h_in_coroot_basis_scaled([-x for x in coroot])
                 for k, c in enumerate(h_coeffs):
                     if c:
                         col[nroots + k] = col.get(nroots + k, 0) + c
@@ -566,10 +560,7 @@ def coadjoint_columns(
                 if n:
                     col[i] = col.get(i, 0) + n
         columns.append({k: v for k, v in col.items() if v != 0})
-    s_pairings = [
-        (row_of[pc], parab.pairing_on_coroots(gp))
-        for pc, gp in zip(s_codes, cand.S)
-    ]
+    s_pairings = [(row_of[pc], parab.pairing_on_coroots(pc)) for pc in cand.S]
     for k in range(parab.h_dim):
         columns.append({i: vals[k] for i, vals in s_pairings if vals[k]})
     return columns, row_of, nroots + parab.h_dim, scale
@@ -585,9 +576,12 @@ def check_regularity(
     parab = cand.parabolic
     dim_p = len(parab.dual_support) + parab.h_dim
     t_size = len(cand.T)
-    outside = [g for g in cand.S if g.code not in parab.dual_support_codes]
+    outside = [g for g in cand.S if g not in parab.dual_support_codes]
     if outside:
-        problems = [f"not run: S member {g.coeffs} outside support" for g in outside]
+        root = cand.system.by_code
+        problems = [
+            f"not run: S member {root[g].coeffs} outside support" for g in outside
+        ]
         return RegularityCheck(False, 0, 0, dim_p, t_size, False, problems)
     columns, row_of, _, _ = coadjoint_columns(cand, table)
     ncols = len(columns)
@@ -596,7 +590,7 @@ def check_regularity(
         for r, v in col.items():
             rows[r][c] = v
     for j, t in enumerate(cand.T):
-        rows[row_of[t.code]][ncols + j] = 1
+        rows[row_of[t]][ncols + j] = 1
     rank, rank_aug = sparse_ranks(rows, [ncols, ncols + t_size])
     ok = rank == dim_p - t_size and rank_aug == dim_p
     return RegularityCheck(ok, rank, rank_aug, dim_p, t_size, rank_aug == dim_p, [])

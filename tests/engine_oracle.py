@@ -4,7 +4,8 @@
   changed, built again through the constructor.
 - `rat_value`: a rational of a certificate, {"num", "den"}, as a Fraction.
 - `centre_moved_outside`: a candidate whose S leaves the support, for the
-  negative tests of the regularity check.
+  negative tests of the regularity check.  Like the case data, it names
+  roots by their codes.
 - The bracket oracle: exact Lie algebra elements (`GElem`), N(a, b) on
   roots (`n_const`), brackets (`bracket_roots`, `bracket`) and the
   coadjoint action on the dual of the truncated parabolic (`ad_on_dual`,
@@ -71,14 +72,15 @@ def rat_value(obj: Dict[str, int]) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
-def centre_moved_outside(cand) -> Tuple[object, Root]:
+def centre_moved_outside(cand) -> Tuple[object, int]:
     """cand with a centre of S+ that involves the removed node, and its
-    Gamma set, negated, and the new centre: the Heisenberg structure is
-    kept, but the centre lies outside Delta+ | Delta-_{pi'}."""
-    g = next(g for g in cand.S_plus if g.coeffs[cand.s - 1])
+    Gamma set, negated, and the code of the new centre: the Heisenberg
+    structure is kept, but the centre lies outside Delta+ | Delta-_{pi'}."""
+    root = cand.system.by_code
+    g = next(g for g in cand.S_plus if root[g].coeffs[cand.s - 1])
     sets = dict(cand.gamma_sets)
     sets[-g] = frozenset(-a for a in sets.pop(g))
-    s_plus = tuple(-x if x is g else x for x in cand.S_plus)
+    s_plus = tuple(-x if x == g else x for x in cand.S_plus)
     return replace(cand, S_plus=s_plus, gamma_sets=sets), -g
 
 
@@ -604,15 +606,17 @@ def lower_bound(parab) -> List[Weight]:
     return sorted(weights, key=lambda w: w.coeffs)
 
 
-def t_of_gamma(cand, gamma: Root) -> Tuple[Dict[Root, Fraction], Weight]:
+def t_of_gamma(cand, gamma: int) -> Tuple[Dict[int, Fraction], Weight]:
     """The unique rational combination of S making gamma + t(gamma) vanish
-    on the truncated Cartan, plus the weight gamma + t(gamma)."""
+    on the truncated Cartan, keyed by the codes of S, plus the weight
+    gamma + t(gamma); gamma is a root code, like the case data."""
+    root = cand.system.by_code
     pairing = cand.parabolic.pairing_on_coroots
     columns = [pairing(g) for g in cand.S]
     coeffs = solve_in_span(columns, [-v for v in pairing(gamma)])
-    w = [Fraction(x) for x in gamma.coeffs]
+    w = [Fraction(x) for x in root[gamma].coeffs]
     for c, g in zip(coeffs, cand.S):
-        for i, x in enumerate(g.coeffs):
+        for i, x in enumerate(root[g].coeffs):
             w[i] += c * x
     return dict(zip(cand.S, coeffs)), Weight(tuple(w))
 

@@ -1,6 +1,6 @@
 import pytest
 
-from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.cascade import cascade_heisenberg_by_beta, kostant_cascade
 from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.parabolic import ParabolicData, subsystem_roots
 from adapted_pairs.roots import build_root_system
@@ -108,20 +108,23 @@ def test_heisenberg_sets_partition_positive_roots(family, rank):
     seen = set()
     for it in items:
         for r in it.heisenberg:
-            assert r not in seen
-            seen.add(r)
-    assert seen == set(sys.positive_roots)
+            assert r.code not in seen
+            seen.add(r.code)
+    assert seen == {r.code for r in sys.positive_roots}
 
 
 @pytest.mark.parametrize("family,rank", [("B", 6), ("D", 6), ("E6", 6)])
 def test_each_h_beta_is_heisenberg(family, rank):
     sys = build_root_system(family, rank)
     for it in kostant_cascade(sys):
-        members = set(it.heisenberg)
-        assert it.beta in members
-        for a in members - {it.beta}:
+        members = {r.code: r for r in it.heisenberg}
+        assert members[it.beta.code] is it.beta
+        for a in it.heisenberg:
+            if a is it.beta:
+                continue
             partner = sys.try_root(vec_sub(it.beta.coeffs, a.coeffs))
-            assert partner is not None and partner in members and partner is not a
+            assert partner is not None and partner is not a
+            assert members.get(partner.code) is partner
 
 
 def test_cascade_roots_strongly_orthogonal():
@@ -139,7 +142,7 @@ def test_singleton_components_give_singleton_sets():
     sys = build_root_system("B", 4)
     items = {eps_of(sys, it.beta): it for it in kostant_cascade(sys)}
     a1 = _v(sys, [(1, 1), (-1, 2)])
-    assert set(items[a1].heisenberg) == {sys.root_from_eps(a1)}
+    assert [r.code for r in items[a1].heisenberg] == [sys.root_from_eps(a1).code]
 
 
 def test_orthogonal_complement_types():
@@ -166,16 +169,18 @@ def test_detect_type_on_levi_parts():
 
 
 def test_levi_cascade_e6():
-    # cascade of the D5 Levi part of E6, s = 6; H_{beta'_2} per the case data
+    # cascade of the D5 Levi part of E6, s = 6; H_{beta'_2} per the case data,
+    # on codes as the case builders read it
     sys = build_root_system("E6", 6)
     items = kostant_cascade(sys, range(5))
     assert _items(items) == cascade_oracle(sys, subsystem_roots(sys, range(5)))
-    rc = lambda c: sys.root_from_coeffs(c)
-    betas = {it.beta for it in items}
-    assert rc((1, 1, 2, 2, 1, 0)) in betas  # beta'_1
-    by_beta = {it.beta: set(it.heisenberg) for it in items}
+    rc = lambda c: sys.root_from_coeffs(c).code
+    by_beta = cascade_heisenberg_by_beta(sys, range(5))
+    assert by_beta == {
+        it.beta.code: frozenset(r.code for r in it.heisenberg) for it in items
+    }
+    assert rc((1, 1, 2, 2, 1, 0)) in by_beta  # beta'_1
     b2p = rc((0, 1, 0, 1, 1, 0))
-    assert b2p in betas
     assert by_beta[b2p] == {
         b2p,
         rc((0, 1, 0, 0, 0, 0)),

@@ -154,7 +154,7 @@ def test_e6_ad_example():
     sys = cand.system
     t = build_structure_table(sys)
     x = GElem({sys.simple_roots[0].coeffs: F(1)})
-    y = GElem({g.coeffs: F(1) for g in cand.S})
+    y = GElem({sys.by_code[g].coeffs: F(1) for g in cand.S})
     out = ad_on_dual(t, cand.parabolic, x, y)
     assert out.h_part is None
     assert set(out.root_part) == {(1, 0, 1, 1, 1, 0)}

@@ -14,7 +14,7 @@ from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import _rat_str, eps_str, main, render_certificate
 from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
-from engine_oracle import centre_moved_outside, coeffs_key, rat_value, replace
+from engine_oracle import centre_moved_outside, rat_value, replace
 from engine_oracle import eps_str as oracle_eps_str
 
 
@@ -64,9 +64,10 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
     import adapted_pairs.construction as construction
 
     cand = construction.build_case("B", 6, 4)
+    root = cand.system.by_code
     sets = dict(cand.gamma_sets)
     centre = max(sets, key=lambda g: len(sets[g]))
-    dropped = max(sets[centre] - {centre}, key=coeffs_key)
+    dropped = max(sets[centre] - {centre}, key=lambda a: root[a].coeffs)
     sets[centre] = sets[centre] - {dropped}
     bad = replace(cand, gamma_sets=sets)
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
@@ -77,7 +78,7 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "first failing check: heisenberg_ok"
     assert any(
-        l.startswith(f"heisenberg: {centre.coeffs}: no Heisenberg partner for ")
+        l.startswith(f"heisenberg: {root[centre].coeffs}: no Heisenberg partner for ")
         for l in lines[2:]
     )
     cert = json.loads(out.read_text())
@@ -90,6 +91,7 @@ def test_verify_fails_an_s_member_outside_the_support(tmp_path, monkeypatch, cap
     import adapted_pairs.construction as construction
 
     bad, moved = centre_moved_outside(construction.build_case("B", 6, 4))
+    moved = bad.system.by_code[moved].coeffs
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
     out = tmp_path / "cert.json"
     code = main(["verify", "--family", "B", "--rank", "6", "--s", "4",
@@ -97,7 +99,7 @@ def test_verify_fails_an_s_member_outside_the_support(tmp_path, monkeypatch, cap
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "first failing check: heisenberg_ok"
-    assert f"heisenberg: {moved.coeffs}: member {moved.coeffs} outside support" in lines
+    assert f"heisenberg: {moved}: member {moved} outside support" in lines
     cert = json.loads(out.read_text())
     assert cert["verdict"] == "fail"
     assert cert["checks"]["regularity_rank"] == 0
@@ -273,6 +275,29 @@ def test_sweep_deletes_the_old_certificate_of_a_crashing_case(
     assert (out / "B_n4_s4.json").exists()
 
 
+def test_sweep_crashing_case_whose_certificate_path_is_a_directory(
+    tmp_path, monkeypatch, capsys
+):
+    # the old certificate of a crashing case cannot be removed: a usage
+    # error, as when a certificate cannot be written, after the traceback
+    import adapted_pairs.verify as verify
+
+    def crash_on_b4_s2(family, n, s):
+        if (family, n, s) == ("B", 4, 2):
+            raise ArithmeticError("singular test matrix")
+        return run_case(family, n, s)
+
+    monkeypatch.setattr(verify, "run_case", crash_on_b4_s2)
+    (tmp_path / "B_n4_s2.json").mkdir()
+    assert main(["sweep", "--max-rank", "4", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert "ArithmeticError: singular test matrix" in lines
+    assert lines[-1].startswith("error: cannot write --out: ")
+    assert (tmp_path / "B_n4_s2.json").is_dir()
+
+
 def test_sweep_goes_on_past_a_certificate_that_cannot_be_built(
     tmp_path, monkeypatch, capsys
 ):
@@ -416,7 +441,13 @@ def test_report_rejects_certificate_without_fields(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"num": 1, "den": 0}, {"num": 1.5, "den": 2}, {"num": "1", "den": 2}]
+    "bad",
+    [
+        {"num": 1, "den": 0},
+        {"num": 1.5, "den": 2},
+        {"num": "1", "den": 2},
+        {"num": True, "den": 1},
+    ],
 )
 def test_report_rejects_a_malformed_rational(tmp_path, capsys, bad):
     # in each place a rational is rendered: an h coefficient, an eigenvalue,
@@ -475,6 +506,32 @@ def test_report_rejects_non_root_in_t(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
     assert "[9, 9, 9, 9]" in lines[0]
+
+
+@pytest.mark.parametrize("convert", [bool, float], ids=["bool", "float"])
+def test_report_rejects_a_coefficient_that_is_not_an_int(tmp_path, capsys, convert):
+    # true and 0.0 compare equal to 1 and 0, so the vector would be looked
+    # up as a root; in each place a root is rendered
+    cert = certificate_dict(run_case("B", 4, 2))
+    places = [
+        lambda c: c["S"]["plus"][0],
+        lambda c: c["gamma_sets"][0]["centre"],
+        lambda c: c["gamma_sets"][0]["members"][0],
+        lambda c: c["T"][0],
+        lambda c: c["eigenvalues"][0]["gamma"],
+    ]
+    path = tmp_path / "bad.json"
+    for place in places:
+        broken = json.loads(to_json(cert))
+        coeffs = place(broken)
+        k = next(i for i, x in enumerate(coeffs) if x in (0, 1))
+        coeffs[k] = convert(coeffs[k])
+        path.write_text(json.dumps(broken))
+        assert main(["report", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
 
 
 def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):

@@ -20,10 +20,12 @@ ALL_CASES = in_scope_cases(10)
 
 
 def _ev(system, terms):
+    """The code of the root with these epsilon terms, as the case data
+    holds it."""
     v = [F(0)] * system.dim
     for c, i in terms:
         v[i - 1] += F(c)
-    return system.root_from_eps(v)
+    return system.root_from_eps(v).code
 
 
 @pytest.mark.parametrize("family,n,s", ALL_CASES)
@@ -35,9 +37,10 @@ def test_s_size_is_truncated_cartan_dimension(family, n, s):
 @pytest.mark.parametrize("family,n,s", ALL_CASES)
 def test_partition_and_t_matches_closed_form(family, n, s):
     cand = build_case(family, n, s)
-    support = set(cand.system.positive_roots) | set(
-        cand.parabolic.delta_pi_prime_neg
-    )
+    support = {r.code for r in cand.system.positive_roots} | {
+        -r.code for r in cand.parabolic.delta_pi_prime_pos
+    }
+    assert cand.parabolic.dual_support == tuple(sorted(support))
     union = set()
     for members in cand.gamma_sets.values():
         assert not (union & members)
@@ -60,9 +63,8 @@ def test_b_gamma_eps_s_pairing():
     cand = build_case("B", 6, 4)
     sys = cand.system
     os = orbit_structure(cand)
-    centre = _ev(sys, [(1, 4)])
     for i in (1, 2, 3, 5, 6):
-        assert os.theta[_ev(sys, [(1, i)]).code] == _ev(sys, [(1, 4), (-1, i)]).code
+        assert os.theta[_ev(sys, [(1, i)])] == _ev(sys, [(1, 4), (-1, i)])
 
 
 def test_d_case_s_mixed():
@@ -80,7 +82,7 @@ def test_d4_s2_degenerate_mixed_set_is_positive():
     sys = cand.system
     centre = _ev(sys, [(1, 2), (1, 4)])
     assert centre in cand.S_mixed
-    assert all(r.height > 0 for r in cand.gamma_sets[centre])
+    assert all(sys.by_code[r].height > 0 for r in cand.gamma_sets[centre])
 
 
 def test_d_extremal_split():
@@ -96,7 +98,8 @@ def test_d_extremal_split():
 
 def test_e6_verbatim_sets():
     cand = build_case("E6", 6, 6)
-    assert sorted(r.coeffs for r in cand.S) == sorted(
+    root = cand.system.by_code
+    assert sorted(root[r].coeffs for r in cand.S) == sorted(
         [
             (1, 2, 2, 3, 2, 1),
             (1, 0, 1, 1, 1, 1),
@@ -105,10 +108,10 @@ def test_e6_verbatim_sets():
             (0, 0, 0, -1, -1, 0),
         ]
     )
-    assert sorted(r.coeffs for r in cand.T) == sorted(
+    assert sorted(root[r].coeffs for r in cand.T) == sorted(
         [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0)]
     )
-    assert sorted(r.coeffs for r in cand.T_star) == sorted(
+    assert sorted(root[r].coeffs for r in cand.T_star) == sorted(
         [
             (1, 1, 1, 2, 2, 1),
             (1, 0, 1, 1, 1, 0),
@@ -123,7 +126,8 @@ def test_e6_verbatim_sets():
 
 def test_e7_verbatim_sets():
     cand = build_case("E7", 7, 3)
-    assert sorted(r.coeffs for r in cand.S) == sorted(
+    root = cand.system.by_code
+    assert sorted(root[r].coeffs for r in cand.S) == sorted(
         [
             (2, 2, 3, 4, 3, 2, 1),
             (0, 1, 1, 2, 2, 2, 1),
@@ -133,7 +137,7 @@ def test_e7_verbatim_sets():
             (0, 0, 0, 0, 0, 0, -1),
         ]
     )
-    assert sorted(r.coeffs for r in cand.T) == sorted(
+    assert sorted(root[r].coeffs for r in cand.T) == sorted(
         [
             (-1, 0, 0, 0, 0, 0, 0),
             (0, 0, 0, 1, 1, 0, 0),
@@ -144,23 +148,28 @@ def test_e7_verbatim_sets():
     )
     # the highest-root Heisenberg set is maximal in Delta+
     b1 = cand.system.highest_root()
-    assert cand.gamma_sets[b1] == frozenset(
-        r for r in cand.system.positive_roots if cand.system.inner(r, b1) > 0
+    assert cand.gamma_sets[b1.code] == frozenset(
+        r.code for r in cand.system.positive_roots if cand.system.inner(r, b1) > 0
     )
 
 
 def test_e7_embedding_is_root_isomorphism():
     e7 = build_root_system("E7", 7)
     d6 = build_root_system("D", 6)
-    phi = e7_d6_embedding()
+    phi = e7_d6_embedding()  # on codes
+    assert set(phi) == set(d6.by_code)
+    image = lambda r: e7.by_code[phi[r.code]]
     b1 = e7.highest_root()
     for a in d6.positive_roots:
-        assert e7.inner(phi[a], b1) == 0
+        assert image(-a) is -image(a)
+        assert e7.inner(image(a), b1) == 0
         for b in d6.positive_roots:
-            assert d6.inner(a, b) == e7.inner(phi[a], phi[b])
+            assert d6.inner(a, b) == e7.inner(image(a), image(b))
             s = d6.try_root(vec_add(a.coeffs, b.coeffs))
             if s is not None:
-                assert phi[s] is e7.try_root(vec_add(phi[a].coeffs, phi[b].coeffs))
+                assert image(s) is e7.try_root(
+                    vec_add(image(a).coeffs, image(b).coeffs)
+                )
 
 
 def test_flip_d_extremal():
@@ -172,28 +181,26 @@ def test_flip_d_extremal():
     # T transports along eps_6 -> -eps_6
     sys = base.system
 
-    def flipv(r):
-        eps = eps_of(sys, r)
-        return tuple(list(eps[:-1]) + [-eps[-1]])
-    assert {flipv(t) for t in base.T} == {eps_of(sys, t) for t in flipped.T}
+    eps = lambda t: eps_of(sys, sys.by_code[t])
+
+    def flipv(t):
+        return tuple(list(eps(t)[:-1]) + [-eps(t)[-1]])
+    assert {flipv(t) for t in base.T} == {eps(t) for t in flipped.T}
 
 
 def test_flip_e6():
     flipped = build_case("E6", 6, 1)
     perm = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
     base = build_case("E6", 6, 6)
-    moved = {
-        tuple(c[perm[i + 1] - 1] for i in range(6)) for c in
-        (r.coeffs for r in base.S)
-    }
+    root = base.system.by_code
     # moving coefficients: new[perm(i)] = old[i]
     expect = set()
     for r in base.S:
         new = [0] * 6
-        for i, c in enumerate(r.coeffs, start=1):
+        for i, c in enumerate(root[r].coeffs, start=1):
             new[perm[i] - 1] = c
         expect.add(tuple(new))
-    assert {r.coeffs for r in flipped.S} == expect
+    assert {root[r].coeffs for r in flipped.S} == expect
 
 
 def test_orbit_structure_theta_involution():
@@ -211,7 +218,7 @@ def test_b_eps_s_plus_next_is_in_o1():
         cand = build_case("B", n, s)
         os = orbit_structure(cand)
         a = _ev(cand.system, [(1, s), (1, s + 1)])
-        assert os.strata[a.code] == 1
+        assert os.strata[a] == 1
 
 
 def test_b_deep_strata_lie_in_o_minus_non_mixed():
@@ -279,25 +286,30 @@ ONE_OBJECT_CASES = (
 
 @pytest.mark.parametrize("family,n,s", ONE_OBJECT_CASES)
 def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
-    # -r is the stored negative, and every set of the case holds the
-    # system's roots themselves, so that a root is equal only to itself
+    # the case data holds int codes of the system's roots, the tuples in
+    # increasing order and the Gamma sets by increasing centre; the cascade
+    # holds the system's roots themselves
     cand = build_case(family, n, s)
     sys = cand.system
     by_code = sys.by_code
-    for r in by_code.values():
-        assert -r is by_code[-r.code]
-    held = [
-        *cand.S_plus,
-        *cand.S_minus,
-        *cand.S_mixed,
-        *cand.T,
-        *cand.T_star,
-        *cand.T_expected,
-        *cand.parabolic.dual_support,
-    ]
-    for centre, members in cand.gamma_sets.items():
-        held += [centre, *members]
+    tuples = (
+        cand.S_plus,
+        cand.S_minus,
+        cand.S_mixed,
+        cand.T,
+        cand.T_star,
+        cand.T_expected,
+        cand.parabolic.dual_support,
+        tuple(cand.gamma_sets),
+    )
+    for codes in tuples:
+        assert type(codes) is tuple and list(codes) == sorted(set(codes))
+    held = [code for codes in tuples for code in codes]
+    for members in cand.gamma_sets.values():
+        assert type(members) is frozenset
+        held += members
+    assert all(type(c) is int and c in by_code for c in held)
     for subset in (None, cand.parabolic.pi_prime):
         for item in kostant_cascade(sys, subset):
-            held += [item.beta, *item.subsystem, *item.heisenberg]
-    assert all(by_code[r.code] is r for r in held)
+            for r in (item.beta, *item.subsystem, *item.heisenberg):
+                assert by_code[r.code] is r

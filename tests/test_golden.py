@@ -64,8 +64,9 @@ def test_certificate_bytes_unchanged(family, n, s):
 
 # The case data behind the certificates, past the ranks pinned above: per
 # case, every Gamma set, S+/S-/Sm, T, T* and the closed-form T, as simple-root
-# coefficient tuples.  Recorded before the case builders were rewritten
-# around the Heisenberg-set helpers.
+# coefficient tuples (the candidate holds codes, read back through
+# `by_code`).  Recorded before the case builders were rewritten around the
+# Heisenberg-set helpers.
 CANDIDATE_CASES = (
     in_scope_cases(16)
     + [("D", n, n - 1) for n in range(6, 17, 2)]
@@ -78,9 +79,10 @@ CANDIDATE_DATA_SHA256 = (
 
 def _candidate_record(family, n, s):
     cand = build_case(family, n, s)
-    coeffs = lambda roots: tuple(r.coeffs for r in roots)
+    root = cand.system.by_code
+    coeffs = lambda codes: tuple(root[c].coeffs for c in codes)
     gammas = tuple(
-        (g.coeffs, tuple(sorted(m.coeffs for m in members)))
+        (root[g].coeffs, tuple(sorted(coeffs(members))))
         for g, members in cand.gamma_sets.items()
     )
     return (

@@ -122,18 +122,22 @@ def test_rho_height():
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_each_root_is_one_object_hashed_by_its_code(family, rank):
+    # only through `by_code`: a root itself is not hashable, so a set or a
+    # map keyed on roots fails at once rather than hashing object addresses
     sys = build_root_system(family, rank)
     roots = list(sys.by_code.values())
     for r in roots:
+        assert sys.by_code[r.code] is r
         assert -r is sys.by_code[-r.code] and -(-r) is r
         assert sys.try_root(r.coeffs) is r
         assert sys.root_from_coeffs(list(r.coeffs)) is r
-        assert hash(r) == hash(r.code)
+        with pytest.raises(TypeError):
+            hash(r)
     assert all(sys.by_code[a.code] is a for a in sys.simple_roots)
     assert sys.try_root((0,) * rank) is None
-    # a set of roots iterates like the set of their codes: its order depends
-    # neither on object addresses nor on the hash seed
-    assert [r.code for r in set(roots)] == list({r.code for r in roots})
+    for keyed in (set, frozenset, dict.fromkeys):
+        with pytest.raises(TypeError):
+            keyed(roots)
     # roots have no arithmetic or order of their own; equality is identity
     a, b = sys.simple_roots[:2]
     for op in (operator.add, operator.sub, operator.lt):

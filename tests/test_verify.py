@@ -36,6 +36,7 @@ from engine_oracle import (
     n_const,
     orbit_structure,
     replace,
+    vec_sub,
 )
 from linalg_oracle import det_dense, rank, solve_in_span
 
@@ -70,7 +71,7 @@ def test_basis_b22_paper_value():
     cand = build_case("B", 2, 2)
     sys = cand.system
     # the 1x1 matrix (s_1(alpha_1^vee)) with s_1 = eps_2
-    s1 = _ev(sys, [(1, 2)])
+    s1 = _ev(sys, [(1, 2)]).code
     assert cand.parabolic.pairing_on_coroots(s1) == [F(-1)]
     assert check_basis_restriction(cand).determinant in (F(1), F(-1))
 
@@ -152,23 +153,24 @@ def test_heisenberg_reports_engineered_overlap():
 
 def test_heisenberg_names_a_missing_partner_by_its_coefficients():
     cand = build_case("B", 6, 4)
+    root = cand.system.by_code
     sets = dict(cand.gamma_sets)
     centre = next(g for g, members in sets.items() if len(members) > 1)
-    a = max(sets[centre] - {centre}, key=lambda r: r.coeffs)
-    partner = cand.system.by_code[centre.code - a.code]
-    sets[centre] = sets[centre] - {partner}
+    a = max(sets[centre] - {centre}, key=lambda r: root[r].coeffs)
+    partner = cand.system.try_root(vec_sub(root[centre].coeffs, root[a].coeffs))
+    sets[centre] = sets[centre] - {partner.code}
     report = check_heisenberg(replace(cand, gamma_sets=sets))
     assert not report.ok and report.orbits is None
-    line = f"{centre.coeffs}: no Heisenberg partner for {a.coeffs}"
+    line = f"{root[centre].coeffs}: no Heisenberg partner for {root[a].coeffs}"
     assert line in report.problems
     for p in report.problems:
-        assert str(a.code) not in p and str(centre.code) not in p
+        assert str(a) not in p and str(centre) not in p
 
 
 def test_heisenberg_singleton_sets_pass():
     cand = build_case("B", 8, 6)
     sys = cand.system
-    singleton = _ev(sys, [(-1, 7), (-1, 8)])
+    singleton = _ev(sys, [(-1, 7), (-1, 8)]).code
     assert cand.gamma_sets[singleton] == frozenset({singleton})
     assert check_heisenberg(cand).ok
 
@@ -315,9 +317,9 @@ def test_d_extremal_slide_sets_are_extended_stationary():
     sys = cand.system
     os = orbit_structure(cand)
     rep = classify_roots(os)
-    centre = _ev(sys, [(1, 4), (-1, 2)])
+    centre = _ev(sys, [(1, 4), (-1, 2)]).code
     for a in cand.gamma_sets[centre] - {centre}:
-        assert rep.labels[a.code] in (STATIONARY, EXT_STATIONARY)
+        assert rep.labels[a] in (STATIONARY, EXT_STATIONARY)
 
 
 def test_d_extremal_uses_extended_machinery():
@@ -402,10 +404,11 @@ def test_det_monomial_against_brute_force(family, n, s):
 
 def _grading_oracle(cand):
     """u(a) = a(h_w) with gamma(h_w) = |rho(gamma)| on S, solved in
-    Fractions by the oracle, for every root a."""
+    Fractions by the oracle, for the root a of every code."""
     parab = cand.parabolic
+    root = cand.system.by_code
     cols = list(zip(*[parab.pairing_on_coroots(g) for g in cand.S]))
-    xs = solve_in_span(cols, [abs(g.height) for g in cand.S])
+    xs = solve_in_span(cols, [abs(root[g].height) for g in cand.S])
     return lambda a: _dot(parab.pairing_on_coroots(a), xs)
 
 
@@ -417,8 +420,7 @@ def test_grading_fails_for_an_extra_partner_off_the_grading():
     grading = _grading_oracle(cand)
 
     def on_grading(a, b):
-        ra, rb = root[a], root[b]
-        return abs(ra.height + rb.height) == grading(ra) + grading(rb)
+        return abs(root[a].height + root[b].height) == grading(a) + grading(b)
 
     for a in os.O:
         for b in os.S_alpha[a]:
@@ -487,14 +489,15 @@ def test_regularity_rank_complements_index():
 
 
 def _regularity_rows(cand, table, extra_roots):
-    """Rows of [M | e_x for x in extra_roots], M the coadjoint matrix."""
+    """Rows of [M | e_x for x in extra_roots], M the coadjoint matrix; the
+    extra roots are given by their codes."""
     columns, row_of, dim_p, _ = coadjoint_columns(cand, table)
     rows = [dict() for _ in range(dim_p)]
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows[r][c] = v
     for j, x in enumerate(extra_roots):
-        rows[row_of[x.code]][len(columns) + j] = 1
+        rows[row_of[x]][len(columns) + j] = 1
     return rows
 
 
@@ -537,8 +540,9 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
     table = build_structure_table(sys)
     columns, row_of, dim_p, scale = coadjoint_columns(cand, table)
     support = cand.parabolic.dual_support
-    y = GElem({g.coeffs: F(1) for g in cand.S})
-    xs = [GElem({(-g).coeffs: F(1)}) for g in support]
+    root = sys.by_code
+    y = GElem({root[g].coeffs: F(1) for g in cand.S})
+    xs = [GElem({tuple(-c for c in root[g].coeffs): F(1)}) for g in support]
     for k in parab.pi_prime:
         xs.append(GElem(h_part=tuple(int(i == k) for i in range(sys.rank))))
     assert len(columns) == len(xs) == dim_p
@@ -559,10 +563,11 @@ def test_regularity_fails_for_s_outside_the_support(monkeypatch):
     import adapted_pairs.construction as construction_mod
 
     bad, moved = centre_moved_outside(build_case("B", 6, 4))
-    assert moved.code not in bad.parabolic.dual_support_codes
+    assert moved not in bad.parabolic.dual_support_codes
     check = check_regularity(bad, build_structure_table(bad.system))
     assert not check.ok and not check.membership_ok
-    assert check.problems == [f"not run: S member {moved.coeffs} outside support"]
+    moved = bad.system.by_code[moved].coeffs
+    assert check.problems == [f"not run: S member {moved} outside support"]
     # the whole pipeline records the failure instead of raising
     monkeypatch.setattr(construction_mod, "build_case", lambda *a: bad)
     result = run_case("B", 6, 4)
@@ -572,6 +577,7 @@ def test_regularity_fails_for_s_outside_the_support(monkeypatch):
 
 
 def _e6_column(cand, table, columns, gamma_b):
+    """The column of x_{-gamma_b}, gamma_b a root code, as a dense vector."""
     support = cand.parabolic.dual_support
     idx = support.index(gamma_b)
     dim_p = len(support) + cand.parabolic.h_dim
@@ -592,7 +598,7 @@ def test_e6_membership_witnesses():
     support = cand.parabolic.dual_support
 
     def col(coeffs):
-        gb = sys.root_from_coeffs(coeffs)
+        gb = sys.root_from_coeffs(coeffs).code
         return _e6_column(cand, table, columns, gb)
 
     def unit(coeffs):
@@ -660,9 +666,10 @@ def test_values_on_h_match_the_per_root_pairings():
         parab = cand.parabolic
         _, inverse = cand.s_inverse
         roots = parab.dual_support
+        heights = [abs(cand.system.by_code[g].height) for g in cand.S]
         for xs in (
             inverse.solve_scaled([-1] * len(cand.S)),
-            inverse.solve_scaled([abs(g.height) for g in cand.S]),
+            inverse.solve_scaled(heights),
             list(range(1, parab.h_dim + 1)),
         ):
             expected = [_dot(parab.pairing_on_coroots(a), xs) for a in roots]
@@ -682,7 +689,7 @@ def test_h_defining_property():
         cand = build_case(family, n, s)
         h = _h_eps(cand)
         for g in cand.S:
-            assert _dot(eps_of(cand.system, g), h) == -1
+            assert _dot(eps_of(cand.system, cand.system.by_code[g]), h) == -1
 
 
 def _paper_h_B(n, s):
@@ -759,8 +766,8 @@ def test_eigenvalues_b_examples():
     cand = build_case("B", 8, 6)  # s = 6
     pair = solve_h(cand)
     sys = cand.system
-    assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)])] == 2  # s/2 - 1
-    assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)])] == 7  # s + 1
+    assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)]).code] == 2  # s/2 - 1
+    assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)]).code] == 7  # s + 1
     ok, actual = eigenvalue_report(pair, cand)
     assert ok
     assert actual == expected_eigenvalues("B", 8, 6)
