@@ -92,7 +92,7 @@ def _t_of_all(cand: Candidate, gammas: Sequence[int]) -> List[BoundWeight]:
     the truncated Cartan: transposed solves with the pairing matrix of S,
     which the candidate eliminates once, all over its denominator."""
     root = cand.system.by_code
-    order = [root[g].coeffs for g in cand.S]
+    order = [root[g] for g in cand.S]
     _, inverse = cand.s_inverse
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
@@ -101,7 +101,7 @@ def _t_of_all(cand: Candidate, gammas: Sequence[int]) -> List[BoundWeight]:
     solutions = inverse.solve_transposed_scaled(rhss)
     out = []
     for gamma, coeffs in zip(gammas, solutions):
-        w = [den * x for x in root[gamma].coeffs]
+        w = [den * x for x in root[gamma]]
         for c, g in zip(coeffs, order):
             if c:
                 for i, x in enumerate(g):

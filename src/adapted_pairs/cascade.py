@@ -10,68 +10,66 @@ the component roots orthogonal to beta form the subsystem generated by the
 component's simple roots orthogonal to beta.  The recursion passes those
 simple roots down, starting from the simple roots of Delta+ or of the
 subsystem they are given for, so no level searches for its simple roots.
-Everything runs on root codes (`RootSystem.base`).
+Every root is its code (`RootSystem.base`), and a cascade root beta, the
+highest root of its component, is the component root of largest code.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .roots import Root, RootSystem
+from .roots import RootSystem
 
 
 class CascadeItem(NamedTuple):
-    """One cascade root beta with its component and H_beta."""
+    """One cascade root beta with its component and H_beta, as root codes;
+    both tuples are in increasing order."""
 
     label: str  # tree path such as "1", "1.2"
-    beta: Root
-    subsystem: Tuple[Root, ...]  # positive roots of the defining component
-    heisenberg: Tuple[Root, ...]  # H_beta inside the component
+    beta: int
+    subsystem: Tuple[int, ...]  # positive roots of the defining component
+    heisenberg: Tuple[int, ...]  # H_beta inside the component
 
 
 def _split_components(
-    system: RootSystem, pos: Sequence[Root], simples: Sequence[Root]
-) -> List[Tuple[List[Root], List[Root]]]:
+    system: RootSystem, pos: Sequence[int], simples: Sequence[int]
+) -> List[Tuple[List[int], List[int]]]:
     """(simples, roots) per irreducible component of a positive subsystem,
-    given its simple roots; pos is in coefficient order, and so is each
+    given its simple roots; pos is in increasing code order, and so is each
     component's list.  Components come in the order of their least simple.
 
     Two simple roots of a subsystem are joined when their sum is a root.  A
     root that is not simple lies in the component of r - alpha for some
     simple alpha of the subsystem with r - alpha in pos; r - alpha precedes r
-    in coefficient order, so one pass over pos in that order finds it.
+    in code order, so one pass over pos in that order finds it.
     """
     by_code = system.by_code
     comp_of: Dict[int, int] = {}
-    comps: List[List[Root]] = []
-    for s in sorted(simples, key=attrgetter("code")):
-        if s.code in comp_of:
+    comps: List[List[int]] = []
+    for s in sorted(simples):
+        if s in comp_of:
             continue
         idx = len(comps)
         comp = [s]
-        comp_of[s.code] = idx
-        queue = [s.code]
+        comp_of[s] = idx
+        queue = [s]
         while queue:
             cur = queue.pop()
             for t in simples:
-                tc = t.code
-                if tc not in comp_of and cur + tc in by_code:
-                    comp_of[tc] = idx
+                if t not in comp_of and cur + t in by_code:
+                    comp_of[t] = idx
                     comp.append(t)
-                    queue.append(tc)
-        comps.append(sorted(comp, key=attrgetter("code")))
-    simple_codes = [s.code for s in simples]
-    members: List[List[Root]] = [[] for _ in comps]
+                    queue.append(t)
+        comps.append(sorted(comp))
+    members: List[List[int]] = [[] for _ in comps]
     for r in pos:
-        rc = r.code
-        idx = comp_of.get(rc)
+        idx = comp_of.get(r)
         if idx is None:
-            below = next((rc - sc for sc in simple_codes if rc - sc in comp_of), None)
+            below = next((r - a for a in simples if r - a in comp_of), None)
             if below is None:
-                raise ValueError(f"{r.coeffs} is not generated by the given simples")
-            idx = comp_of[rc] = comp_of[below]
+                raise ValueError(f"{by_code[r]} is not generated by the given simples")
+            idx = comp_of[r] = comp_of[below]
         members[idx].append(r)
     return list(zip(comps, members))
 
@@ -97,31 +95,32 @@ def _full_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
 
 
 def _build_cascade(
-    system: RootSystem, positive: Sequence[Root], simples: Sequence[Root]
+    system: RootSystem, positive: Sequence[int], simples: Sequence[int]
 ) -> List[CascadeItem]:
     by_code = system.by_code
     items: List[CascadeItem] = []
 
-    def recurse(pos: Sequence[Root], simples: Sequence[Root], prefix: str) -> None:
+    def recurse(pos: Sequence[int], simples: Sequence[int], prefix: str) -> None:
         for k, (comp_simples, comp_roots) in enumerate(
             _split_components(system, pos, simples), start=1
         ):
             label = f"{prefix}{k}" if not prefix else f"{prefix}.{k}"
-            beta = max(comp_roots, key=lambda r: (r.height, r.code))
-            bc = beta.code
+            # the highest root of the component exceeds each of its roots by
+            # a sum of positive roots, so its code is the largest
+            beta = comp_roots[-1]
             # for a positive root r of the component other than beta,
             # (r, beta) > 0 exactly when beta - r is a root; otherwise
             # (r, beta) = 0, since beta is dominant for the component
             heis, rest = [], []
             for r in comp_roots:
-                (heis if r is beta or bc - r.code in by_code else rest).append(r)
+                (heis if r == beta or beta - r in by_code else rest).append(r)
             items.append(CascadeItem(label, beta, tuple(comp_roots), tuple(heis)))
             if rest:
-                heis_codes = {r.code for r in heis}
-                orthogonal = [s for s in comp_simples if s.code not in heis_codes]
+                in_heis = set(heis)
+                orthogonal = [a for a in comp_simples if a not in in_heis]
                 recurse(rest, orthogonal, label)
 
-    recurse(sorted(positive, key=attrgetter("code")), simples, "")
+    recurse(sorted(positive), simples, "")
     return items
 
 
@@ -130,6 +129,6 @@ def cascade_heisenberg_by_beta(
 ) -> Dict[int, FrozenSet[int]]:
     """Map beta_K -> H_{beta_K} over the whole cascade, on codes."""
     return {
-        item.beta.code: frozenset([r.code for r in item.heisenberg])
+        item.beta: frozenset(item.heisenberg)
         for item in kostant_cascade(system, subset)
     }

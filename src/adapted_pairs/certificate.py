@@ -31,7 +31,7 @@ def _rat(x: Union[int, Fraction]) -> Dict[str, int]:
 def _root_list(root: dict, codes: Iterable[int]) -> List[List[int]]:
     """The coefficient vectors of the roots of these codes, root being
     `RootSystem.by_code`, in sorted order: codes sort like coefficients."""
-    return [list(root[c].coeffs) for c in sorted(codes)]
+    return [list(root[c]) for c in sorted(codes)]
 
 
 def certificate_dict(result: CaseResult) -> dict:
@@ -47,7 +47,7 @@ def certificate_dict(result: CaseResult) -> dict:
             "mixed": _root_list(root, cand.S_mixed),
         },
         "gamma_sets": [
-            {"centre": list(root[g].coeffs), "members": _root_list(root, members)}
+            {"centre": list(root[g]), "members": _root_list(root, members)}
             for g, members in sorted(cand.gamma_sets.items())
         ],
         "T": _root_list(root, cand.T),
@@ -59,7 +59,7 @@ def certificate_dict(result: CaseResult) -> dict:
             ],
         },
         "eigenvalues": [
-            {"gamma": list(root[g].coeffs), "value": _rat(pair.eigenvalues[g])}
+            {"gamma": list(root[g]), "value": _rat(pair.eigenvalues[g])}
             for g in sorted(pair.eigenvalues)
         ],
         "degrees": [_rat(d) for d in pair.degrees],

@@ -33,7 +33,7 @@ class StructureTable:
         self._by_code = system.by_code
         self._pos: Dict[Pair, int] = {}
         self._mixed: Dict[Pair, int] = {}
-        self._norm = {r.code: system.inner(r, r) for r in system.positive_roots}
+        self._norm = {r: system.inner(r, r) for r in system.positive_roots}
         self._build_positive()
 
     # -- construction -------------------------------------------------------
@@ -51,23 +51,22 @@ class StructureTable:
         return p
 
     def _build_positive(self) -> None:
-        pos_by_order = sorted(
-            self.system.positive_roots, key=lambda r: (r.height, r.code)
-        )
-        place = {r.code: i for i, r in enumerate(pos_by_order)}
-        heights = [r.height for r in pos_by_order]
-        for gamma, h in zip(pos_by_order, heights):
+        by_code = self._by_code
+        order = sorted([(sum(by_code[r]), r) for r in self.system.positive_roots])
+        heights = [h for h, _ in order]
+        pos_by_order = [r for _, r in order]
+        place = {r: i for i, r in enumerate(pos_by_order)}
+        for h, gamma in order:
             if h == 1:
                 continue
-            gc = gamma.code
             pairs = []
             for i, alpha in enumerate(pos_by_order):
                 if heights[i] * 2 > h:
                     break
                 # gamma - alpha is a positive root later in the order
-                j = place.get(gc - alpha.code)
+                j = place.get(gamma - alpha)
                 if j is not None and i < j:
-                    pairs.append((alpha.code, pos_by_order[j].code))
+                    pairs.append((alpha, pos_by_order[j]))
             ex_alpha, ex_beta = pairs[0]
             n_ex = self.string_down(ex_alpha, ex_beta) + 1
             self._set_pos(ex_alpha, ex_beta, n_ex)

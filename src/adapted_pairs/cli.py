@@ -27,15 +27,16 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .roots import Root, RootSystem, build_root_system
+from .roots import RootSystem, build_root_system
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def eps_str(system: RootSystem, root: Root) -> str:
-    """Human-readable epsilon form, e.g. 'e1+e2' or '(1/2)(e1-e2+...)'."""
+def eps_str(system: RootSystem, root: int) -> str:
+    """Human-readable epsilon form of the root of this code, e.g. 'e1+e2'
+    or '(1/2)(e1-e2+...)'."""
     den, row = system.eps_scaled(root)
     g = math.gcd(den, *row)
     terms = []
@@ -91,7 +92,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
 
     sys_ = build_root_system(case["family"], case["rank"])
 
-    def rc(c) -> Root:
+    def rc(c) -> int:
         # `true` and 1.0 compare equal to 1, but no coefficient is either
         if any(type(x) is not int for x in c):
             raise TypeError(f"{c} has a coefficient that is not an int")
@@ -125,13 +126,16 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append(f"{h2}Adapted pair")
     h_terms = []
     for item in cert["h"]["coroot_coeffs"]:
+        alpha = item["alpha"]
+        if type(alpha) is not int or not 1 <= alpha <= sys_.rank:
+            raise ValueError(f"h term index {alpha!r} is not in 1..{sys_.rank}")
         num, den = _rat(item["value"])
         if num == 0:
             continue
         sign = "+" if num > 0 else "-"
         mag = _frac_str(abs(num), den)
         coef = "" if mag == "1" else f"{mag}*"
-        h_terms.append(f"{sign} {coef}a{item['alpha']}v")
+        h_terms.append(f"{sign} {coef}a{alpha}v")
     lines.append("  h = " + " ".join(h_terms).lstrip("+ ").strip())
     lines.append(
         "  eigenvalues on g_T: "
@@ -283,7 +287,8 @@ def cmd_cascade(args) -> int:
 def cmd_report(args) -> int:
     try:
         cert = json.loads(Path(args.infile).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser's stack
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # `true` and 1.0 compare equal to 1 but are not schema 1

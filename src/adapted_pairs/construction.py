@@ -153,7 +153,7 @@ def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> int:
     for c, i in terms:
         v[i - 1] += c
     try:
-        return system.root_from_eps(v).code
+        return system.root_from_eps(v)
     except KeyError:
         raise _not_a_root(system, terms) from None
 
@@ -223,7 +223,7 @@ def _assemble(
             continue
         pos = max(gamma_sets[gamma]) > 0  # a code has the sign of its root
         if pos and min(gamma_sets[gamma]) < 0:
-            coeffs = parab.system.by_code[gamma].coeffs
+            coeffs = parab.system.by_code[gamma]
             raise ValueError(f"set of {coeffs} mixes signs outside Sm")
         (plus if pos else minus).append(gamma)
     used = set(t_star).union(*gamma_sets.values())
@@ -400,7 +400,7 @@ def _build_D_extremal(n: int) -> Candidate:
 def _build_E6() -> Candidate:
     sys = build_root_system("E6", 6)
     parab = ParabolicData(sys, 6)
-    rc = lambda c: sys.root_from_coeffs(c).code
+    rc = sys.root_from_coeffs
     heis = cascade_heisenberg_by_beta(sys)
     heis_levi = cascade_heisenberg_by_beta(sys, parab.pi_prime)
 
@@ -470,27 +470,23 @@ def e7_d6_embedding() -> Dict[int, int]:
             break
         chain.append(nxt[0])
     # chain = [d6 alpha_4, alpha_3, alpha_2, alpha_1]; tips are alpha_5/alpha_6
-    in_levi = [i for i in tips if simples[i].coeffs[2] == 0]
+    in_levi = [i for i in tips if e7.by_code[simples[i]][2] == 0]
     if len(in_levi) != 1:
         raise RuntimeError("could not pin the D6 fork orientation")
     a5, a6 = in_levi[0], next(i for i in tips if i != in_levi[0])
-    image = {
-        1: simples[chain[3]],
-        2: simples[chain[2]],
-        3: simples[chain[1]],
-        4: simples[centre],
-        5: simples[a5],
-        6: simples[a6],
-    }
+    # the E7 coefficients of the images of the D6 simple roots, in order
+    image = [
+        e7.by_code[simples[i]] for i in (chain[3], chain[2], chain[1], centre, a5, a6)
+    ]
     phi: Dict[int, int] = {}
     for r in d6.positive_roots:
         v = [0] * e7.rank
-        for k, c in enumerate(r.coeffs, start=1):
-            for d, x in enumerate(image[k].coeffs):
+        for c, simple in zip(d6.by_code[r], image):
+            for d, x in enumerate(simple):
                 v[d] += c * x
-        target = e7.root_from_coeffs(v).code
-        phi[r.code] = target
-        phi[-r.code] = -target
+        target = e7.root_from_coeffs(v)
+        phi[r] = target
+        phi[-r] = -target
     return phi
 
 
@@ -501,13 +497,13 @@ def _build_E7() -> Candidate:
     phi = e7_d6_embedding()
 
     b1 = e7.highest_root()
-    h_b1 = frozenset([r.code for r in e7.positive_roots if e7.inner(r, b1) > 0])
+    h_b1 = frozenset([r for r in e7.positive_roots if e7.inner(r, b1) > 0])
 
-    gamma = {b1.code: h_b1}
+    gamma = {b1: h_b1}
     for centre, members in d6_case.gamma_sets.items():
         gamma[phi[centre]] = frozenset([phi[m] for m in members])
 
-    t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0)).code]
+    t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))]
     t_exp += [phi[t] for t in d6_case.T]
     mixed = [phi[g] for g in d6_case.S_mixed]
     return _assemble(parab, gamma, t_exp, mixed=mixed)
@@ -529,9 +525,9 @@ def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candid
 
     def move(code: int) -> int:
         new = [0] * rank
-        for i, c in enumerate(sys.by_code[code].coeffs, start=1):
+        for i, c in enumerate(sys.by_code[code], start=1):
             new[perm.get(i, i) - 1] = c
-        return sys.root_from_coeffs(new).code
+        return sys.root_from_coeffs(new)
 
     parab = ParabolicData(sys, new_s)
     gamma = {

@@ -19,15 +19,17 @@ import math
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .roots import Root, RootSystem
+from .roots import RootSystem
 
 
-def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[Root]:
-    """Positive roots supported on the given simple indices (0-based)."""
+def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[int]:
+    """The codes of the positive roots supported on the given simple
+    indices (0-based), in increasing order."""
     inside = set(subset)
     outside = [i for i in range(system.rank) if i not in inside]
+    by_code = system.by_code
     return [
-        r for r in system.positive_roots if not any([r.coeffs[i] for i in outside])
+        r for r in system.positive_roots if not any([by_code[r][i] for i in outside])
     ]
 
 
@@ -112,7 +114,6 @@ class ParabolicData:
         "system",
         "s",
         "pi_prime",
-        "delta_pi_prime_pos",
         "j_map",
         "i_map",
         "orbits",
@@ -131,15 +132,15 @@ class ParabolicData:
         s0 = s - 1
         # 0-based indices
         self.pi_prime = tuple(i for i in range(sys.rank) if i != s0)
-        self.delta_pi_prime_pos = subsystem_roots(sys, self.pi_prime)
         self.j_map = minus_w0_on_subset(sys, range(sys.rank))
         self.i_map = self._build_i()
         self.orbits = self._ij_orbits()
         self.index = len(self.orbits)
         # the codes of Delta+ | Delta-_{pi'}, the support of the dual space,
         # sorted and as a set
-        support = [r.code for r in sys.positive_roots]
-        support += [-r.code for r in self.delta_pi_prime_pos]
+        support = sys.positive_roots + [
+            -r for r in subsystem_roots(sys, self.pi_prime)
+        ]
         self.dual_support: Tuple[int, ...] = tuple(sorted(support))
         self.dual_support_codes: FrozenSet[int] = frozenset(self.dual_support)
         self.orbit_weights: Optional[tuple] = None  # see bounds._orbit_weights
@@ -216,5 +217,5 @@ class ParabolicData:
     def pairing_on_coroots(self, gamma: int) -> List[int]:
         """gamma(alpha_i^vee) over the coroot basis order, for the root of
         code gamma."""
-        pairs = self.system.simple_pairings(self.system.by_code[gamma])
+        pairs = self.system.simple_pairings(gamma)
         return [pairs[i] for i in self.pi_prime]

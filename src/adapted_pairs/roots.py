@@ -1,17 +1,16 @@
 """Exact root systems of types B, D, E6, E7 on the integer root lattice.
 
-A root has its integer coefficient vector over the simple roots (Bourbaki
-numbering).  Inner products and Cartan pairings come from the integer Gram
-and Cartan matrices of the simple roots, which are integral for every
-supported type, so root arithmetic runs on Python ints.  Every root is one
-object of its system and carries a linear integer code (`RootSystem.base`),
-its coefficients as the digits of one int with the first coefficient most
-significant: sums, differences and signs of roots are tested on single
-ints, and codes sort exactly as coefficient vectors do.  A set of roots or
-a map keyed on roots holds codes, and `RootSystem.by_code` gives each root
-back; a `Root` is not hashable.  Fundamental and Levi weights are integer
-vectors over one denominator per simple-root subset (`weight_rows`).
-Cartan elements are written in coroot coordinates.
+A root is an int: its code (`RootSystem.base`), which has the root's
+integer coefficient vector over the simple roots (Bourbaki numbering) as
+digits, the first coefficient most significant.  Sums, differences,
+negatives and signs of roots are taken on single ints, and codes sort
+exactly as coefficient vectors do.  `RootSystem.by_code` gives each root's
+coefficients, for heights, pairings and what is written or printed.
+Inner products and Cartan pairings come from the integer Gram and Cartan
+matrices of the simple roots, which are integral for every supported
+type, so root arithmetic runs on Python ints.  Fundamental and Levi
+weights are integer vectors over one denominator per simple-root subset
+(`weight_rows`).  Cartan elements are written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
@@ -30,35 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Coeffs = Tuple[int, ...]
 
 SUPPORTED = {"B", "D", "E6", "E7"}
-
-
-class Root:
-    """A root: its integer coefficients over the simple roots and its code.
-
-    Every root is one object of its `RootSystem`, made there with its code
-    (see `RootSystem.base`) and its negative: a root is equal only to itself
-    and -r is the stored negative.  A root is not hashable; sets and maps
-    hold its code, which also sorts like the coefficients.
-    """
-
-    __slots__ = ("coeffs", "code", "_neg")
-
-    def __init__(self, coeffs: Coeffs, code: int):
-        self.coeffs = coeffs
-        self.code = code
-
-    def __neg__(self) -> "Root":
-        return self._neg
-
-    __hash__ = None  # key on the code
-
-    @property
-    def height(self) -> int:
-        """rho-height: the sum of simple-root coefficients."""
-        return sum(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Root{self.coeffs}"
 
 
 def _simple_root_data(family: str, rank: int) -> Tuple[int, List[List[int]]]:
@@ -101,12 +71,16 @@ class RootSystem:
     3M + 1, M the largest coefficient of a root, the digits of a sum or
     difference of two roots lie in [-2M, 2M], so the code is linear on
     them and no such vector shares a code with a root other than itself:
-    by_code.get(code(a) + code(b)) is the root a + b or None.  A nonzero
+    code(a) + code(b) is in by_code exactly when a + b is a root, and is
+    then its code.  A nonzero
     vector whose digits d satisfy |d| < base has the sign of its first
     nonzero digit, so code(r) > 0 exactly when r is positive, and codes
     sort like coefficient vectors: the difference of two roots has digits
     in [-2M, 2M] and base > 2M + 1, so code(a) < code(b) exactly when
-    a.coeffs < b.coeffs: sorting roots by code sorts their coefficients.
+    a < b as coefficient vectors: sorting codes sorts coefficients.
+    by_code maps the code of every root, of either sign, to its
+    coefficients; positive_roots lists the positive codes in increasing
+    order.
     """
 
     def __init__(self, family: str, rank: int):
@@ -128,34 +102,31 @@ class RootSystem:
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
         ]
-        self._forms: Dict[Coeffs, Tuple[int, ...]] = {}
-        self._pairings: Dict[Coeffs, Tuple[int, ...]] = {}
-        positive = self._generate_positive()
+        positive, pairings = self._generate_positive()
         self.base = 3 * max(max(c) for c in positive) + 1
-        self.positive_roots: List[Root] = []
-        self._by_coeffs: Dict[Coeffs, Root] = {}
-        self.by_code: Dict[int, Root] = {}
-        for coeffs in positive:
-            code = self.code(coeffs)
-            r, neg = Root(coeffs, code), Root(tuple([-a for a in coeffs]), -code)
-            r._neg, neg._neg = neg, r
-            self.positive_roots.append(r)
-            for x in (r, neg):
-                self._by_coeffs[x.coeffs] = x
-                self.by_code[x.code] = x
-        self.simple_roots: List[Root] = [
+        self.positive_roots: List[int] = [self.code(c) for c in positive]
+        self.by_code: Dict[int, Coeffs] = {}
+        self._by_coeffs: Dict[Coeffs, int] = {}
+        self._forms: Dict[int, Tuple[int, ...]] = {}
+        self._pairings: Dict[int, Tuple[int, ...]] = {}
+        for code, coeffs in zip(self.positive_roots, positive):
+            neg = tuple([-a for a in coeffs])
+            self.by_code[code], self.by_code[-code] = coeffs, neg
+            self._by_coeffs[coeffs], self._by_coeffs[neg] = code, -code
+            self._pairings[code] = pairings[coeffs]
+        self.simple_roots: List[int] = [
             self._by_coeffs[tuple([int(j == i) for j in range(rank)])]
             for i in range(rank)
         ]
-        self._by_eps: Optional[Dict[Coeffs, Root]] = None
+        self._by_eps: Optional[Dict[Coeffs, int]] = None
         self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _generate_positive(self) -> List[Coeffs]:
-        """The coefficients of the positive roots, sorted: the closure of
-        the simple roots via root strings, on coefficient tuples, seeding
-        `_pairings` with every positive root's row.
+    def _generate_positive(self) -> Tuple[List[Coeffs], Dict[Coeffs, Coeffs]]:
+        """The coefficients of the positive roots, sorted, and the pairings
+        of each with the simple coroots: the closure of the simple roots via
+        root strings, on coefficient tuples.
 
         beta + alpha_j is a root iff p - <beta, alpha_j^vee> > 0 where p is
         the largest k with beta - k*alpha_j already a root; processing by
@@ -165,7 +136,7 @@ class RootSystem:
         """
         rank = self.rank
         cartan = self.cartan
-        known = self._pairings
+        known: Dict[Coeffs, Coeffs] = {}
         for i in range(rank):
             known[tuple([int(j == i) for j in range(rank)])] = tuple(cartan[i])
         frontier = list(known)
@@ -191,7 +162,7 @@ class RootSystem:
                             known[cand] = tuple([a + b for a, b in zip(pairs, row)])
                             new_frontier.append(cand)
             frontier = new_frontier
-        return sorted(known)
+        return sorted(known), known
 
     # -- basic queries -----------------------------------------------------
 
@@ -203,50 +174,54 @@ class RootSystem:
             out = out * self.base + c
         return out
 
-    def root_from_coeffs(self, coeffs: Sequence[int]) -> Root:
+    def root_from_coeffs(self, coeffs: Sequence[int]) -> int:
         return self._by_coeffs[tuple(coeffs)]
 
-    def try_root(self, coeffs: Sequence[int]) -> Optional[Root]:
+    def try_root(self, coeffs: Sequence[int]) -> Optional[int]:
         return self._by_coeffs.get(tuple(coeffs))
 
     # -- the integer form --------------------------------------------------
 
-    def _form(self, r: Root) -> Tuple[int, ...]:
+    def _form(self, r: int) -> Tuple[int, ...]:
         """(r, alpha_i) for every simple root alpha_i, memoised; from the
         pairings <r, alpha_i^vee> when they are known."""
-        row = self._forms.get(r.coeffs)
+        row = self._forms.get(r)
         if row is None:
             gram = self.gram
-            pairs = self._pairings.get(r.coeffs)
+            pairs = self._pairings.get(r)
             if pairs is not None:
                 row = tuple([p * gram[i][i] // 2 for i, p in enumerate(pairs)])
             else:
+                coeffs = self.by_code[r]
                 row = tuple(
                     [
-                        sum([a * g for a, g in zip(r.coeffs, gram_row, strict=True)])
+                        sum([a * g for a, g in zip(coeffs, gram_row, strict=True)])
                         for gram_row in gram
                     ]
                 )
-            self._forms[r.coeffs] = row
+            self._forms[r] = row
         return row
 
-    def inner(self, a: Root, b: Root) -> int:
+    def inner(self, a: int, b: int) -> int:
         """Symmetric bilinear form on the root lattice, via the Gram matrix."""
-        return sum([x * y for x, y in zip(a.coeffs, self._form(b), strict=True)])
+        form = self._form(b)
+        return sum([x * y for x, y in zip(self.by_code[a], form, strict=True)])
 
-    def simple_pairings(self, r: Root) -> Tuple[int, ...]:
+    def simple_pairings(self, r: int) -> Tuple[int, ...]:
         """<r, alpha_k^vee> for every simple root alpha_k, memoised."""
-        row = self._pairings.get(r.coeffs)
+        row = self._pairings.get(r)
         if row is None:
             form = self._form(r)
             row = tuple([2 * f // self.gram[k][k] for k, f in enumerate(form)])
-            self._pairings[r.coeffs] = row
+            self._pairings[r] = row
         return row
 
-    def coroot(self, r: Root) -> Tuple[int, ...]:
+    def coroot(self, r: int) -> Tuple[int, ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""
         norm = self.inner(r, r)
-        return tuple([c * self.gram[i][i] // norm for i, c in enumerate(r.coeffs)])
+        return tuple(
+            [c * self.gram[i][i] // norm for i, c in enumerate(self.by_code[r])]
+        )
 
     # -- weights -----------------------------------------------------------
 
@@ -290,12 +265,12 @@ class RootSystem:
                     out[d] += c * e
         return out
 
-    def eps_scaled(self, r: Root) -> Tuple[int, List[int]]:
+    def eps_scaled(self, r: int) -> Tuple[int, List[int]]:
         """(den, row): the epsilon coordinates of the root r are the
         integers of row over den."""
-        return self._eps_den, self._eps_row(r.coeffs)
+        return self._eps_den, self._eps_row(self.by_code[r])
 
-    def root_from_eps(self, eps: Sequence) -> Root:
+    def root_from_eps(self, eps: Sequence) -> int:
         """The root with these epsilon coordinates (ints or exact
         rationals), through a table of integer rows built on first use.
 
@@ -304,15 +279,17 @@ class RootSystem:
         """
         if self._by_eps is None:
             self._by_eps = {
-                tuple(self._eps_row(r.coeffs)): r for r in self._by_coeffs.values()
+                tuple(self._eps_row(coeffs)): r for r, coeffs in self.by_code.items()
             }
         den = self._eps_den
         return self._by_eps[tuple([x * den for x in eps])]
 
     # -- misc --------------------------------------------------------------
 
-    def highest_root(self) -> Root:
-        return max(self.positive_roots, key=lambda r: (r.height, r.code))
+    def highest_root(self) -> int:
+        """The highest root exceeds every positive root coefficientwise, so
+        its code is the largest."""
+        return self.positive_roots[-1]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}, {self.rank})"

@@ -23,7 +23,6 @@ from .bounds import BoundWeight
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
 from .linalg import sparse_det, sparse_ranks
-from .roots import Root
 
 STATIONARY = "stationary"
 EXT_STATIONARY = "extended_stationary"
@@ -40,10 +39,11 @@ class OrbitStructure(NamedTuple):
     Every field but by_code holds root codes (`RootSystem.code`): O is
     sorted by code, which is the order of the coefficient vectors, and
     S_alpha lists its codes in the same order.  by_code is the system's map
-    from codes to roots, for heights, values on h and messages."""
+    from codes to coefficient tuples, for heights, values on h and
+    messages."""
 
     O: Tuple[int, ...]
-    by_code: Dict[int, Root]
+    by_code: Dict[int, Tuple[int, ...]]
     theta: Dict[int, int]
     centre_of: Dict[int, int]
     S_alpha: Dict[int, Tuple[int, ...]]
@@ -109,23 +109,23 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
     centre_of: Dict[int, int] = {}
     partnered = True
     for g, members in cand.gamma_sets.items():
-        gr = root[g].coeffs
+        gr = root[g]
         if g not in members:
             problems.append(f"{gr}: centre not in its set")
         for a in members:
             if a not in support:
-                problems.append(f"{gr}: member {root[a].coeffs} outside support")
+                problems.append(f"{gr}: member {root[a]} outside support")
             prev = seen.get(a)
             if prev is not None and prev != g:
                 problems.append(
-                    f"sets of {root[prev].coeffs} and {gr} overlap at {root[a].coeffs}"
+                    f"sets of {root[prev]} and {gr} overlap at {root[a]}"
                 )
             seen[a] = g
             if a == g:
                 continue
             partner = g - a
             if partner not in members or partner == a:
-                problems.append(f"{gr}: no Heisenberg partner for {root[a].coeffs}")
+                problems.append(f"{gr}: no Heisenberg partner for {root[a]}")
                 partnered = False
             else:
                 theta[a] = partner
@@ -377,8 +377,8 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
             same = tuple(b for b in os.S_alpha[a] if b in region)
             if same != (th[a],):
                 problems.append(
-                    f"{name}: S_alpha of {root[a].coeffs} meets the region at "
-                    f"{[root[b].coeffs for b in same]}"
+                    f"{name}: S_alpha of {root[a]} meets the region at "
+                    f"{[root[b] for b in same]}"
                 )
 
     needs = [a for a in os.O if any(b in os.O_mixed for b in os.S_alpha[a])]
@@ -412,7 +412,7 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     for start, w in walks.items():
         if w.reason == WALK_LOOP_GUARD:
             problems.append(
-                f"sequence walk from {root[start].coeffs} hit its loop guard"
+                f"sequence walk from {root[start]} hit its loop guard"
             )
 
     for a in needs:
@@ -422,7 +422,7 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
             labels[a] = TILDE
         else:
             labels[a] = UNCLASSIFIED
-            problems.append(f"unclassified orbit root {root[a].coeffs}")
+            problems.append(f"unclassified orbit root {root[a]}")
 
     counts = Counter(labels.values())
     counts[UNCONSTRAINED] = len(os.O) - len(needs)
@@ -467,7 +467,7 @@ def _values_on_h(
     pi_prime = cand.parabolic.pi_prime
     y = [sum([row[i] * x for i, x in zip(pi_prime, xs)]) for row in sys.cartan]
     root = sys.by_code
-    return [sum(map(mul, root[a].coeffs, y)) for a in codes]
+    return [sum(map(mul, root[a], y)) for a in codes]
 
 
 def check_nondegeneracy(
@@ -495,9 +495,9 @@ def check_nondegeneracy(
     else:
         den = inverse.den
         root = os.by_code
-        xs = inverse.solve_scaled([abs(root[g].height) for g in cand.S])
+        xs = inverse.solve_scaled([abs(sum(root[g])) for g in cand.S])
         u = _values_on_h(cand, xs, order)
-        heights = [root[a].height for a in order]
+        heights = [sum(root[a]) for a in order]
         pos = {a: i for i, a in enumerate(order)}
         for i, a in enumerate(order):
             for b in os.S_alpha[a]:
@@ -548,7 +548,7 @@ def coadjoint_columns(
         col: Dict[int, int] = {}
         for pc in cand.S:
             if pc == bc:
-                coroot = sys.coroot(sys.by_code[bc])
+                coroot = sys.coroot(bc)
                 h_coeffs = parab.h_in_coroot_basis_scaled([-x for x in coroot])
                 for k, c in enumerate(h_coeffs):
                     if c:
@@ -580,7 +580,7 @@ def check_regularity(
     if outside:
         root = cand.system.by_code
         problems = [
-            f"not run: S member {root[g].coeffs} outside support" for g in outside
+            f"not run: S member {root[g]} outside support" for g in outside
         ]
         return RegularityCheck(False, 0, 0, dim_p, t_size, False, problems)
     columns, row_of, _, _ = coadjoint_columns(cand, table)

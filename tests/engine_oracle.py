@@ -31,8 +31,8 @@
   linear system that `ParabolicData.removed_projection` answers in closed
   form.
 - Arithmetic on coefficient tuples (`vec_add`, `vec_sub`, and the sort
-  key `coeffs_key`), which `Root` does not do: the tests add, subtract and
-  order roots through their coefficients, never through the engine's codes.
+  key `coeffs_key`): the tests add, subtract and order roots through their
+  coefficients, never through the engine's codes.
 - The closure of the simple roots on coefficient tuples with Gram-matrix
   pairings, and the Kostant cascade that tests every pair of roots with
   the inner product and finds each level's simple roots again: the
@@ -43,15 +43,17 @@
   with t(gamma) solved by the plain Gaussian elimination of
   `linalg_oracle`.  The package computes the same bounds on integers; the
   tests compare the two.
+
+Every root is named by its code, as in the engine; the oracle reads its
+coefficients from `RootSystem.by_code`.
 """
 
 import inspect
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from adapted_pairs.roots import Root
 from adapted_pairs.verify import check_heisenberg
 from linalg_oracle import solve_in_span
 
@@ -77,7 +79,7 @@ def centre_moved_outside(cand) -> Tuple[object, int]:
     Gamma set, negated, and the code of the new centre: the Heisenberg
     structure is kept, but the centre lies outside Delta+ | Delta-_{pi'}."""
     root = cand.system.by_code
-    g = next(g for g in cand.S_plus if root[g].coeffs[cand.s - 1])
+    g = next(g for g in cand.S_plus if root[g][cand.s - 1])
     sets = dict(cand.gamma_sets)
     sets[-g] = frozenset(-a for a in sets.pop(g))
     s_plus = tuple(-x if x == g else x for x in cand.S_plus)
@@ -103,12 +105,13 @@ def vec_sub(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
     return tuple([a - b for a, b in zip(x, y, strict=True)])
 
 
-def coeffs_key(r: Root) -> Tuple[int, ...]:
-    """Sort key of roots: their coefficient vectors."""
-    return r.coeffs
+def coeffs_key(system) -> Callable[[int], Tuple[int, ...]]:
+    """Sort key of the roots of system, by code: their coefficient
+    vectors."""
+    return system.by_code.__getitem__
 
 
-def pairing(system, a: Root, alpha: Root) -> int:
+def pairing(system, a: int, alpha: int) -> int:
     """<a, alpha^vee> = 2 (a, alpha) / (alpha, alpha), an integer."""
     return 2 * system.inner(a, alpha) // system.inner(alpha, alpha)
 
@@ -149,23 +152,23 @@ class GElem:
         return not self.root_part and self.h_part is None
 
 
-def n_const(table, a: Optional[Root], b: Optional[Root]) -> int:
+def n_const(table, a: Optional[int], b: Optional[int]) -> int:
     """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; 0 when a+b is not a root."""
     if a is None or b is None:
         return 0
-    return table.n_code(a.code, b.code)
+    return table.n_code(a, b)
 
 
-def root_on_h(system, a: Root, h: Sequence) -> Fraction:
+def root_on_h(system, a: int, h: Sequence) -> Fraction:
     """a(h) for h in coroot coordinates."""
     return sum([p * c for p, c in zip(system.simple_pairings(a), h)], Fraction(0))
 
 
-def bracket_roots(table, a: Root, b: Root) -> GElem:
+def bracket_roots(table, a: int, b: int) -> GElem:
     """[x_a, x_b] as a GElem (root vector, coroot, or zero)."""
     sys = table.system
     out = GElem()
-    total = vec_add(a.coeffs, b.coeffs)
+    total = vec_add(sys.by_code[a], sys.by_code[b])
     if not any(total):
         # Chevalley normalization [x_a, x_{-a}] = a^vee
         out.add_h(sys.coroot(a))
@@ -233,9 +236,10 @@ def ad_on_dual(table, parab, x: GElem, y: GElem) -> GElem:
     return out
 
 
-def jacobiator(table, a: Root, b: Root, c: Root) -> GElem:
+def jacobiator(table, a: int, b: int, c: int) -> GElem:
     """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] on root vectors; zero iff Jacobi."""
-    xa, xb, xc = (GElem({r.coeffs: Fraction(1)}) for r in (a, b, c))
+    by_code = table.system.by_code
+    xa, xb, xc = (GElem({by_code[r]: Fraction(1)}) for r in (a, b, c))
     out = GElem()
     for t in (
         bracket(table, xa, bracket(table, xb, xc)),
@@ -260,10 +264,10 @@ def code_term(table, x: int, y: int, z: int):
     sys = table.system
     if x + y + z == 0:
         m = table.n_code(y, z)
-        return [m * v for v in sys.coroot(sys.by_code[x])]
+        return [m * v for v in sys.coroot(x)]
     if y + z == 0:
-        h = sys.coroot(sys.by_code[y])
-        return -sum(map(mul, sys.simple_pairings(sys.by_code[x]), h))
+        h = sys.coroot(y)
+        return -sum(map(mul, sys.simple_pairings(x), h))
     m = table.n_code(y, z)
     return m * table.n_code(x, y + z) if m else 0
 
@@ -339,11 +343,12 @@ def simple_roots_eps(family: str, rank: int) -> Tuple[Tuple[Fraction, ...], ...]
 
 
 def eps_of(system, x) -> Tuple[Fraction, ...]:
-    """Epsilon coordinates of a root or weight: sum_i c_i alpha_i over its
-    simple-root coefficients c_i."""
+    """Epsilon coordinates of a root (its code) or a `Weight`:
+    sum_i c_i alpha_i over its simple-root coefficients c_i."""
     simples = simple_roots_eps(system.family, system.rank)
     out = [Fraction(0)] * len(simples[0])
-    for c, a in zip(x.coeffs, simples, strict=True):
+    coeffs = system.by_code[x] if isinstance(x, int) else x.coeffs
+    for c, a in zip(coeffs, simples, strict=True):
         if c:
             for d, e in enumerate(a):
                 if e:
@@ -364,12 +369,12 @@ def cartan_eps(system, h: Sequence) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def coroot_eps(system, r: Root):
+def coroot_eps(system, r: int):
     """alpha^vee as a Cartan vector in epsilon coordinates."""
     return cartan_eps(system, system.coroot(r))
 
 
-def eps_str(system, root: Root) -> str:
+def eps_str(system, root: int) -> str:
     """The epsilon form of a root, e.g. 'e1+e2' or '(1/2)(e1-e2+...)', from
     its coordinates in fractions scaled by their largest denominator."""
     terms = []
@@ -445,64 +450,70 @@ def closure_positive_roots(system) -> List[Tuple[int, ...]]:
     return sorted(known)
 
 
-def _indecomposables(pos: Sequence[Root]) -> List[Root]:
-    pos_set = {r.coeffs for r in pos}
+def _indecomposables(system, pos: Sequence[int]) -> List[int]:
+    """The roots of pos that are no sum of two roots of pos, in
+    coefficient order."""
+    coeffs = coeffs_key(system)
+    pos_set = {coeffs(r) for r in pos}
     return sorted(
         (
             r
             for r in pos
             if not any(
-                vec_sub(r.coeffs, a.coeffs) in pos_set
+                vec_sub(coeffs(r), coeffs(a)) in pos_set
                 for a in pos
-                if a.height < r.height
+                if sum(coeffs(a)) < sum(coeffs(r))
             )
         ),
-        key=coeffs_key,
+        key=coeffs,
     )
 
 
-def _components(system, pos: Sequence[Root]) -> List[Tuple[List[Root], List[Root]]]:
-    simples = _indecomposables(pos)
-    comps: List[List[Root]] = []
-    seen: Set[Tuple[int, ...]] = set()
+def _components(system, pos: Sequence[int]) -> List[Tuple[List[int], List[int]]]:
+    coeffs = coeffs_key(system)
+    simples = _indecomposables(system, pos)
+    comps: List[List[int]] = []
+    seen: Set[int] = set()
     for s in simples:
-        if s.coeffs in seen:
+        if s in seen:
             continue
         comp, queue = [s], [s]
-        seen.add(s.coeffs)
+        seen.add(s)
         while queue:
             cur = queue.pop()
             for t in simples:
-                if t.coeffs not in seen and system.inner(cur, t) != 0:
-                    seen.add(t.coeffs)
+                if t not in seen and system.inner(cur, t) != 0:
+                    seen.add(t)
                     comp.append(t)
                     queue.append(t)
-        comps.append(sorted(comp, key=coeffs_key))
+        comps.append(sorted(comp, key=coeffs))
     out = [
         (
             comp,
             sorted(
                 (r for r in pos if any(system.inner(r, s) for s in comp)),
-                key=coeffs_key,
+                key=coeffs,
             ),
         )
         for comp in comps
     ]
-    return sorted(out, key=lambda cr: cr[0][0].coeffs)
+    return sorted(out, key=lambda cr: coeffs(cr[0][0]))
 
 
 def cascade_oracle(
-    system, positive: Optional[Sequence[Root]] = None
-) -> List[Tuple[str, Root, Tuple[Root, ...], Tuple[Root, ...]]]:
+    system, positive: Optional[Sequence[int]] = None
+) -> List[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]]:
     """(label, beta, component roots, H_beta) for every cascade root: the
     highest root of each irreducible component, then the roots orthogonal
-    to it, with the components' simple roots found again at every level."""
+    to it, with the components' simple roots found again at every level.
+    Roots are codes, ordered and compared through their coefficients."""
+    coeffs = coeffs_key(system)
     items = []
 
-    def recurse(pos: Sequence[Root], prefix: str) -> None:
+    def recurse(pos: Sequence[int], prefix: str) -> None:
         for k, (_, comp_roots) in enumerate(_components(system, pos), start=1):
             label = f"{prefix}.{k}" if prefix else f"{k}"
-            beta = max(comp_roots, key=lambda r: (r.height, r.coeffs))
+            beta = max(comp_roots, key=lambda r: (sum(coeffs(r)), coeffs(r)))
             heis = tuple(r for r in comp_roots if system.inner(r, beta) > 0)
             items.append((label, beta, tuple(comp_roots), heis))
             rest = [r for r in comp_roots if system.inner(r, beta) == 0]
@@ -614,9 +625,9 @@ def t_of_gamma(cand, gamma: int) -> Tuple[Dict[int, Fraction], Weight]:
     pairing = cand.parabolic.pairing_on_coroots
     columns = [pairing(g) for g in cand.S]
     coeffs = solve_in_span(columns, [-v for v in pairing(gamma)])
-    w = [Fraction(x) for x in root[gamma].coeffs]
+    w = [Fraction(x) for x in root[gamma]]
     for c, g in zip(coeffs, cand.S):
-        for i, x in enumerate(root[g].coeffs):
+        for i, x in enumerate(root[g]):
             w[i] += c * x
     return dict(zip(cand.S, coeffs)), Weight(tuple(w))
 

@@ -189,8 +189,8 @@ def _jacobi_exhaustive(system, table):
     wide code of a root only when it is that root."""
     base = 8 * (system.base - 1) // 3 + 1
     code_of = {
-        sum(c * base**i for i, c in enumerate(r.coeffs)): code
-        for code, r in system.by_code.items()
+        sum(c * base**i for i, c in enumerate(coeffs)): code
+        for code, coeffs in system.by_code.items()
     }  # wide code -> root code
     checked = 0
     for a, b in itertools.product(code_of, repeat=2):
@@ -223,11 +223,12 @@ def test_criterion_6_property_suite():
         allroots = list(system.positive_roots) + [
             -r for r in system.positive_roots
         ]
+        by_code = system.by_code
         for a in allroots:
             for b in allroots:
-                if system.try_root(vec_add(a.coeffs, b.coeffs)) is not None:
-                    n = table.n_code(a.code, b.code)
-                    assert abs(n) == table.string_down(a.code, b.code) + 1
+                if system.try_root(vec_add(by_code[a], by_code[b])) is not None:
+                    n = table.n_code(a, b)
+                    assert abs(n) == table.string_down(a, b) + 1
 
     # Heisenberg involution squared is the identity
     for family, n, s in [("B", 8, 4), ("D", 9, 6), ("D", 10, 10), ("E7", 7, 3)]:
@@ -292,7 +293,7 @@ def test_criterion_7_negative_and_determinism(tmp_path):
             not check_heisenberg(bad).ok
             or not check_basis_restriction(bad).ok
         )
-        assert failed, f"corrupting {gamma.coeffs} went undetected"
+        assert failed, f"corrupting {cand.system.by_code[gamma]} went undetected"
 
     # dropping one Heisenberg set breaks the partition identity
     sets = dict(cand.gamma_sets)

@@ -91,7 +91,7 @@ def _t_multiples(cand, gamma):
 def test_t_of_gamma_e6_alpha4():
     cand = build_case("E6", 6, 6)
     sys = cand.system
-    rc = lambda c: sys.root_from_coeffs(c).code
+    rc = sys.root_from_coeffs
     coeffs, _ = oracle.t_of_gamma(cand, rc((0, 0, 0, 1, 0, 0)))
     assert coeffs[rc((1, 2, 2, 3, 2, 1))] == 5  # beta_1
     assert coeffs[rc((1, 0, 1, 1, 1, 1))] == 3  # beta_2
@@ -104,7 +104,7 @@ def test_t_of_gamma_e6_alpha4():
 def test_t_of_gamma_e6_other_entries():
     cand = build_case("E6", 6, 6)
     sys = cand.system
-    rc = lambda c: sys.root_from_coeffs(c).code
+    rc = sys.root_from_coeffs
     assert _t_multiples(cand, rc((0, 0, 0, 0, 0, 1))) == (3, 3)
     assert _t_multiples(cand, rc((0, 1, 1, 1, 0, 0))) == (3, 3)
 
@@ -112,9 +112,9 @@ def test_t_of_gamma_e6_other_entries():
 def test_t_of_gamma_e7_minus_alpha1():
     cand = build_case("E7", 7, 3)
     sys = cand.system
-    gamma = sys.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0)).code
+    gamma = sys.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))
     coeffs, _ = oracle.t_of_gamma(cand, gamma)
-    beta1 = sys.highest_root().code
+    beta1 = sys.highest_root()
     assert coeffs[beta1] == 2
     assert all(v == 0 for g, v in coeffs.items() if g != beta1)
     assert _t_multiples(cand, gamma) == (1, 1)
@@ -123,7 +123,7 @@ def test_t_of_gamma_e7_minus_alpha1():
 def test_t_of_gamma_b_equal_rank():
     cand = build_case("B", 8, 8)
     sys = cand.system
-    gamma = sys.root_from_eps([0, 0, 0, 0, 0, 0, 1, 1]).code  # eps_{s-1}+eps_s
+    gamma = sys.root_from_eps([0, 0, 0, 0, 0, 0, 1, 1])  # eps_{s-1}+eps_s
     coeffs, _ = oracle.t_of_gamma(cand, gamma)
     assert _t_multiples(cand, gamma) == (2, 2)
     # t(gamma) is integral on the cascade part here

@@ -40,9 +40,10 @@ def test_string_constant_b2():
 def test_zero_when_sum_not_root():
     sys = build_root_system("B", 3)
     t = build_structure_table(sys)
+    by_code = sys.by_code
     for a in sys.positive_roots:
         for b in sys.positive_roots:
-            if sys.try_root(vec_add(a.coeffs, b.coeffs)) is None:
+            if sys.try_root(vec_add(by_code[a], by_code[b])) is None:
                 assert n_const(t, a, b) == 0
 
 
@@ -50,9 +51,10 @@ def test_antisymmetry_and_negation():
     sys = build_root_system("D", 4)
     t = build_structure_table(sys)
     roots = _all_roots(sys)
+    by_code = sys.by_code
     for a in roots:
         for b in roots:
-            if sys.try_root(vec_add(a.coeffs, b.coeffs)) is not None:
+            if sys.try_root(vec_add(by_code[a], by_code[b])) is not None:
                 assert n_const(t, a, b) == -n_const(t, b, a)
                 assert n_const(t, -a, -b) == -n_const(t, a, b)
 
@@ -62,10 +64,11 @@ def test_root_string_property_all_pairs():
         sys = build_root_system(fam, rk)
         t = build_structure_table(sys)
         roots = _all_roots(sys)
+        by_code = sys.by_code
         for a in roots:
             for b in roots:
-                if sys.try_root(vec_add(a.coeffs, b.coeffs)) is not None:
-                    assert abs(n_const(t, a, b)) == t.string_down(a.code, b.code) + 1
+                if sys.try_root(vec_add(by_code[a], by_code[b])) is not None:
+                    assert abs(n_const(t, a, b)) == t.string_down(a, b) + 1
 
 
 def _as_parts(sys, total, value):
@@ -87,14 +90,15 @@ def test_code_jacobiator_matches_the_bracket_oracle(fam, rk):
     sys = build_root_system(fam, rk)
     t = build_structure_table(sys)
     roots = _all_roots(sys)
+    by_code = sys.by_code
     for a, b, c in itertools.product(roots, repeat=3):
-        total = vec_add(vec_add(a.coeffs, b.coeffs), c.coeffs)
-        term = bracket(t, GElem({a.coeffs: F(1)}), bracket_roots(t, b, c))
-        value = code_term(t, a.code, b.code, c.code)
+        total = vec_add(vec_add(by_code[a], by_code[b]), by_code[c])
+        term = bracket(t, GElem({by_code[a]: F(1)}), bracket_roots(t, b, c))
+        value = code_term(t, a, b, c)
         assert (term.root_part, term.h_part) == _as_parts(sys, total, value)
         out = jacobiator(t, a, b, c)
         assert out.is_zero()
-        value = code_jacobiator(t, a.code, b.code, c.code)
+        value = code_jacobiator(t, a, b, c)
         assert (out.root_part, out.h_part) == _as_parts(sys, total, value)
 
 
@@ -124,13 +128,13 @@ def test_ad_h_is_diagonal():
     t = build_structure_table(sys)
     h = GElem(h_part=sys.coroot(sys.simple_roots[0]))
     for g in sys.positive_roots[:6]:
-        y = GElem({g.coeffs: F(1)})
+        y = GElem({sys.by_code[g]: F(1)})
         out = ad_on_dual(t, cand.parabolic, h, y)
         val = pairing(sys, g, sys.simple_roots[0])
         if val == 0:
             assert out.is_zero()
         else:
-            assert out.root_part == {g.coeffs: val} and out.h_part is None
+            assert out.root_part == {sys.by_code[g]: val} and out.h_part is None
 
 
 def test_projection_kills_outside_support():
@@ -139,9 +143,9 @@ def test_projection_kills_outside_support():
     t = build_structure_table(sys)
     # pick gamma outside pi' so that -gamma is not in the dual support
     gamma = sys.root_from_eps([1, 0, 0, 0])  # eps_1 contains alpha_2
-    lhs = GElem({(-gamma).coeffs: F(1)})
+    lhs = GElem({sys.by_code[-gamma]: F(1)})
     target = sys.root_from_eps([0, 1, 0, 0])
-    rhs = GElem({(-target).coeffs: F(1)})
+    rhs = GElem({sys.by_code[-target]: F(1)})
     raw = bracket(t, lhs, rhs)
     assert raw.root_part  # bracket lands on -(eps1+eps2), outside the support
     out = ad_on_dual(t, cand.parabolic, lhs, rhs)
@@ -153,8 +157,8 @@ def test_e6_ad_example():
     cand = build_case("E6", 6, 6)
     sys = cand.system
     t = build_structure_table(sys)
-    x = GElem({sys.simple_roots[0].coeffs: F(1)})
-    y = GElem({sys.by_code[g].coeffs: F(1) for g in cand.S})
+    x = GElem({sys.by_code[sys.simple_roots[0]]: F(1)})
+    y = GElem({sys.by_code[g]: F(1) for g in cand.S})
     out = ad_on_dual(t, cand.parabolic, x, y)
     assert out.h_part is None
     assert set(out.root_part) == {(1, 0, 1, 1, 1, 0)}

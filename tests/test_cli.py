@@ -67,7 +67,7 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
     root = cand.system.by_code
     sets = dict(cand.gamma_sets)
     centre = max(sets, key=lambda g: len(sets[g]))
-    dropped = max(sets[centre] - {centre}, key=lambda a: root[a].coeffs)
+    dropped = max(sets[centre] - {centre}, key=lambda a: root[a])
     sets[centre] = sets[centre] - {dropped}
     bad = replace(cand, gamma_sets=sets)
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
@@ -78,7 +78,7 @@ def test_verify_fails_a_member_without_partner(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "first failing check: heisenberg_ok"
     assert any(
-        l.startswith(f"heisenberg: {root[centre].coeffs}: no Heisenberg partner for ")
+        l.startswith(f"heisenberg: {root[centre]}: no Heisenberg partner for ")
         for l in lines[2:]
     )
     cert = json.loads(out.read_text())
@@ -91,7 +91,7 @@ def test_verify_fails_an_s_member_outside_the_support(tmp_path, monkeypatch, cap
     import adapted_pairs.construction as construction
 
     bad, moved = centre_moved_outside(construction.build_case("B", 6, 4))
-    moved = bad.system.by_code[moved].coeffs
+    moved = bad.system.by_code[moved]
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
     out = tmp_path / "cert.json"
     code = main(["verify", "--family", "B", "--rank", "6", "--s", "4",
@@ -192,6 +192,35 @@ def test_report_rejects_malformed(tmp_path, capsys):
     assert main(["report", "--in", str(bad), "--format", "txt"]) == 2
     bad.write_text(json.dumps({"schema": 99}))
     assert main(["report", "--in", str(bad), "--format", "txt"]) == 2
+
+
+def test_report_rejects_json_nested_too_deeply(tmp_path, capsys):
+    # the parser gives up with RecursionError: an unreadable certificate
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    assert main(["report", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot read certificate: ")
+
+
+@pytest.mark.parametrize(
+    "alpha", [[1], True, 0, 5], ids=["list", "bool", "0", "rank+1"]
+)
+def test_report_rejects_an_h_term_index_that_is_no_simple_root(
+    tmp_path, capsys, alpha
+):
+    # an h term names a coroot alpha_k^vee by its index k in 1..rank
+    cert = json.loads(to_json(certificate_dict(run_case("B", 4, 2))))
+    cert["h"]["coroot_coeffs"][0]["alpha"] = alpha
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
 
 
 @pytest.mark.parametrize("schema", [True, 1.0, "1"])
@@ -491,7 +520,7 @@ EPS_SYSTEMS = (
 @pytest.mark.parametrize("family,rank", EPS_SYSTEMS)
 def test_eps_str_matches_the_fraction_rendering(family, rank):
     system = build_root_system(family, rank)
-    for root in system.by_code.values():
+    for root in system.by_code:
         assert eps_str(system, root) == oracle_eps_str(system, root)
 
 

@@ -11,6 +11,7 @@ from adapted_pairs.construction import (
     in_scope_cases,
 )
 from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.parabolic import subsystem_roots
 from adapted_pairs.roots import build_root_system
 from engine_oracle import eps_of, orbit_structure, vec_add
 
@@ -25,7 +26,7 @@ def _ev(system, terms):
     v = [F(0)] * system.dim
     for c, i in terms:
         v[i - 1] += F(c)
-    return system.root_from_eps(v).code
+    return system.root_from_eps(v)
 
 
 @pytest.mark.parametrize("family,n,s", ALL_CASES)
@@ -37,8 +38,8 @@ def test_s_size_is_truncated_cartan_dimension(family, n, s):
 @pytest.mark.parametrize("family,n,s", ALL_CASES)
 def test_partition_and_t_matches_closed_form(family, n, s):
     cand = build_case(family, n, s)
-    support = {r.code for r in cand.system.positive_roots} | {
-        -r.code for r in cand.parabolic.delta_pi_prime_pos
+    support = set(cand.system.positive_roots) | {
+        -r for r in subsystem_roots(cand.system, cand.parabolic.pi_prime)
     }
     assert cand.parabolic.dual_support == tuple(sorted(support))
     union = set()
@@ -82,7 +83,7 @@ def test_d4_s2_degenerate_mixed_set_is_positive():
     sys = cand.system
     centre = _ev(sys, [(1, 2), (1, 4)])
     assert centre in cand.S_mixed
-    assert all(sys.by_code[r].height > 0 for r in cand.gamma_sets[centre])
+    assert all(sum(sys.by_code[r]) > 0 for r in cand.gamma_sets[centre])
 
 
 def test_d_extremal_split():
@@ -99,7 +100,7 @@ def test_d_extremal_split():
 def test_e6_verbatim_sets():
     cand = build_case("E6", 6, 6)
     root = cand.system.by_code
-    assert sorted(root[r].coeffs for r in cand.S) == sorted(
+    assert sorted(root[r] for r in cand.S) == sorted(
         [
             (1, 2, 2, 3, 2, 1),
             (1, 0, 1, 1, 1, 1),
@@ -108,10 +109,10 @@ def test_e6_verbatim_sets():
             (0, 0, 0, -1, -1, 0),
         ]
     )
-    assert sorted(root[r].coeffs for r in cand.T) == sorted(
+    assert sorted(root[r] for r in cand.T) == sorted(
         [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0)]
     )
-    assert sorted(root[r].coeffs for r in cand.T_star) == sorted(
+    assert sorted(root[r] for r in cand.T_star) == sorted(
         [
             (1, 1, 1, 2, 2, 1),
             (1, 0, 1, 1, 1, 0),
@@ -127,7 +128,7 @@ def test_e6_verbatim_sets():
 def test_e7_verbatim_sets():
     cand = build_case("E7", 7, 3)
     root = cand.system.by_code
-    assert sorted(root[r].coeffs for r in cand.S) == sorted(
+    assert sorted(root[r] for r in cand.S) == sorted(
         [
             (2, 2, 3, 4, 3, 2, 1),
             (0, 1, 1, 2, 2, 2, 1),
@@ -137,7 +138,7 @@ def test_e7_verbatim_sets():
             (0, 0, 0, 0, 0, 0, -1),
         ]
     )
-    assert sorted(root[r].coeffs for r in cand.T) == sorted(
+    assert sorted(root[r] for r in cand.T) == sorted(
         [
             (-1, 0, 0, 0, 0, 0, 0),
             (0, 0, 0, 1, 1, 0, 0),
@@ -148,8 +149,8 @@ def test_e7_verbatim_sets():
     )
     # the highest-root Heisenberg set is maximal in Delta+
     b1 = cand.system.highest_root()
-    assert cand.gamma_sets[b1.code] == frozenset(
-        r.code for r in cand.system.positive_roots if cand.system.inner(r, b1) > 0
+    assert cand.gamma_sets[b1] == frozenset(
+        r for r in cand.system.positive_roots if cand.system.inner(r, b1) > 0
     )
 
 
@@ -158,17 +159,16 @@ def test_e7_embedding_is_root_isomorphism():
     d6 = build_root_system("D", 6)
     phi = e7_d6_embedding()  # on codes
     assert set(phi) == set(d6.by_code)
-    image = lambda r: e7.by_code[phi[r.code]]
     b1 = e7.highest_root()
     for a in d6.positive_roots:
-        assert image(-a) is -image(a)
-        assert e7.inner(image(a), b1) == 0
+        assert phi[-a] == -phi[a] and phi[a] in e7.by_code
+        assert e7.inner(phi[a], b1) == 0
         for b in d6.positive_roots:
-            assert d6.inner(a, b) == e7.inner(image(a), image(b))
-            s = d6.try_root(vec_add(a.coeffs, b.coeffs))
+            assert d6.inner(a, b) == e7.inner(phi[a], phi[b])
+            s = d6.try_root(vec_add(d6.by_code[a], d6.by_code[b]))
             if s is not None:
-                assert image(s) is e7.try_root(
-                    vec_add(image(a).coeffs, image(b).coeffs)
+                assert phi[s] == e7.try_root(
+                    vec_add(e7.by_code[phi[a]], e7.by_code[phi[b]])
                 )
 
 
@@ -181,7 +181,7 @@ def test_flip_d_extremal():
     # T transports along eps_6 -> -eps_6
     sys = base.system
 
-    eps = lambda t: eps_of(sys, sys.by_code[t])
+    eps = lambda t: eps_of(sys, t)
 
     def flipv(t):
         return tuple(list(eps(t)[:-1]) + [-eps(t)[-1]])
@@ -197,10 +197,10 @@ def test_flip_e6():
     expect = set()
     for r in base.S:
         new = [0] * 6
-        for i, c in enumerate(root[r].coeffs, start=1):
+        for i, c in enumerate(root[r], start=1):
             new[perm[i] - 1] = c
         expect.add(tuple(new))
-    assert {root[r].coeffs for r in flipped.S} == expect
+    assert {root[r] for r in flipped.S} == expect
 
 
 def test_orbit_structure_theta_involution():
@@ -230,7 +230,7 @@ def test_b_deep_strata_lie_in_o_minus_non_mixed():
         for a in os.O:
             if os.strata[a] > 2:
                 assert a in os.O_minus
-                assert os.by_code[a].height < 0
+                assert sum(os.by_code[a]) < 0
                 assert not any(b in os.O_mixed for b in os.S_alpha[a])
 
 
@@ -287,8 +287,8 @@ ONE_OBJECT_CASES = (
 @pytest.mark.parametrize("family,n,s", ONE_OBJECT_CASES)
 def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
     # the case data holds int codes of the system's roots, the tuples in
-    # increasing order and the Gamma sets by increasing centre; the cascade
-    # holds the system's roots themselves
+    # increasing order and the Gamma sets by increasing centre; so do the
+    # cascade items, whose beta is the largest code of its component
     cand = build_case(family, n, s)
     sys = cand.system
     by_code = sys.by_code
@@ -311,5 +311,8 @@ def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
     assert all(type(c) is int and c in by_code for c in held)
     for subset in (None, cand.parabolic.pi_prime):
         for item in kostant_cascade(sys, subset):
-            for r in (item.beta, *item.subsystem, *item.heisenberg):
-                assert by_code[r.code] is r
+            assert type(item.beta) is int and item.beta in by_code
+            for codes in (item.subsystem, item.heisenberg):
+                assert type(codes) is tuple and list(codes) == sorted(set(codes))
+                assert all(type(c) is int and c in by_code for c in codes)
+            assert item.beta == item.subsystem[-1] and item.beta in item.heisenberg

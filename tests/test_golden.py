@@ -80,9 +80,9 @@ CANDIDATE_DATA_SHA256 = (
 def _candidate_record(family, n, s):
     cand = build_case(family, n, s)
     root = cand.system.by_code
-    coeffs = lambda codes: tuple(root[c].coeffs for c in codes)
+    coeffs = lambda codes: tuple(root[c] for c in codes)
     gammas = tuple(
-        (root[g].coeffs, tuple(sorted(coeffs(members))))
+        (root[g], tuple(sorted(coeffs(members))))
         for g, members in cand.gamma_sets.items()
     )
     return (

@@ -23,7 +23,8 @@ from engine_oracle import (
 def reflect(system, alpha, beta):
     """The coefficients of r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
     k = pairing(system, beta, alpha)
-    return tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)])
+    by_code = system.by_code
+    return tuple([b - k * a for a, b in zip(by_code[alpha], by_code[beta])])
 
 
 def brute_force_minus_w0(system, subset):
@@ -34,7 +35,7 @@ def brute_force_minus_w0(system, subset):
     """
     pos = subsystem_roots(system, subset)
     allroots = pos + [-r for r in pos]
-    idx = {r.coeffs: i for i, r in enumerate(allroots)}
+    idx = {system.by_code[r]: i for i, r in enumerate(allroots)}
     gens = []
     for a in (system.simple_roots[i] for i in subset):
         gens.append(tuple(idx[reflect(system, a, r)] for r in allroots))
@@ -59,9 +60,8 @@ def brute_force_minus_w0(system, subset):
     out = {}
     for i in subset:
         a = system.simple_roots[i]
-        image = allroots[w0[idx[a.coeffs]]]
-        minus = -image
-        out[i] = next(j for j in subset if system.simple_roots[j] is minus)
+        image = allroots[w0[idx[system.by_code[a]]]]
+        out[i] = next(j for j in subset if system.simple_roots[j] == -image)
     return out
 
 

@@ -1,4 +1,3 @@
-import operator
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,8 @@ def expected_positive_count(family, rank):
 def reflect(system, alpha, beta):
     """The coefficients of r_alpha(beta) = beta - <beta, alpha^vee> alpha."""
     k = pairing(system, beta, alpha)
-    return tuple([b - k * a for a, b in zip(alpha.coeffs, beta.coeffs)])
+    by_code = system.by_code
+    return tuple([b - k * a for a, b in zip(by_code[alpha], by_code[beta])])
 
 
 def _dot(a, b):
@@ -78,9 +78,9 @@ def test_simple_coeffs_consistent_and_nonnegative(family, rank):
     # oracle's coordinates in fractions
     simples = simple_roots_eps(family, rank)
     for r in sys.positive_roots:
-        assert all(c >= 0 for c in r.coeffs)
+        assert all(c >= 0 for c in sys.by_code[r])
         recon = [F(0)] * sys.dim
-        for c, a in zip(r.coeffs, simples):
+        for c, a in zip(sys.by_code[r], simples):
             for d in range(sys.dim):
                 recon[d] += c * a[d]
         den, row = sys.eps_scaled(r)
@@ -105,45 +105,58 @@ def test_inner_product_examples():
     assert sys.inner(e1e2, e1e2) == 2
     short = sys.root_from_eps([0, 0, 1, 0])
     assert sys.inner(short, short) == 1
-    with pytest.raises(ValueError):
-        sys.inner(e1e2, build_root_system("B", 5).positive_roots[0])
+    # a root is a code of its system: a code of B5 that no root of B4 has
+    # is refused
+    with pytest.raises(KeyError):
+        sys.inner(e1e2, build_root_system("B", 5).highest_root())
 
 
 def test_rho_height():
-    # rho-height is Root.height, the sum of the simple-root coefficients
+    # rho-height is the sum of the simple-root coefficients
     sys = build_root_system("B", 2)
     a1 = sys.simple_roots[0]
-    assert a1.height == 1
+    assert sum(sys.by_code[a1]) == 1
     high = sys.highest_root()  # e1+e2 = a1 + 2 a2
-    assert high.coeffs == (1, 2)
-    assert high.height == 3
-    assert (-high).height == -3
+    assert sys.by_code[high] == (1, 2)
+    assert sum(sys.by_code[high]) == 3
+    assert sum(sys.by_code[-high]) == -3
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_highest_root_has_the_largest_height_and_code(family, rank):
+    sys = build_root_system(family, rank)
+    by_code = sys.by_code
+    high = sys.highest_root()
+    assert high == max(sys.positive_roots)
+    assert high == max(sys.positive_roots, key=lambda r: sum(by_code[r]))
+    # it exceeds every positive root coefficientwise
+    for r in sys.positive_roots:
+        assert all(h >= c for h, c in zip(by_code[high], by_code[r]))
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_each_root_is_one_object_hashed_by_its_code(family, rank):
-    # only through `by_code`: a root itself is not hashable, so a set or a
-    # map keyed on roots fails at once rather than hashing object addresses
+    # a root is its int code: by_code and try_root are inverse maps, the
+    # negative of a root is the negated code, and every query of the
+    # system answers in codes
     sys = build_root_system(family, rank)
-    roots = list(sys.by_code.values())
-    for r in roots:
-        assert sys.by_code[r.code] is r
-        assert -r is sys.by_code[-r.code] and -(-r) is r
-        assert sys.try_root(r.coeffs) is r
-        assert sys.root_from_coeffs(list(r.coeffs)) is r
-        with pytest.raises(TypeError):
-            hash(r)
-    assert all(sys.by_code[a.code] is a for a in sys.simple_roots)
+    assert len(sys.by_code) == 2 * len(sys.positive_roots)
+    for c, coeffs in sys.by_code.items():
+        assert type(c) is int and type(coeffs) is tuple
+        assert sys.try_root(coeffs) == c
+        assert sys.try_root(list(coeffs)) == c
+        assert sys.root_from_coeffs(list(coeffs)) == c
+        assert sys.by_code[-c] == tuple([-x for x in coeffs])
     assert sys.try_root((0,) * rank) is None
-    for keyed in (set, frozenset, dict.fromkeys):
-        with pytest.raises(TypeError):
-            keyed(roots)
-    # roots have no arithmetic or order of their own; equality is identity
-    a, b = sys.simple_roots[:2]
-    for op in (operator.add, operator.sub, operator.lt):
-        with pytest.raises(TypeError):
-            op(a, b)
-    assert a != b and a == sys.root_from_coeffs(a.coeffs)
+    assert 0 not in sys.by_code
+    queries = list(sys.positive_roots) + list(sys.simple_roots)
+    den, row = sys.eps_scaled(sys.simple_roots[-1])
+    queries += [sys.highest_root(), sys.root_from_eps([F(x, den) for x in row])]
+    assert all(type(r) is int for r in queries)
+    assert sys.positive_roots == sorted(sys.positive_roots)
+    assert all(r > 0 for r in sys.positive_roots)
+    for i, a in enumerate(sys.simple_roots):
+        assert sys.by_code[a] == tuple([int(j == i) for j in range(rank)])
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -267,25 +280,23 @@ CODE_SYSTEMS = (
 )
 def test_codes_add_subtract_and_sign_like_roots(family, rank):
     sys = build_root_system(family, rank)
-    assert sys.base == 3 * max(max(r.coeffs) for r in sys.positive_roots) + 1
-    allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
-    assert len(sys.by_code) == len(allroots)
-    for r in allroots:
-        assert r.code == sys.code(r.coeffs)
-        assert sys.by_code[r.code] is r
-        assert (r.code > 0) == all(c >= 0 for c in r.coeffs)
-    # codes sort like coefficient vectors
-    by_code_order = [sys.by_code[c] for c in sorted(r.code for r in allroots)]
-    assert by_code_order == sorted(allroots, key=coeffs_key)
     by_code = sys.by_code
+    assert sys.base == 3 * max(max(by_code[r]) for r in sys.positive_roots) + 1
+    allroots = list(sys.positive_roots) + [-r for r in sys.positive_roots]
+    assert len(by_code) == len(allroots)
+    for r in allroots:
+        assert r == sys.code(by_code[r])
+        assert (r > 0) == all(c >= 0 for c in by_code[r])
+    # codes sort like coefficient vectors
+    assert sorted(allroots) == sorted(allroots, key=coeffs_key(sys))
+
+    def root_or_none(code):
+        return code if code in by_code else None
+
     for a in allroots:
         for b in allroots:
-            assert by_code.get(a.code + b.code) is sys.try_root(
-                vec_add(a.coeffs, b.coeffs)
-            )
-            assert by_code.get(a.code - b.code) is sys.try_root(
-                vec_sub(a.coeffs, b.coeffs)
-            )
+            assert root_or_none(a + b) == sys.try_root(vec_add(by_code[a], by_code[b]))
+            assert root_or_none(a - b) == sys.try_root(vec_sub(by_code[a], by_code[b]))
 
 
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
@@ -294,33 +305,32 @@ def test_generation_matches_the_closure_oracle(family, rank):
     sys = RootSystem(family, rank)
     seeded = dict(sys._pairings)
     expected = closure_positive_roots(sys)
-    assert [r.coeffs for r in sys.positive_roots] == expected
-    assert [r.code for r in sys.positive_roots] == [sys.code(c) for c in expected]
-    # the simple roots are the positive roots' objects, with their codes
-    by_coeffs = {r.coeffs: r for r in sys.positive_roots}
-    assert all(by_coeffs[a.coeffs] is a for a in sys.simple_roots)
+    assert [sys.by_code[r] for r in sys.positive_roots] == expected
+    assert sys.positive_roots == [sys.code(c) for c in expected]
+    # the simple roots are positive roots, with their codes
+    assert set(sys.simple_roots) <= set(sys.positive_roots)
     # generation seeds the pairings of every positive root and nothing else
-    assert set(seeded) == {r.coeffs for r in sys.positive_roots}
+    assert set(seeded) == set(sys.positive_roots)
     gram = sys.gram
     for r in sys.positive_roots:
         by_gram = tuple(
-            2 * sum(c * g for c, g in zip(r.coeffs, gram[k])) // gram[k][k]
+            2 * sum(c * g for c, g in zip(sys.by_code[r], gram[k])) // gram[k][k]
             for k in range(rank)
         )
-        assert seeded[r.coeffs] == by_gram
+        assert seeded[r] == by_gram
         assert sys.simple_pairings(r) == by_gram
 
 
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
 def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
     sys = build_root_system(family, rank)
-    for r in sys.by_code.values():
+    for r in sys.by_code:
         eps = eps_of(sys, r)
-        assert sys.root_from_eps(eps) is r
-        assert sys.root_from_eps(list(eps)) is r
+        assert sys.root_from_eps(eps) == r
+        assert sys.root_from_eps(list(eps)) == r
         # integer entries as ints, the half-integers of E6/E7 as Fractions
         mixed = [int(x) if x.denominator == 1 else x for x in eps]
-        assert sys.root_from_eps(mixed) is r
+        assert sys.root_from_eps(mixed) == r
     half = [F(1, 2)] + [F(0)] * (sys.dim - 1)
     scaled = [x * sys._eps_den for x in eps_of(sys, sys.simple_roots[0])]
     for not_a_root in (half, [0] * sys.dim, [2] + [0] * (sys.dim - 1)):

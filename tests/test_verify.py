@@ -71,7 +71,7 @@ def test_basis_b22_paper_value():
     cand = build_case("B", 2, 2)
     sys = cand.system
     # the 1x1 matrix (s_1(alpha_1^vee)) with s_1 = eps_2
-    s1 = _ev(sys, [(1, 2)]).code
+    s1 = _ev(sys, [(1, 2)])
     assert cand.parabolic.pairing_on_coroots(s1) == [F(-1)]
     assert check_basis_restriction(cand).determinant in (F(1), F(-1))
 
@@ -156,12 +156,12 @@ def test_heisenberg_names_a_missing_partner_by_its_coefficients():
     root = cand.system.by_code
     sets = dict(cand.gamma_sets)
     centre = next(g for g, members in sets.items() if len(members) > 1)
-    a = max(sets[centre] - {centre}, key=lambda r: root[r].coeffs)
-    partner = cand.system.try_root(vec_sub(root[centre].coeffs, root[a].coeffs))
-    sets[centre] = sets[centre] - {partner.code}
+    a = max(sets[centre] - {centre}, key=lambda r: root[r])
+    partner = cand.system.try_root(vec_sub(root[centre], root[a]))
+    sets[centre] = sets[centre] - {partner}
     report = check_heisenberg(replace(cand, gamma_sets=sets))
     assert not report.ok and report.orbits is None
-    line = f"{root[centre].coeffs}: no Heisenberg partner for {root[a].coeffs}"
+    line = f"{root[centre]}: no Heisenberg partner for {root[a]}"
     assert line in report.problems
     for p in report.problems:
         assert str(a) not in p and str(centre) not in p
@@ -170,7 +170,7 @@ def test_heisenberg_names_a_missing_partner_by_its_coefficients():
 def test_heisenberg_singleton_sets_pass():
     cand = build_case("B", 8, 6)
     sys = cand.system
-    singleton = _ev(sys, [(-1, 7), (-1, 8)]).code
+    singleton = _ev(sys, [(-1, 7), (-1, 8)])
     assert cand.gamma_sets[singleton] == frozenset({singleton})
     assert check_heisenberg(cand).ok
 
@@ -220,7 +220,7 @@ def test_b_negative_short_roots_stationary_at_rank_zero():
     cand = build_case("B", 8, 4)
     os = orbit_structure(cand)
     for j in range(5, 9):
-        a = _ev(cand.system, [(-1, j)]).code
+        a = _ev(cand.system, [(-1, j)])
         assert os.strata[os.theta[a]] == 1
         assert walk_sequence(os, a).reason == WALK_STATIONARY
 
@@ -231,13 +231,12 @@ def _complete_orbit_structure(k):
     admissible sequences are all simple paths of a complete graph, far more
     than the walk's step bound."""
     from adapted_pairs.verify import OrbitStructure
-    from adapted_pairs.roots import Root
 
     codes = tuple(range(1, k + 1))
     every = frozenset(codes)
     return OrbitStructure(
         O=codes,
-        by_code={c: Root((c,), c) for c in codes},
+        by_code={c: (c,) for c in codes},
         theta={c: c for c in codes},
         centre_of={c: c for c in codes},
         S_alpha={c: codes for c in codes},
@@ -265,7 +264,7 @@ def test_walk_guard_trip_is_not_a_failed_branch():
     # and a real case walks to O_1
     cand = build_case("B", 8, 4)
     real = orbit_structure(cand)
-    a = _ev(cand.system, [(-1, 5)]).code
+    a = _ev(cand.system, [(-1, 5)])
     assert walk_sequence(real, a).reason == WALK_STATIONARY
 
 
@@ -275,7 +274,7 @@ def test_classification_reports_a_walk_guard_trip():
     assert not rep.ok
     guard = [p for p in rep.problems if "hit its loop guard" in p]
     start = os.by_code[os.O[0]]
-    assert f"sequence walk from {start.coeffs} hit its loop guard" in guard
+    assert f"sequence walk from {start} hit its loop guard" in guard
     assert len(guard) == len(set(guard))  # once per start
 
 
@@ -301,12 +300,12 @@ def test_d_cyclic_family_from_the_case_analysis():
     cand = build_case("D", 6, 4)
     sys = cand.system
     os = orbit_structure(cand)
-    a = _ev(sys, [(1, 3), (1, 6)]).code
+    a = _ev(sys, [(1, 3), (1, 6)])
     fam = _find_cyclic(os, a, {})
     assert fam is not None and not fam.extended
     members = set(fam.members)
-    assert _ev(sys, [(1, 4), (-1, 3)]).code in members
-    assert _ev(sys, [(1, 4), (-1, 5)]).code in members
+    assert _ev(sys, [(1, 4), (-1, 3)]) in members
+    assert _ev(sys, [(1, 4), (-1, 5)]) in members
     assert len(members) == 6
     rep = classify_roots(os)
     assert rep.labels[a] == CYCLIC
@@ -317,7 +316,7 @@ def test_d_extremal_slide_sets_are_extended_stationary():
     sys = cand.system
     os = orbit_structure(cand)
     rep = classify_roots(os)
-    centre = _ev(sys, [(1, 4), (-1, 2)]).code
+    centre = _ev(sys, [(1, 4), (-1, 2)])
     for a in cand.gamma_sets[centre] - {centre}:
         assert rep.labels[a] in (STATIONARY, EXT_STATIONARY)
 
@@ -393,9 +392,8 @@ def test_det_monomial_against_brute_force(family, n, s):
         coeff = F(sign)
         degree = 0
         for a in order:
-            ra, rb = os.by_code[a], os.by_code[theta[a]]
-            coeff *= n_const(table, -ra, -rb)
-            degree += abs(ra.height + rb.height)
+            coeff *= n_const(table, -a, -theta[a])
+            degree += abs(sum(os.by_code[a]) + sum(os.by_code[theta[a]]))
         poly[degree] = poly.get(degree, F(0)) + coeff
     poly = {d: c for d, c in poly.items() if c != 0}
     assert set(poly) == {check.monomial_degree}
@@ -408,7 +406,7 @@ def _grading_oracle(cand):
     parab = cand.parabolic
     root = cand.system.by_code
     cols = list(zip(*[parab.pairing_on_coroots(g) for g in cand.S]))
-    xs = solve_in_span(cols, [abs(root[g].height) for g in cand.S])
+    xs = solve_in_span(cols, [abs(sum(root[g])) for g in cand.S])
     return lambda a: _dot(parab.pairing_on_coroots(a), xs)
 
 
@@ -420,7 +418,7 @@ def test_grading_fails_for_an_extra_partner_off_the_grading():
     grading = _grading_oracle(cand)
 
     def on_grading(a, b):
-        return abs(root[a].height + root[b].height) == grading(a) + grading(b)
+        return abs(sum(root[a]) + sum(root[b])) == grading(a) + grading(b)
 
     for a in os.O:
         for b in os.S_alpha[a]:
@@ -541,8 +539,8 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
     columns, row_of, dim_p, scale = coadjoint_columns(cand, table)
     support = cand.parabolic.dual_support
     root = sys.by_code
-    y = GElem({root[g].coeffs: F(1) for g in cand.S})
-    xs = [GElem({tuple(-c for c in root[g].coeffs): F(1)}) for g in support]
+    y = GElem({root[g]: F(1) for g in cand.S})
+    xs = [GElem({root[-g]: F(1)}) for g in support]
     for k in parab.pi_prime:
         xs.append(GElem(h_part=tuple(int(i == k) for i in range(sys.rank))))
     assert len(columns) == len(xs) == dim_p
@@ -566,7 +564,7 @@ def test_regularity_fails_for_s_outside_the_support(monkeypatch):
     assert moved not in bad.parabolic.dual_support_codes
     check = check_regularity(bad, build_structure_table(bad.system))
     assert not check.ok and not check.membership_ok
-    moved = bad.system.by_code[moved].coeffs
+    moved = bad.system.by_code[moved]
     assert check.problems == [f"not run: S member {moved} outside support"]
     # the whole pipeline records the failure instead of raising
     monkeypatch.setattr(construction_mod, "build_case", lambda *a: bad)
@@ -598,12 +596,12 @@ def test_e6_membership_witnesses():
     support = cand.parabolic.dual_support
 
     def col(coeffs):
-        gb = sys.root_from_coeffs(coeffs).code
+        gb = sys.root_from_coeffs(coeffs)
         return _e6_column(cand, table, columns, gb)
 
     def unit(coeffs):
         dense = [F(0)] * dim_p
-        dense[row_of[sys.root_from_coeffs(coeffs).code]] = F(1)
+        dense[row_of[sys.root_from_coeffs(coeffs)]] = F(1)
         return dense
 
     witnesses = [
@@ -666,7 +664,7 @@ def test_values_on_h_match_the_per_root_pairings():
         parab = cand.parabolic
         _, inverse = cand.s_inverse
         roots = parab.dual_support
-        heights = [abs(cand.system.by_code[g].height) for g in cand.S]
+        heights = [abs(sum(cand.system.by_code[g])) for g in cand.S]
         for xs in (
             inverse.solve_scaled([-1] * len(cand.S)),
             inverse.solve_scaled(heights),
@@ -689,7 +687,7 @@ def test_h_defining_property():
         cand = build_case(family, n, s)
         h = _h_eps(cand)
         for g in cand.S:
-            assert _dot(eps_of(cand.system, cand.system.by_code[g]), h) == -1
+            assert _dot(eps_of(cand.system, g), h) == -1
 
 
 def _paper_h_B(n, s):
@@ -766,8 +764,8 @@ def test_eigenvalues_b_examples():
     cand = build_case("B", 8, 6)  # s = 6
     pair = solve_h(cand)
     sys = cand.system
-    assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)]).code] == 2  # s/2 - 1
-    assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)]).code] == 7  # s + 1
+    assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)])] == 2  # s/2 - 1
+    assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)])] == 7  # s + 1
     ok, actual = eigenvalue_report(pair, cand)
     assert ok
     assert actual == expected_eigenvalues("B", 8, 6)
