@@ -90,19 +90,28 @@ def render_certificate(cert: dict, fmt: str) -> str:
         lines.append(f"first failing check: {cert['first_failing_check']}")
     lines.append("")
 
-    sys_ = build_root_system(case["family"], case["rank"])
+    family, rank = case["family"], case["rank"]
+    system: Optional[RootSystem] = None
 
-    def rc(c) -> int:
+    def rc(c) -> str:
+        """The epsilon form of the root with coefficients c.  The root
+        system is built only once c has rank int entries, so a tampered
+        rank costs no more work than the file has entries."""
+        nonlocal system
+        if len(c) != rank:
+            raise ValueError(f"{c} does not have rank {rank!r} coefficients")
         # `true` and 1.0 compare equal to 1, but no coefficient is either
         if any(type(x) is not int for x in c):
             raise TypeError(f"{c} has a coefficient that is not an int")
-        root = sys_.try_root(c)
+        if system is None:
+            system = build_root_system(family, rank)
+        root = system.try_root(c)
         if root is None:
-            raise ValueError(f"{list(c)} is not a root of {sys_.family}{sys_.rank}")
-        return root
+            raise ValueError(f"{list(c)} is not a root of {family}{rank}")
+        return eps_str(system, root)
 
     def root_row(vals):
-        return ", ".join(eps_str(sys_, rc(c)) for c in vals)
+        return ", ".join(rc(c) for c in vals)
 
     lines.append(f"{h2}S")
     for part in ("plus", "minus", "mixed"):
@@ -113,7 +122,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append(f"{h2}Heisenberg sets")
     for entry in cert["gamma_sets"]:
         lines.append(
-            f"  Gamma[{eps_str(sys_, rc(entry['centre']))}] "
+            f"  Gamma[{rc(entry['centre'])}] "
             f"({len(entry['members'])}): {root_row(entry['members'])}"
         )
     lines.append("")
@@ -127,8 +136,8 @@ def render_certificate(cert: dict, fmt: str) -> str:
     h_terms = []
     for item in cert["h"]["coroot_coeffs"]:
         alpha = item["alpha"]
-        if type(alpha) is not int or not 1 <= alpha <= sys_.rank:
-            raise ValueError(f"h term index {alpha!r} is not in 1..{sys_.rank}")
+        if type(alpha) is not int or not 1 <= alpha <= rank:
+            raise ValueError(f"h term index {alpha!r} is not in 1..{rank}")
         num, den = _rat(item["value"])
         if num == 0:
             continue
@@ -140,10 +149,13 @@ def render_certificate(cert: dict, fmt: str) -> str:
     lines.append(
         "  eigenvalues on g_T: "
         + ", ".join(
-            f"{eps_str(sys_, rc(e['gamma']))}: {_rat_str(e['value'])}"
+            f"{rc(e['gamma'])}: {_rat_str(e['value'])}"
             for e in cert["eigenvalues"]
         )
     )
+    if system is None:
+        # T is never empty, and only a root vector checks family and rank
+        raise ValueError("the certificate lists no root")
     lines.append("  degrees: " + ", ".join(_rat_str(d) for d in cert["degrees"]))
     lines.append("")
     lines.append(f"{h2}Character bounds (multiples of varpi_s)")

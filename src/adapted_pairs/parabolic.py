@@ -33,28 +33,6 @@ def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[int]:
     ]
 
 
-def components(system: RootSystem, subset: Sequence[int]) -> List[List[int]]:
-    """Connected components of the induced Dynkin graph, 0-based indices."""
-    subset = sorted(subset)
-    seen = set()
-    comps = []
-    for start in subset:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for j in subset:
-                if j not in seen and system.cartan[cur][j] != 0:
-                    seen.add(j)
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 def minus_w0_on_subset(system: RootSystem, subset: Sequence[int]) -> Dict[int, int]:
     """The permutation alpha -> -w0(alpha) of the chosen simple roots.
 
@@ -147,10 +125,12 @@ class ParabolicData:
         self._removed_projection: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     def _build_i(self) -> Dict[int, int]:
-        sys = self.system
-        i_map: Dict[int, int] = {}
-        for comp in components(sys, self.pi_prime):
-            i_map.update(minus_w0_on_subset(sys, comp))
+        """-w0' on pi', extended to alpha_s along the j-orbit.
+
+        One descent on all of pi' gives -w0' on every Dynkin component at
+        once: the longest element of a product of Weyl groups is the
+        product of their longest elements (Bourbaki, Lie VI 1.6)."""
+        i_map = minus_w0_on_subset(self.system, self.pi_prime)
         s0 = self.s - 1
         pi_prime = set(self.pi_prime)
         x = self.j_map[s0]

@@ -6,11 +6,12 @@ digits, the first coefficient most significant.  Sums, differences,
 negatives and signs of roots are taken on single ints, and codes sort
 exactly as coefficient vectors do.  `RootSystem.by_code` gives each root's
 coefficients, for heights, pairings and what is written or printed.
-Inner products and Cartan pairings come from the integer Gram and Cartan
-matrices of the simple roots, which are integral for every supported
-type, so root arithmetic runs on Python ints.  Fundamental and Levi
-weights are integer vectors over one denominator per simple-root subset
-(`weight_rows`).  Cartan elements are written in coroot coordinates.
+Cartan pairings come from the integer Cartan matrix, found once per root
+while the roots are generated, and inner products from those pairings and
+the diagonal of the integer Gram matrix; both matrices are integral for
+every supported type, so root arithmetic runs on Python ints.  Fundamental
+and Levi weights are integer vectors over one denominator per simple-root
+subset (`weight_rows`).  Cartan elements are written in coroot coordinates.
 The bilinear form agrees with the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
@@ -81,6 +82,10 @@ class RootSystem:
     by_code maps the code of every root, of either sign, to its
     coefficients; positive_roots lists the positive codes in increasing
     order.
+
+    The pairings <r, alpha_i^vee> of every root come out of generation
+    and are stored for both signs, those of -r being the negated tuple;
+    `simple_pairings` looks them up and `inner` is built on them.
     """
 
     def __init__(self, family: str, rank: int):
@@ -93,11 +98,12 @@ class RootSystem:
         self._eps_den = den
         self._eps_simples = [[(d, x) for d, x in enumerate(v) if x] for v in scaled]
         # gram[i][j] = (alpha_i, alpha_j), integral for every supported type;
-        # cartan[i][j] = <alpha_i, alpha_j^vee>
+        # _norms[i] = (alpha_i, alpha_i); cartan[i][j] = <alpha_i, alpha_j^vee>
         self.gram = [
             [sum([x * y for x, y in zip(a, b)]) // (den * den) for b in scaled]
             for a in scaled
         ]
+        self._norms = [row[i] for i, row in enumerate(self.gram)]
         self.cartan = [
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
@@ -107,13 +113,14 @@ class RootSystem:
         self.positive_roots: List[int] = [self.code(c) for c in positive]
         self.by_code: Dict[int, Coeffs] = {}
         self._by_coeffs: Dict[Coeffs, int] = {}
-        self._forms: Dict[int, Tuple[int, ...]] = {}
         self._pairings: Dict[int, Tuple[int, ...]] = {}
         for code, coeffs in zip(self.positive_roots, positive):
             neg = tuple([-a for a in coeffs])
             self.by_code[code], self.by_code[-code] = coeffs, neg
             self._by_coeffs[coeffs], self._by_coeffs[neg] = code, -code
-            self._pairings[code] = pairings[coeffs]
+            pairs = pairings[coeffs]
+            self._pairings[code] = pairs
+            self._pairings[-code] = tuple([-p for p in pairs])
         self.simple_roots: List[int] = [
             self._by_coeffs[tuple([int(j == i) for j in range(rank)])]
             for i in range(rank)
@@ -182,45 +189,21 @@ class RootSystem:
 
     # -- the integer form --------------------------------------------------
 
-    def _form(self, r: int) -> Tuple[int, ...]:
-        """(r, alpha_i) for every simple root alpha_i, memoised; from the
-        pairings <r, alpha_i^vee> when they are known."""
-        row = self._forms.get(r)
-        if row is None:
-            gram = self.gram
-            pairs = self._pairings.get(r)
-            if pairs is not None:
-                row = tuple([p * gram[i][i] // 2 for i, p in enumerate(pairs)])
-            else:
-                coeffs = self.by_code[r]
-                row = tuple(
-                    [
-                        sum([a * g for a, g in zip(coeffs, gram_row, strict=True)])
-                        for gram_row in gram
-                    ]
-                )
-            self._forms[r] = row
-        return row
-
     def inner(self, a: int, b: int) -> int:
-        """Symmetric bilinear form on the root lattice, via the Gram matrix."""
-        form = self._form(b)
-        return sum([x * y for x, y in zip(self.by_code[a], form, strict=True)])
+        """Symmetric bilinear form on the root lattice: (a, b) is
+        sum_i a_i <b, alpha_i^vee> g_ii / 2, with g the Gram matrix."""
+        terms = zip(self.by_code[a], self._pairings[b], self._norms)
+        return sum([x * p * g for x, p, g in terms]) // 2
 
     def simple_pairings(self, r: int) -> Tuple[int, ...]:
-        """<r, alpha_k^vee> for every simple root alpha_k, memoised."""
-        row = self._pairings.get(r)
-        if row is None:
-            form = self._form(r)
-            row = tuple([2 * f // self.gram[k][k] for k, f in enumerate(form)])
-            self._pairings[r] = row
-        return row
+        """<r, alpha_k^vee> for every simple root alpha_k."""
+        return self._pairings[r]
 
     def coroot(self, r: int) -> Tuple[int, ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""
         norm = self.inner(r, r)
         return tuple(
-            [c * self.gram[i][i] // norm for i, c in enumerate(self.by_code[r])]
+            [c * g // norm for c, g in zip(self.by_code[r], self._norms)]
         )
 
     # -- weights -----------------------------------------------------------

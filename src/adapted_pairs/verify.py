@@ -219,13 +219,8 @@ def _successors(os: OrbitStructure, x: int) -> Optional[List[int]]:
     return None
 
 
-WALK_STATIONARY = "stationary"  # every branch reached O_1
-WALK_NOT_STATIONARY = "not_stationary"  # some branch looped or was undefined
-WALK_LOOP_GUARD = "loop_guard"  # the exploration stopped before it finished
-
-
 class WalkResult(NamedTuple):
-    reason: str  # one of the WALK_* outcomes
+    stationary: bool  # every branch reached O_1
     nodes: FrozenSet[int]  # the codes reached and their theta images
 
 
@@ -233,34 +228,35 @@ def walk_sequence(os: OrbitStructure, start: int) -> WalkResult:
     """Explore every admissible sequence from start, a code of O.
 
     The walk is stationary when every branch reaches a point whose
-    theta-image is in O_1; loops or undefined steps disqualify.  The number
-    of steps is bounded; a walk that reaches the bound is not stationary,
-    and its reason says that it stopped there rather than that a branch
-    failed.
+    theta-image is in O_1; loops or undefined steps disqualify.  One
+    depth-first pass expands each reached code once: a branch loops
+    exactly when a step leads back onto the current path (Tarjan 1972),
+    and every code reached on some sequence is reached on a simple one.
     """
-    nodes: Set[int] = set()
-    all_ok = True
-    stack = [(start, frozenset({start}))]
-    guard = 4 * len(os.O) * max(4, len(os.O))
+    stationary = True
+    reached = {start}
+    on_path: Set[int] = set()
+    # (code, its untried steps), the steps None until the code is expanded
+    stack = [(start, None)]
     while stack:
-        guard -= 1
-        if guard < 0:
-            return WalkResult(WALK_LOOP_GUARD, frozenset({start}))
-        x, seen = stack.pop()
-        nodes.add(x)
-        nodes.add(os.theta[x])
-        nxt = _successors(os, x)
-        if nxt is None:
-            all_ok = False
-            continue
-        for nx in nxt:
-            if nx in seen:
-                all_ok = False
-            else:
-                stack.append((nx, seen | {nx}))
-    return WalkResult(
-        WALK_STATIONARY if all_ok else WALK_NOT_STATIONARY, frozenset(nodes)
-    )
+        x, steps = stack.pop()
+        if steps is None:
+            on_path.add(x)
+            nxt = _successors(os, x)
+            if nxt is None:
+                stationary = False
+            steps = iter(nxt or ())
+        for y in steps:
+            if y in on_path:
+                stationary = False
+            elif y not in reached:
+                reached.add(y)
+                stack += [(x, steps), (y, None)]
+                break
+        else:
+            on_path.remove(x)
+    theta = os.theta
+    return WalkResult(stationary, frozenset(reached | {theta[x] for x in reached}))
 
 
 def _walk(
@@ -342,7 +338,7 @@ def _find_cyclic(
                 extended = True
                 w = _walk(os, walks, tilde)
                 adm, _ = _closure_admissible(os, w.nodes)
-                if not (w.reason == WALK_STATIONARY and adm):
+                if not (w.stationary and adm):
                     ok = False
                     break
         if ok:
@@ -363,9 +359,9 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     Within each pure sign region the only partner of a root may be its
     Heisenberg involution image; every root neighbouring the mixed region
     must be (extended) stationary, belong to an (extended) cyclic family,
-    or be tilde-associated to one.  Each start is walked once, and a walk
-    that hit its loop guard is a problem.  Problem lines name roots by
-    their coefficient vectors.
+    or be tilde-associated to one.  Each start is walked once, exactly;
+    a root that none of these covers is a problem.  Problem lines name
+    roots by their coefficient vectors.
     """
     problems: List[str] = []
     th = os.theta
@@ -388,7 +384,7 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     for a in needs:
         fwd = _walk(os, walks, a)
         bwd = _walk(os, walks, th[a])
-        if fwd.reason == bwd.reason == WALK_STATIONARY:
+        if fwd.stationary and bwd.stationary:
             adm, strict = _closure_admissible(os, fwd.nodes | bwd.nodes)
             if adm:
                 labels[a] = STATIONARY if strict else EXT_STATIONARY
@@ -409,11 +405,6 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     for fam in families:
         for tilde in fam.tildes.values():
             tilde_covered |= _walk(os, walks, tilde).nodes
-    for start, w in walks.items():
-        if w.reason == WALK_LOOP_GUARD:
-            problems.append(
-                f"sequence walk from {root[start]} hit its loop guard"
-            )
 
     for a in needs:
         if a in labels:

@@ -17,6 +17,9 @@
   `code_term` and `code_jacobiator`, a term [x, [y, z]] and the same sum
   on root codes and ints.
 - `orbit_structure`: the orbit structure that `check_heisenberg` builds.
+- `walk_oracle`: the sequence walk of `verify.walk_sequence` as an
+  enumeration of every simple path, which is exponential in the worst
+  case.
 - `pairing`: <a, alpha^vee> from the integer form.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
@@ -30,6 +33,9 @@
   truncated Cartan from a solve with the coroot Gram matrix of pi', the
   linear system that `ParabolicData.removed_projection` answers in closed
   form.
+- `levi_i_oracle`: the involution i of `ParabolicData` from one descent
+  per Dynkin component of pi', where the package runs one descent on all
+  of pi'.
 - Arithmetic on coefficient tuples (`vec_add`, `vec_sub`, and the sort
   key `coeffs_key`): the tests add, subtract and order roots through their
   coefficients, never through the engine's codes.
@@ -52,9 +58,10 @@ import inspect
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from adapted_pairs.verify import check_heisenberg
+from adapted_pairs.parabolic import minus_w0_on_subset
+from adapted_pairs.verify import _successors, check_heisenberg
 from linalg_oracle import solve_in_span
 
 
@@ -93,6 +100,30 @@ def orbit_structure(cand):
     if report.orbits is None:
         raise ValueError(f"no orbit structure: {report.problems}")
     return report.orbits
+
+
+def walk_oracle(os, start: int) -> Tuple[bool, FrozenSet[int]]:
+    """`verify.walk_sequence` by enumerating every simple path from start:
+    (stationary, nodes).  A branch fails at an undefined step or a step
+    back onto its own path.  Exponential in the worst case; only for the
+    orbit structures of real cases, whose sequences branch little."""
+    nodes: Set[int] = set()
+    stationary = True
+    stack = [(start, frozenset({start}))]
+    while stack:
+        x, seen = stack.pop()
+        nodes.add(x)
+        nodes.add(os.theta[x])
+        nxt = _successors(os, x)
+        if nxt is None:
+            stationary = False
+            continue
+        for nx in nxt:
+            if nx in seen:
+                stationary = False
+            else:
+                stack.append((nx, seen | {nx}))
+    return stationary, frozenset(nodes)
 
 
 def vec_add(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
@@ -410,6 +441,29 @@ def removed_projection_oracle(parab) -> List[Fraction]:
     if solution is None:
         raise ArithmeticError("coroot Gram matrix is singular")
     return solution
+
+
+def levi_i_oracle(parab) -> Dict[int, int]:
+    """The involution i of `ParabolicData`, with -w0' found one Dynkin
+    component of pi' at a time: the components by a search on the Cartan
+    matrix, the descent of `minus_w0_on_subset` on each, and alpha_s sent
+    along the j-orbit to the first index outside pi'."""
+    system = parab.system
+    left = set(parab.pi_prime)
+    i_map: Dict[int, int] = {}
+    while left:
+        comp = [min(left)]
+        left.discard(comp[0])
+        for cur in comp:
+            near = [j for j in left if system.cartan[cur][j]]
+            left.difference_update(near)
+            comp.extend(near)
+        i_map.update(minus_w0_on_subset(system, comp))
+    x = parab.j_map[parab.s - 1]
+    while x in parab.pi_prime:
+        x = parab.j_map[i_map[x]]
+    i_map[parab.s - 1] = x
+    return i_map
 
 
 # -- root generation and the cascade ----------------------------------------

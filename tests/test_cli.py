@@ -205,6 +205,45 @@ def test_report_rejects_json_nested_too_deeply(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("cannot read certificate: ")
 
 
+def test_report_on_a_tampered_rank_reads_no_root_system(
+    tmp_path, monkeypatch, capsys
+):
+    # a rank far above the certificate's root vectors is refused before any
+    # root system is built: building B2000 would run for minutes
+    import adapted_pairs.cli as cli_mod
+
+    def refuse(*args):
+        raise AssertionError(f"root system {args} built")
+
+    cert = json.loads(to_json(certificate_dict(run_case("B", 8, 4))))
+    cert["case"]["rank"] = 2000
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(cert))
+    monkeypatch.setattr(cli_mod, "build_root_system", refuse)
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert "rank 2000" in lines[0]
+
+
+@pytest.mark.parametrize("family", ["B", "X"])
+def test_report_rejects_a_certificate_that_lists_no_root(tmp_path, capsys, family):
+    # with no root vector, nothing would check the case's family and rank
+    cert = json.loads(to_json(certificate_dict(run_case("B", 8, 4))))
+    cert["case"]["family"] = family
+    cert["S"] = {"plus": [], "minus": [], "mixed": []}
+    for key in ("gamma_sets", "T", "T_star", "eigenvalues"):
+        cert[key] = []
+    path = tmp_path / "noroots.json"
+    path.write_text(json.dumps(cert))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "malformed certificate: the certificate lists no root\n"
+
+
 @pytest.mark.parametrize(
     "alpha", [[1], True, 0, 5], ids=["list", "bool", "0", "rank+1"]
 )

@@ -6,7 +6,6 @@ import pytest
 from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.parabolic import (
     ParabolicData,
-    components,
     minus_w0_on_subset,
     subsystem_roots,
 )
@@ -14,6 +13,7 @@ from adapted_pairs.roots import build_root_system
 from engine_oracle import (
     cartan_eps,
     coroot_eps,
+    levi_i_oracle,
     pairing,
     project_h,
     removed_projection_oracle,
@@ -166,10 +166,25 @@ def test_orbits_stable_under_ij():
             assert {sigma[a] for a in orbit} == set(orbit)
 
 
-def test_components():
-    sys = build_root_system("E7", 7)
-    comps = components(sys, [i for i in range(7) if i != 2])
-    assert sorted(map(tuple, comps)) == [(0,), (1, 3, 4, 5, 6)]
+def test_levi_involution_matches_the_per_component_oracle():
+    # one descent on a reducible pi' is -w0' on each Dynkin component
+    systems = (
+        [("B", n) for n in range(2, 25)]
+        + [("D", n) for n in range(4, 25)]
+        + [("E6", 6), ("E7", 7)]
+    )
+    parabolics = 0
+    for family, rank in systems:
+        sys = build_root_system(family, rank)
+        for s in range(1, rank + 1):
+            p = ParabolicData(sys, s)
+            assert p.i_map == levi_i_oracle(p), (family, rank, s)
+            parabolics += 1
+    assert parabolics == 606
+    # E7 without alpha_3 is A_1 x A_5, A_5 the chain 2-4-5-6-7: -w0' fixes
+    # alpha_1 and reverses the chain
+    p = ParabolicData(build_root_system("E7", 7), 3)
+    assert p.i_map == {0: 0, 1: 6, 3: 5, 4: 4, 5: 3, 6: 1, 2: 2}
 
 
 def test_h_projection_orthogonal():

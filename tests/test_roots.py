@@ -255,7 +255,7 @@ def test_integer_form_matches_epsilon_oracle(family, rank):
     for r in allroots:
         er = eps_of(sys, r)
         for a, ea in zip(sys.simple_roots, simples):
-            assert sys.inner(r, a) == _dot(er, ea)
+            assert sys.inner(r, a) == sys.inner(a, r) == _dot(er, ea)
             assert pairing(sys, r, a) == 2 * _dot(er, ea) / _dot(ea, ea)
         assert sys.root_from_eps(er) == r
     # the positive roots are the epsilon-generated roots with nonnegative
@@ -301,7 +301,7 @@ def test_codes_add_subtract_and_sign_like_roots(family, rank):
 
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
 def test_generation_matches_the_closure_oracle(family, rank):
-    # a fresh system, so that no other test has filled its pairing memo
+    # a fresh system: its pairing table is whole right after construction
     sys = RootSystem(family, rank)
     seeded = dict(sys._pairings)
     expected = closure_positive_roots(sys)
@@ -309,10 +309,11 @@ def test_generation_matches_the_closure_oracle(family, rank):
     assert sys.positive_roots == [sys.code(c) for c in expected]
     # the simple roots are positive roots, with their codes
     assert set(sys.simple_roots) <= set(sys.positive_roots)
-    # generation seeds the pairings of every positive root and nothing else
-    assert set(seeded) == set(sys.positive_roots)
+    # generation seeds the pairings of every root of either sign and
+    # nothing else
+    assert set(seeded) == set(sys.by_code)
     gram = sys.gram
-    for r in sys.positive_roots:
+    for r in sys.by_code:
         by_gram = tuple(
             2 * sum(c * g for c, g in zip(sys.by_code[r], gram[k])) // gram[k][k]
             for k in range(rank)

@@ -37,6 +37,7 @@ from engine_oracle import (
     orbit_structure,
     replace,
     vec_sub,
+    walk_oracle,
 )
 from linalg_oracle import det_dense, rank, solve_in_span
 
@@ -215,21 +216,19 @@ def test_heisenberg_fails_when_s_is_not_the_set_of_centres(monkeypatch):
 
 
 def test_b_negative_short_roots_stationary_at_rank_zero():
-    from adapted_pairs.verify import WALK_STATIONARY
-
     cand = build_case("B", 8, 4)
     os = orbit_structure(cand)
     for j in range(5, 9):
         a = _ev(cand.system, [(-1, j)])
         assert os.strata[os.theta[a]] == 1
-        assert walk_sequence(os, a).reason == WALK_STATIONARY
+        assert walk_sequence(os, a).stationary
 
 
 def _complete_orbit_structure(k):
     """A synthetic orbit structure on the codes 1..k in which every root is
     every other root's partner and no theta-image lies in O_1: the
     admissible sequences are all simple paths of a complete graph, far more
-    than the walk's step bound."""
+    than the k codes that a walk expands."""
     from adapted_pairs.verify import OrbitStructure
 
     codes = tuple(range(1, k + 1))
@@ -247,35 +246,75 @@ def _complete_orbit_structure(k):
     )
 
 
-def test_walk_guard_trip_is_not_a_failed_branch():
-    from adapted_pairs.verify import (
-        WALK_LOOP_GUARD,
-        WALK_NOT_STATIONARY,
-        WALK_STATIONARY,
-    )
-
-    os = _complete_orbit_structure(8)
-    w = walk_sequence(os, os.O[0])
-    assert w.reason == WALK_LOOP_GUARD
+def test_walk_of_a_complete_graph_is_exact():
+    # every branch loops, and every code is reached
+    for k in (8, 12, 300):
+        os = _complete_orbit_structure(k)
+        w = walk_sequence(os, os.O[0])
+        assert not w.stationary
+        assert w.nodes == frozenset(os.O)
     # the same roots with one partner each end in a loop: a branch fails
     looped = _complete_orbit_structure(2)
     w = walk_sequence(looped, looped.O[0])
-    assert w.reason == WALK_NOT_STATIONARY
+    assert not w.stationary and w.nodes == frozenset(looped.O)
     # and a real case walks to O_1
     cand = build_case("B", 8, 4)
     real = orbit_structure(cand)
     a = _ev(cand.system, [(-1, 5)])
-    assert walk_sequence(real, a).reason == WALK_STATIONARY
+    assert walk_sequence(real, a).stationary
 
 
-def test_classification_reports_a_walk_guard_trip():
-    os = _complete_orbit_structure(8)
-    rep = classify_roots(os)
-    assert not rep.ok
-    guard = [p for p in rep.problems if "hit its loop guard" in p]
-    start = os.by_code[os.O[0]]
-    assert f"sequence walk from {start} hit its loop guard" in guard
-    assert len(guard) == len(set(guard))  # once per start
+def test_classification_reports_every_root_of_a_looping_walk():
+    for k in (8, 12):
+        os = _complete_orbit_structure(k)
+        rep = classify_roots(os)
+        assert not rep.ok
+        assert rep.problems == [
+            f"unclassified orbit root {os.by_code[a]}" for a in os.O
+        ]
+
+
+WALK_CASES = (
+    in_scope_cases(12)
+    + [("D", n, n - 1) for n in range(6, 13, 2)]
+    + [("E6", 6, 1)]
+)
+
+
+def test_walk_matches_the_simple_path_oracle():
+    starts = 0
+    for case in WALK_CASES:
+        os = orbit_structure(build_case(*case))
+        for a in os.O:
+            assert tuple(walk_sequence(os, a)) == walk_oracle(os, a), (case, a)
+            starts += 1
+    assert starts == 7030
+
+
+def test_walk_expands_each_code_once(monkeypatch):
+    import adapted_pairs.verify as verify_mod
+
+    successors = verify_mod._successors
+    expanded = []
+    monkeypatch.setattr(
+        verify_mod,
+        "_successors",
+        lambda os, x: expanded.append(x) or successors(os, x),
+    )
+    structures = [_complete_orbit_structure(12)] + [
+        orbit_structure(build_case(*case)) for case in WALK_CASES
+    ]
+    for os in structures:
+        for a in os.O:
+            expanded.clear()
+            w = walk_sequence(os, a)
+            assert len(expanded) == len(set(expanded))
+            assert set(expanded) <= w.nodes
+    # the complete graph expands each of its codes exactly once
+    os = structures[0]
+    expanded.clear()
+    walk_sequence(os, os.O[0])
+    assert sorted(expanded) == list(os.O)
 
 
 def test_classification_walks_each_start_once(monkeypatch):
