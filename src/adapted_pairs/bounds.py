@@ -7,12 +7,12 @@ weight at the removed node, so multiset equality is exactly equality of the
 characters.
 
 Weights are integer vectors over one denominator per case: the orbit
-weights over the lcm of the fundamental-weight and Levi-block denominators
-(`RootSystem.weight_rows`), gamma + t(gamma) over the denominator of the
-inverse pairing matrix of S.  Each is stored in lowest terms, so equal
-weights are equal tuples, and multiples of varpi_s are found by integer
-cross-multiplication.  A Fraction appears only in `bound_multiples`, the
-certificate edge.
+weights over the lcm of the denominators of the fundamental weights
+(`RootSystem.weight_rows`) and of the Levi weights, a rank-one update of
+them; gamma + t(gamma) over the denominator of the inverse pairing matrix
+of S.  Each is stored in lowest terms, so equal weights are equal tuples,
+and multiples of varpi_s are found by integer cross-multiplication.  A
+Fraction appears only in `bound_multiples`, the certificate edge.
 """
 
 from __future__ import annotations
@@ -43,17 +43,30 @@ def _orbit_weights(
     parab: ParabolicData,
 ) -> Tuple[int, Dict[int, Tuple[int, ...]], Dict[int, Tuple[int, ...]]]:
     """The fundamental and Levi weights as integer vectors over one common
-    denominator: (den, fundamental, levi), kept on the parabolic."""
+    denominator: (den, fundamental, levi), kept on the parabolic.
+
+    The Levi weights are a rank-one update of the fundamental ones, with no
+    inversion of their own: for i in pi', w'_i = w_i - (w_i[s] / w_s[s]) w_s
+    pairs to delta_ij with alpha_j^vee for j != s, as w_s pairs to 0 with
+    them, and has alpha_s coordinate 0.  On the integer rows F over fden it
+    is (F_s[s] F_i - F_i[s] F_s) / (F_s[s] fden), in lowest terms."""
     if parab.orbit_weights is None:
-        sys = parab.system
-        fden, fund = sys.weight_rows(range(sys.rank))
-        lden, levi = sys.weight_rows(parab.pi_prime)
+        fden, fund = parab.system.weight_rows()
+        s0 = parab.s - 1
+        ws = fund[s0]
+        p = ws[s0]
+        levi = {
+            i: [p * x - fund[i][s0] * y for x, y in zip(fund[i], ws)]
+            for i in parab.pi_prime
+        }
+        g = math.gcd(p * fden, *[x for v in levi.values() for x in v])
+        lden = p * fden // g
         den = math.lcm(fden, lden)
         fs, ls = den // fden, den // lden
         parab.orbit_weights = (
             den,
             {a: tuple([fs * x for x in v]) for a, v in fund.items()},
-            {a: tuple([ls * x for x in v]) for a, v in levi.items()},
+            {a: tuple([x // g * ls for x in v]) for a, v in levi.items()},
         )
     return parab.orbit_weights
 
@@ -123,7 +136,7 @@ def certify_coincidence(
 
 
 def varpi_s(cand: Candidate) -> BoundWeight:
-    den, fund = cand.system.weight_rows(range(cand.system.rank))
+    den, fund = cand.system.weight_rows()
     return _lowest(fund[cand.s - 1], den)
 
 

@@ -2,13 +2,22 @@
 
 Every determinant, rank and solve goes through one elimination routine,
 `_eliminate`, which takes integer rows only: `math.gcd` raises TypeError
-on a Fraction entry that reaches a row update.  Updates are fraction-free,
+on a Fraction entry that reaches an update.  Updates are fraction-free,
 row_j <- (p/g) row_j - (a/g) row_i with g = gcd(p, a); the factors p/g are
 tracked for the determinant, and a row that such a factor scaled up is
-divided by the gcd of its entries, which keeps the integers small.  The
-pivot row is taken from a lazy heap keyed on current row length, and its
-pivot column is the one held by the fewest rows, so fill-in stays
-negligible on the sparse bracket matrices this package produces.
+divided by the gcd of its entries, which keeps the integers small.  A
+pivot row with one entry instead clears its column from the other rows by
+deleting their entries there, with no gcd, scaling or content division:
+that adds a multiple of the pivot row to each, which moves neither the
+rank nor the determinant (the first step of structured Gaussian
+elimination, LaMacchia and Odlyzko, CRYPTO '90).  The pivot row is taken
+from a lazy heap keyed on current row length, and its pivot column is the
+one held by the fewest rows, so fill-in stays negligible on the sparse
+bracket matrices this package produces.
+
+`sparse_det` and `sparse_ranks` take ownership of the rows they are given:
+they eliminate them in place, without a copy, so the caller must not use
+them afterwards.  Explicit zero entries are deleted from the rows first.
 
 Rationals appear only at the output: one Fraction per determinant and one
 per solution entry.  There is no floating point anywhere, so determinants,
@@ -20,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def _perm_sign(pivots: List[Tuple[int, int]]) -> int:
@@ -39,7 +48,8 @@ def _perm_sign(pivots: List[Tuple[int, int]]) -> int:
 def _eliminate(
     rows: List[Dict[int, int]], bounds: Sequence[int], jordan: bool = False
 ) -> Tuple[List[Tuple[int, int]], List[int], Fraction]:
-    """Fraction-free elimination of integer rows, in place.
+    """Fraction-free elimination of integer rows, in place; explicit zero
+    entries are deleted first.
 
     Pivots are taken in stages: in stage k only columns below bounds[k] may
     pivot, and the rank reached at the end of each stage is recorded, so
@@ -54,6 +64,9 @@ def _eliminate(
     """
     col_rows: Dict[int, set] = {}
     for i, r in enumerate(rows):
+        if 0 in r.values():
+            for c in [c for c, v in r.items() if not v]:
+                del r[c]
         for c in r:
             col_rows.setdefault(c, set()).add(i)
     active = set(range(len(rows)))
@@ -80,10 +93,20 @@ def _eliminate(
                 pc = min(eligible, key=lambda c: (len(col_rows[c]), c))
             pivots.append((pi, pc))
             active.discard(pi)
-            p = prow[pc]
             holders = col_rows[pc]
             # a column that the pivot row alone holds needs no update
-            for j in [j for j in holders if j != pi] if len(holders) > 1 else ():
+            others = [j for j in holders if j != pi] if len(holders) > 1 else ()
+            if nnz == 1:
+                # rows[j] - (rows[j][pc] / p) prow only deletes the entry at
+                # pc; no row gains pc again, so col_rows[pc] is not read again
+                for j in others:
+                    rj = rows[j]
+                    del rj[pc]
+                    if j in active and rj:
+                        heapq.heappush(heap, (len(rj), j))
+                others = ()  # nothing left to update
+            p = prow[pc]
+            for j in others:
                 rj = rows[j]
                 a = rj[pc]
                 g = math.gcd(p, a) if p > 0 else -math.gcd(p, a)
@@ -172,22 +195,20 @@ def invert(rows: Sequence[Sequence[int]]) -> Tuple[Fraction, Optional[Inverse]]:
     return det, Inverse(num, den)
 
 
-def sparse_ranks(
-    rows: Sequence[Mapping[int, int]], bounds: Sequence[int]
-) -> List[int]:
+def sparse_ranks(rows: List[Dict[int, int]], bounds: Sequence[int]) -> List[int]:
     """For each bound b, the rank of the columns below b, from one
     elimination that pivots on the columns below each bound before any
-    column beyond it.  bounds must be increasing."""
-    int_rows = [{c: v for c, v in r.items() if v} for r in rows]
-    return _eliminate(int_rows, bounds)[1]
+    column beyond it.  bounds must be increasing.  The rows are
+    eliminated in place: the call owns them."""
+    return _eliminate(rows, bounds)[1]
 
 
-def sparse_det(rows: Sequence[Mapping[int, int]], ncols: int) -> Fraction:
-    """Determinant of a square sparse integer matrix."""
+def sparse_det(rows: List[Dict[int, int]], ncols: int) -> Fraction:
+    """Determinant of a square sparse integer matrix.  The rows are
+    eliminated in place: the call owns them."""
     if len(rows) != ncols:
         raise ValueError("determinant of a non-square matrix")
-    int_rows = [{c: v for c, v in r.items() if v} for r in rows]
-    pivots, (rank,), factor = _eliminate(int_rows, [ncols])
+    pivots, (rank,), factor = _eliminate(rows, [ncols])
     if rank < ncols:
         return Fraction(0)
-    return _determinant(int_rows, pivots, factor)
+    return _determinant(rows, pivots, factor)

@@ -178,7 +178,7 @@ class ParabolicData:
             sys = self.system
             gram = sys.gram
             s0 = self.s - 1
-            _, fund = sys.weight_rows(range(sys.rank))
+            _, fund = sys.weight_rows()
             w = fund[s0]
             den = w[s0] * gram[s0][s0]
             num = [-w[k] * gram[k][k] for k in self.pi_prime]

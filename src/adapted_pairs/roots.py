@@ -10,9 +10,9 @@ Cartan pairings come from the integer Cartan matrix, found once per root
 while the roots are generated, and inner products from those pairings and
 the diagonal of the integer Gram matrix; both matrices are integral for
 every supported type, so root arithmetic runs on Python ints.  Fundamental
-and Levi weights are integer vectors over one denominator per simple-root
-subset (`weight_rows`).  Cartan elements are written in coroot coordinates.
-The bilinear form agrees with the Killing form up to a global scale.
+weights are integer vectors over one denominator (`weight_rows`).  Cartan
+elements are written in coroot coordinates.  The bilinear form agrees with
+the Killing form up to a global scale.
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
 n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_scaled` for
@@ -126,7 +126,7 @@ class RootSystem:
             for i in range(rank)
         ]
         self._by_eps: Optional[Dict[Coeffs, int]] = None
-        self._weight_rows: Dict[Tuple[int, ...], Tuple[int, Dict[int, Coeffs]]] = {}
+        self._weight_rows: Optional[Tuple[int, Dict[int, Coeffs]]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -208,34 +208,26 @@ class RootSystem:
 
     # -- weights -----------------------------------------------------------
 
-    def weight_rows(self, subset: Sequence[int]) -> Tuple[int, Dict[int, Coeffs]]:
-        """Fundamental weights of the subsystem on subset (0-based simple
-        indices), inside its span, as integer vectors over one denominator:
-        (den, {i: num}) with w_i = num / den in simple-root coordinates and
-        den the least such.  One inversion of the Cartan block per subset,
-        kept on the system."""
-        key = tuple(sorted(subset))
-        got = self._weight_rows.get(key)
-        if got is None:
+    def weight_rows(self) -> Tuple[int, Dict[int, Coeffs]]:
+        """The fundamental weights as integer vectors over one denominator:
+        (den, {i: num}) for every 0-based simple index i, with
+        w_i = num / den in simple-root coordinates and den the least such.
+        One inversion of the Cartan matrix, kept on the system; the Levi
+        weights of a parabolic are a rank-one update of these
+        (`bounds._orbit_weights`), with no inversion of their own."""
+        if self._weight_rows is None:
             # imported here so that rendering a certificate, which needs
             # the roots but no weights, does not load linalg
             from .linalg import invert
 
-            k = len(key)
-            block = [[self.cartan[key[j]][key[i]] for j in range(k)] for i in range(k)]
-            _, inverse = invert(block)
+            _, inverse = invert([list(col) for col in zip(*self.cartan)])
             if inverse is None:
                 raise ValueError("degenerate Cartan matrix")
-            # w_i solves block x = e_i: column i of the inverse
+            # w_i solves C^T x = e_i: column i of the inverse
             g = math.gcd(inverse.den, *[x for row in inverse for x in row])
-            rows = {}
-            for col, i in enumerate(key):
-                num = [0] * self.rank
-                for r, idx in enumerate(key):
-                    num[idx] = inverse[r][col] // g
-                rows[i] = tuple(num)
-            got = self._weight_rows[key] = (inverse.den // g, rows)
-        return got
+            rows = {i: tuple([r[i] // g for r in inverse]) for i in range(self.rank)}
+            self._weight_rows = (inverse.den // g, rows)
+        return self._weight_rows
 
     # -- epsilon edge ------------------------------------------------------
 

@@ -8,8 +8,11 @@ which the orbit structure is built once), every orbit root is classified
 as (extended) stationary, (extended) cyclic or tilde-associated, the
 pairing matrix on o x o has nonzero determinant and a
 certified single-monomial t-grading, and the coadjoint-image rank equals
-dim p - |T|.  The adapted pair (h, y) and the eigenvalues of ad h on g_T are
-then assembled and compared against closed forms.
+dim p - |T|.  Each of these two exact checks builds its matrix once, as
+the sparse integer rows that `linalg` eliminates, and hands them over as
+built: `sparse_det` and `sparse_ranks` own them from then on.  The adapted
+pair (h, y) and the eigenvalues of ad h on g_T are then assembled and
+compared against closed forms.
 """
 
 from __future__ import annotations
@@ -425,25 +428,6 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
-def pairing_matrix(
-    table: StructureTable, os: OrbitStructure
-) -> Tuple[List[Dict[int, int]], List[int]]:
-    """Rows of the skew matrix M with M[a][b] = N(-a,-b) when a+b is in S,
-    and the codes of its rows and columns in order."""
-    order = list(os.O)
-    pos = {a: i for i, a in enumerate(order)}
-    n_code = table.n_code
-    rows: List[Dict[int, int]] = []
-    for a in order:
-        row: Dict[int, int] = {}
-        for b in os.S_alpha[a]:
-            n = n_code(-a, -b)
-            if n:
-                row[pos[b]] = n
-        rows.append(row)
-    return rows, order
-
-
 def _values_on_h(
     cand: Candidate, xs: Sequence[int], codes: Sequence[int]
 ) -> List[int]:
@@ -466,43 +450,47 @@ def check_nondegeneracy(
 ) -> NondegeneracyCheck:
     """Exact determinant of Phi_y on o x o plus the t-grading certificate.
 
+    Phi_y is the skew matrix M on O (in code order) with M[a][b] = N(-a,-b)
+    when a+b is in S, that is b in S_alpha[a].  One walk over S_alpha
+    writes its rows and tests the grading; the rows then go to
+    `sparse_det`, which eliminates them in place.
+
     The grading certificate: solve gamma(h_w) = |rho(gamma)| over S (possible
     once S restricts to a basis), put u(a) = a(h_w); every nonzero entry at
     (a, b) has a+b in S, so its t-exponent |rho(a+b)| equals u(a)+u(b) and
     every permutation contributing to det M(t) carries the same power
-    t^(2 sum over pairs of |rho(a+theta(a))|): det M(t) is a single monomial.
-    The comparisons run on integers: u(a) * den, with den the denominator of
-    the inverse pairing matrix of S.
+    t^(2 sum u): det M(t) is a single monomial.  As theta(a) is in
+    S_alpha[a], that power is also t^(2 sum over pairs of
+    |rho(a+theta(a))|).  The comparisons run on integers: u(a) * den, with
+    den the denominator of the inverse pairing matrix of S.
     """
-    rows, order = pairing_matrix(table, os)
+    order = os.O
     size = len(order)
-    det = sparse_det(rows, size)
-
-    mono_ok = size % 2 == 0
-    degree = 0
+    root = os.by_code
+    heights = [sum(root[a]) for a in order]
     _, inverse = cand.s_inverse
-    if inverse is None:
-        mono_ok = False
-    else:
+    mono_ok = inverse is not None and size % 2 == 0
+    den, u, degree = 1, heights, 0  # u and den are read only under mono_ok
+    if inverse is not None:
         den = inverse.den
-        root = os.by_code
         xs = inverse.solve_scaled([abs(sum(root[g])) for g in cand.S])
         u = _values_on_h(cand, xs, order)
-        heights = [sum(root[a]) for a in order]
-        pos = {a: i for i, a in enumerate(order)}
-        for i, a in enumerate(order):
-            for b in os.S_alpha[a]:
-                j = pos[b]
-                if abs(heights[i] + heights[j]) * den != u[i] + u[j]:
-                    mono_ok = False
-        total = sum(u)
-        theta = os.theta
-        expected = sum(
-            abs(h + heights[pos[theta[a]]]) for a, h in zip(order, heights)
-        )  # counts each theta-pair twice, matching the exponent 2*total
-        if 2 * total != expected * den:
-            mono_ok = False
-        degree = int(Fraction(2 * total, den))
+        degree = int(Fraction(2 * sum(u), den))
+    pos = {a: i for i, a in enumerate(order)}
+    n_code = table.n_code
+    rows: List[Dict[int, int]] = []
+    for i, a in enumerate(order):
+        row: Dict[int, int] = {}
+        hi, ui = heights[i], u[i]
+        for b in os.S_alpha[a]:
+            j = pos[b]
+            n = n_code(-a, -b)
+            if n:
+                row[j] = n
+            if mono_ok and abs(hi + heights[j]) * den != ui + u[j]:
+                mono_ok = False
+        rows.append(row)
+    det = sparse_det(rows, size)
     return NondegeneracyCheck(det != 0 and mono_ok, det, size, mono_ok, degree)
 
 
@@ -511,57 +499,55 @@ def check_nondegeneracy(
 # ---------------------------------------------------------------------------
 
 
-def coadjoint_columns(
-    cand: Candidate, table: StructureTable
-) -> Tuple[List[Dict[int, int]], Dict[int, int], int, int]:
-    """Sparse integer columns of b -> (ad b) y over the basis of p^-, with
-    the Cartan rows scaled: (columns, row_of, dim_p, scale); row_of maps
-    the code of a support root to its row.
+def coadjoint_rows(cand: Candidate, table: StructureTable) -> List[Dict[int, int]]:
+    """The sparse integer rows of [M | e_T], M the matrix of b -> (ad b) y
+    over the basis of p^-, with the Cartan rows scaled.
 
-    Row indices: the support roots in sorted order, then the truncated
-    Cartan in coroot coordinates, times scale, the denominator of
+    Rows: the support roots in sorted order, then the truncated Cartan in
+    coroot coordinates, times scale, the denominator of
     `ParabolicData.removed_projection`; scaling rows keeps every rank.
-    Columns: x_{-gamma} for every support root gamma, then the coroot
-    basis.  Root entries are structure constants and pairings, found by
-    root code; only a column x_{-gamma} with gamma in S has Cartan entries.
-    Every member of S must lie in the support (`check_regularity` tests
-    this first).
+    Columns: x_{-gamma} for every support root gamma, in the same order,
+    then the coroot basis, then e_t for every t in T.  One probe pass over
+    support x S writes each nonzero N(-b, p) into the row of p - b; only a
+    column x_{-gamma} with gamma in S has Cartan entries, and only its row
+    has coroot entries.  Every member of S must lie in the support
+    (`check_regularity` tests this first).
     """
     sys = cand.system
     parab = cand.parabolic
     support = parab.dual_support
     row_of = {c: i for i, c in enumerate(support)}
     nroots = len(support)
-    scale, _ = parab.removed_projection()
+    dim_p = nroots + parab.h_dim
+    rows: List[Dict[int, int]] = [{} for _ in range(dim_p)]
     n_code = table.n_code
-    columns: List[Dict[int, int]] = []
-    for bc in support:
-        col: Dict[int, int] = {}
-        for pc in cand.S:
-            if pc == bc:
-                coroot = sys.coroot(bc)
-                h_coeffs = parab.h_in_coroot_basis_scaled([-x for x in coroot])
-                for k, c in enumerate(h_coeffs):
-                    if c:
-                        col[nroots + k] = col.get(nroots + k, 0) + c
-                continue
-            i = row_of.get(pc - bc)
+    for col, b in enumerate(support):
+        for p in cand.S:
+            i = row_of.get(p - b)  # p - b is never 0 here: 0 is no root
             if i is not None:
-                n = n_code(-bc, pc)
+                n = n_code(-b, p)
                 if n:
-                    col[i] = col.get(i, 0) + n
-        columns.append({k: v for k, v in col.items() if v != 0})
-    s_pairings = [(row_of[pc], parab.pairing_on_coroots(pc)) for pc in cand.S]
-    for k in range(parab.h_dim):
-        columns.append({i: vals[k] for i, vals in s_pairings if vals[k]})
-    return columns, row_of, nroots + parab.h_dim, scale
+                    rows[i][col] = n
+    for p in cand.S:
+        col = row_of[p]
+        h = parab.h_in_coroot_basis_scaled([-x for x in sys.coroot(p)])
+        row = rows[col]
+        for k, (c, v) in enumerate(zip(h, parab.pairing_on_coroots(p))):
+            if c:
+                rows[nroots + k][col] = c
+            if v:
+                row[nroots + k] = v
+    for j, t in enumerate(cand.T):
+        rows[row_of[t]][dim_p + j] = 1
+    return rows
 
 
 def check_regularity(
     cand: Candidate, table: StructureTable
 ) -> RegularityCheck:
     """Rank of (ad p^-) y and of its span with g_T, from one elimination of
-    [M | e_T] that pivots on the columns of M first.  When a member of S
+    the rows of [M | e_T] (`coadjoint_rows`, handed to `sparse_ranks` as
+    built) that pivots on the columns of M first.  When a member of S
     lies outside the support, y is not in the dual of p: the check fails
     with a problem line and no rank."""
     parab = cand.parabolic
@@ -574,15 +560,8 @@ def check_regularity(
             f"not run: S member {root[g]} outside support" for g in outside
         ]
         return RegularityCheck(False, 0, 0, dim_p, t_size, False, problems)
-    columns, row_of, _, _ = coadjoint_columns(cand, table)
-    ncols = len(columns)
-    rows: List[Dict[int, int]] = [dict() for _ in range(dim_p)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][c] = v
-    for j, t in enumerate(cand.T):
-        rows[row_of[t]][ncols + j] = 1
-    rank, rank_aug = sparse_ranks(rows, [ncols, ncols + t_size])
+    rows = coadjoint_rows(cand, table)
+    rank, rank_aug = sparse_ranks(rows, [dim_p, dim_p + t_size])
     ok = rank == dim_p - t_size and rank_aug == dim_p
     return RegularityCheck(ok, rank, rank_aug, dim_p, t_size, rank_aug == dim_p, [])
 

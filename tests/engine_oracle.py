@@ -11,8 +11,14 @@
   coadjoint action on the dual of the truncated parabolic (`ad_on_dual`,
   with the orthogonal projection `project_h`), all in
   `fractions.Fraction` from the constants of `StructureTable.n_code`.
-  The tests rebuild the matrix of `verify.coadjoint_columns` from it,
+  The tests rebuild the matrix of `verify.coadjoint_rows` from it,
   column by column.
+- The column builders that `verify` replaced by row builders:
+  `coadjoint_columns`, which probes support x S once per column of
+  (ad p^-) y, and `nondegeneracy_oracle`, which builds the pairing rows
+  (`pairing_matrix`) and then tests the t-grading in a second pass over
+  S_alpha, in fractions.  The tests compare the rows, ranks, determinant,
+  grading verdict and degree of the engine with them.
 - `jacobiator`: the Jacobi sum of three root vectors through `bracket`;
   `code_term` and `code_jacobiator`, a term [x, [y, z]] and the same sum
   on root codes and ints.
@@ -44,7 +50,8 @@
   the inner product and finds each level's simple roots again: the
   straightforward forms of `RootSystem._generate_positive` and
   `cascade.kostant_cascade`.
-- The rational bound path: fundamental and Levi weights, orbit weights,
+- The rational bound path: fundamental and Levi weights (each from a
+  solve with the Cartan block of its simple roots), orbit weights,
   t(gamma) and both bound multisets in `fractions.Fraction` (`Weight`),
   with t(gamma) solved by the plain Gaussian elimination of
   `linalg_oracle`.  The package computes the same bounds on integers; the
@@ -62,7 +69,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from adapted_pairs.parabolic import minus_w0_on_subset
 from adapted_pairs.verify import _successors, check_heisenberg
-from linalg_oracle import solve_in_span
+from linalg_oracle import det_dense, solve_in_span
 
 
 def replace(obj, **changes):
@@ -265,6 +272,90 @@ def ad_on_dual(table, parab, x: GElem, y: GElem) -> GElem:
         if any(v != 0 for v in proj):
             out.add_h(proj)
     return out
+
+
+def coadjoint_columns(
+    cand, table
+) -> Tuple[List[Dict[int, int]], Dict[int, int], int, int]:
+    """The matrix M of `verify.coadjoint_rows`, without its e_T block, as
+    sparse integer columns: (columns, row_of, dim_p, scale), row_of the
+    row of each support root by code and scale the denominator of
+    `ParabolicData.removed_projection`, which scales the Cartan rows.
+
+    Column x_{-b} probes every member p of S: p = b gives the Cartan
+    entries h(-b^vee) and otherwise N(-b, p) goes to the row of p - b,
+    when that is a support root.  The coroot columns hold the pairings of
+    S.  Every member of S must lie in the support."""
+    sys = cand.system
+    parab = cand.parabolic
+    support = parab.dual_support
+    row_of = {c: i for i, c in enumerate(support)}
+    nroots = len(support)
+    scale, _ = parab.removed_projection()
+    columns: List[Dict[int, int]] = []
+    for bc in support:
+        col: Dict[int, int] = {}
+        for pc in cand.S:
+            if pc == bc:
+                coroot = sys.coroot(bc)
+                h_coeffs = parab.h_in_coroot_basis_scaled([-x for x in coroot])
+                for k, c in enumerate(h_coeffs):
+                    if c:
+                        col[nroots + k] = col.get(nroots + k, 0) + c
+                continue
+            i = row_of.get(pc - bc)
+            if i is not None:
+                n = table.n_code(-bc, pc)
+                if n:
+                    col[i] = col.get(i, 0) + n
+        columns.append({k: v for k, v in col.items() if v != 0})
+    s_pairings = [(row_of[pc], parab.pairing_on_coroots(pc)) for pc in cand.S]
+    for k in range(parab.h_dim):
+        columns.append({i: vals[k] for i, vals in s_pairings if vals[k]})
+    return columns, row_of, nroots + parab.h_dim, scale
+
+
+def pairing_matrix(table, os) -> Tuple[List[Dict[int, int]], List[int]]:
+    """Rows of the skew matrix M with M[a][b] = N(-a,-b) when a+b is in S,
+    and the codes of its rows and columns in order."""
+    order = list(os.O)
+    pos = {a: i for i, a in enumerate(order)}
+    rows: List[Dict[int, int]] = []
+    for a in order:
+        row: Dict[int, int] = {}
+        for b in os.S_alpha[a]:
+            n = table.n_code(-a, -b)
+            if n:
+                row[pos[b]] = n
+        rows.append(row)
+    return rows, order
+
+
+def nondegeneracy_oracle(cand, table, os) -> Tuple[List[Dict[int, int]], bool, int]:
+    """The pairing rows (`pairing_matrix`), the t-grading verdict and the
+    monomial degree of `verify.check_nondegeneracy`, the grading from a
+    second pass over S_alpha in fractions: h_w solves
+    gamma(h_w) = |rho(gamma)| over S, u(a) = a(h_w), every b in S_alpha[a]
+    needs |rho(a + b)| = u(a) + u(b), and 2 sum u must equal the sum over
+    O of |rho(a + theta(a))|.  Without such an h there is no grading and
+    the degree is 0."""
+    rows, order = pairing_matrix(table, os)
+    pairs = cand.parabolic.pairing_on_coroots
+    s_rows = [pairs(g) for g in cand.S]
+    if len(s_rows) != cand.parabolic.h_dim or det_dense(s_rows) == 0:
+        return rows, False, 0
+    root = os.by_code
+    height = {a: sum(root[a]) for a in order}
+    columns = [list(c) for c in zip(*s_rows)]
+    x = solve_in_span(columns, [abs(sum(root[g])) for g in cand.S])
+    u = {a: sum(xk * p for xk, p in zip(x, pairs(a))) for a in order}
+    graded = len(order) % 2 == 0 and all(
+        abs(height[a] + height[b]) == u[a] + u[b] for a in order for b in os.S_alpha[a]
+    )
+    total = sum(u.values())
+    if 2 * total != sum(abs(height[a] + height[os.theta[a]]) for a in order):
+        graded = False
+    return rows, graded, int(2 * total)
 
 
 def jacobiator(table, a: int, b: int, c: int) -> GElem:
@@ -635,10 +726,23 @@ def multiple_of(w: Weight, base: Weight) -> Optional[Fraction]:
 
 def levi_weights(system, subset: Sequence[int]) -> Dict[int, Weight]:
     """Fundamental weights of the subsystem on subset (0-based simple
-    indices), inside its span, as rationals: the view of
-    `RootSystem.weight_rows`."""
-    den, rows = system.weight_rows(subset)
-    return {i: Weight(tuple(Fraction(x, den) for x in num)) for i, num in rows.items()}
+    indices), inside its span, as rationals: w_i = sum_k x_k alpha_k over k
+    in subset, with sum_k x_k <alpha_k, alpha_j^vee> = delta_ij for j in
+    subset; solved once per system and subset."""
+    return _levi_weights(system, tuple(subset))
+
+
+@lru_cache(maxsize=None)
+def _levi_weights(system, subset: Tuple[int, ...]) -> Dict[int, Weight]:
+    columns = [[system.cartan[k][j] for j in subset] for k in subset]
+    out = {}
+    for i in subset:
+        x = solve_in_span(columns, [int(j == i) for j in subset])
+        coeffs = [Fraction(0)] * system.rank
+        for k, v in zip(subset, x):
+            coeffs[k] = v
+        out[i] = Weight(tuple(coeffs))
+    return out
 
 
 def fundamental_weights(system) -> List[Weight]:

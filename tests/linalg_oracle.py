@@ -7,7 +7,7 @@ solutions of the two.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 def det_dense(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -77,16 +77,20 @@ def solve_in_span(
     return coeffs
 
 
-def rank(rows: Sequence[Mapping[int, Fraction]]) -> int:
-    """Rank of sparse rows, by reducing each row against an echelon basis
-    whose rows are normalised to a leading 1 at their smallest column."""
+def _leads(rows: Sequence[Mapping[int, Fraction]]) -> List[Tuple[int, int, Fraction]]:
+    """(row, leading column, leading entry) of each row that is independent
+    of the rows before it, after reducing it against an echelon basis of
+    those rows, whose rows are normalised to a leading 1 at their smallest
+    column."""
     basis: Dict[int, Dict[int, Fraction]] = {}
-    for row in rows:
+    leads = []
+    for i, row in enumerate(rows):
         r = {c: Fraction(v) for c, v in row.items() if v}
         while r:
             lead = min(r)
             if lead not in basis:
                 basis[lead] = {c: v / r[lead] for c, v in r.items()}
+                leads.append((i, lead, r[lead]))
                 break
             f = r[lead]
             for c, v in basis[lead].items():
@@ -95,4 +99,30 @@ def rank(rows: Sequence[Mapping[int, Fraction]]) -> int:
                     r[c] = nv
                 else:
                     r.pop(c, None)
-    return len(basis)
+    return leads
+
+
+def rank(rows: Sequence[Mapping[int, Fraction]]) -> int:
+    """Rank of sparse rows."""
+    return len(_leads(rows))
+
+
+def det_sparse(rows: Sequence[Mapping[int, Fraction]], n: int) -> Fraction:
+    """Determinant of a square matrix of n sparse rows.  Each row is reduced
+    by multiples of the rows before it, which keeps the determinant; the
+    reduced rows have distinct leading columns, so the determinant is the
+    sign of row -> leading column times the product of the leading
+    entries."""
+    leads = _leads(rows)
+    if len(leads) < n:
+        return Fraction(0)
+    det = Fraction(1)
+    for _, _, v in leads:
+        det *= v
+    perm = [c for _, c, _ in leads]
+    for i in range(n):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            det = -det
+    return det

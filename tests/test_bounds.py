@@ -8,6 +8,7 @@ import engine_oracle as oracle
 from adapted_pairs.bounds import (
     BoundWeight,
     _lowest,
+    _orbit_weights,
     _t_of_all,
     bound_multiples,
     certify_coincidence,
@@ -19,6 +20,7 @@ from adapted_pairs.bounds import (
     varpi_s,
 )
 from adapted_pairs.construction import build_case, in_scope_cases
+from adapted_pairs.parabolic import ParabolicData
 from adapted_pairs.roots import build_root_system
 
 F = Fraction
@@ -161,7 +163,7 @@ def test_coincidence_negative():
 
 def test_flipped_cases_use_flipped_ray():
     cand = build_case("E6", 6, 1)
-    den, fund = build_root_system("E6", 6).weight_rows(range(6))
+    den, fund = build_root_system("E6", 6).weight_rows()
     base = BoundWeight(fund[0], den)
     lower = lower_bound(cand.parabolic)
     assert Counter(ray_multiple(w, base) for w in lower) == Counter(
@@ -186,3 +188,55 @@ def test_integer_bounds_match_the_rational_oracle(family, n, s):
         assert all(w.den > 0 and math.gcd(w.den, *w.num) == 1 for w in ours)
         assert _rational(ours) == Counter(w.coeffs for w in theirs)
         assert bound_multiples(cand, ours) == oracle.bound_multiples(cand, theirs)
+
+
+LEVI_SYSTEMS = (
+    [("B", n) for n in range(2, 25)]
+    + [("D", n) for n in range(4, 25)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+def _levi_weights_hold(parab, s):
+    """Whether the Levi weights of `bounds._orbit_weights` are those of pi',
+    the simple roots other than alpha_s: <w'_i, alpha_j^vee> = delta_ij for
+    i, j in pi' and no alpha_s coordinate, over the least denominator of
+    all the orbit weights."""
+    den, fund, levi = _orbit_weights(parab)
+    sys = parab.system
+    pi_prime = [i for i in range(sys.rank) if i != s - 1]
+    if sorted(levi) != pi_prime:
+        return False
+    for i, w in levi.items():
+        if w[s - 1]:
+            return False
+        for j in pi_prime:
+            pairing = sum([x * row[j] for x, row in zip(w, sys.cartan)])
+            if pairing != den * (i == j):
+                return False
+    return math.gcd(den, *[x for v in [*fund.values(), *levi.values()] for x in v]) == 1
+
+
+@pytest.mark.parametrize("family,n", LEVI_SYSTEMS)
+def test_rank_one_levi_weights_are_those_of_pi_prime(family, n):
+    sys = build_root_system(family, n)
+    for s in range(1, n + 1):
+        parab = ParabolicData(sys, s)
+        assert _levi_weights_hold(parab, s), s
+        if n <= 8:
+            den, _, levi = _orbit_weights(parab)
+            theirs = oracle.levi_weights(sys, parab.pi_prime)
+            assert {i: tuple(F(x, den) for x in w) for i, w in levi.items()} == {
+                i: w.coeffs for i, w in theirs.items()
+            }
+
+
+def test_rank_one_levi_update_at_a_wrong_s_mismatches():
+    sys = build_root_system("D", 7)
+    for s in range(1, 8):
+        for wrong in range(1, 8):
+            if wrong == s:
+                continue
+            parab = ParabolicData(sys, s)
+            parab.s = wrong  # the update reads s; pi' stays that of s
+            assert not _levi_weights_hold(parab, s), (s, wrong)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapted_pairs.linalg import invert, sparse_det, sparse_ranks
-from linalg_oracle import det_dense, rank, solve_in_span
+from linalg_oracle import det_dense, det_sparse, rank, solve_in_span
 
 
 def F(x):
@@ -103,13 +103,26 @@ def test_explicit_zero_entries_are_ignored():
 
 
 def test_a_fraction_entry_is_refused():
-    rows = [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 1}]
+    # each call owns its rows, so each gets fresh ones
+    def rows():
+        return [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 1}]
+
     with pytest.raises(TypeError):
-        sparse_det(rows, 2)
+        sparse_det(rows(), 2)
     with pytest.raises(TypeError):
-        sparse_ranks(rows, [2])
+        sparse_ranks(rows(), [2])
     with pytest.raises(TypeError):
         invert([[Fraction(1, 2), 1], [1, 1]])
+
+
+def test_the_rows_are_eliminated_in_place():
+    # the call owns the caller's rows: explicit zeros go from the caller's
+    # dicts, and the one-entry row {0: 3} clears column 0 from the other
+    # row by deletion, with no scaling or content division
+    rows = [{0: 3, 1: 0}, {0: 5, 1: 7}]
+    first, second = rows
+    assert sparse_det(rows, 2) == 21
+    assert rows == [{0: 3}, {1: 7}] and rows[0] is first and rows[1] is second
 
 
 def test_solve_in_span():
@@ -264,3 +277,36 @@ def test_single_entry_rows_and_columns_match_oracle(m, data):
         assert sparse_det(_sparse(m), ncols) == det
         got, inverse = invert(m)
         assert got == det and (inverse is None) == (det == 0)
+
+
+@st.composite
+def shared_one_entry_matrices(draw):
+    """Integer matrices, square or not, in which some rows hold one nonzero
+    entry, in a column that another row also holds: pivots that clear
+    their column from the other rows by deletion."""
+    nrows = draw(st.integers(2, 7))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 7))
+    nonzero = st.integers(1, 4).flatmap(lambda k: st.sampled_from([k, -k]))
+    small = st.one_of(st.integers(-3, 3), st.integers(-5, 5).map(lambda k: 10**17 + k))
+    m = [draw(st.lists(small, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    row = st.integers(0, nrows - 1)
+    singles = draw(st.lists(row, min_size=1, max_size=nrows - 1, unique=True))
+    rest = [i for i in range(nrows) if i not in singles]
+    for i in singles:
+        c = draw(st.integers(0, ncols - 1))
+        m[i] = [0] * ncols
+        m[i][c] = draw(nonzero)
+        m[draw(st.sampled_from(rest))][c] = draw(nonzero)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_one_entry_matrices(), st.data())
+def test_one_entry_pivots_shared_with_other_rows_match_oracle(m, data):
+    ncols = len(m[0])
+    split = data.draw(st.integers(0, ncols))
+    first = [{j: v for j, v in enumerate(row) if j < split and v} for row in m]
+    assert sparse_ranks(_sparse(m), [split, ncols]) == [rank(first), rank(_sparse(m))]
+    if len(m) == ncols:
+        det = det_dense(m)
+        assert sparse_det(_sparse(m), ncols) == det == det_sparse(_sparse(m), ncols)

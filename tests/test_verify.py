@@ -15,10 +15,9 @@ from adapted_pairs.verify import (
     check_nondegeneracy,
     check_regularity,
     classify_roots,
-    coadjoint_columns,
+    coadjoint_rows,
     eigenvalue_report,
     expected_eigenvalues,
-    pairing_matrix,
     run_case,
     solve_h,
     walk_sequence,
@@ -30,16 +29,18 @@ from engine_oracle import (
     ad_on_dual,
     cartan_eps,
     centre_moved_outside,
+    coadjoint_columns,
     coroot_eps,
     enumerate_pairings,
     eps_of,
     n_const,
+    nondegeneracy_oracle,
     orbit_structure,
     replace,
     vec_sub,
     walk_oracle,
 )
-from linalg_oracle import det_dense, rank, solve_in_span
+from linalg_oracle import det_dense, det_sparse, rank, solve_in_span
 
 F = Fraction
 
@@ -389,13 +390,30 @@ def test_nondegeneracy_b22_two_by_two():
     assert check.ok
 
 
-def test_pairing_matrix_skew_and_even():
+def _rows_handed_to(monkeypatch, name):
+    """Copies of the rows that verify hands to the linalg function name,
+    one list per call, taken before the call eliminates them."""
+    import adapted_pairs.verify as verify_mod
+
+    real = getattr(verify_mod, name)
+    seen = []
+
+    def spy(rows, *args):
+        seen.append([dict(r) for r in rows])
+        return real(rows, *args)
+
+    monkeypatch.setattr(verify_mod, name, spy)
+    return seen
+
+
+def test_pairing_matrix_skew_and_even(monkeypatch):
+    handed = _rows_handed_to(monkeypatch, "sparse_det")
     for family, n, s in [("B", 6, 4), ("D", 7, 4), ("E6", 6, 6)]:
         cand = build_case(family, n, s)
         table = build_structure_table(cand.system)
-        os = orbit_structure(cand)
-        rows, order = pairing_matrix(table, os)
-        assert len(order) % 2 == 0
+        check_nondegeneracy(cand, table, orbit_structure(cand))
+        rows = handed.pop()
+        assert len(rows) % 2 == 0
         for i, row in enumerate(rows):
             for j, v in row.items():
                 assert rows[j].get(i) == -v
@@ -525,16 +543,16 @@ def test_regularity_rank_complements_index():
         assert check.dim_p - check.rank == cand.parabolic.index
 
 
-def _regularity_rows(cand, table, extra_roots):
-    """Rows of [M | e_x for x in extra_roots], M the coadjoint matrix; the
-    extra roots are given by their codes."""
-    columns, row_of, dim_p, _ = coadjoint_columns(cand, table)
-    rows = [dict() for _ in range(dim_p)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][c] = v
+def _image_rows(cand, table, extra_roots):
+    """Rows of [M | e_x for x in extra_roots], M the coadjoint matrix of
+    `coadjoint_rows` without its e_T block; the extra roots are given by
+    their codes."""
+    support = cand.parabolic.dual_support
+    dim_p = len(support) + cand.parabolic.h_dim
+    rows = coadjoint_rows(cand, table)
+    rows = [{c: v for c, v in r.items() if c < dim_p} for r in rows]
     for j, x in enumerate(extra_roots):
-        rows[row_of[x]][len(columns) + j] = 1
+        rows[support.index(x)][dim_p + j] = 1
     return rows
 
 
@@ -543,19 +561,19 @@ def test_regularity_ranks_match_two_oracle_ranks():
         cand = build_case(family, n, s)
         table = build_structure_table(cand.system)
         check = check_regularity(cand, table)
-        assert check.rank == rank(_regularity_rows(cand, table, []))
-        assert check.rank_augmented == rank(_regularity_rows(cand, table, cand.T))
+        assert check.rank == rank(_image_rows(cand, table, []))
+        assert check.rank_augmented == rank(_image_rows(cand, table, cand.T))
 
 
 def test_regularity_fails_when_t_meets_the_image():
     cand = build_case("B", 6, 4)
     table = build_structure_table(cand.system)
-    image_rank = rank(_regularity_rows(cand, table, []))
+    image_rank = rank(_image_rows(cand, table, []))
     # a support root outside T whose root vector is in the image of ad p^-
     inside = next(
         x
         for x in cand.parabolic.dual_support
-        if x not in cand.T and rank(_regularity_rows(cand, table, [x])) == image_rank
+        if x not in cand.T and rank(_image_rows(cand, table, [x])) == image_rank
     )
     bad = replace(cand, T=(inside,) + cand.T[1:])
     check = check_regularity(bad, table)
@@ -569,21 +587,29 @@ COADJOINT_ORACLE_CASES = in_scope_cases(8) + [("D", 6, 5), ("D", 8, 7), ("E6", 6
 
 @pytest.mark.parametrize("family,n,s", COADJOINT_ORACLE_CASES)
 def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
-    # every column, rebuilt as ad_on_dual(x, y) with y = sum of x_g over S:
-    # x = x_{-gamma} for the support roots, then the truncated coroots; the
-    # Cartan rows of the columns are scaled by the returned scale
+    # every column j of the rows, rebuilt as ad_on_dual(x, y) with y = sum
+    # of x_g over S: x = x_{-gamma} for the support roots, then the
+    # truncated coroots; the Cartan rows are scaled by the denominator of
+    # the removed projection, and the columns past dim p are e_T
     cand = build_case(family, n, s)
     sys, parab = cand.system, cand.parabolic
     table = build_structure_table(sys)
-    columns, row_of, dim_p, scale = coadjoint_columns(cand, table)
+    rows = coadjoint_rows(cand, table)
+    scale, _ = parab.removed_projection()
     support = cand.parabolic.dual_support
+    row_of = {c: i for i, c in enumerate(support)}
+    dim_p = len(support) + parab.h_dim
     root = sys.by_code
     y = GElem({root[g]: F(1) for g in cand.S})
     xs = [GElem({root[-g]: F(1)}) for g in support]
     for k in parab.pi_prime:
         xs.append(GElem(h_part=tuple(int(i == k) for i in range(sys.rank))))
-    assert len(columns) == len(xs) == dim_p
-    for col, x in zip(columns, xs):
+    assert len(rows) == len(xs) == dim_p
+    columns = [{} for _ in range(dim_p + len(cand.T))]
+    for r, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][r] = v
+    for j, x in enumerate(xs):
         out = ad_on_dual(table, parab, x, y)
         expected = {
             row_of[sys.code(c)]: v for c, v in out.root_part.items()
@@ -593,7 +619,44 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
             for k, i in enumerate(parab.pi_prime):
                 if out.h_part[i]:
                     expected[len(support) + k] = scale * out.h_part[i]
-        assert col == expected
+        assert columns[j] == expected
+    for j, t in enumerate(cand.T):
+        assert columns[dim_p + j] == {row_of[t]: 1}
+
+
+FLIP_CASES = [("D", n, n - 1) for n in (6, 8, 10, 12)] + [("E6", 6, 1)]
+
+
+@pytest.mark.parametrize("family,n,s", in_scope_cases(12) + FLIP_CASES)
+def test_row_builders_match_the_column_oracles(monkeypatch, family, n, s):
+    # the rows that both checks hand to linalg equal the rows of the
+    # column-probe and two-pass oracles, and the ranks, determinant,
+    # grading verdict and degree equal the oracles' on them
+    cand = build_case(family, n, s)
+    table = build_structure_table(cand.system)
+    os = orbit_structure(cand)
+    det_rows = _rows_handed_to(monkeypatch, "sparse_det")
+    rank_rows = _rows_handed_to(monkeypatch, "sparse_ranks")
+    nondeg = check_nondegeneracy(cand, table, os)
+    reg = check_regularity(cand, table)
+
+    columns, row_of, dim_p, _ = coadjoint_columns(cand, table)
+    image = [{} for _ in range(dim_p)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            image[r][c] = v
+    augmented = [dict(r) for r in image]
+    for j, t in enumerate(cand.T):
+        augmented[row_of[t]][dim_p + j] = 1
+    assert rank_rows == [augmented]
+    assert (reg.rank, reg.rank_augmented) == (rank(image), rank(augmented))
+
+    rows, graded, degree = nondegeneracy_oracle(cand, table, os)
+    assert det_rows == [rows]
+    assert nondeg.size == len(rows)
+    assert nondeg.determinant == det_sparse(rows, len(rows))
+    assert (nondeg.monomial_ok, nondeg.monomial_degree) == (graded, degree)
+    assert nondeg.ok and reg.ok
 
 
 def test_regularity_fails_for_s_outside_the_support(monkeypatch):
@@ -613,17 +676,6 @@ def test_regularity_fails_for_s_outside_the_support(monkeypatch):
     assert any("outside support" in p for p in result.heisenberg.problems)
 
 
-def _e6_column(cand, table, columns, gamma_b):
-    """The column of x_{-gamma_b}, gamma_b a root code, as a dense vector."""
-    support = cand.parabolic.dual_support
-    idx = support.index(gamma_b)
-    dim_p = len(support) + cand.parabolic.h_dim
-    dense = [F(0)] * dim_p
-    for r, v in columns[idx].items():
-        dense[r] = v
-    return dense
-
-
 def test_e6_membership_witnesses():
     # the case-analysis witnesses expressing each T* vector inside
     # (ad p^-) y + g_T, checked as exact span membership (sign conventions
@@ -631,16 +683,18 @@ def test_e6_membership_witnesses():
     cand = build_case("E6", 6, 6)
     sys = cand.system
     table = build_structure_table(cand.system)
-    columns, row_of, dim_p, _ = coadjoint_columns(cand, table)
+    rows = coadjoint_rows(cand, table)
     support = cand.parabolic.dual_support
+    dim_p = len(rows)
 
     def col(coeffs):
-        gb = sys.root_from_coeffs(coeffs)
-        return _e6_column(cand, table, columns, gb)
+        """The column of x_{-gamma_b} as a dense vector."""
+        j = support.index(sys.root_from_coeffs(coeffs))
+        return [F(row.get(j, 0)) for row in rows]
 
     def unit(coeffs):
         dense = [F(0)] * dim_p
-        dense[row_of[sys.root_from_coeffs(coeffs)]] = F(1)
+        dense[support.index(sys.root_from_coeffs(coeffs))] = F(1)
         return dense
 
     witnesses = [
