@@ -2,9 +2,12 @@
 
 Each builder materializes the set S = S+ | S- | Sm, one Heisenberg set per
 element of S, and the complement T (plus T* in type E6), parameterized by
-(family, n, s) rather than transcribed as literal tables.  The extremal
-D case for s = n-1 and the E6 case s = 1 are obtained from s = n and s = 6
-by the corresponding diagram flip.
+(family, n, s) rather than transcribed as literal tables.  The remaining
+cases are moved from a built one along a map of simple roots
+(`_simple_root_map`): the extremal D case s = n-1 and the E6 case s = 1
+from s = n and s = 6 by the diagram flip, and E7 with s = 3 from the
+extremal D6 case, through the D6 of the roots orthogonal to the highest
+root (`e7_d6_embedding`).
 
 A Heisenberg set Gamma_gamma is its centre gamma together with pairs
 {a, gamma - a}.  The builders list only the centre and one half a of each
@@ -436,108 +439,80 @@ def _build_E6() -> Candidate:
 
 
 # ---------------------------------------------------------------------------
+# maps of simple roots, and the diagram flips
+# ---------------------------------------------------------------------------
+
+
+def _simple_root_map(
+    source: RootSystem, target: RootSystem, perm: Dict[int, int]
+) -> Dict[int, int]:
+    """The code map of every root of source that sends alpha_i to
+    alpha_{perm[i]} of target (1-based; an index not in perm stays put):
+    coefficient i moves to position perm[i].  An image that is not a root
+    of target raises KeyError."""
+    phi: Dict[int, int] = {}
+    for code in source.positive_roots:
+        v = [0] * target.rank
+        for i, c in enumerate(source.by_code[code], start=1):
+            v[perm.get(i, i) - 1] = c
+        phi[code] = target.root_from_coeffs(v)
+        phi[-code] = -phi[code]
+    return phi
+
+
+def _move_candidate(
+    cand: Candidate,
+    phi: Dict[int, int],
+    parab: ParabolicData,
+    gamma: Optional[Dict[int, FrozenSet[int]]] = None,
+    t_exp: Sequence[int] = (),
+) -> Candidate:
+    """The candidate on parab whose Gamma sets, T*, closed-form T and Sm are
+    those of cand moved along phi, joined by the given gamma and t_exp."""
+    gamma = dict(gamma or {})
+    for centre, members in cand.gamma_sets.items():
+        gamma[phi[centre]] = frozenset([phi[m] for m in members])
+    t_exp = [*t_exp, *[phi[t] for t in cand.T_expected]]
+    t_star = [phi[t] for t in cand.T_star]
+    return _assemble(parab, gamma, t_exp, t_star, [phi[g] for g in cand.S_mixed])
+
+
+def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candidate:
+    """Transport a candidate along the diagram automorphism that sends
+    alpha_i to alpha_{perm[i]} (1-based; other simple roots stay put), as
+    the case with the removed root alpha_{new_s}."""
+    phi = _simple_root_map(cand.system, cand.system, perm)
+    return _move_candidate(cand, phi, ParabolicData(cand.system, new_s))
+
+
+# ---------------------------------------------------------------------------
 # E7, s = 3, via the embedded extremal D6
 # ---------------------------------------------------------------------------
 
 
 def e7_d6_embedding() -> Dict[int, int]:
     """Isomorphism from the D6 root system onto the E7 roots orthogonal to
-    the highest root, on codes, computed from the induced simple systems.
-    The highest root is dominant, so those roots are generated by the E7
-    simple roots orthogonal to it.
+    the highest root, on codes: D6 alpha_1, ..., alpha_6 go to E7 alpha_7,
+    alpha_6, alpha_5, alpha_4, alpha_2, alpha_3.
 
-    The labeling is pinned by two requirements: positive roots map to
-    positive roots, and the standard Levi copy A5 inside D6 (the span of the
-    first five simple roots) lands on the A5 part of pi' = pi \\ {alpha_3}.
+    The highest root of E7 is orthogonal to exactly alpha_2, ..., alpha_7.
+    It is dominant, so the roots orthogonal to it are spanned by these, and
+    they form a D6 with its fork at alpha_4.  The map sends simple roots to
+    simple roots, hence positive roots to positive roots, and the standard
+    A5 inside D6 (alpha_1, ..., alpha_5) lands on the A5 part alpha_2,
+    alpha_4, ..., alpha_7 of pi' = pi \\ {alpha_3}.
     """
-    e7 = build_root_system("E7", 7)
-    d6 = build_root_system("D", 6)
-    b1 = e7.highest_root()
-    simples = [a for a in e7.simple_roots if e7.inner(a, b1) == 0]
-    if len(simples) != 6:
-        raise RuntimeError("unexpected orthogonal complement in E7")
-    adj = {
-        i: [j for j in range(6) if j != i and e7.inner(simples[i], simples[j]) != 0]
-        for i in range(6)
-    }
-    centre = next(i for i in range(6) if len(adj[i]) == 3)
-    tips = [i for i in adj[centre] if len(adj[i]) == 1]
-    chain_start = next(i for i in adj[centre] if i not in tips)
-    chain = [centre, chain_start]
-    while True:
-        nxt = [j for j in adj[chain[-1]] if j != chain[-2]]
-        if not nxt:
-            break
-        chain.append(nxt[0])
-    # chain = [d6 alpha_4, alpha_3, alpha_2, alpha_1]; tips are alpha_5/alpha_6
-    in_levi = [i for i in tips if e7.by_code[simples[i]][2] == 0]
-    if len(in_levi) != 1:
-        raise RuntimeError("could not pin the D6 fork orientation")
-    a5, a6 = in_levi[0], next(i for i in tips if i != in_levi[0])
-    # the E7 coefficients of the images of the D6 simple roots, in order
-    image = [
-        e7.by_code[simples[i]] for i in (chain[3], chain[2], chain[1], centre, a5, a6)
-    ]
-    phi: Dict[int, int] = {}
-    for r in d6.positive_roots:
-        v = [0] * e7.rank
-        for c, simple in zip(d6.by_code[r], image):
-            for d, x in enumerate(simple):
-                v[d] += c * x
-        target = e7.root_from_coeffs(v)
-        phi[r] = target
-        phi[-r] = -target
-    return phi
+    d6, e7 = build_root_system("D", 6), build_root_system("E7", 7)
+    return _simple_root_map(d6, e7, {1: 7, 2: 6, 3: 5, 4: 4, 5: 2, 6: 3})
 
 
 def _build_E7() -> Candidate:
     e7 = build_root_system("E7", 7)
-    parab = ParabolicData(e7, 3)
-    d6_case = _build_D_extremal(6)
-    phi = e7_d6_embedding()
-
     b1 = e7.highest_root()
     h_b1 = frozenset([r for r in e7.positive_roots if e7.inner(r, b1) > 0])
-
-    gamma = {b1: h_b1}
-    for centre, members in d6_case.gamma_sets.items():
-        gamma[phi[centre]] = frozenset([phi[m] for m in members])
-
     t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))]
-    t_exp += [phi[t] for t in d6_case.T]
-    mixed = [phi[g] for g in d6_case.S_mixed]
-    return _assemble(parab, gamma, t_exp, mixed=mixed)
-
-
-# ---------------------------------------------------------------------------
-# diagram flips
-# ---------------------------------------------------------------------------
-
-
-def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candidate:
-    """Transport a candidate along a diagram automorphism.
-
-    perm maps 1-based simple indices; sets are relabeled at the coefficient
-    level and the parabolic is rebuilt for the new removed root.
-    """
-    sys = cand.system
-    rank = sys.rank
-
-    def move(code: int) -> int:
-        new = [0] * rank
-        for i, c in enumerate(sys.by_code[code], start=1):
-            new[perm.get(i, i) - 1] = c
-        return sys.root_from_coeffs(new)
-
-    parab = ParabolicData(sys, new_s)
-    gamma = {
-        move(g): frozenset([move(m) for m in members])
-        for g, members in cand.gamma_sets.items()
-    }
-    t_star = tuple(move(t) for t in cand.T_star)
-    t_exp = tuple(move(t) for t in cand.T_expected)
-    mixed = tuple(move(g) for g in cand.S_mixed)
-    return _assemble(parab, gamma, t_exp, t_star, mixed)
+    d6_case, phi = _build_D_extremal(6), e7_d6_embedding()
+    return _move_candidate(d6_case, phi, ParabolicData(e7, 3), {b1: h_b1}, t_exp)
 
 
 def build_case(family: str, n: int, s: int) -> Candidate:

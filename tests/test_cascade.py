@@ -234,12 +234,12 @@ def test_indecomposables_are_the_simple_roots():
 
 
 def test_e7_complement_of_the_highest_root_is_a_levi_subsystem():
-    # the highest root is dominant, so the roots orthogonal to it are
-    # generated by the simple roots orthogonal to it, as
-    # `construction.e7_d6_embedding` assumes
+    # the facts the stated map of `construction.e7_d6_embedding` rests on:
+    # the highest root is orthogonal to exactly alpha_2, ..., alpha_7, and,
+    # as it is dominant, the roots orthogonal to it are generated by these
     e7 = build_root_system("E7", 7)
     b1 = e7.highest_root()
     comp = [r for r in e7.positive_roots if e7.inner(r, b1) == 0]
     orthogonal = [a for a in e7.simple_roots if e7.inner(a, b1) == 0]
     assert sorted(orthogonal, key=coeffs_key(e7)) == _indecomposables(e7, comp)
-    assert len(orthogonal) == 6
+    assert orthogonal == e7.simple_roots[1:]

@@ -5,6 +5,7 @@ import pytest
 from adapted_pairs.construction import (
     OutOfScopeError,
     _heis,
+    _simple_root_map,
     build_case,
     case_plan,
     e7_d6_embedding,
@@ -201,6 +202,54 @@ def test_flip_e6():
             new[perm[i] - 1] = c
         expect.add(tuple(new))
     assert {root[r] for r in flipped.S} == expect
+
+
+# The diagram flips that `build_case` moves case data along, as maps of
+# 1-based simple-root indices (an index that is not listed stays put).
+FLIPS = [("D", n, {n - 1: n, n: n - 1}) for n in range(6, 21, 2)]
+FLIPS.append(("E6", 6, {1: 6, 6: 1, 3: 5, 5: 3}))
+
+
+def _assert_cartan_preserved(source, target, p):
+    """p maps every simple index of source into target (1-based)."""
+    for i in range(1, source.rank + 1):
+        for j in range(1, source.rank + 1):
+            assert target.cartan[p[i] - 1][p[j] - 1] == source.cartan[i - 1][j - 1]
+
+
+@pytest.mark.parametrize("family,n,perm", FLIPS)
+def test_each_diagram_flip_is_a_dynkin_automorphism(family, n, perm):
+    sys = build_root_system(family, n)
+    _assert_cartan_preserved(sys, sys, {i: perm.get(i, i) for i in range(1, n + 1)})
+    # and it is the map `build_case` moves the flipped case along
+    s_new = {"D": n - 1, "E6": 1}[family]
+    base, flipped = build_case(family, n, perm[s_new]), build_case(family, n, s_new)
+    phi = _simple_root_map(sys, sys, perm)
+    assert flipped.S == tuple(sorted(phi[g] for g in base.S))
+    assert flipped.T == tuple(sorted(phi[t] for t in base.T))
+
+
+def test_e7_embedding_is_a_dynkin_map():
+    d6, e7 = build_root_system("D", 6), build_root_system("E7", 7)
+    phi = e7_d6_embedding()
+    # the E7 index of each D6 simple root's image, which must be simple
+    p = {
+        i: e7.simple_roots.index(phi[a]) + 1
+        for i, a in enumerate(d6.simple_roots, start=1)
+    }
+    assert sorted(p.values()) == list(range(2, 8))  # alpha_2..alpha_7
+    _assert_cartan_preserved(d6, e7, p)
+
+
+def test_e7_embedding_orientation():
+    # the standard A5 of D6 lands in pi' = pi \ {alpha_3}, and the other
+    # tip of the D6 fork on alpha_3; the fork swap alpha_5 <-> alpha_6 is a
+    # Dynkin automorphism of D6, so the Cartan test above cannot tell it
+    d6, e7 = build_root_system("D", 6), build_root_system("E7", 7)
+    phi = e7_d6_embedding()
+    for a in d6.simple_roots[:5]:
+        assert e7.by_code[phi[a]][2] == 0
+    assert phi[d6.simple_roots[5]] == e7.simple_roots[2]
 
 
 def test_orbit_structure_theta_involution():

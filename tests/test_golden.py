@@ -1,5 +1,6 @@
 """Golden certificates: pinned SHA-256 hashes of the certificate bytes,
-and of their rendering by `report`.
+and of their rendering by `report`, and an identity that the pinned
+certificates satisfy from their fields alone.
 
 The hashes were recorded before the root arithmetic moved from epsilon
 vectors to the integer root lattice.  Any change of representation,
@@ -8,6 +9,7 @@ caching or elimination order must keep every certificate byte-identical.
 
 import hashlib
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -154,3 +156,35 @@ def test_report_set_unchanged():
         for fmt in ("txt", "md"):
             digest.update(render_certificate(cert, fmt).encode())
     assert digest.hexdigest() == REPORT_SET_SHA256
+
+
+# Every certificate of the set satisfies 2 * sum(degrees) = dim p + |T|,
+# read from its fields `degrees`, `checks.dim_p` and `T` alone: as |T| is
+# the index of p, the degrees add up to (dim p + index p) / 2.  Unlike the
+# closed-form checks of the engine, this identity needs no per-family table.
+def _degree_sum_holds(cert):
+    degrees = sum(Fraction(d["num"], d["den"]) for d in cert["degrees"])
+    return 2 * degrees == cert["checks"]["dim_p"] + len(cert["T"])
+
+
+def test_degree_sum_is_half_of_dim_p_plus_index():
+    certs = [json.loads(text) for text in _certificate_set_texts()]
+    assert len(certs) == 72
+    for cert in certs:
+        assert _degree_sum_holds(cert), cert["case"]
+
+
+def _drop_one_t_root(cert):
+    cert["T"].pop()
+
+
+def _add_one_to_a_degree(cert):
+    cert["degrees"][0]["num"] += cert["degrees"][0]["den"]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_one_t_root, _add_one_to_a_degree])
+def test_degree_sum_breaks_under_corruption(corrupt):
+    for text in _certificate_set_texts():
+        cert = json.loads(text)
+        corrupt(cert)
+        assert not _degree_sum_holds(cert), cert["case"]
