@@ -6,12 +6,14 @@ product over single weights, each a rational multiple of the fundamental
 weight at the removed node, so multiset equality is exactly equality of the
 characters.
 
-Weights are integer vectors over one denominator per case: the orbit
-weights over the lcm of the denominators of the fundamental weights
-(`RootSystem.weight_rows`) and of the Levi weights, a rank-one update of
-them; gamma + t(gamma) over the denominator of the inverse pairing matrix
-of S.  Each is stored in lowest terms, so equal weights are equal tuples,
-and multiples of varpi_s are found by integer cross-multiplication.  A
+Weights are written in Dynkin labels, their pairings with the simple
+coroots, as integer vectors over one denominator per weight and in lowest
+terms, so equal weights are equal tuples.  In labels varpi_s is the unit
+vector at s, and a weight is a multiple of it exactly when its labels off s
+vanish.  The fundamental weights are unit vectors, and the Levi weights
+differ from them only at s, by the coordinates of
+`ParabolicData.removed_projection`; gamma + t(gamma) comes from the root
+pairings over the denominator of the inverse pairing matrix of S.  A
 Fraction appears only in `bound_multiples`, the certificate edge.
 """
 
@@ -20,15 +22,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .construction import Candidate
 from .parabolic import ParabolicData
 
 
 class BoundWeight(NamedTuple):
-    """The weight num / den in simple-root coordinates, in lowest terms:
-    den > 0 and gcd(den, *num) == 1."""
+    """The weight with Dynkin labels num / den, its pairings with the simple
+    coroots, in lowest terms: den > 0 and gcd(den, *num) == 1."""
 
     num: Tuple[int, ...]
     den: int
@@ -39,54 +41,31 @@ def _lowest(num: Sequence[int], den: int) -> BoundWeight:
     return BoundWeight(tuple([x // g for x in num]), den // g)
 
 
-def _orbit_weights(
-    parab: ParabolicData,
-) -> Tuple[int, Dict[int, Tuple[int, ...]], Dict[int, Tuple[int, ...]]]:
-    """The fundamental and Levi weights as integer vectors over one common
-    denominator: (den, fundamental, levi), kept on the parabolic.
-
-    The Levi weights are a rank-one update of the fundamental ones, with no
-    inversion of their own: for i in pi', w'_i = w_i - (w_i[s] / w_s[s]) w_s
-    pairs to delta_ij with alpha_j^vee for j != s, as w_s pairs to 0 with
-    them, and has alpha_s coordinate 0.  On the integer rows F over fden it
-    is (F_s[s] F_i - F_i[s] F_s) / (F_s[s] fden), in lowest terms."""
-    if parab.orbit_weights is None:
-        fden, fund = parab.system.weight_rows()
-        s0 = parab.s - 1
-        ws = fund[s0]
-        p = ws[s0]
-        levi = {
-            i: [p * x - fund[i][s0] * y for x, y in zip(fund[i], ws)]
-            for i in parab.pi_prime
-        }
-        g = math.gcd(p * fden, *[x for v in levi.values() for x in v])
-        lden = p * fden // g
-        den = math.lcm(fden, lden)
-        fs, ls = den // fden, den // lden
-        parab.orbit_weights = (
-            den,
-            {a: tuple([fs * x for x in v]) for a, v in fund.items()},
-            {a: tuple([x // g * ls for x in v]) for a, v in levi.items()},
-        )
-    return parab.orbit_weights
-
-
 def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> BoundWeight:
     """The orbit weight
-    -sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w'.
+    -sum_G w - sum_{j(G)} w + sum_{G & pi'} w' + sum_{i(G & pi')} w',
+    in labels over the denominator den of `removed_projection`.
+
+    w_a is the unit vector at a.  For a in pi', w'_a = w_a + (num_a / den)
+    w_s, with num_a the coordinate of the projection at a.  Proof: w_s pairs
+    to 0 with alpha_j^vee for j != s, so w'_a is w_a minus the multiple of
+    w_s that clears its alpha_s coordinate, (w_a)_s / (w_s)_s.  As
+    (w_a, w_s) = (w_a)_s g_ss / 2 = (w_s)_a g_aa / 2 (g the Gram matrix),
+    that ratio is (w_s)_a g_aa / ((w_s)_s g_ss), which is -num_a / den.
+
+    The sum runs over full label vectors, so the ray check of
+    `bound_multiples` still tests i and j.
     """
-    den, fund, levi = _orbit_weights(parab)
+    den, num = parab.removed_projection()
+    s0 = parab.s - 1
+    shift = dict(zip(parab.pi_prime, num))
     total = [0] * parab.system.rank
-    inter = [a for a in orbit if a in levi]
-    for sign, vecs, idxs in (
-        (-1, fund, orbit),
-        (-1, fund, {parab.j_map[a] for a in orbit}),
-        (1, levi, inter),
-        (1, levi, {parab.i_map[a] for a in inter}),
-    ):
-        for a in idxs:
-            for i, x in enumerate(vecs[a]):
-                total[i] += sign * x
+    for a in [*orbit, *{parab.j_map[a] for a in orbit}]:
+        total[a] -= den
+    inter = [a for a in orbit if a in shift]
+    for a in [*inter, *{parab.i_map[a] for a in inter}]:
+        total[a] += den
+        total[s0] += shift[a]
     return _lowest(total, den)
 
 
@@ -103,9 +82,10 @@ def _t_of_all(cand: Candidate, gammas: Sequence[int]) -> List[BoundWeight]:
     """gamma + t(gamma) for the root gamma of every code, where t(gamma) is
     the unique rational combination of S making gamma + t(gamma) vanish on
     the truncated Cartan: transposed solves with the pairing matrix of S,
-    which the candidate eliminates once, all over its denominator."""
-    root = cand.system.by_code
-    order = [root[g] for g in cand.S]
+    which the candidate eliminates once, all over its denominator.  The
+    labels are den <gamma> + sum_g c_g <g>, with <r> the pairings of r."""
+    pairs = cand.system.simple_pairings
+    order = [pairs(g) for g in cand.S]
     _, inverse = cand.s_inverse
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
@@ -114,7 +94,7 @@ def _t_of_all(cand: Candidate, gammas: Sequence[int]) -> List[BoundWeight]:
     solutions = inverse.solve_transposed_scaled(rhss)
     out = []
     for gamma, coeffs in zip(gammas, solutions):
-        w = [den * x for x in root[gamma]]
+        w = [den * x for x in pairs(gamma)]
         for c, g in zip(coeffs, order):
             if c:
                 for i, x in enumerate(g):
@@ -135,19 +115,13 @@ def certify_coincidence(
     return Counter(lower) == Counter(improved)
 
 
-def varpi_s(cand: Candidate) -> BoundWeight:
-    den, fund = cand.system.weight_rows()
-    return _lowest(fund[cand.s - 1], den)
-
-
-def ray_multiple(w: BoundWeight, base: BoundWeight) -> Optional[Fraction]:
-    """The exact c with w == c * base, or None when w is off the ray of
-    base (a nonzero weight)."""
-    k = next(i for i, y in enumerate(base.num) if y)
-    xk, yk = w.num[k], base.num[k]
-    if any(x * yk != xk * y for x, y in zip(w.num, base.num)):
+def ray_multiple(w: BoundWeight, s: int) -> Optional[Fraction]:
+    """The exact c with w == c * varpi_s (s 1-based), or None when w is off
+    that ray: some label other than the one at s is nonzero."""
+    s0 = s - 1
+    if any([x for k, x in enumerate(w.num) if k != s0]):
         return None
-    return Fraction(xk * base.den, yk * w.den)
+    return Fraction(w.num[s0], w.den)
 
 
 def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Fraction]:
@@ -156,10 +130,9 @@ def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Fra
     Raises when an entry is off the ray, which would invalidate the
     multiset representation of the character.
     """
-    base = varpi_s(cand)
     out = []
     for w in weights:
-        m = ray_multiple(w, base)
+        m = ray_multiple(w, cand.s)
         if m is None:
             raise ArithmeticError(f"bound entry {w} is not a multiple of varpi_s")
         out.append(m)

@@ -81,11 +81,11 @@ def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, 
 
 
 class ParabolicData:
-    """Everything attached to the truncation of p_{pi \\ {alpha_s}}.
-
-    Besides its own data it keeps the weights of the character bounds
-    (`orbit_weights`, filled by `bounds` on first use), so that every
-    ij-orbit of the parabolic reads them.
+    """Everything attached to the truncation of p_{pi \\ {alpha_s}}: pi',
+    the involutions j and i, the ij-orbits and the index, the support of
+    the dual space, and the projection onto the truncated Cartan, whose
+    coordinates are also the Levi corrections of the lower bound in
+    Dynkin labels (`bounds.delta_gamma`).
     """
 
     __slots__ = (
@@ -98,7 +98,6 @@ class ParabolicData:
         "index",
         "dual_support",
         "dual_support_codes",
-        "orbit_weights",
         "_removed_projection",
     )
 
@@ -121,22 +120,18 @@ class ParabolicData:
         ]
         self.dual_support: Tuple[int, ...] = tuple(sorted(support))
         self.dual_support_codes: FrozenSet[int] = frozenset(self.dual_support)
-        self.orbit_weights: Optional[tuple] = None  # see bounds._orbit_weights
         self._removed_projection: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     def _build_i(self) -> Dict[int, int]:
-        """-w0' on pi', extended to alpha_s along the j-orbit.
+        """-w0' on pi', extended by i(alpha_s) = alpha_s.
 
         One descent on all of pi' gives -w0' on every Dynkin component at
         once: the longest element of a product of Weyl groups is the
-        product of their longest elements (Bourbaki, Lie VI 1.6)."""
+        product of their longest elements (Bourbaki, Lie VI 1.6).  The
+        extension sends alpha_s along the j-orbit, x -> j(i(x)), to the
+        first index outside pi'; as pi \\ pi' = {alpha_s}, that is s."""
         i_map = minus_w0_on_subset(self.system, self.pi_prime)
-        s0 = self.s - 1
-        pi_prime = set(self.pi_prime)
-        x = self.j_map[s0]
-        while x in pi_prime:
-            x = self.j_map[i_map[x]]
-        i_map[s0] = x
+        i_map[self.s - 1] = self.s - 1
         return i_map
 
     def _ij_orbits(self) -> List[FrozenSet[int]]:

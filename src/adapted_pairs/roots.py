@@ -212,9 +212,10 @@ class RootSystem:
         """The fundamental weights as integer vectors over one denominator:
         (den, {i: num}) for every 0-based simple index i, with
         w_i = num / den in simple-root coordinates and den the least such.
-        One inversion of the Cartan matrix, kept on the system; the Levi
-        weights of a parabolic are a rank-one update of these
-        (`bounds._orbit_weights`), with no inversion of their own."""
+        One inversion of the Cartan matrix, kept on the system; the
+        projection of a parabolic (`ParabolicData.removed_projection`)
+        reads the row of varpi_s, and the character bounds, which work in
+        Dynkin labels, need no other."""
         if self._weight_rows is None:
             # imported here so that rendering a certificate, which needs
             # the roots but no weights, does not load linalg

@@ -8,7 +8,6 @@ import engine_oracle as oracle
 from adapted_pairs.bounds import (
     BoundWeight,
     _lowest,
-    _orbit_weights,
     _t_of_all,
     bound_multiples,
     certify_coincidence,
@@ -17,7 +16,6 @@ from adapted_pairs.bounds import (
     lower_bound,
     matches_expected,
     ray_multiple,
-    varpi_s,
 )
 from adapted_pairs.construction import build_case, in_scope_cases
 from adapted_pairs.parabolic import ParabolicData
@@ -35,32 +33,26 @@ def _orbit(parab, idxs):
 
 def test_delta_gamma_b_equal_rank():
     # pair orbits in the n = s case contribute -4 varpi_n
-    cand = build_case("B", 8, 8)
-    parab = cand.parabolic
-    wn = varpi_s(cand)
+    parab = build_case("B", 8, 8).parabolic
     for t in range(1, 4):
         d = delta_gamma(parab, _orbit(parab, [t, 8 - t]))
-        assert ray_multiple(d, wn) == -4
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), wn) == -2
+        assert ray_multiple(d, 8) == -4
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), 8) == -2
 
 
 def test_delta_gamma_e6():
-    cand = build_case("E6", 6, 6)
-    parab = cand.parabolic
-    w6 = varpi_s(cand)
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1, 6])), w6) == -3
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [2, 3, 5])), w6) == -6
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), w6) == -3
+    parab = build_case("E6", 6, 6).parabolic
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1, 6])), 6) == -3
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [2, 3, 5])), 6) == -6
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), 6) == -3
 
 
 def test_delta_gamma_e7():
-    cand = build_case("E7", 7, 3)
-    parab = cand.parabolic
-    w3 = varpi_s(cand)
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1])), w3) == -1
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4, 6])), w3) == -4
+    parab = build_case("E7", 7, 3).parabolic
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1])), 3) == -1
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4, 6])), 3) == -4
     for idxs in ([3], [2, 7], [5]):
-        assert ray_multiple(delta_gamma(parab, _orbit(parab, idxs)), w3) == -2
+        assert ray_multiple(delta_gamma(parab, _orbit(parab, idxs)), 3) == -2
 
 
 @pytest.mark.parametrize(
@@ -86,7 +78,7 @@ def _t_multiples(cand, gamma):
     and from the package's integer solve."""
     _, weight = oracle.t_of_gamma(cand, gamma)
     (scaled,) = _t_of_all(cand, [gamma])
-    ours = ray_multiple(scaled, varpi_s(cand))
+    ours = ray_multiple(scaled, cand.s)
     return oracle.multiple_of(weight, oracle.varpi_s(cand)), ours
 
 
@@ -145,9 +137,8 @@ def test_bounds_coincide_everywhere(family, n, s):
 def test_all_entries_on_the_varpi_ray():
     for family, n, s in [("B", 7, 4), ("D", 8, 8), ("E6", 6, 1), ("E7", 7, 3)]:
         cand = build_case(family, n, s)
-        base = varpi_s(cand)
         for w in lower_bound(cand.parabolic) + improved_bound(cand):
-            m = ray_multiple(w, base)
+            m = ray_multiple(w, s)
             assert m is not None and m > 0
 
 
@@ -161,13 +152,44 @@ def test_coincidence_negative():
     assert not certify_coincidence(lower[1:] + [doubled], improved)
 
 
-def test_flipped_cases_use_flipped_ray():
-    cand = build_case("E6", 6, 1)
-    den, fund = build_root_system("E6", 6).weight_rows()
-    base = BoundWeight(fund[0], den)
+def test_ray_multiple_reads_the_label_at_s():
+    w = BoundWeight((0, 0, 3, 0), 2)
+    assert ray_multiple(w, 3) == F(3, 2)
+    assert ray_multiple(BoundWeight((0, 0, 0, 0), 1), 3) == 0
+    for off in (0, 1, 3):
+        num = [0, 0, 3, 0]
+        num[off] = -1  # one nonzero label off s
+        assert ray_multiple(BoundWeight(tuple(num), 2), 3) is None
+
+
+def test_bound_multiples_refuses_an_entry_off_the_ray():
+    cand = build_case("B", 6, 4)
     lower = lower_bound(cand.parabolic)
-    assert Counter(ray_multiple(w, base) for w in lower) == Counter(
+    bound_multiples(cand, lower)
+    num = list(lower[0].num)
+    num[0] += 1
+    with pytest.raises(ArithmeticError, match="not a multiple of varpi_s"):
+        bound_multiples(cand, lower[1:] + [BoundWeight(tuple(num), lower[0].den)])
+
+
+def test_flipped_cases_use_flipped_ray():
+    # the E6 s=1 bounds lie on the ray of w_1, and read at s=6, the ray of
+    # the unflipped case, every entry is off it
+    cand = build_case("E6", 6, 1)
+    lower = lower_bound(cand.parabolic)
+    assert Counter(ray_multiple(w, 1) for w in lower) == Counter(
         {F(3): 2, F(6): 1}
+    )
+    for w in lower + improved_bound(cand):
+        assert ray_multiple(w, 6) is None
+
+
+def _labels(system, coeffs):
+    """The Dynkin labels sum_k c_k <alpha_k, alpha_j^vee> of the weight with
+    simple-root coordinates coeffs."""
+    return tuple(
+        sum(c * row[j] for c, row in zip(coeffs, system.cartan))
+        for j in range(system.rank)
     )
 
 
@@ -177,17 +199,38 @@ def _rational(weights):
 
 @pytest.mark.parametrize("family,n,s", in_scope_cases(10) + [("E6", 6, 1)])
 def test_integer_bounds_match_the_rational_oracle(family, n, s):
-    # the integer weights, and their multiples of varpi_s, equal those of
+    # the integer labels, and their multiples of varpi_s, equal those of
     # the Fraction path kept in the tests (E7 s=3 is among the rank-10 cases)
     cand = build_case(family, n, s)
     parab = cand.parabolic
+    sys = cand.system
     for ours, theirs in (
         (lower_bound(parab), oracle.lower_bound(parab)),
         (improved_bound(cand), oracle.improved_bound(cand)),
     ):
         assert all(w.den > 0 and math.gcd(w.den, *w.num) == 1 for w in ours)
-        assert _rational(ours) == Counter(w.coeffs for w in theirs)
+        assert _rational(ours) == Counter(_labels(sys, w.coeffs) for w in theirs)
         assert bound_multiples(cand, ours) == oracle.bound_multiples(cand, theirs)
+
+
+DELTA_SYSTEMS = (
+    [("B", n) for n in range(2, 13)]
+    + [("D", n) for n in range(4, 13)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+@pytest.mark.parametrize("family,n", DELTA_SYSTEMS)
+def test_delta_gamma_matches_the_oracle_on_every_orbit(family, n):
+    sys = build_root_system(family, n)
+    for s in range(1, n + 1):
+        parab = ParabolicData(sys, s)
+        for orbit in parab.orbits:
+            ours = delta_gamma(parab, orbit)
+            theirs = oracle.delta_gamma(parab, orbit)
+            assert tuple(F(x, ours.den) for x in ours.num) == _labels(
+                sys, theirs.coeffs
+            ), (s, sorted(orbit))
 
 
 LEVI_SYSTEMS = (
@@ -197,24 +240,19 @@ LEVI_SYSTEMS = (
 )
 
 
-def _levi_weights_hold(parab, s):
-    """Whether the Levi weights of `bounds._orbit_weights` are those of pi',
-    the simple roots other than alpha_s: <w'_i, alpha_j^vee> = delta_ij for
-    i, j in pi' and no alpha_s coordinate, over the least denominator of
-    all the orbit weights."""
-    den, fund, levi = _orbit_weights(parab)
-    sys = parab.system
-    pi_prime = [i for i in range(sys.rank) if i != s - 1]
-    if sorted(levi) != pi_prime:
-        return False
-    for i, w in levi.items():
-        if w[s - 1]:
-            return False
-        for j in pi_prime:
-            pairing = sum([x * row[j] for x, row in zip(w, sys.cartan)])
-            if pairing != den * (i == j):
-                return False
-    return math.gcd(den, *[x for v in [*fund.values(), *levi.values()] for x in v]) == 1
+def _levi_shift_holds(parab, s):
+    """Whether the coordinates of `removed_projection` are the Levi
+    corrections at s of `bounds.delta_gamma`: w'_a = w_a + (num_a / den) w_s
+    has alpha_s coordinate 0 for every a in pi', the simple roots other
+    than alpha_s, i.e. den (w_a)_s + num_a (w_s)_s == 0 on the integer
+    rows of the fundamental weights."""
+    den, num = parab.removed_projection()
+    _, fund = parab.system.weight_rows()
+    s0 = s - 1
+    pi_prime = [i for i in range(parab.system.rank) if i != s0]
+    return all(
+        den * fund[a][s0] + c * fund[s0][s0] == 0 for a, c in zip(pi_prime, num)
+    )
 
 
 @pytest.mark.parametrize("family,n", LEVI_SYSTEMS)
@@ -222,21 +260,33 @@ def test_rank_one_levi_weights_are_those_of_pi_prime(family, n):
     sys = build_root_system(family, n)
     for s in range(1, n + 1):
         parab = ParabolicData(sys, s)
-        assert _levi_weights_hold(parab, s), s
+        assert _levi_shift_holds(parab, s), s
         if n <= 8:
-            den, _, levi = _orbit_weights(parab)
+            # in labels w'_a is the unit vector at a plus num_a / den at s
+            den, num = parab.removed_projection()
             theirs = oracle.levi_weights(sys, parab.pi_prime)
-            assert {i: tuple(F(x, den) for x in w) for i, w in levi.items()} == {
-                i: w.coeffs for i, w in theirs.items()
-            }
+            for a, c in zip(parab.pi_prime, num):
+                ours = [F(0)] * n
+                ours[a] += 1
+                ours[s - 1] += F(c, den)
+                assert tuple(ours) == _labels(sys, theirs[a].coeffs), (s, a)
 
 
 def test_rank_one_levi_update_at_a_wrong_s_mismatches():
+    # a projection taken at a wrong s breaks the identity whenever it differs
+    # from the right one; in D7 it differs at all such pairs but s=1, wrong=2,
+    # where w_2 = 2 w_1 - alpha_1 makes the two projections over pi' equal
     sys = build_root_system("D", 7)
+    same = []
     for s in range(1, 8):
+        right = ParabolicData(sys, s).removed_projection()
         for wrong in range(1, 8):
             if wrong == s:
                 continue
             parab = ParabolicData(sys, s)
-            parab.s = wrong  # the update reads s; pi' stays that of s
-            assert not _levi_weights_hold(parab, s), (s, wrong)
+            parab.s = wrong  # the projection reads s; pi' stays that of s
+            if parab.removed_projection() == right:
+                same.append((s, wrong))
+            else:
+                assert not _levi_shift_holds(parab, s), (s, wrong)
+    assert same == [(1, 2)]
