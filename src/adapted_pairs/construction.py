@@ -11,8 +11,9 @@ root (`e7_d6_embedding`).
 
 A Heisenberg set Gamma_gamma is its centre gamma together with pairs
 {a, gamma - a}.  The builders list only the centre and one half a of each
-pair, in epsilon terms; `_heis` adds the partners.  Sets taken from the
-Kostant cascade are H_beta minus the roots named at each builder.
+pair, in epsilon terms, which `_rt` reads by the closed form of B_n and
+D_n (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Planches II and IV);
+`_heis` adds the partners.  Sets taken from the Kostant cascade are H_beta minus the roots named at each builder.
 Every root of the case data is its code (`RootSystem.base`), from the
 builders to the `Candidate`: a partner gamma - a is a code difference and a
 root has the sign of its code.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta
@@ -150,15 +152,24 @@ def case_plan(family: str, n: int, s: int) -> Optional[str]:
 
 
 def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> int:
-    """The code of the root with epsilon terms [(coef, index1based), ...];
-    terms on the same index add up."""
-    v = [0] * system.dim
+    """The code of the root of B_n or D_n with epsilon terms
+    [(coef, index1based), ...]; terms on the same index add up.  Its
+    coefficients are the partial sums S_k of the vector v (Planche II); in
+    D_n (Planche IV) the last two are (S_{n-1} - v_n)/2 and S_n/2, and an
+    odd S_n, outside the lattice, is refused before a floor halving could
+    land on a root (eps_1 on eps_1 - eps_3 in D4)."""
+    v = [0] * system.rank
     for c, i in terms:
         v[i - 1] += c
-    try:
-        return system.root_from_eps(v)
-    except KeyError:
-        raise _not_a_root(system, terms) from None
+    coeffs = list(accumulate(v))
+    if system.family == "D":
+        if coeffs[-1] % 2:
+            raise _not_a_root(system, terms)
+        coeffs[-2:] = (coeffs[-2] - v[-1]) // 2, coeffs[-1] // 2
+    root = system.try_root(coeffs)
+    if root is None:
+        raise _not_a_root(system, terms)
+    return root
 
 
 def _not_a_root(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> ValueError:

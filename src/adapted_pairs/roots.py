@@ -14,10 +14,13 @@ weights are integer vectors over one denominator (`weight_rows`).  Cartan
 elements are written in coroot coordinates.  The bilinear form agrees with
 the Killing form up to a global scale.
 
+Queries take codes of this system.  A code carries no system: one of
+another system is accepted whenever the same int is a root code here too
+(code 1 is alpha_4 in B4 and alpha_5 in B5).
+
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
-n for B_n/D_n and 8 for E6/E7) exist only at the edges: `eps_scaled` for
-display and `root_from_eps` for case data written in epsilon form.  They
-are integer rows over one denominator, 2 for E6/E7 and 1 otherwise, from
+n for B_n/D_n and 8 for E6/E7) are for display only (`eps_scaled`): integer
+rows over one denominator, 2 for E6/E7 and 1 otherwise, from
 `_simple_root_data`; the module does no rational arithmetic.
 """
 
@@ -80,8 +83,8 @@ class RootSystem:
     in [-2M, 2M] and base > 2M + 1, so code(a) < code(b) exactly when
     a < b as coefficient vectors: sorting codes sorts coefficients.
     by_code maps the code of every root, of either sign, to its
-    coefficients; positive_roots lists the positive codes in increasing
-    order.
+    coefficients and is the only root table; positive_roots lists the
+    positive codes in increasing order, simple_roots the unit codes.
 
     The pairings <r, alpha_i^vee> of every root come out of generation
     and are stored for both signs, those of -r being the negated tuple;
@@ -112,20 +115,14 @@ class RootSystem:
         self.base = 3 * max(max(c) for c in positive) + 1
         self.positive_roots: List[int] = [self.code(c) for c in positive]
         self.by_code: Dict[int, Coeffs] = {}
-        self._by_coeffs: Dict[Coeffs, int] = {}
         self._pairings: Dict[int, Tuple[int, ...]] = {}
         for code, coeffs in zip(self.positive_roots, positive):
-            neg = tuple([-a for a in coeffs])
-            self.by_code[code], self.by_code[-code] = coeffs, neg
-            self._by_coeffs[coeffs], self._by_coeffs[neg] = code, -code
+            self.by_code[code] = coeffs
+            self.by_code[-code] = tuple([-a for a in coeffs])
             pairs = pairings[coeffs]
             self._pairings[code] = pairs
             self._pairings[-code] = tuple([-p for p in pairs])
-        self.simple_roots: List[int] = [
-            self._by_coeffs[tuple([int(j == i) for j in range(rank)])]
-            for i in range(rank)
-        ]
-        self._by_eps: Optional[Dict[Coeffs, int]] = None
+        self.simple_roots: List[int] = [self.base**k for k in reversed(range(rank))]
         self._weight_rows: Optional[Tuple[int, Dict[int, Coeffs]]] = None
 
     # -- construction -----------------------------------------------------
@@ -182,10 +179,19 @@ class RootSystem:
         return out
 
     def root_from_coeffs(self, coeffs: Sequence[int]) -> int:
-        return self._by_coeffs[tuple(coeffs)]
+        """`try_root`, raising KeyError where it gives None."""
+        root = self.try_root(coeffs)
+        if root is None:
+            raise KeyError(tuple(coeffs))
+        return root
 
     def try_root(self, coeffs: Sequence[int]) -> Optional[int]:
-        return self._by_coeffs.get(tuple(coeffs))
+        """The code of the root with these coefficients, or None.  Another
+        vector can share a root's code ((0,..,0,7) and alpha_7 in B8, base
+        7), so the code counts only if `by_code` maps it back to them."""
+        coeffs = tuple(coeffs)
+        code = self.code(coeffs)
+        return code if self.by_code.get(code) == coeffs else None
 
     # -- the integer form --------------------------------------------------
 
@@ -230,35 +236,17 @@ class RootSystem:
             self._weight_rows = (inverse.den // g, rows)
         return self._weight_rows
 
-    # -- epsilon edge ------------------------------------------------------
-
-    def _eps_row(self, coeffs: Sequence) -> List:
-        """Epsilon coordinates times `_eps_den`: integers for a root."""
-        out = [0] * self.dim
-        for c, v in zip(coeffs, self._eps_simples):
-            if c:
-                for d, e in v:
-                    out[d] += c * e
-        return out
+    # -- epsilon coordinates ---------------------------------------------
 
     def eps_scaled(self, r: int) -> Tuple[int, List[int]]:
         """(den, row): the epsilon coordinates of the root r are the
         integers of row over den."""
-        return self._eps_den, self._eps_row(self.by_code[r])
-
-    def root_from_eps(self, eps: Sequence) -> int:
-        """The root with these epsilon coordinates (ints or exact
-        rationals), through a table of integer rows built on first use.
-
-        The query is scaled by `_eps_den` once; an integral rational
-        hashes and compares like its int, and any other one matches no row.
-        """
-        if self._by_eps is None:
-            self._by_eps = {
-                tuple(self._eps_row(coeffs)): r for r, coeffs in self.by_code.items()
-            }
-        den = self._eps_den
-        return self._by_eps[tuple([x * den for x in eps])]
+        row = [0] * self.dim
+        for c, v in zip(self.by_code[r], self._eps_simples):
+            if c:
+                for d, e in v:
+                    row[d] += c * e
+        return self._eps_den, row
 
     # -- misc --------------------------------------------------------------
 

@@ -35,6 +35,9 @@
   `coroot_eps` for a coroot), for comparisons with the closed forms, and
   the rendering `cli.eps_str` printed from them (`eps_str`).  The package
   keeps the same coordinates as integer rows over one denominator.
+  `root_from_eps` finds a root of any family by its epsilon coordinates,
+  through a table of every root's row: the reverse map that the package
+  replaced by the closed form of B_n and D_n in `construction._rt`.
 - `removed_projection_oracle`: the projection of alpha_s^vee onto the
   truncated Cartan from a solve with the coroot Gram matrix of pi', the
   linear system that `ParabolicData.removed_projection` answers in closed
@@ -512,6 +515,22 @@ def eps_str(system, root: int) -> str:
         terms.append(f"{sign}{coef}e{i}")
     body = "".join(terms).lstrip("+")
     return body if denom == 1 else f"(1/{denom})({body})"
+
+
+def root_from_eps(system, eps: Sequence) -> int:
+    """The root with these epsilon coordinates, ints or exact rationals,
+    from a table of every root's integer row (`RootSystem.eps_scaled`),
+    built once per system; KeyError for a vector that is no root.  The
+    query is scaled by the rows' denominator once: an integral rational
+    hashes and compares like its int, and any other one matches no row."""
+    den, rows = _eps_table(system)
+    return rows[tuple([x * den for x in eps])]
+
+
+@lru_cache(maxsize=None)
+def _eps_table(system) -> Tuple[int, Dict[Tuple[int, ...], int]]:
+    den = system.eps_scaled(system.simple_roots[0])[0]
+    return den, {tuple(system.eps_scaled(r)[1]): r for r in system.by_code}
 
 
 def removed_projection_oracle(parab) -> List[Fraction]:

@@ -117,7 +117,7 @@ def test_t_of_gamma_e7_minus_alpha1():
 def test_t_of_gamma_b_equal_rank():
     cand = build_case("B", 8, 8)
     sys = cand.system
-    gamma = sys.root_from_eps([0, 0, 0, 0, 0, 0, 1, 1])  # eps_{s-1}+eps_s
+    gamma = oracle.root_from_eps(sys, [0, 0, 0, 0, 0, 0, 1, 1])  # eps_{s-1}+eps_s
     coeffs, _ = oracle.t_of_gamma(cand, gamma)
     assert _t_multiples(cand, gamma) == (2, 2)
     # t(gamma) is integral on the cascade part here

@@ -9,6 +9,7 @@ from engine_oracle import (
     cascade_oracle,
     coeffs_key,
     eps_of,
+    root_from_eps,
     vec_add,
     vec_sub,
 )
@@ -144,7 +145,7 @@ def test_singleton_components_give_singleton_sets():
     sys = build_root_system("B", 4)
     items = {eps_of(sys, it.beta): it for it in kostant_cascade(sys)}
     a1 = _v(sys, [(1, 1), (-1, 2)])
-    assert items[a1].heisenberg == (sys.root_from_eps(a1),)
+    assert items[a1].heisenberg == (root_from_eps(sys, a1),)
 
 
 def test_orthogonal_complement_types():

@@ -19,6 +19,7 @@ from engine_oracle import (
     jacobiator,
     n_const,
     pairing,
+    root_from_eps,
     vec_add,
 )
 
@@ -142,9 +143,9 @@ def test_projection_kills_outside_support():
     sys = cand.system
     t = build_structure_table(sys)
     # pick gamma outside pi' so that -gamma is not in the dual support
-    gamma = sys.root_from_eps([1, 0, 0, 0])  # eps_1 contains alpha_2
+    gamma = root_from_eps(sys, [1, 0, 0, 0])  # eps_1 contains alpha_2
     lhs = GElem({sys.by_code[-gamma]: F(1)})
-    target = sys.root_from_eps([0, 1, 0, 0])
+    target = root_from_eps(sys, [0, 1, 0, 0])
     rhs = GElem({sys.by_code[-target]: F(1)})
     raw = bracket(t, lhs, rhs)
     assert raw.root_part  # bracket lands on -(eps1+eps2), outside the support

@@ -228,6 +228,21 @@ def test_report_on_a_tampered_rank_reads_no_root_system(
     assert "rank 2000" in lines[0]
 
 
+def test_report_rejects_a_vector_that_shares_a_root_code(tmp_path, capsys):
+    # in B8 (base 7) the vector 7 alpha_8 has the code of alpha_7, and is
+    # no root
+    cert = json.loads(to_json(certificate_dict(run_case("B", 8, 4))))
+    cert["T"][0] = [0] * 7 + [7]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(cert))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert "[0, 0, 0, 0, 0, 0, 0, 7] is not a root of B8" in lines[0]
+
+
 @pytest.mark.parametrize("family", ["B", "X"])
 def test_report_rejects_a_certificate_that_lists_no_root(tmp_path, capsys, family):
     # with no root vector, nothing would check the case's family and rank

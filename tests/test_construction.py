@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from adapted_pairs.construction import (
     OutOfScopeError,
     _heis,
+    _rt,
     _simple_root_map,
     build_case,
     case_plan,
@@ -14,7 +16,7 @@ from adapted_pairs.construction import (
 from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.parabolic import subsystem_roots
 from adapted_pairs.roots import build_root_system
-from engine_oracle import eps_of, orbit_structure, vec_add
+from engine_oracle import eps_of, orbit_structure, root_from_eps, vec_add
 
 F = Fraction
 
@@ -27,7 +29,32 @@ def _ev(system, terms):
     v = [F(0)] * system.dim
     for c, i in terms:
         v[i - 1] += F(c)
-    return system.root_from_eps(v)
+    return root_from_eps(system, v)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("B", n) for n in range(2, 25)] + [("D", n) for n in range(4, 25)]
+)
+def test_epsilon_terms_find_every_root_by_the_closed_form(family, rank):
+    # _rt against the table of every root's epsilon row, on both signs
+    sys = build_root_system(family, rank)
+    for r in sys.by_code:
+        _, row = sys.eps_scaled(r)
+        terms = [(x, i) for i, x in enumerate(row, start=1) if x]
+        assert _rt(sys, terms) == root_from_eps(sys, row) == r
+
+
+@pytest.mark.parametrize(
+    "family,terms",
+    [("B", [(1, 1), (1, 2), (1, 3)]), ("D", [(1, 1)]), ("D", [(2, 1)])],
+    ids=["B-e1+e2+e3", "D-e1", "D-2e1"],
+)
+def test_epsilon_terms_of_no_root_are_refused(family, terms):
+    # D eps_1 has an odd coordinate sum, off the lattice: halved down, its
+    # coefficients would be those of eps_1 - eps_3
+    sys = build_root_system(family, 4)
+    with pytest.raises(ValueError, match=re.escape(f"epsilon terms {terms} ")):
+        _rt(sys, terms)
 
 
 @pytest.mark.parametrize("family,n,s", ALL_CASES)

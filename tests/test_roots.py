@@ -15,6 +15,7 @@ from engine_oracle import (
     levi_weights,
     multiple_of,
     pairing,
+    root_from_eps,
     simple_roots_eps,
     vec_add,
     vec_sub,
@@ -99,11 +100,11 @@ def test_closed_under_reflection(family, rank):
 
 def test_inner_product_examples():
     sys = build_root_system("B", 4)
-    e1e2 = sys.root_from_eps([1, 1, 0, 0])
-    e1me2 = sys.root_from_eps([1, -1, 0, 0])
+    e1e2 = root_from_eps(sys, [1, 1, 0, 0])
+    e1me2 = root_from_eps(sys, [1, -1, 0, 0])
     assert sys.inner(e1e2, e1me2) == 0
     assert sys.inner(e1e2, e1e2) == 2
-    short = sys.root_from_eps([0, 0, 1, 0])
+    short = root_from_eps(sys, [0, 0, 1, 0])
     assert sys.inner(short, short) == 1
     # a root is a code of its system: a code of B5 that no root of B4 has
     # is refused
@@ -151,12 +152,24 @@ def test_each_root_is_one_object_hashed_by_its_code(family, rank):
     assert 0 not in sys.by_code
     queries = list(sys.positive_roots) + list(sys.simple_roots)
     den, row = sys.eps_scaled(sys.simple_roots[-1])
-    queries += [sys.highest_root(), sys.root_from_eps([F(x, den) for x in row])]
+    queries += [sys.highest_root(), root_from_eps(sys, [F(x, den) for x in row])]
     assert all(type(r) is int for r in queries)
     assert sys.positive_roots == sorted(sys.positive_roots)
     assert all(r > 0 for r in sys.positive_roots)
     for i, a in enumerate(sys.simple_roots):
         assert sys.by_code[a] == tuple([int(j == i) for j in range(rank)])
+
+
+def test_a_vector_that_shares_a_root_code_is_no_root():
+    # in B8 (base 7) the vector 7 alpha_8 has code 7, the code of alpha_7:
+    # a code is taken only when by_code maps it back to the same vector
+    sys = build_root_system("B", 8)
+    alpha_7, fake = (0,) * 6 + (1, 0), (0,) * 7 + (7,)
+    assert sys.base == 7 and sys.code(fake) == sys.code(alpha_7) == 7
+    assert sys.root_from_coeffs(alpha_7) == sys.try_root(alpha_7) == 7
+    assert sys.try_root(fake) is None
+    with pytest.raises(KeyError):
+        sys.root_from_coeffs(fake)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -260,7 +273,7 @@ def test_integer_form_matches_epsilon_oracle(family, rank):
         for a, ea in zip(sys.simple_roots, simples):
             assert sys.inner(r, a) == sys.inner(a, r) == _dot(er, ea)
             assert pairing(sys, r, a) == 2 * _dot(er, ea) / _dot(ea, ea)
-        assert sys.root_from_eps(er) == r
+        assert root_from_eps(sys, er) == r
     # the positive roots are the epsilon-generated roots with nonnegative
     # coordinates over the simple roots
     generated = _eps_roots(simples)
@@ -330,21 +343,21 @@ def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
     sys = build_root_system(family, rank)
     for r in sys.by_code:
         eps = eps_of(sys, r)
-        assert sys.root_from_eps(eps) == r
-        assert sys.root_from_eps(list(eps)) == r
+        assert root_from_eps(sys, eps) == r
+        assert root_from_eps(sys, list(eps)) == r
         # integer entries as ints, the half-integers of E6/E7 as Fractions
         mixed = [int(x) if x.denominator == 1 else x for x in eps]
-        assert sys.root_from_eps(mixed) == r
+        assert root_from_eps(sys, mixed) == r
     half = [F(1, 2)] + [F(0)] * (sys.dim - 1)
     scaled = [x * sys._eps_den for x in eps_of(sys, sys.simple_roots[0])]
     for not_a_root in (half, [0] * sys.dim, [2] + [0] * (sys.dim - 1)):
         with pytest.raises(KeyError):
-            sys.root_from_eps(not_a_root)
+            root_from_eps(sys, not_a_root)
     if sys._eps_den > 1:
         # the table's integer rows are not themselves accepted as epsilon
         # coordinates
         with pytest.raises(KeyError):
-            sys.root_from_eps(scaled)
+            root_from_eps(sys, scaled)
 
 
 def test_per_system_memos_are_shared_and_handed_out_as_copies():

@@ -37,6 +37,7 @@ from engine_oracle import (
     nondegeneracy_oracle,
     orbit_structure,
     replace,
+    root_from_eps,
     vec_sub,
     walk_oracle,
 )
@@ -53,7 +54,7 @@ def _ev(system, terms):
     v = [F(0)] * system.dim
     for c, i in terms:
         v[i - 1] += F(c)
-    return system.root_from_eps(v)
+    return root_from_eps(system, v)
 
 
 def _s_replaced(cand, old, new):
