@@ -1,5 +1,6 @@
 """Character bounds: the lower bound from the ij-orbits and the improved
-upper bound from the complement T, certified to coincide.
+upper bound from the complement T.  `verify` certifies that they coincide
+and that they are the bound multiset the case builder states.
 
 Formal characters are handled as weight multisets: every bound in scope is a
 product over single weights, each a rational multiple of the fundamental
@@ -20,7 +21,6 @@ Fraction appears only in `bound_multiples`, the certificate edge.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -109,12 +109,6 @@ def improved_bound(cand: Candidate) -> List[BoundWeight]:
     return sorted(_t_of_all(cand, cand.T))
 
 
-def certify_coincidence(
-    lower: Sequence[BoundWeight], improved: Sequence[BoundWeight]
-) -> bool:
-    return Counter(lower) == Counter(improved)
-
-
 def ray_multiple(w: BoundWeight, s: int) -> Optional[Fraction]:
     """The exact c with w == c * varpi_s (s 1-based), or None when w is off
     that ray: some label other than the one at s is nonzero."""
@@ -138,31 +132,3 @@ def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Fra
         out.append(m)
     return sorted(out)
 
-
-def expected_bound_multiset(family: str, n: int, s: int) -> Optional[Counter]:
-    """Closed-form bound multisets, as multiples of varpi_s."""
-    f = Fraction
-    if family == "B" and s % 2 == 0:
-        if n == s:
-            return Counter({f(2): 2, f(4): n // 2 - 1})
-        return Counter({f(1): 2, f(2): n - 1 - s // 2})
-    if family == "D" and s <= n - 2 and s % 2 == 0:
-        return Counter({f(1): 3, f(2): n - 2 - s // 2})
-    if family == "D" and s in (n, n - 1) and n % 2 == 0:
-        return Counter({f(2): 3, f(4): n // 2 - 2})
-    if family == "E6":
-        return Counter({f(3): 2, f(6): 1})
-    if family == "E7":
-        return Counter({f(1): 1, f(2): 3, f(4): 1})
-    return None
-
-
-def matches_expected(cand: Candidate, lower: Sequence[BoundWeight]) -> bool:
-    """Whether the lower bound matches its closed form; a case without a
-    closed form fails, since there is nothing to certify it against."""
-    expected = expected_bound_multiset(cand.family, cand.n, cand.s)
-    if expected is None:
-        return False
-    actual = Counter(bound_multiples(cand, lower))
-    # drop zero-multiplicity entries before comparing
-    return actual == Counter({k: v for k, v in expected.items() if v})

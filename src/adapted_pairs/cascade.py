@@ -8,8 +8,8 @@ are Heisenberg sets and together they partition the positive roots.
 Each beta is the highest root of its component, hence dominant for it, so
 the component roots orthogonal to beta form the subsystem generated by the
 component's simple roots orthogonal to beta.  The recursion passes those
-simple roots down, starting from the simple roots of Delta+ or of the
-subsystem they are given for, so no level searches for its simple roots.
+simple roots down, starting from the simple roots of Delta+, so no level
+searches for its simple roots.
 Every root is its code (`RootSystem.base`), and a cascade root beta, the
 highest root of its component, is the component root of largest code.
 """
@@ -17,7 +17,7 @@ highest root of its component, is the component root of largest code.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .roots import RootSystem
 
@@ -74,29 +74,14 @@ def _split_components(
     return list(zip(comps, members))
 
 
-def kostant_cascade(
-    system: RootSystem, subset: Optional[Sequence[int]] = None
-) -> List[CascadeItem]:
-    """The full cascade for Delta+, or for the subsystem generated by the
-    simple roots of the given (0-based) indices."""
-    if subset is None:
-        return list(_full_cascade(system))
-    # imported here so that the `cascade` command loads no parabolic data
-    from .parabolic import subsystem_roots
-
-    simples = [system.simple_roots[i] for i in subset]
-    return _build_cascade(system, subsystem_roots(system, subset), simples)
+def kostant_cascade(system: RootSystem) -> List[CascadeItem]:
+    """The full cascade for Delta+."""
+    return list(_full_cascade(system))
 
 
 @lru_cache(maxsize=None)
 def _full_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
     """The cascade of Delta+, the same for every s: built once per system."""
-    return tuple(_build_cascade(system, system.positive_roots, system.simple_roots))
-
-
-def _build_cascade(
-    system: RootSystem, positive: Sequence[int], simples: Sequence[int]
-) -> List[CascadeItem]:
     by_code = system.by_code
     items: List[CascadeItem] = []
 
@@ -120,15 +105,10 @@ def _build_cascade(
                 orthogonal = [a for a in comp_simples if a not in in_heis]
                 recurse(rest, orthogonal, label)
 
-    recurse(sorted(positive), simples, "")
-    return items
+    recurse(sorted(system.positive_roots), system.simple_roots, "")
+    return tuple(items)
 
 
-def cascade_heisenberg_by_beta(
-    system: RootSystem, subset: Optional[Sequence[int]] = None
-) -> Dict[int, FrozenSet[int]]:
+def cascade_heisenberg_by_beta(system: RootSystem) -> Dict[int, FrozenSet[int]]:
     """Map beta_K -> H_{beta_K} over the whole cascade, on codes."""
-    return {
-        item.beta: frozenset(item.heisenberg)
-        for item in kostant_cascade(system, subset)
-    }
+    return {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(system)}

@@ -218,6 +218,8 @@ def cmd_verify(args) -> int:
         ):
             for problem in sorted(report.problems):
                 print(f"{name}: {problem}")
+        for line in result.closed_form_witnesses():
+            print(line)
     return EXIT_PASS if result.verdict else EXIT_FAIL
 
 

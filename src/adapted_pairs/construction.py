@@ -13,7 +13,14 @@ A Heisenberg set Gamma_gamma is its centre gamma together with pairs
 {a, gamma - a}.  The builders list only the centre and one half a of each
 pair, in epsilon terms, which `_rt` reads by the closed form of B_n and
 D_n (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Planches II and IV);
-`_heis` adds the partners.  Sets taken from the Kostant cascade are H_beta minus the roots named at each builder.
+`_heis` adds the partners.  Sets taken from the Kostant cascade of Delta+
+are H_beta minus the roots named at each builder; the E6 set centred at
+-beta'_1 and the E7 set centred at beta_1 are the roots of a subsystem that
+pair positively with its highest root.
+Each builder also states the paper's closed forms for its case, next to
+the closed-form T: the ad h eigenvalues on g_T and the bound multiset in
+multiples of varpi_s, which `verify` compares against.  A moved case keeps
+those of the case it is moved from, unless it states its own (E7).
 Every root of the case data is its code (`RootSystem.base`), from the
 builders to the `Candidate`: a partner gamma - a is a code difference and a
 root has the sign of its code.
@@ -28,7 +35,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
-from .parabolic import ParabolicData
+from .parabolic import ParabolicData, subsystem_roots
 from .roots import RootSystem, build_root_system
 
 
@@ -37,13 +44,16 @@ class OutOfScopeError(ValueError):
 
 
 class Candidate:
-    """The sets S, Gamma_gamma, T (and T* in E6) for one case, as root codes.
+    """The sets S, Gamma_gamma, T (and T* in E6) for one case, as root codes,
+    with the case's closed forms.
 
     S+, S-, Sm, T, T* and the closed-form T are sorted code tuples (codes
     sort like coefficients), and gamma_sets maps each centre code, in
-    increasing order, to the frozenset of its members' codes.  Treated as
-    immutable: a changed candidate is built anew, so that `S` and
-    `s_inverse` are computed for its own S+, S- and Sm."""
+    increasing order, to the frozenset of its members' codes.  The closed
+    forms of the ad h eigenvalues on g_T and of the bound multiples of
+    varpi_s are sorted int tuples.  Treated as immutable: a changed
+    candidate is built anew, so that `S` and `s_inverse` are computed for
+    its own S+, S- and Sm."""
 
     def __init__(
         self,
@@ -55,6 +65,8 @@ class Candidate:
         T: Tuple[int, ...],
         T_star: Tuple[int, ...],
         T_expected: Tuple[int, ...],
+        eigenvalues_expected: Tuple[int, ...],
+        bounds_expected: Tuple[int, ...],
     ):
         self.parabolic = parabolic
         self.S_plus = S_plus
@@ -64,6 +76,8 @@ class Candidate:
         self.T = T
         self.T_star = T_star
         self.T_expected = T_expected  # the closed-form complement list
+        self.eigenvalues_expected = eigenvalues_expected
+        self.bounds_expected = bounds_expected
 
     @cached_property
     def S(self) -> Tuple[int, ...]:
@@ -220,10 +234,13 @@ def _assemble(
     parab: ParabolicData,
     gamma_sets: Dict[int, FrozenSet[int]],
     t_expected: Sequence[int],
+    eigenvalues: Sequence[int],
+    bounds: Sequence[int],
     t_star: Sequence[int] = (),
     mixed: Sequence[int] = (),
 ) -> Candidate:
-    """The candidate with S+/S-/Sm split by sign and Sm as declared per case.
+    """The candidate with S+/S-/Sm split by sign and Sm as declared per case,
+    and the closed forms sorted.
 
     The declared mixed sets usually contain both signs, but may degenerate
     to one sign at boundary ranks (D_4, s = 2); the remaining sets must be
@@ -250,6 +267,8 @@ def _assemble(
         T=tuple([c for c in parab.dual_support if c not in used]),
         T_star=tuple(sorted(t_star)),
         T_expected=tuple(sorted(t_expected)),
+        eigenvalues_expected=tuple(sorted(eigenvalues)),
+        bounds_expected=tuple(sorted(bounds)),
     )
 
 
@@ -299,7 +318,18 @@ def _build_B(n: int, s: int) -> Candidate:
             r([(1, s + 2 * k), (-1, s + 2 * k + 1)])
             for k in range(1, (n - s - 1) // 2 + 1)
         ]
-    return _assemble(parab, gamma, t_exp, mixed=[eps_s])
+    eig = [s + 4 * i - 1 for i in range(1, s // 4 + 1)]
+    eig += [3 * s - 4 * i + 1 for i in range(s // 4 + 1, s // 2)]
+    eig += [s // 2 + 1, s // 2 - 1]
+    if n > s:
+        eig.append(s + 1)
+        eig += [s + 4 * j - 1 for j in range(1, (n - s) // 2 + 1)]
+        eig += [s + 4 * j + 1 for j in range(1, (n - s - 1) // 2 + 1)]
+    if n == s:
+        bounds = [2, 2] + [4] * (n // 2 - 1)
+    else:
+        bounds = [1, 1] + [2] * (n - 1 - s // 2)
+    return _assemble(parab, gamma, t_exp, eig, bounds, mixed=[eps_s])
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +379,14 @@ def _build_D(n: int, s: int) -> Candidate:
         r([(-1, 2 * k + 1), (1, 2 * k + 2)])
         for k in range(s // 2, (n - 2) // 2 + 1)
     ]
+    eig = [s + 4 * i - 1 for i in range(1, s // 4 + 1)]
+    eig += [3 * s - 4 * i + 1 for i in range(s // 4 + 1, s // 2)]
+    eig += [s // 2 + 1, s // 2 - 1, n - s // 2 - 1, s + 1]
+    eig += [s + 4 * j - 1 for j in range(1, (n - s - 1) // 2 + 1)]
+    eig += [s + 4 * j + 1 for j in range(1, (n - s - 2) // 2 + 1)]
+    bounds = [1, 1, 1] + [2] * (n - 2 - s // 2)
     mixed = [r([(1, s), (-1, n)]), r([(1, s), (1, n)])]
-    return _assemble(parab, gamma, t_exp, mixed=mixed)
+    return _assemble(parab, gamma, t_exp, eig, bounds, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +435,14 @@ def _build_D_extremal(n: int) -> Candidate:
     t_exp += [
         r([(1, n - 2 * k), (-1, n - 2 * k - 1)]) for k in range(3, n // 2)
     ]
+    eig = [2 * (n - i) + 1 for i in range(1, n // 2 - 2)]
+    eig += [n + 5, n // 2 - 1, n // 2 + 1, n // 2 + 3]
+    bounds = [2, 2, 2] + [4] * (n // 2 - 2)
     uniform = {r([(1, 1), (1, 2)])}
     if n == 6:
         uniform.add(r([(1, n), (-1, n - 3)]))
     mixed = [g for g in gamma if g not in uniform]
-    return _assemble(parab, gamma, t_exp, mixed=mixed)
+    return _assemble(parab, gamma, t_exp, eig, bounds, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +455,6 @@ def _build_E6() -> Candidate:
     parab = ParabolicData(sys, 6)
     rc = sys.root_from_coeffs
     heis = cascade_heisenberg_by_beta(sys)
-    heis_levi = cascade_heisenberg_by_beta(sys, parab.pi_prime)
 
     beta1 = rc((1, 2, 2, 3, 2, 1))
     beta2 = rc((1, 0, 1, 1, 1, 1))
@@ -428,7 +466,10 @@ def _build_E6() -> Candidate:
     gamma[beta1] = heis[beta1] - {rc((0, 1, 1, 1, 0, 0)), rc((1, 1, 1, 2, 2, 1))}
     gamma[beta2] = heis[beta2] - {rc((1, 0, 1, 1, 1, 0)), rc((0, 0, 0, 0, 0, 1))}
     gamma[beta3] = heis[beta3]
-    gamma[-beta1p] = frozenset([-h for h in heis_levi[beta1p]])
+    # -H_{beta'_1}: beta'_1 is the highest root of the Levi D5, and its
+    # Heisenberg set the Levi roots pairing positively with it
+    levi = subsystem_roots(sys, parab.pi_prime)
+    gamma[-beta1p] = frozenset([-r for r in levi if sys.inner(r, beta1p) > 0])
     gamma[s5] = frozenset(
         {s5, rc((0, 0, 0, -1, 0, 0)), rc((0, 0, 0, 0, -1, 0))}
     )
@@ -446,7 +487,7 @@ def _build_E6() -> Candidate:
         rc((0, 0, 0, 0, 0, 1)),
         rc((0, 1, 1, 1, 0, 0)),
     )
-    return _assemble(parab, gamma, t_exp, t_star)
+    return _assemble(parab, gamma, t_exp, (5, 7, 17), (3, 3, 6), t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +518,20 @@ def _move_candidate(
     parab: ParabolicData,
     gamma: Optional[Dict[int, FrozenSet[int]]] = None,
     t_exp: Sequence[int] = (),
+    closed_forms: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> Candidate:
     """The candidate on parab whose Gamma sets, T*, closed-form T and Sm are
-    those of cand moved along phi, joined by the given gamma and t_exp."""
+    those of cand moved along phi, joined by the given gamma and t_exp.  Its
+    eigenvalue and bound closed forms are cand's, unless closed_forms gives
+    others."""
     gamma = dict(gamma or {})
     for centre, members in cand.gamma_sets.items():
         gamma[phi[centre]] = frozenset([phi[m] for m in members])
     t_exp = [*t_exp, *[phi[t] for t in cand.T_expected]]
+    eig, bounds = closed_forms or (cand.eigenvalues_expected, cand.bounds_expected)
     t_star = [phi[t] for t in cand.T_star]
-    return _assemble(parab, gamma, t_exp, t_star, [phi[g] for g in cand.S_mixed])
+    mixed = [phi[g] for g in cand.S_mixed]
+    return _assemble(parab, gamma, t_exp, eig, bounds, t_star, mixed)
 
 
 def _flip_candidate(cand: Candidate, perm: Dict[int, int], new_s: int) -> Candidate:
@@ -522,8 +568,11 @@ def _build_E7() -> Candidate:
     b1 = e7.highest_root()
     h_b1 = frozenset([r for r in e7.positive_roots if e7.inner(r, b1) > 0])
     t_exp = [e7.root_from_coeffs((-1, 0, 0, 0, 0, 0, 0))]
+    closed_forms = (2, 5, 7, 9, 17), (1, 2, 2, 2, 4)
     d6_case, phi = _build_D_extremal(6), e7_d6_embedding()
-    return _move_candidate(d6_case, phi, ParabolicData(e7, 3), {b1: h_b1}, t_exp)
+    return _move_candidate(
+        d6_case, phi, ParabolicData(e7, 3), {b1: h_b1}, t_exp, closed_forms
+    )
 
 
 def build_case(family: str, n: int, s: int) -> Candidate:

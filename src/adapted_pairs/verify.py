@@ -11,8 +11,10 @@ certified single-monomial t-grading, and the coadjoint-image rank equals
 dim p - |T|.  Each of these two exact checks builds its matrix once, as
 the sparse integer rows that `linalg` eliminates, and hands them over as
 built: `sparse_det` and `sparse_ranks` own them from then on.  The adapted
-pair (h, y) and the eigenvalues of ad h on g_T are then assembled and
-compared against closed forms.
+pair (h, y) and the eigenvalues of ad h on g_T are then assembled.  The
+eigenvalues and the character bounds are compared, as sorted tuples,
+against the closed forms that the case builder states on the `Candidate`;
+no check here depends on the case family.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .bounds import BoundWeight
+from .bounds import BoundWeight, bound_multiples
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
 from .linalg import sparse_det, sparse_ranks
@@ -587,45 +589,6 @@ def solve_h(cand: Candidate) -> AdaptedPair:
     return AdaptedPair(h_coeffs, eigen, degrees)
 
 
-def expected_eigenvalues(family: str, n: int, s: int) -> Optional[Counter]:
-    """Closed-form ad h eigenvalue multisets on g_T, per case family."""
-    if family == "B" and s % 2 == 0:
-        vals = [s + 4 * i - 1 for i in range(1, s // 4 + 1)]
-        vals += [3 * s - 4 * i + 1 for i in range(s // 4 + 1, s // 2)]
-        vals += [s // 2 + 1, s // 2 - 1]
-        if n > s:
-            vals.append(s + 1)
-            vals += [s + 4 * j - 1 for j in range(1, (n - s) // 2 + 1)]
-            vals += [s + 4 * j + 1 for j in range(1, (n - s - 1) // 2 + 1)]
-        return Counter(Fraction(v) for v in vals)
-    if family == "D" and s <= n - 2 and s % 2 == 0:
-        vals = [s + 4 * i - 1 for i in range(1, s // 4 + 1)]
-        vals += [3 * s - 4 * i + 1 for i in range(s // 4 + 1, s // 2)]
-        vals += [s // 2 + 1, s // 2 - 1, n - s // 2 - 1, s + 1]
-        vals += [s + 4 * j - 1 for j in range(1, (n - s - 1) // 2 + 1)]
-        vals += [s + 4 * j + 1 for j in range(1, (n - s - 2) // 2 + 1)]
-        return Counter(Fraction(v) for v in vals)
-    if family == "D" and s in (n, n - 1) and n % 2 == 0:
-        vals = [2 * (n - i) + 1 for i in range(1, n // 2 - 2)]
-        vals += [n + 5, n // 2 - 1, n // 2 + 1, n // 2 + 3]
-        return Counter(Fraction(v) for v in vals)
-    if family == "E6":
-        return Counter(Fraction(v) for v in (5, 7, 17))
-    if family == "E7":
-        return Counter(Fraction(v) for v in (2, 5, 7, 9, 17))
-    return None
-
-
-def eigenvalue_report(
-    pair: AdaptedPair, cand: Candidate
-) -> Tuple[bool, Counter]:
-    """Whether the eigenvalues match their closed form; a case without a
-    closed form fails, since there is nothing to certify them against."""
-    actual = Counter(pair.eigenvalues.values())
-    expected = expected_eigenvalues(cand.family, cand.n, cand.s)
-    return (expected is not None and actual == expected), actual
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
@@ -669,6 +632,35 @@ class CaseResult(NamedTuple):
                 return name
         return None
 
+    def closed_form_witnesses(self) -> List[str]:
+        """Why `eigenvalues_match` or `bounds_coincide` failed, when it is the
+        first failing check: the values only in the closed form and those
+        only in the computed multiset, and for the bounds also the
+        difference of the lower and improved bounds, in multiples of
+        varpi_s.  No lines for any other outcome."""
+        cand, failing = self.candidate, self.first_failing
+        if failing == "eigenvalues_match":
+            closed, computed = cand.eigenvalues_expected, self.pair.eigenvalues.values()
+            return [_witness(failing, "closed form", closed, "computed", computed)]
+        if failing != "bounds_coincide":
+            return []
+        lower = bound_multiples(cand, self.lower)
+        improved = bound_multiples(cand, self.improved)
+        return [
+            _witness(failing, "closed form", cand.bounds_expected, "lower", lower),
+            _witness(failing, "lower", lower, "improved", improved),
+        ]
+
+
+def _witness(check: str, a_name: str, a, b_name: str, b) -> str:
+    """The line naming, in increasing order, the values of each of two
+    multisets that the other lacks."""
+
+    def only(x, y) -> str:
+        return ", ".join(map(str, sorted((Counter(x) - Counter(y)).elements())))
+
+    return f"{check}: {a_name} only [{only(a, b)}]; {b_name} only [{only(b, a)}]"
+
 
 def run_case(family: str, n: int, s: int) -> CaseResult:
     """Execute the whole verification pipeline for one case."""
@@ -702,9 +694,8 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         # S is no basis of the truncated Cartan: no h, no improved bound
         pair = AdaptedPair({}, {}, ())
         improved = []
-    eig_ok, _ = eigenvalue_report(pair, cand)
-    coincide = bounds_mod.certify_coincidence(lower, improved)
-    expected_ok = bounds_mod.matches_expected(cand, lower)
+    eig_ok = tuple(sorted(pair.eigenvalues.values())) == cand.eigenvalues_expected
+    expected_ok = tuple(bound_multiples(cand, lower)) == cand.bounds_expected
     return CaseResult(
         candidate=cand,
         basis=basis,
@@ -717,6 +708,6 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         eigenvalues_match=eig_ok,
         lower=lower,
         improved=improved,
-        bounds_coincide=coincide,
+        bounds_coincide=lower == improved,
         bounds_expected_match=expected_ok,
     )

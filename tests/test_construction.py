@@ -231,6 +231,22 @@ def test_flip_e6():
     assert {root[r] for r in flipped.S} == expect
 
 
+def test_moved_cases_carry_their_closed_forms():
+    # a diagram flip keeps the eigenvalues and bounds of its base case, and
+    # E7, moved from the extremal D6, states its own
+    moved = [(("D", n, n - 1), ("D", n, n)) for n in range(6, 17, 2)]
+    moved.append((("E6", 6, 1), ("E6", 6, 6)))
+    for flipped, base in moved:
+        flipped, base = build_case(*flipped), build_case(*base)
+        assert flipped.eigenvalues_expected == base.eigenvalues_expected
+        assert flipped.bounds_expected == base.bounds_expected
+    d6, e7 = build_case("D", 6, 6), build_case("E7", 7, 3)
+    assert d6.eigenvalues_expected == (2, 4, 6, 11)
+    assert d6.bounds_expected == (2, 2, 2, 4)
+    assert e7.eigenvalues_expected == (2, 5, 7, 9, 17)
+    assert e7.bounds_expected == (1, 2, 2, 2, 4)
+
+
 # The diagram flips that `build_case` moves case data along, as maps of
 # 1-based simple-root indices (an index that is not listed stays put).
 FLIPS = [("D", n, {n - 1: n, n: n - 1}) for n in range(6, 21, 2)]
@@ -364,7 +380,8 @@ ONE_OBJECT_CASES = (
 def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
     # the case data holds int codes of the system's roots, the tuples in
     # increasing order and the Gamma sets by increasing centre; so do the
-    # cascade items, whose beta is the largest code of its component
+    # cascade items, whose beta is the largest code of its component.  The
+    # closed forms are sorted int tuples
     cand = build_case(family, n, s)
     sys = cand.system
     by_code = sys.by_code
@@ -385,10 +402,12 @@ def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
         assert type(members) is frozenset
         held += members
     assert all(type(c) is int and c in by_code for c in held)
-    for subset in (None, cand.parabolic.pi_prime):
-        for item in kostant_cascade(sys, subset):
-            assert type(item.beta) is int and item.beta in by_code
-            for codes in (item.subsystem, item.heisenberg):
-                assert type(codes) is tuple and list(codes) == sorted(set(codes))
-                assert all(type(c) is int and c in by_code for c in codes)
-            assert item.beta == item.subsystem[-1] and item.beta in item.heisenberg
+    for item in kostant_cascade(sys):
+        assert type(item.beta) is int and item.beta in by_code
+        for codes in (item.subsystem, item.heisenberg):
+            assert type(codes) is tuple and list(codes) == sorted(set(codes))
+            assert all(type(c) is int and c in by_code for c in codes)
+        assert item.beta == item.subsystem[-1] and item.beta in item.heisenberg
+    for values in (cand.eigenvalues_expected, cand.bounds_expected):
+        assert type(values) is tuple and list(values) == sorted(values)
+        assert all(type(v) is int for v in values)

@@ -16,8 +16,6 @@ from adapted_pairs.verify import (
     check_regularity,
     classify_roots,
     coadjoint_rows,
-    eigenvalue_report,
-    expected_eigenvalues,
     run_case,
     solve_h,
     walk_sequence,
@@ -860,9 +858,9 @@ def test_eigenvalues_b_examples():
     sys = cand.system
     assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)])] == 2  # s/2 - 1
     assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)])] == 7  # s + 1
-    ok, actual = eigenvalue_report(pair, cand)
-    assert ok
-    assert actual == expected_eigenvalues("B", 8, 6)
+    # s+3, 3s-7, s/2+1, s/2-1, s+1 and s+3 again for n > s
+    assert cand.eigenvalues_expected == (2, 4, 7, 9, 9, 11)
+    assert tuple(sorted(pair.eigenvalues.values())) == cand.eigenvalues_expected
 
 
 def test_eigenvalues_d6_extremal_values():
@@ -883,20 +881,63 @@ def test_eigenvalue_closed_forms_across_sweep():
         ("E7", 7, 3),
     ]:
         cand = build_case(family, n, s)
-        pair = solve_h(cand)
-        ok, actual = eigenvalue_report(pair, cand)
-        assert ok, (family, n, s, actual)
+        actual = tuple(sorted(solve_h(cand).eigenvalues.values()))
+        assert actual == cand.eigenvalues_expected, (family, n, s, actual)
 
 
-def test_missing_closed_form_fails_the_case(monkeypatch):
-    import adapted_pairs.bounds as bounds_mod
-    import adapted_pairs.verify as verify_mod
+@pytest.mark.parametrize(
+    "field,check,witness",
+    [
+        (
+            "eigenvalues_expected",
+            "eigenvalues_match",
+            ["eigenvalues_match: closed form only [12]; computed only [11]"],
+        ),
+        (
+            "bounds_expected",
+            "bounds_coincide",
+            [
+                "bounds_coincide: closed form only [3]; lower only [2]",
+                "bounds_coincide: lower only []; improved only []",
+            ],
+        ),
+    ],
+    ids=["eigenvalues", "bounds"],
+)
+def test_a_raised_closed_form_fails_its_check(
+    field, check, witness, tmp_path, monkeypatch, capsys
+):
+    # B8 s=6 with its largest closed-form entry raised by 1: the check that
+    # compares against it fails first, and verify names both values
+    import adapted_pairs.construction as construction
+    from adapted_pairs.cli import main
 
-    monkeypatch.setattr(verify_mod, "expected_eigenvalues", lambda *a: None)
-    assert run_case("B", 4, 2).first_failing == "eigenvalues_match"
-    monkeypatch.undo()
-    monkeypatch.setattr(bounds_mod, "expected_bound_multiset", lambda *a: None)
-    assert run_case("B", 4, 2).first_failing == "bounds_coincide"
+    cand = construction.build_case("B", 8, 6)
+    closed = getattr(cand, field)
+    bad = replace(cand, **{field: closed[:-1] + (closed[-1] + 1,)})
+    monkeypatch.setattr(construction, "build_case", lambda *a: bad)
+    out = tmp_path / "cert.json"
+    code = main(["verify", "--family", "B", "--rank", "8", "--s", "6",
+                 "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"first failing check: {check}"
+    assert lines[2:] == witness
+    # the witness lines go to stdout only
+    assert "only" not in out.read_text()
+
+
+def test_bound_witness_names_the_lower_improved_difference():
+    result = run_case("B", 6, 4)
+    lower = result.lower
+    doubled = lower[0]._replace(num=tuple(2 * x for x in lower[0].num))
+    bad = replace(result, improved=sorted(lower[1:] + [doubled]), bounds_coincide=False)
+    assert bad.first_failing == "bounds_coincide"
+    assert bad.closed_form_witnesses() == [
+        "bounds_coincide: closed form only []; lower only []",
+        "bounds_coincide: lower only [1]; improved only [2]",
+    ]
+    assert result.closed_form_witnesses() == []
 
 
 def test_degrees_are_eigenvalues_plus_one():
