@@ -16,7 +16,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Union
 
-from .bounds import bound_multiples
 from .verify import CaseResult
 
 SCHEMA_VERSION = 1
@@ -64,11 +63,9 @@ def certificate_dict(result: CaseResult) -> dict:
         ],
         "degrees": [_rat(d) for d in pair.degrees],
         "bounds": {
-            "lower_multiples_of_varpi_s": [
-                _rat(m) for m in bound_multiples(cand, result.lower)
-            ],
+            "lower_multiples_of_varpi_s": [_rat(m) for m in result.lower_multiples],
             "improved_multiples_of_varpi_s": [
-                _rat(m) for m in bound_multiples(cand, result.improved)
+                _rat(m) for m in result.improved_multiples
             ],
         },
         "checks": {

@@ -1,18 +1,47 @@
-"""Integer Chevalley structure constants.
+"""Integer Chevalley structure constants, one closed form per entry.
 
-The positive-pair constants are fixed by the extraspecial-pair convention on
-a total order of the positive roots (height, then lexicographic coefficient
-order); all other constants follow from antisymmetry, N(-a,-b) = -N(a,b) and
-the length-ratio identity for triples summing to zero.  Conclusions drawn
-downstream never depend on the sign convention: checks are formulated as
-rank, determinant and membership statements.  The table is keyed by root
-code (`RootSystem.base`), and `n_code` answers on codes alone, which is
-what the per-pair loops of `verify` call.
+N(a, b) is 0 when a + b is not a root, and otherwise (p + 1) times a sign,
+p the largest k with b - k*a a root (Carter, *Simple Groups of Lie Type*,
+Sect. 4.2); p is 0 in D and E.  The sign is read off a model whose root
+vectors are known, up to a positive factor per root:
+
+- D, E6 and E7: the Frenkel-Kac cocycle (-1)^(a^T E b) on coefficient
+  vectors, with E_ii = 1, E_ij = (alpha_i, alpha_j) mod 2 for i < j and
+  E_ij = 0 below the diagonal (Kac, *Infinite-Dimensional Lie Algebras*,
+  Sect. 7.8).
+- B: so(2n+1).  On signed indices, with eps_0 = 0 and eps_-u = -eps_u, the
+  root eps_u + eps_v has the vector M(u, v) = E_{u,-v} - E_{v,-u}, where u
+  is a positive root's first epsilon index and v its second (0 for a short
+  root), and [M(u,v), M(x,y)] = d(x,-v) M(u,y) - d(y,-v) M(u,x)
+  - d(x,-u) M(v,y) + d(y,-u) M(v,x), d the Kronecker delta.
+
+In both, the vector of a negative root is minus the model's vector, so the
+sign flips once for each negative root among a, b and a + b, and
+N(-a, -b) = -N(a, b).  Each entry is computed on first use and kept; the
+table is keyed by root code (`RootSystem.base`), and `n_code` answers on
+codes alone, which is what the per-pair loops of `verify` call.
+
+The convention does not reach a certificate.  A twist X_g -> c(g) X_g,
+with c = +-1 and c(-g) = c(g), gives another Chevalley basis, with
+N'(x, y) = c(x) c(y) c(x+y) N(x, y); the models are the extraspecial-pair
+convention up to such a twist.  Once S passes the basis check, it is
+linearly independent on the truncated Cartan, so a torus element t has
+gamma(t) = c(gamma) for every gamma in S; put d(a) = a(t).  On Phi_y every
+entry (a, b) has a + b in S, so M' = D M D with D = diag(c(a) d(a)), and
+det M' = (prod over O of d(a))^2 det M.  O is the union of the pairs
+{a, theta(a)} with a + theta(a) in S, so that product is +-1 and
+det M' = det M.  The rows of [M | e_T] for regularity likewise scale by
+c(r) d(r), and its columns by c(b) d(b) (by the inverse on e_t), so no
+rank moves.  No other check reads the table.  So the engine takes the
+models as they stand, untwisted; the tests compare them with the Jacobi
+recursion of extraspecial pairs up to a twist, and pin the certificate
+bytes under that convention and under twists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Dict, Tuple
 
 from .roots import RootSystem
@@ -21,22 +50,24 @@ Pair = Tuple[int, int]  # two root codes
 
 
 class StructureTable:
-    """Exact structure constants N(a, b) for a fixed root system.
-
-    Constants are kept and looked up by root code (`RootSystem.base`):
-    N(a, b) for positive a, b in `_pos`, and each mixed-sign constant, once
-    derived from them, in `_mixed`.
-    """
+    """Exact structure constants N(a, b) for a fixed root system, computed
+    per entry on first use and kept in one (a, b) -> N dict on codes."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         self._by_code = system.by_code
-        self._pos: Dict[Pair, int] = {}
-        self._mixed: Dict[Pair, int] = {}
-        self._norm = {r: system.inner(r, r) for r in system.positive_roots}
-        self._build_positive()
-
-    # -- construction -------------------------------------------------------
+        self._n: Dict[Pair, int] = {}
+        if system.family == "B":
+            self._sign = self._so_sign
+        else:
+            # the edges i < j of the Dynkin diagram: (alpha_i, alpha_j) odd
+            gram, rank = system.gram, system.rank
+            edges = [
+                (i, j) for i in range(rank) for j in range(i + 1, rank) if gram[i][j] % 2
+            ]
+            self._lo = itemgetter(*[i for i, _ in edges])
+            self._hi = itemgetter(*[j for _, j in edges])
+            self._sign = self._fk_sign
 
     def string_down(self, alpha: int, beta: int) -> int:
         """p = max k with beta - k*alpha a root, for root codes alpha and
@@ -50,103 +81,57 @@ class StructureTable:
             probe -= alpha
         return p
 
-    def _build_positive(self) -> None:
-        by_code = self._by_code
-        order = sorted([(sum(by_code[r]), r) for r in self.system.positive_roots])
-        heights = [h for h, _ in order]
-        pos_by_order = [r for _, r in order]
-        place = {r: i for i, r in enumerate(pos_by_order)}
-        for h, gamma in order:
-            if h == 1:
-                continue
-            pairs = []
-            for i, alpha in enumerate(pos_by_order):
-                if heights[i] * 2 > h:
-                    break
-                # gamma - alpha is a positive root later in the order
-                j = place.get(gamma - alpha)
-                if j is not None and i < j:
-                    pairs.append((alpha, pos_by_order[j]))
-            ex_alpha, ex_beta = pairs[0]
-            n_ex = self.string_down(ex_alpha, ex_beta) + 1
-            self._set_pos(ex_alpha, ex_beta, n_ex)
-            for xi, eta in pairs[1:]:
-                self._set_pos(xi, eta, self._special_constant(ex_alpha, xi, eta))
-
-    def _set_pos(self, a: int, b: int, n: int) -> None:
-        self._pos[(a, b)] = n
-        self._pos[(b, a)] = -n
-
-    def _special_constant(self, alpha: int, xi: int, eta: int) -> int:
-        """Constant of a special pair from the extraspecial one via Jacobi.
-
-        With gamma = xi + eta = alpha + beta the Jacobi identity for
-        (x_{-alpha}, x_xi, x_eta) gives
-        N(xi,eta) N(-alpha,gamma) = N(-alpha,xi) N(xi-alpha,eta)
-                                  + N(-alpha,eta) N(xi,eta-alpha),
-        where every right-hand constant involves a pair with a shorter sum.
-        Arguments are root codes; xi - alpha (eta - alpha) is a root
-        whenever N(-alpha, xi) (N(-alpha, eta)) is nonzero.
-        """
-        n = self.n_code
-        lhs_factor = n(-alpha, xi + eta)
-        total = 0
-        t1a = n(-alpha, xi)
-        if t1a != 0:
-            total += t1a * n(xi - alpha, eta)
-        t2a = n(-alpha, eta)
-        if t2a != 0:
-            total += t2a * n(xi, eta - alpha)
-        if total % lhs_factor:
-            raise ArithmeticError("non-integral structure constant")
-        return total // lhs_factor
-
-    # -- lookups ------------------------------------------------------------
-
     def n_code(self, a: int, b: int) -> int:
         """N(a, b) for the roots with codes a and b; 0 when a+b is not a root.
-
-        A code's sign is its root's sign, and negating a code negates its
-        root, so both the positive table and the mixed memo are read on
-        ints alone.
-        """
-        if a + b not in self._by_code:
-            return 0
-        if a > 0:
-            if b > 0:
-                return self._pos.get((a, b), 0)
-        elif b < 0:
-            return -self._pos.get((-a, -b), 0)
-        key = (a, b)
-        val = self._mixed.get(key)
-        if val is None:
-            if a > 0:
-                val = -self._mixed_neg_pos(-b, a)
-            else:
-                val = self._mixed_neg_pos(-a, b)
-            self._mixed[key] = val
-        return val
-
-    def _mixed_neg_pos(self, alpha: int, b: int) -> int:
-        """N(-alpha, b) for positive roots alpha, b (codes) with b - alpha a
-        root."""
-        c = b - alpha
+        A code's sign is its root's sign, which the flip reads."""
+        c = a + b
         if c not in self._by_code:
             return 0
-        norm = self._norm
-        if c > 0:
-            # (-alpha) + b + (-c) = 0: N(-alpha,b)/(c,c) = N(-c,-alpha)/(b,b)
-            num, den = norm[c] * -self._pos.get((c, alpha), 0), norm[b]
+        table = self._n
+        n = table.get((a, b))
+        if n is None:
+            n = (self.string_down(a, b) + 1) * self._sign(a, b)
+            if (a < 0) ^ (b < 0) ^ (c < 0):
+                n = -n
+            table[(a, b)] = n
+            table[(b, a)] = -n  # antisymmetry: Phi_y reads both
+        return n
+
+    def _fk_sign(self, a: int, b: int) -> int:
+        """(-1)^(a^T E b): the diagonal of E gives a . b, its upper
+        triangle a_i b_j over the edges i < j."""
+        x, y = self._by_code[a], self._by_code[b]
+        t = sum(map(mul, x, y)) + sum(map(mul, self._lo(x), self._hi(y)))
+        return -1 if t & 1 else 1
+
+    def _uv(self, r: int) -> Pair:
+        """(u, v) with r = eps_u + eps_v, as in the B model.  A positive
+        root of B_n has coefficient 1 on alpha_u up to alpha_(w-1), then 0
+        (eps_u - eps_w), 1 (eps_u, w = n + 1) or 2 (eps_u + eps_w) to the
+        end: the last coefficient less 1 is the sign of v = +-w, or 0."""
+        c = self._by_code[abs(r)]
+        u = c.index(1) + 1
+        v = (c[-1] - 1) * (u + c.count(1))
+        return (u, v) if r > 0 else (-u, -v)
+
+    def _so_sign(self, a: int, b: int) -> int:
+        """The sign of [M_a, M_b] against M_(a+b): the one delta term of the
+        bracket that does not vanish when a + b is a root is s M(p, q).
+        M(p, q) = -M(q, p), and M_(a+b) = M(p, q) exactly when p is the
+        first index of a+b: q = 0, or 0 < |p| < |q|."""
+        (u, v), (x, y) = self._uv(a), self._uv(b)
+        if x == -v:
+            s, p, q = 1, u, y
+        elif y == -v:
+            s, p, q = -1, u, x
+        elif x == -u:
+            s, p, q = -1, v, y
         else:
-            d = -c
-            # (-alpha) + b + d = 0: N(-alpha,b)/(d,d) = N(b,d)/(alpha,alpha)
-            num, den = norm[d] * self._pos.get((b, d), 0), norm[alpha]
-        if num % den:
-            raise ArithmeticError("non-integral mixed structure constant")
-        return num // den
+            s, p, q = 1, v, x
+        return s if q == 0 or 0 < abs(p) < abs(q) else -s
 
 
 @lru_cache(maxsize=None)
 def build_structure_table(system: RootSystem) -> StructureTable:
-    """The full structure-constant table, built once per system."""
+    """The structure-constant table of a system, one per system."""
     return StructureTable(system)

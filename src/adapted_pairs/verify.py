@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .bounds import BoundWeight, bound_multiples
+from .bounds import BoundWeight, bound_multiples, improved_bound, lower_bound
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
 from .linalg import sparse_det, sparse_ranks
@@ -608,6 +608,8 @@ class CaseResult(NamedTuple):
     eigenvalues_match: bool
     lower: List[BoundWeight]
     improved: List[BoundWeight]
+    lower_multiples: List[Fraction]
+    improved_multiples: List[Fraction]
     bounds_coincide: bool
     bounds_expected_match: bool
 
@@ -664,7 +666,6 @@ def _witness(check: str, a_name: str, a, b_name: str, b) -> str:
 
 def run_case(family: str, n: int, s: int) -> CaseResult:
     """Execute the whole verification pipeline for one case."""
-    from . import bounds as bounds_mod
     from .construction import build_case
 
     cand = build_case(family, n, s)
@@ -686,16 +687,16 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         nondeg = check_nondegeneracy(cand, table, os)
     reg = check_regularity(cand, table)
     t_ok = len(cand.T) == cand.parabolic.index and cand.T == cand.T_expected
-    lower = bounds_mod.lower_bound(cand.parabolic)
+    lower = lower_bound(cand.parabolic)
     if basis.ok:
         pair = solve_h(cand)
-        improved = bounds_mod.improved_bound(cand)
+        improved = improved_bound(cand)
     else:
         # S is no basis of the truncated Cartan: no h, no improved bound
         pair = AdaptedPair({}, {}, ())
         improved = []
     eig_ok = tuple(sorted(pair.eigenvalues.values())) == cand.eigenvalues_expected
-    expected_ok = tuple(bound_multiples(cand, lower)) == cand.bounds_expected
+    lower_multiples = bound_multiples(cand, lower)
     return CaseResult(
         candidate=cand,
         basis=basis,
@@ -708,6 +709,8 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         eigenvalues_match=eig_ok,
         lower=lower,
         improved=improved,
+        lower_multiples=lower_multiples,
+        improved_multiples=bound_multiples(cand, improved),
         bounds_coincide=lower == improved,
-        bounds_expected_match=expected_ok,
+        bounds_expected_match=tuple(lower_multiples) == cand.bounds_expected,
     )

@@ -6,6 +6,11 @@
 - `centre_moved_outside`: a candidate whose S leaves the support, for the
   negative tests of the regularity check.  Like the case data, it names
   roots by their codes.
+- `structure_table_oracle`: the eager table of the extraspecial-pair
+  convention, built by the Jacobi recursion that `chevalley` replaced by
+  closed-form models.  `WrappedTable` hands the engine a table with its
+  entries changed, and `sign_twist` is such a change: a seeded twist of
+  the sign convention.
 - The bracket oracle: exact Lie algebra elements (`GElem`), N(a, b) on
   roots (`n_const`), brackets (`bracket_roots`, `bracket`) and the
   coadjoint action on the dual of the truncated parabolic (`ad_on_dual`,
@@ -65,6 +70,7 @@ coefficients from `RootSystem.by_code`.
 """
 
 import inspect
+import random
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -191,6 +197,122 @@ class GElem:
 
     def is_zero(self) -> bool:
         return not self.root_part and self.h_part is None
+
+
+class _JacobiTable:
+    """The extraspecial-pair convention, built eagerly: for each positive
+    gamma, in order of height and then code, the first pair (alpha, beta)
+    with alpha + beta = gamma and alpha before beta gets N = p + 1, every
+    other positive pair follows by the Jacobi identity, and the mixed
+    constants by the length-ratio identity for triples summing to zero."""
+
+    def __init__(self, system):
+        self.system = system
+        by_code = system.by_code
+        self._by_code = by_code
+        self._pos: Dict[Tuple[int, int], int] = {}
+        self._norm = {r: system.inner(r, r) for r in system.positive_roots}
+        order = sorted([(sum(by_code[r]), r) for r in system.positive_roots])
+        heights = [h for h, _ in order]
+        pos_by_order = [r for _, r in order]
+        place = {r: i for i, r in enumerate(pos_by_order)}
+        for h, gamma in order:
+            pairs = []
+            for i, alpha in enumerate(pos_by_order):
+                if heights[i] * 2 > h:
+                    break
+                j = place.get(gamma - alpha)
+                if j is not None and i < j:
+                    pairs.append((alpha, pos_by_order[j]))
+            if not pairs:
+                continue  # a simple root
+            alpha, beta = pairs[0]
+            self._set_pos(alpha, beta, self.string_down(alpha, beta) + 1)
+            for xi, eta in pairs[1:]:
+                self._set_pos(xi, eta, self._special_constant(alpha, xi, eta))
+
+    def string_down(self, alpha: int, beta: int) -> int:
+        p, probe = 0, beta - alpha
+        while probe in self._by_code:
+            p, probe = p + 1, probe - alpha
+        return p
+
+    def _set_pos(self, a: int, b: int, n: int) -> None:
+        self._pos[(a, b)] = n
+        self._pos[(b, a)] = -n
+
+    def _special_constant(self, alpha: int, xi: int, eta: int) -> int:
+        """With xi + eta = alpha + beta, the Jacobi identity for
+        (x_-alpha, x_xi, x_eta) gives N(xi, eta) N(-alpha, xi + eta) =
+        N(-alpha, xi) N(xi - alpha, eta) + N(-alpha, eta) N(xi, eta - alpha),
+        every right-hand constant on a pair with a lower sum."""
+        n = self.n_code
+        # N(-alpha, xi) is 0 exactly when xi - alpha is no root
+        total = 0
+        if n(-alpha, xi):
+            total += n(-alpha, xi) * n(xi - alpha, eta)
+        if n(-alpha, eta):
+            total += n(-alpha, eta) * n(xi, eta - alpha)
+        lhs = n(-alpha, xi + eta)
+        if total % lhs:
+            raise ArithmeticError("non-integral structure constant")
+        return total // lhs
+
+    def n_code(self, a: int, b: int) -> int:
+        if a + b not in self._by_code:
+            return 0
+        if a > 0 and b > 0:
+            return self._pos.get((a, b), 0)
+        if a < 0 and b < 0:
+            return -self._pos.get((-a, -b), 0)
+        if a > 0:
+            return -self._neg_pos(-b, a)
+        return self._neg_pos(-a, b)
+
+    def _neg_pos(self, alpha: int, b: int) -> int:
+        """N(-alpha, b) for positive alpha and b with b - alpha a root."""
+        c, norm = b - alpha, self._norm
+        if c > 0:
+            # (-alpha) + b + (-c) = 0: N(-alpha,b)/(c,c) = N(-c,-alpha)/(b,b)
+            num, den = norm[c] * -self._pos.get((c, alpha), 0), norm[b]
+        else:
+            # (-alpha) + b + (-c) = 0: N(-alpha,b)/(-c,-c) = N(b,-c)/(alpha,alpha)
+            num, den = norm[-c] * self._pos.get((b, -c), 0), norm[alpha]
+        if num % den:
+            raise ArithmeticError("non-integral mixed structure constant")
+        return num // den
+
+
+@lru_cache(maxsize=None)
+def structure_table_oracle(system) -> _JacobiTable:
+    """The eager Jacobi table of the extraspecial-pair convention, which
+    `chevalley.StructureTable` replaced by closed-form models: it has the
+    same `n_code` and `string_down`, and equals the models up to a twist."""
+    return _JacobiTable(system)
+
+
+class WrappedTable:
+    """A structure table whose n_code is change(a, b, N(a, b)), N the
+    wrapped table's: a sign twist, or a corrupted entry for a negative
+    test, handed to the engine in place of `build_structure_table`."""
+
+    def __init__(self, table, change: Callable[[int, int, int], int]):
+        self.system = table.system
+        self._n_code = table.n_code
+        self._change = change
+
+    def n_code(self, a: int, b: int) -> int:
+        return self._change(a, b, self._n_code(a, b))
+
+
+def sign_twist(system, seed: int) -> Callable[[int, int, int], int]:
+    """The change of `WrappedTable` for a seeded twist X_g -> c(g) X_g,
+    c: Delta -> +-1 with c(-g) = c(g): N(a, b) -> c(a) c(b) c(a+b) N(a, b)."""
+    rng = random.Random(seed)
+    c: Dict[int, int] = {}
+    for g in system.positive_roots:
+        c[g] = c[-g] = rng.choice((1, -1))
+    return lambda a, b, n: c[a] * c[b] * c[a + b] * n if n else 0
 
 
 def n_const(table, a: Optional[int], b: Optional[int]) -> int:

@@ -20,6 +20,7 @@ from engine_oracle import (
     n_const,
     pairing,
     root_from_eps,
+    structure_table_oracle,
     vec_add,
 )
 
@@ -70,6 +71,36 @@ def test_root_string_property_all_pairs():
             for b in roots:
                 if sys.try_root(vec_add(by_code[a], by_code[b])) is not None:
                     assert abs(n_const(t, a, b)) == t.string_down(a, b) + 1
+
+
+ORACLE_SYSTEMS = (
+    [("B", n) for n in range(2, 11)] + [("D", n) for n in range(4, 11)]
+    + [("E6", 6), ("E7", 7)]
+)
+
+
+@pytest.mark.parametrize("fam,rk", ORACLE_SYSTEMS)
+def test_model_is_the_oracle_up_to_signs(fam, rk):
+    # c = 1 on the simple roots; going up by height, c(g) is fixed by the
+    # pair (a, g - a), a the first simple root with g - a positive; then
+    # N(x, y) = c(x) c(y) c(x+y) N_oracle(x, y) on every ordered pair of
+    # roots whose sum is a root, c(-g) = c(g)
+    sys = build_root_system(fam, rk)
+    t, oracle = build_structure_table(sys), structure_table_oracle(sys)
+    by_code = sys.by_code
+    c = {a: 1 for a in sys.simple_roots}
+    for g in sorted(sys.positive_roots, key=lambda r: sum(by_code[r])):
+        if g not in c:
+            a = next(a for a in sys.simple_roots if g - a in by_code and g - a > 0)
+            c[g] = c[a] * c[g - a] * t.n_code(a, g - a) // oracle.n_code(a, g - a)
+    c.update({-g: c[g] for g in sys.positive_roots})
+    pairs = 0
+    for x in c:
+        for y in c:
+            if x + y in by_code:
+                assert t.n_code(x, y) == c[x] * c[y] * c[x + y] * oracle.n_code(x, y)
+                pairs += 1
+    assert pairs > 0
 
 
 def _as_parts(sys, total, value):

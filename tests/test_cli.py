@@ -389,24 +389,25 @@ def test_sweep_goes_on_past_a_certificate_that_cannot_be_built(
     # still run and are written
     import adapted_pairs.certificate as certificate
 
-    real_bound_multiples = certificate.bound_multiples
+    real_root_list = certificate._root_list
+    b3_roots = build_root_system("B", 3).by_code  # B3 has only s=2 here
 
-    def raise_on_b3_s2(cand, weights):
-        if (cand.family, cand.n, cand.s) == ("B", 3, 2):
-            raise ValueError("bound entry off the ray")
-        return real_bound_multiples(cand, weights)
+    def raise_on_b3(root, codes):
+        if root is b3_roots:
+            raise ValueError("cannot list the roots")
+        return real_root_list(root, codes)
 
     out = tmp_path / "certs"
     out.mkdir()
     (out / "B_n3_s2.json").write_text("stale")
-    monkeypatch.setattr(certificate, "bound_multiples", raise_on_b3_s2)
+    monkeypatch.setattr(certificate, "_root_list", raise_on_b3)
     assert main(["sweep", "--max-rank", "5", "--out", str(out)]) == 1
     stdout = capsys.readouterr().out
     rows = [l for l in stdout.splitlines() if l.startswith(("B ", "D "))]
     assert len(rows) == 8
     errors = [l for l in rows if " error " in l]
     assert len(errors) == 1 and errors[0].startswith("B n=3 s=2 ")
-    assert "ValueError: bound entry off the ray" in errors[0]
+    assert "ValueError: cannot list the roots" in errors[0]
     assert "FAILURES PRESENT" in stdout
     files = sorted(p.name for p in out.iterdir())
     assert len(files) == 7 and "B_n3_s2.json" not in files

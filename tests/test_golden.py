@@ -5,6 +5,9 @@ certificates satisfy from their fields alone.
 The hashes were recorded before the root arithmetic moved from epsilon
 vectors to the integer root lattice.  Any change of representation,
 caching or elimination order must keep every certificate byte-identical.
+So must a change of sign convention for the structure constants: the
+certificates are the same under the extraspecial-pair Jacobi table and
+under seeded twists of the engine's models.
 """
 
 import hashlib
@@ -14,10 +17,13 @@ from functools import lru_cache
 
 import pytest
 
+from adapted_pairs import verify
 from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import render_certificate
 from adapted_pairs.construction import build_case, in_scope_cases
+from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.verify import run_case
+from engine_oracle import WrappedTable, sign_twist, structure_table_oracle
 
 GOLDEN = {
     ('B', 2, 2): "34db2cf39761f676d27fa08400ed7df56acf2da17c161d9a3c5aaa2a4b907a3f",
@@ -122,8 +128,7 @@ CERTIFICATE_SET_SHA256 = (
 )
 
 
-@lru_cache(maxsize=None)
-def _certificate_set_texts():
+def _certificate_texts():
     """The 72 certificates, in the order of their file names."""
     files = {
         f"{family}_n{n}_s{s}.json": (family, n, s)
@@ -132,12 +137,40 @@ def _certificate_set_texts():
     return [to_json(certificate_dict(run_case(*files[name]))) for name in sorted(files)]
 
 
+@lru_cache(maxsize=None)
+def _certificate_set_texts():
+    return _certificate_texts()
+
+
 def test_certificate_set_unchanged():
     assert len(CERTIFICATE_SET_CASES) == 72
     digest = hashlib.sha256()
     for text in _certificate_set_texts():
         digest.update(text.encode())
     assert digest.hexdigest() == CERTIFICATE_SET_SHA256
+
+
+def _twisted(seed):
+    return lambda system: WrappedTable(
+        build_structure_table(system), sign_twist(system, seed)
+    )
+
+
+# The same 72 certificates under other sign conventions: the Jacobi table
+# of extraspecial pairs, and the engine's models under two seeded twists
+# X_g -> c(g) X_g with c(-g) = c(g).  The `chevalley` docstring proves that
+# no check's outcome moves; this pins the bytes.
+@pytest.mark.parametrize(
+    "tables",
+    [structure_table_oracle, _twisted(0), _twisted(1)],
+    ids=["jacobi_oracle", "twist_seed_0", "twist_seed_1"],
+)
+def test_certificate_set_ignores_the_sign_convention(tables, monkeypatch):
+    expected = _certificate_set_texts()
+    monkeypatch.setattr(verify, "build_structure_table", tables)
+    texts = _certificate_texts()
+    changed = [i for i, (a, b) in enumerate(zip(texts, expected)) if a != b]
+    assert len(texts) == 72 and changed == []
 
 
 # One hash over the `report` text of the same 72 certificates, read back from

@@ -24,6 +24,7 @@ from adapted_pairs.verify import (
 )
 from engine_oracle import (
     GElem,
+    WrappedTable,
     ad_on_dual,
     cartan_eps,
     centre_moved_outside,
@@ -925,6 +926,48 @@ def test_a_raised_closed_form_fails_its_check(
     assert lines[2:] == witness
     # the witness lines go to stdout only
     assert "only" not in out.read_text()
+
+
+def _zero_an_orbit_row(cand):
+    # every N(-a, .) of one orbit root a: row a of Phi_y vanishes
+    a = orbit_structure(cand).O[0]
+    return lambda x, y, n: 0 if x == -a else n
+
+
+def _zero_a_centre_column(cand):
+    # every N(-b, p0) of one p0 in S with -p0 not in O: Phi_y reads no
+    # such entry, and (ad p^-) y loses the root part of p0
+    orbit = set(orbit_structure(cand).O)
+    p0 = next(p for p in cand.S if -p not in orbit)
+    return lambda x, y, n: 0 if y == p0 else n
+
+
+@pytest.mark.parametrize(
+    "corrupt,check",
+    [
+        (_zero_an_orbit_row, "nondegeneracy_det"),
+        (_zero_a_centre_column, "regularity_rank"),
+    ],
+    ids=["nondegeneracy", "regularity"],
+)
+def test_a_corrupted_structure_table_fails_its_check(
+    corrupt, check, monkeypatch, capsys
+):
+    # B8 s=6 with structure constants zeroed through a wrapped table: the
+    # check that reads them fails first, and verify exits 1
+    import adapted_pairs.verify as verify
+    from adapted_pairs.cli import main
+
+    change = corrupt(build_case("B", 8, 6))
+    monkeypatch.setattr(
+        verify,
+        "build_structure_table",
+        lambda system: WrappedTable(build_structure_table(system), change),
+    )
+    assert run_case("B", 8, 6).first_failing == check
+    assert main(["verify", "--family", "B", "--rank", "8", "--s", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"first failing check: {check}"
 
 
 def test_bound_witness_names_the_lower_improved_difference():
