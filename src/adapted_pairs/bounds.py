@@ -56,7 +56,7 @@ def delta_gamma(parab: ParabolicData, orbit: FrozenSet[int]) -> BoundWeight:
     The sum runs over full label vectors, so the ray check of
     `bound_multiples` still tests i and j.
     """
-    den, num = parab.removed_projection()
+    den, num = parab.removed_projection
     s0 = parab.s - 1
     shift = dict(zip(parab.pi_prime, num))
     total = [0] * parab.system.rank

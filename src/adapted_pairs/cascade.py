@@ -16,7 +16,7 @@ highest root of its component, is the component root of largest code.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_right
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .roots import RootSystem
@@ -40,14 +40,15 @@ def _split_components(
     component's list.  Components come in the order of their least simple.
 
     Two simple roots of a subsystem are joined when their sum is a root.  A
-    root that is not simple lies in the component of r - alpha for some
-    simple alpha of the subsystem with r - alpha in pos; r - alpha precedes r
-    in code order, so one pass over pos in that order finds it.
+    root r lies in the component of its leading simple root.  Every given
+    simple is a unit code, and r's digits lie in [0, base), so that is the
+    largest given simple not above r, where r's digit must be nonzero.
     """
     by_code = system.by_code
+    ordered = sorted(simples)
     comp_of: Dict[int, int] = {}
     comps: List[List[int]] = []
-    for s in sorted(simples):
+    for s in ordered:
         if s in comp_of:
             continue
         idx = len(comps)
@@ -63,25 +64,22 @@ def _split_components(
                     queue.append(t)
         comps.append(sorted(comp))
     members: List[List[int]] = [[] for _ in comps]
+    base = system.base
     for r in pos:
-        idx = comp_of.get(r)
-        if idx is None:
-            below = next((r - a for a in simples if r - a in comp_of), None)
-            if below is None:
-                raise ValueError(f"{by_code[r]} is not generated by the given simples")
-            idx = comp_of[r] = comp_of[below]
-        members[idx].append(r)
+        k = bisect_right(ordered, r) - 1
+        if k < 0 or not (r // ordered[k]) % base:
+            raise ValueError(f"{by_code[r]} is not generated by the given simples")
+        members[comp_of[ordered[k]]].append(r)
     return list(zip(comps, members))
 
 
-def kostant_cascade(system: RootSystem) -> List[CascadeItem]:
-    """The full cascade for Delta+."""
-    return list(_full_cascade(system))
+def kostant_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
+    """The full cascade for Delta+, the same for every s: built once per
+    system and kept, immutable, in its `RootSystem.derived` store."""
+    return system.derived(_full_cascade)
 
 
-@lru_cache(maxsize=None)
 def _full_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
-    """The cascade of Delta+, the same for every s: built once per system."""
     by_code = system.by_code
     items: List[CascadeItem] = []
 

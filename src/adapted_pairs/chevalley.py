@@ -40,7 +40,6 @@ bytes under that convention and under twists.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Dict, Tuple
 
@@ -131,7 +130,6 @@ class StructureTable:
         return s if q == 0 or 0 < abs(p) < abs(q) else -s
 
 
-@lru_cache(maxsize=None)
 def build_structure_table(system: RootSystem) -> StructureTable:
-    """The structure-constant table of a system, one per system."""
-    return StructureTable(system)
+    """The structure table of a system, kept in its `RootSystem.derived`."""
+    return system.derived(StructureTable)

@@ -239,7 +239,12 @@ def cmd_sweep(args) -> int:
             return _usage_error(f"cannot write --out: {exc}")
     rows = []
     all_ok = True
+    held = None
     for family, n, s in in_scope_cases(args.max_rank):
+        if (family, n) != held:
+            # one root system at a time, and its `derived` tables with it
+            build_root_system.cache_clear()
+            held = family, n
         t0 = time.perf_counter()
         out_file = out_dir / f"{family}_n{n}_s{s}.json" if out_dir else None
         try:

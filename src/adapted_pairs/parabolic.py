@@ -16,8 +16,8 @@ no linear system is solved.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .roots import RootSystem
 
@@ -34,27 +34,19 @@ def subsystem_roots(system: RootSystem, subset: Sequence[int]) -> List[int]:
 
 
 def minus_w0_on_subset(system: RootSystem, subset: Sequence[int]) -> Dict[int, int]:
-    """The permutation alpha -> -w0(alpha) of the chosen simple roots.
+    """The permutation alpha -> -w0(alpha) of the chosen simple roots, by
+    the descent algorithm on Dynkin labels <v, alpha_j^vee>, j in subset.
 
-    w0 is the longest element of the Weyl group generated by the subset; it
-    is read off the descent algorithm applied to a strictly dominant weight
-    of the subsystem, once per system and subset.
-    """
-    return dict(_descent_minus_w0(system, tuple(sorted(subset))))
-
-
-@lru_cache(maxsize=None)
-def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, int]:
-    """The descent algorithm on Dynkin labels <v, alpha_j^vee>, j in subset.
-
+    w0 is the longest element of the Weyl group generated by the subset.
     Start from v = sum_k c_k w_k with the distinct labels c_k = k + 1 (k the
-    position in subset) and reflect at any j with a positive label; s_j
-    subtracts label_j times row j of the Cartan matrix, which is nonzero
-    only at j and its neighbours.  Every step lengthens the Weyl element by
-    one, so after |Delta+ of the subset| steps v = w0(v) is antidominant.
-    Since -w0(w_i) = w_{-w0(i)}, the label -c_k of w0(v) sits at -w0 of
-    the k-th index.
+    position in the sorted subset) and reflect at any j with a positive
+    label; s_j subtracts label_j times row j of the Cartan matrix, which is
+    nonzero only at j and its neighbours.  Every step lengthens the Weyl
+    element by one, so after |Delta+ of the subset| steps v = w0(v) is
+    antidominant.  Since -w0(w_i) = w_{-w0(i)}, the label -c_k of w0(v)
+    sits at -w0 of the k-th index.
     """
+    subset = sorted(subset)
     cartan = system.cartan
     size = len(subset)
     labels = list(range(1, size + 1))
@@ -80,6 +72,12 @@ def _descent_minus_w0(system: RootSystem, subset: Tuple[int, ...]) -> Dict[int, 
     return {subset[-labels[b] - 1]: j for b, j in enumerate(subset)}
 
 
+def _minus_w0(system: RootSystem) -> Dict[int, int]:
+    """-w0 of the whole diagram, the involution j of every parabolic of the
+    system, shared through its `RootSystem.derived` store: never changed."""
+    return minus_w0_on_subset(system, range(system.rank))
+
+
 class ParabolicData:
     """Everything attached to the truncation of p_{pi \\ {alpha_s}}: pi',
     the involutions j and i, the ij-orbits and the index, the support of
@@ -87,19 +85,6 @@ class ParabolicData:
     coordinates are also the Levi corrections of the lower bound in
     Dynkin labels (`bounds.delta_gamma`).
     """
-
-    __slots__ = (
-        "system",
-        "s",
-        "pi_prime",
-        "j_map",
-        "i_map",
-        "orbits",
-        "index",
-        "dual_support",
-        "dual_support_codes",
-        "_removed_projection",
-    )
 
     def __init__(self, system: RootSystem, s: int):
         if not 1 <= s <= system.rank:
@@ -109,7 +94,7 @@ class ParabolicData:
         s0 = s - 1
         # 0-based indices
         self.pi_prime = tuple(i for i in range(sys.rank) if i != s0)
-        self.j_map = minus_w0_on_subset(sys, range(sys.rank))
+        self.j_map = sys.derived(_minus_w0)
         self.i_map = self._build_i()
         self.orbits = self._ij_orbits()
         self.index = len(self.orbits)
@@ -120,7 +105,6 @@ class ParabolicData:
         ]
         self.dual_support: Tuple[int, ...] = tuple(sorted(support))
         self.dual_support_codes: FrozenSet[int] = frozenset(self.dual_support)
-        self._removed_projection: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     def _build_i(self) -> Dict[int, int]:
         """-w0' on pi', extended by i(alpha_s) = alpha_s.
@@ -157,6 +141,7 @@ class ParabolicData:
     def h_dim(self) -> int:
         return len(self.pi_prime)
 
+    @cached_property
     def removed_projection(self) -> Tuple[int, Tuple[int, ...]]:
         """The orthogonal projection of alpha_s^vee onto the truncated
         Cartan as (den, num): sum over k in pi' of num[k] / den alpha_k^vee,
@@ -169,23 +154,20 @@ class ParabolicData:
         leaves -(w_k g_kk) / (w_s g_ss) at k.  w is the integer row of
         varpi_s from `RootSystem.weight_rows`, whose denominator cancels.
         """
-        if self._removed_projection is None:
-            sys = self.system
-            gram = sys.gram
-            s0 = self.s - 1
-            _, fund = sys.weight_rows()
-            w = fund[s0]
-            den = w[s0] * gram[s0][s0]
-            num = [-w[k] * gram[k][k] for k in self.pi_prime]
-            g = math.gcd(den, *num)
-            self._removed_projection = (den // g, tuple([x // g for x in num]))
-        return self._removed_projection
+        gram = self.system.gram
+        s0 = self.s - 1
+        _, fund = self.system.weight_rows()
+        w = fund[s0]
+        den = w[s0] * gram[s0][s0]
+        num = [-w[k] * gram[k][k] for k in self.pi_prime]
+        g = math.gcd(den, *num)
+        return den // g, tuple([x // g for x in num])
 
     def h_in_coroot_basis_scaled(self, v: Sequence) -> List:
         """den * the coordinates of the orthogonal projection of v (coroot
         coordinates) onto the truncated Cartan, in its coroot basis, with
         den from `removed_projection`: integers for an integer v."""
-        den, num = self.removed_projection()
+        den, num = self.removed_projection
         vs = v[self.s - 1]
         return [den * v[i] + vs * c for i, c in zip(self.pi_prime, num)]
 

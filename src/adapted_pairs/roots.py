@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
 
@@ -123,7 +123,7 @@ class RootSystem:
             self._pairings[code] = pairs
             self._pairings[-code] = tuple([-p for p in pairs])
         self.simple_roots: List[int] = [self.base**k for k in reversed(range(rank))]
-        self._weight_rows: Optional[Tuple[int, Dict[int, Coeffs]]] = None
+        self._derived: Dict[Callable[["RootSystem"], Any], Any] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -212,7 +212,15 @@ class RootSystem:
             [c * g // norm for c, g in zip(self.by_code[r], self._norms)]
         )
 
-    # -- weights -----------------------------------------------------------
+    # -- tables derived from the system ----------------------------------
+
+    def derived(self, make: Callable[["RootSystem"], Any]) -> Any:
+        """make(self), made on first use and kept on the system, keyed on
+        make: the one store of what is built per system (weight rows,
+        structure table, cascade, -w0), which lives as long as the system."""
+        if make not in self._derived:
+            self._derived[make] = make(self)
+        return self._derived[make]
 
     def weight_rows(self) -> Tuple[int, Dict[int, Coeffs]]:
         """The fundamental weights as integer vectors over one denominator:
@@ -222,19 +230,7 @@ class RootSystem:
         projection of a parabolic (`ParabolicData.removed_projection`)
         reads the row of varpi_s, and the character bounds, which work in
         Dynkin labels, need no other."""
-        if self._weight_rows is None:
-            # imported here so that rendering a certificate, which needs
-            # the roots but no weights, does not load linalg
-            from .linalg import invert
-
-            _, inverse = invert([list(col) for col in zip(*self.cartan)])
-            if inverse is None:
-                raise ValueError("degenerate Cartan matrix")
-            # w_i solves C^T x = e_i: column i of the inverse
-            g = math.gcd(inverse.den, *[x for row in inverse for x in row])
-            rows = {i: tuple([r[i] // g for r in inverse]) for i in range(self.rank)}
-            self._weight_rows = (inverse.den // g, rows)
-        return self._weight_rows
+        return self.derived(_weight_rows)
 
     # -- epsilon coordinates ---------------------------------------------
 
@@ -259,8 +255,23 @@ class RootSystem:
         return f"RootSystem({self.family}, {self.rank})"
 
 
+def _weight_rows(system: RootSystem) -> Tuple[int, Dict[int, Coeffs]]:
+    # imported here so that rendering a certificate, which needs the roots
+    # but no weights, does not load linalg
+    from .linalg import invert
+
+    _, inverse = invert([list(col) for col in zip(*system.cartan)])
+    if inverse is None:
+        raise ValueError("degenerate Cartan matrix")
+    # w_i solves C^T x = e_i: column i of the inverse
+    g = math.gcd(inverse.den, *[x for row in inverse for x in row])
+    rows = {i: tuple([r[i] // g for r in inverse]) for i in range(system.rank)}
+    return inverse.den // g, rows
+
+
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Build and cache the full root system for a supported (family, rank)."""
+    """Build and cache the root system of a supported (family, rank): the
+    only module-level memo, which `cli.cmd_sweep` clears between systems."""
     return RootSystem(family, rank)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .bounds import BoundWeight, bound_multiples, improved_bound, lower_bound
+from .bounds import bound_multiples, improved_bound, lower_bound
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
 from .linalg import sparse_det, sparse_ranks
@@ -606,8 +606,6 @@ class CaseResult(NamedTuple):
     t_size_vs_index: bool
     pair: AdaptedPair
     eigenvalues_match: bool
-    lower: List[BoundWeight]
-    improved: List[BoundWeight]
     lower_multiples: List[Fraction]
     improved_multiples: List[Fraction]
     bounds_coincide: bool
@@ -635,33 +633,39 @@ class CaseResult(NamedTuple):
         return None
 
     def closed_form_witnesses(self) -> List[str]:
-        """Why `eigenvalues_match` or `bounds_coincide` failed, when it is the
-        first failing check: the values only in the closed form and those
-        only in the computed multiset, and for the bounds also the
-        difference of the lower and improved bounds, in multiples of
-        varpi_s.  No lines for any other outcome."""
+        """Why `T_size_vs_index`, `eigenvalues_match` or `bounds_coincide`
+        failed, when it is the first failing check: the values only in the
+        closed form and those only in the computed multiset.  For T also
+        |T| and the index, with roots as coefficient vectors; for the
+        bounds also the difference of the lower and improved bounds, in
+        multiples of varpi_s.  No lines for any other outcome."""
         cand, failing = self.candidate, self.first_failing
+        if failing == "T_size_vs_index":
+            root = cand.system.by_code
+            t = [root[r] for r in cand.T]
+            closed = [root[r] for r in cand.T_expected]
+            sizes = f"|T| = {len(t)}, index = {cand.parabolic.index}; "
+            return [_witness(failing, "T", t, "closed form", closed, sizes)]
         if failing == "eigenvalues_match":
             closed, computed = cand.eigenvalues_expected, self.pair.eigenvalues.values()
             return [_witness(failing, "closed form", closed, "computed", computed)]
         if failing != "bounds_coincide":
             return []
-        lower = bound_multiples(cand, self.lower)
-        improved = bound_multiples(cand, self.improved)
+        lower, improved = self.lower_multiples, self.improved_multiples
         return [
             _witness(failing, "closed form", cand.bounds_expected, "lower", lower),
             _witness(failing, "lower", lower, "improved", improved),
         ]
 
 
-def _witness(check: str, a_name: str, a, b_name: str, b) -> str:
-    """The line naming, in increasing order, the values of each of two
-    multisets that the other lacks."""
+def _witness(check: str, a_name: str, a, b_name: str, b, lead: str = "") -> str:
+    """The line naming, after lead, in increasing order, the values of each
+    of two multisets that the other lacks."""
 
     def only(x, y) -> str:
         return ", ".join(map(str, sorted((Counter(x) - Counter(y)).elements())))
 
-    return f"{check}: {a_name} only [{only(a, b)}]; {b_name} only [{only(b, a)}]"
+    return f"{check}: {lead}{a_name} only [{only(a, b)}]; {b_name} only [{only(b, a)}]"
 
 
 def run_case(family: str, n: int, s: int) -> CaseResult:
@@ -696,7 +700,9 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         pair = AdaptedPair({}, {}, ())
         improved = []
     eig_ok = tuple(sorted(pair.eigenvalues.values())) == cand.eigenvalues_expected
+    # sorted and on the varpi_s ray (or raised): equal lists, equal bounds
     lower_multiples = bound_multiples(cand, lower)
+    improved_multiples = bound_multiples(cand, improved)
     return CaseResult(
         candidate=cand,
         basis=basis,
@@ -707,10 +713,8 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         t_size_vs_index=t_ok,
         pair=pair,
         eigenvalues_match=eig_ok,
-        lower=lower,
-        improved=improved,
         lower_multiples=lower_multiples,
-        improved_multiples=bound_multiples(cand, improved),
-        bounds_coincide=lower == improved,
+        improved_multiples=improved_multiples,
+        bounds_coincide=lower_multiples == improved_multiples,
         bounds_expected_match=tuple(lower_multiples) == cand.bounds_expected,
     )

@@ -370,7 +370,7 @@ def project_h(parab, v: Sequence) -> Tuple[Fraction, ...]:
     the truncated Cartan, in coroot coordinates of the full Cartan: the
     scaled form of `ParabolicData.h_in_coroot_basis_scaled` over its
     denominator."""
-    den, _ = parab.removed_projection()
+    den, _ = parab.removed_projection
     out = [Fraction(0)] * parab.system.rank
     for i, c in zip(parab.pi_prime, parab.h_in_coroot_basis_scaled(v)):
         out[i] = Fraction(c) / den
@@ -416,7 +416,7 @@ def coadjoint_columns(
     support = parab.dual_support
     row_of = {c: i for i, c in enumerate(support)}
     nroots = len(support)
-    scale, _ = parab.removed_projection()
+    scale, _ = parab.removed_projection
     columns: List[Dict[int, int]] = []
     for bc in support:
         col: Dict[int, int] = {}

@@ -11,7 +11,6 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from adapted_pairs.bounds import bound_multiples
 from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.cli import main
 from adapted_pairs.construction import build_case
@@ -61,7 +60,7 @@ def _full_battery(result):
     assert result.regularity.rank_augmented == result.regularity.dim_p
     assert result.t_size_vs_index
     assert result.eigenvalues_match
-    assert result.lower == result.improved
+    assert result.lower_multiples == result.improved_multiples
     assert result.bounds_expected_match
     assert result.verdict
 
@@ -105,9 +104,9 @@ def test_criterion_2_e6():
     assert Counter(result.pair.eigenvalues.values()) == Counter(
         {F(5): 1, F(7): 1, F(17): 1}
     )
-    lower = Counter(bound_multiples(result.candidate, result.lower))
+    lower = Counter(result.lower_multiples)
     assert lower == Counter({F(3): 2, F(6): 1})
-    assert result.lower == result.improved
+    assert result.lower_multiples == result.improved_multiples
     _report(
         "2 (E6, s=6)",
         elapsed < 5.0,
@@ -128,7 +127,7 @@ def test_criterion_3_type_b_sweep():
             if n == s
             else Counter({F(1): 2, F(2): n - 1 - s // 2})
         )
-        actual = Counter(bound_multiples(result.candidate, result.lower))
+        actual = Counter(result.lower_multiples)
         assert actual == Counter({k: v for k, v in expected_mult.items() if v})
     elapsed = time.perf_counter() - t0
     _report(
@@ -146,7 +145,7 @@ def test_criterion_4_type_d_sweep():
         result = run_case("D", n, s)
         _full_battery(result)
         assert len(result.candidate.T) == n - s // 2 + 1
-        actual = Counter(bound_multiples(result.candidate, result.lower))
+        actual = Counter(result.lower_multiples)
         assert actual == Counter(
             {k: v for k, v in {F(1): 3, F(2): n - 2 - s // 2}.items() if v}
         )
@@ -164,7 +163,7 @@ def test_criterion_5_type_d_extremal():
     for n in (6, 8, 10, 12):
         result = run_case("D", n, n)
         _full_battery(result)
-        actual = Counter(bound_multiples(result.candidate, result.lower))
+        actual = Counter(result.lower_multiples)
         assert actual == Counter({F(2): 3, F(4): n // 2 - 2})
         if n == 6:
             # evaluated independently from the closed forms before the build

@@ -244,7 +244,7 @@ def _levi_shift_holds(parab, s):
     has alpha_s coordinate 0 for every a in pi', the simple roots other
     than alpha_s, i.e. den (w_a)_s + num_a (w_s)_s == 0 on the integer
     rows of the fundamental weights."""
-    den, num = parab.removed_projection()
+    den, num = parab.removed_projection
     _, fund = parab.system.weight_rows()
     s0 = s - 1
     pi_prime = [i for i in range(parab.system.rank) if i != s0]
@@ -261,7 +261,7 @@ def test_rank_one_levi_weights_are_those_of_pi_prime(family, n):
         assert _levi_shift_holds(parab, s), s
         if n <= 8:
             # in labels w'_a is the unit vector at a plus num_a / den at s
-            den, num = parab.removed_projection()
+            den, num = parab.removed_projection
             theirs = oracle.levi_weights(sys, parab.pi_prime)
             for a, c in zip(parab.pi_prime, num):
                 ours = [F(0)] * n
@@ -277,13 +277,13 @@ def test_rank_one_levi_update_at_a_wrong_s_mismatches():
     sys = build_root_system("D", 7)
     same = []
     for s in range(1, 8):
-        right = ParabolicData(sys, s).removed_projection()
+        right = ParabolicData(sys, s).removed_projection
         for wrong in range(1, 8):
             if wrong == s:
                 continue
             parab = ParabolicData(sys, s)
             parab.s = wrong  # the projection reads s; pi' stays that of s
-            if parab.removed_projection() == right:
+            if parab.removed_projection == right:
                 same.append((s, wrong))
             else:
                 assert not _levi_shift_holds(parab, s), (s, wrong)

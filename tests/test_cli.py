@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import adapted_pairs
 from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.cli import _rat_str, eps_str, main, render_certificate
-from adapted_pairs.roots import build_root_system
+from adapted_pairs.roots import RootSystem, build_root_system
 from adapted_pairs.verify import run_case
 from engine_oracle import centre_moved_outside, rat_value, replace
 from engine_oracle import eps_str as oracle_eps_str
@@ -390,10 +391,11 @@ def test_sweep_goes_on_past_a_certificate_that_cannot_be_built(
     import adapted_pairs.certificate as certificate
 
     real_root_list = certificate._root_list
-    b3_roots = build_root_system("B", 3).by_code  # B3 has only s=2 here
 
     def raise_on_b3(root, codes):
-        if root is b3_roots:
+        # the sweep builds each system afresh; the only rank-3 one is B3,
+        # which has only s=2 here
+        if len(next(iter(root.values()))) == 3:
             raise ValueError("cannot list the roots")
         return real_root_list(root, codes)
 
@@ -452,6 +454,26 @@ def test_verify_reports_an_engine_value_error_as_a_fault(
         main(argv)
     assert not out.exists()
     assert "error:" not in capsys.readouterr().err
+
+
+def test_a_sweep_lets_each_root_system_go(monkeypatch, capsys):
+    # the sweep holds one root system at a time: once it returns, only the
+    # plan's last system, E6, may still be memoized
+    built = []
+    init = RootSystem.__init__
+
+    def record(self, family, rank):
+        init(self, family, rank)
+        built.append((family, rank, weakref.ref(self)))
+
+    monkeypatch.setattr(RootSystem, "__init__", record)
+    build_root_system.cache_clear()
+    assert main(["sweep", "--max-rank", "6"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert {family for family, _, _ in built} == {"B", "D", "E6"}
+    alive = [(family, rank) for family, rank, ref in built if ref() is not None]
+    assert alive in ([], [("E6", 6)]), alive
 
 
 def test_sweep_usage_error(capsys):

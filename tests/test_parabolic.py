@@ -208,6 +208,6 @@ PROJECTION_CASES = (
 def test_removed_projection_matches_the_coroot_gram_solve():
     for family, n, s in PROJECTION_CASES:
         p = ParabolicData(build_root_system(family, n), s)
-        den, num = p.removed_projection()
+        den, num = p.removed_projection
         assert den > 0 and math.gcd(den, *num) == 1 and len(num) == p.h_dim
         assert [Fraction(x, den) for x in num] == removed_projection_oracle(p)

@@ -1,11 +1,14 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.chevalley import build_structure_table
-from adapted_pairs.parabolic import minus_w0_on_subset
+from adapted_pairs.parabolic import ParabolicData
 from adapted_pairs.roots import RootSystem, build_root_system
+from adapted_pairs.verify import run_case
 from engine_oracle import (
     Weight,
     closure_positive_roots,
@@ -360,23 +363,34 @@ def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
             root_from_eps(sys, scaled)
 
 
-def test_per_system_memos_are_shared_and_handed_out_as_copies():
-    # the structure table, the cascade of Delta+ and -w0 are kept once per
-    # system by the modules that build them; callers get their own list
-    # and dict
+def test_per_system_tables_are_shared_within_a_system_only():
+    # the structure table, the cascade of Delta+ and -w0 of the diagram are
+    # kept in the system's `derived` store: every parabolic of a system
+    # shares them, another system has its own, and a fresh system builds
+    # them afresh
+    def tables(sys, s):
+        j_map = ParabolicData(sys, s).j_map
+        return build_structure_table(sys), kostant_cascade(sys), j_map
+
     sys = build_root_system("D", 6)
-    table = build_structure_table(sys)
-    assert table is build_structure_table(sys) and table.system is sys
-    assert build_structure_table(build_root_system("D", 7)) is not table
+    shared = tables(sys, 2)
+    assert all(a is b for a, b in zip(tables(sys, 4), shared))
+    assert shared[0].system is sys
+    other = tables(build_root_system("D", 7), 2)
+    assert not any(a is b for a, b in zip(other, shared))
+    fresh = tables(RootSystem("D", 6), 2)
+    assert not any(a is b for a, b in zip(fresh, shared))
+    assert fresh[1:] == shared[1:]
 
-    cascade = kostant_cascade(sys)
-    original = list(cascade)
-    cascade.pop()
-    cascade.reverse()
-    assert kostant_cascade(sys) == original
 
-    w0 = minus_w0_on_subset(sys, range(sys.rank))
-    original_w0 = dict(w0)
-    w0[0] = 99
-    del w0[1]
-    assert minus_w0_on_subset(sys, range(sys.rank)) == original_w0
+def test_a_system_and_its_tables_go_when_the_memo_drops_it():
+    # once `build_root_system` forgets a system that ran a case, nothing
+    # holds it: no module keeps a table of it
+    build_root_system.cache_clear()
+    sys = build_root_system("B", 6)
+    ref = weakref.ref(sys)
+    assert run_case("B", 6, 4).verdict
+    del sys
+    build_root_system.cache_clear()
+    gc.collect()
+    assert ref() is None

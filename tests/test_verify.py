@@ -595,7 +595,7 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
     sys, parab = cand.system, cand.parabolic
     table = build_structure_table(sys)
     rows = coadjoint_rows(cand, table)
-    scale, _ = parab.removed_projection()
+    scale, _ = parab.removed_projection
     support = cand.parabolic.dual_support
     row_of = {c: i for i, c in enumerate(support)}
     dim_p = len(support) + parab.h_dim
@@ -886,37 +886,65 @@ def test_eigenvalue_closed_forms_across_sweep():
         assert actual == cand.eigenvalues_expected, (family, n, s, actual)
 
 
+def _raise_the_last(field):
+    # the largest closed-form entry raised by 1
+    def change(cand):
+        closed = getattr(cand, field)
+        return closed[:-1] + (closed[-1] + 1,)
+
+    return change
+
+
+def _swap_a_t_root(cand):
+    # the last root of the closed-form T replaced by the largest root of
+    # the support outside it
+    other = max(r for r in cand.parabolic.dual_support if r not in cand.T_expected)
+    return tuple(sorted(cand.T_expected[:-1] + (other,)))
+
+
 @pytest.mark.parametrize(
-    "field,check,witness",
+    "field,change,check,witness",
     [
         (
             "eigenvalues_expected",
+            _raise_the_last("eigenvalues_expected"),
             "eigenvalues_match",
             ["eigenvalues_match: closed form only [12]; computed only [11]"],
         ),
         (
             "bounds_expected",
+            _raise_the_last("bounds_expected"),
             "bounds_coincide",
             [
                 "bounds_coincide: closed form only [3]; lower only [2]",
                 "bounds_coincide: lower only []; improved only []",
             ],
         ),
+        (
+            "T_expected",
+            _swap_a_t_root,
+            "T_size_vs_index",
+            [
+                "T_size_vs_index: |T| = 6, index = 6; "
+                "T only [(1, 0, 0, 0, 0, 0, 0, 0)]; "
+                "closed form only [(1, 2, 2, 2, 2, 2, 2, 2)]"
+            ],
+        ),
     ],
-    ids=["eigenvalues", "bounds"],
+    ids=["eigenvalues", "bounds", "T"],
 )
 def test_a_raised_closed_form_fails_its_check(
-    field, check, witness, tmp_path, monkeypatch, capsys
+    field, change, check, witness, tmp_path, monkeypatch, capsys
 ):
-    # B8 s=6 with its largest closed-form entry raised by 1: the check that
-    # compares against it fails first, and verify names both values
+    # B8 s=6 with one closed-form entry changed: the check that compares
+    # against it fails first, and verify names the values on both sides
     import adapted_pairs.construction as construction
     from adapted_pairs.cli import main
 
     cand = construction.build_case("B", 8, 6)
-    closed = getattr(cand, field)
-    bad = replace(cand, **{field: closed[:-1] + (closed[-1] + 1,)})
+    bad = replace(cand, **{field: change(cand)})
     monkeypatch.setattr(construction, "build_case", lambda *a: bad)
+    assert run_case("B", 8, 6).first_failing == check
     out = tmp_path / "cert.json"
     code = main(["verify", "--family", "B", "--rank", "8", "--s", "6",
                  "--out", str(out)])
@@ -972,9 +1000,9 @@ def test_a_corrupted_structure_table_fails_its_check(
 
 def test_bound_witness_names_the_lower_improved_difference():
     result = run_case("B", 6, 4)
-    lower = result.lower
-    doubled = lower[0]._replace(num=tuple(2 * x for x in lower[0].num))
-    bad = replace(result, improved=sorted(lower[1:] + [doubled]), bounds_coincide=False)
+    lower = result.lower_multiples
+    improved = sorted(lower[1:] + [2 * lower[0]])
+    bad = replace(result, improved_multiples=improved, bounds_coincide=False)
     assert bad.first_failing == "bounds_coincide"
     assert bad.closed_form_witnesses() == [
         "bounds_coincide: closed form only []; lower only []",
