@@ -13,8 +13,9 @@ reads a rational back as two ints) lives in `cli`, next to `report`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .verify import CaseResult
 
@@ -92,12 +93,43 @@ def certificate_dict(result: CaseResult) -> dict:
     return cert
 
 
+# The text of each root vector at each nesting, (coefficients, line break
+# and indent) -> text: the certificates of a system list mostly the same
+# vectors.  Emptied whenever the texts it holds would pass _VECTOR_CHARS
+# characters, so its memory stays bounded at any rank.
+_VECTOR_TEXT: Dict[Tuple[Tuple[int, ...], str], str] = {}
+_VECTOR_CHARS = 1 << 20
+_vector_chars = 0
+_INT = {int}
+_LIST = {list}
+_RATIONAL = {"den", "num"}
+
+
+def _vector_text(vec: list, newline: str) -> str:
+    """The text of a nonempty list of ints at the nesting whose line break
+    and indent is newline, rendered on a miss of `_VECTOR_TEXT`.  The
+    caller checks the types: a bool or float can equal an int."""
+    global _vector_chars
+    key = (tuple(vec), newline)
+    text = _VECTOR_TEXT.get(key)
+    if text is None:
+        inner = newline + "  "
+        text = "[" + inner + ("," + inner).join(map(int.__repr__, vec)) + newline + "]"
+        if _vector_chars + len(text) > _VECTOR_CHARS:
+            _VECTOR_TEXT.clear()
+            _vector_chars = 0
+        _VECTOR_TEXT[key] = text
+        _vector_chars += len(text)
+    return text
+
+
 def to_json(cert: dict) -> str:
     """The bytes of json.dumps(cert, indent=2, sort_keys=True) + "\n",
     written directly: with indent, json runs its pure-Python encoder.  A
     certificate holds only dicts with str keys, lists, ints, bools, None
     and strs (escaped to ASCII, as json does); anything else raises
-    TypeError."""
+    TypeError.  Root vectors, lists of them and {"den", "num"} rationals
+    take direct paths, each vector's text rendered once (`_VECTOR_TEXT`)."""
     parts: List[str] = []
     _write(cert, "\n", parts.append)
     parts.append("\n")
@@ -123,6 +155,11 @@ def _write(obj, newline: str, emit) -> None:
             emit("{}")
             return
         inner = newline + "  "
+        if obj.keys() == _RATIONAL:
+            den, num = obj["den"], obj["num"]
+            if type(den) is int and type(num) is int:
+                emit(f'{{{inner}"den": {den!r},{inner}"num": {num!r}{newline}}}')
+                return
         sep = "{" + inner
         for key in sorted(obj):
             if type(key) is not str:
@@ -138,10 +175,16 @@ def _write(obj, newline: str, emit) -> None:
             emit("[]")
             return
         inner = newline + "  "
-        if all([type(item) is int for item in obj]):
-            # a root's coefficient vector: one join for the whole list
-            body = ("," + inner).join(map(int.__repr__, obj))
-            emit("[" + inner + body + newline + "]")
+        kinds = set(map(type, obj))
+        if kinds == _INT:
+            emit(_vector_text(obj, newline))
+            return
+        vectors = kinds == _LIST and all(obj)
+        if vectors and set(map(type, chain.from_iterable(obj))) == _INT:
+            # a list of root vectors: one join of their texts
+            get = _VECTOR_TEXT.get
+            texts = [get((tuple(v), inner)) or _vector_text(v, inner) for v in obj]
+            emit("[" + inner + ("," + inner).join(texts) + newline + "]")
             return
         sep = "[" + inner
         for item in obj:

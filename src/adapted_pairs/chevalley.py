@@ -5,15 +5,17 @@ p the largest k with b - k*a a root (Carter, *Simple Groups of Lie Type*,
 Sect. 4.2); p is 0 in D and E.  The sign is read off a model whose root
 vectors are known, up to a positive factor per root:
 
-- D, E6 and E7: the Frenkel-Kac cocycle (-1)^(a^T E b) on coefficient
+- B and D: so(2n+1) and so(2n).  On signed indices, with eps_0 = 0 and
+  eps_-u = -eps_u, the root eps_u + eps_v has the vector M(u, v) =
+  E_{u,-v} - E_{v,-u}, where u is a positive root's first epsilon index
+  and v its second (0 for a short root of B), and [M(u,v), M(x,y)] =
+  d(x,-v) M(u,y) - d(y,-v) M(u,x) - d(x,-u) M(v,y) + d(y,-u) M(v,x), d
+  the Kronecker delta.  (u, v) is found once per root
+  (`RootSystem.eps_indices`) and kept, so an entry costs O(1).
+- E6 and E7: the Frenkel-Kac cocycle (-1)^(a^T E b) on coefficient
   vectors, with E_ii = 1, E_ij = (alpha_i, alpha_j) mod 2 for i < j and
   E_ij = 0 below the diagonal (Kac, *Infinite-Dimensional Lie Algebras*,
   Sect. 7.8).
-- B: so(2n+1).  On signed indices, with eps_0 = 0 and eps_-u = -eps_u, the
-  root eps_u + eps_v has the vector M(u, v) = E_{u,-v} - E_{v,-u}, where u
-  is a positive root's first epsilon index and v its second (0 for a short
-  root), and [M(u,v), M(x,y)] = d(x,-v) M(u,y) - d(y,-v) M(u,x)
-  - d(x,-u) M(v,y) + d(y,-u) M(v,x), d the Kronecker delta.
 
 In both, the vector of a negative root is minus the model's vector, so the
 sign flips once for each negative root among a, b and a + b, and
@@ -50,13 +52,15 @@ Pair = Tuple[int, int]  # two root codes
 
 class StructureTable:
     """Exact structure constants N(a, b) for a fixed root system, computed
-    per entry on first use and kept in one (a, b) -> N dict on codes."""
+    per entry on first use and kept in one (a, b) -> N dict on codes; in B
+    and D also the (u, v) of each root met, in a code -> (u, v) dict."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         self._by_code = system.by_code
         self._n: Dict[Pair, int] = {}
-        if system.family == "B":
+        if system.family in ("B", "D"):
+            self._uvs: Dict[int, Pair] = {}
             self._sign = self._so_sign
         else:
             # the edges i < j of the Dynkin diagram: (alpha_i, alpha_j) odd
@@ -103,22 +107,18 @@ class StructureTable:
         t = sum(map(mul, x, y)) + sum(map(mul, self._lo(x), self._hi(y)))
         return -1 if t & 1 else 1
 
-    def _uv(self, r: int) -> Pair:
-        """(u, v) with r = eps_u + eps_v, as in the B model.  A positive
-        root of B_n has coefficient 1 on alpha_u up to alpha_(w-1), then 0
-        (eps_u - eps_w), 1 (eps_u, w = n + 1) or 2 (eps_u + eps_w) to the
-        end: the last coefficient less 1 is the sign of v = +-w, or 0."""
-        c = self._by_code[abs(r)]
-        u = c.index(1) + 1
-        v = (c[-1] - 1) * (u + c.count(1))
-        return (u, v) if r > 0 else (-u, -v)
-
     def _so_sign(self, a: int, b: int) -> int:
         """The sign of [M_a, M_b] against M_(a+b): the one delta term of the
         bracket that does not vanish when a + b is a root is s M(p, q).
         M(p, q) = -M(q, p), and M_(a+b) = M(p, q) exactly when p is the
-        first index of a+b: q = 0, or 0 < |p| < |q|."""
-        (u, v), (x, y) = self._uv(a), self._uv(b)
+        first index of a+b: q = 0, or 0 < |p| < |q|.  The (u, v) of a root
+        is found on its first use and kept."""
+        uvs = self._uvs
+        if a not in uvs:
+            uvs[a] = self.system.eps_indices(a)
+        if b not in uvs:
+            uvs[b] = self.system.eps_indices(b)
+        (u, v), (x, y) = uvs[a], uvs[b]
         if x == -v:
             s, p, q = 1, u, y
         elif y == -v:

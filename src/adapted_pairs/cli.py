@@ -72,6 +72,15 @@ def _rat_str(obj) -> str:
     return _frac_str(*_rat(obj))
 
 
+def _write_text(path: Path, text: str) -> None:
+    """path.write_text(text) in slices of 1 MiB: a whole write encodes the
+    text at once into bytes as large as itself, which at rank 128 was
+    the peak of a verify process's memory."""
+    with path.open("w") as fh:
+        for i in range(0, len(text), 1 << 20):
+            fh.write(text[i : i + (1 << 20)])
+
+
 def _usage_error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -202,7 +211,7 @@ def cmd_verify(args) -> int:
     cert = certificate_dict(result)
     if out:
         try:
-            out.write_text(to_json(cert))
+            _write_text(out, to_json(cert))
         except OSError as exc:
             return _usage_error(f"cannot write --out: {exc}")
     degrees = ", ".join(_rat_str(d) for d in cert["degrees"])
@@ -271,7 +280,7 @@ def cmd_sweep(args) -> int:
         dt = time.perf_counter() - t0
         if out_file:
             try:
-                out_file.write_text(text)
+                _write_text(out_file, text)
             except OSError as exc:
                 return _usage_error(f"cannot write --out: {exc}")
         degrees = ",".join(_rat_str(d) for d in cert["degrees"])

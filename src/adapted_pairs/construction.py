@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
 from .parabolic import ParabolicData, subsystem_roots
-from .roots import RootSystem, build_root_system
+from .roots import RootSystem, build_root_system, eps_coefficients
 
 
 class OutOfScopeError(ValueError):
@@ -168,19 +167,14 @@ def case_plan(family: str, n: int, s: int) -> Optional[str]:
 def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> int:
     """The code of the root of B_n or D_n with epsilon terms
     [(coef, index1based), ...]; terms on the same index add up.  Its
-    coefficients are the partial sums S_k of the vector v (Planche II); in
-    D_n (Planche IV) the last two are (S_{n-1} - v_n)/2 and S_n/2, and an
-    odd S_n, outside the lattice, is refused before a floor halving could
-    land on a root (eps_1 on eps_1 - eps_3 in D4)."""
+    coefficients are `roots.eps_coefficients`, which refuses an odd S_n in
+    D_n before a floor halving could land on a root (eps_1 on eps_1 - eps_3
+    in D4)."""
     v = [0] * system.rank
     for c, i in terms:
         v[i - 1] += c
-    coeffs = list(accumulate(v))
-    if system.family == "D":
-        if coeffs[-1] % 2:
-            raise _not_a_root(system, terms)
-        coeffs[-2:] = (coeffs[-2] - v[-1]) // 2, coeffs[-1] // 2
-    root = system.try_root(coeffs)
+    coeffs = eps_coefficients(system.family, v)
+    root = None if coeffs is None else system.try_root(coeffs)
     if root is None:
         raise _not_a_root(system, terms)
     return root

@@ -10,10 +10,11 @@ pivot row with one entry instead clears its column from the other rows by
 deleting their entries there, with no gcd, scaling or content division:
 that adds a multiple of the pivot row to each, which moves neither the
 rank nor the determinant (the first step of structured Gaussian
-elimination, LaMacchia and Odlyzko, CRYPTO '90).  The pivot row is taken
-from a lazy heap keyed on current row length, and its pivot column is the
-one held by the fewest rows, so fill-in stays negligible on the sparse
-bracket matrices this package produces.
+elimination, LaMacchia and Odlyzko, CRYPTO '90).  Rows with one entry are
+pivoted first, from a stack; the other pivot rows are taken from a lazy
+heap keyed on current row length, with the pivot column the one held by
+the fewest rows, so fill-in stays negligible on the sparse bracket
+matrices this package produces.
 
 `sparse_det` and `sparse_ranks` take ownership of the rows they are given:
 they eliminate them in place, without a copy, so the caller must not use
@@ -29,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -68,29 +70,41 @@ def _eliminate(
             for c in [c for c, v in r.items() if not v]:
                 del r[c]
         for c in r:
-            col_rows.setdefault(c, set()).add(i)
+            holders = col_rows.get(c)
+            if holders is None:
+                col_rows[c] = {i}
+            else:
+                holders.add(i)
     active = set(range(len(rows)))
     pivots: List[Tuple[int, int]] = []
     ranks: List[int] = []
     scaled_up = 1  # product of the factors p/g
     divided = 1  # product of the row contents divided out
     for bound in bounds:
-        heap = [(len(rows[i]), i) for i in active if rows[i]]
+        # one-entry rows on a stack, the others on a heap by length; an
+        # entry is stale once its row changed, and a changed row is pushed
+        # again where its new length belongs
+        singles = [i for i in active if len(rows[i]) == 1]
+        heap = [(len(rows[i]), i) for i in active if len(rows[i]) > 1]
         heapq.heapify(heap)
-        while heap:
-            nnz, pi = heapq.heappop(heap)
-            prow = rows[pi]
-            if pi not in active or len(prow) != nnz:
-                continue  # stale entry; the row was pushed again when it changed
-            if nnz == 1:
-                pc = next(iter(prow))
+        while singles or heap:
+            if singles:
+                pi = singles.pop()
+                prow = rows[pi]
+                if pi not in active or len(prow) != 1:
+                    continue
+                nnz, pc = 1, next(iter(prow))
                 if pc >= bound:
-                    continue  # pushed again if an update gives it an eligible column
+                    continue  # waits for a later stage, or for an update
             else:
-                eligible = [c for c in prow if c < bound]
+                nnz, pi = heapq.heappop(heap)
+                prow = rows[pi]
+                if pi not in active or len(prow) != nnz:
+                    continue
+                eligible = [(len(col_rows[c]), c) for c in prow if c < bound]
                 if not eligible:
                     continue
-                pc = min(eligible, key=lambda c: (len(col_rows[c]), c))
+                pc = min(eligible)[1]
             pivots.append((pi, pc))
             active.discard(pi)
             holders = col_rows[pc]
@@ -102,9 +116,11 @@ def _eliminate(
                 for j in others:
                     rj = rows[j]
                     del rj[pc]
-                    if j in active and rj:
+                    if j in active and len(rj) == 1:
+                        singles.append(j)
+                    elif j in active and rj:
                         heapq.heappush(heap, (len(rj), j))
-                others = ()  # nothing left to update
+                continue
             p = prow[pc]
             for j in others:
                 rj = rows[j]
@@ -116,7 +132,11 @@ def _eliminate(
                     nv = new.get(c, 0) - q * v
                     if nv:
                         if c not in new:
-                            col_rows.setdefault(c, set()).add(j)
+                            holders = col_rows.get(c)
+                            if holders is None:
+                                col_rows[c] = {j}
+                            else:
+                                holders.add(j)
                         new[c] = nv
                     elif c in new:
                         del new[c]
@@ -128,7 +148,9 @@ def _eliminate(
                         divided *= content
                         new = {c: v // content for c, v in new.items()}
                 rows[j] = new
-                if j in active and new:
+                if j in active and len(new) == 1:
+                    singles.append(j)
+                elif j in active and new:
                     heapq.heappush(heap, (len(new), j))
             if not jordan:
                 for c in prow:
@@ -147,7 +169,7 @@ def _determinant(
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum([x * y for x, y in zip(u, v)])
+    return sum(map(mul, u, v))
 
 
 class Inverse(list):

@@ -6,8 +6,11 @@ digits, the first coefficient most significant.  Sums, differences,
 negatives and signs of roots are taken on single ints, and codes sort
 exactly as coefficient vectors do.  `RootSystem.by_code` gives each root's
 coefficients, for heights, pairings and what is written or printed.
-Cartan pairings come from the integer Cartan matrix, found once per root
-while the roots are generated, and inner products from those pairings and
+The roots of B_n and D_n are written down in closed form, eps_i -+ eps_j
+and, in B, eps_i (Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI,
+Planches II and IV); those of E6 and E7 are the closure of the simple
+roots under root strings.  Cartan pairings are found once per root while
+the roots are generated, and inner products come from those pairings and
 the diagonal of the integer Gram matrix; both matrices are integral for
 every supported type, so root arithmetic runs on Python ints.  Fundamental
 weights are integer vectors over one denominator (`weight_rows`).  Cartan
@@ -19,15 +22,18 @@ another system is accepted whenever the same int is a root code here too
 (code 1 is alpha_4 in B4 and alpha_5 in B5).
 
 Epsilon coordinates (the orthonormal basis of the ambient space, dimension
-n for B_n/D_n and 8 for E6/E7) are for display only (`eps_scaled`): integer
-rows over one denominator, 2 for E6/E7 and 1 otherwise, from
-`_simple_root_data`; the module does no rational arithmetic.
+n for B_n/D_n and 8 for E6/E7) are integer rows over one denominator, 2 for
+E6/E7 and 1 otherwise, from `_simple_root_data`, for display
+(`eps_scaled`).  A root of B_n or D_n is also eps_u + eps_v on signed
+indices (`eps_indices`), read from its coefficients, and its splittings
+into two roots are listed from those (`splittings`); the module does no
+rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
@@ -67,6 +73,19 @@ def _simple_root_data(family: str, rank: int) -> Tuple[int, List[List[int]]]:
     raise ValueError(f"unsupported family {family!r}")
 
 
+def eps_coefficients(family: str, v: Sequence[int]) -> Optional[List[int]]:
+    """The coefficients over the simple roots of the vector of B_n or D_n
+    with integer epsilon coordinates v: the partial sums S_k of v
+    (Planche II); in D_n (Planche IV) the last two are (S_{n-1} - v_n)/2
+    and S_n/2, and an odd S_n, outside the root lattice, gives None."""
+    coeffs = list(accumulate(v))
+    if family == "D":
+        if coeffs[-1] % 2:
+            return None
+        coeffs[-2:] = (coeffs[-2] - v[-1]) // 2, coeffs[-1] // 2
+    return coeffs
+
+
 class RootSystem:
     """Root system data: simple roots, positive roots, exact integer form.
 
@@ -88,7 +107,10 @@ class RootSystem:
 
     The pairings <r, alpha_i^vee> of every root come out of generation
     and are stored for both signs, those of -r being the negated tuple;
-    `simple_pairings` looks them up and `inner` is built on them.
+    `simple_pairings` looks them up and `inner` is built on them.  The
+    epsilon form is linear too: in B_n and D_n, _twice_eps[i] is twice the
+    code of eps_i on signed indices -n..n, 0 at i = 0 (eps_i is half a
+    lattice vector in D), one int per index and none per root.
     """
 
     def __init__(self, family: str, rank: int):
@@ -100,37 +122,77 @@ class RootSystem:
         self.dim = len(scaled[0])
         self._eps_den = den
         self._eps_simples = [[(d, x) for d, x in enumerate(v) if x] for v in scaled]
-        # gram[i][j] = (alpha_i, alpha_j), integral for every supported type;
-        # _norms[i] = (alpha_i, alpha_i); cartan[i][j] = <alpha_i, alpha_j^vee>
+        # gram[i][j] = (alpha_i, alpha_j), integral for every supported type,
+        # from the few nonzero epsilon terms of alpha_i; _norms[i] =
+        # (alpha_i, alpha_i); cartan[i][j] = <alpha_i, alpha_j^vee>
         self.gram = [
-            [sum([x * y for x, y in zip(a, b)]) // (den * den) for b in scaled]
-            for a in scaled
+            [sum([x * b[d] for d, x in a]) // (den * den) for b in scaled]
+            for a in self._eps_simples
         ]
         self._norms = [row[i] for i, row in enumerate(self.gram)]
         self.cartan = [
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
         ]
-        positive, pairings = self._generate_positive()
-        self.base = 3 * max(max(c) for c in positive) + 1
-        self.positive_roots: List[int] = [self.code(c) for c in positive]
+        if family in ("B", "D"):
+            pairings = self._epsilon_positive()
+        else:
+            pairings = self._generate_positive()
+        self.base = 3 * max(map(max, pairings)) + 1
+        positive = {self.code(c): c for c in pairings}
+        self.positive_roots: List[int] = sorted(positive)
         self.by_code: Dict[int, Coeffs] = {}
         self._pairings: Dict[int, Tuple[int, ...]] = {}
-        for code, coeffs in zip(self.positive_roots, positive):
+        for code in self.positive_roots:
+            coeffs = positive[code]
             self.by_code[code] = coeffs
             self.by_code[-code] = tuple([-a for a in coeffs])
             pairs = pairings[coeffs]
             self._pairings[code] = pairs
             self._pairings[-code] = tuple([-p for p in pairs])
         self.simple_roots: List[int] = [self.base**k for k in reversed(range(rank))]
+        if family in ("B", "D"):
+            twice = [
+                self.code(eps_coefficients(family, [0] * i + [2] + [0] * (rank - 1 - i)))
+                for i in range(rank)
+            ]
+            self._twice_eps = [0] + twice + [-x for x in reversed(twice)]
         self._derived: Dict[Callable[["RootSystem"], Any], Any] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _generate_positive(self) -> Tuple[List[Coeffs], Dict[Coeffs, Coeffs]]:
-        """The coefficients of the positive roots, sorted, and the pairings
-        of each with the simple coroots: the closure of the simple roots via
-        root strings, on coefficient tuples.
+    def _epsilon_positive(self) -> Dict[Coeffs, Coeffs]:
+        """B_n and D_n: the coefficients of each positive root, eps_i -+
+        eps_j for i < j and eps_i in B, mapped to its pairings with the
+        simple coroots, both read off its one or two epsilon terms.
+        <eps_d, alpha_k^vee> = 2 (eps_d, alpha_k) / (alpha_k, alpha_k) is
+        nonzero for at most three k, so a root's pairings cost O(1) once
+        its row of zeros is made."""
+        n, family = self.rank, self.family
+        hits: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for k, (terms, norm) in enumerate(zip(self._eps_simples, self._norms)):
+            for d, x in terms:
+                hits[d].append((k, 2 * x // norm))
+        roots = [((i, 1), (j, s)) for i in range(n) for j in range(i + 1, n)
+                 for s in (-1, 1)]
+        if family == "B":
+            roots += [((i, 1),) for i in range(n)]
+        known: Dict[Coeffs, Coeffs] = {}
+        for terms in roots:
+            v = [0] * n
+            pairs = [0] * n
+            for d, x in terms:
+                v[d] = x
+                for k, m in hits[d]:
+                    pairs[k] += x * m
+            known[tuple(eps_coefficients(family, v))] = tuple(pairs)
+        return known
+
+    def _generate_positive(self) -> Dict[Coeffs, Coeffs]:
+        """The coefficients of the positive roots mapped to their pairings
+        with the simple coroots: the closure of the simple roots via root
+        strings, on coefficient tuples.  E6 and E7 are generated so; for B
+        and D it is the oracle of the closed form.
 
         beta + alpha_j is a root iff p - <beta, alpha_j^vee> > 0 where p is
         the largest k with beta - k*alpha_j already a root; processing by
@@ -166,7 +228,7 @@ class RootSystem:
                             known[cand] = tuple([a + b for a, b in zip(pairs, row)])
                             new_frontier.append(cand)
             frontier = new_frontier
-        return sorted(known), known
+        return known
 
     # -- basic queries -----------------------------------------------------
 
@@ -244,6 +306,61 @@ class RootSystem:
                     row[d] += c * e
         return self._eps_den, row
 
+    def eps_indices(self, r: int) -> Tuple[int, int]:
+        """(u, v) with r = eps_u + eps_v, for a root of B_n or D_n, on
+        signed 1-based indices, eps_-u = -eps_u and eps_0 = 0: u is the
+        first index of a positive root and v is 0 for a short one.
+
+        Read from the coefficients c of the positive root, which have 1
+        from alpha_u on.  In B, up to alpha_(w-1), then 0 (eps_u - eps_w),
+        1 (eps_u, w = n + 1) or 2 (eps_u + eps_w) to the end: the last
+        coefficient less 1 is the sign of v = +-w, or 0.  In D, eps_u -
+        eps_w ends in 0, eps_u + eps_n in 0, 1 (alpha_n itself is eps_(n-1)
+        + eps_n), and eps_u + eps_w, w < n, has 2 from alpha_w to
+        alpha_(n-2) and ends in 1, 1."""
+        c = self.by_code[abs(r)]
+        n = self.rank
+        u = c.index(1) + 1
+        if self.family == "B":
+            v = (c[-1] - 1) * (u + c.count(1))
+        elif not c[-1]:
+            v = -(u + c.count(1))
+        elif not c[-2]:
+            u, v = min(u, n - 1), n
+        else:
+            v = n - 1 - c.count(2)
+        return (u, v) if r > 0 else (-u, -v)
+
+    def splittings(self, p: int) -> List[int]:
+        """Each splitting p = a + b of p into two roots, once, as a; b is
+        p - a.
+
+        In B_n and D_n, with p = eps_u + eps_v: a = eps_u + eps_t and
+        b = eps_v - eps_t for t = +-k, k any index other than |u| and |v|
+        (the short root p = eps_u has v = 0 and b = -eps_t), and in B
+        a = eps_u, b = eps_v for a long p: O(n) roots, by the code's
+        linearity in the epsilon terms; only a holds eps_u.  E6 and E7
+        test every root a, and keep the one with a < b."""
+        by_code = self.by_code
+        if self.family not in ("B", "D"):
+            return [a for a in by_code if p - a in by_code and a < p - a]
+        twice = self._twice_eps
+        u, v = self.eps_indices(p)
+        tu = twice[u]
+        # eps_u + eps_t for every signed index t (at list index t mod 2n+1),
+        # less t = +-u (2 eps_u and 0) and t = +-v (p and eps_u - eps_v);
+        # t = 0 gives eps_u, a summand of a long p in B only
+        out = [(tu + x) >> 1 for x in twice]
+        size = len(twice)
+        drop = {abs(u), size - abs(u)}
+        if v:
+            drop |= {abs(v), size - abs(v)}
+        if not v or self.family == "D":
+            drop.add(0)
+        for i in sorted(drop, reverse=True):
+            del out[i]
+        return out
+
     # -- misc --------------------------------------------------------------
 
     def highest_root(self) -> int:
@@ -269,9 +386,18 @@ def _weight_rows(system: RootSystem) -> Tuple[int, Dict[int, Coeffs]]:
     return inverse.den // g, rows
 
 
-@lru_cache(maxsize=None)
-def build_root_system(family: str, rank: int) -> RootSystem:
-    """Build and cache the root system of a supported (family, rank): the
-    only module-level memo, which `cli.cmd_sweep` clears between systems."""
-    return RootSystem(family, rank)
+_SYSTEMS: Dict[Tuple[str, int], RootSystem] = {}
 
+
+def build_root_system(family: str, rank: int) -> RootSystem:
+    """Build and keep the root system of a supported (family, rank): the
+    only module-level memo, which `cli.cmd_sweep` empties between systems
+    through `build_root_system.cache_clear`.  That is an attribute of the
+    function, so a `functools.wraps` wrapper of it has it too."""
+    system = _SYSTEMS.get((family, rank))
+    if system is None:
+        system = _SYSTEMS[family, rank] = RootSystem(family, rank)
+    return system
+
+
+build_root_system.cache_clear = _SYSTEMS.clear

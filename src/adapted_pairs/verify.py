@@ -158,16 +158,21 @@ def _orbit_structure(
     cand: Candidate, theta: Dict[int, int], centre_of: Dict[int, int]
 ) -> OrbitStructure:
     """S_alpha, strata and sign regions of O from theta and the centres,
-    all on codes: g - a is the orbit root whose code is code(g) - code(a),
-    if there is one."""
+    all on codes.  S_alpha lists the b in O with a + b a centre: each
+    centre's splittings into two roots (`RootSystem.splittings`, O(n) in B
+    and D) that lie in O."""
     sign_of_centre = dict.fromkeys(cand.S_plus, "+")
     sign_of_centre.update(dict.fromkeys(cand.S_minus, "-"))
     sign_of_centre.update(dict.fromkeys(cand.S_mixed, "m"))
     o_sorted = tuple(sorted(theta))
-    centres = list(cand.gamma_sets)
-    s_alpha: Dict[int, Tuple[int, ...]] = {}
-    for a in o_sorted:
-        s_alpha[a] = tuple(sorted([gc - a for gc in centres if gc - a in theta]))
+    partners: Dict[int, List[int]] = {a: [] for a in o_sorted}
+    for g in cand.gamma_sets:
+        for a in cand.system.splittings(g):
+            b = g - a
+            if a in theta and b in theta:
+                partners[a].append(b)
+                partners[b].append(a)
+    s_alpha = {a: tuple(sorted(partners[a])) for a in o_sorted}
     strata = {a: len(s_alpha[a]) for a in o_sorted}
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:
@@ -375,14 +380,14 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     # inside a fixed sign region the only partner is the involution image
     for region, name in ((os.O_plus, "O+"), (os.O_minus, "O-")):
         for a in region:
-            same = tuple(b for b in os.S_alpha[a] if b in region)
-            if same != (th[a],):
+            same = [b for b in os.S_alpha[a] if b in region]
+            if same != [th[a]]:
                 problems.append(
                     f"{name}: S_alpha of {root[a]} meets the region at "
                     f"{[root[b] for b in same]}"
                 )
 
-    needs = [a for a in os.O if any(b in os.O_mixed for b in os.S_alpha[a])]
+    needs = [a for a in os.O if not os.O_mixed.isdisjoint(os.S_alpha[a])]
     labels: Dict[int, str] = {}
     walks: Dict[int, WalkResult] = {}
 
@@ -478,7 +483,7 @@ def check_nondegeneracy(
         xs = inverse.solve_scaled([abs(sum(root[g])) for g in cand.S])
         u = _values_on_h(cand, xs, order)
         degree = int(Fraction(2 * sum(u), den))
-    pos = {a: i for i, a in enumerate(order)}
+    pos = dict(zip(order, range(size)))
     n_code = table.n_code
     rows: List[Dict[int, int]] = []
     for i, a in enumerate(order):
@@ -509,27 +514,32 @@ def coadjoint_rows(cand: Candidate, table: StructureTable) -> List[Dict[int, int
     coroot coordinates, times scale, the denominator of
     `ParabolicData.removed_projection`; scaling rows keeps every rank.
     Columns: x_{-gamma} for every support root gamma, in the same order,
-    then the coroot basis, then e_t for every t in T.  One probe pass over
-    support x S writes each nonzero N(-b, p) into the row of p - b; only a
-    column x_{-gamma} with gamma in S has Cartan entries, and only its row
-    has coroot entries.  Every member of S must lie in the support
+    then the coroot basis, then e_t for every t in T.  Each splitting
+    p = a + b of a member p of S into two support roots
+    (`RootSystem.splittings`) writes N(-b, p) into row a, column b, and
+    N(-a, p) into row b, column a, when nonzero; only a column x_{-gamma}
+    with gamma in S has Cartan entries, and only its row has coroot
+    entries.  Every member of S must lie in the support
     (`check_regularity` tests this first).
     """
     sys = cand.system
     parab = cand.parabolic
     support = parab.dual_support
-    row_of = {c: i for i, c in enumerate(support)}
     nroots = len(support)
+    row_of = dict(zip(support, range(nroots)))
     dim_p = nroots + parab.h_dim
     rows: List[Dict[int, int]] = [{} for _ in range(dim_p)]
     n_code = table.n_code
-    for col, b in enumerate(support):
-        for p in cand.S:
-            i = row_of.get(p - b)  # p - b is never 0 here: 0 is no root
-            if i is not None:
-                n = n_code(-b, p)
+    for p in cand.S:
+        for a in sys.splittings(p):
+            i, j = row_of.get(a), row_of.get(p - a)
+            if i is not None and j is not None:
+                n = n_code(a - p, p)
                 if n:
-                    rows[i][col] = n
+                    rows[i][j] = n
+                n = n_code(-a, p)
+                if n:
+                    rows[j][i] = n
     for p in cand.S:
         col = row_of[p]
         h = parab.h_in_coroot_basis_scaled([-x for x in sys.coroot(p)])
@@ -637,8 +647,10 @@ class CaseResult(NamedTuple):
         failed, when it is the first failing check: the values only in the
         closed form and those only in the computed multiset.  For T also
         |T| and the index, with roots as coefficient vectors; for the
-        bounds also the difference of the lower and improved bounds, in
-        multiples of varpi_s.  No lines for any other outcome."""
+        eigenvalues also the T roots that carry each value only computed;
+        for the bounds also the difference of the lower and improved
+        bounds, in multiples of varpi_s.  No lines for any other
+        outcome."""
         cand, failing = self.candidate, self.first_failing
         if failing == "T_size_vs_index":
             root = cand.system.by_code
@@ -647,8 +659,15 @@ class CaseResult(NamedTuple):
             sizes = f"|T| = {len(t)}, index = {cand.parabolic.index}; "
             return [_witness(failing, "T", t, "closed form", closed, sizes)]
         if failing == "eigenvalues_match":
-            closed, computed = cand.eigenvalues_expected, self.pair.eigenvalues.values()
-            return [_witness(failing, "closed form", closed, "computed", computed)]
+            eigen = self.pair.eigenvalues
+            closed, computed = cand.eigenvalues_expected, eigen.values()
+            root = cand.system.by_code
+            carriers = "".join([
+                f"; {v} at T roots {[root[t] for t in cand.T if eigen[t] == v]}"
+                for v in sorted(Counter(computed) - Counter(closed))
+            ])
+            line = _witness(failing, "closed form", closed, "computed", computed)
+            return [line + carriers]
         if failing != "bounds_coincide":
             return []
         lower, improved = self.lower_multiples, self.improved_multiples

@@ -28,6 +28,10 @@
   `code_term` and `code_jacobiator`, a term [x, [y, z]] and the same sum
   on root codes and ints.
 - `orbit_structure`: the orbit structure that `check_heisenberg` builds.
+- The probe loops that `verify` replaced by each centre's splittings
+  (`RootSystem.summands`): `s_alpha_oracle`, which tests every orbit root
+  against every centre, and `coadjoint_rows_oracle`, which tests every
+  support root against every member of S.
 - `walk_oracle`: the sequence walk of `verify.walk_sequence` as an
   enumeration of every simple path, which is exponential in the worst
   case.
@@ -116,6 +120,47 @@ def orbit_structure(cand):
     if report.orbits is None:
         raise ValueError(f"no orbit structure: {report.problems}")
     return report.orbits
+
+
+def s_alpha_oracle(cand, theta: Dict[int, int]) -> Dict[int, Tuple[int, ...]]:
+    """S_alpha of `verify._orbit_structure` by |O| x |S| probes: for each
+    orbit root a, the orbit roots g - a over the centres g."""
+    centres = list(cand.gamma_sets)
+    return {
+        a: tuple(sorted([g - a for g in centres if g - a in theta]))
+        for a in sorted(theta)
+    }
+
+
+def coadjoint_rows_oracle(cand, table) -> List[Dict[int, int]]:
+    """`verify.coadjoint_rows` by one probe pass over support x S: each
+    nonzero N(-b, p) goes into the row of p - b, when that is a support
+    root."""
+    sys = cand.system
+    parab = cand.parabolic
+    support = parab.dual_support
+    row_of = {c: i for i, c in enumerate(support)}
+    nroots = len(support)
+    dim_p = nroots + parab.h_dim
+    rows: List[Dict[int, int]] = [{} for _ in range(dim_p)]
+    for col, b in enumerate(support):
+        for p in cand.S:
+            i = row_of.get(p - b)
+            if i is not None:
+                n = table.n_code(-b, p)
+                if n:
+                    rows[i][col] = n
+    for p in cand.S:
+        col = row_of[p]
+        h = parab.h_in_coroot_basis_scaled([-x for x in sys.coroot(p)])
+        for k, (c, v) in enumerate(zip(h, parab.pairing_on_coroots(p))):
+            if c:
+                rows[nroots + k][col] = c
+            if v:
+                rows[col][nroots + k] = v
+    for j, t in enumerate(cand.T):
+        rows[row_of[t]][dim_p + j] = 1
+    return rows
 
 
 def walk_oracle(os, start: int) -> Tuple[bool, FrozenSet[int]]:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adapted_pairs.certificate as certificate
 from adapted_pairs.certificate import certificate_dict, to_json
 from adapted_pairs.construction import in_scope_cases
+from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
 
 
@@ -54,3 +56,52 @@ def test_to_json_empty_containers():
 def test_to_json_rejects_what_a_certificate_does_not_hold(bad):
     with pytest.raises(TypeError):
         to_json(bad)
+
+
+def _empty_memo(monkeypatch):
+    monkeypatch.setattr(certificate, "_VECTOR_TEXT", {})
+    monkeypatch.setattr(certificate, "_vector_chars", 0)
+
+
+def test_to_json_is_the_same_cold_warm_and_after_the_memo_empties(monkeypatch):
+    certs = [certificate_dict(run_case(*case)) for case in (("B", 8, 4), ("D", 8, 4))]
+    expected = [_reference(cert) for cert in certs]
+    _empty_memo(monkeypatch)
+    assert [to_json(cert) for cert in certs] == expected  # cold
+    assert certificate._VECTOR_TEXT
+    assert [to_json(cert) for cert in certs] == expected  # warm
+    # a bound that empties the memo many times within one certificate
+    _empty_memo(monkeypatch)
+    monkeypatch.setattr(certificate, "_VECTOR_CHARS", 300)
+    assert [to_json(cert) for cert in certs] == expected
+
+
+def test_the_vector_memo_stays_within_its_bound(monkeypatch):
+    # every root vector of B40 at two nestings holds more text than the
+    # bound: the memo empties and never holds more than the bound
+    _empty_memo(monkeypatch)
+    sys = build_root_system("B", 40)
+    vectors = [list(sys.by_code[r]) for r in sorted(sys.by_code)]
+    emptied = False
+    for k in range(0, len(vectors), 100):
+        for obj in ({"v": vectors[k:k + 100]}, {"w": {"v": vectors[k:k + 100]}}):
+            before = len(certificate._VECTOR_TEXT)
+            assert to_json(obj) == _reference(obj)
+            held = sum(map(len, certificate._VECTOR_TEXT.values()))
+            assert held == certificate._vector_chars <= certificate._VECTOR_CHARS
+            emptied |= len(certificate._VECTOR_TEXT) < before
+    assert emptied
+
+
+@pytest.mark.parametrize("obj", [{"x": [1, True]}, {"x": [[1, 2], [False, 2]]}])
+def test_a_vector_that_equals_a_memoised_one_is_written_as_it_is(obj):
+    # True == 1, so only int vectors reach the memo: a bool is written as
+    # json writes it
+    to_json({"x": [[1, 2], [1, 2]], "y": [1, 1]})
+    assert to_json(obj) == _reference(obj)
+
+
+def test_a_float_that_equals_a_memoised_int_is_refused():
+    to_json({"x": [[1, 2]]})
+    with pytest.raises(TypeError):
+        to_json({"x": [[1.0, 2]]})

@@ -476,6 +476,31 @@ def test_a_sweep_lets_each_root_system_go(monkeypatch, capsys):
     assert alive in ([], [("E6", 6)]), alive
 
 
+def test_a_traced_sweep_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # a tracer that replaces build_root_system, in every module that holds
+    # it, by a functools.wraps wrapper leaves the sweep, which empties the
+    # memo between systems, working and its certificates unchanged
+    import functools
+
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert main(["sweep", "--max-rank", "5", "--out", str(plain)]) == 0
+    build = build_root_system
+
+    @functools.wraps(build)
+    def span(*args, **kwargs):
+        return build(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adapted_pairs") and vars(module).get(span.__name__) is build:
+            monkeypatch.setattr(module, span.__name__, span)
+    assert main(["sweep", "--max-rank", "5", "--out", str(traced)]) == 0
+    capsys.readouterr()
+    names = sorted(f.name for f in plain.iterdir())
+    assert names and names == sorted(f.name for f in traced.iterdir())
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes()
+
+
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
 

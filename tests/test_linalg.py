@@ -310,3 +310,18 @@ def test_one_entry_pivots_shared_with_other_rows_match_oracle(m, data):
     if len(m) == ncols:
         det = det_dense(m)
         assert sparse_det(_sparse(m), ncols) == det == det_sparse(_sparse(m), ncols)
+
+
+def test_a_one_entry_row_past_the_bound_waits_for_the_next_stage():
+    # row 0 holds one entry, at column 2, past the first bound 1: pivoted
+    # in the first stage it would clear column 2 from the other rows and
+    # count in the rank of column 0 alone
+    m = [{2: 3}, {0: 1, 2: 1}, {1: 2, 2: 5}]
+    first = [{j: v for j, v in row.items() if j < 1} for row in m]
+    expected = [rank(first), rank(m)]
+    assert expected == [1, 3]
+    assert sparse_ranks([dict(row) for row in m], [1, 3]) == expected
+    # the same row, reached as a one-entry row only after an update
+    m = [{0: 1, 2: 1}, {0: 1, 2: 2}, {1: 2, 2: 5}]
+    first = [{j: v for j, v in row.items() if j < 1} for row in m]
+    assert sparse_ranks([dict(row) for row in m], [1, 3]) == [rank(first), rank(m)] == [1, 3]

@@ -341,6 +341,51 @@ def test_generation_matches_the_closure_oracle(family, rank):
         assert sys.simple_pairings(r) == by_gram
 
 
+@pytest.mark.parametrize(
+    "family,rank", [("B", n) for n in range(2, 41)] + [("D", n) for n in range(4, 41)]
+)
+def test_closed_form_roots_are_the_closure(family, rank):
+    # B and D are written down from their epsilon terms; the closure under
+    # root strings, which E6 and E7 still run, gives the same roots, codes
+    # and pairings of both signs
+    sys = RootSystem(family, rank)
+    closure = sys._generate_positive()
+    assert sys.positive_roots == sorted(sys.code(c) for c in closure)
+    assert len(sys.by_code) == len(sys._pairings) == 2 * len(closure)
+    for coeffs, pairs in closure.items():
+        r = sys.code(coeffs)
+        assert sys.by_code[r] == coeffs
+        assert sys.by_code[-r] == tuple(-c for c in coeffs)
+        assert sys.simple_pairings(r) == pairs
+        assert sys.simple_pairings(-r) == tuple(-p for p in pairs)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("B", n) for n in range(2, 13)] + [("D", n) for n in range(4, 13)]
+    + [("E6", 6), ("E7", 7)],
+)
+def test_eps_indices_and_splittings(family, rank):
+    # eps_indices names the epsilon terms of every root of B and D, the
+    # first index of a positive root first; splittings lists each way of
+    # writing a root as a sum of two roots once, as a test of every root
+    # finds them
+    sys = build_root_system(family, rank)
+    for r in sys.by_code:
+        expected = {frozenset((a, r - a)) for a in sys.by_code if r - a in sys.by_code}
+        found = [frozenset((a, r - a)) for a in sys.splittings(r)]
+        assert len(found) == len(expected) and set(found) == expected
+        if family not in ("B", "D"):
+            continue
+        u, v = sys.eps_indices(r)
+        row = [0] * rank
+        for i in (u, v):
+            if i:
+                row[abs(i) - 1] += 1 if i > 0 else -1
+        assert sys.eps_scaled(r) == (1, row)
+        assert (u > 0) == (r > 0) and (v == 0 or abs(u) < abs(v))
+
+
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
 def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
     sys = build_root_system(family, rank)

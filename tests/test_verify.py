@@ -29,6 +29,7 @@ from engine_oracle import (
     cartan_eps,
     centre_moved_outside,
     coadjoint_columns,
+    coadjoint_rows_oracle,
     coroot_eps,
     enumerate_pairings,
     eps_of,
@@ -37,6 +38,7 @@ from engine_oracle import (
     orbit_structure,
     replace,
     root_from_eps,
+    s_alpha_oracle,
     vec_sub,
     walk_oracle,
 )
@@ -627,6 +629,20 @@ def test_coadjoint_columns_match_the_bracket_oracle(family, n, s):
 FLIP_CASES = [("D", n, n - 1) for n in (6, 8, 10, 12)] + [("E6", 6, 1)]
 
 
+@pytest.mark.parametrize(
+    "family,n,s",
+    in_scope_cases(20) + [("D", n, n - 1) for n in range(6, 21, 2)] + [("E6", 6, 1)],
+)
+def test_splittings_match_the_probe_oracles(family, n, s):
+    # S_alpha and the rows of [M | e_T], built from each centre's
+    # splittings, equal the |O| x |S| and support x S probe loops
+    cand = build_case(family, n, s)
+    table = build_structure_table(cand.system)
+    os = orbit_structure(cand)
+    assert os.S_alpha == s_alpha_oracle(cand, os.theta)
+    assert coadjoint_rows(cand, table) == coadjoint_rows_oracle(cand, table)
+
+
 @pytest.mark.parametrize("family,n,s", in_scope_cases(12) + FLIP_CASES)
 def test_row_builders_match_the_column_oracles(monkeypatch, family, n, s):
     # the rows that both checks hand to linalg equal the rows of the
@@ -909,7 +925,10 @@ def _swap_a_t_root(cand):
             "eigenvalues_expected",
             _raise_the_last("eigenvalues_expected"),
             "eigenvalues_match",
-            ["eigenvalues_match: closed form only [12]; computed only [11]"],
+            [
+                "eigenvalues_match: closed form only [12]; computed only [11]; "
+                "11 at T roots [(0, 0, 1, 0, 0, 0, 0, 0)]"
+            ],
         ),
         (
             "bounds_expected",
