@@ -84,8 +84,13 @@ def _eliminate(
         # one-entry rows on a stack, the others on a heap by length; an
         # entry is stale once its row changed, and a changed row is pushed
         # again where its new length belongs
-        singles = [i for i in active if len(rows[i]) == 1]
-        heap = [(len(rows[i]), i) for i in active if len(rows[i]) > 1]
+        singles, heap = [], []
+        for i in active:
+            k = len(rows[i])
+            if k == 1:
+                singles.append(i)
+            elif k:
+                heap.append((k, i))
         heapq.heapify(heap)
         while singles or heap:
             if singles:
@@ -108,12 +113,12 @@ def _eliminate(
             pivots.append((pi, pc))
             active.discard(pi)
             holders = col_rows[pc]
-            # a column that the pivot row alone holds needs no update
-            others = [j for j in holders if j != pi] if len(holders) > 1 else ()
             if nnz == 1:
                 # rows[j] - (rows[j][pc] / p) prow only deletes the entry at
                 # pc; no row gains pc again, so col_rows[pc] is not read again
-                for j in others:
+                for j in holders:
+                    if j == pi:
+                        continue
                     rj = rows[j]
                     del rj[pc]
                     if j in active and len(rj) == 1:
@@ -121,6 +126,8 @@ def _eliminate(
                     elif j in active and rj:
                         heapq.heappush(heap, (len(rj), j))
                 continue
+            # a column that the pivot row alone holds needs no update
+            others = [j for j in holders if j != pi] if len(holders) > 1 else ()
             p = prow[pc]
             for j in others:
                 rj = rows[j]
