@@ -29,7 +29,7 @@
   on root codes and ints.
 - `orbit_structure`: the orbit structure that `check_heisenberg` builds.
 - The probe loops that `verify` replaced by each centre's splittings
-  (`RootSystem.summands`): `s_alpha_oracle`, which tests every orbit root
+  (`RootSystem.splittings`): `s_alpha_oracle`, which tests every orbit root
   against every centre, and `coadjoint_rows_oracle`, which tests every
   support root against every member of S.
 - `walk_oracle`: the sequence walk of `verify.walk_sequence` as an
