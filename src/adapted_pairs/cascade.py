@@ -12,12 +12,14 @@ simple roots down, starting from the simple roots of Delta+, so no level
 searches for its simple roots.
 Every root is its code (`RootSystem.base`), and a cascade root beta, the
 highest root of its component, is the component root of largest code.
+The `cascade` command is its only caller in the package: the case
+builders state their sets at cascade roots in closed form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .roots import RootSystem
 
@@ -105,8 +107,3 @@ def _full_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
 
     recurse(sorted(system.positive_roots), system.simple_roots, "")
     return tuple(items)
-
-
-def cascade_heisenberg_by_beta(system: RootSystem) -> Dict[int, FrozenSet[int]]:
-    """Map beta_K -> H_{beta_K} over the whole cascade, on codes."""
-    return {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(system)}

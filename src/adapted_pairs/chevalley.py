@@ -2,8 +2,14 @@
 
 N(a, b) is 0 when a + b is not a root, and otherwise (p + 1) times a sign,
 p the largest k with b - k*a a root (Carter, *Simple Groups of Lie Type*,
-Sect. 4.2); p is 0 in D and E.  The sign is read off a model whose root
-vectors are known, up to a positive factor per root:
+Sect. 4.2).  So |N(a, b)| is 2 exactly when a and b are both short roots
+of B, and 1 otherwise.  For short a = +-eps_i and b = +-eps_j, a + b is a
+root only if i != j, and then b - a is a root and b - 2a is not: p = 1.
+Otherwise p = 0: D and E are simply laced, so no root string holds more
+than two roots; in B, a string along a long a holds at most two, as
+<x, a^vee> = (x, a) is 0 or +-1 for x != +-a, and along a short a through
+a long b, at most one of b + a and b - a is a root.  The sign is read off
+a model whose root vectors are known, up to a positive factor per root:
 
 - B and D: so(2n+1) and so(2n).  On signed indices, with eps_0 = 0 and
   eps_-u = -eps_u, the root eps_u + eps_v has the vector M(u, v) =
@@ -72,18 +78,6 @@ class StructureTable:
             self._hi = itemgetter(*[j for _, j in edges])
             self._sign = self._fk_sign
 
-    def string_down(self, alpha: int, beta: int) -> int:
-        """p = max k with beta - k*alpha a root, for root codes alpha and
-        beta: each probe is the difference of two roots, so its code is
-        a root's code exactly when it is that root."""
-        by_code = self._by_code
-        p = 0
-        probe = beta - alpha
-        while probe in by_code:
-            p += 1
-            probe -= alpha
-        return p
-
     def n_code(self, a: int, b: int) -> int:
         """N(a, b) for the roots with codes a and b; 0 when a+b is not a root.
         A code's sign is its root's sign, which the flip reads."""
@@ -93,7 +87,7 @@ class StructureTable:
         table = self._n
         n = table.get((a, b))
         if n is None:
-            n = (self.string_down(a, b) + 1) * self._sign(a, b)
+            n = self._sign(a, b)
             if (a < 0) ^ (b < 0) ^ (c < 0):
                 n = -n
             table[(a, b)] = n
@@ -101,18 +95,20 @@ class StructureTable:
         return n
 
     def _fk_sign(self, a: int, b: int) -> int:
-        """(-1)^(a^T E b): the diagonal of E gives a . b, its upper
-        triangle a_i b_j over the edges i < j."""
+        """N(a, b) before the flip for negative roots: (-1)^(a^T E b), the
+        diagonal of E giving a . b and its upper triangle a_i b_j over the
+        edges i < j."""
         x, y = self._by_code[a], self._by_code[b]
         t = sum(map(mul, x, y)) + sum(map(mul, self._lo(x), self._hi(y)))
         return -1 if t & 1 else 1
 
     def _so_sign(self, a: int, b: int) -> int:
-        """The sign of [M_a, M_b] against M_(a+b): the one delta term of the
-        bracket that does not vanish when a + b is a root is s M(p, q).
-        M(p, q) = -M(q, p), and M_(a+b) = M(p, q) exactly when p is the
-        first index of a+b: q = 0, or 0 < |p| < |q|.  The (u, v) of a root
-        is found on its first use and kept."""
+        """N(a, b) before the flip for negative roots: the sign of [M_a,
+        M_b] against M_(a+b), times 2 for two short roots (v = y = 0).  The
+        one delta term of the bracket that does not vanish when a + b is a
+        root is s M(p, q).  M(p, q) = -M(q, p), and M_(a+b) = M(p, q)
+        exactly when p is the first index of a+b: q = 0, or 0 < |p| < |q|.
+        The (u, v) of a root is found on its first use and kept."""
         uvs = self._uvs
         if a not in uvs:
             uvs[a] = self.system.eps_indices(a)
@@ -127,7 +123,9 @@ class StructureTable:
             s, p, q = -1, v, y
         else:
             s, p, q = 1, v, x
-        return s if q == 0 or 0 < abs(p) < abs(q) else -s
+        if not (q == 0 or 0 < abs(p) < abs(q)):
+            s = -s
+        return 2 * s if v == y == 0 else s
 
 
 def build_structure_table(system: RootSystem) -> StructureTable:

@@ -8,7 +8,9 @@ out-of-scope or usage errors.  A `verify` case that raises anything but
 
 Only `roots` is imported at module level: `report` reads the certificate
 with the schema reader below and needs nothing else, while `verify`,
-`sweep` and `cascade` import the engine inside the command.
+`sweep` and `cascade` import the engine inside the command.  `verify` and
+`sweep` build a certificate only to write it to `--out`; the degrees and
+verdict they print come from the case result.
 
 Every command registers `gc.freeze` to run at exit (see `main`): the
 interpreter's shutdown collection then skips the objects the command left,
@@ -208,14 +210,13 @@ def cmd_verify(args) -> int:
         # a fault of the engine and propagates
         print(f"{args.family} n={args.rank} s={args.s}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cert = certificate_dict(result)
     if out:
         try:
-            _write_text(out, to_json(cert))
+            _write_text(out, to_json(certificate_dict(result)))
         except OSError as exc:
             return _usage_error(f"cannot write --out: {exc}")
-    degrees = ", ".join(_rat_str(d) for d in cert["degrees"])
-    status = cert["verdict"].upper()
+    degrees = ", ".join(map(str, result.pair.degrees))
+    status = "PASS" if result.verdict else "FAIL"
     print(f"{args.family} n={args.rank} s={args.s}: {status}  degrees: {degrees}")
     if result.first_failing:
         print(f"first failing check: {result.first_failing}")
@@ -258,8 +259,7 @@ def cmd_sweep(args) -> int:
         out_file = out_dir / f"{family}_n{n}_s{s}.json" if out_dir else None
         try:
             result = run_case(family, n, s)
-            cert = certificate_dict(result)
-            text = to_json(cert) if out_file else ""
+            text = to_json(certificate_dict(result)) if out_file else ""
         except Exception as exc:
             # one case that crashes, or whose certificate cannot be built,
             # must not hide the others: report it, go on, and leave no
@@ -283,10 +283,11 @@ def cmd_sweep(args) -> int:
                 _write_text(out_file, text)
             except OSError as exc:
                 return _usage_error(f"cannot write --out: {exc}")
-        degrees = ",".join(_rat_str(d) for d in cert["degrees"])
+        degrees = ",".join(map(str, result.pair.degrees))
         failing = result.first_failing
         note = f"  first failing check: {failing}" if failing else ""
-        rows.append((family, n, s, cert["verdict"], degrees, dt, note))
+        verdict = "pass" if result.verdict else "fail"
+        rows.append((family, n, s, verdict, degrees, dt, note))
         all_ok &= result.verdict
     width = max(len(r[4]) for r in rows)
     print(f"{'case':<12} {'verdict':<8} {'degrees':<{width}}  time")

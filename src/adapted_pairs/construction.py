@@ -13,10 +13,13 @@ A Heisenberg set Gamma_gamma is its centre gamma together with pairs
 {a, gamma - a}.  The builders list only the centre and one half a of each
 pair, in epsilon terms, which `_rt` reads by the closed form of B_n and
 D_n (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Planches II and IV);
-`_heis` adds the partners.  Sets taken from the Kostant cascade of Delta+
-are H_beta minus the roots named at each builder; the E6 set centred at
--beta'_1 and the E7 set centred at beta_1 are the roots of a subsystem that
-pair positively with its highest root.
+`_heis` adds the partners.  A set centred at a root beta of the Kostant
+cascade of Delta+ (Kostant, Moscow Math. J. 12 (2012)) is its Heisenberg
+set H_beta less the roots named at its builder, in closed form, which the
+tests compare with `cascade`: in B_n and D_n, H_beta of eps_{2i-1} +
+eps_{2i} is the `_spoke` with halves eps_{2i-1} +- eps_j for j > 2i, and
+eps_{2i-1} in B; in E6 and E7, the positive roots orthogonal to the
+cascade roots before beta that pair positively with it.
 Each builder also states the paper's closed forms for its case, next to
 the closed-form T: the ad h eigenvalues on g_T and the bound multiset in
 multiples of varpi_s, which `verify` compares against.  A moved case keeps
@@ -32,7 +35,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .cascade import cascade_heisenberg_by_beta
 from .linalg import Inverse, invert
 from .parabolic import ParabolicData, subsystem_roots
 from .roots import RootSystem, build_root_system, eps_coefficients
@@ -275,7 +277,6 @@ def _build_B(n: int, s: int) -> Candidate:
     sys = build_root_system("B", n)
     parab = ParabolicData(sys, s)
     r = lambda terms: _rt(sys, terms)
-    heis = cascade_heisenberg_by_beta(sys)
 
     # Gamma of the mixed centre eps_s
     halves = [[(1, i)] for i in range(1, n + 1) if i != s]
@@ -283,16 +284,14 @@ def _build_B(n: int, s: int) -> Candidate:
     eps_s, g_m = _heis(sys, [(1, s)], halves)
     gamma = {eps_s: g_m}
 
-    # cascade members beta_i, shorts removed
-    for i in range(1, s // 2):
-        beta = r([(1, 2 * i - 1), (1, 2 * i)])
-        gamma[beta] = heis[beta] - {r([(1, 2 * i - 1)]), r([(1, 2 * i)])}
-
     gamma.update(_s_minus_sets(sys, s))
 
     # the sets centred at +-(eps_p + eps_q), with the halves +-eps_p + eps_j
-    # and +-eps_p - eps_j for every j > q
-    pairs = [((1, s - 1), (1, s + 1))] if n > s else []
+    # and +-eps_p - eps_j for every j > q; at the cascade roots
+    # eps_{2i-1} + eps_{2i}, i < s/2, that is H_beta less eps_{2i-1} and
+    # eps_{2i}
+    pairs = [((1, 2 * i - 1), (1, 2 * i)) for i in range(1, s // 2)]
+    pairs += [((1, s - 1), (1, s + 1))] if n > s else []
     pairs += [((1, 2 * i), (1, 2 * i + 1)) for i in range(s // 2 + 1, (n - 1) // 2 + 1)]
     pairs += [((-1, 2 * i - 1), (-1, 2 * i)) for i in range(s // 2 + 1, n // 2 + 1)]
     for p, q in pairs:
@@ -335,20 +334,18 @@ def _build_D(n: int, s: int) -> Candidate:
     sys = build_root_system("D", n)
     parab = ParabolicData(sys, s)
     r = lambda terms: _rt(sys, terms)
-    heis = cascade_heisenberg_by_beta(sys)
 
-    gamma: Dict[int, FrozenSet[int]] = {}
-
-    for i in range(1, s // 2):
-        beta = r([(1, 2 * i - 1), (1, 2 * i)])
-        removed = {r([(1, 2 * i - 1), (-1, n)]), r([(1, 2 * i), (1, n)])}
-        gamma[beta] = heis[beta] - removed
-
-    gamma.update(_s_minus_sets(sys, s))
+    gamma = _s_minus_sets(sys, s)
 
     # (p, q, plus, minus) of each set centred at +-(eps_p + eps_q) or at
-    # eps_s -+ eps_n, the two mixed ones
-    spokes = [((1, s - 1), (1, s + 1), range(s + 2, n + 1), range(s + 2, n))]
+    # eps_s -+ eps_n, the two mixed ones; at the cascade roots
+    # eps_{2i-1} + eps_{2i}, i < s/2, H_beta less eps_{2i-1} - eps_n and
+    # eps_{2i} + eps_n
+    spokes = [
+        ((1, 2 * i - 1), (1, 2 * i), range(2 * i + 1, n + 1), range(2 * i + 1, n))
+        for i in range(1, s // 2)
+    ]
+    spokes.append(((1, s - 1), (1, s + 1), range(s + 2, n + 1), range(s + 2, n)))
     for i in range(s // 2 + 1, (n - 2) // 2 + 1):
         spokes.append(
             ((1, 2 * i), (1, 2 * i + 1), range(2 * i + 2, n), range(2 * i + 2, n + 1))
@@ -392,7 +389,6 @@ def _build_D_extremal(n: int) -> Candidate:
     sys = build_root_system("D", n)
     parab = ParabolicData(sys, n)
     r = lambda terms: _rt(sys, terms)
-    heis = cascade_heisenberg_by_beta(sys)
 
     # (p, q, plus, minus) of each set centred at eps_p +- eps_q
     spokes = [
@@ -407,18 +403,17 @@ def _build_D_extremal(n: int) -> Candidate:
         ((1, n), (-1, n - 3), (), [*range(1, n - 5), n - 2, n - 1]),
         ((1, n - 3), (1, n - 1), [*range(1, n - 4), n - 2, n], [n - 2, n]),
     ]
+    # the sets centred at the cascade roots eps_{2i-1} + eps_{2i}: what the
+    # sets above leave of H_beta, and halves eps_{2i-1} +- eps_j for j < 2i-1,
+    # each in a pair with a negative root; the top one, i = n/2-2, differs
+    ends = [n - 2, n - 1, n]
+    for i in range(1, n // 2 - 2):
+        plus = [*range(2 * i + 1, n - 6, 2), *ends]
+        minus = [*range(1, 2 * i - 1), *range(2 * i + 1, n - 4, 2), *ends]
+        spokes.append(((1, 2 * i - 1), (1, 2 * i), plus, minus))
+    plus, minus = [*range(1, n - 6, 2), *ends], [*range(1, n - 5), n - 3, *ends]
+    spokes.append(((1, n - 5), (1, n - 4), plus, minus))
     gamma = dict(_spoke(sys, *spoke) for spoke in spokes)
-
-    # Heisenberg sets of the cascade centres beta_i, by decreasing induction:
-    # whatever of H_{beta_i} is still unused, plus the listed negative-side
-    # completions.
-    for i in range(n // 2 - 2, 0, -1):
-        used = set().union(*gamma.values())
-        top = i == n // 2 - 2
-        plus = range(1, n - 5, 2) if top else ()
-        minus = range(1, (n - 6 if top else 2 * i - 2) + 1)
-        beta, extra = _spoke(sys, (1, 2 * i - 1), (1, 2 * i), plus, minus)
-        gamma[beta] = extra | (heis[beta] - used)
 
     t_exp = [
         r([(1, n - 3), (-1, n - 1)]),
@@ -447,8 +442,7 @@ def _build_D_extremal(n: int) -> Candidate:
 def _build_E6() -> Candidate:
     sys = build_root_system("E6", 6)
     parab = ParabolicData(sys, 6)
-    rc = sys.root_from_coeffs
-    heis = cascade_heisenberg_by_beta(sys)
+    rc, inner = sys.root_from_coeffs, sys.inner
 
     beta1 = rc((1, 2, 2, 3, 2, 1))
     beta2 = rc((1, 0, 1, 1, 1, 1))
@@ -456,6 +450,12 @@ def _build_E6() -> Candidate:
     beta1p = rc((1, 1, 2, 2, 1, 0))
     s5 = rc((0, 0, 0, -1, -1, 0))  # alpha_2 - beta_2'
 
+    # H_beta_k: the positive roots orthogonal to the cascade roots before
+    # beta_k (an A5, then an A3) that pair positively with beta_k
+    rest, heis = sys.positive_roots, {}
+    for beta in (beta1, beta2, beta3):
+        heis[beta] = frozenset([r for r in rest if inner(r, beta) > 0])
+        rest = [r for r in rest if inner(r, beta) == 0]
     gamma: Dict[int, FrozenSet[int]] = {}
     gamma[beta1] = heis[beta1] - {rc((0, 1, 1, 1, 0, 0)), rc((1, 1, 1, 2, 2, 1))}
     gamma[beta2] = heis[beta2] - {rc((1, 0, 1, 1, 1, 0)), rc((0, 0, 0, 0, 0, 1))}

@@ -11,6 +11,9 @@
   closed-form models.  `WrappedTable` hands the engine a table with its
   entries changed, and `sign_twist` is such a change: a seeded twist of
   the sign convention.
+- `string_down`: the root-string probe p = max k with b - k*a a root,
+  which `chevalley` replaced by the rule that |N(a, b)| is 2 exactly for
+  two short roots of B.
 - The bracket oracle: exact Lie algebra elements (`GElem`), N(a, b) on
   roots (`n_const`), brackets (`bracket_roots`, `bracket`) and the
   coadjoint action on the dual of the truncated parabolic (`ad_on_dual`,
@@ -62,6 +65,9 @@
   the inner product and finds each level's simple roots again: the
   straightforward forms of `RootSystem._generate_positive` and
   `cascade.kostant_cascade`.
+- `extremal_cascade_sets`: the sets of the extremal D case at its cascade
+  roots by the decreasing induction over the cascade's H_beta that
+  `construction` replaced by closed ranges.
 - The rational bound path: fundamental and Levi weights (each from a
   solve with the Cartan block of its simple roots), orbit weights,
   t(gamma) and both bound multisets in `fractions.Fraction` (`Weight`),
@@ -80,6 +86,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.construction import _rt, _spoke, build_case
 from adapted_pairs.parabolic import minus_w0_on_subset
 from adapted_pairs.verify import _successors, check_heisenberg
 from linalg_oracle import det_dense, solve_in_span
@@ -365,6 +373,18 @@ def n_const(table, a: Optional[int], b: Optional[int]) -> int:
     if a is None or b is None:
         return 0
     return table.n_code(a, b)
+
+
+def string_down(system, alpha: int, beta: int) -> int:
+    """p = max k with beta - k*alpha a root, for root codes alpha and beta:
+    each probe is the difference of two roots, so its code is a root's code
+    exactly when it is that root."""
+    p = 0
+    probe = beta - alpha
+    while probe in system.by_code:
+        p += 1
+        probe -= alpha
+    return p
 
 
 def root_on_h(system, a: int, h: Sequence) -> Fraction:
@@ -853,6 +873,28 @@ def cascade_oracle(
 
     recurse(list(system.positive_roots if positive is None else positive), "")
     return items
+
+
+def extremal_cascade_sets(n: int) -> Dict[int, FrozenSet[int]]:
+    """The sets of the extremal case D_n, s = n, at the cascade roots
+    beta_i = eps_{2i-1} + eps_{2i}, i <= n/2-2: for i from n/2-2 down to 1,
+    what no set so far holds of the cascade's H_beta_i, joined by the
+    halves eps_{2i-1} - eps_j for j <= 2i-2 (j <= n-6 at the top i, which
+    also has eps_{2i-1} + eps_j for odd j <= n-7).  The sets at the other
+    centres are the case's own."""
+    cand = build_case("D", n, n)
+    system = cand.system
+    heis = {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(system)}
+    top = n // 2 - 2
+    betas = [_rt(system, [(1, 2 * i - 1), (1, 2 * i)]) for i in range(1, top + 1)]
+    gamma = {c: m for c, m in cand.gamma_sets.items() if c not in betas}
+    for i in range(top, 0, -1):
+        used = set().union(*gamma.values())
+        plus = range(1, n - 5, 2) if i == top else ()
+        minus = range(1, (n - 6 if i == top else 2 * i - 2) + 1)
+        beta, extra = _spoke(system, (1, 2 * i - 1), (1, 2 * i), plus, minus)
+        gamma[beta] = extra | (heis[beta] - used)
+    return {beta: gamma[beta] for beta in betas}
 
 
 # -- the rational bound path -------------------------------------------------

@@ -29,6 +29,7 @@ from engine_oracle import (
     enumerate_pairings,
     orbit_structure,
     replace,
+    string_down,
     vec_add,
 )
 
@@ -227,7 +228,7 @@ def test_criterion_6_property_suite():
             for b in allroots:
                 if system.try_root(vec_add(by_code[a], by_code[b])) is not None:
                     n = table.n_code(a, b)
-                    assert abs(n) == table.string_down(a, b) + 1
+                    assert abs(n) == string_down(system, a, b) + 1
 
     # Heisenberg involution squared is the identity
     for family, n, s in [("B", 8, 4), ("D", 9, 6), ("D", 10, 10), ("E7", 7, 3)]:

@@ -20,6 +20,7 @@ from engine_oracle import (
     n_const,
     pairing,
     root_from_eps,
+    string_down,
     structure_table_oracle,
     vec_add,
 )
@@ -62,7 +63,10 @@ def test_antisymmetry_and_negation():
 
 
 def test_root_string_property_all_pairs():
-    for fam, rk in [("B", 4), ("D", 5), ("E6", 6)]:
+    # |N(a, b)| is the probe's p + 1 on every pair whose sum is a root, where
+    # the table reads it from whether a and b are both short roots of B
+    systems = [("B", n) for n in range(2, 13)] + [("D", n) for n in range(4, 13)]
+    for fam, rk in systems + [("E6", 6), ("E7", 7)]:
         sys = build_root_system(fam, rk)
         t = build_structure_table(sys)
         roots = _all_roots(sys)
@@ -70,7 +74,7 @@ def test_root_string_property_all_pairs():
         for a in roots:
             for b in roots:
                 if sys.try_root(vec_add(by_code[a], by_code[b])) is not None:
-                    assert abs(n_const(t, a, b)) == t.string_down(a, b) + 1
+                    assert abs(n_const(t, a, b)) == string_down(sys, a, b) + 1
 
 
 ORACLE_SYSTEMS = (

@@ -316,6 +316,46 @@ def test_sweep_small(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_without_out_no_certificate_is_built_and_the_output_is_the_same(
+    tmp_path, monkeypatch, capsys
+):
+    # verify and sweep print the degrees and verdict of the case result, so
+    # without --out they build no certificate and print what they print
+    # with it, the sweep's times aside; B4 s=2 is made to fail, so the
+    # verdict and the failing check are compared too
+    import re
+
+    import adapted_pairs.certificate as certificate
+    import adapted_pairs.verify as verify
+
+    def fail_b4_s2(family, n, s):
+        result = run_case(family, n, s)
+        if (family, n, s) == ("B", 4, 2):
+            return replace(result, t_size_vs_index=False)
+        return result
+
+    monkeypatch.setattr(verify, "run_case", fail_b4_s2)
+    commands = [
+        ["verify", "--family", "B", "--rank", "4", "--s", "2"],
+        ["verify", "--family", "E6", "--rank", "6", "--s", "1"],
+        ["sweep", "--max-rank", "6"],
+    ]
+    with_out = []
+    for i, argv in enumerate(commands):
+        code = main(argv + ["--out", str(tmp_path / f"out{i}")])
+        with_out.append((code, capsys.readouterr().out))
+    assert [code for code, _ in with_out] == [1, 0, 1]
+
+    def refuse(result):
+        raise AssertionError("a certificate was built without --out")
+
+    monkeypatch.setattr(certificate, "certificate_dict", refuse)
+    untimed = lambda text: re.sub(r" +[0-9]+\.[0-9]{2}s", "", text)
+    for argv, (code, stdout) in zip(commands, with_out):
+        assert main(argv) == code
+        assert untimed(capsys.readouterr().out) == untimed(stdout)
+
+
 def test_sweep_reports_a_crashing_case_and_goes_on(tmp_path, monkeypatch, capsys):
     import adapted_pairs.verify as verify
 
@@ -749,27 +789,36 @@ def test_report_loads_no_engine_module(tmp_path):
 def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
     # a fresh `python -m adapted_pairs.cli verify` process builds its engine
     # from plain classes and typing.NamedTuple records: neither dataclasses
-    # nor the inspect module it imports is loaded.  -X importtime lists
+    # nor the inspect module it imports is loaded.  Nor is the Kostant
+    # cascade, which only the `cascade` command runs.  -X importtime lists
     # every module the process imports, so the command itself is run
     # unchanged.
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "adapted_pairs.cli", "verify",
-         "--family", "B", "--rank", "6", "--s", "2"],
-        env=_src_env(),
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("B n=6 s=2: PASS")
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
-    loaded = imported & {"dataclasses", "inspect"}
-    assert not loaded, loaded
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "adapted_pairs.cli", *argv],
+            env=_src_env(),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        return proc.stdout, imported
+
+    for family, rank, s in [("B", 6, 2), ("D", 8, 6), ("D", 8, 7), ("E6", 6, 1)]:
+        stdout, imported = run(
+            "verify", "--family", family, "--rank", str(rank), "--s", str(s)
+        )
+        assert stdout.startswith(f"{family} n={rank} s={s}: PASS")
+        assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
+        loaded = imported & {"dataclasses", "inspect", "adapted_pairs.cascade"}
+        assert not loaded, loaded
+    _, imported = run("cascade", "--family", "E6", "--rank", "6")
+    assert "adapted_pairs.cascade" in imported
 
 
 FREEZE_AT_EXIT = """

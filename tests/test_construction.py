@@ -16,7 +16,13 @@ from adapted_pairs.construction import (
 from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.parabolic import subsystem_roots
 from adapted_pairs.roots import build_root_system
-from engine_oracle import eps_of, orbit_structure, root_from_eps, vec_add
+from engine_oracle import (
+    eps_of,
+    extremal_cascade_sets,
+    orbit_structure,
+    root_from_eps,
+    vec_add,
+)
 
 F = Fraction
 
@@ -180,6 +186,59 @@ def test_e7_verbatim_sets():
     assert cand.gamma_sets[b1] == frozenset(
         r for r in cand.system.positive_roots if cand.system.inner(r, b1) > 0
     )
+
+
+def _cascade_heisenberg(sys):
+    return {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(sys)}
+
+
+@pytest.mark.parametrize(
+    "family,n", [("B", n) for n in range(4, 41)] + [("D", n) for n in range(4, 41)]
+)
+def test_cascade_sets_in_closed_form_are_the_cascades(family, n):
+    # the set at beta_i = eps_{2i-1} + eps_{2i}, i < s/2, is H_beta less
+    # eps_{2i-1} and eps_{2i} in B, and less eps_{2i-1} - eps_n and
+    # eps_{2i} + eps_n in D; the largest even s in scope has every such i
+    s = n - n % 2 if family == "B" else n - 2 - n % 2
+    cand = build_case(family, n, s)
+    sys = cand.system
+    heis = _cascade_heisenberg(sys)
+    for i in range(1, s // 2):
+        beta = _ev(sys, [(1, 2 * i - 1), (1, 2 * i)])
+        if family == "B":
+            removed = {_ev(sys, [(1, 2 * i - 1)]), _ev(sys, [(1, 2 * i)])}
+        else:
+            removed = {
+                _ev(sys, [(1, 2 * i - 1), (-1, n)]),
+                _ev(sys, [(1, 2 * i), (1, n)]),
+            }
+        assert cand.gamma_sets[beta] == heis[beta] - removed
+
+
+@pytest.mark.parametrize("n", range(6, 41, 2))
+def test_extremal_d_cascade_sets_in_closed_form_are_the_induction(n):
+    cand = build_case("D", n, n)
+    for beta, members in extremal_cascade_sets(n).items():
+        assert cand.gamma_sets[beta] == members
+
+
+def test_e_cascade_sets_as_inner_product_filters_are_the_cascades():
+    # E6 at beta_1, beta_2, beta_3, less the roots its builder names, and
+    # E7 at its highest root
+    cand = build_case("E6", 6, 6)
+    rc = cand.system.root_from_coeffs
+    heis = _cascade_heisenberg(cand.system)
+    removed = {
+        (1, 2, 2, 3, 2, 1): [(0, 1, 1, 1, 0, 0), (1, 1, 1, 2, 2, 1)],
+        (1, 0, 1, 1, 1, 1): [(1, 0, 1, 1, 1, 0), (0, 0, 0, 0, 0, 1)],
+        (0, 0, 1, 1, 1, 0): [],
+    }
+    for beta, names in removed.items():
+        beta = rc(beta)
+        assert cand.gamma_sets[beta] == heis[beta] - {rc(r) for r in names}
+    e7 = build_case("E7", 7, 3)
+    b1 = e7.system.highest_root()
+    assert e7.gamma_sets[b1] == _cascade_heisenberg(e7.system)[b1]
 
 
 def test_e7_embedding_is_root_isomorphism():
