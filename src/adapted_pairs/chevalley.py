@@ -16,8 +16,8 @@ a model whose root vectors are known, up to a positive factor per root:
   E_{u,-v} - E_{v,-u}, where u is a positive root's first epsilon index
   and v its second (0 for a short root of B), and [M(u,v), M(x,y)] =
   d(x,-v) M(u,y) - d(y,-v) M(u,x) - d(x,-u) M(v,y) + d(y,-u) M(v,x), d
-  the Kronecker delta.  (u, v) is found once per root
-  (`RootSystem.eps_indices`) and kept, so an entry costs O(1).
+  the Kronecker delta.  (u, v) is written down with the root
+  (`RootSystem.eps_indices`), so an entry costs O(1).
 - E6 and E7: the Frenkel-Kac cocycle (-1)^(a^T E b) on coefficient
   vectors, with E_ii = 1, E_ij = (alpha_i, alpha_j) mod 2 for i < j and
   E_ij = 0 below the diagonal (Kac, *Infinite-Dimensional Lie Algebras*,
@@ -25,9 +25,11 @@ a model whose root vectors are known, up to a positive factor per root:
 
 In both, the vector of a negative root is minus the model's vector, so the
 sign flips once for each negative root among a, b and a + b, and
-N(-a, -b) = -N(a, b).  Each entry is computed on first use and kept; the
-table is keyed by root code (`RootSystem.base`), and `n_code` answers on
-codes alone, which is what the per-pair loops of `verify` call.
+N(-a, -b) = -N(a, b).  Each entry is computed on every call, which costs
+no more than a lookup would: O(1) in B and D, a product over the rank and
+the Dynkin edges in E6 and E7.  `n_code` answers on root codes
+(`RootSystem.base`) alone, which is what the per-pair loops of `verify`
+call.
 
 The convention does not reach a certificate.  A twist X_g -> c(g) X_g,
 with c = +-1 and c(-g) = c(g), gives another Chevalley basis, with
@@ -49,24 +51,19 @@ bytes under that convention and under twists.
 from __future__ import annotations
 
 from operator import itemgetter, mul
-from typing import Dict, Tuple
 
 from .roots import RootSystem
 
-Pair = Tuple[int, int]  # two root codes
-
 
 class StructureTable:
-    """Exact structure constants N(a, b) for a fixed root system, computed
-    per entry on first use and kept in one (a, b) -> N dict on codes; in B
-    and D also the (u, v) of each root met, in a code -> (u, v) dict."""
+    """Exact structure constants N(a, b) for a fixed root system, on root
+    codes, each computed when it is asked for; the table keeps no entry."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         self._by_code = system.by_code
-        self._n: Dict[Pair, int] = {}
         if system.family in ("B", "D"):
-            self._uvs: Dict[int, Pair] = {}
+            self._uv = system._uv  # each root's (u, v), as `eps_indices` reads it
             self._sign = self._so_sign
         else:
             # the edges i < j of the Dynkin diagram: (alpha_i, alpha_j) odd
@@ -84,15 +81,8 @@ class StructureTable:
         c = a + b
         if c not in self._by_code:
             return 0
-        table = self._n
-        n = table.get((a, b))
-        if n is None:
-            n = self._sign(a, b)
-            if (a < 0) ^ (b < 0) ^ (c < 0):
-                n = -n
-            table[(a, b)] = n
-            table[(b, a)] = -n  # antisymmetry: Phi_y reads both
-        return n
+        n = self._sign(a, b)
+        return -n if (a < 0) ^ (b < 0) ^ (c < 0) else n
 
     def _fk_sign(self, a: int, b: int) -> int:
         """N(a, b) before the flip for negative roots: (-1)^(a^T E b), the
@@ -107,14 +97,8 @@ class StructureTable:
         M_b] against M_(a+b), times 2 for two short roots (v = y = 0).  The
         one delta term of the bracket that does not vanish when a + b is a
         root is s M(p, q).  M(p, q) = -M(q, p), and M_(a+b) = M(p, q)
-        exactly when p is the first index of a+b: q = 0, or 0 < |p| < |q|.
-        The (u, v) of a root is found on its first use and kept."""
-        uvs = self._uvs
-        if a not in uvs:
-            uvs[a] = self.system.eps_indices(a)
-        if b not in uvs:
-            uvs[b] = self.system.eps_indices(b)
-        (u, v), (x, y) = uvs[a], uvs[b]
+        exactly when p is the first index of a+b: q = 0, or 0 < |p| < |q|."""
+        (u, v), (x, y) = self._uv[a], self._uv[b]
         if x == -v:
             s, p, q = 1, u, y
         elif y == -v:

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -75,12 +77,22 @@ def _rat_str(obj) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """path.write_text(text) in slices of 1 MiB: a whole write encodes the
-    text at once into bytes as large as itself, which at rank 128 was
-    the peak of a verify process's memory."""
-    with path.open("w") as fh:
-        for i in range(0, len(text), 1 << 20):
-            fh.write(text[i : i + (1 << 20)])
+    """path.write_text(text), whole or not at all: the text goes to a
+    temporary file beside path, which then replaces it, and is removed on
+    any failure, so a full disk leaves no truncated file under path.  It is
+    written in slices of 1 MiB: a whole write encodes the text at once
+    into bytes as large as itself, which at rank 128 was the peak of a
+    verify process's memory."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            for i in range(0, len(text), 1 << 20):
+                fh.write(text[i : i + (1 << 20)])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _usage_error(message) -> int:

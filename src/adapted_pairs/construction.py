@@ -11,9 +11,9 @@ root (`e7_d6_embedding`).
 
 A Heisenberg set Gamma_gamma is its centre gamma together with pairs
 {a, gamma - a}.  The builders list only the centre and one half a of each
-pair, in epsilon terms, which `_rt` reads by the closed form of B_n and
-D_n (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Planches II and IV);
-`_heis` adds the partners.  A set centred at a root beta of the Kostant
+pair, in epsilon terms (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+Planches II and IV), which `RootSystem.eps_root` makes codes; `_heis` adds
+the partners.  A set centred at a root beta of the Kostant
 cascade of Delta+ (Kostant, Moscow Math. J. 12 (2012)) is its Heisenberg
 set H_beta less the roots named at its builder, in closed form, which the
 tests compare with `cascade`: in B_n and D_n, H_beta of eps_{2i-1} +
@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import Inverse, invert
 from .parabolic import ParabolicData, subsystem_roots
-from .roots import RootSystem, build_root_system, eps_coefficients
+from .roots import RootSystem, build_root_system
 
 
 class OutOfScopeError(ValueError):
@@ -166,26 +166,6 @@ def case_plan(family: str, n: int, s: int) -> Optional[str]:
     return f"unsupported family {family!r}"
 
 
-def _rt(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> int:
-    """The code of the root of B_n or D_n with epsilon terms
-    [(coef, index1based), ...]; terms on the same index add up.  Its
-    coefficients are `roots.eps_coefficients`, which refuses an odd S_n in
-    D_n before a floor halving could land on a root (eps_1 on eps_1 - eps_3
-    in D4)."""
-    v = [0] * system.rank
-    for c, i in terms:
-        v[i - 1] += c
-    coeffs = eps_coefficients(system.family, v)
-    root = None if coeffs is None else system.try_root(coeffs)
-    if root is None:
-        raise _not_a_root(system, terms)
-    return root
-
-
-def _not_a_root(system: RootSystem, terms: Sequence[Tuple[int, int]]) -> ValueError:
-    return ValueError(f"epsilon terms {list(terms)} are not a root of {system}")
-
-
 def _heis(
     system: RootSystem,
     centre_terms: List[Tuple[int, int]],
@@ -193,12 +173,13 @@ def _heis(
 ) -> Tuple[int, FrozenSet[int]]:
     """(centre, Gamma) on codes: the centre, each half a and its partner
     centre - a, which must be a root."""
-    centre = _rt(system, centre_terms)
+    centre = system.eps_root(centre_terms)
     members = [centre]
     for terms in halves:
-        a = _rt(system, terms)
+        a = system.eps_root(terms)
         if centre - a not in system.by_code:
-            raise _not_a_root(system, centre_terms + [(-c, i) for c, i in terms])
+            partner = centre_terms + [(-c, i) for c, i in terms]
+            raise ValueError(f"epsilon terms {partner} are not a root of {system}")
         members += (a, centre - a)
     return centre, frozenset(members)
 
@@ -276,7 +257,7 @@ def _assemble(
 def _build_B(n: int, s: int) -> Candidate:
     sys = build_root_system("B", n)
     parab = ParabolicData(sys, s)
-    r = lambda terms: _rt(sys, terms)
+    r = sys.eps_root
 
     # Gamma of the mixed centre eps_s
     halves = [[(1, i)] for i in range(1, n + 1) if i != s]
@@ -333,7 +314,7 @@ def _build_B(n: int, s: int) -> Candidate:
 def _build_D(n: int, s: int) -> Candidate:
     sys = build_root_system("D", n)
     parab = ParabolicData(sys, s)
-    r = lambda terms: _rt(sys, terms)
+    r = sys.eps_root
 
     gamma = _s_minus_sets(sys, s)
 
@@ -388,7 +369,7 @@ def _build_D(n: int, s: int) -> Candidate:
 def _build_D_extremal(n: int) -> Candidate:
     sys = build_root_system("D", n)
     parab = ParabolicData(sys, n)
-    r = lambda terms: _rt(sys, terms)
+    r = sys.eps_root
 
     # (p, q, plus, minus) of each set centred at eps_p +- eps_q
     spokes = [

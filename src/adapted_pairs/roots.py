@@ -25,9 +25,11 @@ Epsilon coordinates (the orthonormal basis of the ambient space, dimension
 n for B_n/D_n and 8 for E6/E7) are integer rows over one denominator, 2 for
 E6/E7 and 1 otherwise, from `_simple_root_data`, for display
 (`eps_scaled`).  A root of B_n or D_n is also eps_u + eps_v on signed
-indices (`eps_indices`), read from its coefficients, and its splittings
-into two roots are listed from those (`splittings`); the module does no
-rational arithmetic.
+indices, written down with the root (`eps_indices`); epsilon terms become
+a code by the code's linearity in them (`eps_root`), and a root's
+splittings into two roots are listed from its (u, v) (`splittings`).  This
+module is the only one that maps a root of B_n or D_n to its epsilon terms
+and back, and it does no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
+Pair = Tuple[int, int]  # the signed epsilon indices (u, v) of a root
 
 SUPPORTED = {"B", "D", "E6", "E7"}
 
@@ -73,15 +76,13 @@ def _simple_root_data(family: str, rank: int) -> Tuple[int, List[List[int]]]:
     raise ValueError(f"unsupported family {family!r}")
 
 
-def eps_coefficients(family: str, v: Sequence[int]) -> Optional[List[int]]:
-    """The coefficients over the simple roots of the vector of B_n or D_n
-    with integer epsilon coordinates v: the partial sums S_k of v
+def _eps_coefficients(family: str, v: Sequence[int]) -> List[int]:
+    """The coefficients over the simple roots of the lattice vector of B_n
+    or D_n with integer epsilon coordinates v: the partial sums S_k of v
     (Planche II); in D_n (Planche IV) the last two are (S_{n-1} - v_n)/2
-    and S_n/2, and an odd S_n, outside the root lattice, gives None."""
+    and S_n/2, S_n being even on the root lattice."""
     coeffs = list(accumulate(v))
     if family == "D":
-        if coeffs[-1] % 2:
-            return None
         coeffs[-2:] = (coeffs[-2] - v[-1]) // 2, coeffs[-1] // 2
     return coeffs
 
@@ -107,10 +108,13 @@ class RootSystem:
 
     The pairings <r, alpha_i^vee> of every root come out of generation
     and are stored for both signs, those of -r being the negated tuple;
-    `simple_pairings` looks them up and `inner` is built on them.  The
-    epsilon form is linear too: in B_n and D_n, _twice_eps[i] is twice the
-    code of eps_i on signed indices -n..n, 0 at i = 0 (eps_i is half a
-    lattice vector in D), one int per index and none per root.
+    `simple_pairings` looks them up and `inner` is built on them.  In B_n
+    and D_n each root is generated from its signed epsilon indices (u, v),
+    which _uv keeps for both signs, those of -r being (-u, -v), for
+    `eps_indices` and the structure table; E6 and E7 keep none.  The code
+    is linear in the epsilon terms too: _twice_eps[i] is twice the code of
+    eps_i on signed indices -n..n, 0 at i = 0 (eps_i is half a lattice
+    vector in D), one int per index.
     """
 
     def __init__(self, family: str, rank: int):
@@ -134,8 +138,9 @@ class RootSystem:
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
         ]
+        uvs: Dict[Coeffs, Pair] = {}
         if family in ("B", "D"):
-            pairings = self._epsilon_positive()
+            pairings, uvs = self._epsilon_positive()
         else:
             pairings = self._generate_positive()
         self.base = 3 * max(map(max, pairings)) + 1
@@ -143,6 +148,7 @@ class RootSystem:
         self.positive_roots: List[int] = sorted(positive)
         self.by_code: Dict[int, Coeffs] = {}
         self._pairings: Dict[int, Tuple[int, ...]] = {}
+        self._uv: Dict[int, Pair] = {}
         for code in self.positive_roots:
             coeffs = positive[code]
             self.by_code[code] = coeffs
@@ -150,10 +156,13 @@ class RootSystem:
             pairs = pairings[coeffs]
             self._pairings[code] = pairs
             self._pairings[-code] = tuple([-p for p in pairs])
+            if uvs:
+                u, v = self._uv[code] = uvs[coeffs]
+                self._uv[-code] = -u, -v
         self.simple_roots: List[int] = [self.base**k for k in reversed(range(rank))]
         if family in ("B", "D"):
             twice = [
-                self.code(eps_coefficients(family, [0] * i + [2] + [0] * (rank - 1 - i)))
+                self.code(_eps_coefficients(family, [0] * i + [2] + [0] * (rank - 1 - i)))
                 for i in range(rank)
             ]
             self._twice_eps = [0] + twice + [-x for x in reversed(twice)]
@@ -161,10 +170,11 @@ class RootSystem:
 
     # -- construction -----------------------------------------------------
 
-    def _epsilon_positive(self) -> Dict[Coeffs, Coeffs]:
-        """B_n and D_n: the coefficients of each positive root, eps_i -+
-        eps_j for i < j and eps_i in B, mapped to its pairings with the
-        simple coroots, both read off its one or two epsilon terms.
+    def _epsilon_positive(self) -> Tuple[Dict[Coeffs, Coeffs], Dict[Coeffs, Pair]]:
+        """B_n and D_n: the coefficients of each positive root eps_u +
+        eps_v, on signed 1-based indices with 0 < u < |v| and v = 0 for
+        eps_u in B, mapped to its pairings with the simple coroots, both
+        read off its one or two epsilon terms, and to its (u, v).
         <eps_d, alpha_k^vee> = 2 (eps_d, alpha_k) / (alpha_k, alpha_k) is
         nonzero for at most three k, so a root's pairings cost O(1) once
         its row of zeros is made."""
@@ -173,20 +183,25 @@ class RootSystem:
         for k, (terms, norm) in enumerate(zip(self._eps_simples, self._norms)):
             for d, x in terms:
                 hits[d].append((k, 2 * x // norm))
-        roots = [((i, 1), (j, s)) for i in range(n) for j in range(i + 1, n)
+        roots = [(u, s * w) for u in range(1, n + 1) for w in range(u + 1, n + 1)
                  for s in (-1, 1)]
         if family == "B":
-            roots += [((i, 1),) for i in range(n)]
+            roots += [(u, 0) for u in range(1, n + 1)]
         known: Dict[Coeffs, Coeffs] = {}
-        for terms in roots:
+        uvs: Dict[Coeffs, Pair] = {}
+        for uv in roots:
             v = [0] * n
             pairs = [0] * n
-            for d, x in terms:
-                v[d] = x
-                for k, m in hits[d]:
-                    pairs[k] += x * m
-            known[tuple(eps_coefficients(family, v))] = tuple(pairs)
-        return known
+            for t in uv:
+                if t:
+                    d, x = abs(t) - 1, 1 if t > 0 else -1
+                    v[d] = x
+                    for k, m in hits[d]:
+                        pairs[k] += x * m
+            coeffs = tuple(_eps_coefficients(family, v))
+            known[coeffs] = tuple(pairs)
+            uvs[coeffs] = uv
+        return known, uvs
 
     def _generate_positive(self) -> Dict[Coeffs, Coeffs]:
         """The coefficients of the positive roots mapped to their pairings
@@ -307,30 +322,28 @@ class RootSystem:
                     row[d] += c * e
         return self._eps_den, row
 
-    def eps_indices(self, r: int) -> Tuple[int, int]:
+    def eps_indices(self, r: int) -> Pair:
         """(u, v) with r = eps_u + eps_v, for a root of B_n or D_n, on
         signed 1-based indices, eps_-u = -eps_u and eps_0 = 0: u is the
-        first index of a positive root and v is 0 for a short one.
+        first index of a positive root and v is 0 for a short one.  Kept
+        since the root was generated from it; a root of E6 or E7 has no
+        such pair and raises KeyError."""
+        return self._uv[r]
 
-        Read from the coefficients c of the positive root, which have 1
-        from alpha_u on.  In B, up to alpha_(w-1), then 0 (eps_u - eps_w),
-        1 (eps_u, w = n + 1) or 2 (eps_u + eps_w) to the end: the last
-        coefficient less 1 is the sign of v = +-w, or 0.  In D, eps_u -
-        eps_w ends in 0, eps_u + eps_n in 0, 1 (alpha_n itself is eps_(n-1)
-        + eps_n), and eps_u + eps_w, w < n, has 2 from alpha_w to
-        alpha_(n-2) and ends in 1, 1."""
-        c = self.by_code[abs(r)]
+    def eps_root(self, terms: Sequence[Tuple[int, int]]) -> int:
+        """The code of the root of B_n or D_n with epsilon terms
+        [(coef, index), ...] on 1-based indices: half the sum of
+        _twice_eps at their signed indices.  Only one term (in B) or two
+        on distinct indices, each with coefficient +-1, name a root; any
+        other list raises ValueError."""
         n = self.rank
-        u = c.index(1) + 1
-        if self.family == "B":
-            v = (c[-1] - 1) * (u + c.count(1))
-        elif not c[-1]:
-            v = -(u + c.count(1))
-        elif not c[-2]:
-            u, v = min(u, n - 1), n
-        else:
-            v = n - 1 - c.count(2)
-        return (u, v) if r > 0 else (-u, -v)
+        signed = [c * i for c, i in terms if c in (1, -1) and 0 < i <= n]
+        sizes = {"B": (1, 2), "D": (2,)}.get(self.family, ())
+        if (len(signed) != len(terms) or len(terms) not in sizes
+                or len({abs(t) for t in signed}) != len(terms)):
+            raise ValueError(f"epsilon terms {list(terms)} are not a root of {self}")
+        twice = self._twice_eps
+        return sum([twice[t] for t in signed]) >> 1
 
     def splittings(self, p: int) -> List[int]:
         """Each splitting p = a + b of p into two roots, once, as a; b is

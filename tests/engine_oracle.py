@@ -49,7 +49,10 @@
   keeps the same coordinates as integer rows over one denominator.
   `root_from_eps` finds a root of any family by its epsilon coordinates,
   through a table of every root's row: the reverse map that the package
-  replaced by the closed form of B_n and D_n in `construction._rt`.
+  replaced by the linearity of the code in the epsilon terms of B_n and
+  D_n (`RootSystem.eps_root`).  `eps_indices_oracle` reads the signed
+  epsilon indices (u, v) of a root of B_n or D_n back from its
+  coefficients, where the package writes them down with the root.
 - `removed_projection_oracle`: the projection of alpha_s^vee onto the
   truncated Cartan from a solve with the coroot Gram matrix of pi', the
   linear system that `ParabolicData.removed_projection` answers in closed
@@ -87,7 +90,7 @@ from operator import mul
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from adapted_pairs.cascade import kostant_cascade
-from adapted_pairs.construction import _rt, _spoke, build_case
+from adapted_pairs.construction import _spoke, build_case
 from adapted_pairs.parabolic import minus_w0_on_subset
 from adapted_pairs.verify import _successors, check_heisenberg
 from linalg_oracle import det_dense, solve_in_span
@@ -720,6 +723,30 @@ def _eps_table(system) -> Tuple[int, Dict[Tuple[int, ...], int]]:
     return den, {tuple(system.eps_scaled(r)[1]): r for r in system.by_code}
 
 
+def eps_indices_oracle(system, r: int) -> Tuple[int, int]:
+    """(u, v) with r = eps_u + eps_v, for a root of B_n or D_n, on signed
+    1-based indices, u the first index of a positive root and v = 0 for a
+    short one, read from the coefficients c of the positive root, which
+    have 1 from alpha_u on.  In B, up to alpha_(w-1), then 0 (eps_u -
+    eps_w), 1 (eps_u, w = n + 1) or 2 (eps_u + eps_w) to the end: the last
+    coefficient less 1 is the sign of v = +-w, or 0.  In D, eps_u - eps_w
+    ends in 0, eps_u + eps_n in 0, 1 (alpha_n itself is eps_(n-1) +
+    eps_n), and eps_u + eps_w, w < n, has 2 from alpha_w to alpha_(n-2)
+    and ends in 1, 1."""
+    c = system.by_code[abs(r)]
+    n = system.rank
+    u = c.index(1) + 1
+    if system.family == "B":
+        v = (c[-1] - 1) * (u + c.count(1))
+    elif not c[-1]:
+        v = -(u + c.count(1))
+    elif not c[-2]:
+        u, v = min(u, n - 1), n
+    else:
+        v = n - 1 - c.count(2)
+    return (u, v) if r > 0 else (-u, -v)
+
+
 def removed_projection_oracle(parab) -> List[Fraction]:
     """Coroot coordinates, over pi', of the orthogonal projection of
     alpha_s^vee onto the truncated Cartan: the x with
@@ -886,7 +913,7 @@ def extremal_cascade_sets(n: int) -> Dict[int, FrozenSet[int]]:
     system = cand.system
     heis = {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(system)}
     top = n // 2 - 2
-    betas = [_rt(system, [(1, 2 * i - 1), (1, 2 * i)]) for i in range(1, top + 1)]
+    betas = [system.eps_root([(1, 2 * i - 1), (1, 2 * i)]) for i in range(1, top + 1)]
     gamma = {c: m for c, m in cand.gamma_sets.items() if c not in betas}
     for i in range(top, 0, -1):
         used = set().union(*gamma.values())

@@ -1,4 +1,5 @@
 import atexit
+import errno
 import gc
 import json
 import os
@@ -593,6 +594,51 @@ def test_verify_certificate_that_cannot_be_written_is_a_usage_error(
     argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
     assert main(argv) == 2
     assert _one_error_line(capsys) == ""
+
+
+class _FullDisk:
+    """A file opened for writing that takes half of its first write, then
+    fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _fill_the_disk(monkeypatch):
+    real_open = Path.open
+
+    def open_on_a_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+
+
+def test_verify_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch, capsys):
+    _fill_the_disk(monkeypatch)
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch, capsys):
+    _fill_the_disk(monkeypatch)
+    out = tmp_path / "certs"
+    assert main(["sweep", "--max-rank", "4", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == ""
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_certificate_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from adapted_pairs.construction import (
     OutOfScopeError,
     _heis,
-    _rt,
     _simple_root_map,
     build_case,
     case_plan,
@@ -42,25 +41,38 @@ def _ev(system, terms):
     "family,rank", [("B", n) for n in range(2, 25)] + [("D", n) for n in range(4, 25)]
 )
 def test_epsilon_terms_find_every_root_by_the_closed_form(family, rank):
-    # _rt against the table of every root's epsilon row, on both signs
+    # eps_root against the table of every root's epsilon row, on both signs
     sys = build_root_system(family, rank)
     for r in sys.by_code:
         _, row = sys.eps_scaled(r)
         terms = [(x, i) for i, x in enumerate(row, start=1) if x]
-        assert _rt(sys, terms) == root_from_eps(sys, row) == r
+        assert sys.eps_root(terms) == root_from_eps(sys, row) == r
 
 
 @pytest.mark.parametrize(
     "family,terms",
-    [("B", [(1, 1), (1, 2), (1, 3)]), ("D", [(1, 1)]), ("D", [(2, 1)])],
-    ids=["B-e1+e2+e3", "D-e1", "D-2e1"],
+    [
+        ("B", [(1, 1), (1, 2), (1, 3)]),
+        ("D", [(1, 1)]),
+        ("D", [(2, 1)]),
+        ("B", []),
+        ("B", [(1, 1), (-1, 1)]),
+        ("B", [(1, 1), (1, 1)]),
+        ("D", [(1, 1), (1, 2), (1, 3)]),
+        ("B", [(2, 1)]),
+        ("B", [(1, 5)]),
+    ],
+    ids=["B-e1+e2+e3", "D-e1", "D-2e1", "B-none", "B-e1-e1", "B-e1+e1",
+         "D-e1+e2+e3", "B-2e1", "B-e5"],
 )
 def test_epsilon_terms_of_no_root_are_refused(family, terms):
     # D eps_1 has an odd coordinate sum, off the lattice: halved down, its
-    # coefficients would be those of eps_1 - eps_3
+    # coefficients would be those of eps_1 - eps_3; terms that cancel, or
+    # that name one index twice, are refused as they stand, and so are a
+    # coefficient other than +-1 and an index past the rank
     sys = build_root_system(family, 4)
     with pytest.raises(ValueError, match=re.escape(f"epsilon terms {terms} ")):
-        _rt(sys, terms)
+        sys.eps_root(terms)
 
 
 @pytest.mark.parametrize("family,n,s", ALL_CASES)

@@ -13,6 +13,7 @@ from engine_oracle import (
     Weight,
     closure_positive_roots,
     coeffs_key,
+    eps_indices_oracle,
     eps_of,
     fundamental_weights,
     levi_weights,
@@ -384,6 +385,25 @@ def test_eps_indices_and_splittings(family, rank):
                 row[abs(i) - 1] += 1 if i > 0 else -1
         assert sys.eps_scaled(r) == (1, row)
         assert (u > 0) == (r > 0) and (v == 0 or abs(u) < abs(v))
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("B", n) for n in range(2, 41)] + [("D", n) for n in range(4, 41)]
+)
+def test_eps_indices_are_those_of_the_coefficients(family, rank):
+    # the (u, v) written down with each root of B and D, of either sign, is
+    # the one its coefficients spell out
+    sys = build_root_system(family, rank)
+    for r in sys.by_code:
+        assert sys.eps_indices(r) == eps_indices_oracle(sys, r)
+
+
+@pytest.mark.parametrize("family,rank", [("E6", 6), ("E7", 7)])
+def test_eps_indices_has_no_pair_for_e6_and_e7(family, rank):
+    sys = build_root_system(family, rank)
+    for r in sys.by_code:
+        with pytest.raises(KeyError):
+            sys.eps_indices(r)
 
 
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
