@@ -262,39 +262,43 @@ def cmd_sweep(args) -> int:
     rows = []
     all_ok = True
     held = None
-    for family, n, s in in_scope_cases(args.max_rank):
+    plan = in_scope_cases(args.max_rank)
+    name = "{}_n{}_s{}.json".format
+    for i, (family, n, s) in enumerate(plan):
         if (family, n) != held:
             # one root system at a time, and its `derived` tables with it
             build_root_system.cache_clear()
             held = family, n
         t0 = time.perf_counter()
-        out_file = out_dir / f"{family}_n{n}_s{s}.json" if out_dir else None
+        out_file = out_dir / name(family, n, s) if out_dir else None
         try:
-            result = run_case(family, n, s)
-            text = to_json(certificate_dict(result)) if out_file else ""
-        except Exception as exc:
-            # one case that crashes, or whose certificate cannot be built,
-            # must not hide the others: report it, go on, and leave no
-            # certificate of an earlier run in its place
-            import traceback
-
-            traceback.print_exc(file=sys.stderr)
-            if out_file:
-                try:
-                    out_file.unlink(missing_ok=True)
-                except OSError as err:
-                    return _usage_error(f"cannot write --out: {err}")
-            dt = time.perf_counter() - t0
-            error = f"{type(exc).__name__}: {exc}"
-            rows.append((family, n, s, "error", error, dt, ""))
-            all_ok = False
-            continue
-        dt = time.perf_counter() - t0
-        if out_file:
             try:
+                result = run_case(family, n, s)
+                text = to_json(certificate_dict(result)) if out_file else ""
+            except Exception as exc:
+                # one case that crashes, or whose certificate cannot be built,
+                # must not hide the others: report it, go on, and leave no
+                # certificate of an earlier run in its place
+                import traceback
+
+                traceback.print_exc(file=sys.stderr)
+                if out_file:
+                    out_file.unlink(missing_ok=True)
+                dt = time.perf_counter() - t0
+                error = f"{type(exc).__name__}: {exc}"
+                rows.append((family, n, s, "error", error, dt, ""))
+                all_ok = False
+                continue
+            dt = time.perf_counter() - t0
+            if out_file:
                 _write_text(out_file, text)
-            except OSError as exc:
-                return _usage_error(f"cannot write --out: {exc}")
+        except OSError as exc:
+            # a certificate cannot be written or removed: stop, and leave no
+            # certificate of an earlier run under a name still to be written
+            for case in plan[i:]:
+                with contextlib.suppress(OSError):
+                    out_file.with_name(name(*case)).unlink(missing_ok=True)
+            return _usage_error(f"cannot write --out: {exc}")
         degrees = ",".join(map(str, result.pair.degrees))
         failing = result.first_failing
         note = f"  first failing check: {failing}" if failing else ""

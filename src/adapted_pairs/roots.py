@@ -9,13 +9,14 @@ coefficients, for heights, pairings and what is written or printed.
 The roots of B_n and D_n are written down in closed form, eps_i -+ eps_j
 and, in B, eps_i (Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI,
 Planches II and IV); those of E6 and E7 are the closure of the simple
-roots under root strings.  Cartan pairings are found once per root while
-the roots are generated, and inner products come from those pairings and
-the diagonal of the integer Gram matrix; both matrices are integral for
-every supported type, so root arithmetic runs on Python ints.  Fundamental
-weights are integer vectors over one denominator (`weight_rows`).  Cartan
-elements are written in coroot coordinates.  The bilinear form agrees with
-the Killing form up to a global scale.
+roots under root strings.  Pairings with the simple coroots are computed
+where read, from the epsilon terms in B_n and D_n and the Gram rows in E6
+and E7, and inner products from them and the Gram diagonal; the Gram and
+Cartan matrices are integral for every supported type, so root arithmetic
+runs on Python ints.  Fundamental weights are integer vectors over one
+denominator (`weight_rows`).  Cartan elements are written in coroot
+coordinates.  The bilinear form agrees with the Killing form up to a
+global scale.
 
 Queries take codes of this system.  A code carries no system: one of
 another system is accepted whenever the same int is a root code here too
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
+from operator import add, mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
@@ -106,15 +108,14 @@ class RootSystem:
     coefficients and is the only root table; positive_roots lists the
     positive codes in increasing order, simple_roots the unit codes.
 
-    The pairings <r, alpha_i^vee> of every root come out of generation
-    and are stored for both signs, those of -r being the negated tuple;
-    `simple_pairings` looks them up and `inner` is built on them.  In B_n
-    and D_n each root is generated from its signed epsilon indices (u, v),
-    which _uv keeps for both signs, those of -r being (-u, -v), for
-    `eps_indices` and the structure table; E6 and E7 keep none.  The code
-    is linear in the epsilon terms too: _twice_eps[i] is twice the code of
-    eps_i on signed indices -n..n, 0 at i = 0 (eps_i is half a lattice
-    vector in D), one int per index.
+    In B_n and D_n each root is generated from its signed epsilon indices
+    (u, v), which _uv keeps for both signs, those of -r being (-u, -v),
+    for `eps_indices` and the structure table; E6 and E7 keep none.  The
+    code and the pairings <r, alpha_k^vee> are linear in the epsilon terms:
+    on signed indices -n..n, _twice_eps[i] is twice the code of eps_i (half
+    a lattice vector in D) and _eps_pairings[i] the pairings of eps_i, both
+    zero at i = 0.  No pairing is stored per root: `simple_pairings`
+    computes them, and `inner` and `coroot` are built on it.
     """
 
     def __init__(self, family: str, rank: int):
@@ -138,24 +139,19 @@ class RootSystem:
             [2 * self.gram[i][j] // self.gram[j][j] for j in range(rank)]
             for i in range(rank)
         ]
-        uvs: Dict[Coeffs, Pair] = {}
         if family in ("B", "D"):
-            pairings, uvs = self._epsilon_positive()
-        else:
-            pairings = self._generate_positive()
-        self.base = 3 * max(map(max, pairings)) + 1
-        positive = {self.code(c): c for c in pairings}
+            uvs = found = self._epsilon_positive()
+        else:  # the closure's pairings are not kept, only its keys
+            uvs, found = {}, self._generate_positive()
+        self.base = 3 * max(map(max, found)) + 1
+        positive = {self.code(c): c for c in found}
         self.positive_roots: List[int] = sorted(positive)
         self.by_code: Dict[int, Coeffs] = {}
-        self._pairings: Dict[int, Tuple[int, ...]] = {}
         self._uv: Dict[int, Pair] = {}
         for code in self.positive_roots:
             coeffs = positive[code]
             self.by_code[code] = coeffs
             self.by_code[-code] = tuple([-a for a in coeffs])
-            pairs = pairings[coeffs]
-            self._pairings[code] = pairs
-            self._pairings[-code] = tuple([-p for p in pairs])
             if uvs:
                 u, v = self._uv[code] = uvs[coeffs]
                 self._uv[-code] = -u, -v
@@ -166,42 +162,33 @@ class RootSystem:
                 for i in range(rank)
             ]
             self._twice_eps = [0] + twice + [-x for x in reversed(twice)]
+            # <eps_d, alpha_k^vee> = 2 (eps_d, alpha_k) / (alpha_k, alpha_k)
+            eps = [tuple([2 * a[d] // g for a, g in zip(scaled, self._norms)])
+                   for d in range(rank)]
+            self._eps_pairings = [(0,) * rank] + eps + [
+                tuple([-p for p in row]) for row in reversed(eps)]
         self._derived: Dict[Callable[["RootSystem"], Any], Any] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _epsilon_positive(self) -> Tuple[Dict[Coeffs, Coeffs], Dict[Coeffs, Pair]]:
+    def _epsilon_positive(self) -> Dict[Coeffs, Pair]:
         """B_n and D_n: the coefficients of each positive root eps_u +
-        eps_v, on signed 1-based indices with 0 < u < |v| and v = 0 for
-        eps_u in B, mapped to its pairings with the simple coroots, both
-        read off its one or two epsilon terms, and to its (u, v).
-        <eps_d, alpha_k^vee> = 2 (eps_d, alpha_k) / (alpha_k, alpha_k) is
-        nonzero for at most three k, so a root's pairings cost O(1) once
-        its row of zeros is made."""
+        eps_v, read off its one or two epsilon terms, mapped to its (u, v),
+        on signed 1-based indices with 0 < u < |v| and v = 0 for eps_u in
+        B."""
         n, family = self.rank, self.family
-        hits: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for k, (terms, norm) in enumerate(zip(self._eps_simples, self._norms)):
-            for d, x in terms:
-                hits[d].append((k, 2 * x // norm))
         roots = [(u, s * w) for u in range(1, n + 1) for w in range(u + 1, n + 1)
                  for s in (-1, 1)]
         if family == "B":
             roots += [(u, 0) for u in range(1, n + 1)]
-        known: Dict[Coeffs, Coeffs] = {}
         uvs: Dict[Coeffs, Pair] = {}
         for uv in roots:
             v = [0] * n
-            pairs = [0] * n
             for t in uv:
                 if t:
-                    d, x = abs(t) - 1, 1 if t > 0 else -1
-                    v[d] = x
-                    for k, m in hits[d]:
-                        pairs[k] += x * m
-            coeffs = tuple(_eps_coefficients(family, v))
-            known[coeffs] = tuple(pairs)
-            uvs[coeffs] = uv
-        return known, uvs
+                    v[abs(t) - 1] = 1 if t > 0 else -1
+            uvs[tuple(_eps_coefficients(family, v))] = uv
+        return uvs
 
     def _generate_positive(self) -> Dict[Coeffs, Coeffs]:
         """The coefficients of the positive roots mapped to their pairings
@@ -275,12 +262,20 @@ class RootSystem:
     def inner(self, a: int, b: int) -> int:
         """Symmetric bilinear form on the root lattice: (a, b) is
         sum_i a_i <b, alpha_i^vee> g_ii / 2, with g the Gram matrix."""
-        terms = zip(self.by_code[a], self._pairings[b], self._norms)
+        terms = zip(self.by_code[a], self.simple_pairings(b), self._norms)
         return sum([x * p * g for x, p, g in terms]) // 2
 
     def simple_pairings(self, r: int) -> Tuple[int, ...]:
-        """<r, alpha_k^vee> for every simple root alpha_k."""
-        return self._pairings[r]
+        """<r, alpha_k^vee> for every simple root alpha_k: in B_n and D_n
+        those of eps_u plus those of eps_v, (u, v) = `eps_indices`(r), and
+        in E6 and E7 from the Gram rows.  A code of no root raises KeyError."""
+        if self.family in ("B", "D"):
+            u, v = self._uv[r]
+            rows = self._eps_pairings
+            return tuple(map(add, rows[u], rows[v]))
+        coeffs = self.by_code[r]
+        return tuple([2 * sum(map(mul, coeffs, row)) // g
+                      for row, g in zip(self.gram, self._norms)])
 
     def coroot(self, r: int) -> Tuple[int, ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) in coroot coordinates."""

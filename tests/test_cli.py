@@ -414,6 +414,8 @@ def test_sweep_crashing_case_whose_certificate_path_is_a_directory(
 
     monkeypatch.setattr(verify, "run_case", crash_on_b4_s2)
     (tmp_path / "B_n4_s2.json").mkdir()
+    # a later case's certificate of an earlier run goes too
+    (tmp_path / "D_n4_s2.json").write_text("stale")
     assert main(["sweep", "--max-rank", "4", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -421,6 +423,7 @@ def test_sweep_crashing_case_whose_certificate_path_is_a_directory(
     assert "ArithmeticError: singular test matrix" in lines
     assert lines[-1].startswith("error: cannot write --out: ")
     assert (tmp_path / "B_n4_s2.json").is_dir()
+    assert not (tmp_path / "D_n4_s2.json").exists()
 
 
 def test_sweep_goes_on_past_a_certificate_that_cannot_be_built(
@@ -634,11 +637,15 @@ def test_verify_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch, c
 
 
 def test_sweep_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the first case cannot be written: no partial file stays, nor a
+    # certificate of an earlier run under its name or that of a later case;
+    # a file the sweep does not name stays
+    for name in ("B_n2_s2.json", "B_n4_s4.json", "notes.json"):
+        (tmp_path / name).write_text("stale")
     _fill_the_disk(monkeypatch)
-    out = tmp_path / "certs"
-    assert main(["sweep", "--max-rank", "4", "--out", str(out)]) == 2
+    assert main(["sweep", "--max-rank", "4", "--out", str(tmp_path)]) == 2
     assert _one_error_line(capsys) == ""
-    assert list(out.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.json"]
 
 
 def test_sweep_certificate_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):

@@ -321,24 +321,27 @@ def test_codes_add_subtract_and_sign_like_roots(family, rank):
 
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
 def test_generation_matches_the_closure_oracle(family, rank):
-    # a fresh system: its pairing table is whole right after construction
     sys = RootSystem(family, rank)
-    seeded = dict(sys._pairings)
     expected = closure_positive_roots(sys)
     assert [sys.by_code[r] for r in sys.positive_roots] == expected
     assert sys.positive_roots == [sys.code(c) for c in expected]
     # the simple roots are positive roots, with their codes
     assert set(sys.simple_roots) <= set(sys.positive_roots)
-    # generation seeds the pairings of every root of either sign and
-    # nothing else
-    assert set(seeded) == set(sys.by_code)
+    # the pairings of every root of either sign are those of the closure
+    # under root strings, which adds rows of the Cartan matrix, and those
+    # of the Gram formula
+    closure = sys._generate_positive()
+    assert len(sys.by_code) == 2 * len(closure)
     gram = sys.gram
+    for coeffs, pairs in closure.items():
+        r = sys.code(coeffs)
+        assert sys.simple_pairings(r) == pairs
+        assert sys.simple_pairings(-r) == tuple(-p for p in pairs)
     for r in sys.by_code:
         by_gram = tuple(
             2 * sum(c * g for c, g in zip(sys.by_code[r], gram[k])) // gram[k][k]
             for k in range(rank)
         )
-        assert seeded[r] == by_gram
         assert sys.simple_pairings(r) == by_gram
 
 
@@ -352,13 +355,30 @@ def test_closed_form_roots_are_the_closure(family, rank):
     sys = RootSystem(family, rank)
     closure = sys._generate_positive()
     assert sys.positive_roots == sorted(sys.code(c) for c in closure)
-    assert len(sys.by_code) == len(sys._pairings) == 2 * len(closure)
+    assert len(sys.by_code) == 2 * len(closure)
     for coeffs, pairs in closure.items():
         r = sys.code(coeffs)
         assert sys.by_code[r] == coeffs
         assert sys.by_code[-r] == tuple(-c for c in coeffs)
         assert sys.simple_pairings(r) == pairs
         assert sys.simple_pairings(-r) == tuple(-p for p in pairs)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 5), ("D", 5), ("E6", 6), ("E7", 7)])
+def test_pairing_queries_refuse_a_code_that_is_no_root(family, rank):
+    # 0, twice a root and a root plus a simple root above it are no roots
+    sys = build_root_system(family, rank)
+    top = sys.highest_root()
+    for bad in (0, 2 * top, -2 * top, top + sys.simple_roots[-1]):
+        assert bad not in sys.by_code
+        with pytest.raises(KeyError):
+            sys.simple_pairings(bad)
+        with pytest.raises(KeyError):
+            sys.inner(top, bad)
+        with pytest.raises(KeyError):
+            sys.inner(bad, top)
+        with pytest.raises(KeyError):
+            sys.coroot(bad)
 
 
 @pytest.mark.parametrize(
