@@ -14,17 +14,18 @@ vector at s, and a weight is a multiple of it exactly when its labels off s
 vanish.  The fundamental weights are unit vectors, and the Levi weights
 differ from them only at s, by the coordinates of
 `ParabolicData.removed_projection`; gamma + t(gamma) comes from the root
-pairings over the denominator of the inverse pairing matrix of S.  A
-Fraction appears only in `bound_multiples`, the certificate edge.
+pairings over the denominator of the inverse pairing matrix of S.  Each
+bound entry leaves as its multiple of varpi_s, a (num, den) pair in lowest
+terms (`bound_multiples`).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .construction import Candidate
+from .linalg import Rational
 from .parabolic import ParabolicData
 
 
@@ -109,17 +110,19 @@ def improved_bound(cand: Candidate) -> List[BoundWeight]:
     return sorted(_t_of_all(cand, cand.T))
 
 
-def ray_multiple(w: BoundWeight, s: int) -> Optional[Fraction]:
+def ray_multiple(w: BoundWeight, s: int) -> Optional[Rational]:
     """The exact c with w == c * varpi_s (s 1-based), or None when w is off
-    that ray: some label other than the one at s is nonzero."""
+    that ray: some label other than the one at s is nonzero.  w is in
+    lowest terms and its other labels vanish, so (label at s, den) is."""
     s0 = s - 1
     if any([x for k, x in enumerate(w.num) if k != s0]):
         return None
-    return Fraction(w.num[s0], w.den)
+    return w.num[s0], w.den
 
 
-def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Fraction]:
-    """Each bound entry as an exact multiple of the fundamental weight at s.
+def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Rational]:
+    """Each bound entry as an exact multiple of the fundamental weight at s,
+    sorted by value: on num * (L / den), L the lcm of the denominators.
 
     Raises when an entry is off the ray, which would invalidate the
     multiset representation of the character.
@@ -130,5 +133,6 @@ def bound_multiples(cand: Candidate, weights: Sequence[BoundWeight]) -> List[Fra
         if m is None:
             raise ArithmeticError(f"bound entry {w} is not a multiple of varpi_s")
         out.append(m)
-    return sorted(out)
+    lcm = math.lcm(*[den for _, den in out])
+    return sorted(out, key=lambda m: m[0] * (lcm // m[1]))
 

@@ -1,7 +1,8 @@
 """Serializable certificates: every check outcome with exact rational data.
 
-Rationals are stored as {"num", "den"} pairs and roots as integer vectors in
-the simple-root basis, so a certificate survives JSON round-tripping without
+Rationals, (num, den) int pairs in the engine and ints for determinants,
+are stored as {"num", "den"} objects and roots as integer vectors in the
+simple-root basis, so a certificate survives JSON round-tripping without
 loss and an independent checker can re-validate it.  The case data holds
 root codes; each is written as its coefficient vector, and all set listings
 are ordered by code, which is the lexicographic order of the coefficient
@@ -12,20 +13,19 @@ reads a rational back as two ints) lives in `cli`, next to `report`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from .verify import CaseResult
 
 SCHEMA_VERSION = 1
 
 
-def _rat(x: Union[int, Fraction]) -> Dict[str, int]:
-    """{"num", "den"} of an int or a Fraction, which hold both in lowest
-    terms."""
-    return {"num": x.numerator, "den": x.denominator}
+def _rat(num: int, den: int = 1) -> Dict[str, int]:
+    """{"num", "den"} of num / den, in lowest terms: an engine rational
+    spread into the call, or an int."""
+    return {"num": num, "den": den}
 
 
 def _root_list(root: dict, codes: Iterable[int]) -> List[List[int]]:
@@ -54,19 +54,19 @@ def certificate_dict(result: CaseResult) -> dict:
         "T_star": _root_list(root, cand.T_star),
         "h": {
             "coroot_coeffs": [
-                {"alpha": idx, "value": _rat(val)}
+                {"alpha": idx, "value": _rat(*val)}
                 for idx, val in sorted(pair.h_coroot_coeffs.items())
             ],
         },
         "eigenvalues": [
-            {"gamma": list(root[g]), "value": _rat(pair.eigenvalues[g])}
+            {"gamma": list(root[g]), "value": _rat(*pair.eigenvalues[g])}
             for g in sorted(pair.eigenvalues)
         ],
-        "degrees": [_rat(d) for d in pair.degrees],
+        "degrees": [_rat(*d) for d in pair.degrees],
         "bounds": {
-            "lower_multiples_of_varpi_s": [_rat(m) for m in result.lower_multiples],
+            "lower_multiples_of_varpi_s": [_rat(*m) for m in result.lower_multiples],
             "improved_multiples_of_varpi_s": [
-                _rat(m) for m in result.improved_multiples
+                _rat(*m) for m in result.improved_multiples
             ],
         },
         "checks": {

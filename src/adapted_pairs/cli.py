@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
             _write_text(out, to_json(certificate_dict(result)))
         except OSError as exc:
             return _usage_error(f"cannot write --out: {exc}")
-    degrees = ", ".join(map(str, result.pair.degrees))
+    degrees = ", ".join([_frac_str(*d) for d in result.pair.degrees])
     status = "PASS" if result.verdict else "FAIL"
     print(f"{args.family} n={args.rank} s={args.s}: {status}  degrees: {degrees}")
     if result.first_failing:
@@ -299,7 +299,7 @@ def cmd_sweep(args) -> int:
                 with contextlib.suppress(OSError):
                     out_file.with_name(name(*case)).unlink(missing_ok=True)
             return _usage_error(f"cannot write --out: {exc}")
-        degrees = ",".join(map(str, result.pair.degrees))
+        degrees = ",".join([_frac_str(*d) for d in result.pair.degrees])
         failing = result.first_failing
         note = f"  first failing check: {failing}" if failing else ""
         verdict = "pass" if result.verdict else "fail"

@@ -31,7 +31,6 @@ root has the sign of its code.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -101,14 +100,14 @@ class Candidate:
         return self.parabolic.s
 
     @cached_property
-    def s_inverse(self) -> Tuple[Fraction, Optional[Inverse]]:
+    def s_inverse(self) -> Tuple[int, Optional[Inverse]]:
         """The pairing matrix of S on the truncated coroots (row gamma in S,
         column alpha_i^vee for i in pi'), eliminated once per candidate: its
         determinant and, when it is nonsingular, its inverse.  A matrix that
         is not square has determinant 0 here."""
         rows = [self.parabolic.pairing_on_coroots(g) for g in self.S]
         if len(rows) != self.parabolic.h_dim:
-            return Fraction(0), None
+            return 0, None
         return invert(rows)
 
 

@@ -1,8 +1,8 @@
-"""Exact linear algebra on integer rows in, rationals out.
+"""Exact linear algebra on integer rows, with integer results.
 
 Every determinant, rank and solve goes through one elimination routine,
 `_eliminate`, which takes integer rows only: `math.gcd` raises TypeError
-on a Fraction entry that reaches an update.  Updates are fraction-free,
+on a non-integer entry that reaches an update.  Updates are fraction-free,
 row_j <- (p/g) row_j - (a/g) row_i with g = gcd(p, a); the factors p/g are
 tracked for the determinant, and a row that such a factor scaled up is
 divided by the gcd of its entries, which keeps the integers small.  A
@@ -20,18 +20,20 @@ matrices this package produces.
 they eliminate them in place, without a copy, so the caller must not use
 them afterwards.  Explicit zero entries are deleted from the rows first.
 
-Rationals appear only at the output: one Fraction per determinant and one
-per solution entry.  There is no floating point anywhere, so determinants,
-ranks and solutions are certificates rather than approximations.
+Determinants are ints and solutions integers over the denominator of an
+`Inverse`; the engine's rationals are (num, den) int pairs (`Rational`).
+There is no floating point anywhere, so determinants, ranks and solutions
+are certificates rather than approximations.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
+
+Rational = Tuple[int, int]  # (num, den) in lowest terms, den > 0
 
 
 def _perm_sign(pivots: List[Tuple[int, int]]) -> int:
@@ -49,8 +51,8 @@ def _perm_sign(pivots: List[Tuple[int, int]]) -> int:
 
 def _eliminate(
     rows: List[Dict[int, int]], bounds: Sequence[int], jordan: bool = False
-) -> Tuple[List[Tuple[int, int]], List[int], Fraction]:
-    """Fraction-free elimination of integer rows, in place; explicit zero
+) -> Tuple[List[Tuple[int, int]], List[int], Tuple[int, int]]:
+    """Elimination of integer rows on integers, in place; explicit zero
     entries are deleted first.
 
     Pivots are taken in stages: in stage k only columns below bounds[k] may
@@ -61,8 +63,8 @@ def _eliminate(
     below the last bound.
 
     Returns the (row, column) pivots in order, the rank per stage, and the
-    factor by which the row operations multiplied every full-rank square
-    determinant: det(input) = det(output) / factor.
+    factor (scaled_up, divided) of every full-rank square determinant:
+    det(input) = det(output) * divided / scaled_up.
     """
     col_rows: Dict[int, set] = {}
     for i, r in enumerate(rows):
@@ -163,16 +165,20 @@ def _eliminate(
                 for c in prow:
                     col_rows[c].discard(pi)
         ranks.append(len(pivots))
-    return pivots, ranks, Fraction(scaled_up, divided)
+    return pivots, ranks, (scaled_up, divided)
 
 
 def _determinant(
-    rows: List[Dict[int, int]], pivots: List[Tuple[int, int]], factor: Fraction
-) -> Fraction:
-    """The determinant of the input of a full-rank square elimination."""
-    sign = _perm_sign(pivots)
-    product = math.prod([rows[r][c] for r, c in pivots])
-    return Fraction(sign * product * factor.denominator, factor.numerator)
+    rows: List[Dict[int, int]], pivots: List[Tuple[int, int]], factor: Tuple[int, int]
+) -> int:
+    """The determinant of the input of a full-rank square elimination: an
+    exact division, which raises ArithmeticError on a remainder."""
+    scaled_up, divided = factor
+    product = _perm_sign(pivots) * math.prod([rows[r][c] for r, c in pivots])
+    det, rest = divmod(product * divided, scaled_up)
+    if rest:
+        raise ArithmeticError("scaled_up does not divide the determinant")
+    return det
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -201,7 +207,7 @@ class Inverse(list):
         return [[_dot(col, c) for col in cols] for c in rhss]
 
 
-def invert(rows: Sequence[Sequence[int]]) -> Tuple[Fraction, Optional[Inverse]]:
+def invert(rows: Sequence[Sequence[int]]) -> Tuple[int, Optional[Inverse]]:
     """Determinant and inverse of a square matrix from one Gauss-Jordan
     elimination of [A | I]; the inverse is None when A is singular."""
     n = len(rows)
@@ -214,7 +220,7 @@ def invert(rows: Sequence[Sequence[int]]) -> Tuple[Fraction, Optional[Inverse]]:
         augmented.append(row)
     pivots, (rank,), factor = _eliminate(augmented, [n], jordan=True)
     if rank < n:
-        return Fraction(0), None
+        return 0, None
     det = _determinant(augmented, pivots, factor)
     den = math.lcm(*[augmented[r][c] for r, c in pivots])
     num: List[List[int]] = [[]] * n
@@ -232,12 +238,12 @@ def sparse_ranks(rows: List[Dict[int, int]], bounds: Sequence[int]) -> List[int]
     return _eliminate(rows, bounds)[1]
 
 
-def sparse_det(rows: List[Dict[int, int]], ncols: int) -> Fraction:
+def sparse_det(rows: List[Dict[int, int]], ncols: int) -> int:
     """Determinant of a square sparse integer matrix.  The rows are
     eliminated in place: the call owns them."""
     if len(rows) != ncols:
         raise ValueError("determinant of a non-square matrix")
     pivots, (rank,), factor = _eliminate(rows, [ncols])
     if rank < ncols:
-        return Fraction(0)
+        return 0
     return _determinant(rows, pivots, factor)

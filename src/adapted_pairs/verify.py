@@ -14,20 +14,21 @@ built: `sparse_det` and `sparse_ranks` own them from then on.  The adapted
 pair (h, y) and the eigenvalues of ad h on g_T are then assembled.  The
 eigenvalues and the character bounds are compared, as sorted tuples,
 against the closed forms that the case builder states on the `Candidate`;
-no check here depends on the case family.
+no check here depends on the case family.  Determinants are ints, and
+every other rational a (num, den) pair (`linalg.Rational`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .bounds import bound_multiples, improved_bound, lower_bound
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
-from .linalg import sparse_det, sparse_ranks
+from .linalg import Rational, sparse_det, sparse_ranks
 
 STATIONARY = "stationary"
 EXT_STATIONARY = "extended_stationary"
@@ -66,12 +67,12 @@ class CheckReport(NamedTuple):
 
 class BasisCheck(NamedTuple):
     ok: bool
-    determinant: Fraction
+    determinant: int
 
 
 class NondegeneracyCheck(NamedTuple):
     ok: bool
-    determinant: Fraction
+    determinant: int
     size: int
     monomial_ok: bool
     monomial_degree: int
@@ -88,9 +89,9 @@ class RegularityCheck(NamedTuple):
 
 
 class AdaptedPair(NamedTuple):
-    h_coroot_coeffs: Dict[int, Fraction]  # keyed by 1-based simple index
-    eigenvalues: Dict[int, Fraction]  # the code of gamma in T -> gamma(h)
-    degrees: Tuple[Fraction, ...]  # sorted eigenvalues + 1
+    h_coroot_coeffs: Dict[int, Rational]  # keyed by 1-based simple index
+    eigenvalues: Dict[int, Rational]  # gamma in T -> gamma(h), by increasing value
+    degrees: Tuple[Rational, ...]  # the eigenvalues + 1, in the same order
 
 
 def check_basis_restriction(cand: Candidate) -> BasisCheck:
@@ -122,9 +123,7 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
                 problems.append(f"{gr}: member {root[a]} outside support")
             prev = seen.get(a)
             if prev is not None and prev != g:
-                problems.append(
-                    f"sets of {root[prev]} and {gr} overlap at {root[a]}"
-                )
+                problems.append(f"sets of {root[prev]} and {gr} overlap at {root[a]}")
             seen[a] = g
             if a == g:
                 continue
@@ -177,16 +176,9 @@ def _orbit_structure(
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:
         by_sign[sign_of_centre[centre_of[a]]].add(a)
+    regions = [frozenset(by_sign[sign]) for sign in "+-m"]  # O+, O-, Om
     return OrbitStructure(
-        O=o_sorted,
-        by_code=cand.system.by_code,
-        theta=theta,
-        centre_of=centre_of,
-        S_alpha=s_alpha,
-        strata=strata,
-        O_plus=frozenset(by_sign["+"]),
-        O_minus=frozenset(by_sign["-"]),
-        O_mixed=frozenset(by_sign["m"]),
+        o_sorted, cand.system.by_code, theta, centre_of, s_alpha, strata, *regions
     )
 
 
@@ -199,13 +191,9 @@ def _star_partners(os: OrbitStructure, t: int) -> List[int]:
     """Detour partners of t in O_3: members of S_t, other than theta(t),
     lying in O_2 with theta-image in O_1.  Sequences may step past a
     three-partner root only when such a partner exists."""
-    out = []
-    for a in os.S_alpha[t]:
-        if a == os.theta[t]:
-            continue
-        if os.strata[a] == 2 and os.strata[os.theta[a]] == 1:
-            out.append(a)
-    return out
+    th, strata = os.theta, os.strata
+    return [a for a in os.S_alpha[t]
+            if a != th[t] and strata[a] == 2 and strata[th[a]] == 1]
 
 
 def _successors(os: OrbitStructure, x: int) -> Optional[List[int]]:
@@ -308,8 +296,7 @@ def _find_cyclic(
 ) -> Optional[CyclicFamily]:
     """The cyclic family of alpha, if there is one.  The sum relations are
     sums of codes: a + theta(a) is the centre of a's set."""
-    th = os.theta
-    centre_of = os.centre_of
+    th, centre_of = os.theta, os.centre_of
     c_alpha = centre_of[alpha]
     for g in os.S_alpha[th[alpha]]:
         if g == alpha:
@@ -321,37 +308,25 @@ def _find_cyclic(
             continue
         b = th[tb]
         fam = (alpha, b, g, th[alpha], th[b], th[g])
-        if len(set(fam)) != 6:
-            continue
-        if th[alpha] + g != centre_of[b]:
-            continue
-        if th[g] + b != c_alpha:
-            continue
-        if th[b] + alpha != c_gamma:
-            continue
-        if any(os.strata[d] not in (2, 3) for d in fam):
+        sums = (th[alpha] + g, th[g] + b, th[b] + alpha)
+        if (len(set(fam)) != 6 or sums != (centre_of[b], c_alpha, c_gamma)
+                or any(os.strata[d] not in (2, 3) for d in fam)):
             continue
         tildes: Dict[int, int] = {}
-        ok = True
         extended = False
         for d in fam:
             if os.strata[d] != 3:
                 continue
             outside = [x for x in os.S_alpha[d] if x not in fam]
             if len(outside) != 1:
-                ok = False
                 break
-            tilde = outside[0]
-            tildes[d] = tilde
-            strict = os.strata[tilde] == 2 and os.strata[th[tilde]] == 1
-            if not strict:
-                extended = True
+            tilde = tildes[d] = outside[0]
+            if not (os.strata[tilde] == 2 and os.strata[th[tilde]] == 1):
+                extended = True  # not strict: the tilde's walk must be admissible
                 w = _walk(os, walks, tilde)
-                adm, _ = _closure_admissible(os, w.nodes)
-                if not (w.stationary and adm):
-                    ok = False
+                if not (w.stationary and _closure_admissible(os, w.nodes)[0]):
                     break
-        if ok:
+        else:
             return CyclicFamily(fam, extended, tildes)
     return None
 
@@ -482,7 +457,8 @@ def check_nondegeneracy(
         den = inverse.den
         xs = inverse.solve_scaled([abs(sum(root[g])) for g in cand.S])
         u = _values_on_h(cand, xs, order)
-        degree = int(Fraction(2 * sum(u), den))
+        twice = 2 * sum(u)  # the degree, truncated toward zero
+        degree = twice // den if twice >= 0 else -(-twice // den)
     pos = dict(zip(order, range(size)))
     n_code = table.n_code
     rows: List[Dict[int, int]] = []
@@ -568,9 +544,7 @@ def check_regularity(
     outside = [g for g in cand.S if g not in parab.dual_support_codes]
     if outside:
         root = cand.system.by_code
-        problems = [
-            f"not run: S member {root[g]} outside support" for g in outside
-        ]
+        problems = [f"not run: S member {root[g]} outside support" for g in outside]
         return RegularityCheck(False, 0, 0, dim_p, t_size, False, problems)
     rows = coadjoint_rows(cand, table)
     rank, rank_aug = sparse_ranks(rows, [dim_p, dim_p + t_size])
@@ -584,19 +558,26 @@ def check_regularity(
 
 
 def solve_h(cand: Candidate) -> AdaptedPair:
-    """The unique h in the truncated Cartan with gamma(h) = -1 on S."""
+    """The unique h in the truncated Cartan with gamma(h) = -1 on S; its
+    eigenvalues are ordered as ints over the inverse's den, then reduced."""
     _, inverse = cand.s_inverse
     if inverse is None:
         raise ArithmeticError("S does not restrict to a basis")
+    den = inverse.den
     scaled = inverse.solve_scaled([-1] * len(cand.S))
     h_coeffs = {
-        idx + 1: Fraction(v, inverse.den)
-        for idx, v in zip(cand.parabolic.pi_prime, scaled)
+        idx + 1: _rational(v, den) for idx, v in zip(cand.parabolic.pi_prime, scaled)
     }
-    values = _values_on_h(cand, scaled, cand.T)
-    eigen = {t: Fraction(v, inverse.den) for t, v in zip(cand.T, values)}
-    degrees = tuple(sorted(v + 1 for v in eigen.values()))
+    ranked = sorted(zip(_values_on_h(cand, scaled, cand.T), cand.T))
+    eigen = {t: _rational(v, den) for v, t in ranked}
+    degrees = tuple([_rational(v + den, den) for v, _ in ranked])
     return AdaptedPair(h_coeffs, eigen, degrees)
+
+
+def _rational(num: int, den: int) -> Rational:
+    """The rational num / den in lowest terms."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +597,8 @@ class CaseResult(NamedTuple):
     t_size_vs_index: bool
     pair: AdaptedPair
     eigenvalues_match: bool
-    lower_multiples: List[Fraction]
-    improved_multiples: List[Fraction]
+    lower_multiples: List[Rational]  # sorted by value
+    improved_multiples: List[Rational]
     bounds_coincide: bool
     bounds_expected_match: bool
 
@@ -658,31 +639,40 @@ class CaseResult(NamedTuple):
             closed = [root[r] for r in cand.T_expected]
             sizes = f"|T| = {len(t)}, index = {cand.parabolic.index}; "
             return [_witness(failing, "T", t, "closed form", closed, sizes)]
+        # rationals as text, which is one to one on lowest terms
         if failing == "eigenvalues_match":
-            eigen = self.pair.eigenvalues
-            closed, computed = cand.eigenvalues_expected, eigen.values()
+            eigen = {t: _rat_str(v) for t, v in self.pair.eigenvalues.items()}
+            closed = list(map(str, cand.eigenvalues_expected))
             root = cand.system.by_code
             carriers = "".join([
                 f"; {v} at T roots {[root[t] for t in cand.T if eigen[t] == v]}"
-                for v in sorted(Counter(computed) - Counter(closed))
+                for v in Counter(eigen.values()) - Counter(closed)
             ])
-            line = _witness(failing, "closed form", closed, "computed", computed)
+            line = _witness(failing, "closed form", closed, "computed", eigen.values())
             return [line + carriers]
         if failing != "bounds_coincide":
             return []
-        lower, improved = self.lower_multiples, self.improved_multiples
+        lower = list(map(_rat_str, self.lower_multiples))
+        improved = list(map(_rat_str, self.improved_multiples))
+        closed = list(map(str, cand.bounds_expected))
         return [
-            _witness(failing, "closed form", cand.bounds_expected, "lower", lower),
+            _witness(failing, "closed form", closed, "lower", lower),
             _witness(failing, "lower", lower, "improved", improved),
         ]
 
 
+def _rat_str(q: Rational) -> str:
+    """num, or num/den when den is not 1."""
+    return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
+
+
 def _witness(check: str, a_name: str, a, b_name: str, b, lead: str = "") -> str:
-    """The line naming, after lead, in increasing order, the values of each
-    of two multisets that the other lacks."""
+    """The line naming, after lead, the values of each of two multisets
+    that the other lacks.  Both are given in increasing order, which a
+    Counter difference keeps."""
 
     def only(x, y) -> str:
-        return ", ".join(map(str, sorted((Counter(x) - Counter(y)).elements())))
+        return ", ".join(map(str, (Counter(x) - Counter(y)).elements()))
 
     return f"{check}: {lead}{a_name} only [{only(a, b)}]; {b_name} only [{only(b, a)}]"
 
@@ -704,7 +694,7 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
             {},
             Counter(),
         )
-        nondeg = NondegeneracyCheck(False, Fraction(0), 0, False, 0)
+        nondeg = NondegeneracyCheck(False, 0, 0, False, 0)
     else:
         classification = classify_roots(os)
         nondeg = check_nondegeneracy(cand, table, os)
@@ -718,7 +708,8 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         # S is no basis of the truncated Cartan: no h, no improved bound
         pair = AdaptedPair({}, {}, ())
         improved = []
-    eig_ok = tuple(sorted(pair.eigenvalues.values())) == cand.eigenvalues_expected
+    closed = [(v, 1) for v in cand.eigenvalues_expected]
+    eig_ok = list(pair.eigenvalues.values()) == closed  # both by increasing value
     # sorted and on the varpi_s ray (or raised): equal lists, equal bounds
     lower_multiples = bound_multiples(cand, lower)
     improved_multiples = bound_multiples(cand, improved)
@@ -735,5 +726,5 @@ def run_case(family: str, n: int, s: int) -> CaseResult:
         lower_multiples=lower_multiples,
         improved_multiples=improved_multiples,
         bounds_coincide=lower_multiples == improved_multiples,
-        bounds_expected_match=tuple(lower_multiples) == cand.bounds_expected,
+        bounds_expected_match=lower_multiples == [(b, 1) for b in cand.bounds_expected],
     )

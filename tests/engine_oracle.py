@@ -2,7 +2,11 @@
 
 - `replace`: a copy of an engine object with some constructor arguments
   changed, built again through the constructor.
-- `rat_value`: a rational of a certificate, {"num", "den"}, as a Fraction.
+- `rat_value`: a rational of a certificate, {"num", "den"}, as a Fraction;
+  `rat_pair` and `fraction` convert between Fractions and the engine's
+  rationals, (num, den) int pairs in lowest terms with den > 0.
+- `adapted_pair_oracle`: h, its eigenvalues on g_T and the degrees in
+  Fractions, h solved by the plain elimination of `linalg_oracle`.
 - `centre_moved_outside`: a candidate whose S leaves the support, for the
   negative tests of the regularity check.  Like the case data, it names
   roots by their codes.
@@ -110,6 +114,32 @@ def replace(obj, **changes):
 def rat_value(obj: Dict[str, int]) -> Fraction:
     """A rational stored as {"num", "den"} in a certificate."""
     return Fraction(obj["num"], obj["den"])
+
+
+def rat_pair(num: int, den: int = 1) -> Tuple[int, int]:
+    """num / den as the engine writes a rational, reduced by Fraction."""
+    q = Fraction(num, den)
+    return q.numerator, q.denominator
+
+
+def fraction(q: Tuple[int, int]) -> Fraction:
+    """An engine rational (num, den) as a Fraction."""
+    return Fraction(*q)
+
+
+def adapted_pair_oracle(
+    cand,
+) -> Tuple[Dict[int, Fraction], Dict[int, Fraction], List[Fraction]]:
+    """The h coefficients (1-based simple index, pi' only), the eigenvalues
+    gamma(h) on T and the sorted degrees gamma(h) + 1 of `verify.solve_h`,
+    in Fractions: h solves gamma(h) = -1 on S in the span of the columns
+    of the pairing matrix of S."""
+    pairs = cand.parabolic.pairing_on_coroots
+    columns = [list(c) for c in zip(*[pairs(g) for g in cand.S])]
+    x = solve_in_span(columns, [-1] * len(cand.S))
+    h = {i + 1: c for i, c in zip(cand.parabolic.pi_prime, x)}
+    eigen = {t: sum([c * p for c, p in zip(x, pairs(t))], Fraction(0)) for t in cand.T}
+    return h, eigen, sorted(v + 1 for v in eigen.values())
 
 
 def centre_moved_outside(cand) -> Tuple[object, int]:

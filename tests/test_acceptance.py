@@ -9,7 +9,6 @@ import filecmp
 import itertools
 import time
 from collections import Counter
-from fractions import Fraction
 
 from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.cli import main
@@ -28,12 +27,13 @@ from engine_oracle import (
     code_jacobiator,
     enumerate_pairings,
     orbit_structure,
+    rat_pair,
     replace,
     string_down,
     vec_add,
 )
 
-F = Fraction
+F = rat_pair  # a rational as the engine gives it: (num, den) in lowest terms
 
 
 def _fresh_caches():

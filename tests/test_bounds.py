@@ -22,6 +22,11 @@ from adapted_pairs.roots import build_root_system
 F = Fraction
 
 
+def _integers(values):
+    """Ints as the engine's rationals (num, 1)."""
+    return [(v, 1) for v in values]
+
+
 def _orbit(parab, idxs):
     target = frozenset(i - 1 for i in idxs)
     match = [o for o in parab.orbits if o == target]
@@ -34,41 +39,42 @@ def test_delta_gamma_b_equal_rank():
     parab = build_case("B", 8, 8).parabolic
     for t in range(1, 4):
         d = delta_gamma(parab, _orbit(parab, [t, 8 - t]))
-        assert ray_multiple(d, 8) == -4
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), 8) == -2
+        assert ray_multiple(d, 8) == (-4, 1)
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), 8) == (-2, 1)
 
 
 def test_delta_gamma_e6():
     parab = build_case("E6", 6, 6).parabolic
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1, 6])), 6) == -3
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [2, 3, 5])), 6) == -6
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), 6) == -3
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1, 6])), 6) == (-3, 1)
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [2, 3, 5])), 6) == (-6, 1)
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4])), 6) == (-3, 1)
 
 
 def test_delta_gamma_e7():
     parab = build_case("E7", 7, 3).parabolic
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1])), 3) == -1
-    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4, 6])), 3) == -4
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [1])), 3) == (-1, 1)
+    assert ray_multiple(delta_gamma(parab, _orbit(parab, [4, 6])), 3) == (-4, 1)
     for idxs in ([3], [2, 7], [5]):
-        assert ray_multiple(delta_gamma(parab, _orbit(parab, idxs)), 3) == -2
+        assert ray_multiple(delta_gamma(parab, _orbit(parab, idxs)), 3) == (-2, 1)
 
 
 @pytest.mark.parametrize(
     "family,n,s,expected",
     [
-        ("B", 6, 6, {F(2): 2, F(4): 2}),  # eq (1)
-        ("B", 9, 4, {F(1): 2, F(2): 6}),  # eq (2)
-        ("D", 9, 4, {F(1): 3, F(2): 5}),  # eq (3)
-        ("D", 10, 10, {F(2): 3, F(4): 3}),  # eq (4)
-        ("E6", 6, 6, {F(3): 2, F(6): 1}),
-        ("E7", 7, 3, {F(1): 1, F(2): 3, F(4): 1}),
+        ("B", 6, 6, {2: 2, 4: 2}),  # eq (1)
+        ("B", 9, 4, {1: 2, 2: 6}),  # eq (2)
+        ("D", 9, 4, {1: 3, 2: 5}),  # eq (3)
+        ("D", 10, 10, {2: 3, 4: 3}),  # eq (4)
+        ("E6", 6, 6, {3: 2, 6: 1}),
+        ("E7", 7, 3, {1: 1, 2: 3, 4: 1}),
     ],
 )
 def test_lower_bound_closed_forms(family, n, s, expected):
     cand = build_case(family, n, s)
     lower = lower_bound(cand.parabolic)
-    assert Counter(bound_multiples(cand, lower)) == Counter(expected)
-    assert tuple(bound_multiples(cand, lower)) == cand.bounds_expected
+    multiples = Counter(bound_multiples(cand, lower))
+    assert multiples == {(m, 1): k for m, k in expected.items()}
+    assert bound_multiples(cand, lower) == _integers(cand.bounds_expected)
 
 
 def _t_multiples(cand, gamma):
@@ -77,7 +83,7 @@ def _t_multiples(cand, gamma):
     _, weight = oracle.t_of_gamma(cand, gamma)
     (scaled,) = _t_of_all(cand, [gamma])
     ours = ray_multiple(scaled, cand.s)
-    return oracle.multiple_of(weight, oracle.varpi_s(cand)), ours
+    return oracle.multiple_of(weight, oracle.varpi_s(cand)), F(*ours)
 
 
 def test_t_of_gamma_e6_alpha4():
@@ -129,7 +135,7 @@ def test_bounds_coincide_everywhere(family, n, s):
     improved = improved_bound(cand)
     assert len(lower) == len(improved) == cand.parabolic.index
     assert lower == improved
-    assert tuple(bound_multiples(cand, lower)) == cand.bounds_expected
+    assert bound_multiples(cand, lower) == _integers(cand.bounds_expected)
 
 
 def test_all_entries_on_the_varpi_ray():
@@ -137,7 +143,7 @@ def test_all_entries_on_the_varpi_ray():
         cand = build_case(family, n, s)
         for w in lower_bound(cand.parabolic) + improved_bound(cand):
             m = ray_multiple(w, s)
-            assert m is not None and m > 0
+            assert m is not None and m[0] > 0
 
 
 def test_coincidence_negative():
@@ -152,12 +158,24 @@ def test_coincidence_negative():
 
 def test_ray_multiple_reads_the_label_at_s():
     w = BoundWeight((0, 0, 3, 0), 2)
-    assert ray_multiple(w, 3) == F(3, 2)
-    assert ray_multiple(BoundWeight((0, 0, 0, 0), 1), 3) == 0
+    assert ray_multiple(w, 3) == (3, 2)
+    assert ray_multiple(BoundWeight((0, 0, 0, 0), 1), 3) == (0, 1)
     for off in (0, 1, 3):
         num = [0, 0, 3, 0]
         num[off] = -1  # one nonzero label off s
         assert ray_multiple(BoundWeight(tuple(num), 2), 3) is None
+
+
+def test_bound_multiples_sorts_by_value():
+    # the multiples of varpi_s at s = 4 of B6, over denominators 1, 2 and
+    # 3: lexicographic order would put 1/3 after 1/2 and -1/2 after -1/3,
+    # and (big + 1) / 3 and big / 3 differ by 1/3 only
+    cand = build_case("B", 6, 4)
+    big = 10**30
+    qs = [(1, 2), (-1, 3), (big + 1, 3), (big, 3), (0, 1), (-1, 2), (1, 3), (2, 1)]
+    weights = [BoundWeight((0, 0, 0, num, 0, 0), den) for num, den in qs]
+    assert bound_multiples(cand, weights) == sorted(qs, key=lambda q: F(*q))
+    assert bound_multiples(cand, []) == []
 
 
 def test_bound_multiples_refuses_an_entry_off_the_ray():
@@ -175,9 +193,7 @@ def test_flipped_cases_use_flipped_ray():
     # the unflipped case, every entry is off it
     cand = build_case("E6", 6, 1)
     lower = lower_bound(cand.parabolic)
-    assert Counter(ray_multiple(w, 1) for w in lower) == Counter(
-        {F(3): 2, F(6): 1}
-    )
+    assert Counter(ray_multiple(w, 1) for w in lower) == {(3, 1): 2, (6, 1): 1}
     for w in lower + improved_bound(cand):
         assert ray_multiple(w, 6) is None
 
@@ -208,7 +224,9 @@ def test_integer_bounds_match_the_rational_oracle(family, n, s):
     ):
         assert all(w.den > 0 and math.gcd(w.den, *w.num) == 1 for w in ours)
         assert _rational(ours) == Counter(_labels(sys, w.coeffs) for w in theirs)
-        assert bound_multiples(cand, ours) == oracle.bound_multiples(cand, theirs)
+        multiples = bound_multiples(cand, ours)
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in multiples)
+        assert [F(*m) for m in multiples] == oracle.bound_multiples(cand, theirs)
 
 
 DELTA_SYSTEMS = (

@@ -357,6 +357,24 @@ def test_without_out_no_certificate_is_built_and_the_output_is_the_same(
         assert untimed(capsys.readouterr().out) == untimed(stdout)
 
 
+def test_verify_and_sweep_print_each_degree_as_a_fraction_would(monkeypatch, capsys):
+    # the engine's degrees are (num, den) pairs; verify and sweep print 7/2
+    # as `7/2` and 4 as `4`, as str(Fraction) does, with no "/1"
+    import adapted_pairs.verify as verify
+
+    def half_integer_degree(family, n, s):
+        result = run_case(family, n, s)
+        degrees = ((-1, 3), (4, 1), (7, 2))
+        return result._replace(pair=result.pair._replace(degrees=degrees))
+
+    monkeypatch.setattr(verify, "run_case", half_integer_degree)
+    assert main(["verify", "--family", "E7", "--rank", "7", "--s", "3"]) == 0
+    assert capsys.readouterr().out == "E7 n=7 s=3: PASS  degrees: -1/3, 4, 7/2\n"
+    assert main(["sweep", "--max-rank", "4"]) == 0
+    rows = [l.split() for l in capsys.readouterr().out.splitlines()[1:-1]]
+    assert [row[4] for row in rows] == ["-1/3,4,7/2"] * 5
+
+
 def test_sweep_reports_a_crashing_case_and_goes_on(tmp_path, monkeypatch, capsys):
     import adapted_pairs.verify as verify
 
@@ -843,7 +861,9 @@ def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
     # a fresh `python -m adapted_pairs.cli verify` process builds its engine
     # from plain classes and typing.NamedTuple records: neither dataclasses
     # nor the inspect module it imports is loaded.  Nor is the Kostant
-    # cascade, which only the `cascade` command runs.  -X importtime lists
+    # cascade, which only the `cascade` command runs, nor fractions, which
+    # would bring decimal and numbers: the engine's rationals are int
+    # pairs and its determinants ints.  -X importtime lists
     # every module the process imports, so the command itself is run
     # unchanged.
     def run(*argv):
@@ -868,7 +888,14 @@ def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
         )
         assert stdout.startswith(f"{family} n={rank} s={s}: PASS")
         assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
-        loaded = imported & {"dataclasses", "inspect", "adapted_pairs.cascade"}
+        loaded = imported & {
+            "dataclasses",
+            "inspect",
+            "adapted_pairs.cascade",
+            "fractions",
+            "decimal",
+            "numbers",
+        }
         assert not loaded, loaded
     _, imported = run("cascade", "--family", "E6", "--rank", "6")
     assert "adapted_pairs.cascade" in imported

@@ -2,8 +2,11 @@
 
 The scan finds every float or complex literal, every call of float(),
 round() or complex(), and every true division (`/` and `/=`).  The engine
-computes on ints and Fractions only, so the one allowed hit is the path
-join `out_dir / ...` of `cli.cmd_sweep`.
+computes on ints only, its rationals being (num, den) int pairs, so the
+one allowed hit is the path join `out_dir / ...` of `cli.cmd_sweep`.  A
+second scan finds every import of `fractions` and every use of the name
+`Fraction`, which the package has none of: a `verify` process then loads
+neither `fractions` nor the `decimal` and `numbers` modules it imports.
 """
 
 import ast
@@ -75,3 +78,60 @@ def test_the_scan_finds_each_inexact_node(source, hit):
 )
 def test_the_scan_passes_exact_code(source):
     assert inexact_nodes(ast.parse(source)) == []
+
+
+def fraction_nodes(tree: ast.AST) -> List[str]:
+    """What names `fractions` or `Fraction` in tree, in walk order: an
+    import, a name, an attribute or a string that is exactly one of them
+    (as `importlib.import_module` takes)."""
+    names = ("fractions", "Fraction")
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hits += [f"import {a.name}" for a in node.names if a.name in names]
+        elif isinstance(node, ast.ImportFrom) and node.module in names:
+            hits.append(f"from {node.module} import")
+        elif isinstance(node, ast.Name) and node.id in names:
+            hits.append(f"name {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            hits.append(f"attribute {node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in names:
+            hits.append(f"string {node.value!r}")
+    return hits
+
+
+def test_the_package_source_has_no_fraction():
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "linalg.py" in paths
+    hits = [
+        (path.name, what)
+        for path in paths
+        for what in fraction_nodes(ast.parse(path.read_text()))
+    ]
+    assert hits == []
+
+
+@pytest.mark.parametrize(
+    "source,hits",
+    [
+        ("import fractions", ["import fractions"]),
+        ("from fractions import Fraction", ["from fractions import"]),
+        ("y = Fraction(1, 2)", ["name Fraction"]),
+        (
+            "import fractions as f\ny = f.Fraction(1)",
+            ["import fractions", "attribute Fraction"],
+        ),
+        ("def f() -> 'x':\n    d: Dict[int, Fraction] = {}", ["name Fraction"]),
+        ("m = import_module('fractions')", ["string 'fractions'"]),
+    ],
+)
+def test_the_fraction_scan_finds_each_use(source, hits):
+    assert fraction_nodes(ast.parse(source)) == hits
+
+
+@pytest.mark.parametrize(
+    "source",
+    ['"""Fraction-free elimination."""', "y = _rational(1, 2)", "fraction = (1, 2)"],
+)
+def test_the_fraction_scan_passes_int_pairs_and_prose(source):
+    assert fraction_nodes(ast.parse(source)) == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adapted_pairs.linalg as linalg
 from adapted_pairs.linalg import invert, sparse_det, sparse_ranks
 from linalg_oracle import det_dense, det_sparse, rank, solve_in_span
 
@@ -82,15 +83,36 @@ def test_inverse_solves_with_the_matrix_and_its_transpose():
     assert invert([[1, 2], [2, 4]]) == (0, None)
 
 
-def test_sparse_det_of_int_matrix_is_an_exact_fraction():
+def test_sparse_det_of_int_matrix_is_an_exact_int():
     det = sparse_det([{0: 3, 1: 1}, {0: 1, 1: 3}], 2)
-    assert type(det) is Fraction and det == 8
+    assert type(det) is int and det == 8
+    det, _ = invert([[3, 1], [1, 3]])
+    assert type(det) is int and det == 8
+    assert type(sparse_det([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)) is int
 
 
 def test_sparse_det_of_large_ints_is_exact():
     # a float pivot step would lose the +1 and report a singular matrix
     det = sparse_det([{0: 1, 1: 10**17}, {0: 3, 1: 3 * 10**17 + 1}], 2)
-    assert type(det) is Fraction and det == 1
+    assert type(det) is int and det == 1
+
+
+def test_the_determinant_refuses_a_factor_that_leaves_a_remainder(monkeypatch):
+    # det = product * divided / scaled_up must be an exact division: an
+    # elimination that reports an inconsistent scaled_up raises instead of
+    # rounding the determinant
+    eliminate = linalg._eliminate
+
+    def skewed(*args, **kwargs):
+        pivots, ranks, (scaled_up, divided) = eliminate(*args, **kwargs)
+        return pivots, ranks, (scaled_up * 7, divided)
+
+    assert sparse_det([{0: 3, 1: 1}, {0: 1, 1: 3}], 2) == 8
+    monkeypatch.setattr(linalg, "_eliminate", skewed)
+    with pytest.raises(ArithmeticError):
+        sparse_det([{0: 3, 1: 1}, {0: 1, 1: 3}], 2)
+    with pytest.raises(ArithmeticError):
+        invert([[3, 1], [1, 3]])
 
 
 def test_sparse_rank_of_large_ints_is_exact():

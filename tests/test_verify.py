@@ -1,7 +1,10 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+import engine_oracle as oracle
 
 from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.construction import build_case, in_scope_cases
@@ -20,11 +23,13 @@ from adapted_pairs.verify import (
     solve_h,
     walk_sequence,
     _find_cyclic,
+    _rational,
     _values_on_h,
 )
 from engine_oracle import (
     GElem,
     WrappedTable,
+    adapted_pair_oracle,
     ad_on_dual,
     cartan_eps,
     centre_moved_outside,
@@ -33,9 +38,11 @@ from engine_oracle import (
     coroot_eps,
     enumerate_pairings,
     eps_of,
+    fraction,
     n_const,
     nondegeneracy_oracle,
     orbit_structure,
+    rat_pair,
     replace,
     root_from_eps,
     s_alpha_oracle,
@@ -670,6 +677,7 @@ def test_row_builders_match_the_column_oracles(monkeypatch, family, n, s):
     rows, graded, degree = nondegeneracy_oracle(cand, table, os)
     assert det_rows == [rows]
     assert nondeg.size == len(rows)
+    assert type(nondeg.determinant) is int
     assert nondeg.determinant == det_sparse(rows, len(rows))
     assert (nondeg.monomial_ok, nondeg.monomial_degree) == (graded, degree)
     assert nondeg.ok and reg.ok
@@ -753,15 +761,16 @@ def test_e6_membership_witnesses():
 
 def test_h_e6_and_e7_paper_values():
     p6 = solve_h(build_case("E6", 6, 6))
-    assert p6.h_coroot_coeffs == {1: F(-2), 2: F(-1), 3: F(1), 4: F(6), 5: F(-5)}
+    Q = rat_pair
+    assert p6.h_coroot_coeffs == {1: Q(-2), 2: Q(-1), 3: Q(1), 4: Q(6), 5: Q(-5)}
     p7 = solve_h(build_case("E7", 7, 3))
     assert p7.h_coroot_coeffs == {
-        1: F(-1),
-        2: F(-13, 2),
-        4: F(3),
-        5: F(11, 2),
-        6: F(-2),
-        7: F(-1, 2),
+        1: Q(-1),
+        2: Q(-13, 2),
+        4: Q(3),
+        5: Q(11, 2),
+        6: Q(-2),
+        7: Q(-1, 2),
     }
 
 
@@ -787,7 +796,7 @@ def _h_eps(cand):
     """h of the adapted pair in epsilon coordinates, for the paper's closed
     forms."""
     pair = solve_h(cand)
-    h = [pair.h_coroot_coeffs.get(i, 0) for i in range(1, cand.n + 1)]
+    h = [fraction(pair.h_coroot_coeffs.get(i, (0, 1))) for i in range(1, cand.n + 1)]
     return cartan_eps(cand.system, h)
 
 
@@ -873,19 +882,19 @@ def test_eigenvalues_b_examples():
     cand = build_case("B", 8, 6)  # s = 6
     pair = solve_h(cand)
     sys = cand.system
-    assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)])] == 2  # s/2 - 1
-    assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)])] == 7  # s + 1
+    assert pair.eigenvalues[_ev(sys, [(1, 5), (1, 6)])] == (2, 1)  # s/2 - 1
+    assert pair.eigenvalues[_ev(sys, [(1, 5), (-1, 7)])] == (7, 1)  # s + 1
     # s+3, 3s-7, s/2+1, s/2-1, s+1 and s+3 again for n > s
     assert cand.eigenvalues_expected == (2, 4, 7, 9, 9, 11)
-    assert tuple(sorted(pair.eigenvalues.values())) == cand.eigenvalues_expected
+    assert sorted(pair.eigenvalues.values()) == [(v, 1) for v in cand.eigenvalues_expected]
 
 
 def test_eigenvalues_d6_extremal_values():
     pair = solve_h(build_case("D", 6, 6))
     assert Counter(pair.eigenvalues.values()) == Counter(
-        {F(11): 1, F(2): 1, F(4): 1, F(6): 1}
+        {(11, 1): 1, (2, 1): 1, (4, 1): 1, (6, 1): 1}
     )
-    assert pair.degrees == (F(3), F(5), F(7), F(12))
+    assert pair.degrees == ((3, 1), (5, 1), (7, 1), (12, 1))
 
 
 def test_eigenvalue_closed_forms_across_sweep():
@@ -898,7 +907,7 @@ def test_eigenvalue_closed_forms_across_sweep():
         ("E7", 7, 3),
     ]:
         cand = build_case(family, n, s)
-        actual = tuple(sorted(solve_h(cand).eigenvalues.values()))
+        actual = tuple(sorted(map(fraction, solve_h(cand).eigenvalues.values())))
         assert actual == cand.eigenvalues_expected, (family, n, s, actual)
 
 
@@ -1020,7 +1029,8 @@ def test_a_corrupted_structure_table_fails_its_check(
 def test_bound_witness_names_the_lower_improved_difference():
     result = run_case("B", 6, 4)
     lower = result.lower_multiples
-    improved = sorted(lower[1:] + [2 * lower[0]])
+    (num, den) = lower[0]
+    improved = lower[1:] + [(2 * num, den)]
     bad = replace(result, improved_multiples=improved, bounds_coincide=False)
     assert bad.first_failing == "bounds_coincide"
     assert bad.closed_form_witnesses() == [
@@ -1033,7 +1043,8 @@ def test_bound_witness_names_the_lower_improved_difference():
 def test_degrees_are_eigenvalues_plus_one():
     cand = build_case("D", 8, 4)
     pair = solve_h(cand)
-    assert sorted(pair.degrees) == sorted(v + 1 for v in pair.eigenvalues.values())
+    degrees = [fraction(d) for d in pair.degrees]
+    assert degrees == sorted(fraction(v) + 1 for v in pair.eigenvalues.values())
 
 
 # -- end-to-end spot checks --------------------------------------------------
@@ -1082,3 +1093,57 @@ def test_records_are_values():
     with pytest.raises(AttributeError):
         check_heisenberg(result.candidate).ok = False
     assert result.pair is pair and result.regularity.rank == rank
+
+
+def test_rational_reduces_and_puts_the_sign_on_num():
+    assert _rational(6, 4) == (3, 2)
+    assert _rational(6, -4) == (-3, 2)
+    assert _rational(-6, 3) == (-2, 1)
+    assert _rational(0, -5) == (0, 1)
+    for num in range(-12, 13):
+        for den in [d for d in range(-6, 7) if d]:
+            n, d = _rational(num, den)
+            assert d > 0 and math.gcd(n, d) == 1 and F(n, d) == F(num, den)
+
+
+def _is_rational(q):
+    """An engine rational: a (num, den) pair of ints in lowest terms, den > 0."""
+    return (
+        type(q) is tuple
+        and len(q) == 2
+        and all(type(x) is int for x in q)
+        and q[1] > 0
+        and math.gcd(*q) == 1
+    )
+
+
+@pytest.mark.parametrize("family,n,s", in_scope_cases(10) + FLIP_CASES)
+def test_every_rational_of_a_case_result_is_a_reduced_int_pair(family, n, s):
+    # h, the eigenvalues, the degrees and both bound multisets are (num,
+    # den) int pairs in lowest terms, equal to the Fraction oracle's values;
+    # both determinants are ints, the basis one equal to the oracle's
+    result = run_case(family, n, s)
+    cand, pair = result.candidate, result.pair
+    rationals = [
+        *pair.h_coroot_coeffs.values(),
+        *pair.eigenvalues.values(),
+        *pair.degrees,
+        *result.lower_multiples,
+        *result.improved_multiples,
+    ]
+    assert rationals and all(map(_is_rational, rationals))
+    h, eigen, degrees = adapted_pair_oracle(cand)
+    assert {i: fraction(q) for i, q in pair.h_coroot_coeffs.items()} == h
+    assert {t: fraction(q) for t, q in pair.eigenvalues.items()} == eigen
+    assert [fraction(q) for q in pair.degrees] == degrees
+    parab = cand.parabolic
+    for ours, theirs in (
+        (result.lower_multiples, oracle.lower_bound(parab)),
+        (result.improved_multiples, oracle.improved_bound(cand)),
+    ):
+        assert [fraction(q) for q in ours] == oracle.bound_multiples(cand, theirs)
+    basis_rows = [parab.pairing_on_coroots(g) for g in cand.S]
+    assert type(result.basis.determinant) is int
+    assert result.basis.determinant == det_dense(basis_rows) != 0
+    assert type(result.nondegeneracy.determinant) is int
+    assert result.nondegeneracy.determinant != 0
