@@ -14,7 +14,6 @@ reads a rational back as two ints) lives in `cli`, next to `report`.
 from __future__ import annotations
 
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Tuple
 
 from .verify import CaseResult
@@ -123,13 +122,45 @@ def _vector_text(vec: list, newline: str) -> str:
     return text
 
 
+def _quote(text: str) -> str:
+    """The JSON string of text, as json.dumps writes it with ensure_ascii.
+    json's escaper leaves printable ASCII (' '..'~') other than '"' and
+    '\\' as it is, so only a text with another character loads json."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+# The text of each dict key with its ": ", key -> text: a certificate has
+# a few dozen short keys, so one lookup per key replaces a quote.  Keys of
+# up to _KEY_LENGTH characters are kept, up to _KEY_COUNT of them.
+_KEY_TEXT: Dict[str, str] = {}
+_KEY_COUNT = 1 << 10
+_KEY_LENGTH = 64
+
+
+def _key_text(key) -> str:
+    """The text of a dict key and its ": ", rendered on a miss of
+    `_KEY_TEXT`; a key that is not a str raises TypeError."""
+    if type(key) is not str:
+        raise TypeError(f"certificate key {key!r} is not a str")
+    text = _quote(key) + ": "
+    if len(key) <= _KEY_LENGTH and len(_KEY_TEXT) < _KEY_COUNT:
+        _KEY_TEXT[key] = text
+    return text
+
+
 def to_json(cert: dict) -> str:
     """The bytes of json.dumps(cert, indent=2, sort_keys=True) + "\n",
     written directly: with indent, json runs its pure-Python encoder.  A
     certificate holds only dicts with str keys, lists, ints, bools, None
     and strs (escaped to ASCII, as json does); anything else raises
     TypeError.  Root vectors, lists of them and {"den", "num"} rationals
-    take direct paths, each vector's text rendered once (`_VECTOR_TEXT`)."""
+    take direct paths, each vector's text rendered once (`_VECTOR_TEXT`),
+    and so does each key (`_KEY_TEXT`).  json is loaded only to escape a
+    str that needs it (`_quote`)."""
     parts: List[str] = []
     _write(cert, "\n", parts.append)
     parts.append("\n")
@@ -141,7 +172,7 @@ def _write(obj, newline: str, emit) -> None:
     nesting whose line break and indent is newline."""
     kind = type(obj)
     if kind is str:
-        emit(encode_basestring_ascii(obj))
+        emit(_quote(obj))
     elif kind is int:
         emit(int.__repr__(obj))
     elif obj is None:
@@ -160,13 +191,10 @@ def _write(obj, newline: str, emit) -> None:
             if type(den) is int and type(num) is int:
                 emit(f'{{{inner}"den": {den!r},{inner}"num": {num!r}{newline}}}')
                 return
+        get = _KEY_TEXT.get
         sep = "{" + inner
         for key in sorted(obj):
-            if type(key) is not str:
-                raise TypeError(f"certificate key {key!r} is not a str")
-            emit(sep)
-            emit(encode_basestring_ascii(key))
-            emit(": ")
+            emit(sep + (get(key) or _key_text(key)))
             _write(obj[key], inner, emit)
             sep = "," + inner
         emit(newline + "}")

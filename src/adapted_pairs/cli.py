@@ -6,11 +6,22 @@ check passes, 1 on a certificate failure or a sweep case that raised, 2 for
 out-of-scope or usage errors.  A `verify` case that raises anything but
 `OutOfScopeError` propagates, so Python exits 1 with its traceback.
 
-Only `roots` is imported at module level: `report` reads the certificate
-with the schema reader below and needs nothing else, while `verify`,
-`sweep` and `cascade` import the engine inside the command.  `verify` and
-`sweep` build a certificate only to write it to `--out`; the degrees and
-verdict they print come from the case result.
+At module level `cli` imports `roots` and, of the standard library, only
+`atexit`, `contextlib`, `gc`, `math`, `os`, `sys`, `time`, `pathlib`,
+`types` and `typing`.  `report` imports `json` inside the command and
+reads the certificate with the schema reader below, needing nothing else;
+`verify`, `sweep` and `cascade` import the engine inside the command.
+`verify` and `sweep` build a certificate only to write it to `--out`; the
+degrees and verdict they print come from the case result.  The writer
+needs no `json`, so a `verify` process loads neither `json` nor
+`argparse`.
+
+The parser is the table `_COMMANDS`: each command's function and, for
+each of its options, the attribute it sets, its kind (int, str or a tuple
+of choices) and its default, or `_REQUIRED`.  `main` walks the arguments
+against it: `--opt value` and `--opt=value` both work, a repeated option
+keeps its last value, and `-h` or `--help` anywhere prints `USAGE`.  Every
+other bad command line is one `error: ` line on stderr and exit 2.
 
 Every command registers `gc.freeze` to run at exit (see `main`): the
 interpreter's shutdown collection then skips the objects the command left,
@@ -19,16 +30,15 @@ whose memory the OS reclaims anyway.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import gc
-import json
 import math
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 from .roots import RootSystem, build_root_system
@@ -247,8 +257,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.max_rank < 4:
-        print("sweep needs --max-rank >= 4", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("sweep needs --max-rank >= 4")
     from .certificate import certificate_dict, to_json
     from .construction import in_scope_cases
     from .verify import run_case
@@ -330,6 +339,8 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import json
+
     try:
         cert = json.loads(Path(args.infile).read_text())
     except (OSError, ValueError, RecursionError) as exc:
@@ -353,39 +364,91 @@ def cmd_report(args) -> int:
     return EXIT_PASS
 
 
+_FAMILIES = ("B", "D", "E6", "E7")
+
+USAGE = """\
+adapted-pairs verify --family {B,D,E6,E7} --rank N --s S [--out FILE]
+adapted-pairs sweep --max-rank N [--out DIR]
+adapted-pairs cascade --family {B,D,E6,E7} --rank N
+adapted-pairs report --in FILE [--format {txt,md}]
+"""
+
+_REQUIRED = object()
+
+# command -> (its function, {option: (attribute, kind, default)})
+_COMMANDS = {
+    "verify": (cmd_verify, {
+        "--family": ("family", _FAMILIES, _REQUIRED),
+        "--rank": ("rank", int, _REQUIRED),
+        "--s": ("s", int, _REQUIRED),
+        "--out": ("out", str, None),
+    }),
+    "sweep": (cmd_sweep, {
+        "--max-rank": ("max_rank", int, _REQUIRED),
+        "--out": ("out", str, None),
+    }),
+    "cascade": (cmd_cascade, {
+        "--family": ("family", _FAMILIES, _REQUIRED),
+        "--rank": ("rank", int, _REQUIRED),
+    }),
+    "report": (cmd_report, {
+        "--in": ("infile", str, _REQUIRED),
+        "--format": ("format", ("md", "txt"), "txt"),
+    }),
+}
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _parse(argv):
+    """The function and the arguments of the command line argv, walked
+    against `_COMMANDS`; raises _UsageError on a bad command line."""
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise _UsageError(f"{given}: choose one of {', '.join(_COMMANDS)}")
+    name = argv[0]
+    func, options = _COMMANDS[name]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise _UsageError(f"{name}: unknown argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{name}: {flag} needs a value")
+        attr, kind, _ = options[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                message = f"{name}: {flag} needs an int, not {value!r}"
+                raise _UsageError(message) from None
+        elif kind is not str and value not in kind:
+            raise _UsageError(
+                f"{name}: {flag} must be one of {', '.join(kind)}, not {value!r}"
+            )
+        values[attr] = value
+    for flag, (attr, _, default) in options.items():
+        if attr not in values:
+            if default is _REQUIRED:
+                raise _UsageError(f"{name}: {flag} is required")
+            values[attr] = default
+    return func, SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="adapted-pairs",
-        description=(
-            "Exact verification of adapted pairs and character bounds for "
-            "truncated maximal parabolic subalgebras (types B, D, E6, E7)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="verify a single case")
-    p_verify.add_argument("--family", required=True, choices=["B", "D", "E6", "E7"])
-    p_verify.add_argument("--rank", required=True, type=int)
-    p_verify.add_argument("--s", required=True, type=int)
-    p_verify.add_argument("--out", help="write the certificate JSON here")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="verify every case up to a rank")
-    p_sweep.add_argument("--max-rank", required=True, type=int)
-    p_sweep.add_argument("--out", help="directory for certificate files")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cascade = sub.add_parser("cascade", help="print a Kostant cascade")
-    p_cascade.add_argument("--family", required=True, choices=["B", "D", "E6", "E7"])
-    p_cascade.add_argument("--rank", required=True, type=int)
-    p_cascade.set_defaults(func=cmd_cascade)
-
-    p_report = sub.add_parser("report", help="render a certificate")
-    p_report.add_argument("--in", dest="infile", required=True)
-    p_report.add_argument("--format", choices=["md", "txt"], default="txt")
-    p_report.set_defaults(func=cmd_report)
-
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return EXIT_PASS
+    try:
+        func, args = _parse(argv)
+    except _UsageError as exc:
+        return _usage_error(exc)
     # The last collection at interpreter exit walks every module, class and
     # table the command loaded.  atexit callbacks run before it, after the
     # command, and unlike os._exit keep the flush of stdout and stderr;
@@ -394,7 +457,7 @@ def main(argv=None) -> int:
     # the unregister keeps one entry when main runs more than once.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    return args.func(args)
+    return func(args)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ json.dumps(cert, indent=2, sort_keys=True) + "\\n"."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adapted_pairs.certificate as certificate
@@ -24,24 +24,32 @@ def test_to_json_matches_json_dumps_on_every_rank_10_certificate():
         assert to_json(cert) == _reference(cert), case
 
 
-ascii_text = st.text(alphabet=st.characters(max_codepoint=127), max_size=12)
+# mostly ASCII, with its controls, DEL, '"' and '\\', and any other character
+text = st.text(
+    alphabet=st.one_of(st.characters(max_codepoint=127), st.characters()), max_size=12
+)
+# every kind of character json's ASCII escaper changes, as keys and values
+ESCAPED = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\U0001f600",
+           "\ud800", 'pass "quoted" a\\b\tc\x7f\xe9\U0001f600']
 near_1e17 = st.integers(-4, 4).flatmap(
     lambda d: st.sampled_from([10**17 + d, -(10**17) - d])
 )
 leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), near_1e17, ascii_text
+    st.none(), st.booleans(), st.integers(), near_1e17, text
 )
 values = st.recursive(
     leaves,
     lambda inner: st.one_of(
-        st.lists(inner, max_size=5), st.dictionaries(ascii_text, inner, max_size=5)
+        st.lists(inner, max_size=5), st.dictionaries(text, inner, max_size=5)
     ),
     max_leaves=40,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(ascii_text, values, max_size=6))
+@given(st.dictionaries(text, values, max_size=6))
+@example({c: c for c in ESCAPED})
+@example({"plain": ESCAPED, "nested": [{c: [c]} for c in ESCAPED]})
 def test_to_json_matches_json_dumps_on_generated_data(obj):
     assert to_json(obj) == _reference(obj)
 
@@ -91,6 +99,15 @@ def test_the_vector_memo_stays_within_its_bound(monkeypatch):
             assert held == certificate._vector_chars <= certificate._VECTOR_CHARS
             emptied |= len(certificate._VECTOR_TEXT) < before
     assert emptied
+
+
+def test_the_key_memo_keeps_short_keys_up_to_its_count(monkeypatch):
+    monkeypatch.setattr(certificate, "_KEY_TEXT", {})
+    monkeypatch.setattr(certificate, "_KEY_COUNT", 3)
+    obj = {"A" * 65: 1, "a": 2, "b": 3, "c": 4, "d": {"e": 5}}
+    for _ in range(2):
+        assert to_json(obj) == _reference(obj)
+    assert certificate._KEY_TEXT == {k: f'"{k}": ' for k in "abc"}
 
 
 @pytest.mark.parametrize("obj", [{"x": [1, True]}, {"x": [[1, 2], [False, 2]]}])

@@ -13,7 +13,7 @@ import pytest
 
 import adapted_pairs
 from adapted_pairs.certificate import certificate_dict, to_json
-from adapted_pairs.cli import _rat_str, eps_str, main, render_certificate
+from adapted_pairs.cli import USAGE, _rat_str, eps_str, main, render_certificate
 from adapted_pairs.roots import RootSystem, build_root_system
 from adapted_pairs.verify import run_case
 from engine_oracle import centre_moved_outside, rat_value, replace
@@ -565,6 +565,7 @@ def test_a_traced_sweep_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
 
 def test_sweep_usage_error(capsys):
     assert main(["sweep", "--max-rank", "3"]) == 2
+    assert _one_error_line(capsys) == ""
 
 
 def _one_error_line(capsys) -> str:
@@ -572,6 +573,79 @@ def _one_error_line(capsys) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     return captured.out
+
+
+CASE = ["--family", "B", "--rank", "4", "--s", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["prove"],
+        ["--family", "B"],
+        ["verify", *CASE, "--bogus", "1"],
+        ["verify", *CASE, "extra"],
+        ["verify", "--fam", "B", "--rank", "4", "--s", "2"],
+        ["verify", "--family", "B", "--rank", "4", "--s"],
+        ["verify", "--family", "--rank", "4", "--s", "2"],
+        ["verify", "--family", "B", "--rank", "4"],
+        ["verify", "--rank", "4", "--s", "2"],
+        ["verify", "--family", "B", "--rank", "four", "--s", "2"],
+        ["verify", "--family", "B", "--rank", "4", "--s", "2.0"],
+        ["verify", "--family", "B", "--rank=", "--s", "2"],
+        ["verify", "--family", "X", "--rank", "4", "--s", "2"],
+        ["verify", "--family=b", "--rank", "4", "--s", "2"],
+        ["sweep"],
+        ["sweep", "--max-rank", "x"],
+        ["sweep", "--max-rank", "12", "--family", "B"],
+        ["cascade", "--family", "E8", "--rank", "8"],
+        ["report"],
+        ["report", "--in", "c.json", "--format", "pdf"],
+        ["report", "--in"],
+        ["report", "--in", "--format"],
+    ],
+)
+def test_a_bad_command_line_is_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["verify", "-h"], ["sweep", "--help"], ["cascade", "-h"],
+     ["report", "--help"], ["verify", *CASE, "--help"], ["prove", "-h"]],
+)
+def test_help_prints_the_usage_of_every_command(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == USAGE
+    for command in ("verify", "sweep", "cascade", "report"):
+        assert f"adapted-pairs {command} " in captured.out
+    # the README's "Command line" block is this usage
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert "\n```\n" + USAGE + "```\n" in readme
+
+
+def test_main_reads_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["adapted-pairs", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out == USAGE
+
+
+def test_each_spelling_of_an_option_gives_the_same_run(capsys):
+    outputs = []
+    for argv in (
+        ["verify", "--family", "D", "--rank", "12", "--s", "11"],
+        ["verify", "--family=D", "--rank=12", "--s=11"],
+        # a repeated option keeps its last value
+        ["verify", "--s", "4", "--family", "B", "--rank", "6", "--rank", "12", "--s=11",
+         "--family", "D"],
+    ):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.startswith("D n=12 s=11: PASS")
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_verify_out_directory_is_a_usage_error(tmp_path, capsys):
@@ -823,9 +897,12 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
 assert "verdict: PASS" in out.getvalue()
 assert loaded() == [], loaded()
 # the rationals and epsilon forms are rendered on ints: neither the command
-# line nor the rendering loads fractions, or the decimal module it imports
+# line nor the rendering loads fractions, or the decimal module it imports;
+# nor argparse, which the command line does without.  `before` holds what
+# the interpreter's start loaded, so a site-packages .pth cannot move this
 new = set(sys.modules) - before
-assert not new & {{"fractions", "decimal"}}, sorted(new & {{"fractions", "decimal"}})
+forbidden = {{"fractions", "decimal", "argparse"}}
+assert not new & forbidden, sorted(new & forbidden)
 
 from adapted_pairs.verify import run_case
 assert adapted_pairs.run_case is run_case
@@ -843,8 +920,8 @@ print("ok")
 
 def test_report_loads_no_engine_module(tmp_path):
     # a fresh process: importing the package and the command line, and
-    # rendering a stored certificate, load none of the engine modules and
-    # no fractions
+    # rendering a stored certificate, load none of the engine modules, no
+    # fractions and no argparse
     cert = tmp_path / "B_n6_s4.json"
     cert.write_text(to_json(certificate_dict(run_case("B", 6, 4))))
     proc = subprocess.run(
@@ -858,17 +935,20 @@ def test_report_loads_no_engine_module(tmp_path):
 
 
 def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
-    # a fresh `python -m adapted_pairs.cli verify` process builds its engine
-    # from plain classes and typing.NamedTuple records: neither dataclasses
-    # nor the inspect module it imports is loaded.  Nor is the Kostant
-    # cascade, which only the `cascade` command runs, nor fractions, which
-    # would bring decimal and numbers: the engine's rationals are int
-    # pairs and its determinants ints.  -X importtime lists
-    # every module the process imports, so the command itself is run
-    # unchanged.
+    # a fresh `python -m adapted_pairs.cli verify --out` process builds its
+    # engine from plain classes and typing.NamedTuple records: neither
+    # dataclasses nor the inspect module it imports is loaded.  Nor is the
+    # Kostant cascade, which only the `cascade` command runs, nor fractions,
+    # which would bring decimal and numbers: the engine's rationals are int
+    # pairs and its determinants ints.  Nor argparse, which the command line
+    # does without, nor json, which only `report` reads with and the writer
+    # loads only for a str that needs escaping.  -X importtime lists every
+    # module the process imports, so the command itself is run unchanged;
+    # what a bare interpreter loads in the same environment (a site-packages
+    # .pth can load more) is not held against it.
     def run(*argv):
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "adapted_pairs.cli", *argv],
+            [sys.executable, "-X", "importtime", *argv],
             env=_src_env(),
             cwd=tmp_path,
             capture_output=True,
@@ -882,22 +962,29 @@ def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
         }
         return proc.stdout, imported
 
+    _, bare = run("-c", "pass")
+    forbidden = {
+        "dataclasses",
+        "inspect",
+        "adapted_pairs.cascade",
+        "fractions",
+        "decimal",
+        "numbers",
+        "argparse",
+        "json",
+    } - bare
     for family, rank, s in [("B", 6, 2), ("D", 8, 6), ("D", 8, 7), ("E6", 6, 1)]:
+        out = tmp_path / f"{family}_n{rank}_s{s}.json"
         stdout, imported = run(
-            "verify", "--family", family, "--rank", str(rank), "--s", str(s)
+            "-m", "adapted_pairs.cli", "verify", "--family", family,
+            "--rank", str(rank), "--s", str(s), "--out", str(out),
         )
         assert stdout.startswith(f"{family} n={rank} s={s}: PASS")
+        assert out.read_text() == to_json(certificate_dict(run_case(family, rank, s)))
         assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
-        loaded = imported & {
-            "dataclasses",
-            "inspect",
-            "adapted_pairs.cascade",
-            "fractions",
-            "decimal",
-            "numbers",
-        }
+        loaded = imported & forbidden
         assert not loaded, loaded
-    _, imported = run("cascade", "--family", "E6", "--rank", "6")
+    _, imported = run("-m", "adapted_pairs.cli", "cascade", "--family", "E6", "--rank", "6")
     assert "adapted_pairs.cascade" in imported
 
 
