@@ -1,109 +1,63 @@
-"""Kostant cascade of strongly orthogonal roots and maximal Heisenberg sets.
+"""Kostant cascade of strongly orthogonal roots, in closed form.
 
-The cascade is built recursively: highest root of each irreducible component,
-then recurse on the roots orthogonal to it.  H_beta collects the component
-roots pairing strictly positively with beta; within each component these sets
-are Heisenberg sets and together they partition the positive roots.
+The cascade of Delta+ (Kostant, Moscow Math. J. 12 (2012)) is the highest
+root beta of each irreducible component, followed by the cascade of the
+roots of that component orthogonal to beta; H_beta, the component roots
+pairing strictly positively with beta, is a Heisenberg set, and these sets
+partition Delta+.  The `cascade` command is its only caller in the
+package: the case builders state their sets at cascade roots themselves.
 
-Each beta is the highest root of its component, hence dominant for it, so
-the component roots orthogonal to beta form the subsystem generated by the
-component's simple roots orthogonal to beta.  The recursion passes those
-simple roots down, starting from the simple roots of Delta+, so no level
-searches for its simple roots.
-Every root is its code (`RootSystem.base`), and a cascade root beta, the
-highest root of its component, is the component root of largest code.
-The `cascade` command is its only caller in the package: the case
-builders state their sets at cascade roots in closed form.
+In a B_m or D_m on eps_a..eps_n (m >= 3 in D) the highest root is
+eps_a + eps_{a+1}, with |H| = 4m-5 in B and 4m-7 in D, and the roots
+orthogonal to it are the B_{m-2} or D_{m-2} on eps_{a+2}..eps_n and the
+A1 of eps_a - eps_{a+1}, in that order.  At the bottom, B_1 is eps_n, D_2
+the two A1 of eps_{n-1} + eps_n and eps_{n-1} - eps_n, and B_0 and D_1 are
+empty.  E6 and E7 are a table in simple-root coefficients.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, Tuple
 
 from .roots import RootSystem
 
-
-class CascadeItem(NamedTuple):
-    """One cascade root beta with its component and H_beta, as root codes;
-    both tuples are in increasing order."""
-
-    label: str  # tree path such as "1", "1.2"
-    beta: int
-    subsystem: Tuple[int, ...]  # positive roots of the defining component
-    heisenberg: Tuple[int, ...]  # H_beta inside the component
-
-
-def _split_components(
-    system: RootSystem, pos: Sequence[int], simples: Sequence[int]
-) -> List[Tuple[List[int], List[int]]]:
-    """(simples, roots) per irreducible component of a positive subsystem,
-    given its simple roots; pos is in increasing code order, and so is each
-    component's list.  Components come in the order of their least simple.
-
-    Two simple roots of a subsystem are joined when their sum is a root.  A
-    root r lies in the component of its leading simple root.  Every given
-    simple is a unit code, and r's digits lie in [0, base), so that is the
-    largest given simple not above r, where r's digit must be nonzero.
-    """
-    by_code = system.by_code
-    ordered = sorted(simples)
-    comp_of: Dict[int, int] = {}
-    comps: List[List[int]] = []
-    for s in ordered:
-        if s in comp_of:
-            continue
-        idx = len(comps)
-        comp = [s]
-        comp_of[s] = idx
-        queue = [s]
-        while queue:
-            cur = queue.pop()
-            for t in simples:
-                if t not in comp_of and cur + t in by_code:
-                    comp_of[t] = idx
-                    comp.append(t)
-                    queue.append(t)
-        comps.append(sorted(comp))
-    members: List[List[int]] = [[] for _ in comps]
-    base = system.base
-    for r in pos:
-        k = bisect_right(ordered, r) - 1
-        if k < 0 or not (r // ordered[k]) % base:
-            raise ValueError(f"{by_code[r]} is not generated by the given simples")
-        members[comp_of[ordered[k]]].append(r)
-    return list(zip(comps, members))
+# (label, coefficients of beta over the simple roots, |H_beta|) in preorder
+_E_CASCADES = {
+    "E6": (("1", (1, 2, 2, 3, 2, 1), 21), ("1.1", (1, 0, 1, 1, 1, 1), 9),
+           ("1.1.1", (0, 0, 1, 1, 1, 0), 5), ("1.1.1.1", (0, 0, 0, 1, 0, 0), 1)),
+    "E7": (("1", (2, 2, 3, 4, 3, 2, 1), 33), ("1.1", (0, 1, 1, 2, 2, 2, 1), 17),
+           ("1.1.1", (0, 0, 0, 0, 0, 0, 1), 1), ("1.1.2", (0, 1, 1, 2, 1, 0, 0), 9),
+           ("1.1.2.1", (0, 0, 0, 0, 1, 0, 0), 1), ("1.1.2.2", (0, 0, 1, 0, 0, 0, 0), 1),
+           ("1.1.2.3", (0, 1, 0, 0, 0, 0, 0), 1)),
+}
 
 
-def kostant_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
-    """The full cascade for Delta+, the same for every s: built once per
-    system and kept, immutable, in its `RootSystem.derived` store."""
-    return system.derived(_full_cascade)
-
-
-def _full_cascade(system: RootSystem) -> Tuple[CascadeItem, ...]:
-    by_code = system.by_code
-    items: List[CascadeItem] = []
-
-    def recurse(pos: Sequence[int], simples: Sequence[int], prefix: str) -> None:
-        for k, (comp_simples, comp_roots) in enumerate(
-            _split_components(system, pos, simples), start=1
-        ):
-            label = f"{prefix}{k}" if not prefix else f"{prefix}.{k}"
-            # the highest root of the component exceeds each of its roots by
-            # a sum of positive roots, so its code is the largest
-            beta = comp_roots[-1]
-            # for a positive root r of the component other than beta,
-            # (r, beta) > 0 exactly when beta - r is a root; otherwise
-            # (r, beta) = 0, since beta is dominant for the component
-            heis, rest = [], []
-            for r in comp_roots:
-                (heis if r == beta or beta - r in by_code else rest).append(r)
-            items.append(CascadeItem(label, beta, tuple(comp_roots), tuple(heis)))
-            if rest:
-                in_heis = set(heis)
-                orthogonal = [a for a in comp_simples if a not in in_heis]
-                recurse(rest, orthogonal, label)
-
-    recurse(sorted(system.positive_roots), system.simple_roots, "")
-    return tuple(items)
+def cascade(system: RootSystem) -> List[Tuple[str, int, int]]:
+    """(label, beta, |H_beta|) for every cascade root of Delta+, in preorder:
+    the label is the tree path, such as "1.2", and beta a root code."""
+    if system.family in _E_CASCADES:
+        rc = system.root_from_coeffs
+        return [(label, rc(c), h) for label, c, h in _E_CASCADES[system.family]]
+    n, in_b, eps = system.rank, system.family == "B", system.eps_root
+    items, tops, label, a = [], [], "", 1
+    # the highest roots eps_a + eps_{a+1} of the chain of B_m or D_m, each
+    # the first component of the one before
+    last = n if in_b else n - 1
+    while a < last:
+        size = 4 * (n - a + 1) - (5 if in_b else 7)  # 4m-5 in B_m, 4m-7 in D_m
+        label = f"{label}.1" if label else "1"
+        items.append((label, eps([(1, a), (1, a + 1)]), size))
+        tops.append((label, a))
+        a += 2
+    if a > last:  # B_0 and D_1
+        bottom = []
+    else:  # B_1 and D_2
+        bottom = [[(1, n)]] if in_b else [[(1, a), (1, n)], [(1, a), (-1, n)]]
+    for k, terms in enumerate(bottom, start=1):
+        items.append((f"{label}.{k}", eps(terms), 1))
+    # then each A1 eps_a - eps_{a+1}, after the components below its top
+    k = len(bottom) + 1
+    for top, a in reversed(tops):
+        items.append((f"{top}.{k}", eps([(1, a), (-1, a + 1)]), 1))
+        k = 2
+    return items

@@ -10,7 +10,8 @@ At module level `cli` imports `roots` and, of the standard library, only
 `atexit`, `contextlib`, `gc`, `math`, `os`, `sys`, `time`, `pathlib`,
 `types` and `typing`.  `report` imports `json` inside the command and
 reads the certificate with the schema reader below, needing nothing else;
-`verify`, `sweep` and `cascade` import the engine inside the command.
+`verify` and `sweep` import the engine inside the command, and `cascade`
+only the closed form of `cascade`.
 `verify` and `sweep` build a certificate only to write it to `--out`; the
 degrees and verdict they print come from the case result.  The writer
 needs no `json`, so a `verify` process loads neither `json` nor
@@ -19,9 +20,10 @@ needs no `json`, so a `verify` process loads neither `json` nor
 The parser is the table `_COMMANDS`: each command's function and, for
 each of its options, the attribute it sets, its kind (int, str or a tuple
 of choices) and its default, or `_REQUIRED`.  `main` walks the arguments
-against it: `--opt value` and `--opt=value` both work, a repeated option
-keeps its last value, and `-h` or `--help` anywhere prints `USAGE`.  Every
-other bad command line is one `error: ` line on stderr and exit 2.
+against it: `--opt value` and `--opt=value` both work, neither with an
+empty value, a repeated option keeps its last value, and `-h` or `--help`
+anywhere prints `USAGE`.  Every other bad command line is one `error: `
+line on stderr and exit 2.
 
 Every command registers `gc.freeze` to run at exit (see `main`): the
 interpreter's shutdown collection then skips the objects the command left,
@@ -324,17 +326,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    from .cascade import kostant_cascade
+    from .cascade import cascade
 
     try:
         system = build_root_system(args.family, args.rank)
     except ValueError as exc:
         return _usage_error(exc)
-    for item in kostant_cascade(system):
-        print(
-            f"beta[{item.label}] = {eps_str(system, item.beta)}   "
-            f"|H| = {len(item.heisenberg)}"
-        )
+    for label, beta, size in cascade(system):
+        print(f"beta[{label}] = {eps_str(system, beta)}   |H| = {size}")
     return EXIT_PASS
 
 
@@ -417,9 +416,9 @@ def _parse(argv):
         if flag not in options:
             raise _UsageError(f"{name}: unknown argument {token!r}")
         if not eq:
-            value = next(tokens, None)
-            if value is None or value.startswith("--"):
-                raise _UsageError(f"{name}: {flag} needs a value")
+            value = next(tokens, "")
+        if not value or (not eq and value.startswith("--")):
+            raise _UsageError(f"{name}: {flag} needs a value")
         attr, kind, _ = options[flag]
         if kind is int:
             try:

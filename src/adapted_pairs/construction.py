@@ -15,11 +15,11 @@ pair, in epsilon terms (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
 Planches II and IV), which `RootSystem.eps_root` makes codes; `_heis` adds
 the partners.  A set centred at a root beta of the Kostant
 cascade of Delta+ (Kostant, Moscow Math. J. 12 (2012)) is its Heisenberg
-set H_beta less the roots named at its builder, in closed form, which the
-tests compare with `cascade`: in B_n and D_n, H_beta of eps_{2i-1} +
-eps_{2i} is the `_spoke` with halves eps_{2i-1} +- eps_j for j > 2i, and
-eps_{2i-1} in B; in E6 and E7, the positive roots orthogonal to the
-cascade roots before beta that pair positively with it.
+set H_beta less the roots named at its builder, in closed form: in B_n and
+D_n, H_beta of eps_{2i-1} + eps_{2i} is the `_spoke` with halves
+eps_{2i-1} +- eps_j for j > 2i, and eps_{2i-1} in B; in E6 and E7, the
+positive roots orthogonal to the cascade roots before beta that pair
+positively with it.
 Each builder also states the paper's closed forms for its case, next to
 the closed-form T: the ad h eigenvalues on g_T and the bound multiset in
 multiples of varpi_s, which `verify` compares against.  A moved case keeps

@@ -289,8 +289,7 @@ class RootSystem:
     def derived(self, make: Callable[["RootSystem"], Any]) -> Any:
         """make(self), made on first use and kept on the system, keyed on
         make: the one store of what is built per system (weight rows,
-        structure table, -w0, the cascade of the `cascade` command), which
-        lives as long as the system."""
+        structure table, -w0), which lives as long as the system."""
         if make not in self._derived:
             self._derived[make] = make(self)
         return self._derived[make]

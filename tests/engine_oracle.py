@@ -68,10 +68,12 @@
   key `coeffs_key`): the tests add, subtract and order roots through their
   coefficients, never through the engine's codes.
 - The closure of the simple roots on coefficient tuples with Gram-matrix
-  pairings, and the Kostant cascade that tests every pair of roots with
-  the inner product and finds each level's simple roots again: the
-  straightforward forms of `RootSystem._generate_positive` and
-  `cascade.kostant_cascade`.
+  pairings, the straightforward form of `RootSystem._generate_positive`,
+  and the Kostant cascade that tests every pair of roots with the inner
+  product and finds each level's simple roots again (`cascade_oracle`),
+  the reference of the closed form `cascade.cascade`.
+- `cascade_sets`: H_beta at each root of the closed-form cascade by an
+  orthogonality filter over the positive roots, fast enough at rank 40.
 - `extremal_cascade_sets`: the sets of the extremal D case at its cascade
   roots by the decreasing induction over the cascade's H_beta that
   `construction` replaced by closed ranges.
@@ -93,7 +95,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.cascade import cascade
 from adapted_pairs.construction import _spoke, build_case
 from adapted_pairs.parabolic import minus_w0_on_subset
 from adapted_pairs.verify import _successors, check_heisenberg
@@ -932,6 +934,19 @@ def cascade_oracle(
     return items
 
 
+def cascade_sets(system) -> Dict[int, FrozenSet[int]]:
+    """H_beta for every root beta of `cascade.cascade`, in its preorder: the
+    positive roots orthogonal to every earlier cascade root that pair
+    positively with beta."""
+    sets = {}
+    rest = list(system.positive_roots)
+    for _, beta, _ in cascade(system):
+        pairings = [(r, system.inner(r, beta)) for r in rest]
+        sets[beta] = frozenset(r for r, p in pairings if p > 0)
+        rest = [r for r, p in pairings if p == 0]
+    return sets
+
+
 def extremal_cascade_sets(n: int) -> Dict[int, FrozenSet[int]]:
     """The sets of the extremal case D_n, s = n, at the cascade roots
     beta_i = eps_{2i-1} + eps_{2i}, i <= n/2-2: for i from n/2-2 down to 1,
@@ -941,7 +956,7 @@ def extremal_cascade_sets(n: int) -> Dict[int, FrozenSet[int]]:
     centres are the case's own."""
     cand = build_case("D", n, n)
     system = cand.system
-    heis = {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(system)}
+    heis = cascade_sets(system)
     top = n // 2 - 2
     betas = [system.eps_root([(1, 2 * i - 1), (1, 2 * i)]) for i in range(1, top + 1)]
     gamma = {c: m for c, m in cand.gamma_sets.items() if c not in betas}

@@ -1,12 +1,13 @@
 import pytest
 
-from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.cascade import cascade
 from adapted_pairs.construction import build_case
 from adapted_pairs.parabolic import subsystem_roots
 from adapted_pairs.roots import build_root_system
 from engine_oracle import (
     _indecomposables,
     cascade_oracle,
+    cascade_sets,
     coeffs_key,
     eps_of,
     root_from_eps,
@@ -62,8 +63,11 @@ def detect_type(system, simples):
     raise ValueError("unrecognized Dynkin shape")
 
 
-def _eps_set(system, items):
-    return {eps_of(system, it.beta) for it in items}
+def _eps_set(system):
+    # the cascade roots of the closed form, as the filter's sets are keyed
+    betas = [beta for _, beta, _ in cascade(system)]
+    assert betas == list(cascade_sets(system))
+    return {eps_of(system, beta) for beta in betas}
 
 
 def _v(system, terms):
@@ -77,7 +81,7 @@ def _v(system, terms):
 
 def test_cascade_b4():
     sys = build_root_system("B", 4)
-    got = _eps_set(sys, kostant_cascade(sys))
+    got = _eps_set(sys)
     assert got == {
         _v(sys, [(1, 1), (1, 2)]),
         _v(sys, [(1, 3), (1, 4)]),
@@ -88,15 +92,15 @@ def test_cascade_b4():
 
 def test_cascade_b5_has_short_bottom():
     sys = build_root_system("B", 5)
-    assert _v(sys, [(1, 5)]) in _eps_set(sys, kostant_cascade(sys))
+    assert _v(sys, [(1, 5)]) in _eps_set(sys)
 
 
 def test_cascade_d_parity_bottoms():
     d7 = build_root_system("D", 7)
-    assert _v(d7, [(1, 5), (-1, 6)]) in _eps_set(d7, kostant_cascade(d7))
+    assert _v(d7, [(1, 5), (-1, 6)]) in _eps_set(d7)
     d6 = build_root_system("D", 6)
-    assert _v(d6, [(1, 5), (-1, 6)]) in _eps_set(d6, kostant_cascade(d6))
-    assert _v(d6, [(1, 5), (1, 6)]) in _eps_set(d6, kostant_cascade(d6))
+    assert _v(d6, [(1, 5), (-1, 6)]) in _eps_set(d6)
+    assert _v(d6, [(1, 5), (1, 6)]) in _eps_set(d6)
 
 
 @pytest.mark.parametrize(
@@ -105,10 +109,9 @@ def test_cascade_d_parity_bottoms():
 )
 def test_heisenberg_sets_partition_positive_roots(family, rank):
     sys = build_root_system(family, rank)
-    items = kostant_cascade(sys)
     seen = set()
-    for it in items:
-        for r in it.heisenberg:
+    for heis in cascade_sets(sys).values():
+        for r in heis:
             assert r not in seen
             seen.add(r)
     assert seen == set(sys.positive_roots)
@@ -118,13 +121,12 @@ def test_heisenberg_sets_partition_positive_roots(family, rank):
 def test_each_h_beta_is_heisenberg(family, rank):
     sys = build_root_system(family, rank)
     by_code = sys.by_code
-    for it in kostant_cascade(sys):
-        members = set(it.heisenberg)
-        assert it.beta in members
-        for a in it.heisenberg:
-            if a == it.beta:
+    for beta, members in cascade_sets(sys).items():
+        assert beta in members
+        for a in members:
+            if a == beta:
                 continue
-            partner = sys.try_root(vec_sub(by_code[it.beta], by_code[a]))
+            partner = sys.try_root(vec_sub(by_code[beta], by_code[a]))
             assert partner is not None and partner != a
             assert partner in members
 
@@ -132,7 +134,7 @@ def test_each_h_beta_is_heisenberg(family, rank):
 def test_cascade_roots_strongly_orthogonal():
     for family, rank in [("B", 6), ("D", 7), ("E7", 7)]:
         sys = build_root_system(family, rank)
-        betas = [it.beta for it in kostant_cascade(sys)]
+        betas = list(cascade_sets(sys))
         by_code = sys.by_code
         for i, a in enumerate(betas):
             for b in betas[i + 1 :]:
@@ -143,9 +145,8 @@ def test_cascade_roots_strongly_orthogonal():
 
 def test_singleton_components_give_singleton_sets():
     sys = build_root_system("B", 4)
-    items = {eps_of(sys, it.beta): it for it in kostant_cascade(sys)}
-    a1 = _v(sys, [(1, 1), (-1, 2)])
-    assert items[a1].heisenberg == (root_from_eps(sys, a1),)
+    a1 = root_from_eps(sys, _v(sys, [(1, 1), (-1, 2)]))
+    assert cascade_sets(sys)[a1] == {a1}
 
 
 def test_orthogonal_complement_types():
@@ -189,16 +190,20 @@ CASCADE_SYSTEMS = (
 )
 
 
-def _items(items):
-    # the cascade's tuples are in code order, the oracle's in coefficient
-    # order: equal exactly when codes sort like coefficients
-    return [(it.label, it.beta, it.subsystem, it.heisenberg) for it in items]
+@pytest.mark.parametrize("family,rank", CASCADE_SYSTEMS)
+def test_cascade_matches_the_oracle(family, rank):
+    # the closed form against the oracle's recursion over components
+    sys = build_root_system(family, rank)
+    oracle = [(label, beta, len(heis)) for label, beta, _, heis in cascade_oracle(sys)]
+    assert cascade(sys) == oracle
 
 
 @pytest.mark.parametrize("family,rank", CASCADE_SYSTEMS)
-def test_cascade_matches_the_oracle(family, rank):
+def test_orthogonal_filter_matches_the_oracle(family, rank):
+    # the sets the tests read at rank 40, against the oracle's H_beta
     sys = build_root_system(family, rank)
-    assert _items(kostant_cascade(sys)) == cascade_oracle(sys)
+    oracle = [(beta, frozenset(heis)) for _, beta, _, heis in cascade_oracle(sys)]
+    assert list(cascade_sets(sys).items()) == oracle
 
 
 def test_indecomposables_are_the_simple_roots():

@@ -604,6 +604,10 @@ CASE = ["--family", "B", "--rank", "4", "--s", "2"]
         ["report", "--in", "c.json", "--format", "pdf"],
         ["report", "--in"],
         ["report", "--in", "--format"],
+        ["verify", *CASE, "--out="],
+        ["verify", *CASE, "--out", ""],
+        ["sweep", "--max-rank", "4", "--out="],
+        ["report", "--in="],
     ],
 )
 def test_a_bad_command_line_is_one_error_line(argv, capsys):
@@ -984,8 +988,18 @@ def test_verify_loads_no_dataclasses_or_inspect(tmp_path):
         assert {"adapted_pairs.verify", "adapted_pairs.certificate"} <= imported
         loaded = imported & forbidden
         assert not loaded, loaded
+    # the `cascade` command prints a closed form: of the engine it loads only
+    # `cascade`, and neither linalg, fractions, json nor argparse
     _, imported = run("-m", "adapted_pairs.cli", "cascade", "--family", "E6", "--rank", "6")
     assert "adapted_pairs.cascade" in imported
+    forbidden = {f"adapted_pairs.{m}" for m in ENGINE if m != "cascade"} | {
+        "adapted_pairs.linalg",
+        "fractions",
+        "json",
+        "argparse",
+    }
+    loaded = imported & (forbidden - bare)
+    assert not loaded, loaded
 
 
 FREEZE_AT_EXIT = """

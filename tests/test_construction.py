@@ -12,10 +12,11 @@ from adapted_pairs.construction import (
     e7_d6_embedding,
     in_scope_cases,
 )
-from adapted_pairs.cascade import kostant_cascade
+from adapted_pairs.cascade import cascade
 from adapted_pairs.parabolic import subsystem_roots
 from adapted_pairs.roots import build_root_system
 from engine_oracle import (
+    cascade_sets,
     eps_of,
     extremal_cascade_sets,
     orbit_structure,
@@ -200,10 +201,6 @@ def test_e7_verbatim_sets():
     )
 
 
-def _cascade_heisenberg(sys):
-    return {item.beta: frozenset(item.heisenberg) for item in kostant_cascade(sys)}
-
-
 @pytest.mark.parametrize(
     "family,n", [("B", n) for n in range(4, 41)] + [("D", n) for n in range(4, 41)]
 )
@@ -214,7 +211,7 @@ def test_cascade_sets_in_closed_form_are_the_cascades(family, n):
     s = n - n % 2 if family == "B" else n - 2 - n % 2
     cand = build_case(family, n, s)
     sys = cand.system
-    heis = _cascade_heisenberg(sys)
+    heis = cascade_sets(sys)
     for i in range(1, s // 2):
         beta = _ev(sys, [(1, 2 * i - 1), (1, 2 * i)])
         if family == "B":
@@ -239,7 +236,7 @@ def test_e_cascade_sets_as_inner_product_filters_are_the_cascades():
     # E7 at its highest root
     cand = build_case("E6", 6, 6)
     rc = cand.system.root_from_coeffs
-    heis = _cascade_heisenberg(cand.system)
+    heis = cascade_sets(cand.system)
     removed = {
         (1, 2, 2, 3, 2, 1): [(0, 1, 1, 1, 0, 0), (1, 1, 1, 2, 2, 1)],
         (1, 0, 1, 1, 1, 1): [(1, 0, 1, 1, 1, 0), (0, 0, 0, 0, 0, 1)],
@@ -250,7 +247,7 @@ def test_e_cascade_sets_as_inner_product_filters_are_the_cascades():
         assert cand.gamma_sets[beta] == heis[beta] - {rc(r) for r in names}
     e7 = build_case("E7", 7, 3)
     b1 = e7.system.highest_root()
-    assert e7.gamma_sets[b1] == _cascade_heisenberg(e7.system)[b1]
+    assert e7.gamma_sets[b1] == cascade_sets(e7.system)[b1]
 
 
 def test_e7_embedding_is_root_isomorphism():
@@ -450,9 +447,8 @@ ONE_OBJECT_CASES = (
 @pytest.mark.parametrize("family,n,s", ONE_OBJECT_CASES)
 def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
     # the case data holds int codes of the system's roots, the tuples in
-    # increasing order and the Gamma sets by increasing centre; so do the
-    # cascade items, whose beta is the largest code of its component.  The
-    # closed forms are sorted int tuples
+    # increasing order and the Gamma sets by increasing centre; the cascade
+    # roots are int codes too.  The closed forms are sorted int tuples
     cand = build_case(family, n, s)
     sys = cand.system
     by_code = sys.by_code
@@ -473,12 +469,8 @@ def test_every_root_of_a_case_is_its_systems_own_object(family, n, s):
         assert type(members) is frozenset
         held += members
     assert all(type(c) is int and c in by_code for c in held)
-    for item in kostant_cascade(sys):
-        assert type(item.beta) is int and item.beta in by_code
-        for codes in (item.subsystem, item.heisenberg):
-            assert type(codes) is tuple and list(codes) == sorted(set(codes))
-            assert all(type(c) is int and c in by_code for c in codes)
-        assert item.beta == item.subsystem[-1] and item.beta in item.heisenberg
+    for _, beta, size in cascade(sys):
+        assert type(beta) is int and beta in by_code and type(size) is int
     for values in (cand.eigenvalues_expected, cand.bounds_expected):
         assert type(values) is tuple and list(values) == sorted(values)
         assert all(type(v) is int for v in values)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from adapted_pairs.cascade import kostant_cascade
 from adapted_pairs.chevalley import build_structure_table
 from adapted_pairs.parabolic import ParabolicData
 from adapted_pairs.roots import RootSystem, build_root_system
@@ -449,13 +448,11 @@ def test_root_from_eps_takes_fraction_and_integer_coordinates(family, rank):
 
 
 def test_per_system_tables_are_shared_within_a_system_only():
-    # the structure table, the cascade of Delta+ and -w0 of the diagram are
-    # kept in the system's `derived` store: every parabolic of a system
-    # shares them, another system has its own, and a fresh system builds
-    # them afresh
+    # the structure table and -w0 of the diagram are kept in the system's
+    # `derived` store: every parabolic of a system shares them, another
+    # system has its own, and a fresh system builds them afresh
     def tables(sys, s):
-        j_map = ParabolicData(sys, s).j_map
-        return build_structure_table(sys), kostant_cascade(sys), j_map
+        return build_structure_table(sys), ParabolicData(sys, s).j_map
 
     sys = build_root_system("D", 6)
     shared = tables(sys, 2)

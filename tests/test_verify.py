@@ -1062,10 +1062,9 @@ def test_run_case_verdicts():
 
 def test_result_records_are_named_tuples():
     # each field is declared once, as in bounds.BoundWeight
-    from adapted_pairs import cascade, verify
+    from adapted_pairs import verify
 
     records = [
-        cascade.CascadeItem,
         verify.OrbitStructure,
         verify.CheckReport,
         verify.BasisCheck,
