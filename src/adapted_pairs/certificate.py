@@ -14,7 +14,7 @@ reads a rational back as two ints) lives in `cli`, next to `report`.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .verify import CaseResult
 
@@ -152,18 +152,23 @@ def _key_text(key) -> str:
     return text
 
 
+def emit_json(cert: dict, emit: Callable[[str], object]) -> None:
+    """Emit the text of json.dumps(cert, indent=2, sort_keys=True) + "\n"
+    piece by piece, as written directly: with indent, json runs its
+    pure-Python encoder.  A certificate holds only dicts with str keys,
+    lists, ints, bools, None and strs (escaped to ASCII, as json does);
+    anything else raises TypeError.  Root vectors, lists of them and
+    {"den", "num"} rationals take direct paths, each vector's text rendered
+    once (`_VECTOR_TEXT`), and so does each key (`_KEY_TEXT`).  json is
+    loaded only to escape a str that needs it (`_quote`)."""
+    _write(cert, "\n", emit)
+    emit("\n")
+
+
 def to_json(cert: dict) -> str:
-    """The bytes of json.dumps(cert, indent=2, sort_keys=True) + "\n",
-    written directly: with indent, json runs its pure-Python encoder.  A
-    certificate holds only dicts with str keys, lists, ints, bools, None
-    and strs (escaped to ASCII, as json does); anything else raises
-    TypeError.  Root vectors, lists of them and {"den", "num"} rationals
-    take direct paths, each vector's text rendered once (`_VECTOR_TEXT`),
-    and so does each key (`_KEY_TEXT`).  json is loaded only to escape a
-    str that needs it (`_quote`)."""
+    """The text that `emit_json` emits, whole."""
     parts: List[str] = []
-    _write(cert, "\n", parts.append)
-    parts.append("\n")
+    emit_json(cert, parts.append)
     return "".join(parts)
 
 

@@ -3,8 +3,9 @@
 Subcommands: verify one case, sweep all cases up to a rank bound, list a
 Kostant cascade, or render a stored certificate.  Exit status: 0 when every
 check passes, 1 on a certificate failure or a sweep case that raised, 2 for
-out-of-scope or usage errors.  A `verify` case that raises anything but
-`OutOfScopeError` propagates, so Python exits 1 with its traceback.
+out-of-scope or usage errors, each one `error: ` line.  A `verify` case
+that raises anything but `OutOfScopeError`, the writer's TypeError too,
+propagates, so Python exits 1 with its traceback.
 
 At module level `cli` imports `roots` and, of the standard library, only
 `atexit`, `contextlib`, `gc`, `math`, `os`, `sys`, `time`, `pathlib`,
@@ -12,7 +13,7 @@ At module level `cli` imports `roots` and, of the standard library, only
 reads the certificate with the schema reader below, needing nothing else;
 `verify` and `sweep` import the engine inside the command, and `cascade`
 only the closed form of `cascade`.
-`verify` and `sweep` build a certificate only to write it to `--out`; the
+`verify` and `sweep` build a certificate only to stream it to `--out`; the
 degrees and verdict they print come from the case result.  The writer
 needs no `json`, so a `verify` process loads neither `json` nor
 `argparse`.
@@ -43,7 +44,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Tuple
 
-from .roots import RootSystem, build_root_system
+from .roots import RootSystem, build_root_system, fraction_text, lowest_terms
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -76,30 +77,24 @@ def _rat(obj) -> Tuple[int, int]:
         raise TypeError(f"rational {obj!r} has a non-integer field")
     if den == 0:
         raise ZeroDivisionError(f"rational {obj!r} has den 0")
-    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    return num // g, den // g
-
-
-def _frac_str(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+    return lowest_terms(num, den)
 
 
 def _rat_str(obj) -> str:
-    return _frac_str(*_rat(obj))
+    return fraction_text(*_rat(obj))
 
 
-def _write_text(path: Path, text: str) -> None:
-    """path.write_text(text), whole or not at all: the text goes to a
-    temporary file beside path, which then replaces it, and is removed on
-    any failure, so a full disk leaves no truncated file under path.  It is
-    written in slices of 1 MiB: a whole write encodes the text at once
-    into bytes as large as itself, which at rank 128 was the peak of a
-    verify process's memory."""
+def _write_certificate(path: Path, cert: dict) -> None:
+    """Write the text of cert to path, whole or not at all: the writer
+    emits it into a temporary file beside path, which then replaces it,
+    and is removed on any failure, so neither a full disk nor a value the
+    writer refuses leaves a truncated file under path."""
+    from .certificate import emit_json
+
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w") as fh:
-            for i in range(0, len(text), 1 << 20):
-                fh.write(text[i : i + (1 << 20)])
+            emit_json(cert, fh.write)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -177,7 +172,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
         if num == 0:
             continue
         sign = "+" if num > 0 else "-"
-        mag = _frac_str(abs(num), den)
+        mag = fraction_text(abs(num), den)
         coef = "" if mag == "1" else f"{mag}*"
         h_terms.append(f"{sign} {coef}a{alpha}v")
     lines.append("  h = " + " ".join(h_terms).lstrip("+ ").strip())
@@ -212,7 +207,7 @@ def render_certificate(cert: dict, fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    from .certificate import certificate_dict, to_json
+    from .certificate import certificate_dict
     from .construction import OutOfScopeError
     from .verify import run_case
 
@@ -232,14 +227,13 @@ def cmd_verify(args) -> int:
     except OutOfScopeError as exc:
         # case_plan refuses every bad family, rank or s; any other error is
         # a fault of the engine and propagates
-        print(f"{args.family} n={args.rank} s={args.s}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"{args.family} n={args.rank} s={args.s}: {exc}")
     if out:
         try:
-            _write_text(out, to_json(certificate_dict(result)))
+            _write_certificate(out, certificate_dict(result))
         except OSError as exc:
             return _usage_error(f"cannot write --out: {exc}")
-    degrees = ", ".join([_frac_str(*d) for d in result.pair.degrees])
+    degrees = ", ".join([fraction_text(*d) for d in result.pair.degrees])
     status = "PASS" if result.verdict else "FAIL"
     print(f"{args.family} n={args.rank} s={args.s}: {status}  degrees: {degrees}")
     if result.first_failing:
@@ -260,7 +254,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.max_rank < 4:
         return _usage_error("sweep needs --max-rank >= 4")
-    from .certificate import certificate_dict, to_json
+    from .certificate import certificate_dict
     from .construction import in_scope_cases
     from .verify import run_case
 
@@ -282,14 +276,20 @@ def cmd_sweep(args) -> int:
             held = family, n
         t0 = time.perf_counter()
         out_file = out_dir / name(family, n, s) if out_dir else None
+        writing = False
         try:
             try:
                 result = run_case(family, n, s)
-                text = to_json(certificate_dict(result)) if out_file else ""
+                if out_file:
+                    cert = certificate_dict(result)
+                    writing = True
+                    _write_certificate(out_file, cert)
             except Exception as exc:
-                # one case that crashes, or whose certificate cannot be built,
-                # must not hide the others: report it, go on, and leave no
-                # certificate of an earlier run in its place
+                if writing and isinstance(exc, OSError):
+                    raise
+                # one case that crashes, or whose certificate cannot be built
+                # or is refused by the writer, must not hide the others:
+                # report it, go on, and leave no earlier certificate in place
                 import traceback
 
                 traceback.print_exc(file=sys.stderr)
@@ -301,8 +301,6 @@ def cmd_sweep(args) -> int:
                 all_ok = False
                 continue
             dt = time.perf_counter() - t0
-            if out_file:
-                _write_text(out_file, text)
         except OSError as exc:
             # a certificate cannot be written or removed: stop, and leave no
             # certificate of an earlier run under a name still to be written
@@ -310,7 +308,7 @@ def cmd_sweep(args) -> int:
                 with contextlib.suppress(OSError):
                     out_file.with_name(name(*case)).unlink(missing_ok=True)
             return _usage_error(f"cannot write --out: {exc}")
-        degrees = ",".join([_frac_str(*d) for d in result.pair.degrees])
+        degrees = ",".join([fraction_text(*d) for d in result.pair.degrees])
         failing = result.first_failing
         note = f"  first failing check: {failing}" if failing else ""
         verdict = "pass" if result.verdict else "fail"
@@ -344,21 +342,17 @@ def cmd_report(args) -> int:
         cert = json.loads(Path(args.infile).read_text())
     except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser's stack
-        print(f"cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"cannot read certificate: {exc}")
     # `true` and 1.0 compare equal to 1 but are not schema 1
     schema = cert.get("schema") if isinstance(cert, dict) else None
     if type(schema) is not int or schema != 1:
-        print("unsupported certificate schema", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("unsupported certificate schema")
     try:
         text = render_certificate(cert, args.format)
     except KeyError as exc:
-        print(f"malformed certificate: missing field {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"malformed certificate: missing field {exc}")
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"malformed certificate: {exc}")
     sys.stdout.write(text)
     return EXIT_PASS
 

@@ -8,8 +8,8 @@ exactly as coefficient vectors do.  `RootSystem.by_code` gives each root's
 coefficients, for heights, pairings and what is written or printed.
 The roots of B_n and D_n are written down in closed form, eps_i -+ eps_j
 and, in B, eps_i (Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI,
-Planches II and IV); those of E6 and E7 are the closure of the simple
-roots under root strings.  Pairings with the simple coroots are computed
+Planches II and IV); E6 and E7 are generated by height from the simple
+roots by the simply-laced rule.  Pairings with the simple coroots are computed
 where read, from the epsilon terms in B_n and D_n and the Gram rows in E6
 and E7, and inner products from them and the Gram diagonal; the Gram and
 Cartan matrices are integral for every supported type, so root arithmetic
@@ -30,7 +30,8 @@ indices, written down with the root (`eps_indices`); epsilon terms become
 a code by the code's linearity in them (`eps_root`), and a root's
 splittings into two roots are listed from its (u, v) (`splittings`).  This
 module is the only one that maps a root of B_n or D_n to its epsilon terms
-and back, and it does no rational arithmetic.
+and back.  It also reduces (`lowest_terms`) and prints (`fraction_text`)
+the engine's rationals, (num, den) pairs, for `verify` and `report` alike.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ Coeffs = Tuple[int, ...]
 Pair = Tuple[int, int]  # the signed epsilon indices (u, v) of a root
 
 SUPPORTED = {"B", "D", "E6", "E7"}
+
+
+def lowest_terms(num: int, den: int) -> Tuple[int, int]:
+    """The rational num / den as (num, den) in lowest terms, den > 0."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def fraction_text(num: int, den: int) -> str:
+    """num, or num/den when den is not 1: str(Fraction) of a reduced pair."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _simple_root_data(family: str, rank: int) -> Tuple[int, List[List[int]]]:
@@ -141,7 +153,7 @@ class RootSystem:
         ]
         if family in ("B", "D"):
             uvs = found = self._epsilon_positive()
-        else:  # the closure's pairings are not kept, only its keys
+        else:  # the generation's pairings are not kept, only its keys
             uvs, found = {}, self._generate_positive()
         self.base = 3 * max(map(max, found)) + 1
         positive = {self.code(c): c for c in found}
@@ -191,16 +203,16 @@ class RootSystem:
         return uvs
 
     def _generate_positive(self) -> Dict[Coeffs, Coeffs]:
-        """The coefficients of the positive roots mapped to their pairings
-        with the simple coroots: the closure of the simple roots via root
-        strings, on coefficient tuples.  E6 and E7 are generated so; for B
-        and D it is the oracle of the closed form.
+        """The coefficients of the positive roots of a simply-laced system
+        (E6, E7) mapped to their pairings with the simple coroots, by height.
 
-        beta + alpha_j is a root iff p - <beta, alpha_j^vee> > 0 where p is
-        the largest k with beta - k*alpha_j already a root; processing by
-        height makes every needed membership test refer to shorter roots
-        only.  The pairings of beta + alpha_j are those of beta plus row j
-        of the Cartan matrix.
+        For a positive root beta other than alpha_j (whose pairing is 2),
+        beta + alpha_j is a root exactly when <beta, alpha_j^vee> = -1: the
+        alpha_j-string beta - p alpha_j .. beta + q alpha_j, p - q =
+        <beta, alpha_j^vee>, holds at most two roots when all roots have
+        one length (Bourbaki, Lie VI, 1.3).  The pairings of beta + alpha_j
+        are those of beta plus row j of the Cartan matrix.  The general
+        closure under root strings is the tests' oracle.
         """
         rank = self.rank
         cartan = self.cartan
@@ -212,22 +224,13 @@ class RootSystem:
             new_frontier: List[Coeffs] = []
             for beta in frontier:
                 pairs = known[beta]
-                for j in range(rank):
-                    # The alpha_j-string through beta never crosses zero, so
-                    # membership tests against shorter known roots suffice.
-                    p = 0
-                    probe = list(beta)
-                    probe[j] -= 1
-                    while probe[j] >= 0 and tuple(probe) in known:
-                        p += 1
-                        probe[j] -= 1
-                    if p > pairs[j]:
+                for j, p in enumerate(pairs):
+                    if p == -1:
                         cand = list(beta)
                         cand[j] += 1
                         cand = tuple(cand)
                         if cand not in known:
-                            row = cartan[j]
-                            known[cand] = tuple([a + b for a, b in zip(pairs, row)])
+                            known[cand] = tuple(map(add, pairs, cartan[j]))
                             new_frontier.append(cand)
             frontier = new_frontier
         return known

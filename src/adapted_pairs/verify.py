@@ -15,12 +15,11 @@ pair (h, y) and the eigenvalues of ad h on g_T are then assembled.  The
 eigenvalues and the character bounds are compared, as sorted tuples,
 against the closed forms that the case builder states on the `Candidate`;
 no check here depends on the case family.  Determinants are ints, and
-every other rational a (num, den) pair (`linalg.Rational`).
+every other rational a (num, den) pair in lowest terms (`linalg.Rational`).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from operator import mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -29,6 +28,7 @@ from .bounds import bound_multiples, improved_bound, lower_bound
 from .chevalley import StructureTable, build_structure_table
 from .construction import Candidate
 from .linalg import Rational, sparse_det, sparse_ranks
+from .roots import fraction_text, lowest_terms
 
 STATIONARY = "stationary"
 EXT_STATIONARY = "extended_stationary"
@@ -566,18 +566,12 @@ def solve_h(cand: Candidate) -> AdaptedPair:
     den = inverse.den
     scaled = inverse.solve_scaled([-1] * len(cand.S))
     h_coeffs = {
-        idx + 1: _rational(v, den) for idx, v in zip(cand.parabolic.pi_prime, scaled)
+        idx + 1: lowest_terms(v, den) for idx, v in zip(cand.parabolic.pi_prime, scaled)
     }
     ranked = sorted(zip(_values_on_h(cand, scaled, cand.T), cand.T))
-    eigen = {t: _rational(v, den) for v, t in ranked}
-    degrees = tuple([_rational(v + den, den) for v, _ in ranked])
+    eigen = {t: lowest_terms(v, den) for v, t in ranked}
+    degrees = tuple([lowest_terms(v + den, den) for v, _ in ranked])
     return AdaptedPair(h_coeffs, eigen, degrees)
-
-
-def _rational(num: int, den: int) -> Rational:
-    """The rational num / den in lowest terms."""
-    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +635,7 @@ class CaseResult(NamedTuple):
             return [_witness(failing, "T", t, "closed form", closed, sizes)]
         # rationals as text, which is one to one on lowest terms
         if failing == "eigenvalues_match":
-            eigen = {t: _rat_str(v) for t, v in self.pair.eigenvalues.items()}
+            eigen = {t: fraction_text(*v) for t, v in self.pair.eigenvalues.items()}
             closed = list(map(str, cand.eigenvalues_expected))
             root = cand.system.by_code
             carriers = "".join([
@@ -652,18 +646,13 @@ class CaseResult(NamedTuple):
             return [line + carriers]
         if failing != "bounds_coincide":
             return []
-        lower = list(map(_rat_str, self.lower_multiples))
-        improved = list(map(_rat_str, self.improved_multiples))
+        lower = [fraction_text(*q) for q in self.lower_multiples]
+        improved = [fraction_text(*q) for q in self.improved_multiples]
         closed = list(map(str, cand.bounds_expected))
         return [
             _witness(failing, "closed form", closed, "lower", lower),
             _witness(failing, "lower", lower, "improved", improved),
         ]
-
-
-def _rat_str(q: Rational) -> str:
-    """num, or num/den when den is not 1."""
-    return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
 
 
 def _witness(check: str, a_name: str, a, b_name: str, b, lead: str = "") -> str:

@@ -67,9 +67,11 @@
 - Arithmetic on coefficient tuples (`vec_add`, `vec_sub`, and the sort
   key `coeffs_key`): the tests add, subtract and order roots through their
   coefficients, never through the engine's codes.
-- The closure of the simple roots on coefficient tuples with Gram-matrix
-  pairings, the straightforward form of `RootSystem._generate_positive`,
-  and the Kostant cascade that tests every pair of roots with the inner
+- The closure of the simple roots under root strings on coefficient
+  tuples with Gram-matrix pairings (`closure_positive_roots`), the
+  reference of the written-down B and D roots and of the simply-laced
+  rule of `RootSystem._generate_positive` in E6 and E7, and the Kostant
+  cascade that tests every pair of roots with the inner
   product and finds each level's simple roots again (`cascade_oracle`),
   the reference of the closed form `cascade.cascade`.
 - `cascade_sets`: H_beta at each root of the closed-form cascade by an
@@ -833,9 +835,11 @@ def closure_positive_roots(system) -> List[Tuple[int, ...]]:
     matrix."""
     gram = system.gram
     rank = system.rank
+    # the nonzero entries of each Gram row, at most three on a Dynkin diagram
+    sparse = [[(i, g) for i, g in enumerate(row) if g] for row in gram]
 
     def pairing(beta: Tuple[int, ...], j: int) -> int:
-        return 2 * sum(c * g for c, g in zip(beta, gram[j])) // gram[j][j]
+        return 2 * sum(beta[i] * g for i, g in sparse[j]) // gram[j][j]
 
     simples = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     known: Set[Tuple[int, ...]] = set(simples)
@@ -846,11 +850,13 @@ def closure_positive_roots(system) -> List[Tuple[int, ...]]:
             for j, alpha in enumerate(simples):
                 if beta == alpha:
                     continue
+                # the alpha-string through beta stays among positive roots
                 p = 0
-                probe = vec_sub(beta, alpha)
-                while probe in known:
+                probe = list(beta)
+                probe[j] -= 1
+                while probe[j] >= 0 and tuple(probe) in known:
                     p += 1
-                    probe = vec_sub(probe, alpha)
+                    probe[j] -= 1
                 if p - pairing(beta, j) > 0:
                     cand = vec_add(beta, alpha)
                     if cand not in known:

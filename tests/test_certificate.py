@@ -1,6 +1,7 @@
 """The certificate writer: `to_json` writes the bytes of
 json.dumps(cert, indent=2, sort_keys=True) + "\\n"."""
 
+import io
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adapted_pairs.certificate as certificate
-from adapted_pairs.certificate import certificate_dict, to_json
+from adapted_pairs.certificate import certificate_dict, emit_json, to_json
 from adapted_pairs.construction import in_scope_cases
 from adapted_pairs.roots import build_root_system
 from adapted_pairs.verify import run_case
@@ -24,13 +25,19 @@ def test_to_json_matches_json_dumps_on_every_rank_10_certificate():
         assert to_json(cert) == _reference(cert), case
 
 
-# mostly ASCII, with its controls, DEL, '"' and '\\', and any other character
-text = st.text(
-    alphabet=st.one_of(st.characters(max_codepoint=127), st.characters()), max_size=12
-)
 # every kind of character json's ASCII escaper changes, as keys and values
 ESCAPED = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\U0001f600",
            "\ud800", 'pass "quoted" a\\b\tc\x7f\xe9\U0001f600']
+# each string from one alphabet: ASCII, with its controls, DEL, '"' and
+# '\\'; every code point; or every escaped character above with printable
+# ASCII, so escaped and plain characters mix within one string.  Drawing
+# each character from a choice of two alphabets is several times slower.
+MIXED = sorted(set("".join(ESCAPED)) | set(map(chr, range(0x20, 0x7F))))
+text = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=12),
+    st.text(st.characters(), max_size=12),
+    st.text(st.sampled_from(MIXED), max_size=12),
+)
 near_1e17 = st.integers(-4, 4).flatmap(
     lambda d: st.sampled_from([10**17 + d, -(10**17) - d])
 )
@@ -51,7 +58,12 @@ values = st.recursive(
 @example({c: c for c in ESCAPED})
 @example({"plain": ESCAPED, "nested": [{c: [c]} for c in ESCAPED]})
 def test_to_json_matches_json_dumps_on_generated_data(obj):
-    assert to_json(obj) == _reference(obj)
+    expected = _reference(obj)
+    assert to_json(obj) == expected
+    # the text streamed into a file is the same, byte for byte
+    stream = io.BytesIO()
+    emit_json(obj, lambda piece: stream.write(piece.encode()))
+    assert stream.getvalue() == expected.encode()
 
 
 def test_to_json_empty_containers():

@@ -137,7 +137,11 @@ def test_verify_fails_a_non_basis_s(tmp_path, monkeypatch, capsys):
 def test_verify_out_of_scope_exit_code(capsys):
     code = main(["verify", "--family", "B", "--rank", "5", "--s", "3"])
     assert code == 2
-    assert "out of scope" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: B n=5 s=3: ")
+    assert "out of scope" in lines[0]
 
 
 def test_verify_invalid_rank(capsys):
@@ -204,7 +208,7 @@ def test_report_rejects_json_nested_too_deeply(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("cannot read certificate: ")
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read certificate: ")
 
 
 def test_report_on_a_tampered_rank_reads_no_root_system(
@@ -226,7 +230,7 @@ def test_report_on_a_tampered_rank_reads_no_root_system(
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
     assert "rank 2000" in lines[0]
 
 
@@ -241,7 +245,7 @@ def test_report_rejects_a_vector_that_shares_a_root_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
     assert "[0, 0, 0, 0, 0, 0, 0, 7] is not a root of B8" in lines[0]
 
 
@@ -258,7 +262,7 @@ def test_report_rejects_a_certificate_that_lists_no_root(tmp_path, capsys, famil
     assert main(["report", "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "malformed certificate: the certificate lists no root\n"
+    assert captured.err == "error: malformed certificate: the certificate lists no root\n"
 
 
 @pytest.mark.parametrize(
@@ -276,7 +280,7 @@ def test_report_rejects_an_h_term_index_that_is_no_simple_root(
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
 
 
 @pytest.mark.parametrize("schema", [True, 1.0, "1"])
@@ -289,7 +293,7 @@ def test_report_rejects_a_schema_that_is_not_the_int_1(tmp_path, capsys, schema)
     assert main(["report", "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "unsupported certificate schema\n"
+    assert captured.err == "error: unsupported certificate schema\n"
 
 
 def test_cascade_command(capsys):
@@ -476,6 +480,64 @@ def test_sweep_goes_on_past_a_certificate_that_cannot_be_built(
     files = sorted(p.name for p in out.iterdir())
     assert len(files) == 7 and "B_n3_s2.json" not in files
     assert "D_n5_s2.json" in files
+
+
+def _refuse_in_the_writer(monkeypatch, case):
+    """certificate_dict gives the certificate of case a float, a value the
+    streaming writer refuses with TypeError after it has emitted the
+    pieces before it."""
+    import adapted_pairs.certificate as certificate
+
+    real = certificate.certificate_dict
+
+    def with_a_float(result):
+        cert = real(result)
+        cand = result.candidate
+        if (cand.family, cand.n, cand.s) == case:
+            cert["verdict"] = 1.5
+        return cert
+
+    monkeypatch.setattr(certificate, "certificate_dict", with_a_float)
+
+
+def test_sweep_goes_on_past_a_certificate_the_writer_refuses(
+    tmp_path, monkeypatch, capsys
+):
+    # the writer refuses a value partway through the file: the case is an
+    # error row, neither its certificate of an earlier run nor a temporary
+    # file stays, and the later cases still run and are written
+    out = tmp_path / "certs"
+    out.mkdir()
+    (out / "B_n4_s2.json").write_text("stale")
+    _refuse_in_the_writer(monkeypatch, ("B", 4, 2))
+    assert main(["sweep", "--max-rank", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    rows = [l for l in captured.out.splitlines() if l.startswith(("B ", "D "))]
+    assert len(rows) == 8
+    errors = [l for l in rows if " error " in l]
+    assert len(errors) == 1 and errors[0].startswith("B n=4 s=2 ")
+    assert "TypeError: float does not belong in a certificate" in errors[0]
+    assert "Traceback" in captured.err
+    files = sorted(p.name for p in out.iterdir())
+    assert len(files) == 7 and "B_n4_s2.json" not in files
+    assert not [name for name in files if not name.endswith(".json")]
+    assert "D_n5_s2.json" in files
+
+
+def test_verify_certificate_the_writer_refuses_is_a_fault(
+    tmp_path, monkeypatch, capsys
+):
+    # not a usage error: the TypeError propagates, so the command exits 1
+    # with its traceback, and leaves neither a certificate nor a temporary
+    # file
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--family", "B", "--rank", "4", "--s", "2", "--out", str(out)]
+    assert main(argv) == 0 and out.exists()
+    _refuse_in_the_writer(monkeypatch, ("B", 4, 2))
+    with pytest.raises(TypeError, match="float does not belong in a certificate"):
+        main(argv)
+    assert list(tmp_path.iterdir()) == []
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_verify_deletes_the_old_certificate_of_a_crashing_case(
@@ -757,7 +819,7 @@ def test_report_rejects_certificate_without_fields(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
 
 
 @pytest.mark.parametrize(
@@ -790,7 +852,7 @@ def test_report_rejects_a_malformed_rational(tmp_path, capsys, bad):
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+        assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
 
 
 def test_rationals_print_as_fraction_does():
@@ -824,7 +886,7 @@ def test_report_rejects_non_root_in_t(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+    assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
     assert "[9, 9, 9, 9]" in lines[0]
 
 
@@ -851,7 +913,7 @@ def test_report_rejects_a_coefficient_that_is_not_an_int(tmp_path, capsys, conve
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("malformed certificate: ")
+        assert len(lines) == 1 and lines[0].startswith("error: malformed certificate: ")
 
 
 def test_sweep_row_names_the_first_failing_check(monkeypatch, capsys):

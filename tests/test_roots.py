@@ -318,6 +318,29 @@ def test_codes_add_subtract_and_sign_like_roots(family, rank):
             assert root_or_none(a - b) == sys.try_root(vec_sub(by_code[a], by_code[b]))
 
 
+def _gram_pairings(system, coeffs_list):
+    """Each coefficient vector mapped to its pairings with the simple
+    coroots by the Gram formula."""
+    gram = system.gram
+    sparse = [([i for i, g in enumerate(row) if g], row) for row in gram]
+    return {
+        c: tuple(
+            2 * sum([c[i] * row[i] for i in nz]) // row[k]
+            for k, (nz, row) in enumerate(sparse)
+        )
+        for c in coeffs_list
+    }
+
+
+def _generated_or_closure(system):
+    """The roots and pairings E6 and E7 are generated with.  B and D are
+    written down, and B is not simply laced: the closure oracle's roots with
+    Gram pairings."""
+    if system.family in ("E6", "E7"):
+        return system._generate_positive()
+    return _gram_pairings(system, closure_positive_roots(system))
+
+
 @pytest.mark.parametrize("family,rank", CODE_SYSTEMS)
 def test_generation_matches_the_closure_oracle(family, rank):
     sys = RootSystem(family, rank)
@@ -326,10 +349,10 @@ def test_generation_matches_the_closure_oracle(family, rank):
     assert sys.positive_roots == [sys.code(c) for c in expected]
     # the simple roots are positive roots, with their codes
     assert set(sys.simple_roots) <= set(sys.positive_roots)
-    # the pairings of every root of either sign are those of the closure
-    # under root strings, which adds rows of the Cartan matrix, and those
-    # of the Gram formula
-    closure = sys._generate_positive()
+    # the pairings of every root of either sign are those of the
+    # generation, which adds rows of the Cartan matrix (E6 and E7), and
+    # those of the Gram formula
+    closure = _generated_or_closure(sys)
     assert len(sys.by_code) == 2 * len(closure)
     gram = sys.gram
     for coeffs, pairs in closure.items():
@@ -349,10 +372,10 @@ def test_generation_matches_the_closure_oracle(family, rank):
 )
 def test_closed_form_roots_are_the_closure(family, rank):
     # B and D are written down from their epsilon terms; the closure under
-    # root strings, which E6 and E7 still run, gives the same roots, codes
-    # and pairings of both signs
+    # root strings gives the same roots and codes, and the Gram formula the
+    # same pairings of both signs
     sys = RootSystem(family, rank)
-    closure = sys._generate_positive()
+    closure = _gram_pairings(sys, closure_positive_roots(sys))
     assert sys.positive_roots == sorted(sys.code(c) for c in closure)
     assert len(sys.by_code) == 2 * len(closure)
     for coeffs, pairs in closure.items():
@@ -361,6 +384,20 @@ def test_closed_form_roots_are_the_closure(family, rank):
         assert sys.by_code[-r] == tuple(-c for c in coeffs)
         assert sys.simple_pairings(r) == pairs
         assert sys.simple_pairings(-r) == tuple(-p for p in pairs)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("E6", 6), ("E7", 7), ("D", 4), ("D", 9), ("D", 16)]
+)
+def test_the_simply_laced_rule_generates_the_closure(family, rank):
+    # beta + alpha_j is a root exactly when <beta, alpha_j^vee> = -1: the
+    # roots of the closure under root strings, with the pairings of the
+    # Gram formula, in every simply-laced type (D too, which is written down)
+    sys = RootSystem(family, rank)
+    expected = closure_positive_roots(sys)
+    generated = sys._generate_positive()
+    assert sorted(generated) == expected
+    assert generated == _gram_pairings(sys, expected)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 5), ("D", 5), ("E6", 6), ("E7", 7)])

@@ -23,9 +23,9 @@ from adapted_pairs.verify import (
     solve_h,
     walk_sequence,
     _find_cyclic,
-    _rational,
     _values_on_h,
 )
+from adapted_pairs.roots import lowest_terms
 from engine_oracle import (
     GElem,
     WrappedTable,
@@ -1095,13 +1095,14 @@ def test_records_are_values():
 
 
 def test_rational_reduces_and_puts_the_sign_on_num():
-    assert _rational(6, 4) == (3, 2)
-    assert _rational(6, -4) == (-3, 2)
-    assert _rational(-6, 3) == (-2, 1)
-    assert _rational(0, -5) == (0, 1)
+    # the engine's one reduction, which verify and report share
+    assert lowest_terms(6, 4) == (3, 2)
+    assert lowest_terms(6, -4) == (-3, 2)
+    assert lowest_terms(-6, 3) == (-2, 1)
+    assert lowest_terms(0, -5) == (0, 1)
     for num in range(-12, 13):
         for den in [d for d in range(-6, 7) if d]:
-            n, d = _rational(num, den)
+            n, d = lowest_terms(num, den)
             assert d > 0 and math.gcd(n, d) == 1 and F(n, d) == F(num, den)
 
 
