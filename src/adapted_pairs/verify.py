@@ -5,7 +5,8 @@ restriction of S to the truncated Cartan is a basis (determinant), the
 chosen sets are disjoint Heisenberg sets centred at S and partitioning the
 support (the partners found there are the Heisenberg involution theta, from
 which the orbit structure is built once), every orbit root is classified
-as (extended) stationary, (extended) cyclic or tilde-associated, the
+as (extended) stationary, (extended) cyclic or tilde-associated from one
+memoized depth-first pass over its sequences that all starts share, the
 pairing matrix on o x o has nonzero determinant and a
 certified single-monomial t-grading, and the coadjoint-image rank equals
 dim p - |T|.  Each of these two exact checks builds its matrix once, as
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import mul
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import bound_multiples, improved_bound, lower_bound
 from .chevalley import StructureTable, build_structure_table
@@ -44,14 +45,13 @@ class OrbitStructure(NamedTuple):
 
     Every field but by_code holds root codes (`RootSystem.code`): O is
     sorted by code, which is the order of the coefficient vectors, and
-    S_alpha lists its codes in the same order.  by_code is the system's map
-    from codes to coefficient tuples, for heights, values on h and
-    messages."""
+    S_alpha lists its codes in the same order.  The centre of the set of a
+    is the code a + theta(a).  by_code is the system's map from codes to
+    coefficient tuples, for heights, values on h and messages."""
 
     O: Tuple[int, ...]
     by_code: Dict[int, Tuple[int, ...]]
     theta: Dict[int, int]
-    centre_of: Dict[int, int]
     S_alpha: Dict[int, Tuple[int, ...]]
     strata: Dict[int, int]
     O_plus: FrozenSet[int]
@@ -104,15 +104,14 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
     S against the centres.  When every member has its partner and S is the
     set of centres, the partners found here give the orbit structure.
 
-    a - b is a root of a set exactly when its code is a member; theta and
-    centre_of are kept on codes, and problem lines name roots by their
-    coefficient vectors."""
+    a - b is a root of a set exactly when its code is a member; theta is
+    kept on codes, and problem lines name roots by their coefficient
+    vectors."""
     problems: List[str] = []
     root = cand.system.by_code
     support = cand.parabolic.dual_support_codes
     seen: Dict[int, int] = {}
     theta: Dict[int, int] = {}
-    centre_of: Dict[int, int] = {}
     partnered = True
     for g, members in cand.gamma_sets.items():
         gr = root[g]
@@ -133,7 +132,6 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
                 partnered = False
             else:
                 theta[a] = partner
-                centre_of[a] = g
     t_codes = set(cand.T)
     t_star_codes = set(cand.T_star)
     if t_codes & t_star_codes:
@@ -149,17 +147,15 @@ def check_heisenberg(cand: Candidate) -> CheckReport:
         problems.append("S is not the set of Gamma centres")
     orbits = None
     if partnered and s_is_centres:
-        orbits = _orbit_structure(cand, theta, centre_of)
+        orbits = _orbit_structure(cand, theta)
     return CheckReport(not problems, problems, orbits)
 
 
-def _orbit_structure(
-    cand: Candidate, theta: Dict[int, int], centre_of: Dict[int, int]
-) -> OrbitStructure:
-    """S_alpha, strata and sign regions of O from theta and the centres,
-    all on codes.  S_alpha lists the b in O with a + b a centre: each
-    centre's splittings into two roots (`RootSystem.splittings`, O(n) in B
-    and D) that lie in O."""
+def _orbit_structure(cand: Candidate, theta: Dict[int, int]) -> OrbitStructure:
+    """S_alpha, strata and sign regions of O from theta, all on codes: the
+    centre of the set of a is a + theta(a).  S_alpha lists the b in O with
+    a + b a centre: each centre's splittings into two roots
+    (`RootSystem.splittings`, O(n) in B and D) that lie in O."""
     sign_of_centre = dict.fromkeys(cand.S_plus, "+")
     sign_of_centre.update(dict.fromkeys(cand.S_minus, "-"))
     sign_of_centre.update(dict.fromkeys(cand.S_mixed, "m"))
@@ -175,10 +171,10 @@ def _orbit_structure(
     strata = {a: len(s_alpha[a]) for a in o_sorted}
     by_sign = {"+": set(), "-": set(), "m": set()}
     for a in o_sorted:
-        by_sign[sign_of_centre[centre_of[a]]].add(a)
+        by_sign[sign_of_centre[a + theta[a]]].add(a)
     regions = [frozenset(by_sign[sign]) for sign in "+-m"]  # O+, O-, Om
     return OrbitStructure(
-        o_sorted, cand.system.by_code, theta, centre_of, s_alpha, strata, *regions
+        o_sorted, cand.system.by_code, theta, s_alpha, strata, *regions
     )
 
 
@@ -217,70 +213,56 @@ def _successors(os: OrbitStructure, x: int) -> Optional[List[int]]:
     return None
 
 
-class WalkResult(NamedTuple):
-    stationary: bool  # every branch reached O_1
-    nodes: FrozenSet[int]  # the codes reached and their theta images
-
-
-def walk_sequence(os: OrbitStructure, start: int) -> WalkResult:
-    """Explore every admissible sequence from start, a code of O.
-
-    The walk is stationary when every branch reaches a point whose
-    theta-image is in O_1; loops or undefined steps disqualify.  One
-    depth-first pass expands each reached code once: a branch loops
-    exactly when a step leads back onto the current path (Tarjan 1972),
-    and every code reached on some sequence is reached on a simple one.
-    """
-    stationary = True
-    reached = {start}
-    on_path: Set[int] = set()
-    # (code, its untried steps), the steps None until the code is expanded
-    stack = [(start, None)]
-    while stack:
-        x, steps = stack.pop()
-        if steps is None:
-            on_path.add(x)
-            nxt = _successors(os, x)
-            if nxt is None:
-                stationary = False
-            steps = iter(nxt or ())
-        for y in steps:
-            if y in on_path:
-                stationary = False
-            elif y not in reached:
-                reached.add(y)
-                stack += [(x, steps), (y, None)]
-                break
-        else:
-            on_path.remove(x)
-    theta = os.theta
-    return WalkResult(stationary, frozenset(reached | {theta[x] for x in reached}))
-
-
-def _walk(
-    os: OrbitStructure, walks: Dict[int, WalkResult], start: int
-) -> WalkResult:
-    """walk_sequence from start, run once per start: walks is the memo."""
-    w = walks.get(start)
-    if w is None:
-        w = walks[start] = walk_sequence(os, start)
-    return w
-
-
-def _closure_admissible(os: OrbitStructure, nodes: FrozenSet[int]) -> Tuple[bool, bool]:
-    """(admissible, strict): every node has at most three partners and the
-    three-partner nodes all have a detour partner; strict when every node
-    has at most two partners."""
-    strict = True
-    for z in nodes:
+def _local_grade(os: OrbitStructure, x: int) -> int:
+    """0 when x or theta(x) has more than three partners, or three and no
+    detour partner; 1 when one of them has three; 2 otherwise."""
+    grade = 2
+    for z in (x, os.theta[x]):
         n = os.strata[z]
-        if n > 3:
-            return False, False
+        if n > 3 or (n == 3 and not _star_partners(os, z)):
+            return 0
         if n == 3:
-            strict = False
-            if not _star_partners(os, z):
-                return False, False
-    return True, strict
+            grade = 1
+    return grade
+
+
+def _grade(os: OrbitStructure, memo: Dict[int, int], start: int) -> int:
+    """The grade of start, a code of O: 0 when a sequence from start can
+    loop, take an undefined step or reach a code of local grade 0
+    (`_local_grade`), else the least local grade over start and its reach.
+
+    One iterative depth-first pass, whose memo the calls of one
+    classification share: a code's grade is the least of its local grade
+    and its successors' grades.  An undefined step gives 0, and so does a
+    step onto the current path, since a code on the path holds the
+    placeholder 0 in memo.  This is exact.  A code that finishes with a
+    grade above 0 reached no code on the path, so everything it reaches is
+    finished and free of loops.  A grade of 0 always comes from a real
+    loop (a step onto the path closes one through the code), an undefined
+    step or an inadmissible code that the code reaches."""
+    if start in memo:
+        return memo[start]
+    path: List[list] = []  # [code, its grade so far, its untried steps]
+    y: Optional[int] = start
+    while True:
+        if y is not None:
+            memo[y] = 0  # the placeholder of a code on the path
+            steps = _successors(os, y)
+            grade = 0 if steps is None else _local_grade(os, y)
+            path.append([y, grade, iter(steps or ())])
+        top = path[-1]
+        for y in top[2]:
+            grade = memo.get(y)
+            if grade is None:  # y is entered next
+                break
+            top[1] = min(top[1], grade)
+        else:
+            y = None
+            path.pop()
+            memo[top[0]] = top[1]
+            if not path:
+                return top[1]
+            path[-1][1] = min(path[-1][1], top[1])
 
 
 class CyclicFamily(NamedTuple):
@@ -292,24 +274,24 @@ class CyclicFamily(NamedTuple):
 
 
 def _find_cyclic(
-    os: OrbitStructure, alpha: int, walks: Dict[int, WalkResult]
+    os: OrbitStructure, alpha: int, memo: Dict[int, int]
 ) -> Optional[CyclicFamily]:
     """The cyclic family of alpha, if there is one.  The sum relations are
-    sums of codes: a + theta(a) is the centre of a's set."""
-    th, centre_of = os.theta, os.centre_of
-    c_alpha = centre_of[alpha]
+    sums of codes: a + theta(a) is the centre of a's set.  memo is the
+    memo of `_grade`."""
+    th = os.theta
     for g in os.S_alpha[th[alpha]]:
         if g == alpha:
             continue
-        c_gamma = centre_of[g]
         # theta(beta), since theta(beta) + alpha = gamma + theta(gamma)
-        tb = c_gamma - alpha
+        tb = g + th[g] - alpha
         if tb not in th:
             continue
         b = th[tb]
         fam = (alpha, b, g, th[alpha], th[b], th[g])
         sums = (th[alpha] + g, th[g] + b, th[b] + alpha)
-        if (len(set(fam)) != 6 or sums != (centre_of[b], c_alpha, c_gamma)
+        if (len(set(fam)) != 6
+                or sums != (b + th[b], alpha + th[alpha], g + th[g])
                 or any(os.strata[d] not in (2, 3) for d in fam)):
             continue
         tildes: Dict[int, int] = {}
@@ -322,9 +304,8 @@ def _find_cyclic(
                 break
             tilde = tildes[d] = outside[0]
             if not (os.strata[tilde] == 2 and os.strata[th[tilde]] == 1):
-                extended = True  # not strict: the tilde's walk must be admissible
-                w = _walk(os, walks, tilde)
-                if not (w.stationary and _closure_admissible(os, w.nodes)[0]):
+                extended = True  # not strict: the tilde must have a grade
+                if not _grade(os, memo, tilde):
                     break
         else:
             return CyclicFamily(fam, extended, tildes)
@@ -344,8 +325,10 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
     Within each pure sign region the only partner of a root may be its
     Heisenberg involution image; every root neighbouring the mixed region
     must be (extended) stationary, belong to an (extended) cyclic family,
-    or be tilde-associated to one.  Each start is walked once, exactly;
-    a root that none of these covers is a problem.  Problem lines name
+    or be tilde-associated to one.  A root a is stationary when the least
+    `_grade` of a and theta(a) is 2, and extended stationary when it is 1;
+    every start shares one memo, so each code is expanded at most once.  A
+    root that none of these covers is a problem.  Problem lines name
     roots by their coefficient vectors.
     """
     problems: List[str] = []
@@ -364,21 +347,18 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
 
     needs = [a for a in os.O if not os.O_mixed.isdisjoint(os.S_alpha[a])]
     labels: Dict[int, str] = {}
-    walks: Dict[int, WalkResult] = {}
+    memo: Dict[int, int] = {}
 
     for a in needs:
-        fwd = _walk(os, walks, a)
-        bwd = _walk(os, walks, th[a])
-        if fwd.stationary and bwd.stationary:
-            adm, strict = _closure_admissible(os, fwd.nodes | bwd.nodes)
-            if adm:
-                labels[a] = STATIONARY if strict else EXT_STATIONARY
+        grade = min(_grade(os, memo, a), _grade(os, memo, th[a]))
+        if grade:
+            labels[a] = STATIONARY if grade == 2 else EXT_STATIONARY
 
     families: List[CyclicFamily] = []
     for a in needs:
         if a in labels:
             continue
-        fam = _find_cyclic(os, a, walks)
+        fam = _find_cyclic(os, a, memo)
         if fam is not None:
             families.append(fam)
             label = EXT_CYCLIC if fam.extended else CYCLIC
@@ -386,15 +366,19 @@ def classify_roots(os: OrbitStructure) -> ClassificationReport:
                 if d not in labels:
                     labels[d] = label
 
-    tilde_covered: Set[int] = set()
-    for fam in families:
-        for tilde in fam.tildes.values():
-            tilde_covered |= _walk(os, walks, tilde).nodes
+    # the codes that sequences from the tildes reach, in one search
+    reached = {t for fam in families for t in fam.tildes.values()}
+    todo = list(reached)
+    while todo:
+        for y in _successors(os, todo.pop()) or ():
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
 
     for a in needs:
         if a in labels:
             continue
-        if a in tilde_covered or th[a] in tilde_covered:
+        if a in reached or th[a] in reached:
             labels[a] = TILDE
         else:
             labels[a] = UNCLASSIFIED

@@ -39,9 +39,13 @@
   (`RootSystem.splittings`): `s_alpha_oracle`, which tests every orbit root
   against every centre, and `coadjoint_rows_oracle`, which tests every
   support root against every member of S.
-- `walk_oracle`: the sequence walk of `verify.walk_sequence` as an
-  enumeration of every simple path, which is exponential in the worst
-  case.
+- The classification by walks that `verify` replaced by one memoized
+  pass of grades (`verify._grade`): `walk_sequence`, one depth-first walk
+  per start that returns whether every branch reaches O_1 and the codes
+  it reaches, with their theta images (`WalkResult`); `walk_oracle`, the
+  same walk as an enumeration of every simple path, which is exponential
+  in the worst case; and `classify_oracle`, the `ClassificationReport` of
+  `verify.classify_roots` built from those walks, one per start.
 - `pairing`: <a, alpha^vee> from the integer form.
 - `enumerate_pairings`: every S-compatible permutation of O, by
   backtracking, for the rigidity and monomial checks on small cases.
@@ -92,15 +96,38 @@ coefficients from `RootSystem.by_code`.
 
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from adapted_pairs.cascade import cascade
 from adapted_pairs.construction import _spoke, build_case
 from adapted_pairs.parabolic import minus_w0_on_subset
-from adapted_pairs.verify import _successors, check_heisenberg
+from adapted_pairs.verify import (
+    CYCLIC,
+    EXT_CYCLIC,
+    EXT_STATIONARY,
+    STATIONARY,
+    TILDE,
+    UNCLASSIFIED,
+    UNCONSTRAINED,
+    ClassificationReport,
+    _star_partners,
+    _successors,
+    check_heisenberg,
+)
 from linalg_oracle import det_dense, solve_in_span
 
 
@@ -208,8 +235,48 @@ def coadjoint_rows_oracle(cand, table) -> List[Dict[int, int]]:
     return rows
 
 
+class WalkResult(NamedTuple):
+    stationary: bool  # every branch reached O_1
+    nodes: FrozenSet[int]  # the codes reached and their theta images
+
+
+def walk_sequence(os, start: int) -> WalkResult:
+    """Explore every admissible sequence from start, a code of O.
+
+    The walk is stationary when every branch reaches a point whose
+    theta-image is in O_1; loops or undefined steps disqualify.  One
+    depth-first pass expands each reached code once: a branch loops
+    exactly when a step leads back onto the current path (Tarjan 1972),
+    and every code reached on some sequence is reached on a simple one.
+    """
+    stationary = True
+    reached = {start}
+    on_path: Set[int] = set()
+    # (code, its untried steps), the steps None until the code is expanded
+    stack = [(start, None)]
+    while stack:
+        x, steps = stack.pop()
+        if steps is None:
+            on_path.add(x)
+            nxt = _successors(os, x)
+            if nxt is None:
+                stationary = False
+            steps = iter(nxt or ())
+        for y in steps:
+            if y in on_path:
+                stationary = False
+            elif y not in reached:
+                reached.add(y)
+                stack += [(x, steps), (y, None)]
+                break
+        else:
+            on_path.remove(x)
+    theta = os.theta
+    return WalkResult(stationary, frozenset(reached | {theta[x] for x in reached}))
+
+
 def walk_oracle(os, start: int) -> Tuple[bool, FrozenSet[int]]:
-    """`verify.walk_sequence` by enumerating every simple path from start:
+    """`walk_sequence` by enumerating every simple path from start:
     (stationary, nodes).  A branch fails at an undefined step or a step
     back onto its own path.  Exponential in the worst case; only for the
     orbit structures of real cases, whose sequences branch little."""
@@ -230,6 +297,113 @@ def walk_oracle(os, start: int) -> Tuple[bool, FrozenSet[int]]:
             else:
                 stack.append((nx, seen | {nx}))
     return stationary, frozenset(nodes)
+
+
+def _closure_admissible(os, nodes: FrozenSet[int]) -> Tuple[bool, bool]:
+    """(admissible, strict): every node has at most three partners and the
+    three-partner nodes all have a detour partner; strict when every node
+    has at most two partners."""
+    strict = True
+    for z in nodes:
+        n = os.strata[z]
+        if n > 3:
+            return False, False
+        if n == 3:
+            strict = False
+            if not _star_partners(os, z):
+                return False, False
+    return True, strict
+
+
+def _walk_cyclic(os, alpha: int, walk):
+    """The cyclic family of alpha as (members, extended, tildes), if there
+    is one, else None: `verify._find_cyclic` with each non-strict tilde
+    tested by its walk (walk: code -> `WalkResult`)."""
+    th = os.theta
+    for g in os.S_alpha[th[alpha]]:
+        if g == alpha:
+            continue
+        tb = g + th[g] - alpha  # theta(beta)
+        if tb not in th:
+            continue
+        b = th[tb]
+        fam = (alpha, b, g, th[alpha], th[b], th[g])
+        sums = (th[alpha] + g, th[g] + b, th[b] + alpha)
+        if (len(set(fam)) != 6
+                or sums != (b + th[b], alpha + th[alpha], g + th[g])
+                or any(os.strata[d] not in (2, 3) for d in fam)):
+            continue
+        tildes, extended = [], False
+        for d in fam:
+            if os.strata[d] != 3:
+                continue
+            outside = [x for x in os.S_alpha[d] if x not in fam]
+            if len(outside) != 1:
+                break
+            tilde = outside[0]
+            tildes.append(tilde)
+            if not (os.strata[tilde] == 2 and os.strata[th[tilde]] == 1):
+                extended = True
+                w = walk(tilde)
+                if not (w.stationary and _closure_admissible(os, w.nodes)[0]):
+                    break
+        else:
+            return fam, extended, tildes
+    return None
+
+
+def classify_oracle(os) -> ClassificationReport:
+    """`verify.classify_roots` from the walks: each start's `walk_sequence`
+    (once per start), the admissibility of the nodes that the walks of a
+    and theta(a) reach, and the tilde coverage as the union of the tildes'
+    walk nodes.  Its walks grow as n^3 on the extremal D cases."""
+    walks: Dict[int, WalkResult] = {}
+
+    def walk(a: int) -> WalkResult:
+        if a not in walks:
+            walks[a] = walk_sequence(os, a)
+        return walks[a]
+
+    th, root = os.theta, os.by_code
+    problems = []
+    for region, name in ((os.O_plus, "O+"), (os.O_minus, "O-")):
+        for a in region:
+            same = [b for b in os.S_alpha[a] if b in region]
+            if same != [th[a]]:
+                problems.append(
+                    f"{name}: S_alpha of {root[a]} meets the region at "
+                    f"{[root[b] for b in same]}"
+                )
+    needs = [a for a in os.O if not os.O_mixed.isdisjoint(os.S_alpha[a])]
+    labels: Dict[int, str] = {}
+    for a in needs:
+        fwd, bwd = walk(a), walk(th[a])
+        if fwd.stationary and bwd.stationary:
+            adm, strict = _closure_admissible(os, fwd.nodes | bwd.nodes)
+            if adm:
+                labels[a] = STATIONARY if strict else EXT_STATIONARY
+    covered: Set[int] = set()
+    for a in needs:
+        if a in labels:
+            continue
+        fam = _walk_cyclic(os, a, walk)
+        if fam is not None:
+            members, extended, tildes = fam
+            for d in members:
+                labels.setdefault(d, EXT_CYCLIC if extended else CYCLIC)
+            for tilde in tildes:
+                covered |= walk(tilde).nodes
+    for a in needs:
+        if a in labels:
+            continue
+        if a in covered or th[a] in covered:
+            labels[a] = TILDE
+        else:
+            labels[a] = UNCLASSIFIED
+            problems.append(f"unclassified orbit root {root[a]}")
+    counts = Counter(labels.values())
+    counts[UNCONSTRAINED] = len(os.O) - len(needs)
+    return ClassificationReport(not problems, problems, labels, counts)
 
 
 def vec_add(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:

@@ -21,7 +21,6 @@ from adapted_pairs.verify import (
     check_nondegeneracy,
     classify_roots,
     run_case,
-    walk_sequence,
 )
 from engine_oracle import (
     code_jacobiator,
@@ -31,6 +30,7 @@ from engine_oracle import (
     replace,
     string_down,
     vec_add,
+    walk_sequence,
 )
 
 F = rat_pair  # a rational as the engine gives it: (num, den) in lowest terms

@@ -369,7 +369,7 @@ def test_orbit_structure_theta_involution():
         os = orbit_structure(cand)
         for a in os.O:
             assert os.theta[os.theta[a]] == a
-            assert (a + os.theta[a]) == os.centre_of[a]
+            assert a in cand.gamma_sets[a + os.theta[a]]
             assert os.theta[a] in os.S_alpha[a]
 
 

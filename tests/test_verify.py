@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import engine_oracle as oracle
 
@@ -21,7 +23,6 @@ from adapted_pairs.verify import (
     coadjoint_rows,
     run_case,
     solve_h,
-    walk_sequence,
     _find_cyclic,
     _values_on_h,
 )
@@ -48,6 +49,7 @@ from engine_oracle import (
     s_alpha_oracle,
     vec_sub,
     walk_oracle,
+    walk_sequence,
 )
 from linalg_oracle import det_dense, det_sparse, rank, solve_in_span
 
@@ -247,7 +249,6 @@ def _complete_orbit_structure(k):
         O=codes,
         by_code={c: (c,) for c in codes},
         theta={c: c for c in codes},
-        centre_of={c: c for c in codes},
         S_alpha={c: codes for c in codes},
         strata={c: 2 for c in codes},
         O_plus=frozenset(),
@@ -274,6 +275,11 @@ def test_walk_of_a_complete_graph_is_exact():
     assert walk_sequence(real, a).stationary
 
 
+def _report_fields(rep):
+    """A classification report with its labels in the order given."""
+    return rep.ok, rep.problems, list(rep.labels.items()), dict(rep.counts)
+
+
 def test_classification_reports_every_root_of_a_looping_walk():
     for k in (8, 12):
         os = _complete_orbit_structure(k)
@@ -282,7 +288,12 @@ def test_classification_reports_every_root_of_a_looping_walk():
         assert rep.problems == [
             f"unclassified orbit root {os.by_code[a]}" for a in os.O
         ]
+        expected = _report_fields(oracle.classify_oracle(os))
+        assert _report_fields(rep) == expected
 
+
+# every diagram flip in scope: D n s=n-1 up to rank 20, and E6 s=1
+ALL_FLIPS = [("D", n, n - 1) for n in range(6, 21, 2)] + [("E6", 6, 1)]
 
 WALK_CASES = (
     in_scope_cases(12)
@@ -302,12 +313,10 @@ def test_walk_matches_the_simple_path_oracle():
 
 
 def test_walk_expands_each_code_once(monkeypatch):
-    import adapted_pairs.verify as verify_mod
-
-    successors = verify_mod._successors
+    successors = oracle._successors
     expanded = []
     monkeypatch.setattr(
-        verify_mod,
+        oracle,
         "_successors",
         lambda os, x: expanded.append(x) or successors(os, x),
     )
@@ -327,20 +336,96 @@ def test_walk_expands_each_code_once(monkeypatch):
     assert sorted(expanded) == list(os.O)
 
 
-def test_classification_walks_each_start_once(monkeypatch):
+def test_classification_matches_the_walk_oracle():
+    # labels, problems and counts, against one walk per start
+    cases = (
+        in_scope_cases(20)
+        + ALL_FLIPS
+        + [("D", n, s) for n in range(22, 49, 2) for s in (n, n - 1)]
+    )
+    for case in cases:
+        os = orbit_structure(build_case(*case))
+        rep = classify_roots(os)
+        assert rep.ok, case
+        expected = _report_fields(oracle.classify_oracle(os))
+        assert _report_fields(rep) == expected, case
+    assert len(cases) == 228
+
+
+def test_classification_expands_each_code_at_most_twice(monkeypatch):
+    # one memo of grades and one search from the tildes: the expansions
+    # grow as |O|, where a walk per start made 7,354 on D32 s=32
     import adapted_pairs.verify as verify_mod
 
-    walk = verify_mod.walk_sequence
-    calls = []
-    for case in in_scope_cases(10):
+    successors = verify_mod._successors
+    expanded = []
+    monkeypatch.setattr(
+        verify_mod,
+        "_successors",
+        lambda os, x: expanded.append(x) or successors(os, x),
+    )
+    cases = in_scope_cases(12) + ALL_FLIPS + [("D", 32, 32), ("D", 48, 48)]
+    for case in cases:
         os = orbit_structure(build_case(*case))
-        monkeypatch.setattr(
-            verify_mod,
-            "walk_sequence",
-            lambda os, start: calls.append((case, start)) or walk(os, start),
-        )
+        expanded.clear()
         assert classify_roots(os).ok
-    assert len(calls) == len(set(calls)) == 1124
+        assert len(expanded) <= 2 * len(os.O), case
+
+
+@st.composite
+def successor_graphs(draw):
+    """Steps on up to 12 codes, each a list or None (an undefined step),
+    a local grade of 0, 1 or 2 for each code, and the starts in the
+    order they are graded."""
+    codes = list(range(1, draw(st.integers(1, 12)) + 1))
+    step_lists = st.lists(st.sampled_from(codes), max_size=3, unique=True)
+    steps = {
+        c: None if draw(st.integers(0, 5)) == 0 else draw(step_lists)
+        for c in codes
+    }
+    local = {c: draw(st.integers(0, 2)) for c in codes}
+    starts = draw(st.lists(st.sampled_from(codes), min_size=1, unique=True))
+    return steps, local, starts
+
+
+def _grade_by_definition(steps, local, start):
+    """0 when a loop or an undefined step can be reached from start, else
+    the least local grade over the codes reached, start included."""
+    after = {}  # code -> the codes reached from it in one step or more
+    for c in steps:
+        seen, todo = set(), [c]
+        while todo:
+            for y in steps[todo.pop()] or ():
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        after[c] = seen
+    reach = after[start] | {start}
+    if any(steps[z] is None or z in after[z] for z in reach):
+        return 0
+    return min(local[z] for z in reach)
+
+
+@settings(max_examples=500, deadline=None)
+@given(successor_graphs())
+# a loop downstream of a code graded earlier, and reached again through it
+@example(({1: [2], 2: [3], 3: [4], 4: [3]}, {1: 2, 2: 2, 3: 2, 4: 2}, [2, 1]))
+# a code finished off a loop while the loop's codes are on the path
+@example(({1: [2], 2: [1, 3], 3: []}, {1: 2, 2: 2, 3: 1}, [1, 3]))
+def test_grade_matches_its_definition(graph):
+    import adapted_pairs.verify as verify_mod
+
+    steps, local, starts = graph
+    memo = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "_successors", lambda os, x: steps[x])
+        mp.setattr(verify_mod, "_local_grade", lambda os, x: local[x])
+        for a in starts:
+            assert verify_mod._grade(None, memo, a) == _grade_by_definition(
+                steps, local, a
+            )
+    # every code the passes finished holds its exact grade
+    assert memo == {c: _grade_by_definition(steps, local, c) for c in memo}
 
 
 def test_d_cyclic_family_from_the_case_analysis():
@@ -1071,7 +1156,6 @@ def test_result_records_are_named_tuples():
         verify.NondegeneracyCheck,
         verify.RegularityCheck,
         verify.AdaptedPair,
-        verify.WalkResult,
         verify.CyclicFamily,
         verify.ClassificationReport,
         verify.CaseResult,
